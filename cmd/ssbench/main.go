@@ -672,7 +672,8 @@ func runLiveUpdate(scale int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	if _, err := eng.Search(corpus.Users[0], workload.Categories[0]); err != nil {
+	last, err := eng.Search(corpus.Users[0], workload.Categories[0])
+	if err != nil {
 		return err
 	}
 	const batch = 10
@@ -682,16 +683,15 @@ func runLiveUpdate(scale int, seed int64) error {
 		if err := eng.Apply(muts[i:end]); err != nil {
 			return err
 		}
-		if _, err := eng.Search(corpus.Users[i%len(corpus.Users)], workload.Categories[0]); err != nil {
+		if last, err = eng.Search(corpus.Users[i%len(corpus.Users)], workload.Categories[0]); err != nil {
 			return err
 		}
 	}
 	engTime := time.Since(start)
 	benchMetric("engine_apply_total_ms", float64(engTime.Milliseconds()))
-	stats, _ := eng.LastSearchStats()
 	fmt.Printf("engine: %d mutations in batches of %d via Engine.Apply in %v "+
 		"(version %d, last query read snapshot %d)\n",
-		len(muts), batch, engTime, eng.Version(), stats.SnapshotVersion)
+		len(muts), batch, engTime, eng.Version(), last.Stats.SnapshotVersion)
 
 	return runSnapshotScaling(scale, seed)
 }

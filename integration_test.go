@@ -7,58 +7,47 @@ import (
 	"socialscope/internal/graph"
 	"socialscope/internal/index"
 	"socialscope/internal/presentation"
-	"socialscope/internal/store"
 	"socialscope/internal/workload"
 )
 
 // TestStoreBackedEngine exercises the full Content Management → Discovery
 // → Presentation stack with durable storage underneath: generate a site,
-// persist it through the Data Manager's store, crash-recover it, and run
-// queries against the recovered graph.
+// persist it through the durable engine's WAL and checkpoints, recover
+// it, and run queries against the recovered graph.
 func TestStoreBackedEngine(t *testing.T) {
 	corpus, err := workload.Travel(workload.TravelConfig{Users: 30, Destinations: 20, Seed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var muts []graph.Mutation
+	for _, n := range corpus.Graph.Nodes() {
+		muts = append(muts, graph.Mutation{Kind: graph.MutAddNode, Node: n.Clone()})
+	}
+	for _, l := range corpus.Graph.Links() {
+		muts = append(muts, graph.Mutation{Kind: graph.MutAddLink, Link: l.Clone()})
+	}
 
 	dir := t.TempDir()
-	s, err := store.Open(dir)
+	cfg := Config{ItemType: "destination"}
+	eng, err := OpenDurable(dir, nil, cfg, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range corpus.Graph.Nodes() {
-		if err := s.PutNode(n.Clone()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, l := range corpus.Graph.Links() {
-		if err := s.PutLink(l.Clone()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Snapshot(); err != nil {
+	if err := eng.Apply(muts); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Close(); err != nil {
+	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Recover and serve.
-	s2, err := store.Open(dir)
+	eng, err = OpenDurable(dir, nil, cfg, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
-	g, err := s2.Graph()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.Equal(corpus.Graph) {
+	defer eng.Close()
+	if !eng.Graph().Equal(corpus.Graph) {
 		t.Fatal("recovered graph differs from the generated one")
-	}
-	eng, err := New(g, Config{ItemType: "destination"})
-	if err != nil {
-		t.Fatal(err)
 	}
 	resp, err := eng.Search(corpus.Users[0], "attractions")
 	if err != nil {

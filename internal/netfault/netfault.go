@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"sync"
 	"time"
@@ -35,7 +36,8 @@ var (
 	// request may or may not have reached the backend.
 	ErrReset = fmt.Errorf("%w: connection reset by peer", ErrInjected)
 	// ErrRefused models a connection refused: the request never reached
-	// the backend (safe to retry even for writes).
+	// the backend (safe to retry even for writes). It arrives inside a
+	// dial *net.OpError, like a real refusal.
 	ErrRefused = fmt.Errorf("%w: connection refused", ErrInjected)
 )
 
@@ -210,7 +212,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 
 	switch {
 	case refused:
-		return nil, &faultErr{backend, op, ErrRefused}
+		return nil, refusedErr(backend, op)
 	case partitioned:
 		<-req.Context().Done()
 		return nil, &faultErr{backend, op, fmt.Errorf("%w: partitioned: %w", ErrInjected, req.Context().Err())}
@@ -220,7 +222,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	case KindNone:
 		return t.inner.RoundTrip(req)
 	case KindFail:
-		return nil, &faultErr{backend, op, ErrRefused}
+		return nil, refusedErr(backend, op)
 	case KindReset:
 		resp, err := t.inner.RoundTrip(req)
 		if err == nil {
@@ -268,6 +270,13 @@ func (e *faultErr) Error() string {
 
 func (e *faultErr) Unwrap() error { return e.err }
 
+// refusedErr wraps ErrRefused in the shape of a real refused dial (a
+// *net.OpError with Op "dial"), so callers classify injected and real
+// refusals with one check.
+func refusedErr(backend string, op int64) error {
+	return &faultErr{backend, op, &net.OpError{Op: "dial", Net: "tcp", Err: ErrRefused}}
+}
+
 // truncatedBody lets remain bytes through, then fails the read and
 // swallows the rest — the caller sees a mid-stream connection tear, not
 // a clean EOF (which would look like a complete short response).
@@ -309,15 +318,3 @@ func (b *truncatedBody) Close() error {
 // Err reports whether err (anywhere in its chain) was injected by a
 // Transport.
 func Err(err error) bool { return errors.Is(err, ErrInjected) }
-
-// Sent reports whether the request may have reached the backend. Only a
-// refused connection provably never went out, so only ErrRefused makes
-// even non-idempotent requests safe to retry; everything else — resets,
-// black holes, partitions that time out — answers true, because the
-// backend may have done the work.
-func Sent(err error) bool {
-	if errors.Is(err, ErrRefused) {
-		return false
-	}
-	return true
-}

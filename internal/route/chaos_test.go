@@ -418,7 +418,7 @@ func TestChaosWriteRetrySafety(t *testing.T) {
 	h.applyOne(true)
 
 	// Refuse the next request to the leader: the router must retry the
-	// write — netfault.Sent reports it never went out — and the ack must
+	// write — a refused dial never went out — and the ack must
 	// arrive on the retry with no version skipped.
 	h.ft.FailAt(h.leaderHost, h.ft.Ops(h.leaderHost))
 	before := h.leaderEng.Version()

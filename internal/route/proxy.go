@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"time"
 
-	"socialscope/internal/netfault"
 	"socialscope/internal/serve"
 )
 
@@ -355,17 +354,11 @@ func writeRetryable(res tryResult) bool {
 }
 
 // unsent reports whether err happened before the request reached the
-// backend: an injected connection-refused, or a real dial failure. Only
-// these make a write safe to retry.
+// backend — a dial failure, real or injected. Only these make a write
+// safe to retry.
 func unsent(err error) bool {
-	if !netfault.Sent(err) {
-		return true
-	}
 	var op *net.OpError
-	if errors.As(err, &op) && op.Op == "dial" {
-		return true
-	}
-	return false
+	return errors.As(err, &op) && op.Op == "dial"
 }
 
 // relay writes a backend answer through to the client, passing through

@@ -2,9 +2,11 @@ package route
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -12,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"socialscope/internal/netfault"
 	"socialscope/internal/serve"
 )
 
@@ -189,6 +192,44 @@ func TestReadRetriesThroughTransientFailures(t *testing.T) {
 	}
 	if got := r.stats.retries.Load(); got < 2 {
 		t.Fatalf("retries counter %d, want >= 2", got)
+	}
+}
+
+// TestUnsentClassifiesDialFailures pins the write-retry classifier: only
+// a dial failure — injected or real — proves a request never went out.
+func TestUnsentClassifiesDialFailures(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	defer srv.Close()
+	ft := netfault.New(nil)
+	ft.FailAt(srv.Listener.Addr().String(), 0)
+	ft.ResetAt(srv.Listener.Addr().String(), 1)
+	client := &http.Client{Transport: ft}
+	_, refused := client.Get(srv.URL)
+	_, reset := client.Get(srv.URL)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.Close()
+	_, dial := client.Get("http://" + ln.Addr().String())
+
+	for _, c := range []struct {
+		name string
+		err  error
+		want bool
+	}{
+		{"injected refused", refused, true},
+		{"injected reset", reset, false},
+		{"real dial to a closed listener", dial, true},
+		{"deadline exceeded", context.DeadlineExceeded, false},
+	} {
+		if c.err == nil {
+			t.Fatalf("%s: request did not fail", c.name)
+		}
+		if got := unsent(c.err); got != c.want {
+			t.Errorf("%s: unsent(%v) = %v, want %v", c.name, c.err, got, c.want)
+		}
 	}
 }
 

@@ -164,7 +164,14 @@ func (c *Coalescer) flush() {
 		combined = append(combined, r.muts...)
 	}
 	err := c.eng.Apply(combined)
-	fellBack := false
+	// Count the flush before answering anyone, so a writer that reads
+	// Stats after its ack always sees its own flush.
+	c.flushes.Inc()
+	c.maxFlush.Max(float64(nmuts))
+	c.batchSize.Observe(float64(nmuts))
+	if nmuts >= graph.BulkApplyThreshold {
+		c.bulkFlushes.Inc()
+	}
 	if err == nil {
 		v := c.eng.Version()
 		for _, r := range reqs {
@@ -175,22 +182,12 @@ func (c *Coalescer) flush() {
 	} else {
 		// Combined batch rejected: isolate the offender(s) by applying each
 		// request's batch on its own.
-		fellBack = true
+		c.fallbacks.Inc()
 		for _, r := range reqs {
 			e := c.eng.Apply(r.muts)
 			out := applyOutcome{version: c.eng.Version(), coalesced: 1, batched: len(r.muts), err: e}
 			r.done <- out
 		}
-	}
-
-	c.flushes.Inc()
-	c.maxFlush.Max(float64(nmuts))
-	c.batchSize.Observe(float64(nmuts))
-	if nmuts >= graph.BulkApplyThreshold {
-		c.bulkFlushes.Inc()
-	}
-	if fellBack {
-		c.fallbacks.Inc()
 	}
 }
 

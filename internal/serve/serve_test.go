@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -327,6 +328,26 @@ func TestApplyRejectionIsClean(t *testing.T) {
 	}
 	if got := site.eng.Version(); got != v0 {
 		t.Fatalf("rejected apply bumped version %d -> %d", v0, got)
+	}
+}
+
+// TestOversizedApplyIs413 pins the request-body bound: a body past
+// maxRequestBody is refused with 413 and changes nothing, while a normal
+// batch still lands.
+func TestOversizedApplyIs413(t *testing.T) {
+	site := newTestSite(t, Config{})
+	v0 := site.eng.Version()
+	body := `{"mutations":[` + strings.Repeat(" ", maxRequestBody) + `]}`
+	rec := httptest.NewRecorder()
+	site.srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/apply", strings.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized apply: status %d (%s), want 413", rec.Code, rec.Body)
+	}
+	if got := site.eng.Version(); got != v0 {
+		t.Fatalf("oversized apply bumped version %d -> %d", v0, got)
+	}
+	if status, out, body := site.apply(t, site.stream.Batch(2)); status != http.StatusOK || out.Version != v0+1 {
+		t.Fatalf("normal apply after 413: status %d version %d (%s)", status, out.Version, body)
 	}
 }
 

@@ -19,6 +19,10 @@ import (
 	"socialscope/internal/topk"
 )
 
+// maxRequestBody bounds the JSON bodies of POST /query and /apply;
+// larger requests get 413. It sits far above any real batch.
+const maxRequestBody = 8 << 20
+
 // Config parameterizes a Server. The zero value serves with sane
 // defaults: 2s request deadline, DefaultCacheEntries cache,
 // bulk-threshold write coalescing, DefaultMaxConcurrent admission.
@@ -238,13 +242,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 // handleQuery answers POST /query with a QueryRequest body.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
 	s.answerQuery(w, r)
 }
 
 func (s *Server) answerQuery(w http.ResponseWriter, r *http.Request) {
 	req, err := parseQueryRequest(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeError(w, bodyStatus(err), err)
 		return
 	}
 	q, err := discovery.ParseQuery(req.Query)
@@ -400,8 +405,8 @@ func (s *Server) respondCached(w http.ResponseWriter, r *http.Request,
 // the write coalescer.
 func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	var req ApplyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad request body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil {
+		writeError(w, bodyStatus(err), fmt.Errorf("serve: bad request body: %w", err))
 		return
 	}
 	muts := make([]graph.Mutation, 0, len(req.Mutations))
@@ -506,6 +511,16 @@ func statusFor(err error) int {
 		return http.StatusConflict
 	}
 	return http.StatusUnprocessableEntity
+}
+
+// bodyStatus maps a request-parsing error to 400, or to 413 when the
+// body overran maxRequestBody.
+func bodyStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

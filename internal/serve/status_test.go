@@ -64,8 +64,9 @@ func TestShedCarriesRetryAfter(t *testing.T) {
 	// must shed.
 	srv := New(eng, Config{MaxConcurrent: 1, MaxQueue: 0, FlushInterval: 40 * time.Millisecond})
 	defer srv.Close()
-	block := make(chan struct{})
+	block, held := make(chan struct{}), make(chan struct{})
 	srv.mux.HandleFunc("GET /block", srv.limited(func(w http.ResponseWriter, r *http.Request) {
+		close(held)
 		<-block
 	}))
 	ts := httptest.NewServer(srv.Handler())
@@ -73,20 +74,18 @@ func TestShedCarriesRetryAfter(t *testing.T) {
 	defer close(block)
 
 	go http.Get(ts.URL + "/block")
-	// Wait for the blocker to hold the slot.
-	deadline := time.Now().Add(2 * time.Second)
-	var resp *http.Response
-	for {
-		resp, err = http.Get(ts.URL + "/search?user=1&q=x")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusServiceUnavailable || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Wait for the blocker to hold the slot before competing for it: a
+	// probe that arrives first would shed the blocker instead.
+	select {
+	case <-held:
+	case <-time.After(2 * time.Second):
+		t.Fatal("blocker never took the slot")
 	}
+	resp, err := http.Get(ts.URL + "/search?user=1&q=x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("never shed: last status %d", resp.StatusCode)
 	}

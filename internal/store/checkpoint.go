@@ -1,3 +1,8 @@
+// Package store is the durable half of the Data Manager's storage role
+// (Section 6, Figure 1): checkpoint files, the MANIFEST that binds them
+// to internal/wal, and the Watcher followers poll it with. All file IO
+// flows through vfs.FS (enforced by the vfsseam analyzer), so the
+// fault-injection harness can crash it at every operation boundary.
 package store
 
 // Checkpoint files and the manifest that binds them to the WAL — the

@@ -69,9 +69,8 @@ func TestEngineApplyMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats, ok := eng.LastSearchStats()
-		if !ok || stats.SnapshotVersion != 1 {
-			t.Fatalf("user %d: stats %+v ok=%v, want snapshot version 1", u, stats, ok)
+		if live.Stats == nil || live.Stats.SnapshotVersion != 1 {
+			t.Fatalf("user %d: stats %+v, want snapshot version 1", u, live.Stats)
 		}
 		want, err := fresh.Search(u, query)
 		if err != nil {
@@ -138,7 +137,7 @@ func TestEngineApplyChangelog(t *testing.T) {
 }
 
 // TestEngineLiveConcurrent hammers one engine with concurrent Search,
-// Apply, LastSearchStats and Version calls. Run under -race this is the
+// Apply and Version calls. Run under -race this is the
 // concurrency-correctness gate for the RCU snapshot path; in any mode it
 // verifies the final state converges to exactly what a fresh engine over
 // the final graph computes.
@@ -175,7 +174,6 @@ func TestEngineLiveConcurrent(t *testing.T) {
 					errCh <- fmt.Errorf("searcher %d: %w", s, err)
 					return
 				}
-				eng.LastSearchStats()
 				eng.Version()
 			}
 			errCh <- nil
@@ -231,11 +229,10 @@ func TestEngineLiveConcurrent(t *testing.T) {
 		if !reflect.DeepEqual(live.Results(), want.Results()) {
 			t.Errorf("user %d: post-storm results diverge from fresh build", u)
 		}
-	}
-	stats, ok := eng.LastSearchStats()
-	if !ok || stats.SnapshotVersion != uint64(appliers*batchesPer) {
-		t.Errorf("final stats %+v ok=%v, want snapshot version %d",
-			stats, ok, appliers*batchesPer)
+		if live.Stats == nil || live.Stats.SnapshotVersion != uint64(appliers*batchesPer) {
+			t.Errorf("user %d: stats %+v, want snapshot version %d",
+				u, live.Stats, appliers*batchesPer)
+		}
 	}
 }
 

@@ -239,11 +239,6 @@ type Engine struct {
 	// through the atomic state pointer and never block on it.
 	mu    sync.Mutex
 	state atomic.Pointer[engineState]
-	// statsMu guards the last-query work report, written on the query path
-	// and read by LastSearchStats.
-	statsMu  sync.Mutex
-	stats    SearchStats // work report of the last index-backed query
-	hasStats bool
 	// dur is the durability state (WAL + checkpointer) for engines opened
 	// with OpenDurable, nil otherwise. Guarded by mu.
 	dur *durable
@@ -606,15 +601,6 @@ func (e *Engine) ensureProcessor() (*engineState, error) {
 	return ns, nil
 }
 
-// LastSearchStats reports the work of the most recent index-backed query
-// (false while no tagged query ran yet or TopK is off). Safe to call
-// concurrently with Search and Apply.
-func (e *Engine) LastSearchStats() (SearchStats, bool) {
-	e.statsMu.Lock()
-	defer e.statsMu.Unlock()
-	return e.stats, e.hasStats
-}
-
 // Response is a complete answer: the MSG from the discovery layer and the
 // organized presentation with per-item explanations.
 type Response struct {
@@ -626,10 +612,10 @@ type Response struct {
 	// adjacent to the result set.
 	Related discovery.Related
 	// Stats is this evaluation's own work report when the query went
-	// through the activity-driven index, nil otherwise. Unlike
-	// LastSearchStats — a last-writer-wins engine-wide report — it is
-	// race-free under concurrent queries, which the serving layer's
-	// response cache relies on for deterministic bodies.
+	// through the activity-driven index, nil otherwise. It belongs to this
+	// response alone, so concurrent queries never see each other's
+	// reports — the serving layer's response cache relies on that for
+	// deterministic bodies.
 	Stats *SearchStats
 	// Version is the engine state version this response was evaluated
 	// against — exact even when a concurrent Apply advances the engine
@@ -701,10 +687,6 @@ func (e *Engine) QueryCtx(ctx context.Context, user NodeID, q discovery.Query) (
 			EarlyTerminated: ts.EarlyTerminated,
 			SnapshotVersion: ts.SnapshotVersion,
 		}
-		e.statsMu.Lock()
-		e.stats = *evalStats
-		e.hasStats = true
-		e.statsMu.Unlock()
 	} else {
 		msg, err = st.disc.Discover(user, q)
 	}

@@ -40,9 +40,8 @@ func TestEngineTopKStrategiesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stats, ok := eng.LastSearchStats()
-			if !ok || stats.Strategy != strat {
-				t.Fatalf("%s: stats missing or mislabeled: %+v ok=%v", strat, stats, ok)
+			if resp.Stats == nil || resp.Stats.Strategy != strat {
+				t.Fatalf("%s: stats missing or mislabeled: %+v", strat, resp.Stats)
 			}
 			var got []struct {
 				item  NodeID
@@ -76,11 +75,11 @@ func TestEngineTopKSavesWork(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, u := range corpus.Users[:10] {
-			if _, err := eng.Search(u, query); err != nil {
+			resp, err := eng.Search(u, query)
+			if err != nil {
 				t.Fatal(err)
 			}
-			st, _ := eng.LastSearchStats()
-			work[strat] += st.PostingsScanned
+			work[strat] += resp.Stats.PostingsScanned
 		}
 	}
 	if work[TopKTA] >= work[TopKExhaustive] {
@@ -98,10 +97,11 @@ func TestEngineTopKFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range []string{"", "city:paris"} {
-		if _, err := eng.Search(corpus.Users[0], q); err != nil {
+		resp, err := eng.Search(corpus.Users[0], q)
+		if err != nil {
 			t.Fatalf("fallback query %q: %v", q, err)
 		}
-		if _, ok := eng.LastSearchStats(); ok {
+		if resp.Stats != nil {
 			t.Errorf("query %q should not have used the index path", q)
 		}
 	}
@@ -122,7 +122,7 @@ func TestEngineTopKBadCluster(t *testing.T) {
 
 // TestEngineTopKConcurrentSearch serves tagged queries from multiple
 // goroutines — meaningful under -race, guarding the lazily built
-// processor and the stats slot.
+// processor.
 func TestEngineTopKConcurrentSearch(t *testing.T) {
 	corpus := topkCorpus(t)
 	eng, err := New(corpus.Graph, Config{ItemType: "destination", TopK: TopKTA})
@@ -133,7 +133,6 @@ func TestEngineTopKConcurrentSearch(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		go func(u NodeID) {
 			_, err := eng.Search(u, workload.Categories[0])
-			eng.LastSearchStats()
 			done <- err
 		}(corpus.Users[i])
 	}
