@@ -1,19 +1,16 @@
 // Command ssbench regenerates every table and figure of the SocialScope
 // paper on synthetic workloads and prints them in the paper's layout.
-// EXPERIMENTS.md records a reference run.
+// docs/benchmark.md walks through the experiments and how to read them;
+// system performance is measured by the bench/ ledger instead.
 //
 // Usage:
 //
-//	ssbench [-exp all|table1|table2|example4|figure2|index|topk|sync|presentation|analyzer|pipeline|fusion|liveupdate|bulkload|serving] [-scale N] [-seed S] [-benchdir DIR]
-//
-// Besides the printed tables, experiments that record metrics write them
-// as BENCH_<exp>.json into -benchdir so successive runs can be diffed.
+//	ssbench [-exp all|table1|table2|example4|figure2|index|topk|sync|presentation|analyzer|pipeline|fusion] [-scale N] [-seed S]
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"sort"
 	"strings"
@@ -37,7 +34,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run")
 	scale := flag.Int("scale", 1, "workload scale multiplier")
 	seed := flag.Int64("seed", 42, "workload seed")
-	benchdir := flag.String("benchdir", ".", "directory for BENCH_<exp>.json result files (empty disables)")
 	flag.Parse()
 
 	runners := map[string]func(int, int64) error{
@@ -52,23 +48,14 @@ func main() {
 		"analyzer":     runAnalyzer,
 		"pipeline":     runPipeline,
 		"fusion":       runFusion,
-		"liveupdate":   runLiveUpdate,
-		"bulkload":     runBulkload,
-		"serving":      runServing,
 	}
 	order := []string{"table1", "table2", "example4", "figure2", "index",
-		"topk", "sync", "presentation", "analyzer", "pipeline", "fusion",
-		"liveupdate", "bulkload", "serving"}
+		"topk", "sync", "presentation", "analyzer", "pipeline", "fusion"}
 
 	run := func(name string) {
 		fmt.Printf("\n===== %s =====\n", name)
-		benchMetrics = make(map[string]float64)
 		if err := runners[name](*scale, *seed); err != nil {
 			fmt.Fprintf(os.Stderr, "ssbench: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		if err := writeBenchJSON(*benchdir, name, *scale, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "ssbench: %s: writing results: %v\n", name, err)
 			os.Exit(1)
 		}
 	}
@@ -554,285 +541,6 @@ func runPipeline(scale int, seed int64) error {
 	fmt.Printf("  50 queries (discover + present + explain): %v (%v/query, %d results)\n",
 		queryTime, queryTime/50, n)
 	return nil
-}
-
-// runLiveUpdate measures the maintenance problem the paper defers ("index
-// maintenance upon updates"): a live travel site absorbing a stream of new
-// tagging actions while queries keep arriving. Incremental maintenance
-// (index.ApplyDelta copy-on-write snapshots) is compared against the
-// rebuild-per-update baseline (full index.Build after every action); both
-// serve an interleaved TA query per update, and the final indexes are
-// cross-checked for byte-identity. A second phase drives the same stream
-// through the Engine.Apply facade path with concurrent-read-safe RCU
-// snapshots.
-func runLiveUpdate(scale int, seed int64) error {
-	corpus, err := workload.Travel(workload.TravelConfig{
-		Users: 200 * scale, Destinations: 80 * scale, Seed: seed,
-		VisitsPerUser: 8, TagFraction: 0.8,
-	})
-	if err != nil {
-		return err
-	}
-	g := corpus.Graph
-	cl, err := cluster.Build(g, cluster.NetworkBased, 0.3)
-	if err != nil {
-		return err
-	}
-	data := index.Extract(g)
-	steps := 200 * scale
-	rng := rand.New(rand.NewSource(seed))
-	muts := make([]graph.Mutation, steps)
-	nextLink := g.MaxLinkID()
-	for i := range muts {
-		nextLink++
-		u := data.Users[rng.Intn(len(data.Users))]
-		d := corpus.Destinations[rng.Intn(len(corpus.Destinations))]
-		tag := data.Tags[rng.Intn(len(data.Tags))]
-		l := graph.NewLink(nextLink, u, d, graph.TypeAct, graph.SubtypeTag)
-		l.Attrs.Add("tags", tag)
-		muts[i] = graph.Mutation{Kind: graph.MutAddLink, Link: l}
-	}
-	queryTags := data.Tags
-	if len(queryTags) > 3 {
-		queryTags = queryTags[:3]
-	}
-	query := func(ix *index.Index, i int) error {
-		proc, err := topk.New(ix, scoring.SumG)
-		if err != nil {
-			return err
-		}
-		_, _, err = proc.TopK(data.Users[i%len(data.Users)], queryTags, 10, topk.TA)
-		return err
-	}
-
-	fmt.Printf("Live updates — travel workload (users=%d destinations=%d), %d tagging\n",
-		len(data.Users), len(corpus.Destinations), steps)
-	fmt.Printf("actions applied one at a time, one TA query (k=10, %v) after each\n\n", queryTags)
-	fmt.Printf("%-22s %-13s %-13s %-13s %-12s\n",
-		"mode", "maintenance", "per update", "queries", "wall total")
-
-	// Incremental: copy-on-write snapshot per update.
-	ix, err := index.Build(data, cl, scoring.CountF)
-	if err != nil {
-		return err
-	}
-	var incUpd, incQ time.Duration
-	for i := range muts {
-		start := time.Now()
-		ix = ix.ApplyDelta(muts[i : i+1])
-		incUpd += time.Since(start)
-		start = time.Now()
-		if err := query(ix, i); err != nil {
-			return err
-		}
-		incQ += time.Since(start)
-	}
-	fmt.Printf("%-22s %-13v %-13v %-13v %-12v\n", "incremental",
-		incUpd, incUpd/time.Duration(steps), incQ, incUpd+incQ)
-	benchMetric("incremental_per_update_us", float64(incUpd.Microseconds())/float64(steps))
-
-	// Baseline: fold the action into the substrate, then rebuild the whole
-	// index (what a batch-built Section 6.2 index has to do today).
-	dataR := index.Extract(g)
-	ixR, err := index.Build(dataR, cl, scoring.CountF)
-	if err != nil {
-		return err
-	}
-	var rebUpd, rebQ time.Duration
-	for i, m := range muts {
-		l := m.Link
-		start := time.Now()
-		dataR.AddTagging(l.Src, l.Tgt, l.Attrs.All("tags")[0])
-		ixR, err = index.Build(dataR, cl, scoring.CountF)
-		if err != nil {
-			return err
-		}
-		rebUpd += time.Since(start)
-		start = time.Now()
-		if err := query(ixR, i); err != nil {
-			return err
-		}
-		rebQ += time.Since(start)
-	}
-	fmt.Printf("%-22s %-13v %-13v %-13v %-12v\n", "rebuild-per-update",
-		rebUpd, rebUpd/time.Duration(steps), rebQ, rebUpd+rebQ)
-	benchMetric("rebuild_per_update_us", float64(rebUpd.Microseconds())/float64(steps))
-	benchMetric("maintenance_speedup", rebUpd.Seconds()/incUpd.Seconds())
-	fmt.Printf("\nmaintenance speedup: %.1f× (wall %.1f×; snapshot version %d, %d entries",
-		rebUpd.Seconds()/incUpd.Seconds(),
-		(rebUpd + rebQ).Seconds()/(incUpd + incQ).Seconds(),
-		ix.Version(), ix.EntryCount())
-	fmt.Printf("; final indexes identical: %v)\n", sameLists(ix, ixR))
-
-	// Facade path: batches through Engine.Apply, RCU snapshots underneath.
-	eng, err := socialscope.New(g, socialscope.Config{
-		ItemType: "destination", TopK: socialscope.TopKTA, ClusterStrategy: "network",
-		ClusterTheta: 0.3,
-	})
-	if err != nil {
-		return err
-	}
-	last, err := eng.Search(corpus.Users[0], workload.Categories[0])
-	if err != nil {
-		return err
-	}
-	const batch = 10
-	start := time.Now()
-	for i := 0; i < len(muts); i += batch {
-		end := min(i+batch, len(muts))
-		if err := eng.Apply(muts[i:end]); err != nil {
-			return err
-		}
-		if last, err = eng.Search(corpus.Users[i%len(corpus.Users)], workload.Categories[0]); err != nil {
-			return err
-		}
-	}
-	engTime := time.Since(start)
-	benchMetric("engine_apply_total_ms", float64(engTime.Milliseconds()))
-	fmt.Printf("engine: %d mutations in batches of %d via Engine.Apply in %v "+
-		"(version %d, last query read snapshot %d)\n",
-		len(muts), batch, engTime, eng.Version(), last.Stats.SnapshotVersion)
-
-	return runSnapshotScaling(scale, seed)
-}
-
-// runSnapshotScaling is the O(delta) study: per-batch Engine.Apply latency
-// across growing corpora, against the pre-persistent (PR 2) baseline whose
-// per-batch fixed costs scaled with the corpus — a full map copy of every
-// node, link and adjacency entry (the old ShallowClone) plus an eager BM25
-// corpus rebuild (the old NewDiscoverer). With persistent structural
-// sharing both snapshots are O(1) header copies, so per-batch latency
-// tracks the batch, not the graph.
-func runSnapshotScaling(scale int, seed int64) error {
-	fmt.Printf("\nsnapshot cost — per-batch apply, persistent vs pre-persistent baseline\n")
-	fmt.Printf("(batches of 10 tagging actions; legacy/batch = full graph map copy + corpus\n")
-	fmt.Printf("rebuild, the fixed per-batch costs of the previous engine)\n\n")
-	fmt.Printf("%-8s %-8s %-8s %-14s %-14s %-10s\n",
-		"factor", "nodes", "links", "legacy/batch", "apply/batch", "speedup")
-
-	const batchSize = 10
-	var flat []time.Duration
-	for _, factor := range []int{1, 2, 4} {
-		sc := scale * factor
-		corpus, err := workload.Travel(workload.TravelConfig{
-			Users: 200 * sc, Destinations: 80 * sc, Seed: seed,
-			VisitsPerUser: 8, TagFraction: 0.8,
-		})
-		if err != nil {
-			return err
-		}
-		g := corpus.Graph
-		data := index.Extract(g)
-
-		// Legacy baseline, reproduced faithfully: copy every node, link and
-		// adjacency entry into fresh maps, then rebuild the item corpus.
-		// Element slices are materialized outside the timed region so the
-		// measurement is the copy the old ShallowClone performed, nothing
-		// more.
-		nodes := g.Nodes()
-		links := g.Links()
-		const legacyReps = 5
-		legacyStart := time.Now()
-		for r := 0; r < legacyReps; r++ {
-			nm := make(map[graph.NodeID]*graph.Node, len(nodes))
-			for _, n := range nodes {
-				nm[n.ID] = n
-			}
-			lm := make(map[graph.LinkID]*graph.Link, len(links))
-			outAdj := make(map[graph.NodeID][]graph.LinkID, len(nodes))
-			inAdj := make(map[graph.NodeID][]graph.LinkID, len(nodes))
-			for _, l := range links {
-				lm[l.ID] = l
-				outAdj[l.Src] = append(outAdj[l.Src], l.ID)
-				inAdj[l.Tgt] = append(inAdj[l.Tgt], l.ID)
-			}
-			if len(lm) != len(links) {
-				return fmt.Errorf("legacy clone dropped links")
-			}
-			_ = scoring.NodeCorpus(g, "destination")
-		}
-		legacyPerBatch := time.Since(legacyStart) / legacyReps
-
-		// Persistent path: the real Engine.Apply, batch after batch.
-		// PerUser clustering keeps setup linear so the table stays cheap to
-		// produce at large factors; the clustering choice does not change
-		// what is measured (snapshot + delta maintenance).
-		eng, err := socialscope.New(g, socialscope.Config{
-			ItemType: "destination", TopK: socialscope.TopKTA, ClusterStrategy: "peruser",
-		})
-		if err != nil {
-			return err
-		}
-		if _, err := eng.Search(corpus.Users[0], workload.Categories[0]); err != nil {
-			return err
-		}
-		const batches = 50
-		rng := rand.New(rand.NewSource(seed + int64(factor)))
-		nextLink := g.MaxLinkID()
-		start := time.Now()
-		for b := 0; b < batches; b++ {
-			muts := make([]graph.Mutation, batchSize)
-			for i := range muts {
-				nextLink++
-				u := data.Users[rng.Intn(len(data.Users))]
-				d := corpus.Destinations[rng.Intn(len(corpus.Destinations))]
-				tag := data.Tags[rng.Intn(len(data.Tags))]
-				l := graph.NewLink(nextLink, u, d, graph.TypeAct, graph.SubtypeTag)
-				l.Attrs.Add("tags", tag)
-				muts[i] = graph.Mutation{Kind: graph.MutAddLink, Link: l}
-			}
-			if err := eng.Apply(muts); err != nil {
-				return err
-			}
-		}
-		applyPerBatch := time.Since(start) / batches
-		flat = append(flat, applyPerBatch)
-		benchMetric(fmt.Sprintf("factor%d.apply_per_batch_us", factor),
-			float64(applyPerBatch.Microseconds()))
-		benchMetric(fmt.Sprintf("factor%d.legacy_per_batch_us", factor),
-			float64(legacyPerBatch.Microseconds()))
-
-		fmt.Printf("%-8d %-8d %-8d %-14v %-14v %-10.1f\n",
-			factor, g.NumNodes(), g.NumLinks(), legacyPerBatch, applyPerBatch,
-			float64(legacyPerBatch)/float64(applyPerBatch))
-	}
-	if len(flat) == 3 {
-		fmt.Printf("\napply/batch growth 1×→4× corpus: %.2f× — bounded by trie depth "+
-			"(O(log n) path copies), while the legacy baseline grows linearly; the "+
-			"speedup therefore widens with the corpus\n",
-			float64(flat[2])/float64(flat[0]))
-	}
-	return nil
-}
-
-// sameLists reports whether two indexes hold identical posting lists.
-func sameLists(a, b *index.Index) bool {
-	if a.EntryCount() != b.EntryCount() || a.NumLists() != b.NumLists() {
-		return false
-	}
-	type key struct {
-		cluster int
-		tag     string
-	}
-	lists := make(map[key][]index.Entry, a.NumLists())
-	a.ForEachList(func(cl int, tag string, l []index.Entry) {
-		lists[key{cl, tag}] = append([]index.Entry(nil), l...)
-	})
-	same := true
-	b.ForEachList(func(cl int, tag string, l []index.Entry) {
-		w, ok := lists[key{cl, tag}]
-		if !ok || len(w) != len(l) {
-			same = false
-			return
-		}
-		for i := range l {
-			if l[i] != w[i] {
-				same = false
-				return
-			}
-		}
-	})
-	return same
 }
 
 // runFusion measures the paper's central integration thesis: for general

@@ -1,14 +1,73 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"socialscope/internal/cluster"
 	"socialscope/internal/graph"
+	"socialscope/internal/persist"
 	"socialscope/internal/scoring"
+	"socialscope/internal/workload"
 )
+
+// TestTransientBuildMatchesPersistent runs the cold bulk pipeline — deep
+// Clone, induced subgraph, JSON Decode, Extract and Build — once on the
+// pure persistent write path (persist.DisableTransients) and once through
+// transient windows. Trie shapes are canonical for a key set, so the write
+// mode must never show through to a reader: every graph must be Equal and
+// the indexes must hold identical posting lists. The test flips a package
+// global, so it must not run in parallel.
+func TestTransientBuildMatchesPersistent(t *testing.T) {
+	corpus, err := workload.Tagging(workload.TaggingConfig{
+		Users: 150, Items: 300, Tags: 20, Seed: 42, TagsPerUser: 15,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := corpus.Graph
+	cl, err := cluster.Build(g, cluster.NetworkBased, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc bytes.Buffer
+	if err := g.Encode(&enc); err != nil {
+		t.Fatal(err)
+	}
+	keep := make(map[graph.NodeID]struct{})
+	for i, id := range g.NodeIDs() {
+		if i%2 == 0 {
+			keep[id] = struct{}{}
+		}
+	}
+
+	type built struct {
+		graphs []*graph.Graph // clone, induced, decoded
+		ix     *Index
+	}
+	build := func(persistentOnly bool) built {
+		persist.DisableTransients = persistentOnly
+		defer func() { persist.DisableTransients = false }()
+		decoded, err := graph.Decode(bytes.NewReader(enc.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := Build(Extract(g), cl, scoring.CountF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return built{graphs: []*graph.Graph{g.Clone(), g.InducedByNodes(keep), decoded}, ix: ix}
+	}
+	persistent, transient := build(true), build(false)
+	for i, name := range []string{"clone", "induced", "decode"} {
+		if !transient.graphs[i].Equal(persistent.graphs[i]) {
+			t.Errorf("%s: transient-built graph differs from persistent-built", name)
+		}
+	}
+	assertSameLists(t, transient.ix, persistent.ix, "transient vs persistent build")
+}
 
 // TestDifferentialBulkBatches drives batches past BulkDeltaThreshold —
 // the size at which ApplyDelta switches its map writes onto a transient

@@ -286,9 +286,9 @@ func (r *Registry) Handler() http.Handler {
 
 // Snapshot flattens the registry into name→value pairs: counters and
 // gauges directly (labeled series as name{k="v",...}), histograms as
-// name_count, name_sum and estimated name_p50 / name_p99 — the shape
-// ssbench embeds into BENCH_<exp>.json so histogram behavior lands in
-// the perf trajectory alongside wall times.
+// name_count, name_sum and estimated name_p50 / name_p99 — the plain
+// numbers the bench/ ledger reads before and after a run to price each
+// layer.
 func (r *Registry) Snapshot() map[string]float64 {
 	out := make(map[string]float64)
 	r.mu.Lock()

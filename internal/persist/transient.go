@@ -40,9 +40,11 @@ func NewEdit() *Edit { return &Edit{} }
 
 // DisableTransients, when true, makes SetWith/DeleteWith (and therefore
 // TMap and every bulk path built on them) ignore their edit token and run
-// the pure persistent path. It exists so benchmarks (ssbench -exp
-// bulkload) can measure the transient mode against the exact
-// persistent-only code it replaces. Not for concurrent toggling.
+// the pure persistent path. It is a test seam: tests run the same bulk
+// code in both write modes and require identical results (see
+// TestTransientBuildMatchesPersistent in internal/index). Not for
+// concurrent toggling; a test that sets it must restore it and must not
+// run in parallel.
 var DisableTransients bool
 
 // owned reports whether the node may be mutated in place under e.

@@ -2,6 +2,7 @@ package route
 
 import (
 	"fmt"
+	"math"
 	"net/url"
 	"sort"
 	"strings"
@@ -63,7 +64,7 @@ func (w *latencyWindow) quantile(q float64) (time.Duration, bool) {
 	sorted := make([]time.Duration, n)
 	copy(sorted, w.samples[:n])
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(q*float64(n)) - 1
+	idx := int(math.Ceil(q*float64(n))) - 1
 	if idx < 0 {
 		idx = 0
 	}
