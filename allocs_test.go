@@ -1,0 +1,69 @@
+package socialscope
+
+import (
+	"context"
+	"testing"
+
+	"socialscope/internal/discovery"
+	"socialscope/internal/workload"
+)
+
+// Allocation pins: each bound is about 1.25× what the path allocates today,
+// so an allocation diet cannot silently regress. The corpus is the one the
+// bench/ ledger serves, and the figures are per call, averaged over a fixed
+// rotation of users.
+
+func allocPinEngine(t *testing.T) (*Engine, []NodeID) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds a 600-user corpus")
+	}
+	corpus, err := workload.Travel(workload.TravelConfig{
+		Users: 600, Destinations: 200, VisitsPerUser: 8, TagFraction: 0.8, Seed: 42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(corpus.Graph, Config{ItemType: "destination", TopK: TopKTA, ClusterStrategy: "peruser"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, corpus.Users[:16]
+}
+
+func pinAllocs(t *testing.T, name string, bound float64, f func()) {
+	t.Helper()
+	got := testing.AllocsPerRun(16, f)
+	t.Logf("%s: %.0f allocs per call (bound %.0f)", name, got, bound)
+	if got > bound {
+		t.Errorf("%s allocates %.0f per call, over its pin of %.0f", name, got, bound)
+	}
+}
+
+func TestQueryCtxAllocsPinned(t *testing.T) {
+	eng, users := allocPinEngine(t)
+	q, err := discovery.ParseQuery("museum family")
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	pinAllocs(t, "Engine.QueryCtx", 2500, func() {
+		if _, err := eng.QueryCtx(context.Background(), users[i%len(users)], q); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+}
+
+func TestCollaborativeFilteringAllocsPinned(t *testing.T) {
+	eng, users := allocPinEngine(t)
+	i := 0
+	pinAllocs(t, "discovery.CollaborativeFiltering", 145000, func() {
+		if _, err := discovery.CollaborativeFiltering(eng.Graph(), users[i%len(users)], discovery.CFConfig{
+			SimThreshold: eng.cfg.MatchThreshold, ItemType: eng.cfg.ItemType,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+}

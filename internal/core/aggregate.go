@@ -77,6 +77,8 @@ func LinkAggregate(g *graph.Graph, c Condition, att string, a Aggregator, ids *g
 	}
 
 	out := graph.New()
+	out.BeginBulk()
+	defer out.EndBulk()
 	for _, n := range g.Nodes() {
 		out.PutNode(n)
 	}

@@ -37,6 +37,8 @@ func Compose(g1, g2 *graph.Graph, d DirCond, f ComposeFn, ids *graph.IDSource) (
 		return nil, fmt.Errorf("core: Compose requires an id source")
 	}
 	out := graph.New()
+	out.BeginBulk()
+	defer out.EndBulk()
 	// Index G2 links by their d2 endpoint for a hash join.
 	byEnd := make(map[graph.NodeID][]*graph.Link)
 	for _, l2 := range g2.Links() {

@@ -120,6 +120,8 @@ func PatternAggregate(g *graph.Graph, p Pattern, att string, a PathAggregator, i
 		return nil, fmt.Errorf("core: PatternAggregate requires at least one step")
 	}
 	out := graph.New()
+	out.BeginBulk()
+	defer out.EndBulk()
 	for _, start := range g.Nodes() {
 		if !p.Start.SatisfiedByNode(start) {
 			continue

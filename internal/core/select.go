@@ -13,6 +13,8 @@ func NodeSelect(g *graph.Graph, c Condition, s Scorer) *graph.Graph {
 		s = DefaultScorer
 	}
 	out := graph.New()
+	out.BeginBulk()
+	defer out.EndBulk()
 	for _, n := range g.Nodes() {
 		if !c.SatisfiedByNode(n) {
 			continue
@@ -41,6 +43,8 @@ func LinkSelect(g *graph.Graph, c Condition, s Scorer) *graph.Graph {
 		s = DefaultScorer
 	}
 	out := graph.New()
+	out.BeginBulk()
+	defer out.EndBulk()
 	add := func(l *graph.Link) {
 		if !out.HasNode(l.Src) {
 			out.PutNode(g.Node(l.Src))

@@ -9,6 +9,8 @@ import "socialscope/internal/graph"
 // inputs and is reported as an error.
 func Union(g1, g2 *graph.Graph) (*graph.Graph, error) {
 	out := graph.New()
+	out.BeginBulk()
+	defer out.EndBulk()
 	for _, n := range g1.Nodes() {
 		out.PutNode(n.Clone())
 	}
@@ -33,6 +35,8 @@ func Union(g1, g2 *graph.Graph) (*graph.Graph, error) {
 // endpoints necessarily survive, because each input graph is well formed.
 func Intersect(g1, g2 *graph.Graph) (*graph.Graph, error) {
 	out := graph.New()
+	out.BeginBulk()
+	defer out.EndBulk()
 	for _, n := range g1.Nodes() {
 		if other := g2.Node(n.ID); other != nil {
 			merged := n.Clone()

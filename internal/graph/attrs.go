@@ -1,35 +1,121 @@
 package graph
 
 import (
+	"bytes"
+	"encoding/json"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
+
+// Attr is one structural attribute of a node or link: a key and its values.
+type Attr struct {
+	Key  string
+	Vals []string
+}
 
 // Attrs holds the schema-less, multi-valued structural attributes of a node
 // or link. The paper's satisfaction rule (Section 5.1) treats an attribute's
 // values as a set: a condition att=v1,...,vk is satisfied when the stored
 // value set is a superset of {v1,...,vk}. Values are kept in insertion order
 // but compared as sets.
-type Attrs map[string][]string
+//
+// The layout is a slice sorted by Key with unique keys: a node or link
+// carries a handful of attributes, and a sorted slice holds them in a
+// fraction of a map's memory while iterating in the canonical key order the
+// encoders and String need. Build one with NewAttrs, AttrsFromMap or the
+// mutators; a literal must itself list its keys sorted and unrepeated. The
+// mutators (Set, Add, SetFloat, SetInt, Merge) take a pointer receiver,
+// because an insertion may move the slice.
+//
+// Assigning an Attrs copies the slice header, not the attributes, so a
+// copy does not share writes with its original: a write through one copy
+// may or may not show through the other. Mutate only an Attrs you own —
+// Clone one read from a published graph.
+type Attrs []Attr
 
-// NewAttrs builds an attribute map from alternating key/value pairs.
+// NewAttrs builds an attribute set from alternating key/value pairs.
 // Repeated keys accumulate multiple values. It panics on an odd number of
 // arguments, which is always a programming error, never data-dependent.
 func NewAttrs(kv ...string) Attrs {
 	if len(kv)%2 != 0 {
 		panic("graph.NewAttrs: odd number of key/value arguments")
 	}
-	a := make(Attrs, len(kv)/2)
+	a := make(Attrs, 0, len(kv)/2)
 	for i := 0; i < len(kv); i += 2 {
 		a.Add(kv[i], kv[i+1])
 	}
 	return a
 }
 
+// AttrsFromMap builds an attribute set from a key → values map, the shape
+// of the JSON encodings. The result shares no storage with m.
+func AttrsFromMap(m map[string][]string) Attrs {
+	if m == nil {
+		return nil
+	}
+	a := make(Attrs, 0, len(m))
+	for k, vs := range m {
+		a = append(a, Attr{Key: k, Vals: slices.Clone(vs)})
+	}
+	sort.Slice(a, func(i, j int) bool { return a[i].Key < a[j].Key })
+	return a
+}
+
+// Map returns the attributes as a key → values map (nil for a nil Attrs).
+// The value slices are the stored ones; callers must not mutate them.
+func (a Attrs) Map() map[string][]string {
+	if a == nil {
+		return nil
+	}
+	m := make(map[string][]string, len(a))
+	for _, at := range a {
+		m[at.Key] = at.Vals
+	}
+	return m
+}
+
+// MarshalJSON encodes the attributes exactly as encoding/json encodes the
+// equivalent map: an object with sorted keys, null for a nil Attrs. HTML
+// escaping is left to the calling encoder, which applies its own setting
+// to a Marshaler's output just as it does to a map.
+func (a Attrs) MarshalJSON() ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(a.Map()); err != nil {
+		return nil, err
+	}
+	return bytes.TrimSuffix(buf.Bytes(), []byte{'\n'}), nil
+}
+
+// UnmarshalJSON decodes a JSON object of string arrays with the map's
+// semantics: keys already present and absent from the input are kept,
+// a duplicate key in the input is last-wins, and null yields nil.
+func (a *Attrs) UnmarshalJSON(data []byte) error {
+	m := a.Map()
+	if err := json.Unmarshal(data, &m); err != nil {
+		return err
+	}
+	*a = AttrsFromMap(m)
+	return nil
+}
+
+// find returns the position of key, or where it would be inserted. A
+// linear scan: attribute sets hold a handful of keys.
+func (a Attrs) find(key string) (int, bool) {
+	for i := range a {
+		if a[i].Key >= key {
+			return i, a[i].Key == key
+		}
+	}
+	return len(a), false
+}
+
 // Get returns the first value of the attribute, or "" if absent.
 func (a Attrs) Get(key string) string {
-	vs := a[key]
+	vs := a.All(key)
 	if len(vs) == 0 {
 		return ""
 	}
@@ -39,40 +125,49 @@ func (a Attrs) Get(key string) string {
 // All returns every value of the attribute (possibly nil). The returned
 // slice is the stored slice; callers must not mutate it.
 func (a Attrs) All(key string) []string {
-	return a[key]
+	if i, ok := a.find(key); ok {
+		return a[i].Vals
+	}
+	return nil
 }
 
 // Set replaces all values of the attribute with the given ones.
-func (a Attrs) Set(key string, values ...string) {
-	a[key] = append([]string(nil), values...)
+func (a *Attrs) Set(key string, values ...string) {
+	vals := append([]string(nil), values...)
+	if i, ok := a.find(key); ok {
+		(*a)[i].Vals = vals
+	} else {
+		*a = slices.Insert(*a, i, Attr{Key: key, Vals: vals})
+	}
 }
 
 // Add appends a value to the attribute if not already present (set
 // semantics on write keep Has/Superset checks linear in practice).
-func (a Attrs) Add(key, value string) {
-	for _, v := range a[key] {
-		if v == value {
-			return
-		}
+func (a *Attrs) Add(key, value string) {
+	i, ok := a.find(key)
+	if !ok {
+		*a = slices.Insert(*a, i, Attr{Key: key, Vals: []string{value}})
+		return
 	}
-	a[key] = append(a[key], value)
+	if !slices.Contains((*a)[i].Vals, value) {
+		(*a)[i].Vals = append((*a)[i].Vals, value)
+	}
 }
 
 // Has reports whether the attribute contains the given value.
 func (a Attrs) Has(key, value string) bool {
-	for _, v := range a[key] {
-		if v == value {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(a.All(key), value)
 }
 
 // Superset reports whether the stored value set for key contains every value
 // in want. This is the paper's structural-condition satisfaction rule.
 func (a Attrs) Superset(key string, want []string) bool {
+	return containsAll(a.All(key), want)
+}
+
+func containsAll(have, want []string) bool {
 	for _, w := range want {
-		if !a.Has(key, w) {
+		if !slices.Contains(have, w) {
 			return false
 		}
 	}
@@ -94,7 +189,7 @@ func (a Attrs) Float(key string) (v float64, ok bool) {
 }
 
 // SetFloat stores a numeric value as the attribute's single value.
-func (a Attrs) SetFloat(key string, v float64) {
+func (a *Attrs) SetFloat(key string, v float64) {
 	a.Set(key, strconv.FormatFloat(v, 'g', -1, 64))
 }
 
@@ -112,19 +207,8 @@ func (a Attrs) Int(key string) (v int64, ok bool) {
 }
 
 // SetInt stores an integer value as the attribute's single value.
-func (a Attrs) SetInt(key string, v int64) {
+func (a *Attrs) SetInt(key string, v int64) {
 	a.Set(key, strconv.FormatInt(v, 10))
-}
-
-// Keys returns the attribute names in sorted order, giving deterministic
-// iteration for encoding and tests.
-func (a Attrs) Keys() []string {
-	keys := make([]string, 0, len(a))
-	for k := range a {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Clone returns a deep copy. Operators in the algebra clone attributes
@@ -134,34 +218,32 @@ func (a Attrs) Clone() Attrs {
 		return nil
 	}
 	c := make(Attrs, len(a))
-	for k, vs := range a {
-		c[k] = append([]string(nil), vs...)
+	for i, at := range a {
+		c[i] = Attr{Key: at.Key, Vals: append([]string(nil), at.Vals...)}
 	}
 	return c
 }
 
-// Merge folds the other attribute map into this one with set semantics per
+// Merge folds the other attribute set into this one with set semantics per
 // key. Used when set-theoretic operators consolidate two nodes or links with
 // the same id (Definition 3).
-func (a Attrs) Merge(other Attrs) {
-	for _, k := range other.Keys() {
-		for _, v := range other[k] {
-			a.Add(k, v)
+func (a *Attrs) Merge(other Attrs) {
+	for _, at := range other {
+		for _, v := range at.Vals {
+			a.Add(at.Key, v)
 		}
 	}
 }
 
-// Equal reports whether two attribute maps hold the same value sets.
+// Equal reports whether two attribute sets hold the same value sets.
 func (a Attrs) Equal(other Attrs) bool {
 	if len(a) != len(other) {
 		return false
 	}
-	for k, vs := range a {
-		ws, ok := other[k]
-		if !ok || len(vs) != len(ws) {
-			return false
-		}
-		if !a.Superset(k, ws) || !other.Superset(k, vs) {
+	for i, at := range a {
+		ot := other[i]
+		if at.Key != ot.Key || len(at.Vals) != len(ot.Vals) ||
+			!containsAll(at.Vals, ot.Vals) || !containsAll(ot.Vals, at.Vals) {
 			return false
 		}
 	}
@@ -173,8 +255,8 @@ func (a Attrs) Equal(other Attrs) bool {
 // paper's use of content conditions against whole entities.
 func (a Attrs) Text() string {
 	var sb strings.Builder
-	for _, k := range a.Keys() {
-		for _, v := range a[k] {
+	for _, at := range a {
+		for _, v := range at.Vals {
 			if sb.Len() > 0 {
 				sb.WriteByte(' ')
 			}
@@ -188,13 +270,13 @@ func (a Attrs) Text() string {
 func (a Attrs) String() string {
 	var sb strings.Builder
 	sb.WriteByte('{')
-	for i, k := range a.Keys() {
+	for i, at := range a {
 		if i > 0 {
 			sb.WriteString("; ")
 		}
-		sb.WriteString(k)
+		sb.WriteString(at.Key)
 		sb.WriteByte('=')
-		sb.WriteString(strings.Join(a[k], ","))
+		sb.WriteString(strings.Join(at.Vals, ","))
 	}
 	sb.WriteByte('}')
 	return sb.String()

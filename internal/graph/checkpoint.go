@@ -16,7 +16,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"socialscope/internal/persist"
 )
@@ -72,22 +74,23 @@ func binStrings(src []byte) ([]string, int, error) {
 
 func appendAttrs(dst []byte, a Attrs) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(a)))
-	for _, k := range a.Keys() { // sorted: canonical bytes
-		dst = appendString(dst, k)
-		dst = appendStrings(dst, a[k])
+	for _, at := range a { // sorted: canonical bytes
+		dst = appendString(dst, at.Key)
+		dst = appendStrings(dst, at.Vals)
 	}
 	return dst
 }
 
+// binAttrs decodes what appendAttrs wrote. Input it did not write is made
+// canonical: a repeated key is last-wins, and keys out of order come back
+// sorted.
 func binAttrs(src []byte) (Attrs, int, error) {
 	count, off, err := binUvarint(src)
 	if err != nil || count > uint64(len(src)) {
 		return nil, 0, ErrBinCorrupt
 	}
-	if count == 0 {
-		return Attrs{}, off, nil
-	}
-	a := make(Attrs, count)
+	a := make(Attrs, 0, count)
+	sorted := true
 	for i := uint64(0); i < count; i++ {
 		k, n, err := binString(src[off:])
 		if err != nil {
@@ -99,7 +102,20 @@ func binAttrs(src []byte) (Attrs, int, error) {
 			return nil, 0, err
 		}
 		off += n
-		a[k] = vs
+		if len(a) > 0 && k <= a[len(a)-1].Key {
+			sorted = false
+		}
+		a = append(a, Attr{Key: k, Vals: vs})
+	}
+	if !sorted {
+		slices.SortStableFunc(a, func(x, y Attr) int { return strings.Compare(x.Key, y.Key) })
+		last := a[:0]
+		for i, at := range a {
+			if i+1 == len(a) || a[i+1].Key != at.Key {
+				last = append(last, at)
+			}
+		}
+		a = last
 	}
 	return a, off, nil
 }

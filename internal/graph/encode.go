@@ -45,10 +45,10 @@ func (g *Graph) Encode(w io.Writer) error {
 		MaxLink: g.MaxLinkID(),
 	}
 	for _, n := range g.Nodes() {
-		doc.Nodes = append(doc.Nodes, nodeJSON{ID: n.ID, Types: n.Types, Attrs: n.Attrs})
+		doc.Nodes = append(doc.Nodes, nodeJSON{ID: n.ID, Types: n.Types, Attrs: n.Attrs.Map()})
 	}
 	for _, l := range g.Links() {
-		doc.Links = append(doc.Links, linkJSON{ID: l.ID, Src: l.Src, Tgt: l.Tgt, Types: l.Types, Attrs: l.Attrs})
+		doc.Links = append(doc.Links, linkJSON{ID: l.ID, Src: l.Src, Tgt: l.Tgt, Types: l.Types, Attrs: l.Attrs.Map()})
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
@@ -70,7 +70,7 @@ func Decode(r io.Reader) (*Graph, error) {
 	for _, nj := range doc.Nodes {
 		n := NewNode(nj.ID, nj.Types...)
 		if nj.Attrs != nil {
-			n.Attrs = Attrs(nj.Attrs)
+			n.Attrs = AttrsFromMap(nj.Attrs)
 		}
 		if err := g.AddNode(n); err != nil {
 			return nil, err
@@ -79,7 +79,7 @@ func Decode(r io.Reader) (*Graph, error) {
 	for _, lj := range doc.Links {
 		l := NewLink(lj.ID, lj.Src, lj.Tgt, lj.Types...)
 		if lj.Attrs != nil {
-			l.Attrs = Attrs(lj.Attrs)
+			l.Attrs = AttrsFromMap(lj.Attrs)
 		}
 		if err := g.AddLink(l); err != nil {
 			return nil, err

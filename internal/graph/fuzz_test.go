@@ -34,6 +34,13 @@ func FuzzDecodeMutations(f *testing.F) {
 	f.Add(batch[:len(batch)-3]) // torn tail
 	f.Add(append(bytes.Clone(batch), 0))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}) // absurd count
+	// Attributes the encoder never writes: a literal bypasses the sorted,
+	// unique-key invariant the mutators keep.
+	dup := NewNode(7, "user")
+	dup.Attrs = Attrs{{Key: "name", Vals: []string{"ann"}}, {Key: "name", Vals: []string{"bob"}}}
+	unsorted := NewLink(9, 7, 8, TypeAct)
+	unsorted.Attrs = Attrs{{Key: "tags", Vals: []string{"museum"}}, {Key: "rating", Vals: []string{"4"}}, {Key: "date"}}
+	f.Add(AppendMutations(nil, []Mutation{{Kind: MutAddNode, Node: dup}, {Kind: MutAddLink, Link: unsorted}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		muts, err := DecodeMutations(data)

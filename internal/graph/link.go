@@ -83,9 +83,6 @@ func (l *Link) Merge(other *Link) {
 	for _, t := range other.Types {
 		l.AddType(t)
 	}
-	if l.Attrs == nil {
-		l.Attrs = Attrs{}
-	}
 	l.Attrs.Merge(other.Attrs)
 	if other.Scored && (!l.Scored || other.Score > l.Score) {
 		l.SetScore(other.Score)
@@ -129,8 +126,8 @@ func (l *Link) String() string {
 	types := append([]string(nil), l.Types...)
 	sort.Strings(types)
 	s := fmt.Sprintf("l%d(%d->%d){type='%s'", l.ID, l.Src, l.Tgt, strings.Join(types, ","))
-	for _, k := range l.Attrs.Keys() {
-		s += fmt.Sprintf("; %s=%s", k, strings.Join(l.Attrs[k], ","))
+	for _, at := range l.Attrs {
+		s += fmt.Sprintf("; %s=%s", at.Key, strings.Join(at.Vals, ","))
 	}
 	if l.Scored {
 		s += fmt.Sprintf("; score=%.4g", l.Score)

@@ -80,9 +80,6 @@ func (n *Node) Merge(other *Node) {
 	for _, t := range other.Types {
 		n.AddType(t)
 	}
-	if n.Attrs == nil {
-		n.Attrs = Attrs{}
-	}
 	n.Attrs.Merge(other.Attrs)
 	if other.Scored && (!n.Scored || other.Score > n.Score) {
 		n.SetScore(other.Score)
@@ -126,8 +123,8 @@ func (n *Node) String() string {
 	types := append([]string(nil), n.Types...)
 	sort.Strings(types)
 	s := fmt.Sprintf("{id=%d; type='%s'", n.ID, strings.Join(types, ","))
-	for _, k := range n.Attrs.Keys() {
-		s += fmt.Sprintf("; %s=%s", k, strings.Join(n.Attrs[k], ","))
+	for _, at := range n.Attrs {
+		s += fmt.Sprintf("; %s=%s", at.Key, strings.Join(at.Vals, ","))
 	}
 	if n.Scored {
 		s += fmt.Sprintf("; score=%.4g", n.Score)

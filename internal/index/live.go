@@ -544,7 +544,9 @@ func (d *delta) ownList(k listKey) []Entry {
 	if l == nil {
 		return nil
 	}
-	c := make([]Entry, len(l))
+	// Room for the one insertion a tagging usually brings: append would
+	// otherwise double the copy, and the slack lives as long as the list.
+	c := make([]Entry, len(l), len(l)+1)
 	copy(c, l)
 	return c
 }

@@ -251,7 +251,16 @@ func chaosDigest(t *testing.T, e *socialscope.Engine, users []graph.NodeID) stri
 // (invariant 2) while the transport fails, resets, delays and truncates
 // responses underneath the router.
 func TestChaosReadsSurviveInjectionSchedule(t *testing.T) {
-	h := newHarness(t, 2, nil)
+	// Every write raises the read token past what the followers can show
+	// (they trail by the unconfirmed tail record), so reads reach the
+	// faulty followers only as hedges. A read on this small corpus takes
+	// well under the 2 ms default hedge floor; hedging at the leader's
+	// median makes about every other read hedge, so the schedule bites on
+	// every run rather than only when a read happens to be slow.
+	h := newHarness(t, 2, func(c *Config) {
+		c.HedgeQuantile = 0.5
+		c.HedgeMin = time.Microsecond
+	})
 	defer h.close()
 
 	// Arm a deterministic schedule per follower host. The leader stays

@@ -14,8 +14,7 @@ import (
 // Engine.CacheScope) and the normalized query. Keying on the version
 // makes invalidation free: an Apply batch bumps the engine version, new
 // requests carry the new version, and entries under older versions are
-// simply never read again — they are reclaimed by capacity eviction,
-// which prefers them.
+// never read again — the first store at a newer version frees them all.
 type cacheKey struct {
 	version uint64
 	kind    string
@@ -41,6 +40,9 @@ type Cache struct {
 	max     int
 	entries map[cacheKey][]byte
 	flights map[cacheKey]*flight
+	// newest is the highest version stored so far: every entry is keyed
+	// at it, and a body computed at an older version is not stored.
+	newest uint64
 
 	// registry handles (see Instrument); never nil after construction
 	hits, misses, shared, evictions, vetoes *obs.Counter
@@ -151,7 +153,7 @@ func (c *Cache) Do(ctx context.Context, key cacheKey,
 	// never this finished one.
 	c.mu.Lock()
 	delete(c.flights, key)
-	if err == nil && store {
+	if err == nil && store && key.version >= c.newest {
 		c.evictFor(key)
 		c.entries[key] = body
 	} else if err == nil {
@@ -166,29 +168,23 @@ func isContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// evictFor makes room for one insertion under key. Entries from older
-// engine versions are orphans — no future request carries their key — so
-// they go first; only a cache full of current-version entries evicts
-// arbitrarily. Called with mu held.
+// evictFor makes room for one insertion under key. The first store at a
+// newer version frees every entry of the older ones — orphans no future
+// request carries the key of — so they never hold memory while the cache
+// refills; a cache full of current-version entries evicts arbitrarily.
+// Called with mu held and key.version >= c.newest.
 func (c *Cache) evictFor(key cacheKey) {
-	if len(c.entries) < c.max {
-		return
+	if key.version > c.newest {
+		c.newest = key.version
+		c.evictions.Add(uint64(len(c.entries)))
+		clear(c.entries)
 	}
 	for k := range c.entries {
-		if k.version < key.version {
-			delete(c.entries, k)
-			c.evictions.Inc()
-			if len(c.entries) < c.max {
-				return
-			}
-		}
-	}
-	for k := range c.entries {
-		delete(c.entries, k)
-		c.evictions.Inc()
 		if len(c.entries) < c.max {
 			return
 		}
+		delete(c.entries, k)
+		c.evictions.Inc()
 	}
 }
 

@@ -218,3 +218,35 @@ func TestCacheEvictionPrefersStaleVersions(t *testing.T) {
 		t.Fatalf("eviction removed a current-version entry: %d v2 entries, want 3", v2)
 	}
 }
+
+// TestCacheNewerVersionFreesOlder verifies the first store at a newer
+// version frees every entry of the older ones, and that a body computed
+// at a version older than the newest stored is dropped as a veto.
+func TestCacheNewerVersionFreesOlder(t *testing.T) {
+	c := NewCache(16)
+	put := func(version uint64, q string) {
+		key := cacheKey{version: version, kind: "search", scope: "u1", query: q}
+		c.Do(context.Background(), key, func() ([]byte, bool, error) { return []byte(q), true, nil })
+	}
+	put(1, "a")
+	put(1, "b")
+	put(1, "c")
+	if s := c.Stats(); s.Entries != 3 {
+		t.Fatalf("entries at v1 = %d, want 3", s.Entries)
+	}
+	put(2, "a")
+	if s := c.Stats(); s.Entries != 1 || s.Evictions != 3 {
+		t.Fatalf("after the first v2 store: entries = %d, evictions = %d; want 1, 3", s.Entries, s.Evictions)
+	}
+	put(1, "late") // computed against v1, finished after v2 was stored
+	if s := c.Stats(); s.Entries != 1 || c.vetoes.Value() != 1 {
+		t.Fatalf("late v1 store: entries = %d, vetoes = %d; want 1, 1", s.Entries, c.vetoes.Value())
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for k := range c.entries {
+		if k.version != 2 {
+			t.Errorf("entry %+v survived the move to version 2", k)
+		}
+	}
+}

@@ -110,7 +110,7 @@ func (c *Cache) Instrument(reg *obs.Registry) *Cache {
 		"misses that piggybacked on an identical in-flight compute")
 	c.evictions = reg.Counter("ss_cache_evictions_total", "result-cache evictions")
 	c.vetoes = reg.Counter("ss_cache_store_vetoes_total",
-		"computed bodies not stored because the engine version advanced mid-compute")
+		"computed bodies not stored because the engine version advanced mid-compute or a newer version was already stored")
 	reg.GaugeFunc("ss_cache_entries", "result-cache resident entries", func() float64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()

@@ -8,8 +8,8 @@
 //     (server.go);
 //   - a snapshot-version-keyed result cache with singleflight
 //     deduplication of concurrent identical misses — invalidation is
-//     free, a version bump from Apply simply orphans old entries
-//     (cache.go);
+//     free, a version bump from Apply orphans old entries and the first
+//     store at the new version frees them (cache.go);
 //   - a write coalescer that buffers incoming mutation batches and
 //     flushes them sized to ride the storage layer's transient bulk
 //     path, with a ticker bounding flush latency (coalesce.go);
@@ -58,27 +58,27 @@ type MutationWire struct {
 
 func (w NodeWire) node() *graph.Node {
 	n := graph.NewNode(w.ID, w.Types...)
-	for k, vs := range w.Attrs {
-		n.Attrs.Set(k, vs...)
+	if w.Attrs != nil {
+		n.Attrs = graph.AttrsFromMap(w.Attrs)
 	}
 	return n
 }
 
 func (w LinkWire) link() *graph.Link {
 	l := graph.NewLink(w.ID, w.Src, w.Tgt, w.Types...)
-	for k, vs := range w.Attrs {
-		l.Attrs.Set(k, vs...)
+	if w.Attrs != nil {
+		l.Attrs = graph.AttrsFromMap(w.Attrs)
 	}
 	return l
 }
 
 // NodeToWire and LinkToWire convert graph elements for transmission.
 func NodeToWire(n *graph.Node) NodeWire {
-	return NodeWire{ID: n.ID, Types: n.Types, Attrs: n.Attrs}
+	return NodeWire{ID: n.ID, Types: n.Types, Attrs: n.Attrs.Map()}
 }
 
 func LinkToWire(l *graph.Link) LinkWire {
-	return LinkWire{ID: l.ID, Src: l.Src, Tgt: l.Tgt, Types: l.Types, Attrs: l.Attrs}
+	return LinkWire{ID: l.ID, Src: l.Src, Tgt: l.Tgt, Types: l.Types, Attrs: l.Attrs.Map()}
 }
 
 // MutationToWire converts a changelog entry for transmission.

@@ -723,11 +723,12 @@ func (e *Engine) QueryCtx(ctx context.Context, user NodeID, q discovery.Query) (
 		return nil, err
 	}
 	resp.Presentation = pres
+	cf := presentation.NewCFContext(g, user)
 	for _, it := range items {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		resp.Explanations[it] = presentation.ExplainCF(g, user, it)
+		resp.Explanations[it] = cf.Explain(it)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
