@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"socialscope/internal/discovery"
+	"socialscope/internal/graph"
 	"socialscope/internal/workload"
 )
 
@@ -14,6 +15,14 @@ import (
 // rotation of users.
 
 func allocPinEngine(t *testing.T) (*Engine, []NodeID) {
+	t.Helper()
+	eng, users := benchCorpusEngine(t)
+	return eng, users[:16]
+}
+
+// benchCorpusEngine builds an engine over the bench/ ledger's corpus and
+// returns it with every user of the corpus.
+func benchCorpusEngine(t *testing.T) (*Engine, []NodeID) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("builds a 600-user corpus")
@@ -28,7 +37,7 @@ func allocPinEngine(t *testing.T) (*Engine, []NodeID) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return eng, corpus.Users[:16]
+	return eng, corpus.Users
 }
 
 func pinAllocs(t *testing.T, name string, bound float64, f func()) {
@@ -57,13 +66,24 @@ func TestQueryCtxAllocsPinned(t *testing.T) {
 
 func TestCollaborativeFilteringAllocsPinned(t *testing.T) {
 	eng, users := allocPinEngine(t)
-	i := 0
-	pinAllocs(t, "discovery.CollaborativeFiltering", 145000, func() {
-		if _, err := discovery.CollaborativeFiltering(eng.Graph(), users[i%len(users)], discovery.CFConfig{
-			SimThreshold: eng.cfg.MatchThreshold, ItemType: eng.cfg.ItemType,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
+	for _, c := range []struct {
+		name  string
+		cf    func(*graph.Graph, NodeID, discovery.CFConfig) ([]discovery.Recommendation, error)
+		bound float64
+	}{
+		{"discovery.CollaborativeFiltering", discovery.CollaborativeFiltering, 135},
+		// The algebra program is the Figure 2 reproduction and the plan's
+		// oracle; its pin keeps the reproduction from regressing unseen.
+		{"discovery.CollaborativeFilteringAlgebra", discovery.CollaborativeFilteringAlgebra, 145000},
+	} {
+		i := 0
+		pinAllocs(t, c.name, c.bound, func() {
+			if _, err := c.cf(eng.Graph(), users[i%len(users)], discovery.CFConfig{
+				SimThreshold: eng.cfg.MatchThreshold, ItemType: eng.cfg.ItemType,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+	}
 }

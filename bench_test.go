@@ -136,12 +136,21 @@ func BenchmarkFigure2PatternVsSteps(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, variant := range []discovery.CFVariant{discovery.CFStepwise, discovery.CFPattern} {
-		b.Run(variant.String(), func(b *testing.B) {
+	type cfFunc func(*graph.Graph, graph.NodeID, discovery.CFConfig) ([]discovery.Recommendation, error)
+	for _, row := range []struct {
+		name    string
+		cf      cfFunc
+		variant discovery.CFVariant
+	}{
+		{"stepwise", discovery.CollaborativeFilteringAlgebra, discovery.CFStepwise},
+		{"pattern", discovery.CollaborativeFilteringAlgebra, discovery.CFPattern},
+		{"physical", discovery.CollaborativeFiltering, discovery.CFStepwise},
+	} {
+		b.Run(row.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				user := corpus.Users[i%len(corpus.Users)]
-				_, err := discovery.CollaborativeFiltering(corpus.Graph, user, discovery.CFConfig{
-					Variant: variant, SimThreshold: 0.2,
+				_, err := row.cf(corpus.Graph, user, discovery.CFConfig{
+					Variant: row.variant, SimThreshold: 0.2,
 				})
 				if err != nil {
 					b.Fatal(err)

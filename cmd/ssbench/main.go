@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -188,8 +189,11 @@ func runExample4(scale int, seed int64) error {
 	return nil
 }
 
-// runFigure2 compares the two collaborative-filtering evaluation
-// strategies — the paper's open question at the end of Section 5.4.
+// runFigure2 reproduces the paper's open question at the end of Section
+// 5.4 — Example 5 as a stepwise program or as Figure 2's graph-pattern
+// aggregation — and times both algebra programs against the item-side
+// physical plan the engine serves. The three must agree item for item on
+// every sampled user; any disagreement fails the experiment.
 func runFigure2(scale int, seed int64) error {
 	corpus, err := workload.Travel(workload.TravelConfig{
 		Users: 150 * scale, Destinations: 60 * scale, Seed: seed, VisitsPerUser: 10,
@@ -197,36 +201,59 @@ func runFigure2(scale int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("Figure 2 / Example 5 — multi-step composition+aggregation vs. graph-pattern aggregation")
+	users := corpus.Users
+	if len(users) > 30 {
+		users = users[:30]
+	}
+	type cfFunc func(*graph.Graph, graph.NodeID, discovery.CFConfig) ([]discovery.Recommendation, error)
+	rows := []struct {
+		name    string
+		cf      cfFunc
+		variant discovery.CFVariant
+	}{
+		{"stepwise", discovery.CollaborativeFilteringAlgebra, discovery.CFStepwise},
+		{"pattern", discovery.CollaborativeFilteringAlgebra, discovery.CFPattern},
+		{"physical", discovery.CollaborativeFiltering, discovery.CFStepwise},
+	}
+	fmt.Println("Figure 2 / Example 5 — multi-step composition+aggregation vs. graph-pattern aggregation vs. the item-side plan")
 	fmt.Printf("%-10s %-14s %-14s %-10s\n", "variant", "total time", "per user", "recs(u0)")
-	var recCounts [2]int
-	for vi, variant := range []discovery.CFVariant{discovery.CFStepwise, discovery.CFPattern} {
+	var stepwise [][]discovery.Recommendation
+	for _, row := range rows {
+		got := make([][]discovery.Recommendation, len(users))
 		start := time.Now()
-		users := corpus.Users
-		if len(users) > 30 {
-			users = users[:30]
-		}
-		var first int
 		for i, u := range users {
-			recs, err := discovery.CollaborativeFiltering(corpus.Graph, u, discovery.CFConfig{
-				Variant: variant, SimThreshold: 0.2,
-			})
-			if err != nil {
+			if got[i], err = row.cf(corpus.Graph, u, discovery.CFConfig{Variant: row.variant, SimThreshold: 0.2}); err != nil {
 				return err
-			}
-			if i == 0 {
-				first = len(recs)
 			}
 		}
 		elapsed := time.Since(start)
-		recCounts[vi] = first
-		fmt.Printf("%-10s %-14v %-14v %-10d\n", variant, elapsed,
-			elapsed/time.Duration(len(users)), first)
+		fmt.Printf("%-10s %-14v %-14v %-10d\n", row.name, elapsed,
+			elapsed/time.Duration(len(users)), len(got[0]))
+		if stepwise == nil {
+			stepwise = got
+			continue
+		}
+		for i, u := range users {
+			if err := sameRecommendations(stepwise[i], got[i]); err != nil {
+				return fmt.Errorf("figure2: %s disagrees with stepwise for user %d: %w", row.name, u, err)
+			}
+		}
 	}
-	if recCounts[0] == recCounts[1] {
-		fmt.Println("variants agree on recommendation count (cross-checked item-for-item in tests)")
-	} else {
-		fmt.Println("WARNING: variants disagree — investigate")
+	fmt.Printf("all three agree item-for-item (item, score, basis) on %d users\n", len(users))
+	return nil
+}
+
+// sameRecommendations compares two rankings item for item: item, score
+// and basis must be equal. The strategy name differs by construction.
+func sameRecommendations(want, got []discovery.Recommendation) error {
+	if len(want) != len(got) {
+		return fmt.Errorf("%d recommendations, want %d", len(got), len(want))
+	}
+	for i := range want {
+		w, g := want[i], got[i]
+		if w.Item != g.Item || w.Score != g.Score || !slices.Equal(w.Basis, g.Basis) {
+			return fmt.Errorf("rank %d: got %+v, want %+v", i, g, w)
+		}
 	}
 	return nil
 }

@@ -52,7 +52,7 @@ func main() {
 
 	fmt.Println("\n=== Example 5 collaborative filtering (both variants) ===")
 	for _, variant := range []discovery.CFVariant{discovery.CFStepwise, discovery.CFPattern} {
-		recs, err := discovery.CollaborativeFiltering(g, john, discovery.CFConfig{
+		recs, err := discovery.CollaborativeFilteringAlgebra(g, john, discovery.CFConfig{
 			Variant: variant, SimThreshold: 0.2,
 		})
 		if err != nil {

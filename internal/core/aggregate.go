@@ -19,8 +19,9 @@ func NodeAggregate(g *graph.Graph, c Condition, d graph.Direction, att string, a
 	}
 	out := g.Clone()
 	groups := make(map[graph.NodeID][]*graph.Link)
+	m := c.matcher()
 	for _, l := range out.Links() {
-		if c.SatisfiedByLink(l) {
+		if m.link(l) {
 			v := l.End(d)
 			groups[v] = append(groups[v], l)
 		}
@@ -85,8 +86,9 @@ func LinkAggregate(g *graph.Graph, c Condition, att string, a Aggregator, ids *g
 	type pair struct{ s, t graph.NodeID }
 	groups := make(map[pair][]*graph.Link)
 	var order []pair // deterministic group emission order
+	m := c.matcher()
 	for _, l := range g.Links() {
-		if !c.SatisfiedByLink(l) {
+		if !m.link(l) {
 			if err := out.AddLink(l); err != nil {
 				return nil, err
 			}

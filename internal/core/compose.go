@@ -90,23 +90,33 @@ func nodeFromEither(id graph.NodeID, pref, alt *graph.Graph) *graph.Node {
 // links — the join degenerates to membership of the link's δd1 end in
 // nodes(G2). This is how selections "anchor" a traversal on a node set,
 // e.g. G ⋉(src,src) σN⟨id=101⟩(G) keeps the links leaving John.
+//
+// The join walks G1's adjacency from each anchor — a node of G2, or a δd2
+// end of a G2 link — instead of scanning G1's links: a G1 link's δd1 end
+// is the anchor exactly when the link is in the anchor's out-list (d1=src)
+// or in-list (d1=tgt).
 func SemiJoin(g1, g2 *graph.Graph, d DirCond) *graph.Graph {
+	adj := g1.Out
+	if d.D1 == graph.Tgt {
+		adj = g1.In
+	}
 	keep := make(map[graph.LinkID]struct{})
+	walk := func(anchor graph.NodeID) {
+		for _, l1 := range adj(anchor) {
+			keep[l1.ID] = struct{}{}
+		}
+	}
 	if g2.NumLinks() == 0 {
-		for _, l1 := range g1.Links() {
-			if g2.HasNode(l1.End(d.D1)) {
-				keep[l1.ID] = struct{}{}
-			}
+		for _, id := range g2.NodeIDs() {
+			walk(id)
 		}
 	} else {
 		ends := make(map[graph.NodeID]struct{})
 		for _, l2 := range g2.Links() {
 			ends[l2.End(d.D2)] = struct{}{}
 		}
-		for _, l1 := range g1.Links() {
-			if _, ok := ends[l1.End(d.D1)]; ok {
-				keep[l1.ID] = struct{}{}
-			}
+		for end := range ends {
+			walk(end)
 		}
 	}
 	return g1.InducedByLinks(keep).ShallowClone()

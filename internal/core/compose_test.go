@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"testing/quick"
 
 	"socialscope/internal/graph"
 )
@@ -206,5 +207,60 @@ func TestCopyAttrComposer(t *testing.T) {
 	}
 	if !recLink.HasType("rec") {
 		t.Error("composed link missing type")
+	}
+}
+
+// semiJoinScan is the scan evaluation SemiJoin's adjacency walk replaced:
+// it tests every G1 link's δd1 end against the anchors. It stays as the
+// reference the walk is checked against.
+func semiJoinScan(g1, g2 *graph.Graph, d DirCond) *graph.Graph {
+	keep := make(map[graph.LinkID]struct{})
+	if g2.NumLinks() == 0 {
+		for _, l1 := range g1.Links() {
+			if g2.HasNode(l1.End(d.D1)) {
+				keep[l1.ID] = struct{}{}
+			}
+		}
+	} else {
+		ends := make(map[graph.NodeID]struct{})
+		for _, l2 := range g2.Links() {
+			ends[l2.End(d.D2)] = struct{}{}
+		}
+		for _, l1 := range g1.Links() {
+			if _, ok := ends[l1.End(d.D1)]; ok {
+				keep[l1.ID] = struct{}{}
+			}
+		}
+	}
+	return g1.InducedByLinks(keep).ShallowClone()
+}
+
+// Property: the adjacency walk keeps exactly the links the scan keeps, for
+// all four directional conditions, against a null G2, an induced subgraph
+// and an unrelated graph over overlapping ids.
+func TestQuickSemiJoinWalkMatchesScan(t *testing.T) {
+	dirs := []graph.Direction{graph.Src, graph.Tgt}
+	f := func(seed int64) bool {
+		g1, sub := randomSite(seed)
+		other, _ := randomSite(seed + 1)
+		null := graph.New()
+		for _, n := range sub.Nodes() {
+			null.PutNode(n)
+		}
+		for _, g2 := range []*graph.Graph{null, sub, other, graph.New()} {
+			for _, d1 := range dirs {
+				for _, d2 := range dirs {
+					d := Delta(d1, d2)
+					if !SemiJoin(g1, g2, d).Equal(semiJoinScan(g1, g2, d)) {
+						t.Logf("seed %d δ%s: walk and scan disagree", seed, d)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Error(err)
 	}
 }

@@ -19,6 +19,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"socialscope/internal/graph"
@@ -82,89 +84,93 @@ func (sc StructCond) String() string {
 	return fmt.Sprintf("%s%s%s", sc.Attr, sc.Op, strings.Join(sc.Values, ","))
 }
 
-// element abstracts the attribute surface shared by nodes and links so one
-// satisfaction routine serves both selections.
-type element interface {
-	TypeSuperset([]string) bool
-	Text() string
+// structMatcher is a StructCond with its operand parsed once, so an
+// operator evaluating it over every element of a graph makes no fmt call
+// per element. The parses are the ones a per-element evaluation would
+// make, so which elements satisfy the condition cannot change.
+type structMatcher struct {
+	StructCond
+	ids    []int64 // Values that %d prints back exactly, for id= and id!=
+	want   float64 // Values[0] parsed for an ordered comparison
+	wantOK bool
 }
 
-// satisfies evaluates one structural condition against an element's id,
-// types and attributes.
-func (sc StructCond) satisfies(id int64, types []string, attrs graph.Attrs) bool {
-	switch sc.Attr {
-	case "id":
-		return sc.compareID(id)
-	case "type":
-		return sc.compareTypes(types)
-	default:
-		return sc.compareAttr(attrs)
-	}
-}
-
-func (sc StructCond) compareID(id int64) bool {
-	if len(sc.Values) == 0 {
-		return sc.Op != Ne
-	}
-	match := false
-	for _, v := range sc.Values {
-		if v == fmt.Sprintf("%d", id) {
-			match = true
-			break
-		}
-	}
-	switch sc.Op {
-	case Eq:
-		return match
-	case Ne:
-		return !match
-	default:
-		// Ordered comparison against the first value.
-		var want int64
-		if _, err := fmt.Sscanf(sc.Values[0], "%d", &want); err != nil {
-			return false
-		}
-		return compareOrdered(sc.Op, float64(id), float64(want))
-	}
-}
-
-func (sc StructCond) compareTypes(types []string) bool {
-	superset := true
-	for _, w := range sc.Values {
-		found := false
-		for _, t := range types {
-			if t == w {
-				found = true
-				break
+func (sc StructCond) matcher() structMatcher {
+	m := structMatcher{StructCond: sc}
+	switch {
+	case sc.Attr == "type":
+	case sc.Attr == "id" && (sc.Op == Eq || sc.Op == Ne):
+		// A value equals fmt.Sprintf("%d", id) exactly when it is the
+		// canonical decimal form of id.
+		for _, v := range sc.Values {
+			if n, err := strconv.ParseInt(v, 10, 64); err == nil && strconv.FormatInt(n, 10) == v {
+				m.ids = append(m.ids, n)
 			}
 		}
-		if !found {
+	case len(sc.Values) == 0 || sc.Op == Eq || sc.Op == Ne:
+	case sc.Attr == "id":
+		var want int64
+		_, err := fmt.Sscanf(sc.Values[0], "%d", &want)
+		m.want, m.wantOK = float64(want), err == nil
+	default:
+		_, err := fmt.Sscanf(sc.Values[0], "%g", &m.want)
+		m.wantOK = err == nil
+	}
+	return m
+}
+
+// satisfies evaluates the condition against an element's id, types and
+// attributes.
+func (m structMatcher) satisfies(id int64, types []string, attrs graph.Attrs) bool {
+	switch m.Attr {
+	case "id":
+		return m.compareID(id)
+	case "type":
+		return m.compareTypes(types)
+	default:
+		return m.compareAttr(attrs)
+	}
+}
+
+func (m structMatcher) compareID(id int64) bool {
+	if len(m.Values) == 0 {
+		return m.Op != Ne
+	}
+	switch m.Op {
+	case Eq, Ne:
+		return slices.Contains(m.ids, id) == (m.Op == Eq)
+	default:
+		// Ordered comparison against the first value.
+		return m.wantOK && compareOrdered(m.Op, float64(id), m.want)
+	}
+}
+
+func (m structMatcher) compareTypes(types []string) bool {
+	superset := true
+	for _, w := range m.Values {
+		if !slices.Contains(types, w) {
 			superset = false
 			break
 		}
 	}
-	if sc.Op == Ne {
+	if m.Op == Ne {
 		return !superset
 	}
 	return superset // ordered ops are meaningless on types; treat as Eq
 }
 
-func (sc StructCond) compareAttr(attrs graph.Attrs) bool {
-	switch sc.Op {
+func (m structMatcher) compareAttr(attrs graph.Attrs) bool {
+	switch m.Op {
 	case Eq:
-		return attrs.Superset(sc.Attr, sc.Values)
+		return attrs.Superset(m.Attr, m.Values)
 	case Ne:
-		return !attrs.Superset(sc.Attr, sc.Values)
+		return !attrs.Superset(m.Attr, m.Values)
 	default:
-		have, ok := attrs.Float(sc.Attr)
-		if !ok || len(sc.Values) == 0 {
+		if !m.wantOK {
 			return false
 		}
-		var want float64
-		if _, err := fmt.Sscanf(sc.Values[0], "%g", &want); err != nil {
-			return false
-		}
-		return compareOrdered(sc.Op, have, want)
+		have, ok := attrs.Float(m.Attr)
+		return ok && compareOrdered(m.Op, have, m.want)
 	}
 }
 
@@ -225,19 +231,35 @@ func (c Condition) String() string {
 }
 
 // SatisfiedByNode evaluates the structural part of the condition on a node.
-func (c Condition) SatisfiedByNode(n *graph.Node) bool {
-	for _, sc := range c.Structural {
-		if !sc.satisfies(int64(n.ID), n.Types, n.Attrs) {
+func (c Condition) SatisfiedByNode(n *graph.Node) bool { return c.matcher().node(n) }
+
+// SatisfiedByLink evaluates the structural part of the condition on a link.
+func (c Condition) SatisfiedByLink(l *graph.Link) bool { return c.matcher().link(l) }
+
+// matcher is a condition's structural part with every operand parsed, for
+// operators that evaluate one condition over many elements.
+type matcher []structMatcher
+
+func (c Condition) matcher() matcher {
+	m := make(matcher, len(c.Structural))
+	for i, sc := range c.Structural {
+		m[i] = sc.matcher()
+	}
+	return m
+}
+
+func (m matcher) node(n *graph.Node) bool {
+	for i := range m {
+		if !m[i].satisfies(int64(n.ID), n.Types, n.Attrs) {
 			return false
 		}
 	}
 	return true
 }
 
-// SatisfiedByLink evaluates the structural part of the condition on a link.
-func (c Condition) SatisfiedByLink(l *graph.Link) bool {
-	for _, sc := range c.Structural {
-		if !sc.satisfies(int64(l.ID), l.Types, l.Attrs) {
+func (m matcher) link(l *graph.Link) bool {
+	for i := range m {
+		if !m[i].satisfies(int64(l.ID), l.Types, l.Attrs) {
 			return false
 		}
 	}

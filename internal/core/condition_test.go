@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"socialscope/internal/graph"
@@ -9,16 +10,16 @@ import (
 func TestStructCondTypeSuperset(t *testing.T) {
 	f := travelFixture(t)
 	john := f.g.Node(f.john)
-	if !Cond("type", "user").satisfies(int64(john.ID), john.Types, john.Attrs) {
+	if !Cond("type", "user").matcher().satisfies(int64(john.ID), john.Types, john.Attrs) {
 		t.Error("type=user should match John")
 	}
-	if !Cond("type", "user", "traveler").satisfies(int64(john.ID), john.Types, john.Attrs) {
+	if !Cond("type", "user", "traveler").matcher().satisfies(int64(john.ID), john.Types, john.Attrs) {
 		t.Error("type=user,traveler should match John (superset rule)")
 	}
-	if Cond("type", "user", "expert").satisfies(int64(john.ID), john.Types, john.Attrs) {
+	if Cond("type", "user", "expert").matcher().satisfies(int64(john.ID), john.Types, john.Attrs) {
 		t.Error("type=user,expert should not match John")
 	}
-	if !CondOp("type", Ne, "item").satisfies(int64(john.ID), john.Types, john.Attrs) {
+	if !CondOp("type", Ne, "item").matcher().satisfies(int64(john.ID), john.Types, john.Attrs) {
 		t.Error("type!=item should match John")
 	}
 }
@@ -26,22 +27,22 @@ func TestStructCondTypeSuperset(t *testing.T) {
 func TestStructCondID(t *testing.T) {
 	f := travelFixture(t)
 	john := f.g.Node(f.john)
-	if !Cond("id", "101").satisfies(int64(john.ID), john.Types, john.Attrs) {
+	if !Cond("id", "101").matcher().satisfies(int64(john.ID), john.Types, john.Attrs) {
 		t.Error("id=101 should match John")
 	}
-	if !CondOp("id", Ne, "101").satisfies(102, nil, nil) {
+	if !CondOp("id", Ne, "101").matcher().satisfies(102, nil, nil) {
 		t.Error("id!=101 should match 102")
 	}
-	if CondOp("id", Ne, "101").satisfies(101, nil, nil) {
+	if CondOp("id", Ne, "101").matcher().satisfies(101, nil, nil) {
 		t.Error("id!=101 should not match 101")
 	}
-	if !CondOp("id", Ge, "200").satisfies(201, nil, nil) {
+	if !CondOp("id", Ge, "200").matcher().satisfies(201, nil, nil) {
 		t.Error("id>=200 should match 201")
 	}
-	if CondOp("id", Lt, "200").satisfies(201, nil, nil) {
+	if CondOp("id", Lt, "200").matcher().satisfies(201, nil, nil) {
 		t.Error("id<200 should not match 201")
 	}
-	if CondOp("id", Ge, "not-a-number").satisfies(201, nil, nil) {
+	if CondOp("id", Ge, "not-a-number").matcher().satisfies(201, nil, nil) {
 		t.Error("malformed numeric comparison should be false")
 	}
 }
@@ -61,7 +62,7 @@ func TestStructCondNumericAttr(t *testing.T) {
 		{CondOp("missing", Ge, "0"), false},
 		{CondOp("name", Ge, "1"), false}, // non-numeric attr
 	} {
-		if got := c.cond.satisfies(int64(coors.ID), coors.Types, coors.Attrs); got != c.want {
+		if got := c.cond.matcher().satisfies(int64(coors.ID), coors.Types, coors.Attrs); got != c.want {
 			t.Errorf("%v on Coors = %v, want %v", c.cond, got, c.want)
 		}
 	}
@@ -70,13 +71,13 @@ func TestStructCondNumericAttr(t *testing.T) {
 func TestStructCondAttrEquality(t *testing.T) {
 	f := travelFixture(t)
 	coors := f.g.Node(f.coors)
-	if !Cond("city", "Denver").satisfies(int64(coors.ID), coors.Types, coors.Attrs) {
+	if !Cond("city", "Denver").matcher().satisfies(int64(coors.ID), coors.Types, coors.Attrs) {
 		t.Error("city=Denver should match")
 	}
-	if Cond("city", "Paris").satisfies(int64(coors.ID), coors.Types, coors.Attrs) {
+	if Cond("city", "Paris").matcher().satisfies(int64(coors.ID), coors.Types, coors.Attrs) {
 		t.Error("city=Paris should not match")
 	}
-	if !CondOp("city", Ne, "Paris").satisfies(int64(coors.ID), coors.Types, coors.Attrs) {
+	if !CondOp("city", Ne, "Paris").matcher().satisfies(int64(coors.ID), coors.Types, coors.Attrs) {
 		t.Error("city!=Paris should match")
 	}
 }
@@ -133,5 +134,88 @@ func TestOpString(t *testing.T) {
 	}
 	if Op(99).String() != "?" {
 		t.Error("unknown op should render ?")
+	}
+}
+
+// perElementSatisfies is the evaluation structMatcher replaces: it parses
+// the operand once per element. It stays as the reference the compiled
+// form is checked against.
+func perElementSatisfies(sc StructCond, id int64, attrs graph.Attrs) bool {
+	if sc.Attr == "id" {
+		if len(sc.Values) == 0 {
+			return sc.Op != Ne
+		}
+		match := false
+		for _, v := range sc.Values {
+			if v == fmt.Sprintf("%d", id) {
+				match = true
+			}
+		}
+		switch sc.Op {
+		case Eq:
+			return match
+		case Ne:
+			return !match
+		}
+		var want int64
+		if _, err := fmt.Sscanf(sc.Values[0], "%d", &want); err != nil {
+			return false
+		}
+		return compareOrdered(sc.Op, float64(id), float64(want))
+	}
+	switch sc.Op {
+	case Eq:
+		return attrs.Superset(sc.Attr, sc.Values)
+	case Ne:
+		return !attrs.Superset(sc.Attr, sc.Values)
+	}
+	have, ok := attrs.Float(sc.Attr)
+	if !ok || len(sc.Values) == 0 {
+		return false
+	}
+	var want float64
+	if _, err := fmt.Sscanf(sc.Values[0], "%g", &want); err != nil {
+		return false
+	}
+	return compareOrdered(sc.Op, have, want)
+}
+
+func TestStructCondOperandParsedOnce(t *testing.T) {
+	attrs := graph.NewAttrs("rating", "0.5")
+	for _, c := range []struct {
+		cond StructCond
+		id   int64
+		want bool
+	}{
+		// %g reads the longest numeric prefix and skips leading spaces.
+		{CondOp("rating", Ge, "0.5x"), 0, true},
+		{CondOp("rating", Gt, "0.5x"), 0, false},
+		{CondOp("rating", Ge, " 0.5"), 0, true},
+		{CondOp("rating", Gt, "1e-1"), 0, true},
+		{CondOp("rating", Lt, "1e-1"), 0, false},
+		{CondOp("rating", Ge, "abc"), 0, false},
+		{CondOp("rating", Le, "abc"), 0, false},
+		{CondOp("rating", Ge), 0, false},
+		// id= compares the printed id, so leading zeros never match, but
+		// the ordered comparisons parse them as decimal.
+		{Cond("id", "007"), 7, false},
+		{CondOp("id", Ne, "007"), 7, true},
+		{Cond("id", "9", "7"), 7, true},
+		{CondOp("id", Ge, "007"), 7, true},
+		{CondOp("id", Gt, "007"), 7, false},
+		{CondOp("id", Le, "1e-1"), 1, true}, // %d reads the 1 of 1e-1
+		{CondOp("id", Ge, "abc"), 7, false},
+		{CondOp("id", Ge), 7, true},
+		{CondOp("id", Ne), 7, false},
+	} {
+		m := c.cond.matcher()
+		if got := m.satisfies(c.id, nil, attrs); got != c.want {
+			t.Errorf("%v on id %d = %v, want %v", c.cond, c.id, got, c.want)
+		}
+		for id := int64(-2); id <= 12; id++ {
+			if got, ref := m.satisfies(id, nil, attrs), perElementSatisfies(c.cond, id, attrs); got != ref {
+				t.Errorf("%v on id %d = %v, per-element evaluation says %v", c.cond, id, got, ref)
+			}
+		}
 	}
 }

@@ -122,18 +122,23 @@ func PatternAggregate(g *graph.Graph, p Pattern, att string, a PathAggregator, i
 	out := graph.New()
 	out.BeginBulk()
 	defer out.EndBulk()
+	startM := p.Start.matcher()
+	linkM := make([]matcher, len(p.Steps))
+	nodeM := make([]matcher, len(p.Steps))
+	for i, st := range p.Steps {
+		linkM[i], nodeM[i] = st.Link.matcher(), st.Node.matcher()
+	}
 	for _, start := range g.Nodes() {
-		if !p.Start.SatisfiedByNode(start) {
+		if !startM.node(start) {
 			continue
 		}
 		paths := g.PathsMatching(start.ID, len(p.Steps), func(step int, l *graph.Link) bool {
-			st := p.Steps[step]
-			if !st.Link.SatisfiedByLink(l) {
+			if !linkM[step].link(l) {
 				return false
 			}
-			if !st.Node.IsEmpty() {
+			if !p.Steps[step].Node.IsEmpty() {
 				end := g.Node(l.Tgt)
-				if end == nil || !st.Node.SatisfiedByNode(end) {
+				if end == nil || !nodeM[step].node(end) {
 					return false
 				}
 			}

@@ -12,11 +12,12 @@ func NodeSelect(g *graph.Graph, c Condition, s Scorer) *graph.Graph {
 	if s == nil {
 		s = DefaultScorer
 	}
+	m := c.matcher()
 	out := graph.New()
 	out.BeginBulk()
 	defer out.EndBulk()
 	for _, n := range g.Nodes() {
-		if !c.SatisfiedByNode(n) {
+		if !m.node(n) {
 			continue
 		}
 		if len(c.Keywords) > 0 {
@@ -58,8 +59,9 @@ func LinkSelect(g *graph.Graph, c Condition, s Scorer) *graph.Graph {
 			panic("core: LinkSelect internal: " + err.Error())
 		}
 	}
+	m := c.matcher()
 	for _, l := range g.Links() {
-		if !c.SatisfiedByLink(l) {
+		if !m.link(l) {
 			continue
 		}
 		if len(c.Keywords) > 0 {

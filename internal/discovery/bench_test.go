@@ -59,10 +59,19 @@ func BenchmarkSocialBasis(b *testing.B) {
 	}
 }
 
+func BenchmarkCFPlan(b *testing.B) {
+	f := buildJohnFixtureB(b)
+	for i := 0; i < b.N; i++ {
+		if _, err := CollaborativeFiltering(f.g, f.john, CFConfig{SimThreshold: 0.2}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkCFStepwise(b *testing.B) {
 	f := buildJohnFixtureB(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := CollaborativeFiltering(f.g, f.john, CFConfig{Variant: CFStepwise, SimThreshold: 0.2}); err != nil {
+		if _, err := CollaborativeFilteringAlgebra(f.g, f.john, CFConfig{Variant: CFStepwise, SimThreshold: 0.2}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -71,7 +80,7 @@ func BenchmarkCFStepwise(b *testing.B) {
 func BenchmarkCFPattern(b *testing.B) {
 	f := buildJohnFixtureB(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := CollaborativeFiltering(f.g, f.john, CFConfig{Variant: CFPattern, SimThreshold: 0.2}); err != nil {
+		if _, err := CollaborativeFilteringAlgebra(f.g, f.john, CFConfig{Variant: CFPattern, SimThreshold: 0.2}); err != nil {
 			b.Fatal(err)
 		}
 	}

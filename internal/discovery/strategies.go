@@ -3,10 +3,8 @@ package discovery
 import (
 	"fmt"
 	"sort"
-	"strconv"
 
 	"socialscope/internal/analyzer"
-	"socialscope/internal/core"
 	"socialscope/internal/graph"
 	"socialscope/internal/scoring"
 )
@@ -72,109 +70,120 @@ func (c *CFConfig) fill() {
 }
 
 // CollaborativeFiltering runs Example 5 for the given user and returns the
-// scored recommendations. Both variants share steps 1-7 (building the
-// similarity network G4 and the activity graph G5) and differ only in how
-// the final recommendation links are derived, exactly as Section 5.4
-// discusses.
+// scored recommendations. It evaluates the program as one plan driven by
+// the graph's adjacency lists and builds no intermediate graph, yet returns
+// exactly what CollaborativeFilteringAlgebra returns — the same items,
+// bit-identical scores, basis and order. Both variants compute the same
+// links, so the plan serves both; Variant only names the Strategy. The
+// plan maps onto the program's steps as follows:
+//
+//   - Steps 1-2 (G1, the searcher's vst): mine, the targets of the user's
+//     act links.
+//   - Steps 3-5 (G2, and G3's Jaccard composition on δ(tgt,tgt)): only
+//     users who acted on an item in mine compose with the searcher, so the
+//     candidates, and how many items of mine each shares, are read from
+//     the in-links of mine.
+//   - Step 6 (G4): the candidates whose Jaccard exceeds the threshold. A
+//     candidate's out-links are read only when its shared count alone
+//     could carry it over the threshold.
+//   - Steps 7-9 (G5, the composition and average, or Figure 2's pattern):
+//     each item averages the sim of the matches that acted on it. Matches
+//     are walked in ascending id and their out-links in link-id order,
+//     which is the order the algebra's link ids impose on the sums.
 func CollaborativeFiltering(g *graph.Graph, user graph.NodeID, cfg CFConfig) ([]Recommendation, error) {
 	cfg.fill()
 	if !g.HasNode(user) {
 		return nil, fmt.Errorf("%w %d", ErrUnknownUser, user)
 	}
-	ids := graph.IDSourceFor(g)
-	act := core.NewCondition(core.Cond("type", cfg.ActType))
-	uid := strconv.FormatInt(int64(user), 10)
-
-	// Steps 1-2: the user and their acted-on items, folded into vst.
-	g1 := core.LinkSelect(core.SemiJoin(g, core.NodeSelect(g, core.NewCondition(core.Cond("id", uid)), nil),
-		core.Delta(graph.Src, graph.Src)), act, nil)
-	g1p, err := core.NodeAggregate(g1, act, graph.Src, "vst", core.CollectEnd(graph.Tgt))
-	if err != nil {
-		return nil, err
-	}
-	// Steps 3-4: everyone else.
-	g2 := core.LinkSelect(core.SemiJoin(g, core.NodeSelect(g, core.NewCondition(
-		core.CondOp("id", core.Ne, uid), core.Cond("type", graph.TypeUser)), nil),
-		core.Delta(graph.Src, graph.Src)), act, nil)
-	g2p, err := core.NodeAggregate(g2, act, graph.Src, "vst", core.CollectEnd(graph.Tgt))
-	if err != nil {
-		return nil, err
-	}
-	// Step 5: Jaccard similarity links.
-	delta := core.Delta(graph.Tgt, graph.Tgt)
-	g3, err := core.Compose(g1p, g2p, delta, core.JaccardComposer("simpair", "vst", "sim", delta), ids)
-	if err != nil {
-		return nil, err
-	}
-	// Step 6: similarity network G4.
-	thr := strconv.FormatFloat(cfg.SimThreshold, 'g', -1, 64)
-	g4raw, err := core.LinkAggregate(g3, core.NewCondition(core.CondOp("sim", core.Gt, thr)),
-		"type", core.ConstAgg("match"), ids, core.WithCarry("sim"))
-	if err != nil {
-		return nil, err
-	}
-	g4 := core.LinkSelect(g4raw, core.NewCondition(core.Cond("type", "match")), nil)
-	// Step 7: users and their acted-on items G5.
-	g5 := core.LinkSelect(core.SemiJoin(g, core.NodeSelect(g, core.NewCondition(
-		core.Cond("type", cfg.ItemType)), nil), core.Delta(graph.Tgt, graph.Src)), act, nil)
-
-	var g7 *graph.Graph
-	switch cfg.Variant {
-	case CFStepwise:
-		// Steps 8-9.
-		g6, err := core.Compose(core.SemiJoin(g4, g5, core.Delta(graph.Tgt, graph.Src)),
-			core.SemiJoin(g5, g4, core.Delta(graph.Src, graph.Tgt)),
-			core.Delta(graph.Tgt, graph.Src), core.CopyAttrComposer("rec", "sim", "sim_sc"), ids)
-		if err != nil {
-			return nil, err
-		}
-		g7, err = core.LinkAggregate(g6, core.NewCondition(core.Cond("type", "rec")),
-			"score", core.Num(core.Average(core.AttrNum("sim_sc"))), ids)
-		if err != nil {
-			return nil, err
-		}
-	case CFPattern:
-		u45, err := core.Union(g4, g5)
-		if err != nil {
-			return nil, err
-		}
-		pattern := core.Pattern{
-			Start: core.NewCondition(core.Cond("id", uid)),
-			Steps: []core.PatternStep{
-				{Link: core.NewCondition(core.Cond("type", "match"))},
-				{Link: core.NewCondition(core.Cond("type", cfg.ActType)),
-					Node: core.NewCondition(core.Cond("type", cfg.ItemType))},
-			},
-		}
-		g7, err = core.PatternAggregate(u45, pattern, "score", core.AvgPathAttr(0, "sim"), ids)
-		if err != nil {
-			return nil, err
-		}
-	default:
+	if cfg.Variant != CFStepwise && cfg.Variant != CFPattern {
 		return nil, fmt.Errorf("discovery: unknown CF variant %d", cfg.Variant)
 	}
-
-	// The similarity network members are the provenance basis.
-	var basis []graph.NodeID
-	for _, l := range g4.Links() {
-		if l.Src == user {
-			basis = append(basis, l.Tgt)
+	mine := make(map[graph.NodeID]struct{})
+	for _, l := range g.Out(user) {
+		if l.HasType(cfg.ActType) {
+			mine[l.Tgt] = struct{}{}
 		}
 	}
-	sort.Slice(basis, func(i, j int) bool { return basis[i] < basis[j] })
+	if len(mine) == 0 {
+		return nil, nil
+	}
+	// Co-actors and |mine ∩ acted(v)|, counted once per item of mine.
+	type coActor struct {
+		inter int
+		item  graph.NodeID // the item of mine last counted
+		user  bool
+	}
+	coActors := make(map[graph.NodeID]coActor)
+	for item := range mine {
+		for _, l := range g.In(item) {
+			if l.Src == user || !l.HasType(cfg.ActType) {
+				continue
+			}
+			c, seen := coActors[l.Src]
+			switch {
+			case !seen:
+				c = coActor{inter: 1, item: item, user: g.Node(l.Src).HasType(graph.TypeUser)}
+			case c.item != item:
+				c.inter++
+				c.item = item
+			}
+			coActors[l.Src] = c
+		}
+	}
 
+	type match struct {
+		id  graph.NodeID
+		sim float64
+	}
+	var matches []match
+	acted := make(map[graph.NodeID]struct{})
+	for v, c := range coActors {
+		// |acted(v)| >= inter, so the Jaccard is at most inter/|mine|, and
+		// float division is monotone in the divisor: a co-actor whose
+		// bound does not exceed the threshold cannot match, and its
+		// out-links need not be read.
+		if !c.user || float64(c.inter)/float64(len(mine)) <= cfg.SimThreshold {
+			continue
+		}
+		clear(acted)
+		for _, l := range g.Out(v) {
+			if l.HasType(cfg.ActType) {
+				acted[l.Tgt] = struct{}{}
+			}
+		}
+		// The Jaccard of core.JaccardComposer over the two vst sets.
+		sim := float64(c.inter) / float64(len(mine)+len(acted)-c.inter)
+		if sim > cfg.SimThreshold {
+			matches = append(matches, match{v, sim})
+		}
+	}
+	if len(matches) == 0 {
+		return nil, nil
+	}
+	sort.Slice(matches, func(i, j int) bool { return matches[i].id < matches[j].id })
+	basis := make([]graph.NodeID, len(matches))
+	type acc struct {
+		sum float64
+		n   int
+	}
+	scores := make(map[graph.NodeID]acc)
+	for i, m := range matches {
+		basis[i] = m.id
+		for _, l := range g.Out(m.id) {
+			if l.HasType(cfg.ActType) && g.Node(l.Tgt).HasType(cfg.ItemType) {
+				a := scores[l.Tgt]
+				a.sum += m.sim
+				a.n++
+				scores[l.Tgt] = a
+			}
+		}
+	}
+	strategy := "cf-" + cfg.Variant.String()
 	var recs []Recommendation
-	for _, l := range g7.Links() {
-		if l.Src != user {
-			continue
+	for item, a := range scores {
+		if score := a.sum / float64(a.n); score > 0 {
+			recs = append(recs, Recommendation{Item: item, Score: score, Basis: basis, Strategy: strategy})
 		}
-		score, ok := l.Attrs.Float("score")
-		if !ok || score <= 0 {
-			continue
-		}
-		recs = append(recs, Recommendation{
-			Item: l.Tgt, Score: score, Basis: basis, Strategy: "cf-" + cfg.Variant.String(),
-		})
 	}
 	sortRecs(recs)
 	return recs, nil

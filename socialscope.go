@@ -743,10 +743,14 @@ func (e *Engine) Recommend(user NodeID, variant discovery.CFVariant) ([]discover
 	return e.RecommendCtx(context.Background(), user, variant)
 }
 
-// RecommendCtx is Recommend under a context. Collaborative filtering is
-// one algebra program without an incremental accumulation loop, so the
-// context is checked at the call boundary; the per-request deadline still
-// rejects work that arrives already expired.
+// RecommendCtx is Recommend under a context. Collaborative filtering runs
+// as discovery.CollaborativeFiltering's item-side plan: it reads only the
+// adjacency of the user, the user's acted-on items and their co-actors,
+// builds no intermediate graph, and returns exactly what the Example 5
+// algebra program (discovery.CollaborativeFilteringAlgebra) returns for
+// either variant. With no loop long enough to be worth interrupting, the
+// context is checked once at the call boundary; the per-request deadline
+// still rejects work that arrives already expired.
 func (e *Engine) RecommendCtx(ctx context.Context, user NodeID, variant discovery.CFVariant) ([]discovery.Recommendation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package socialscope
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -122,6 +123,41 @@ func TestEngineRecommendVariantsAgree(t *testing.T) {
 		if step[i].Item != pat[i].Item {
 			t.Errorf("variant order differs at %d: %v vs %v", i, step[i], pat[i])
 		}
+	}
+}
+
+// TestCollaborativeFilteringPlanMatchesAlgebraOnBenchCorpus runs the
+// item-side plan against the algebra program on the engine's analyzed
+// graph of the bench/ corpus: a 60-user sample, both variants, at the
+// paper's threshold and a looser one.
+func TestCollaborativeFilteringPlanMatchesAlgebraOnBenchCorpus(t *testing.T) {
+	eng, users := benchCorpusEngine(t)
+	g := eng.Graph()
+	nonEmpty := 0
+	for i := 0; i < 60; i++ {
+		user := users[i*len(users)/60]
+		for _, variant := range []discovery.CFVariant{discovery.CFStepwise, discovery.CFPattern} {
+			for _, thr := range []float64{0.5, 0.2} {
+				cfg := discovery.CFConfig{Variant: variant, SimThreshold: thr, ItemType: eng.cfg.ItemType}
+				want, err := discovery.CollaborativeFilteringAlgebra(g, user, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := discovery.CollaborativeFiltering(g, user, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("user %d %+v:\nplan    %+v\nalgebra %+v", user, cfg, got, want)
+				}
+				if len(got) > 0 {
+					nonEmpty++
+				}
+			}
+		}
+	}
+	if nonEmpty == 0 {
+		t.Error("no sampled user has recommendations; the comparison is vacuous")
 	}
 }
 
