@@ -27,9 +27,7 @@ func benchCorpusEngine(t *testing.T) (*Engine, []NodeID) {
 	if testing.Short() {
 		t.Skip("builds a 600-user corpus")
 	}
-	corpus, err := workload.Travel(workload.TravelConfig{
-		Users: 600, Destinations: 200, VisitsPerUser: 8, TagFraction: 0.8, Seed: 42,
-	})
+	corpus, err := benchCorpus()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,6 +36,13 @@ func benchCorpusEngine(t *testing.T) (*Engine, []NodeID) {
 		t.Fatal(err)
 	}
 	return eng, corpus.Users
+}
+
+// benchCorpus generates the bench/ ledger's corpus.
+func benchCorpus() (*workload.TravelCorpus, error) {
+	return workload.Travel(workload.TravelConfig{
+		Users: 600, Destinations: 200, VisitsPerUser: 8, TagFraction: 0.8, Seed: 42,
+	})
 }
 
 func pinAllocs(t *testing.T, name string, bound float64, f func()) {
@@ -56,7 +61,7 @@ func TestQueryCtxAllocsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	i := 0
-	pinAllocs(t, "Engine.QueryCtx", 2500, func() {
+	pinAllocs(t, "Engine.QueryCtx", 700, func() {
 		if _, err := eng.QueryCtx(context.Background(), users[i%len(users)], q); err != nil {
 			t.Fatal(err)
 		}
@@ -71,10 +76,10 @@ func TestCollaborativeFilteringAllocsPinned(t *testing.T) {
 		cf    func(*graph.Graph, NodeID, discovery.CFConfig) ([]discovery.Recommendation, error)
 		bound float64
 	}{
-		{"discovery.CollaborativeFiltering", discovery.CollaborativeFiltering, 135},
+		{"discovery.CollaborativeFiltering", discovery.CollaborativeFiltering, 35},
 		// The algebra program is the Figure 2 reproduction and the plan's
 		// oracle; its pin keeps the reproduction from regressing unseen.
-		{"discovery.CollaborativeFilteringAlgebra", discovery.CollaborativeFilteringAlgebra, 145000},
+		{"discovery.CollaborativeFilteringAlgebra", discovery.CollaborativeFilteringAlgebra, 120000},
 	} {
 		i := 0
 		pinAllocs(t, c.name, c.bound, func() {
@@ -86,4 +91,31 @@ func TestCollaborativeFilteringAllocsPinned(t *testing.T) {
 			i++
 		})
 	}
+}
+
+// Adjacency reads hand out the stored slice: no lookup, no allocation.
+func TestAdjacencyReadAllocsPinned(t *testing.T) {
+	eng, users := allocPinEngine(t)
+	g := eng.Graph()
+	i := 0
+	pinAllocs(t, "graph.Graph.Out+In", 0, func() {
+		u := users[i%len(users)]
+		if len(g.Out(u))+len(g.In(u)) == 0 {
+			t.Fatalf("user %d has no links", u)
+		}
+		i++
+	})
+}
+
+// Building the corpus runs in the Builder's bulk window, where adjacency
+// slices grow in place and catalog link types are shared, not copied.
+func TestBenchCorpusBuildAllocsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 600-user corpus")
+	}
+	pinAllocs(t, "workload.Travel (bench corpus)", 57000, func() {
+		if _, err := benchCorpus(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

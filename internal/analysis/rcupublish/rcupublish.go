@@ -18,6 +18,12 @@
 // discarded — a discarded result is the signature of in-place intent,
 // which keeps persistent-structure calls like persist.Map.Set (result
 // used) legal.
+//
+// An accessor called on a deep clone (out := g.Clone(); out.Out(v))
+// returns private elements in a container that is still the clone's own
+// storage — graph.Out hands out the adjacency slice itself. Such a value
+// is shallow-tainted: writing its elements' fields is legal, but element
+// assignment, in-place sorts and copy into it are flagged.
 package rcupublish
 
 import (
@@ -62,17 +68,35 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
+// taint records the accessor a value aliases. A shallow taint covers only
+// the container — the slice a deep clone's accessor returns — and not what
+// its elements point to.
+type taint struct {
+	src     string
+	shallow bool
+}
+
+// deep returns the accessor when writes through the value's elements or
+// fields reach shared state, else "".
+func (t taint) deep() string {
+	if t.shallow {
+		return ""
+	}
+	return t.src
+}
+
 type checker struct {
 	pass    *analysis.Pass
-	tainted map[string]string // var name -> accessor it came from
+	tainted map[string]taint // var name -> accessor it came from
 	// cloned are variables assigned from a Clone() call: a deep clone is
 	// private by contract, so accessors called ON it return private
-	// state too (out := g.Clone(); out.Node(v) is writable).
+	// elements (out := g.Clone(); out.Node(v) is writable) in a container
+	// that is still the clone's storage — a shallow taint.
 	cloned map[string]bool
 }
 
 func newChecker(pass *analysis.Pass) *checker {
-	return &checker{pass: pass, tainted: make(map[string]string), cloned: make(map[string]bool)}
+	return &checker{pass: pass, tainted: make(map[string]taint), cloned: make(map[string]bool)}
 }
 
 // check walks one declaration body in lexical order, growing the taint
@@ -85,7 +109,7 @@ func (c *checker) check(body *ast.BlockStmt) {
 			c.flagWrites(s)
 			c.propagate(s)
 		case *ast.IncDecStmt:
-			if src := c.taintSource(s.X); src != "" {
+			if _, src := c.writeThrough(s.X); src != "" {
 				c.pass.Reportf(s.Pos(),
 					"increment through a value from %s mutates the published snapshot in place — Clone, then mutate", src)
 			}
@@ -101,29 +125,32 @@ func (c *checker) check(body *ast.BlockStmt) {
 }
 
 // flagWrites reports assignment targets that write through taint.
+// Plain rebinding of a variable itself is not a write through the alias.
 func (c *checker) flagWrites(as *ast.AssignStmt) {
 	for _, lhs := range as.Lhs {
-		switch t := lhs.(type) {
-		case *ast.Ident:
-			// Plain rebinding of the variable itself is not a write
-			// through the alias.
-		case *ast.IndexExpr:
-			if src := c.taintSource(t.X); src != "" {
-				c.pass.Reportf(as.Pos(),
-					"element write through a value from %s mutates the published snapshot in place — Clone, then mutate", src)
-			}
-		case *ast.SelectorExpr:
-			if src := c.taintSource(t.X); src != "" {
-				c.pass.Reportf(as.Pos(),
-					"field write through a value from %s mutates the published snapshot in place — Clone, then mutate", src)
-			}
-		case *ast.StarExpr:
-			if src := c.taintSource(t.X); src != "" {
-				c.pass.Reportf(as.Pos(),
-					"pointer write through a value from %s mutates the published snapshot in place — Clone, then mutate", src)
-			}
+		if _, ok := lhs.(*ast.Ident); ok {
+			continue
+		}
+		if what, src := c.writeThrough(lhs); src != "" {
+			c.pass.Reportf(as.Pos(),
+				"%s through a value from %s mutates the published snapshot in place — Clone, then mutate", what, src)
 		}
 	}
+}
+
+// writeThrough returns what writing target would change and the accessor
+// it aliases, or "" when the write is private: an element write reaches
+// any tainted container, a field or pointer write only a deep alias.
+func (c *checker) writeThrough(target ast.Expr) (what, src string) {
+	switch t := target.(type) {
+	case *ast.IndexExpr:
+		return "element write", c.taintSource(t.X).src
+	case *ast.SelectorExpr:
+		return "field write", c.taintSource(t.X).deep()
+	case *ast.StarExpr:
+		return "pointer write", c.taintSource(t.X).deep()
+	}
+	return "write", c.taintSource(target).deep()
 }
 
 // propagate updates the taint set from an assignment: lhs idents
@@ -170,61 +197,61 @@ func (c *checker) setCloned(name string, v bool) {
 }
 
 func (c *checker) propagateRange(r *ast.RangeStmt) {
-	src := c.taintSource(r.X)
-	if src == "" {
-		return
+	t := c.taintSource(r.X)
+	if t.shallow {
+		return // a clone's elements are private
 	}
-	if id, ok := r.Value.(*ast.Ident); ok && id.Name != "_" {
-		c.setTaint(id.Name, src)
+	if id, ok := r.Value.(*ast.Ident); ok && id.Name != "_" && t.src != "" {
+		c.setTaint(id.Name, t)
 	}
 }
 
-func (c *checker) setTaint(name, src string) {
-	if src == "" {
+func (c *checker) setTaint(name string, t taint) {
+	if t.src == "" {
 		delete(c.tainted, name)
 	} else {
-		c.tainted[name] = src
+		c.tainted[name] = t
 	}
 }
 
-// taintSource returns the accessor an expression's value aliases, or
-// "".
-func (c *checker) taintSource(e ast.Expr) string {
+// taintSource returns what an expression's value aliases; the zero taint
+// when nothing. Reaching through a shallow-tainted container (indexing,
+// field selection, dereference) yields private state.
+func (c *checker) taintSource(e ast.Expr) taint {
 	switch v := e.(type) {
 	case *ast.Ident:
 		return c.tainted[v.Name]
 	case *ast.ParenExpr:
 		return c.taintSource(v.X)
-	case *ast.IndexExpr:
-		return c.taintSource(v.X)
 	case *ast.SliceExpr:
-		return c.taintSource(v.X)
-	case *ast.SelectorExpr:
-		return c.taintSource(v.X)
-	case *ast.StarExpr:
 		return c.taintSource(v.X)
 	case *ast.UnaryExpr:
 		return c.taintSource(v.X)
+	case *ast.IndexExpr:
+		return taint{src: c.taintSource(v.X).deep()}
+	case *ast.SelectorExpr:
+		return taint{src: c.taintSource(v.X).deep()}
+	case *ast.StarExpr:
+		return taint{src: c.taintSource(v.X).deep()}
 	case *ast.CallExpr:
 		return c.callTaint(v)
 	}
-	return ""
+	return taint{}
 }
 
-// callTaint: annotated accessors seed taint; Clone launders it; append
-// over a tainted slice may share its backing array.
-func (c *checker) callTaint(call *ast.CallExpr) string {
+// callTaint: annotated accessors seed taint (shallow on a deep clone);
+// Clone launders it; append over a tainted slice may share its backing
+// array.
+func (c *checker) callTaint(call *ast.CallExpr) taint {
 	if x, name, ok := analysis.Callee(call); ok {
 		if name == "Clone" || name == "Copy" {
-			return "" // an explicit copy is the sanctioned escape
+			return taint{} // an explicit copy is the sanctioned escape
 		}
 		if c.pass.Immutable.Has(name) {
-			if id, isIdent := x.(*ast.Ident); isIdent && c.cloned[id.Name] {
-				return "" // accessor on a deep clone returns private state
-			}
-			return accessorLabel(c.pass, x, name)
+			id, isIdent := x.(*ast.Ident)
+			return taint{src: accessorLabel(c.pass, x, name), shallow: isIdent && c.cloned[id.Name]}
 		}
-		return ""
+		return taint{}
 	}
 	if id, ok := call.Fun.(*ast.Ident); ok {
 		if id.Name == "append" && len(call.Args) > 0 {
@@ -233,10 +260,10 @@ func (c *checker) callTaint(call *ast.CallExpr) string {
 			return c.taintSource(call.Args[0])
 		}
 		if c.pass.Immutable.Has(id.Name) {
-			return accessorLabel(c.pass, nil, id.Name)
+			return taint{src: accessorLabel(c.pass, nil, id.Name)}
 		}
 	}
-	return ""
+	return taint{}
 }
 
 // flagCall reports effectful calls that mutate through taint: sorts,
@@ -244,14 +271,14 @@ func (c *checker) callTaint(call *ast.CallExpr) string {
 func (c *checker) flagCall(call *ast.CallExpr) {
 	if x, name, ok := analysis.Callee(call); ok {
 		if id, isPkg := x.(*ast.Ident); isPkg && sortFns[id.Name+"."+name] && len(call.Args) > 0 {
-			if src := c.taintSource(call.Args[0]); src != "" {
+			if src := c.taintSource(call.Args[0]).src; src != "" {
 				c.pass.Reportf(call.Pos(),
 					"%s.%s reorders a value from %s in place — readers of the snapshot see it mid-shuffle; Clone, then sort", id.Name, name, src)
 				return
 			}
 		}
 		if mutatorNames[name] {
-			if src := c.taintSource(x); src != "" {
+			if src := c.taintSource(x).deep(); src != "" {
 				c.pass.Reportf(call.Pos(),
 					"%s() with a discarded result on a value from %s is an in-place mutation of the published snapshot — Clone first, or use the value-returning form", name, src)
 			}
@@ -259,7 +286,7 @@ func (c *checker) flagCall(call *ast.CallExpr) {
 		return
 	}
 	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "copy" && len(call.Args) > 0 {
-		if src := c.taintSource(call.Args[0]); src != "" {
+		if src := c.taintSource(call.Args[0]).src; src != "" {
 			c.pass.Reportf(call.Pos(),
 				"copy into a value from %s overwrites the published snapshot in place — Clone, then mutate", src)
 		}

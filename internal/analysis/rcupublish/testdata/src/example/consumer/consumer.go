@@ -73,6 +73,32 @@ func clonedReceiver(g *snap.Graph) {
 	l.Score = 2 // clean: out is a deep clone, its elements are private
 }
 
+// clonedReceiverElements: a deep clone's elements are private however
+// they are reached — indexing, ranging, field selection.
+func clonedReceiverElements(g *snap.Graph) {
+	out := g.Clone()
+	ls := out.In("u")
+	ls[0].Score = 2 // clean: the element is the clone's own copy
+	for _, l := range out.Out("u") {
+		l.Score++ // clean
+	}
+	l := ls[1]
+	l.Attrs.Add("tag") // clean: private all the way down
+}
+
+// clonedReceiverSliceWrites: the slice an accessor returns on a deep clone
+// is still the clone's own storage (graph.Out hands out its adjacency
+// list), so writing the slice itself corrupts the clone.
+func clonedReceiverSliceWrites(g *snap.Graph, fresh []*snap.Link) {
+	out := g.Clone()
+	ls := out.Out("u")
+	ls[0] = fresh[0] // want `element write through a value from example/snap\.Graph\.Out`
+	sort.Slice(ls, func(i, j int) bool { return ls[i].Score > ls[j].Score }) // want `sort\.Slice reorders a value from example/snap\.Graph\.Out`
+	copy(out.In("u"), fresh) // want `copy into a value from example/snap\.Graph\.In`
+	grown := append(out.In("u"), fresh...)
+	grown[0] = nil // want `element write through a value from example/snap\.Graph\.In`
+}
+
 // persistentUpdate: Map.Set returns a new map; using the result is the
 // point, and the receiver was never tainted.
 func persistentUpdate(m *snap.Map, a *snap.Attrs) *snap.Map {

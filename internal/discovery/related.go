@@ -1,7 +1,8 @@
 package discovery
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"socialscope/internal/graph"
 )
@@ -50,7 +51,11 @@ func RelatedEntities(g *graph.Graph, msg *MSG, minActs, limit int) Related {
 	}
 
 	topicCounts := make(map[graph.NodeID]int)
-	userItems := make(map[graph.NodeID]map[graph.NodeID]struct{})
+	// userCounts[u] is the number of distinct result items u acted on. An
+	// item's in-links are walked together, so lastItem[u] == item means u
+	// was already counted for it.
+	userCounts := make(map[graph.NodeID]int)
+	lastItem := make(map[graph.NodeID]graph.NodeID)
 	for item := range inResults {
 		for _, l := range g.Out(item) {
 			if l.HasType(graph.TypeBelong) {
@@ -64,12 +69,11 @@ func RelatedEntities(g *graph.Graph, msg *MSG, minActs, limit int) Related {
 			if _, skip := exclude[l.Src]; skip {
 				continue
 			}
-			set, ok := userItems[l.Src]
-			if !ok {
-				set = make(map[graph.NodeID]struct{})
-				userItems[l.Src] = set
+			if last, seen := lastItem[l.Src]; seen && last == item {
+				continue
 			}
-			set[item] = struct{}{}
+			lastItem[l.Src] = item
+			userCounts[l.Src]++
 		}
 	}
 
@@ -77,25 +81,19 @@ func RelatedEntities(g *graph.Graph, msg *MSG, minActs, limit int) Related {
 	for topic, n := range topicCounts {
 		rel.Topics = append(rel.Topics, RelatedTopic{topic, n})
 	}
-	sort.Slice(rel.Topics, func(i, j int) bool {
-		if rel.Topics[i].Count != rel.Topics[j].Count {
-			return rel.Topics[i].Count > rel.Topics[j].Count
-		}
-		return rel.Topics[i].Topic < rel.Topics[j].Topic
+	slices.SortFunc(rel.Topics, func(a, b RelatedTopic) int {
+		return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(a.Topic, b.Topic))
 	})
 	if len(rel.Topics) > limit {
 		rel.Topics = rel.Topics[:limit]
 	}
-	for user, items := range userItems {
-		if len(items) >= minActs {
-			rel.Users = append(rel.Users, RelatedUser{user, len(items)})
+	for user, n := range userCounts {
+		if n >= minActs {
+			rel.Users = append(rel.Users, RelatedUser{user, n})
 		}
 	}
-	sort.Slice(rel.Users, func(i, j int) bool {
-		if rel.Users[i].Count != rel.Users[j].Count {
-			return rel.Users[i].Count > rel.Users[j].Count
-		}
-		return rel.Users[i].User < rel.Users[j].User
+	slices.SortFunc(rel.Users, func(a, b RelatedUser) int {
+		return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(a.User, b.User))
 	})
 	if len(rel.Users) > limit {
 		rel.Users = rel.Users[:limit]

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 
 	"socialscope/internal/persist"
@@ -216,6 +215,9 @@ func DecodeLinkBin(src []byte) (*Link, int, error) {
 		return nil, 0, err
 	}
 	off += n
+	if shared := sharedTypes(types); shared != nil {
+		types = shared // checkpoint loads keep one copy per type set
+	}
 	return &Link{
 		ID: LinkID(id), Src: NodeID(srcID), Tgt: NodeID(tgtID),
 		Types: types, Attrs: attrs, Score: score, Scored: scored,
@@ -461,17 +463,5 @@ func (g *Graph) rebuildAdjacency() {
 		ls = append(ls, l)
 		return true
 	})
-	sort.Slice(ls, func(i, j int) bool { return ls[i].ID < ls[j].ID })
-	out := make(map[NodeID][]LinkID)
-	in := make(map[NodeID][]LinkID)
-	for _, l := range ls {
-		out[l.Src] = append(out[l.Src], l.ID)
-		in[l.Tgt] = append(in[l.Tgt], l.ID)
-	}
-	for id, ids := range out {
-		g.out = g.out.SetWith(g.bulk, id, ids)
-	}
-	for id, ids := range in {
-		g.in = g.in.SetWith(g.bulk, id, ids)
-	}
+	g.setAdjacencyOf(ls)
 }

@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"socialscope/internal/persist"
@@ -23,9 +25,10 @@ var (
 // paper's sense — nodes with no links — which node selection produces.
 //
 // Storage is persistent (structurally shared): the node, link and adjacency
-// maps are copy-on-write tries, and adjacency lists are immutable slices
-// ordered by ascending link id. Every write operation rebinds the Graph's
-// own map headers and never modifies a trie node or slice another Graph can
+// maps are copy-on-write tries, and adjacency lists are slices of the stored
+// *Link values ordered by ascending link id, never written below their
+// length once stored. Every write operation rebinds the Graph's own map
+// headers and never modifies a trie node or slice element another Graph can
 // reach, which makes ShallowClone an O(1) snapshot: a clone and its origin
 // share all storage, and either side can keep mutating without the other
 // observing a thing — the RCU discipline the live engine's Apply/Search
@@ -36,8 +39,12 @@ var (
 type Graph struct {
 	nodes persist.Map[NodeID, *Node]
 	links persist.Map[LinkID, *Link]
-	out   persist.Map[NodeID, []LinkID]
-	in    persist.Map[NodeID, []LinkID]
+	// out and in are the adjacency indexes: per node, the very *Link values
+	// links stores whose source (target) it is, in ascending id order — so
+	// Out/In are one trie probe with no per-link lookup. PutLink swaps a
+	// consolidated link into both endpoint slices.
+	out persist.Map[NodeID, []*Link]
+	in  persist.Map[NodeID, []*Link]
 	// maxNode and maxLink are monotonic high-water marks over every id the
 	// graph has ever held. They survive clones and removals, so IDSource
 	// allocation never reuses a retracted id (which would alias unrelated
@@ -55,6 +62,13 @@ type Graph struct {
 	// with any earlier snapshot are copied on first touch — and taking a
 	// snapshot (ShallowClone, Clone) seals the window first.
 	bulk *persist.Edit
+	// ownOut and ownIn are the ownership rule of adjacency slices in an
+	// open bulk window: the nodes whose out (in) slice was allocated inside
+	// it. No snapshot has seen such a slice — taking one seals the window —
+	// and nothing else shares its backing array, so a link that goes last
+	// is appended in place, filling spare capacity beyond every length
+	// handed out so far. Dropped by EndBulk.
+	ownOut, ownIn map[NodeID]struct{}
 }
 
 // New returns an empty graph.
@@ -62,8 +76,8 @@ func New() *Graph {
 	return &Graph{
 		nodes: persist.NewIntMap[NodeID, *Node](),
 		links: persist.NewIntMap[LinkID, *Link](),
-		out:   persist.NewIntMap[NodeID, []LinkID](),
-		in:    persist.NewIntMap[NodeID, []LinkID](),
+		out:   persist.NewIntMap[NodeID, []*Link](),
+		in:    persist.NewIntMap[NodeID, []*Link](),
 	}
 }
 
@@ -84,6 +98,7 @@ func New() *Graph {
 func (g *Graph) BeginBulk() {
 	if g.bulk == nil {
 		g.bulk = persist.NewEdit()
+		g.ownOut, g.ownIn = make(map[NodeID]struct{}), make(map[NodeID]struct{})
 	}
 }
 
@@ -99,6 +114,7 @@ func (g *Graph) BeginBulk() {
 func (g *Graph) EndBulk() {
 	if g.bulk != nil {
 		g.bulk = nil
+		g.ownOut, g.ownIn = nil, nil
 	}
 }
 
@@ -189,8 +205,8 @@ func (g *Graph) AddLink(l *Link) error {
 		return fmt.Errorf("%w: tgt %d of link %d", ErrMissingEnd, l.Tgt, l.ID)
 	}
 	g.links = g.links.SetWith(g.bulk, l.ID, l)
-	g.out = g.out.SetWith(g.bulk, l.Src, persist.InsertSorted(g.out.At(l.Src), l.ID))
-	g.in = g.in.SetWith(g.bulk, l.Tgt, persist.InsertSorted(g.in.At(l.Tgt), l.ID))
+	g.out = g.out.SetWith(g.bulk, l.Src, g.insertLink(g.ownOut, l.Src, g.out.At(l.Src), l))
+	g.in = g.in.SetWith(g.bulk, l.Tgt, g.insertLink(g.ownIn, l.Tgt, g.in.At(l.Tgt), l))
 	g.noteLinkID(l.ID)
 	g.emitLink(MutAddLink, l)
 	return nil
@@ -199,8 +215,9 @@ func (g *Graph) AddLink(l *Link) error {
 // PutLink inserts the link, consolidating with any existing link of the same
 // id. Consolidation with different endpoints is an error. Missing endpoint
 // nodes are an error, as with AddLink. Like PutNode, the resident link
-// value is never modified — the merge is clone-and-swap — so snapshots
-// keep their view.
+// value is never modified — the merge is clone-and-swap, and the merged
+// link replaces the resident one in copies of both endpoint slices — so
+// snapshots keep their view.
 func (g *Graph) PutLink(l *Link) error {
 	if l == nil {
 		return ErrNilElement
@@ -212,6 +229,8 @@ func (g *Graph) PutLink(l *Link) error {
 		merged := ex.Clone()
 		merged.Merge(l)
 		g.links = g.links.SetWith(g.bulk, l.ID, merged)
+		g.out = g.out.SetWith(g.bulk, l.Src, replaceLink(g.out.At(l.Src), merged))
+		g.in = g.in.SetWith(g.bulk, l.Tgt, replaceLink(g.in.At(l.Tgt), merged))
 		if g.recorder != nil {
 			g.recorder(Mutation{Kind: MutPutLink, Link: merged.Clone(), Prev: ex.Clone()})
 		}
@@ -228,19 +247,68 @@ func (g *Graph) RemoveLink(id LinkID) {
 		return
 	}
 	g.links = g.links.DeleteWith(g.bulk, id)
-	g.setAdjacency(&g.out, l.Src, persist.RemoveSorted(g.out.At(l.Src), id))
-	g.setAdjacency(&g.in, l.Tgt, persist.RemoveSorted(g.in.At(l.Tgt), id))
+	g.setAdjacency(&g.out, l.Src, removeLink(g.out.At(l.Src), id))
+	g.setAdjacency(&g.in, l.Tgt, removeLink(g.in.At(l.Tgt), id))
 	g.emitLink(MutRemoveLink, l)
 }
 
 // setAdjacency rebinds one adjacency entry, dropping the key once its list
 // drains so empty slices never accumulate.
-func (g *Graph) setAdjacency(m *persist.Map[NodeID, []LinkID], id NodeID, ids []LinkID) {
-	if len(ids) == 0 {
+func (g *Graph) setAdjacency(m *persist.Map[NodeID, []*Link], id NodeID, ls []*Link) {
+	if len(ls) == 0 {
 		*m = m.DeleteWith(g.bulk, id)
 		return
 	}
-	*m = m.SetWith(g.bulk, id, ids)
+	*m = m.SetWith(g.bulk, id, ls)
+}
+
+// searchLink returns the position of link id in ls (sorted by ascending
+// id), or where it would be inserted.
+func searchLink(ls []*Link, id LinkID) int {
+	return sort.Search(len(ls), func(i int) bool { return ls[i].ID >= id })
+}
+
+// insertLink returns ls, the adjacency slice of node id under the ownership
+// set own, with l inserted in id order; l's id is not in ls. A slice the
+// open bulk window owns grows in place when l goes last — the Builder's
+// ascending-id case, amortised O(1). Otherwise the result is a fresh copy,
+// which the window (if one is open) then owns.
+func (g *Graph) insertLink(own map[NodeID]struct{}, id NodeID, ls []*Link, l *Link) []*Link {
+	n := len(ls)
+	i := n
+	if n > 0 && ls[n-1].ID > l.ID {
+		i = searchLink(ls, l.ID)
+	}
+	if g.bulk != nil {
+		if _, owned := own[id]; owned && i == n {
+			return append(ls, l)
+		}
+		own[id] = struct{}{}
+	}
+	s := make([]*Link, n+1)
+	copy(s, ls[:i])
+	s[i] = l
+	copy(s[i+1:], ls[i:])
+	return s
+}
+
+// replaceLink returns a copy of ls with l in place of the link of the same
+// id.
+func replaceLink(ls []*Link, l *Link) []*Link {
+	s := slices.Clone(ls)
+	s[searchLink(s, l.ID)] = l
+	return s
+}
+
+// removeLink returns a fresh copy of ls without link id, or ls itself when
+// the id is absent. Never in place: a bulk window's owned slice may have
+// been handed out at its current length.
+func removeLink(ls []*Link, id LinkID) []*Link {
+	i := searchLink(ls, id)
+	if i == len(ls) || ls[i].ID != id {
+		return ls
+	}
+	return slices.Concat(ls[:i], ls[i+1:])
 }
 
 // RemoveNode deletes a node and every link incident on it.
@@ -249,8 +317,14 @@ func (g *Graph) RemoveNode(id NodeID) {
 	if !ok {
 		return
 	}
-	for _, lid := range append(append([]LinkID(nil), g.out.At(id)...), g.in.At(id)...) {
-		g.RemoveLink(lid)
+	// RemoveLink never writes a stored slice in place, so these stay the
+	// node's adjacency as of now while the removals rebind the maps.
+	outs, ins := g.out.At(id), g.in.At(id)
+	for _, l := range outs {
+		g.RemoveLink(l.ID)
+	}
+	for _, l := range ins {
+		g.RemoveLink(l.ID)
 	}
 	g.nodes = g.nodes.DeleteWith(g.bulk, id)
 	g.out = g.out.DeleteWith(g.bulk, id)
@@ -300,26 +374,31 @@ func (g *Graph) Links() []*Link {
 	return ls
 }
 
-// Out returns the links whose source is the given node, ordered by id.
-// The elements alias the published snapshot.
+// Out returns the links whose source is the given node, ordered by id: one
+// trie probe, no allocation. The slice itself is the snapshot's adjacency
+// list, capped at its length so append always copies; neither it nor its
+// elements may be written.
 //
-//ss:immutable — Clone elements before mutating them.
+//ss:immutable — Clone elements before mutating them; never write the slice.
 func (g *Graph) Out(id NodeID) []*Link {
-	return g.linkSlice(g.out.At(id))
+	ls := g.out.At(id)
+	return ls[:len(ls):len(ls)]
 }
 
-// In returns the links whose target is the given node, ordered by id.
-// The elements alias the published snapshot.
+// In returns the links whose target is the given node, ordered by id, with
+// Out's aliasing contract: the slice is the snapshot's, append copies.
 //
-//ss:immutable — Clone elements before mutating them.
+//ss:immutable — Clone elements before mutating them; never write the slice.
 func (g *Graph) In(id NodeID) []*Link {
-	return g.linkSlice(g.in.At(id))
+	ls := g.in.At(id)
+	return ls[:len(ls):len(ls)]
 }
 
 // Incident returns all links touching the node (out then in), ordered by id
-// within each direction. The elements alias the published snapshot.
+// within each direction. The elements alias the published snapshot, and
+// so does the slice when the node has no in-links.
 //
-//ss:immutable — Clone elements before mutating them.
+//ss:immutable — Clone elements before mutating them; never write the slice.
 func (g *Graph) Incident(id NodeID) []*Link {
 	return append(g.Out(id), g.In(id)...)
 }
@@ -330,25 +409,15 @@ func (g *Graph) OutDegree(id NodeID) int { return len(g.out.At(id)) }
 // InDegree returns the number of incoming links of the node.
 func (g *Graph) InDegree(id NodeID) int { return len(g.in.At(id)) }
 
-// linkSlice resolves stored adjacency ids — already sorted ascending — to
-// link values.
-func (g *Graph) linkSlice(ids []LinkID) []*Link {
-	ls := make([]*Link, len(ids))
-	for i, id := range ids {
-		ls[i] = g.links.At(id)
-	}
-	return ls
-}
-
 // Neighbors returns the distinct node ids adjacent to the node (either
 // direction), in ascending order.
 func (g *Graph) Neighbors(id NodeID) []NodeID {
 	seen := make(map[NodeID]struct{})
-	for _, lid := range g.out.At(id) {
-		seen[g.links.At(lid).Tgt] = struct{}{}
+	for _, l := range g.out.At(id) {
+		seen[l.Tgt] = struct{}{}
 	}
-	for _, lid := range g.in.At(id) {
-		seen[g.links.At(lid).Src] = struct{}{}
+	for _, l := range g.in.At(id) {
+		seen[l.Src] = struct{}{}
 	}
 	delete(seen, id)
 	ids := make([]NodeID, 0, len(seen))
@@ -359,12 +428,13 @@ func (g *Graph) Neighbors(id NodeID) []NodeID {
 	return ids
 }
 
-// Clone returns a deep copy of the graph: node and link values are cloned;
-// the adjacency indexes — pure structure — stay structurally shared, which
-// is safe because adjacency slices are never mutated in place. The value
-// rewrite runs in a bulk window: the clone's node and link tries are
-// rebuilt with transient in-place writes (one claim per trie node instead
-// of one path copy per element), sealed before the clone is returned.
+// Clone returns a deep copy of the graph: node and link values are cloned,
+// and the adjacency indexes are rebuilt over the cloned links — they hold
+// link pointers, so sharing them would hand the origin's links to anyone
+// mutating the clone's. The rewrite runs in a bulk window: the clone's
+// tries are rebuilt with transient in-place writes (one claim per trie
+// node instead of one path copy per element), sealed before the clone is
+// returned.
 func (g *Graph) Clone() *Graph {
 	c := g.ShallowClone()
 	c.BeginBulk()
@@ -376,8 +446,24 @@ func (g *Graph) Clone() *Graph {
 		c.links = c.links.SetWith(c.bulk, id, l.Clone())
 		return true
 	})
+	c.out, c.in = c.relink(g.out), c.relink(g.in)
 	c.EndBulk()
 	return c
+}
+
+// relink returns a copy of the adjacency index adj with every link replaced
+// by g's link of the same id.
+func (g *Graph) relink(adj persist.Map[NodeID, []*Link]) persist.Map[NodeID, []*Link] {
+	out := persist.NewIntMap[NodeID, []*Link]()
+	adj.Range(func(id NodeID, ls []*Link) bool {
+		cs := make([]*Link, len(ls))
+		for i, l := range ls {
+			cs[i] = g.links.At(l.ID)
+		}
+		out = out.SetWith(g.bulk, id, cs)
+		return true
+	})
+	return out
 }
 
 // ShallowClone returns a snapshot of the graph that shares all storage —
@@ -452,26 +538,34 @@ func (g *Graph) InducedByLinks(ids map[LinkID]struct{}) *Graph {
 	return sub
 }
 
-// addInducedLinks installs pre-screened links (endpoints already present)
-// in bulk: links are sorted by id once and adjacency lists assembled in a
-// single pass, so construction is O(L log L) instead of per-insert slice
-// copying, and the resulting adjacency order is the same deterministic
-// ascending-id order every Graph maintains.
+// addInducedLinks installs pre-screened links (endpoints already present,
+// no adjacency yet) in bulk: links are stored, then the adjacency lists are
+// assembled in one sorted pass (setAdjacencyOf), so construction is
+// O(L log L) instead of per-insert slice copying.
 func (g *Graph) addInducedLinks(ls []*Link) {
-	sort.Slice(ls, func(i, j int) bool { return ls[i].ID < ls[j].ID })
-	out := make(map[NodeID][]LinkID)
-	in := make(map[NodeID][]LinkID)
 	for _, l := range ls {
 		g.links = g.links.SetWith(g.bulk, l.ID, l)
-		out[l.Src] = append(out[l.Src], l.ID)
-		in[l.Tgt] = append(in[l.Tgt], l.ID)
 		g.noteLinkID(l.ID)
 	}
-	for id, ids := range out {
-		g.out = g.out.SetWith(g.bulk, id, ids)
+	g.setAdjacencyOf(ls)
+}
+
+// setAdjacencyOf installs the out/in lists of ls on a graph with no
+// adjacency yet, in the ascending-id order every Graph maintains. It sorts
+// ls.
+func (g *Graph) setAdjacencyOf(ls []*Link) {
+	slices.SortFunc(ls, func(a, b *Link) int { return cmp.Compare(a.ID, b.ID) })
+	out := make(map[NodeID][]*Link)
+	in := make(map[NodeID][]*Link)
+	for _, l := range ls {
+		out[l.Src] = append(out[l.Src], l)
+		in[l.Tgt] = append(in[l.Tgt], l)
 	}
-	for id, ids := range in {
-		g.in = g.in.SetWith(g.bulk, id, ids)
+	for id, adj := range out {
+		g.out = g.out.SetWith(g.bulk, id, adj)
+	}
+	for id, adj := range in {
+		g.in = g.in.SetWith(g.bulk, id, adj)
 	}
 }
 
@@ -505,9 +599,9 @@ func (g *Graph) MaxNodeID() NodeID { return g.maxNode }
 func (g *Graph) MaxLinkID() LinkID { return g.maxLink }
 
 // Validate checks internal consistency: every link's endpoints exist, the
-// adjacency indexes agree with the link set and keep ascending id order,
-// and the id high-water marks bound every present id. It returns the first
-// violation.
+// adjacency indexes hold exactly the stored links (pointer identity) in
+// ascending id order, and the id high-water marks bound every present id.
+// It returns the first violation.
 func (g *Graph) Validate() error {
 	var err error
 	g.links.Range(func(id LinkID, l *Link) bool {
@@ -524,40 +618,11 @@ func (g *Graph) Validate() error {
 	if err != nil {
 		return err
 	}
-	outCount, inCount := 0, 0
-	g.out.Range(func(src NodeID, lids []LinkID) bool {
-		for i, lid := range lids {
-			l, ok := g.links.Get(lid)
-			if !ok || l.Src != src {
-				err = fmt.Errorf("graph: out index for node %d lists stale link %d", src, lid)
-				return false
-			}
-			if i > 0 && lids[i-1] >= lid {
-				err = fmt.Errorf("graph: out index for node %d not in ascending order", src)
-				return false
-			}
-			outCount++
-		}
-		return true
-	})
+	outCount, err := g.validateAdjacency("out", g.out, Src)
 	if err != nil {
 		return err
 	}
-	g.in.Range(func(tgt NodeID, lids []LinkID) bool {
-		for i, lid := range lids {
-			l, ok := g.links.Get(lid)
-			if !ok || l.Tgt != tgt {
-				err = fmt.Errorf("graph: in index for node %d lists stale link %d", tgt, lid)
-				return false
-			}
-			if i > 0 && lids[i-1] >= lid {
-				err = fmt.Errorf("graph: in index for node %d not in ascending order", tgt)
-				return false
-			}
-			inCount++
-		}
-		return true
-	})
+	inCount, err := g.validateAdjacency("in", g.in, Tgt)
 	if err != nil {
 		return err
 	}
@@ -575,6 +640,29 @@ func (g *Graph) Validate() error {
 		return err == nil
 	})
 	return err
+}
+
+// validateAdjacency checks one adjacency index: every entry is the stored
+// link itself with the keyed node at end d, in ascending id order. It
+// returns the number of entries.
+func (g *Graph) validateAdjacency(name string, adj persist.Map[NodeID, []*Link], d Direction) (int, error) {
+	count := 0
+	var err error
+	adj.Range(func(id NodeID, ls []*Link) bool {
+		for i, l := range ls {
+			if l == nil || g.links.At(l.ID) != l || l.End(d) != id {
+				err = fmt.Errorf("graph: %s index for node %d lists a link that is not stored there", name, id)
+				return false
+			}
+			if i > 0 && ls[i-1].ID >= l.ID {
+				err = fmt.Errorf("graph: %s index for node %d not in ascending order", name, id)
+				return false
+			}
+			count++
+		}
+		return true
+	})
+	return count, err
 }
 
 // String summarizes the graph.

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -11,9 +12,11 @@ import (
 // links carry a multi-valued type and schema-less attributes, plus an
 // optional score attached by link selection.
 type Link struct {
-	ID     LinkID
-	Src    NodeID
-	Tgt    NodeID
+	ID  LinkID
+	Src NodeID
+	Tgt NodeID
+	// Types may share a package-level slice (see linkTypeSets): append to
+	// it or replace it, never write its elements in place.
 	Types  []string
 	Attrs  Attrs
 	Score  float64
@@ -21,9 +24,41 @@ type Link struct {
 }
 
 // NewLink constructs a link with the given id, endpoints and types and an
-// empty attribute map.
+// empty attribute map. Types shares a package-level slice when the types
+// spell one of the catalog's link type sets, else it is a private copy.
 func NewLink(id LinkID, src, tgt NodeID, types ...string) *Link {
-	return &Link{ID: id, Src: src, Tgt: tgt, Types: append([]string(nil), types...), Attrs: Attrs{}}
+	return &Link{ID: id, Src: src, Tgt: tgt, Types: storedTypes(types), Attrs: Attrs{}}
+}
+
+// linkTypeSets are the link type sets of the paper's catalog (types.go), in
+// the order the package's builders spell them. Links whose Types equals one
+// of them share its slice instead of each holding a copy — on a live site
+// that is most links. The slices are never written, and each is capped at
+// its length, so AddType's append copies.
+var linkTypeSets = [][]string{
+	{TypeConnect}, {TypeConnect, SubtypeFriend}, {TypeConnect, SubtypeContact},
+	{TypeAct}, {TypeAct, SubtypeTag}, {TypeAct, SubtypeReview}, {TypeAct, SubtypeClick},
+	{TypeAct, SubtypeVisit}, {TypeAct, SubtypeRating},
+	{TypeMatch}, {TypeBelong},
+}
+
+// sharedTypes returns the entry of linkTypeSets equal to ts, or nil.
+func sharedTypes(ts []string) []string {
+	for _, s := range linkTypeSets {
+		if slices.Equal(s, ts) {
+			return s
+		}
+	}
+	return nil
+}
+
+// storedTypes returns the shared type set equal to ts, or else a private
+// copy of ts.
+func storedTypes(ts []string) []string {
+	if s := sharedTypes(ts); s != nil {
+		return s
+	}
+	return append([]string(nil), ts...)
 }
 
 // End returns the node id at the given direction, implementing the paper's
@@ -59,10 +94,11 @@ func (l *Link) TypeSuperset(want []string) bool {
 	return true
 }
 
-// Clone returns a deep copy of the link.
+// Clone returns a deep copy of the link; like NewLink's, its Types shares
+// a catalog type set when it spells one.
 func (l *Link) Clone() *Link {
 	c := *l
-	c.Types = append([]string(nil), l.Types...)
+	c.Types = storedTypes(l.Types)
 	c.Attrs = l.Attrs.Clone()
 	return &c
 }

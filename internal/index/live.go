@@ -671,4 +671,3 @@ func sortedMembers(s scoring.Set[graph.NodeID]) []graph.NodeID {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-

@@ -188,4 +188,3 @@ func less(a, b Entry) bool {
 	}
 	return a.Item > b.Item
 }
-

@@ -1,9 +1,9 @@
 package presentation
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"socialscope/internal/graph"
 	"socialscope/internal/scoring"
@@ -262,11 +262,10 @@ func ExplainGroup(g *graph.Graph, user graph.NodeID, group Group, strategy strin
 	return agg
 }
 
+// sortWeighted orders ws by descending weight, ties by ascending id — a
+// total order, as ids are unique within one explanation.
 func sortWeighted(ws []WeightedID) {
-	sort.Slice(ws, func(i, j int) bool {
-		if ws[i].Weight != ws[j].Weight {
-			return ws[i].Weight > ws[j].Weight
-		}
-		return ws[i].ID < ws[j].ID
+	slices.SortFunc(ws, func(a, b WeightedID) int {
+		return cmp.Or(cmp.Compare(b.Weight, a.Weight), cmp.Compare(a.ID, b.ID))
 	})
 }

@@ -111,6 +111,27 @@ func ReadFile(fsys FS, name string) ([]byte, error) {
 	return io.ReadAll(f)
 }
 
+// ReadFileFrom reads name from byte offset off to its end, allocating only
+// for those bytes: File has no Seek, so the prefix is read and discarded.
+// ok is false, and nothing is returned, when the file is shorter than off.
+func ReadFileFrom(fsys FS, name string, off int64) (data []byte, ok bool, err error) {
+	f, err := fsys.OpenFile(name, os.O_RDONLY, 0)
+	if err != nil {
+		return nil, false, err
+	}
+	defer f.Close()
+	if n, err := io.CopyN(io.Discard, f, off); n < off {
+		if err == io.EOF {
+			return nil, false, nil
+		}
+		return nil, false, err
+	}
+	if data, err = io.ReadAll(f); err != nil {
+		return nil, false, err
+	}
+	return data, true, nil
+}
+
 // WriteFileSync writes data to name (creating or truncating), syncs it,
 // and closes it — the durable counterpart of os.WriteFile.
 func WriteFileSync(fsys FS, name string, data []byte, perm fs.FileMode) error {

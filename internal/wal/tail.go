@@ -109,35 +109,47 @@ func (t *Tailer) Poll(confirm uint64, max int, fn func(lsn uint64, kind byte, pa
 	for {
 		seg := segs[ci]
 		sealed := ci < len(segs)-1
-		data, err := vfs.ReadFile(t.fsys, path.Join(t.dir, seg.name))
-		if err != nil {
-			if vfs.IsNotExist(err) {
-				return delivered, ErrGone // truncated between listing and read
+		name := path.Join(t.dir, seg.name)
+		// Resume where the last poll stopped, reading only the bytes past
+		// it: re-reading the whole segment made every poll allocate its
+		// size. The offset is always a confirmed-record boundary, which the
+		// leader's heal never truncates below, so the bytes from there on
+		// are fresh ground. A segment shorter than the offset, or one not
+		// yet read past its header, is read whole and its header checked.
+		var data []byte
+		base, resumed := 0, false
+		if t.cur == seg.name && t.off > headerLen {
+			if data, resumed, err = vfs.ReadFileFrom(t.fsys, name, int64(t.off)); err != nil {
+				return delivered, t.readErr(err)
 			}
-			return delivered, fmt.Errorf("wal: tail: %w", err)
-		}
-		if len(data) < headerLen {
-			if sealed {
-				return delivered, fmt.Errorf("%w: %s: truncated header", ErrCorrupt, seg.name)
+			if resumed {
+				base = t.off
 			}
-			return delivered, nil // segment creation in flight; come back later
 		}
-		if [headerLen]byte(data[:headerLen]) != magic {
-			return delivered, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, seg.name)
+		if !resumed {
+			if data, err = vfs.ReadFile(t.fsys, name); err != nil {
+				return delivered, t.readErr(err)
+			}
+			if len(data) < headerLen {
+				if sealed {
+					return delivered, fmt.Errorf("%w: %s: truncated header", ErrCorrupt, seg.name)
+				}
+				return delivered, nil // segment creation in flight; come back later
+			}
+			if [headerLen]byte(data[:headerLen]) != magic {
+				return delivered, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, seg.name)
+			}
 		}
-		off, expect := headerLen, seg.first
-		if t.cur == seg.name && t.off >= headerLen && t.off <= len(data) {
-			// Resume where the last poll stopped. The offset is always a
-			// confirmed-record boundary, which the leader's heal never
-			// truncates below, so the bytes from here on are fresh ground.
+		off, expect, end := headerLen, seg.first, base+len(data)
+		if t.cur == seg.name && t.off >= headerLen && t.off <= end {
 			off, expect = t.off, t.next
 		}
-		for off < len(data) {
+		for off < end {
 			if max > 0 && delivered >= max {
 				t.cur, t.off = seg.name, off
 				return delivered, nil
 			}
-			lsn, kind, payload, n, derr := DecodeRecord(data[off:])
+			lsn, kind, payload, n, derr := DecodeRecord(data[off-base:])
 			if derr != nil {
 				if sealed {
 					return delivered, fmt.Errorf("%w: %s at offset %d: %v", ErrCorrupt, seg.name, off, derr)
@@ -151,7 +163,7 @@ func (t *Tailer) Poll(confirm uint64, max int, fn func(lsn uint64, kind byte, pa
 				return delivered, fmt.Errorf("%w: %s: lsn %d, want %d", ErrCorrupt, seg.name, lsn, expect)
 			}
 			if lsn >= t.next {
-				confirmed := sealed || off+n < len(data) || lsn <= confirm
+				confirmed := sealed || off+n < end || lsn <= confirm
 				if !confirmed {
 					t.cur, t.off = seg.name, off
 					return delivered, nil
@@ -177,6 +189,14 @@ func (t *Tailer) Poll(confirm uint64, max int, fn func(lsn uint64, kind byte, pa
 		ci++
 		t.cur, t.off = nxt.name, headerLen
 	}
+}
+
+// readErr maps a failed segment read to Poll's error contract.
+func (t *Tailer) readErr(err error) error {
+	if vfs.IsNotExist(err) {
+		return ErrGone // truncated between listing and read
+	}
+	return fmt.Errorf("wal: tail: %w", err)
 }
 
 func (t *Tailer) listSegs() ([]segInfo, error) {

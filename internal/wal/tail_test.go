@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"socialscope/internal/vfs"
@@ -264,5 +265,78 @@ func TestTailerMaxBudgetResumes(t *testing.T) {
 		if r.lsn != uint64(i+1) {
 			t.Fatalf("record %d has lsn %d", i, r.lsn)
 		}
+	}
+}
+
+// TestTailerPollReadsOnlyNewBytes: a caught-up tailer on a large active
+// segment reads what was appended since its last poll, not the segment
+// again — a follower polls every few milliseconds, and re-reading made each
+// poll allocate the whole segment.
+func TestTailerPollReadsOnlyNewBytes(t *testing.T) {
+	fsys := vfs.NewFaultFS(vfs.DropUnsynced)
+	fsys.SetWriteChunk(1 << 20)
+	l, err := Open(fsys, "w", Options{SegmentBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 1024)
+	for i := 0; i < 1024; i++ {
+		if _, err := l.AppendSync(1, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tl := NewTailer(fsys, "w", 0)
+	if got := pollAll(t, tl, 0); len(got) != 1023 {
+		t.Fatalf("first poll delivered %d records, want 1023", len(got))
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := l.AppendSync(1, payload); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := pollAll(t, tl, 0)
+		runtime.ReadMemStats(&after)
+		if len(got) != 1 || got[0].lsn != uint64(1024+i) {
+			t.Fatalf("poll %d delivered %+v", i, got)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10 {
+			t.Fatalf("poll %d after one append allocated %d bytes over a 1 MB segment", i, alloc)
+		}
+	}
+}
+
+// TestTailerRescansSegmentShorterThanOffset: should the active segment ever
+// be shorter than the resume offset, the tailer rescans it from the header
+// instead of reading past its end, delivering nothing twice.
+func TestTailerRescansSegmentShorterThanOffset(t *testing.T) {
+	fsys := vfs.NewFaultFS(vfs.DropUnsynced)
+	l, err := Open(fsys, "w", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sizes []int64
+	for i := 1; i <= 5; i++ {
+		if _, err := l.AppendSync(1, []byte(fmt.Sprintf("r-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		size, err := fsys.Size("w/" + l.segs[0].name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes = append(sizes, size)
+	}
+	tl := NewTailer(fsys, "w", 0)
+	if got := pollAll(t, tl, 0); len(got) != 4 {
+		t.Fatalf("delivered %d records, want 4", len(got))
+	}
+	if err := fsys.Truncate("w/"+l.segs[0].name, sizes[1]); err != nil {
+		t.Fatal(err)
+	}
+	if got := pollAll(t, tl, 0); len(got) != 0 {
+		t.Fatalf("rescan redelivered %+v", got)
+	}
+	if tl.NextLSN() != 5 || tl.off != int(sizes[1]) {
+		t.Fatalf("after rescan NextLSN=%d off=%d, want 5 and %d (the segment's end)", tl.NextLSN(), tl.off, sizes[1])
 	}
 }
