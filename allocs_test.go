@@ -6,6 +6,7 @@ import (
 
 	"socialscope/internal/discovery"
 	"socialscope/internal/graph"
+	"socialscope/internal/index"
 	"socialscope/internal/workload"
 )
 
@@ -14,7 +15,7 @@ import (
 // bench/ ledger serves, and the figures are per call, averaged over a fixed
 // rotation of users.
 
-func allocPinEngine(t *testing.T) (*Engine, []NodeID) {
+func allocPinEngine(t testing.TB) (*Engine, []NodeID) {
 	t.Helper()
 	eng, users := benchCorpusEngine(t)
 	return eng, users[:16]
@@ -22,7 +23,7 @@ func allocPinEngine(t *testing.T) (*Engine, []NodeID) {
 
 // benchCorpusEngine builds an engine over the bench/ ledger's corpus and
 // returns it with every user of the corpus.
-func benchCorpusEngine(t *testing.T) (*Engine, []NodeID) {
+func benchCorpusEngine(t testing.TB) (*Engine, []NodeID) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("builds a 600-user corpus")
@@ -61,7 +62,7 @@ func TestQueryCtxAllocsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	i := 0
-	pinAllocs(t, "Engine.QueryCtx", 700, func() {
+	pinAllocs(t, "Engine.QueryCtx", 525, func() {
 		if _, err := eng.QueryCtx(context.Background(), users[i%len(users)], q); err != nil {
 			t.Fatal(err)
 		}
@@ -117,5 +118,36 @@ func TestBenchCorpusBuildAllocsPinned(t *testing.T) {
 		if _, err := benchCorpus(); err != nil {
 			t.Fatal(err)
 		}
+	})
+}
+
+// The first read of a snapshot's neighbourhood view derives it in one pass
+// over the adjacency. A ShallowClone of a graph no reader has asked for
+// its view carries none, so every call builds.
+func TestNeighbourhoodBuildAllocsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 600-user corpus")
+	}
+	corpus, err := benchCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinAllocs(t, "graph neighbourhood view build (bench corpus)", 2250, func() {
+		corpus.Graph.ShallowClone().Acts(corpus.Users[0])
+	})
+}
+
+// Extract groups its records with one sort per family and stores each
+// vector once, exact-size.
+func TestExtractAllocsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 600-user corpus")
+	}
+	corpus, err := benchCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinAllocs(t, "index.Extract (bench corpus)", 7450, func() {
+		index.Extract(corpus.Graph)
 	})
 }

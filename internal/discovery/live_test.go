@@ -54,15 +54,10 @@ func TestDiscoverTaggedAcrossSnapshots(t *testing.T) {
 
 	// A friend of the user endorses a destination with the query tag.
 	friends := index.Extract(g).Network.At(user)
-	var friend graph.NodeID = -1
-	for f := range friends {
-		if friend < 0 || f < friend {
-			friend = f
-		}
-	}
-	if friend < 0 {
+	if len(friends) == 0 {
 		t.Fatal("test user has no network")
 	}
+	friend := friends[0]
 	l := graph.NewLink(g.MaxLinkID()+1, friend, corpus.Destinations[0], graph.TypeAct, graph.SubtypeTag)
 	l.Attrs.Add("tags", workload.Categories[0])
 	newIx := oldIx.ApplyDelta([]graph.Mutation{{Kind: graph.MutAddLink, Link: l}})

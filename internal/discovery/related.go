@@ -29,11 +29,12 @@ type Related struct {
 }
 
 // RelatedEntities analyzes an MSG's result items against the full graph
-// and surfaces related topics (via belong links) and related users (users
-// with act links onto ≥ minActs distinct result items, excluding the
-// querying user and the social basis — those are already visible as
-// provenance). Both lists are ordered by descending count, ties by id, and
-// capped at limit entries each.
+// and surfaces related topics (via belong links, each counting the
+// distinct result items that belong to it) and related users (act sources
+// of ≥ minActs distinct result items, excluding the querying user and the
+// social basis — those are already visible as provenance). Both lists are
+// ordered by descending count, ties by id, and capped at limit entries
+// each.
 func RelatedEntities(g *graph.Graph, msg *MSG, minActs, limit int) Related {
 	if minActs <= 0 {
 		minActs = 2
@@ -41,45 +42,37 @@ func RelatedEntities(g *graph.Graph, msg *MSG, minActs, limit int) Related {
 	if limit <= 0 {
 		limit = 5
 	}
-	inResults := make(map[graph.NodeID]struct{}, len(msg.Results))
-	for _, r := range msg.Results {
-		inResults[r.Item] = struct{}{}
+	items := make([]graph.NodeID, len(msg.Results))
+	for i, r := range msg.Results {
+		items[i] = r.Item
 	}
-	exclude := map[graph.NodeID]struct{}{msg.User: {}}
-	for _, b := range msg.Basis.Users {
-		exclude[b] = struct{}{}
-	}
-
-	topicCounts := make(map[graph.NodeID]int)
-	// userCounts[u] is the number of distinct result items u acted on. An
-	// item's in-links are walked together, so lastItem[u] == item means u
-	// was already counted for it.
-	userCounts := make(map[graph.NodeID]int)
-	lastItem := make(map[graph.NodeID]graph.NodeID)
-	for item := range inResults {
-		for _, l := range g.Out(item) {
-			if l.HasType(graph.TypeBelong) {
-				topicCounts[l.Tgt]++
-			}
-		}
-		for _, l := range g.In(item) {
-			if !l.HasType(graph.TypeAct) {
-				continue
-			}
-			if _, skip := exclude[l.Src]; skip {
-				continue
-			}
-			if last, seen := lastItem[l.Src]; seen && last == item {
-				continue
-			}
-			lastItem[l.Src] = item
-			userCounts[l.Src]++
-		}
-	}
+	slices.Sort(items)
+	items = slices.Compact(items)
+	exclude := append([]graph.NodeID{msg.User}, msg.Basis.Users...)
+	slices.Sort(exclude)
 
 	var rel Related
-	for topic, n := range topicCounts {
-		rel.Topics = append(rel.Topics, RelatedTopic{topic, n})
+	// Topics: each item's belong targets once, then the runs of equal ids.
+	var topics []graph.NodeID
+	for _, item := range items {
+		start := len(topics)
+		for _, l := range g.Out(item) {
+			if l.HasType(graph.TypeBelong) {
+				topics = append(topics, l.Tgt)
+			}
+		}
+		own := topics[start:]
+		slices.Sort(own)
+		topics = topics[:start+len(slices.Compact(own))]
+	}
+	slices.Sort(topics)
+	for i := 0; i < len(topics); {
+		j := i + 1
+		for j < len(topics) && topics[j] == topics[i] {
+			j++
+		}
+		rel.Topics = append(rel.Topics, RelatedTopic{topics[i], j - i})
+		i = j
 	}
 	slices.SortFunc(rel.Topics, func(a, b RelatedTopic) int {
 		return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(a.Topic, b.Topic))
@@ -87,8 +80,24 @@ func RelatedEntities(g *graph.Graph, msg *MSG, minActs, limit int) Related {
 	if len(rel.Topics) > limit {
 		rel.Topics = rel.Topics[:limit]
 	}
-	for user, n := range userCounts {
-		if n >= minActs {
+
+	// Users: a k-way merge of the items' endorser vectors, each ascending
+	// without repeats, so a user's count is the number of vectors whose
+	// head it is when the merge reaches it.
+	heads := make(endorserHeap, 0, len(items))
+	for _, item := range items {
+		if es := g.Endorsers(item); len(es) > 0 {
+			heads = append(heads, es)
+		}
+	}
+	heads.init()
+	for len(heads) > 0 {
+		user, n := heads[0][0].ID, 0
+		for len(heads) > 0 && heads[0][0].ID == user {
+			n++
+			heads.advance()
+		}
+		if _, skip := slices.BinarySearch(exclude, user); !skip && n >= minActs {
 			rel.Users = append(rel.Users, RelatedUser{user, n})
 		}
 	}
@@ -99,4 +108,42 @@ func RelatedEntities(g *graph.Graph, msg *MSG, minActs, limit int) Related {
 		rel.Users = rel.Users[:limit]
 	}
 	return rel
+}
+
+// endorserHeap is a min-heap of non-empty endorser vectors ordered by
+// their first entry's id.
+type endorserHeap [][]graph.Endorser
+
+func (h endorserHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// advance drops the smallest head, removing its vector once it drains.
+func (h *endorserHeap) advance() {
+	s := *h
+	if s[0] = s[0][1:]; len(s[0]) == 0 {
+		s[0] = s[len(s)-1]
+		s = s[:len(s)-1]
+		*h = s
+	}
+	s.down(0)
+}
+
+func (h endorserHeap) down(i int) {
+	for {
+		least, l, r := i, 2*i+1, 2*i+2
+		if l < len(h) && h[l][0].ID < h[least][0].ID {
+			least = l
+		}
+		if r < len(h) && h[r][0].ID < h[least][0].ID {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // relatedEntitiesOracle is RelatedEntities as first written — a set of
-// result items per user — kept as the definition the counting version must
-// reproduce.
+// result items per user and per topic — kept as the definition the merging
+// version must reproduce.
 func relatedEntitiesOracle(g *graph.Graph, msg *MSG, minActs, limit int) Related {
 	if minActs <= 0 {
 		minActs = 2
@@ -27,13 +27,19 @@ func relatedEntitiesOracle(g *graph.Graph, msg *MSG, minActs, limit int) Related
 	for _, b := range msg.Basis.Users {
 		exclude[b] = struct{}{}
 	}
-	topicCounts := make(map[graph.NodeID]int)
+	topicItems := make(map[graph.NodeID]map[graph.NodeID]struct{})
 	userItems := make(map[graph.NodeID]map[graph.NodeID]struct{})
 	for item := range inResults {
 		for _, l := range g.Out(item) {
-			if l.HasType(graph.TypeBelong) {
-				topicCounts[l.Tgt]++
+			if !l.HasType(graph.TypeBelong) {
+				continue
 			}
+			set, ok := topicItems[l.Tgt]
+			if !ok {
+				set = make(map[graph.NodeID]struct{})
+				topicItems[l.Tgt] = set
+			}
+			set[item] = struct{}{}
 		}
 		for _, l := range g.In(item) {
 			if !l.HasType(graph.TypeAct) {
@@ -51,8 +57,8 @@ func relatedEntitiesOracle(g *graph.Graph, msg *MSG, minActs, limit int) Related
 		}
 	}
 	var rel Related
-	for topic, n := range topicCounts {
-		rel.Topics = append(rel.Topics, RelatedTopic{topic, n})
+	for topic, items := range topicItems {
+		rel.Topics = append(rel.Topics, RelatedTopic{topic, len(items)})
 	}
 	sort.Slice(rel.Topics, func(i, j int) bool {
 		if rel.Topics[i].Count != rel.Topics[j].Count {
@@ -81,9 +87,9 @@ func relatedEntitiesOracle(g *graph.Graph, msg *MSG, minActs, limit int) Related
 }
 
 // randomRelatedCase draws a graph dense in repeat act links (one user acting
-// on one item several times, under several act subtypes), belong links and
-// non-act links, plus an MSG over it whose results repeat items and whose
-// basis excludes some of the actors.
+// on one item several times, under several act subtypes), parallel belong
+// links and non-act links, plus an MSG over it whose results repeat items
+// and whose basis excludes some of the actors.
 func randomRelatedCase(rng *rand.Rand) (*graph.Graph, *MSG) {
 	linkTypes := [][]string{
 		{graph.TypeAct, graph.SubtypeVisit}, {graph.TypeAct, graph.SubtypeTag},
@@ -151,5 +157,27 @@ func TestRelatedEntitiesMatchesSetOracle(t *testing.T) {
 	// Guard against a generator that stops producing related users.
 	if nonEmpty < seeds {
 		t.Errorf("only %d of %d cases surface a related user", nonEmpty, 16*seeds)
+	}
+}
+
+// TestRelatedTopicCountsResultsOnce: a topic counts the results belonging
+// to it, so two parallel belong links from one result count once.
+func TestRelatedTopicCountsResultsOnce(t *testing.T) {
+	b := graph.NewBuilder()
+	user := b.Node([]string{graph.TypeUser})
+	item := b.Node([]string{graph.TypeItem})
+	other := b.Node([]string{graph.TypeItem})
+	topic := b.Node([]string{graph.TypeTopic})
+	b.Link(item, topic, []string{graph.TypeBelong})
+	b.Link(item, topic, []string{graph.TypeBelong})
+	msg := &MSG{User: user, Results: []Result{{Item: item}, {Item: item}}}
+	rel := RelatedEntities(b.Graph(), msg, 0, 0)
+	if want := []RelatedTopic{{topic, 1}}; !reflect.DeepEqual(rel.Topics, want) {
+		t.Fatalf("topics = %+v, want %+v", rel.Topics, want)
+	}
+	b.Link(other, topic, []string{graph.TypeBelong})
+	msg.Results = append(msg.Results, Result{Item: other})
+	if got := RelatedEntities(b.Graph(), msg, 0, 0).Topics; !reflect.DeepEqual(got, []RelatedTopic{{topic, 2}}) {
+		t.Fatalf("topics = %+v, want one topic counting 2 results", got)
 	}
 }

@@ -3,11 +3,12 @@ package discovery
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"socialscope/internal/graph"
 	"socialscope/internal/index"
+	"socialscope/internal/persist"
 	"socialscope/internal/topk"
 )
 
@@ -92,21 +93,17 @@ func (d *Discoverer) DiscoverTaggedCtx(ctx context.Context, user graph.NodeID, q
 		if maxScore > 0 {
 			res.Social = r.Score / maxScore
 		}
-		// Provenance: network members who tagged the item with a query tag.
+		// Provenance: network members who tagged the item with a query tag,
+		// ascending — each tag's taggers merged with the network, and the
+		// per-tag runs merged when the query has several tags.
 		var endorsers []graph.NodeID
 		for _, tag := range tags {
-			byItem, ok := data.Taggers.Get(tag)
-			if !ok {
-				continue
-			}
-			for tg := range byItem.At(r.Item) {
-				if net.Has(tg) && !contains(endorsers, tg) {
-					endorsers = append(endorsers, tg)
-				}
-			}
+			endorsers = persist.AppendIntersection(endorsers, data.Taggers.At(tag).At(r.Item), net)
 		}
-		// Sorted for determinism: tagger sets iterate in map order.
-		sort.Slice(endorsers, func(i, j int) bool { return endorsers[i] < endorsers[j] })
+		if len(tags) > 1 {
+			slices.Sort(endorsers)
+			endorsers = slices.Compact(endorsers)
+		}
 		res.Endorsers = endorsers
 		results = append(results, res)
 	}

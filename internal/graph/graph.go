@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"socialscope/internal/persist"
 )
@@ -69,6 +70,10 @@ type Graph struct {
 	// is appended in place, filling spare capacity beyond every length
 	// handed out so far. Dropped by EndBulk.
 	ownOut, ownIn map[NodeID]struct{}
+	// view is the snapshot's act-link neighbourhood view (see Acts), nil
+	// until a reader builds it. ShallowClone carries it over, ApplyAll
+	// patches it, and every other write drops it.
+	view atomic.Pointer[neighbourhood]
 }
 
 // New returns an empty graph.
@@ -163,6 +168,7 @@ func (g *Graph) AddNode(n *Node) error {
 	if g.nodes.Has(n.ID) {
 		return fmt.Errorf("%w: %d", ErrDuplicateNode, n.ID)
 	}
+	g.dropView()
 	g.nodes = g.nodes.SetWith(g.bulk, n.ID, n)
 	g.noteNodeID(n.ID)
 	g.emitNode(MutAddNode, n)
@@ -177,6 +183,7 @@ func (g *Graph) PutNode(n *Node) {
 	if n == nil {
 		return
 	}
+	g.dropView()
 	if ex, ok := g.nodes.Get(n.ID); ok {
 		merged := ex.Clone()
 		merged.Merge(n)
@@ -204,6 +211,7 @@ func (g *Graph) AddLink(l *Link) error {
 	if !g.HasNode(l.Tgt) {
 		return fmt.Errorf("%w: tgt %d of link %d", ErrMissingEnd, l.Tgt, l.ID)
 	}
+	g.dropView()
 	g.links = g.links.SetWith(g.bulk, l.ID, l)
 	g.out = g.out.SetWith(g.bulk, l.Src, g.insertLink(g.ownOut, l.Src, g.out.At(l.Src), l))
 	g.in = g.in.SetWith(g.bulk, l.Tgt, g.insertLink(g.ownIn, l.Tgt, g.in.At(l.Tgt), l))
@@ -226,6 +234,7 @@ func (g *Graph) PutLink(l *Link) error {
 		if ex.Src != l.Src || ex.Tgt != l.Tgt {
 			return fmt.Errorf("%w: link %d", ErrEndpointChange, l.ID)
 		}
+		g.dropView()
 		merged := ex.Clone()
 		merged.Merge(l)
 		g.links = g.links.SetWith(g.bulk, l.ID, merged)
@@ -246,6 +255,7 @@ func (g *Graph) RemoveLink(id LinkID) {
 	if !ok {
 		return
 	}
+	g.dropView()
 	g.links = g.links.DeleteWith(g.bulk, id)
 	g.setAdjacency(&g.out, l.Src, removeLink(g.out.At(l.Src), id))
 	g.setAdjacency(&g.in, l.Tgt, removeLink(g.in.At(l.Tgt), id))
@@ -317,6 +327,7 @@ func (g *Graph) RemoveNode(id NodeID) {
 	if !ok {
 		return
 	}
+	g.dropView()
 	// RemoveLink never writes a stored slice in place, so these stay the
 	// node's adjacency as of now while the removals rebind the maps.
 	outs, ins := g.out.At(id), g.in.At(id)
@@ -477,7 +488,7 @@ func (g *Graph) relink(adj persist.Map[NodeID, []*Link]) persist.Map[NodeID, []*
 // once two Graphs share storage, neither may mutate it in place.
 func (g *Graph) ShallowClone() *Graph {
 	g.EndBulk()
-	return &Graph{
+	c := &Graph{
 		nodes:   g.nodes,
 		links:   g.links,
 		out:     g.out,
@@ -485,6 +496,10 @@ func (g *Graph) ShallowClone() *Graph {
 		maxNode: g.maxNode,
 		maxLink: g.maxLink,
 	}
+	if v := g.view.Load(); v != nil {
+		c.view.Store(v)
+	}
+	return c
 }
 
 // InducedByNodes returns the subgraph of g induced by the given node set:
@@ -600,8 +615,9 @@ func (g *Graph) MaxLinkID() LinkID { return g.maxLink }
 
 // Validate checks internal consistency: every link's endpoints exist, the
 // adjacency indexes hold exactly the stored links (pointer identity) in
-// ascending id order, and the id high-water marks bound every present id.
-// It returns the first violation.
+// ascending id order, the id high-water marks bound every present id, and
+// a neighbourhood view, when one is present, equals a fresh derivation. It
+// returns the first violation.
 func (g *Graph) Validate() error {
 	var err error
 	g.links.Range(func(id LinkID, l *Link) bool {
@@ -639,6 +655,9 @@ func (g *Graph) Validate() error {
 		}
 		return err == nil
 	})
+	if v := g.view.Load(); v != nil && err == nil {
+		err = v.check(buildNeighbourhood(g))
+	}
 	return err
 }
 

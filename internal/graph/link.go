@@ -67,6 +67,15 @@ func (l *Link) End(d Direction) NodeID {
 	return d.End(l.Src, l.Tgt)
 }
 
+// Rating is the endorsement strength of an act link, rating(u, i) in
+// §7.2: its rating attribute, or 1 when it carries none.
+func (l *Link) Rating() float64 {
+	if v, ok := l.Attrs.Float("rating"); ok {
+		return v
+	}
+	return 1
+}
+
 // HasType reports whether the link carries the given type value.
 func (l *Link) HasType(t string) bool {
 	for _, v := range l.Types {

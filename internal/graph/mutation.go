@@ -1,6 +1,10 @@
 package graph
 
-import "sync"
+import (
+	"sync"
+
+	"socialscope/internal/persist"
+)
 
 // MutationKind identifies one write operation on a graph.
 type MutationKind uint8
@@ -179,15 +183,32 @@ const BulkApplyThreshold = 32
 // Batches of BulkApplyThreshold or more run inside a bulk-mutation
 // window (sealed again before returning, even on error); snapshots taken
 // before the call never observe the batch either way.
+//
+// A neighbourhood view the graph holds (see Acts) survives the batch: the
+// keys it touched are re-derived from the post-batch adjacency and the
+// rest is shared with the pre-batch view. A batch that fails keeps no
+// view its writes could have made stale: they drop it.
 func (g *Graph) ApplyAll(muts []Mutation) error {
+	view := g.view.Load()
 	if len(muts) >= BulkApplyThreshold && g.bulk == nil {
 		g.BeginBulk()
 		defer g.EndBulk()
 	}
+	var touched viewTouch
 	for _, m := range muts {
+		if view != nil {
+			touched.note(g, m)
+		}
 		if err := g.Apply(m); err != nil {
 			return err
 		}
+	}
+	if view != nil {
+		var e *persist.Edit
+		if len(muts) >= BulkApplyThreshold {
+			e = persist.NewEdit()
+		}
+		g.view.Store(view.patch(g, &touched, e))
 	}
 	return nil
 }

@@ -19,6 +19,8 @@
 package index
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"socialscope/internal/graph"
@@ -26,28 +28,30 @@ import (
 	"socialscope/internal/scoring"
 )
 
-// ItemTaggers is one tag's inner index: item → set of users who tagged it
-// with that tag. Persistent, so substrate snapshots share it wholesale
-// and a delta copies only the touched (item → set) trie path — the inner
-// map of a popular tag grows with the corpus, and cloning it per batch
-// would reintroduce an O(items) term on the live path.
-type ItemTaggers = persist.Map[graph.NodeID, scoring.Set[graph.NodeID]]
+// ItemTaggers is one tag's inner index: item → the users who tagged it
+// with that tag, as an ascending vector without repeats. Persistent, so
+// substrate snapshots share it wholesale and a delta copies only the
+// touched (item → vector) trie path — the inner map of a popular tag grows
+// with the corpus, and cloning it per batch would reintroduce an O(items)
+// term on the live path.
+type ItemTaggers = persist.Map[graph.NodeID, []graph.NodeID]
 
 // NewItemTaggers returns an empty per-tag item index.
 func NewItemTaggers() ItemTaggers {
-	return persist.NewIntMap[graph.NodeID, scoring.Set[graph.NodeID]]()
+	return persist.NewIntMap[graph.NodeID, []graph.NodeID]()
 }
 
 // Data is the tagging substrate extracted from a social content graph:
 // taggers(i,k), network(u), and the universe of users, items and tags.
 //
-// The top-level structures are persistent (structurally shared): the
-// by-tag, by-user maps are copy-on-write tries and the sorted universe
-// slices follow a strict copy-on-write discipline (never modified in
-// place once built). Snapshotting a Data (cowClone, the ApplyDelta path)
-// therefore copies a constant-size header — O(1), not O(users+items+tags)
-// — and every snapshot shares all untouched storage with its ancestors.
-// Construct with NewData or Extract; the zero Data is not ready for use.
+// Everything is persistent (structurally shared): the by-tag and by-user
+// maps are copy-on-write tries, and the sorted universes and the member
+// vectors below them follow a strict copy-on-write discipline — a write
+// replaces a vector (persist.InsertSorted/RemoveSorted), never edits it.
+// Snapshotting a Data (cowClone, the ApplyDelta path) therefore copies a
+// constant-size header — O(1), not O(users+items+tags) — and every
+// snapshot shares all untouched storage with its ancestors. Construct with
+// NewData or Extract; the zero Data is not ready for use.
 type Data struct {
 	// Users, Items and Tags are the sorted universes. They are rebound —
 	// never mutated in place — when the universe changes, so snapshots can
@@ -56,13 +60,14 @@ type Data struct {
 	Items []graph.NodeID
 	Tags  []string
 
-	// Taggers[tag][item] = set of users who tagged item with tag.
+	// Taggers[tag][item] = the users who tagged item with tag.
 	Taggers persist.Map[string, ItemTaggers]
-	// Network[user] = users connected to user (either direction).
-	Network persist.Map[graph.NodeID, scoring.Set[graph.NodeID]]
+	// Network[user] = users connected to user (either direction). Every
+	// user has an entry, empty or not: presence marks a user.
+	Network persist.Map[graph.NodeID, []graph.NodeID]
 	// ItemsOf[user] = items the user tagged (for behavior clustering and
 	// content-based explanations).
-	ItemsOf persist.Map[graph.NodeID, scoring.Set[graph.NodeID]]
+	ItemsOf persist.Map[graph.NodeID, []graph.NodeID]
 
 	// tagsOf[user] = distinct tags the user has used. Maintained alongside
 	// ItemsOf so incremental maintenance of a connection mutation visits
@@ -70,20 +75,12 @@ type Data struct {
 	// instead of scanning the whole tag vocabulary. Absent per-user
 	// entries (hand-built Data) make the delta code fall back to the full
 	// scan.
-	tagsOf persist.Map[graph.NodeID, scoring.Set[string]]
-
-	// sharedInner is set once this Data has been through a copy-on-write
-	// snapshot (ApplyDelta), meaning inner sets and maps may be shared
-	// with other versions: the in-place write APIs must then replace
-	// rather than mutate them. Sole-owner Data (fresh Extract, never
-	// snapshotted) keeps the cheap in-place path. The persistent top-level
-	// maps need no such flag — they are copy-on-write by construction.
-	sharedInner bool
+	tagsOf persist.Map[graph.NodeID, []string]
 
 	// tagDups and connDups count duplicate source records beyond the first:
 	// two distinct links asserting the same (user, item, tag) action or the
-	// same undirected connection. The sets above are deduplicated, so
-	// removing one of several parallel links must decrement a refcount
+	// same undirected connection. The vectors above hold each fact once,
+	// so removing one of several parallel links must decrement a refcount
 	// instead of retracting the fact — otherwise incremental maintenance
 	// would diverge from a from-scratch Extract of the surviving links.
 	tagDups  persist.Map[taggingKey, int]
@@ -94,9 +91,9 @@ type Data struct {
 func NewData() *Data {
 	return &Data{
 		Taggers: persist.NewStringMap[ItemTaggers](),
-		Network: persist.NewIntMap[graph.NodeID, scoring.Set[graph.NodeID]](),
-		ItemsOf: persist.NewIntMap[graph.NodeID, scoring.Set[graph.NodeID]](),
-		tagsOf:  persist.NewIntMap[graph.NodeID, scoring.Set[string]](),
+		Network: persist.NewIntMap[graph.NodeID, []graph.NodeID](),
+		ItemsOf: persist.NewIntMap[graph.NodeID, []graph.NodeID](),
+		tagsOf:  persist.NewIntMap[graph.NodeID, []string](),
 		tagDups: persist.NewMap[taggingKey, int](hashTaggingKey),
 		connDups: persist.NewMap[edgeKey, int](func(k edgeKey) uint64 {
 			return persist.Mix64(persist.Hash64(uint64(k.a)), persist.Hash64(uint64(k.b)))
@@ -150,99 +147,150 @@ func (d *Data) noteConnDup(k edgeKey, delta int) int {
 
 // Extract walks the graph once and builds the tagging substrate. Tag
 // values come from the "tags" attribute of links typed act/tag; network
-// membership from connect links, symmetric.
+// membership from connect links between users, symmetric.
 //
-// Construction is a cold bulk build, so every persistent structure is
-// assembled through transients — the top-level maps and one transient per
-// tag's inner item index — and sealed before the Data is returned. The
-// sealed maps are byte-identical (canonical trie shapes) to what
-// persistent per-write assembly produces, at a fraction of the
-// allocation.
+// Construction is a cold bulk build: the walk collects flat records per
+// family (per tag for the taggers), one sort groups each, and each group
+// becomes one exact-size vector, stored through a transient and sealed
+// before the Data is returned. The sealed maps are byte-identical
+// (canonical trie shapes) to what persistent per-write assembly produces,
+// at a fraction of the allocation.
 func Extract(g *graph.Graph) *Data {
 	d := NewData()
-	network := d.Network.Transient()
-	itemsOf := d.ItemsOf.Transient()
-	tagsOf := d.tagsOf.Transient()
-	inner := make(map[string]*persist.TMap[graph.NodeID, scoring.Set[graph.NodeID]])
-	userSet := make(map[graph.NodeID]struct{})
-	itemSet := make(map[graph.NodeID]struct{})
-	for _, n := range g.NodesOfType(graph.TypeUser) {
-		userSet[n.ID] = struct{}{}
-		network.Set(n.ID, scoring.NewSet[graph.NodeID]())
-		itemsOf.Set(n.ID, scoring.NewSet[graph.NodeID]())
-		tagsOf.Set(n.ID, scoring.NewSet[string]())
+	nodes := g.Nodes()
+	for _, n := range nodes {
+		if n.HasType(graph.TypeUser) {
+			d.Users = append(d.Users, n.ID)
+		}
 	}
-	for _, l := range g.Links() {
-		switch {
-		case l.HasType(graph.TypeConnect):
-			if _, ok := userSet[l.Src]; !ok {
-				continue
-			}
-			if _, ok := userSet[l.Tgt]; !ok {
-				continue
-			}
-			if network.At(l.Src).Has(l.Tgt) {
-				d.noteConnDup(edgeOf(l.Src, l.Tgt), 1)
-				continue
-			}
-			// Cold build: every set in these transients was created a few
-			// lines up — nothing here is published yet.
-			network.At(l.Src).Add(l.Tgt) //sslint:ignore rcupublish fresh per-build set, Data not yet returned
-			network.At(l.Tgt).Add(l.Src) //sslint:ignore rcupublish fresh per-build set, Data not yet returned
-		case l.HasType(graph.SubtypeTag):
-			tags := l.Attrs.All("tags")
-			if len(tags) == 0 {
-				continue
-			}
-			itemSet[l.Tgt] = struct{}{}
-			if s, ok := itemsOf.Get(l.Src); ok {
-				s.Add(l.Tgt) //sslint:ignore rcupublish fresh per-build set, Data not yet returned
-			}
-			for _, tag := range tags {
-				if s, ok := tagsOf.Get(l.Src); ok {
-					s.Add(tag) //sslint:ignore rcupublish fresh per-build set, Data not yet returned
-				}
-				byItem := inner[tag]
-				if byItem == nil {
-					byItem = NewItemTaggers().Transient()
-					inner[tag] = byItem
-				}
-				set, ok := byItem.Get(l.Tgt)
-				if !ok {
-					set = scoring.NewSet[graph.NodeID]()
-					byItem.Set(l.Tgt, set)
-				}
-				if set.Has(l.Src) {
-					d.noteTagDup(taggingKey{tag, l.Tgt, l.Src}, 1)
+	var conns []idPair                 // (u, v): v is in network(u)
+	byTag := make(map[string][]idPair) // (item, tagger) per assertion
+	for _, n := range nodes {
+		for _, l := range g.Out(n.ID) {
+			switch {
+			case l.HasType(graph.TypeConnect):
+				if !has(d.Users, l.Src) || !has(d.Users, l.Tgt) {
 					continue
 				}
-				set.Add(l.Src)
+				conns = append(conns, idPair{l.Src, l.Tgt})
+				if l.Src != l.Tgt {
+					conns = append(conns, idPair{l.Tgt, l.Src})
+				}
+			case l.HasType(graph.SubtypeTag):
+				for _, tag := range l.Attrs.All("tags") {
+					byTag[tag] = append(byTag[tag], idPair{l.Tgt, l.Src})
+				}
 			}
 		}
 	}
+
+	// A connection asserted k times shows up k times in each direction;
+	// its repeats are counted once, from the direction with u <= v.
+	conns = sortedRuns(conns, func(p idPair, n int) {
+		if n > 1 && p.u <= p.v {
+			d.noteConnDup(edgeOf(p.u, p.v), n-1)
+		}
+	})
+	network := d.Network.Transient()
+	perUser(network, d.Users, conns, func(p idPair) graph.NodeID { return p.v })
+	d.Network = network.Persistent()
+
+	// taggers(i, k), one tag at a time, its assertions sorted by item, then
+	// tagger. userItems and userTags collect what ItemsOf and tagsOf need:
+	// (user, item) and (user, index of the tag in d.Tags).
+	for tag := range byTag {
+		d.Tags = append(d.Tags, tag)
+	}
+	slices.Sort(d.Tags)
 	taggers := d.Taggers.Transient()
-	for tag, byItem := range inner {
+	var userItems, userTags []idPair
+	var buf []graph.NodeID
+	for ti, tag := range d.Tags {
+		recs := sortedRuns(byTag[tag], func(p idPair, n int) {
+			if n > 1 {
+				d.noteTagDup(taggingKey{tag, p.u, p.v}, n-1)
+			}
+		})
+		byItem := NewItemTaggers().Transient()
+		for i := 0; i < len(recs); {
+			item := recs[i].u
+			buf = buf[:0]
+			for ; i < len(recs) && recs[i].u == item; i++ {
+				u := recs[i].v
+				buf = append(buf, u)
+				if has(d.Users, u) {
+					userItems = append(userItems, idPair{u, item})
+					userTags = append(userTags, idPair{u, graph.NodeID(ti)})
+				}
+			}
+			byItem.Set(item, persist.CloneExact(buf))
+			d.Items = append(d.Items, item)
+		}
 		taggers.Set(tag, byItem.Persistent()) // seal once per tag shard
 	}
 	d.Taggers = taggers.Persistent()
-	d.Network = network.Persistent()
+	slices.Sort(d.Items)
+	d.Items = slices.Compact(d.Items)
+
+	itemsOf := d.ItemsOf.Transient()
+	perUser(itemsOf, d.Users, sortedRuns(userItems, nil), func(p idPair) graph.NodeID { return p.v })
 	d.ItemsOf = itemsOf.Persistent()
+	tagsOf := d.tagsOf.Transient()
+	perUser(tagsOf, d.Users, sortedRuns(userTags, nil), func(p idPair) string { return d.Tags[p.v] })
 	d.tagsOf = tagsOf.Persistent()
-	for u := range userSet {
-		d.Users = append(d.Users, u)
-	}
-	sort.Slice(d.Users, func(i, j int) bool { return d.Users[i] < d.Users[j] })
-	for i := range itemSet {
-		d.Items = append(d.Items, i)
-	}
-	sort.Slice(d.Items, func(i, j int) bool { return d.Items[i] < d.Items[j] })
-	d.Tags = d.Taggers.Keys()
-	sort.Strings(d.Tags)
 	return d
 }
 
+// idPair is one record of an Extract walk: a key and a member.
+type idPair struct{ u, v graph.NodeID }
+
+// sortedRuns sorts recs by key, then member, reports each run of equal
+// records with its length to run (when non-nil), and returns recs with
+// every run reduced to one record.
+func sortedRuns(recs []idPair, run func(idPair, int)) []idPair {
+	slices.SortFunc(recs, func(a, b idPair) int {
+		if c := cmp.Compare(a.u, b.u); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.v, b.v)
+	})
+	out := recs[:0]
+	for i := 0; i < len(recs); {
+		j := i + 1
+		for j < len(recs) && recs[j] == recs[i] {
+			j++
+		}
+		if run != nil {
+			run(recs[i], j-i)
+		}
+		out = append(out, recs[i])
+		i = j
+	}
+	return out
+}
+
+// perUser stores under every user of users the vector of its records'
+// members — recs sorted by key, keyed by users only.
+func perUser[V any](m *persist.TMap[graph.NodeID, []V], users []graph.NodeID, recs []idPair,
+	member func(idPair) V) {
+	var buf []V
+	for _, u := range users {
+		buf = buf[:0]
+		for ; len(recs) > 0 && recs[0].u == u; recs = recs[1:] {
+			buf = append(buf, member(recs[0]))
+		}
+		m.Set(u, persist.CloneExact(buf))
+	}
+}
+
+// has reports whether the ascending vector s holds v.
+func has[T cmp.Ordered](s []T, v T) bool {
+	_, ok := slices.BinarySearch(s, v)
+	return ok
+}
+
 // ScoreTag computes the exact per-keyword score: f(|network(u) ∩
-// taggers(i,k)|). Unknown users or tags score 0.
+// taggers(i,k)|), the two vectors merged. Unknown users or tags score 0.
 func (d *Data) ScoreTag(item, user graph.NodeID, tag string, f scoring.UserSetFn) float64 {
 	byItem, ok := d.Taggers.Get(tag)
 	if !ok {
@@ -256,7 +304,7 @@ func (d *Data) ScoreTag(item, user graph.NodeID, tag string, f scoring.UserSetFn
 	if !ok {
 		return 0
 	}
-	return f(scoring.IntersectionSize(net, taggers))
+	return f(persist.IntersectionSize(net, taggers))
 }
 
 // Score computes the exact combined score g(score_k1, ..., score_kn).

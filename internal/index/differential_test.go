@@ -3,10 +3,12 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"socialscope/internal/cluster"
 	"socialscope/internal/graph"
+	"socialscope/internal/persist"
 	"socialscope/internal/scoring"
 )
 
@@ -53,6 +55,14 @@ func newDiffCorpus(t *testing.T, rng *rand.Rand, users, items, tags int) *diffCo
 	// Seed activity so the initial Build is non-trivial.
 	for i := 0; i < users*2; i++ {
 		c.g.ApplyAll([]graph.Mutation{c.randConnect(rng)})
+	}
+	// One connection asserted twice as a self-loop: a duplicate whose two
+	// directions are one.
+	for i := 0; i < 2; i++ {
+		c.nextLink++
+		l := graph.NewLink(c.nextLink, c.users[0], c.users[0], graph.TypeConnect)
+		c.connLinks = append(c.connLinks, l)
+		c.g.ApplyAll([]graph.Mutation{{Kind: graph.MutAddLink, Link: l}})
 	}
 	for i := 0; i < users*3; i++ {
 		c.g.ApplyAll([]graph.Mutation{c.randTagging(rng)})
@@ -126,10 +136,11 @@ func (c *diffCorpus) randMutation(rng *rand.Rand) graph.Mutation {
 }
 
 // assertSameLists fails unless the two indexes hold byte-identical posting
-// lists: same (cluster, tag) keys, same entries in the same order with the
-// same scores.
+// lists — same (cluster, tag) keys, same entries in the same order with the
+// same scores — over the same substrate.
 func assertSameLists(t *testing.T, got, want *Index, ctx string) {
 	t.Helper()
+	assertSameData(t, got.Data(), want.Data(), ctx)
 	if got.EntryCount() != want.EntryCount() {
 		t.Fatalf("%s: entry count %d, want %d", ctx, got.EntryCount(), want.EntryCount())
 	}
@@ -160,6 +171,59 @@ func assertSameLists(t *testing.T, got, want *Index, ctx string) {
 			}
 		}
 	})
+}
+
+// dataDump is a Data's content in comparable form: every vector family
+// keyed as stored (an empty vector reads as nil), and the duplicate counts.
+type dataDump struct {
+	Users, Items     []graph.NodeID
+	Tags             []string
+	Network, ItemsOf map[graph.NodeID][]graph.NodeID
+	TagsOf           map[graph.NodeID][]string
+	Taggers          map[string]map[graph.NodeID][]graph.NodeID
+	TagDups          map[taggingKey]int
+	ConnDups         map[edgeKey]int
+}
+
+func dumpVectors[K comparable, V any](m persist.Map[K, []V]) map[K][]V {
+	out := make(map[K][]V, m.Len())
+	m.Range(func(k K, v []V) bool {
+		out[k] = persist.CloneExact(v)
+		return true
+	})
+	return out
+}
+
+func dumpData(d *Data) dataDump {
+	dd := dataDump{
+		Users: persist.CloneExact(d.Users), Items: persist.CloneExact(d.Items), Tags: persist.CloneExact(d.Tags),
+		Network: dumpVectors(d.Network), ItemsOf: dumpVectors(d.ItemsOf), TagsOf: dumpVectors(d.tagsOf),
+		Taggers:  make(map[string]map[graph.NodeID][]graph.NodeID),
+		TagDups:  make(map[taggingKey]int),
+		ConnDups: make(map[edgeKey]int),
+	}
+	d.Taggers.Range(func(tag string, byItem ItemTaggers) bool {
+		dd.Taggers[tag] = dumpVectors(byItem)
+		return true
+	})
+	d.tagDups.Range(func(k taggingKey, n int) bool {
+		dd.TagDups[k] = n
+		return true
+	})
+	d.connDups.Range(func(k edgeKey, n int) bool {
+		dd.ConnDups[k] = n
+		return true
+	})
+	return dd
+}
+
+// assertSameData fails unless the two substrates hold the same facts:
+// universes, vectors and duplicate counts.
+func assertSameData(t *testing.T, got, want *Data, ctx string) {
+	t.Helper()
+	if g, w := dumpData(got), dumpData(want); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: substrate differs\n got %+v\nwant %+v", ctx, g, w)
+	}
 }
 
 func assertSorted(t *testing.T, ix *Index, ctx string) {

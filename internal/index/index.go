@@ -150,8 +150,8 @@ func buildTagLists(data *Data, clustering *cluster.Clustering, f scoring.UserSet
 		// reverse network: who has the tagger in their network; symmetric,
 		// so identical to Network, but keep the access pattern explicit).
 		counts := make(map[graph.NodeID]int)
-		for tg := range taggers {
-			for u := range data.Network.At(tg) {
+		for _, tg := range taggers {
+			for _, u := range data.Network.At(tg) {
 				counts[u]++
 			}
 		}

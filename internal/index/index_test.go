@@ -49,17 +49,20 @@ func TestExtract(t *testing.T) {
 	if !reflect.DeepEqual(d.Tags, []string{"db", "go"}) {
 		t.Fatalf("tags = %v", d.Tags)
 	}
-	if d.Taggers.At("go").At(11).Len() != 2 {
-		t.Errorf("taggers(11,go) = %d, want 2", d.Taggers.At("go").At(11).Len())
+	if got := d.Taggers.At("go").At(11); !reflect.DeepEqual(got, []graph.NodeID{2, 3}) {
+		t.Errorf("taggers(11,go) = %v, want [2 3]", got)
 	}
-	if !d.Network.At(1).Has(2) || !d.Network.At(1).Has(3) || d.Network.At(1).Has(4) {
-		t.Errorf("network(1) = %v", d.Network.At(1))
+	if got := d.Network.At(1); !reflect.DeepEqual(got, []graph.NodeID{2, 3}) {
+		t.Errorf("network(1) = %v, want [2 3]", got)
 	}
-	if !d.Network.At(2).Has(1) {
-		t.Error("network must be symmetric")
+	if got := d.Network.At(3); !reflect.DeepEqual(got, []graph.NodeID{1, 2, 4}) {
+		t.Errorf("network(3) = %v, want [1 2 4]: the network is symmetric", got)
 	}
-	if !d.ItemsOf.At(3).Has(11) || !d.ItemsOf.At(3).Has(12) {
-		t.Errorf("items(3) = %v", d.ItemsOf.At(3))
+	if got := d.ItemsOf.At(3); !reflect.DeepEqual(got, []graph.NodeID{11, 12}) {
+		t.Errorf("items(3) = %v, want [11 12]", got)
+	}
+	if got := d.tagsOf.At(3); !reflect.DeepEqual(got, []string{"db", "go"}) {
+		t.Errorf("tags(3) = %v, want [db go]", got)
 	}
 }
 

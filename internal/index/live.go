@@ -26,20 +26,20 @@
 package index
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"socialscope/internal/graph"
 	"socialscope/internal/persist"
-	"socialscope/internal/scoring"
 )
 
 // ApplyDelta returns a new index snapshot with the mutation batch applied,
 // leaving the receiver untouched (RCU-style copy-on-write: untouched lists
-// and substrate sets are shared between versions, touched ones are copied
-// before the first write). Mutations that do not concern the tagging
-// substrate — item nodes, match/belong links, unknown endpoints — are
-// ignored, exactly as Extract ignores them. The returned index has
-// Version() one higher than the receiver.
+// and substrate vectors are shared between versions, touched ones are
+// replaced). Mutations that do not concern the tagging substrate — item
+// nodes, match/belong links, unknown endpoints — are ignored, exactly as
+// Extract ignores them. The returned index has Version() one higher than
+// the receiver.
 //
 // Changelogs produced by graph.RecordInto replay exactly: removing a node
 // arrives as its incident link removals followed by the node removal, and
@@ -57,18 +57,14 @@ func (ix *Index) ApplyDelta(muts []graph.Mutation) *Index {
 			version:    ix.version + 1,
 			shared:     true,
 		},
-		ownedLists:   make(map[listKey]bool),
-		ownedTagSets: make(map[string]map[graph.NodeID]bool),
-		ownedNets:    make(map[graph.NodeID]bool),
-		ownedItems:   make(map[graph.NodeID]bool),
-		ownedTags:    make(map[graph.NodeID]bool),
-		userDelta:    make(map[graph.NodeID]bool),
-		itemDelta:    make(map[graph.NodeID]bool),
-		tagDelta:     make(map[string]bool),
+		ownedLists: make(map[listKey]bool),
+		userDelta:  make(map[graph.NodeID]bool),
+		itemDelta:  make(map[graph.NodeID]bool),
+		tagDelta:   make(map[string]bool),
 	}
 	// Adaptive bulk window: batches of BulkDeltaThreshold or more route
 	// their map writes through a persist transient, so repeated writes
-	// into the same trie region (hot tag shards, the same user's sets)
+	// into the same trie region (hot tag shards, the same user's vectors)
 	// claim each node once instead of path-copying per mutation. Small
 	// batches keep the pure persistent path — their O(delta · log n)
 	// profile and allocation behavior are unchanged. Either way nothing
@@ -102,29 +98,22 @@ func (ix *Index) ApplyDelta(muts []graph.Mutation) *Index {
 const BulkDeltaThreshold = graph.BulkApplyThreshold
 
 // cowClone returns a Data sharing every structure with the receiver:
-// persistent top-level maps, copy-on-write universe slices, and the inner
-// tagger/network/item sets, which delta handlers copy before their first
-// write. O(1) — the snapshot is a header copy. Both versions are marked
-// as sharing inner structures so the in-place write APIs
-// (Data.AddTagging) switch to their replace-not-mutate path.
+// persistent maps, and copy-on-write universes and member vectors, which
+// delta handlers replace rather than edit. O(1) — the snapshot is a header
+// copy.
 func (d *Data) cowClone() *Data {
-	d.sharedInner = true
 	c := *d
 	return &c
 }
 
-// delta tracks which shared leaf structures — posting slices and inner
-// sets, the only mutable values below the persistent maps — the new
-// snapshot already owns, so each is copied at most once per batch
-// regardless of how many mutations touch it. The maps themselves need no
-// tracking: they are persistent, copy-on-write by construction.
+// delta tracks which posting slices — the only values below the
+// persistent maps that are edited in place — the new snapshot already
+// owns, so each is copied at most once per batch regardless of how many
+// mutations touch it. Member vectors need no tracking: every write
+// replaces one.
 type delta struct {
-	ix           *Index
-	ownedLists   map[listKey]bool                 // individual posting slice owned
-	ownedTagSets map[string]map[graph.NodeID]bool // Taggers[tag][item] set owned
-	ownedNets    map[graph.NodeID]bool
-	ownedItems   map[graph.NodeID]bool // ItemsOf[user] set owned
-	ownedTags    map[graph.NodeID]bool // tagsOf[user] set owned
+	ix         *Index
+	ownedLists map[listKey]bool // individual posting slice owned
 	// edit is the transient ownership token of a large batch (nil below
 	// BulkDeltaThreshold: pure persistent writes). It never outlives the
 	// ApplyDelta call that created it.
@@ -214,32 +203,29 @@ func (d *delta) applyLinkRemove(l *graph.Link) {
 func (d *delta) addTagging(user, item graph.NodeID, tag string, countDup bool) {
 	data := d.ix.data
 	byItem, hadTag := data.Taggers.Get(tag)
-	var set scoring.Set[graph.NodeID]
-	hadItem := false
-	if hadTag {
-		set, hadItem = byItem.Get(item)
-	}
-	if hadItem && set.Has(user) {
+	taggers, hadItem := byItem.Get(item)
+	if has(taggers, user) {
 		if countDup {
 			data.noteTagDup(taggingKey{tag, item, user}, 1)
 		}
 		return
 	}
 	if !hadTag {
+		byItem = NewItemTaggers()
 		d.tagDelta[tag] = true
 	}
 	if !hadItem {
 		d.itemDelta[item] = true
 	}
-	set = d.ownTagSet(tag, item)
-	set.Add(user)
+	data.Taggers = data.Taggers.SetWith(d.edit, tag,
+		byItem.SetWith(d.edit, item, persist.InsertSorted(taggers, user)))
 	if data.ItemsOf.Has(user) {
-		d.ownItemsOf(user).Add(item)
+		data.ItemsOf = withMember(data.ItemsOf, d.edit, user, item)
 	}
 	if data.tagsOf.Has(user) {
-		d.ownTagsOf(user).Add(tag)
+		data.tagsOf = withMember(data.tagsOf, d.edit, user, tag)
 	}
-	for v := range data.Network.At(user) {
+	for _, v := range data.Network.At(user) {
 		cid := d.ix.clustering.Of(v)
 		if cid < 0 {
 			continue
@@ -252,7 +238,7 @@ func (d *delta) addTagging(user, item graph.NodeID, tag string, countDup bool) {
 
 // removeTagging retracts one assertion of "user tagged item with tag".
 // Parallel assertions (other links stating the same fact) only decrement
-// the refcount; retracting the last one shrinks the tagger set, so the
+// the refcount; retracting the last one shrinks the tagger vector, so the
 // affected cluster maxima are recomputed exactly.
 func (d *delta) removeTagging(user, item graph.NodeID, tag string) {
 	data := d.ix.data
@@ -260,8 +246,8 @@ func (d *delta) removeTagging(user, item graph.NodeID, tag string) {
 	if !ok {
 		return
 	}
-	set, ok := byItem.Get(item)
-	if !ok || !set.Has(user) {
+	taggers := byItem.At(item)
+	if !has(taggers, user) {
 		return
 	}
 	key := taggingKey{tag, item, user}
@@ -269,32 +255,30 @@ func (d *delta) removeTagging(user, item graph.NodeID, tag string) {
 		data.noteTagDup(key, -1)
 		return
 	}
-	set = d.ownTagSet(tag, item)
-	set.Remove(user)
-	emptied := set.Len() == 0
-	if emptied {
-		byItem, _ = data.Taggers.Get(tag) // re-read: ownTagSet rebound it
-		byItem = byItem.DeleteWith(d.edit, item)
-		if byItem.Len() == 0 {
-			data.Taggers = data.Taggers.DeleteWith(d.edit, tag)
-			d.tagDelta[tag] = false
-		} else {
-			data.Taggers = data.Taggers.SetWith(d.edit, tag, byItem)
-		}
+	taggers = persist.RemoveSorted(taggers, user)
+	emptied := len(taggers) == 0
+	switch {
+	case !emptied:
+		data.Taggers = data.Taggers.SetWith(d.edit, tag, byItem.SetWith(d.edit, item, taggers))
+	case byItem.Len() == 1:
+		data.Taggers = data.Taggers.DeleteWith(d.edit, tag)
+		d.tagDelta[tag] = false
+	default:
+		data.Taggers = data.Taggers.SetWith(d.edit, tag, byItem.DeleteWith(d.edit, item))
 	}
-	if s, ok := data.ItemsOf.Get(user); ok && s.Has(item) && !d.stillTags(user, item) {
-		d.ownItemsOf(user).Remove(item)
+	if has(data.ItemsOf.At(user), item) && !d.stillTags(user, item) {
+		data.ItemsOf = withoutMember(data.ItemsOf, d.edit, user, item)
 	}
-	if s, ok := data.tagsOf.Get(user); ok && s.Has(tag) && !d.stillUsesTag(user, tag) {
-		d.ownTagsOf(user).Remove(tag)
+	if has(data.tagsOf.At(user), tag) && !d.stillUsesTag(user, tag) {
+		data.tagsOf = withoutMember(data.tagsOf, d.edit, user, tag)
 	}
-	// A non-empty tagger set proves the item is still tagged; the
+	// A non-empty tagger vector proves the item is still tagged; the
 	// vocabulary-wide scan is only needed once this (tag, item) cell
 	// drained.
 	if emptied && !d.itemTagged(item) {
 		d.itemDelta[item] = false
 	}
-	for v := range data.Network.At(user) {
+	for _, v := range data.Network.At(user) {
 		cid := d.ix.clustering.Of(v)
 		if cid < 0 {
 			continue
@@ -311,14 +295,14 @@ func (d *delta) addConnect(u, v graph.NodeID, countDup bool) {
 	if !data.Network.Has(u) || !data.Network.Has(v) {
 		return // mirror Extract: connections only between user nodes
 	}
-	if data.Network.At(u).Has(v) {
+	if has(data.Network.At(u), v) {
 		if countDup {
 			data.noteConnDup(edgeOf(u, v), 1)
 		}
 		return
 	}
-	d.ownNet(u).Add(v)
-	d.ownNet(v).Add(u)
+	data.Network = withMember(data.Network, d.edit, u, v)
+	data.Network = withMember(data.Network, d.edit, v, u)
 	d.raisePair(u, v)
 	if u != v {
 		d.raisePair(v, u)
@@ -328,8 +312,7 @@ func (d *delta) addConnect(u, v graph.NodeID, countDup bool) {
 // removeConnect retracts one assertion of the connection between u and v.
 func (d *delta) removeConnect(u, v graph.NodeID) {
 	data := d.ix.data
-	net, ok := data.Network.Get(u)
-	if !ok || !net.Has(v) {
+	if !has(data.Network.At(u), v) {
 		return
 	}
 	key := edgeOf(u, v)
@@ -337,10 +320,8 @@ func (d *delta) removeConnect(u, v graph.NodeID) {
 		data.noteConnDup(key, -1)
 		return
 	}
-	d.ownNet(u).Remove(v)
-	if u != v {
-		d.ownNet(v).Remove(u)
-	}
+	data.Network = withoutMember(data.Network, d.edit, u, v)
+	data.Network = withoutMember(data.Network, d.edit, v, u)
 	d.recomputePair(u, v)
 	if u != v {
 		d.recomputePair(v, u)
@@ -354,12 +335,8 @@ func (d *delta) removeConnect(u, v graph.NodeID) {
 // maintenance is deferred to the end of the batch, while the map always
 // reflects every mutation applied so far.
 func (d *delta) tagsUsedBy(u graph.NodeID) []string {
-	if s, ok := d.ix.data.tagsOf.Get(u); ok {
-		out := make([]string, 0, s.Len())
-		for tag := range s {
-			out = append(out, tag)
-		}
-		return out
+	if tags, ok := d.ix.data.tagsOf.Get(u); ok {
+		return tags
 	}
 	return d.ix.data.Taggers.Keys()
 }
@@ -375,13 +352,10 @@ func (d *delta) raisePair(x, other graph.NodeID) {
 		return
 	}
 	items := data.ItemsOf.At(other)
-	if items == nil {
-		return
-	}
 	for _, tag := range d.tagsUsedBy(other) {
 		byItem := data.Taggers.At(tag)
-		for item := range items {
-			if !byItem.At(item).Has(other) {
+		for _, item := range items {
+			if !has(byItem.At(item), other) {
 				continue
 			}
 			if s := data.ScoreTag(item, x, tag, d.ix.f); s > 0 {
@@ -400,13 +374,10 @@ func (d *delta) recomputePair(x, other graph.NodeID) {
 		return
 	}
 	items := data.ItemsOf.At(other)
-	if items == nil {
-		return
-	}
 	for _, tag := range d.tagsUsedBy(other) {
 		byItem := data.Taggers.At(tag)
-		for item := range items {
-			if byItem.At(item).Has(other) {
+		for _, item := range items {
+			if has(byItem.At(item), other) {
 				d.recompute(listKey{cid, tag}, item)
 			}
 		}
@@ -421,12 +392,9 @@ func (d *delta) addUser(u graph.NodeID) {
 	if data.Network.Has(u) {
 		return
 	}
-	data.Network = data.Network.SetWith(d.edit, u, scoring.NewSet[graph.NodeID]())
-	data.ItemsOf = data.ItemsOf.SetWith(d.edit, u, scoring.NewSet[graph.NodeID]())
-	data.tagsOf = data.tagsOf.SetWith(d.edit, u, scoring.NewSet[string]())
-	d.ownedNets[u] = true
-	d.ownedItems[u] = true
-	d.ownedTags[u] = true
+	data.Network = data.Network.SetWith(d.edit, u, nil)
+	data.ItemsOf = data.ItemsOf.SetWith(d.edit, u, nil)
+	data.tagsOf = data.tagsOf.SetWith(d.edit, u, nil)
 	d.userDelta[u] = true
 	d.ix.clustering = d.ix.clustering.WithUser(u)
 }
@@ -442,18 +410,16 @@ func (d *delta) removeUser(u graph.NodeID) {
 	if !ok {
 		return
 	}
-	for _, v := range sortedMembers(net) {
+	for _, v := range net {
 		data.connDups = data.connDups.Delete(edgeOf(u, v))
 		d.removeConnect(u, v)
 	}
-	if items := data.ItemsOf.At(u); items != nil {
-		tags := append([]string(nil), d.tagsUsedBy(u)...)
-		for _, item := range sortedMembers(items) {
-			for _, tag := range tags {
-				if data.Taggers.At(tag).At(item).Has(u) {
-					data.tagDups = data.tagDups.Delete(taggingKey{tag, item, u})
-					d.removeTagging(u, item, tag)
-				}
+	tags := d.tagsUsedBy(u)
+	for _, item := range data.ItemsOf.At(u) {
+		for _, tag := range tags {
+			if has(data.Taggers.At(tag).At(item), u) {
+				data.tagDups = data.tagDups.Delete(taggingKey{tag, item, u})
+				d.removeTagging(u, item, tag)
 			}
 		}
 	}
@@ -471,11 +437,7 @@ func (d *delta) removeUser(u graph.NodeID) {
 func (d *delta) removeItem(item graph.NodeID) {
 	data := d.ix.data
 	for _, tag := range data.Taggers.Keys() {
-		set := data.Taggers.At(tag).At(item)
-		if set == nil {
-			continue
-		}
-		for _, u := range sortedMembers(set) {
+		for _, u := range data.Taggers.At(tag).At(item) {
 			data.tagDups = data.tagDups.Delete(taggingKey{tag, item, u})
 			d.removeTagging(u, item, tag)
 		}
@@ -494,7 +456,7 @@ func (d *delta) recompute(k listKey, item graph.NodeID) {
 		if !ok {
 			continue
 		}
-		c := scoring.IntersectionSize(net, taggers)
+		c := persist.IntersectionSize(net, taggers)
 		if c <= 0 {
 			continue
 		}
@@ -502,13 +464,29 @@ func (d *delta) recompute(k listKey, item graph.NodeID) {
 			best = s
 		}
 	}
-	l, n := setEntry(d.ownList(k), item, best)
+	l := d.ix.lists.At(k.tag).At(k.cluster)
+	i := entryOf(l, item)
+	if (i < 0 && best <= 0) || (i >= 0 && l[i].Score == best) {
+		return // the list already says so
+	}
+	l, n := setEntry(d.ownList(k, i < 0), item, best)
 	d.storeList(k, l, n)
 }
 
+// raise lifts item's entry in list k to at least score.
 func (d *delta) raise(k listKey, item graph.NodeID, score float64) {
-	l, n := raiseEntry(d.ownList(k), item, score)
+	l := d.ix.lists.At(k.tag).At(k.cluster)
+	i := entryOf(l, item)
+	if i >= 0 && l[i].Score >= score {
+		return // the list already says so
+	}
+	l, n := raiseEntry(d.ownList(k, i < 0), item, score)
 	d.storeList(k, l, n)
+}
+
+// entryOf returns the position of item's entry in l, or -1.
+func entryOf(l []Entry, item graph.NodeID) int {
+	return slices.IndexFunc(l, func(e Entry) bool { return e.Item == item })
 }
 
 func (d *delta) storeList(k listKey, l []Entry, entryDelta int) {
@@ -533,9 +511,11 @@ func (d *delta) storeList(k listKey, l []Entry, entryDelta int) {
 }
 
 // ownList returns the posting list for k, copied from the shared parent
-// version on first write. The enclosing shard and by-tag maps are
-// persistent, so only the one slice is ever duplicated.
-func (d *delta) ownList(k listKey) []Entry {
+// version on first write, with room for one more entry when the write
+// inserts one: append would otherwise double the copy, and slack lives as
+// long as the list. The enclosing shard and by-tag maps are persistent, so
+// only the one slice is ever duplicated.
+func (d *delta) ownList(k listKey, insert bool) []Entry {
 	l := d.ix.lists.At(k.tag).At(k.cluster)
 	if d.ownedLists[k] {
 		return l
@@ -544,92 +524,19 @@ func (d *delta) ownList(k listKey) []Entry {
 	if l == nil {
 		return nil
 	}
-	// Room for the one insertion a tagging usually brings: append would
-	// otherwise double the copy, and the slack lives as long as the list.
-	c := make([]Entry, len(l), len(l)+1)
+	room := len(l)
+	if insert {
+		room++
+	}
+	c := make([]Entry, len(l), room)
 	copy(c, l)
 	return c
-}
-
-// ownTagSet returns Taggers[tag][item] as an owned set, creating the tag
-// and item cells on demand and rebinding the persistent maps around them.
-func (d *delta) ownTagSet(tag string, item graph.NodeID) scoring.Set[graph.NodeID] {
-	data := d.ix.data
-	byItem, hadTag := data.Taggers.Get(tag)
-	if !hadTag {
-		byItem = NewItemTaggers()
-	}
-	owned := d.ownedTagSets[tag]
-	if owned == nil {
-		owned = make(map[graph.NodeID]bool)
-		d.ownedTagSets[tag] = owned
-	}
-	set, hadSet := byItem.Get(item)
-	if hadSet && owned[item] {
-		return set
-	}
-	owned[item] = true
-	if !hadSet {
-		set = scoring.NewSet[graph.NodeID]()
-	} else {
-		set = set.Clone()
-	}
-	data.Taggers = data.Taggers.SetWith(d.edit, tag, byItem.SetWith(d.edit, item, set))
-	return set
-}
-
-func (d *delta) ownNet(u graph.NodeID) scoring.Set[graph.NodeID] {
-	data := d.ix.data
-	if d.ownedNets[u] {
-		return data.Network.At(u)
-	}
-	d.ownedNets[u] = true
-	s := data.Network.At(u)
-	if s == nil {
-		s = scoring.NewSet[graph.NodeID]()
-	} else {
-		s = s.Clone()
-	}
-	data.Network = data.Network.SetWith(d.edit, u, s)
-	return s
-}
-
-func (d *delta) ownItemsOf(u graph.NodeID) scoring.Set[graph.NodeID] {
-	data := d.ix.data
-	if d.ownedItems[u] {
-		return data.ItemsOf.At(u)
-	}
-	d.ownedItems[u] = true
-	s := data.ItemsOf.At(u)
-	if s == nil {
-		s = scoring.NewSet[graph.NodeID]()
-	} else {
-		s = s.Clone()
-	}
-	data.ItemsOf = data.ItemsOf.SetWith(d.edit, u, s)
-	return s
-}
-
-func (d *delta) ownTagsOf(u graph.NodeID) scoring.Set[string] {
-	data := d.ix.data
-	if d.ownedTags[u] {
-		return data.tagsOf.At(u)
-	}
-	d.ownedTags[u] = true
-	s := data.tagsOf.At(u)
-	if s == nil {
-		s = scoring.NewSet[string]()
-	} else {
-		s = s.Clone()
-	}
-	data.tagsOf = data.tagsOf.SetWith(d.edit, u, s)
-	return s
 }
 
 // stillTags reports whether user still tags item under any tag.
 func (d *delta) stillTags(user, item graph.NodeID) bool {
 	for _, tag := range d.tagsUsedBy(user) {
-		if d.ix.data.Taggers.At(tag).At(item).Has(user) {
+		if has(d.ix.data.Taggers.At(tag).At(item), user) {
 			return true
 		}
 	}
@@ -642,8 +549,8 @@ func (d *delta) stillUsesTag(user graph.NodeID, tag string) bool {
 	if !ok {
 		return false
 	}
-	for item := range d.ix.data.ItemsOf.At(user) {
-		if byItem.At(item).Has(user) {
+	for _, item := range d.ix.data.ItemsOf.At(user) {
+		if has(byItem.At(item), user) {
 			return true
 		}
 	}
@@ -654,20 +561,28 @@ func (d *delta) stillUsesTag(user graph.NodeID, tag string) bool {
 func (d *delta) itemTagged(item graph.NodeID) bool {
 	tagged := false
 	d.ix.data.Taggers.Range(func(_ string, byItem ItemTaggers) bool {
-		if s := byItem.At(item); s != nil && s.Len() > 0 {
-			tagged = true
-			return false
-		}
-		return true
+		tagged = len(byItem.At(item)) > 0
+		return !tagged
 	})
 	return tagged
 }
 
-func sortedMembers(s scoring.Set[graph.NodeID]) []graph.NodeID {
-	out := make([]graph.NodeID, 0, s.Len())
-	for m := range s {
-		out = append(out, m)
+// withMember returns m with v added to the vector under k, copy-on-write;
+// m itself when the vector already holds v.
+func withMember[K comparable, V cmp.Ordered](m persist.Map[K, []V], e *persist.Edit, k K, v V) persist.Map[K, []V] {
+	old := m.At(k)
+	if s := persist.InsertSorted(old, v); len(s) != len(old) {
+		return m.SetWith(e, k, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return m
+}
+
+// withoutMember returns m with v removed from the vector under k, keeping
+// the key; m itself when the vector lacks v.
+func withoutMember[K comparable, V cmp.Ordered](m persist.Map[K, []V], e *persist.Edit, k K, v V) persist.Map[K, []V] {
+	old := m.At(k)
+	if s := persist.RemoveSorted(old, v); len(s) != len(old) {
+		return m.SetWith(e, k, s)
+	}
+	return m
 }

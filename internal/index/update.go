@@ -2,11 +2,9 @@ package index
 
 import (
 	"fmt"
-	"sort"
 
 	"socialscope/internal/graph"
 	"socialscope/internal/persist"
-	"socialscope/internal/scoring"
 )
 
 // AddTagging folds a new tagging action into the substrate: user tagged
@@ -14,57 +12,35 @@ import (
 // changed — precisely the tagger's network — so callers can refresh
 // derived structures incrementally.
 //
-// Once the Data has been through an ApplyDelta snapshot, the write turns
-// copy-on-write at the inner-structure level: the touched tagger map and
-// sets are replaced with copies rather than mutated, so sibling versions
-// sharing them are never modified underneath their readers. A sole-owner
-// Data (never snapshotted) keeps the cheap in-place insert.
+// Every touched vector and map is replaced, never edited, so versions
+// sharing them with the receiver (ApplyDelta snapshots) are never modified
+// underneath their readers.
 func (d *Data) AddTagging(user, item graph.NodeID, tag string) []graph.NodeID {
 	byItem, ok := d.Taggers.Get(tag)
 	if !ok {
 		byItem = NewItemTaggers()
-		d.Taggers = d.Taggers.Set(tag, byItem)
 		d.Tags = persist.InsertSorted(d.Tags, tag)
 	}
-	set, ok := byItem.Get(item)
-	switch {
-	case !ok:
-		set = scoring.NewSet[graph.NodeID]()
-		d.Taggers = d.Taggers.Set(tag, byItem.Set(item, set))
+	taggers, ok := byItem.Get(item)
+	if !ok {
 		d.Items = persist.InsertSorted(d.Items, item)
-	case d.sharedInner:
-		set = set.Clone()
-		d.Taggers = d.Taggers.Set(tag, byItem.Set(item, set))
 	}
-	if set.Has(user) {
+	if has(taggers, user) {
 		d.noteTagDup(taggingKey{tag, item, user}, 1)
 		return nil // duplicate action: scores unchanged
 	}
-	set.Add(user)
-	if s, ok := d.ItemsOf.Get(user); ok {
-		if d.sharedInner {
-			s = s.Clone()
-			d.ItemsOf = d.ItemsOf.Set(user, s)
-		}
-		s.Add(item)
+	d.Taggers = d.Taggers.Set(tag, byItem.Set(item, persist.InsertSorted(taggers, user)))
+	if d.ItemsOf.Has(user) {
+		d.ItemsOf = withMember(d.ItemsOf, nil, user, item)
 	}
-	if s, ok := d.tagsOf.Get(user); ok {
-		if d.sharedInner {
-			s = s.Clone()
-			d.tagsOf = d.tagsOf.Set(user, s)
-		}
-		s.Add(tag)
+	if d.tagsOf.Has(user) {
+		d.tagsOf = withMember(d.tagsOf, nil, user, tag)
 	}
 	net, ok := d.Network.Get(user)
 	if !ok {
 		return nil
 	}
-	affected := make([]graph.NodeID, 0, net.Len())
-	for v := range net {
-		affected = append(affected, v)
-	}
-	sort.Slice(affected, func(i, j int) bool { return affected[i] < affected[j] })
-	return affected
+	return append(make([]graph.NodeID, 0, len(net)), net...)
 }
 
 // ApplyTagging incrementally maintains the index after a new tagging
@@ -78,14 +54,14 @@ func (d *Data) AddTagging(user, item graph.NodeID, tag string) []graph.NodeID {
 // Data Manager's policy decision, mirroring Section 6.2's separation of
 // index maintenance from cluster maintenance.
 //
-// Like Data.AddTagging, the update turns copy-on-write below the receiver
-// once the index has been through an ApplyDelta snapshot: the tag's shard
-// map and every touched posting list are then replaced with copies, never
-// mutated, so sibling versions keep their lists intact. (The receiver
-// itself changes in place — this is the single-writer study API; the
-// snapshot-per-batch API is ApplyDelta.)
+// The update turns copy-on-write below the receiver once the index has
+// been through an ApplyDelta snapshot: the tag's shard map and every
+// touched posting list are then replaced with copies, never mutated, so
+// sibling versions keep their lists intact. (The receiver itself changes
+// in place — this is the single-writer study API; the snapshot-per-batch
+// API is ApplyDelta.)
 func (ix *Index) ApplyTagging(user, item graph.NodeID, tag string, affected []graph.NodeID) error {
-	if !ix.data.Taggers.At(tag).At(item).Has(user) {
+	if !has(ix.data.Taggers.At(tag).At(item), user) {
 		return fmt.Errorf("index: ApplyTagging before Data.AddTagging for (%d,%d,%s)", user, item, tag)
 	}
 	shard, ok := ix.lists.Get(tag)

@@ -20,7 +20,7 @@ func TestAddTaggingUpdatesSubstrate(t *testing.T) {
 	if !reflect.DeepEqual(affected, []graph.NodeID{2, 3}) {
 		t.Errorf("affected = %v, want [2 3]", affected)
 	}
-	if !d.Taggers.At("newtag").At(13).Has(1) {
+	if !has(d.Taggers.At("newtag").At(13), 1) {
 		t.Error("tagger not recorded")
 	}
 	if !slices.Contains(d.Items, 13) {
@@ -99,9 +99,9 @@ func TestApplyTaggingMatchesRebuild(t *testing.T) {
 // TestApplyTaggingDoesNotCorruptSnapshots pins the interaction between
 // the legacy single-writer API and the copy-on-write snapshot lineage: a
 // child produced by ApplyDelta shares inner structures with its parent,
-// so an in-place ApplyTagging/AddTagging on the parent must replace the
-// touched structures, never mutate them, or the child's answers change
-// underneath its readers.
+// so ApplyTagging/AddTagging on the parent must replace the touched
+// structures, never mutate them, or the child's answers change underneath
+// its readers.
 func TestApplyTaggingDoesNotCorruptSnapshots(t *testing.T) {
 	g := tagFixture(t)
 	d := Extract(g)
@@ -159,11 +159,11 @@ func TestApplyDeltaOnHandBuiltData(t *testing.T) {
 	d.Users = []graph.NodeID{1, 2}
 	d.Items = []graph.NodeID{10}
 	d.Tags = []string{"go"}
-	d.Taggers = d.Taggers.Set("go", NewItemTaggers().Set(10, scoring.NewSet[graph.NodeID](1)))
-	d.Network = d.Network.Set(1, scoring.NewSet[graph.NodeID](2))
-	d.Network = d.Network.Set(2, scoring.NewSet[graph.NodeID](1))
-	d.ItemsOf = d.ItemsOf.Set(1, scoring.NewSet[graph.NodeID](10))
-	d.ItemsOf = d.ItemsOf.Set(2, scoring.NewSet[graph.NodeID]())
+	d.Taggers = d.Taggers.Set("go", NewItemTaggers().Set(10, []graph.NodeID{1}))
+	d.Network = d.Network.Set(1, []graph.NodeID{2})
+	d.Network = d.Network.Set(2, []graph.NodeID{1})
+	d.ItemsOf = d.ItemsOf.Set(1, []graph.NodeID{10})
+	d.ItemsOf = d.ItemsOf.Set(2, nil)
 	cl, err := cluster.BuildFromProfiles(d.Users, nil, cluster.PerUser, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"cmp"
+	"slices"
 	"sort"
 )
 
@@ -68,4 +69,69 @@ func ApplySortedDelta[T cmp.Ordered](s []T, delta map[T]bool) []T {
 		out = append(out, v)
 	}
 	return append(out, ins[j:]...)
+}
+
+// IntersectionSize returns the number of elements common to a and b, two
+// ascending slices without repeats. It walks the shorter one and, when the
+// other is much longer, binary-searches a shrinking suffix of it instead of
+// merging.
+func IntersectionSize[T cmp.Ordered](a, b []T) int {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	n := 0
+	if len(a)*8 < len(b) {
+		for _, v := range a {
+			i, found := slices.BinarySearch(b, v)
+			if found {
+				n++
+				i++
+			}
+			b = b[i:]
+		}
+		return n
+	}
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
+}
+
+// AppendIntersection appends to dst the elements common to a and b, two
+// ascending slices without repeats, in ascending order.
+func AppendIntersection[T cmp.Ordered](dst, a, b []T) []T {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			dst = append(dst, a[i])
+			i++
+			j++
+		}
+	}
+	return dst
+}
+
+// CloneExact returns a copy of v with capacity equal to its length, or
+// nil when v is empty: the form a vector takes when it is stored, so an
+// append by a reader copies instead of writing past it.
+func CloneExact[T any](v []T) []T {
+	if len(v) == 0 {
+		return nil
+	}
+	c := make([]T, len(v))
+	copy(c, v)
+	return c
 }

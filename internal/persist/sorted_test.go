@@ -69,3 +69,51 @@ func TestApplySortedDelta(t *testing.T) {
 func sameSlice[T comparable](a, b []T) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
+
+// TestIntersectionMatchesSets holds IntersectionSize and AppendIntersection
+// to the set definition, over pairs of every size ratio — the lopsided
+// pairs take IntersectionSize's binary-search branch.
+func TestIntersectionMatchesSets(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	vector := func(n, universe int) []int {
+		var s []int
+		for _, k := range rng.Perm(universe)[:n] {
+			s = InsertSorted(s, k)
+		}
+		return s
+	}
+	for trial := 0; trial < 500; trial++ {
+		universe := 1 + rng.Intn(200)
+		a, b := vector(rng.Intn(min(universe, 12)+1), universe), vector(rng.Intn(universe+1), universe)
+		if rng.Intn(2) == 0 {
+			a, b = b, a
+		}
+		inB := make(map[int]bool)
+		for _, v := range b {
+			inB[v] = true
+		}
+		var want []int
+		for _, v := range a {
+			if inB[v] {
+				want = append(want, v)
+			}
+		}
+		if got := IntersectionSize(a, b); got != len(want) {
+			t.Fatalf("IntersectionSize(%v, %v) = %d, want %d", a, b, got, len(want))
+		}
+		if got := AppendIntersection(nil, a, b); !reflect.DeepEqual(got, want) {
+			t.Fatalf("AppendIntersection(%v, %v) = %v, want %v", a, b, got, want)
+		}
+	}
+}
+
+func TestCloneExact(t *testing.T) {
+	if CloneExact([]int{}) != nil || CloneExact[int](nil) != nil {
+		t.Fatal("an empty vector must be stored as nil")
+	}
+	s := []int{1, 2, 3}
+	c := CloneExact(s[:2])
+	if !reflect.DeepEqual(c, []int{1, 2}) || cap(c) != 2 || &c[0] == &s[0] {
+		t.Fatalf("CloneExact = %v (cap %d), want a private exact copy", c, cap(c))
+	}
+}

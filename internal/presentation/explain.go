@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"socialscope/internal/graph"
+	"socialscope/internal/persist"
 	"socialscope/internal/scoring"
 )
 
@@ -26,26 +27,17 @@ type WeightedID struct {
 	Weight float64
 }
 
-// rating returns rating(u, i): the rating attribute of u's act link onto
-// i, or 0 when u has not rated i (the paper's convention). Unrated acts
-// count as endorsement strength 1.
+// rating returns rating(u, i): the rating of u's lowest-id act link onto
+// i, or 0 when u has not acted on i (the paper's convention).
 func rating(g *graph.Graph, user, item graph.NodeID) float64 {
-	for _, l := range g.Out(user) {
-		if l.Tgt == item && l.HasType(graph.TypeAct) {
-			return actRating(l)
-		}
+	es := g.Endorsers(item)
+	if i, ok := slices.BinarySearchFunc(es, user, byEndorserID); ok {
+		return es[i].Rating
 	}
 	return 0
 }
 
-// actRating is the endorsement strength of one act link: its rating
-// attribute, or 1 when it carries none.
-func actRating(l *graph.Link) float64 {
-	if v, ok := l.Attrs.Float("rating"); ok {
-		return v
-	}
-	return 1
-}
+func byEndorserID(e graph.Endorser, id graph.NodeID) int { return cmp.Compare(e.ID, id) }
 
 // itemSim is ItemSim(i, i'): Jaccard over the items' content token sets.
 // Only attribute text participates — the shared type vocabulary ('item',
@@ -58,24 +50,13 @@ func itemSim(g *graph.Graph, a, b graph.NodeID) float64 {
 	return scoring.Jaccard(scoring.TokenSet(na.Attrs.Text()), scoring.TokenSet(nb.Attrs.Text()))
 }
 
-func actedItems(g *graph.Graph, u graph.NodeID) scoring.Set[graph.NodeID] {
-	s := scoring.NewSet[graph.NodeID]()
-	for _, l := range g.Out(u) {
-		if l.HasType(graph.TypeAct) {
-			s.Add(l.Tgt)
-		}
-	}
-	return s
-}
-
 // ExplainContent builds the content-based explanation:
 // Expl(u,i) = {i' ∈ Items(u) | ItemSim(i,i') > 0}, weighted by
 // ItemSim(i,i') × rating(u,i').
 func ExplainContent(g *graph.Graph, user, item graph.NodeID) Explanation {
 	ex := Explanation{Strategy: "content"}
-	past := scoring.SortedInts(actedItems(g, user))
 	var totalPast int
-	for _, p := range past {
+	for _, p := range g.Acts(user) {
 		if p == item {
 			continue
 		}
@@ -96,23 +77,21 @@ func ExplainContent(g *graph.Graph, user, item graph.NodeID) Explanation {
 
 // CFContext is the searcher's side of the collaborative-filtering
 // explanation, built once per query and shared by the explanation of every
-// result: the searcher's friends and acted-item set, and UserSim(u, u') for
-// each endorser met so far. UserSim is 1 for a directly connected user,
-// else the Jaccard similarity of the two acted-item sets (0 for strangers
-// with no overlap, matching "it is 0 if u and u' are not connected"). Not
-// safe for concurrent use.
+// result: the searcher's friends and acted items, both as ascending
+// vectors. UserSim(u, u') is 1 for a directly connected user, else the
+// Jaccard similarity of the two acted-item vectors (0 for strangers with
+// no overlap, matching "it is 0 if u and u' are not connected"). Read-only
+// once built, so one context may explain items concurrently.
 type CFContext struct {
 	g       *graph.Graph
 	user    graph.NodeID
-	friends scoring.Set[graph.NodeID]
-	acted   scoring.Set[graph.NodeID]
-	sims    map[graph.NodeID]float64
-	buf     []graph.NodeID // one endorser's acted items, reused
+	friends []graph.NodeID
+	acted   []graph.NodeID
 }
 
 // NewCFContext prepares the explanations of results shown to user on g.
 func NewCFContext(g *graph.Graph, user graph.NodeID) *CFContext {
-	friends := scoring.NewSet[graph.NodeID]()
+	var friends []graph.NodeID
 	for _, l := range g.Incident(user) {
 		if !l.HasType(graph.TypeConnect) {
 			continue
@@ -121,46 +100,23 @@ func NewCFContext(g *graph.Graph, user graph.NodeID) *CFContext {
 		if other == user {
 			other = l.Src
 		}
-		friends.Add(other)
+		friends = append(friends, other)
 	}
-	return &CFContext{
-		g: g, user: user, friends: friends,
-		acted: actedItems(g, user),
-		sims:  make(map[graph.NodeID]float64),
-	}
+	slices.Sort(friends)
+	return &CFContext{g: g, user: user, friends: slices.Compact(friends), acted: g.Acts(user)}
 }
 
-func (c *CFContext) userSim(other graph.NodeID) float64 {
-	if c.friends.Has(other) {
-		return 1
-	}
-	sim, ok := c.sims[other]
-	if !ok {
-		sim = c.jaccard(other)
-		c.sims[other] = sim
-	}
-	return sim
+func (c *CFContext) isFriend(other graph.NodeID) bool {
+	_, ok := slices.BinarySearch(c.friends, other)
+	return ok
 }
 
-// jaccard is scoring.Jaccard(c.acted, actedItems(g, other)) without
-// building the second set: other's acted items are sorted and deduplicated
-// in a buffer reused across endorsers.
+// jaccard is the Jaccard similarity of the searcher's acted items and
+// other's, merged as two ascending vectors.
 func (c *CFContext) jaccard(other graph.NodeID) float64 {
-	c.buf = c.buf[:0]
-	for _, l := range c.g.Out(other) {
-		if l.HasType(graph.TypeAct) {
-			c.buf = append(c.buf, l.Tgt)
-		}
-	}
-	slices.Sort(c.buf)
-	items := slices.Compact(c.buf)
-	inter := 0
-	for _, it := range items {
-		if c.acted.Has(it) {
-			inter++
-		}
-	}
-	union := c.acted.Len() + len(items) - inter
+	items := c.g.Acts(other)
+	inter := persist.IntersectionSize(c.acted, items)
+	union := len(c.acted) + len(items) - inter
 	if union == 0 {
 		return 0
 	}
@@ -172,36 +128,32 @@ func (c *CFContext) jaccard(other graph.NodeID) float64 {
 // UserSim(u,u') × rating(u',i). The aggregate phrasing counts the user's
 // direct connections among the endorsers.
 //
-// The walk starts from the item: its endorsers are the users at the source
-// of its incoming act links, so the cost follows the item's in-degree, not
-// the number of users. In holds links in ascending id order, so a user's
-// first act link met is its lowest-id one — the link rating(u', i) reads.
+// The walk starts from the item's endorser vector, so the cost follows the
+// item's in-degree, not the number of users; each endorser carries the
+// rating of its lowest-id act link onto the item — the link rating(u', i)
+// reads.
 func (c *CFContext) Explain(item graph.NodeID) Explanation {
 	ex := Explanation{Strategy: "cf"}
-	in := c.g.In(item)
-	seen := make(scoring.Set[graph.NodeID], len(in))
 	endorsingFriends := 0
-	for _, l := range in {
-		other := l.Src
-		if other == c.user || !l.HasType(graph.TypeAct) || seen.Has(other) {
+	for _, e := range c.g.Endorsers(item) {
+		if e.ID == c.user || !c.g.Node(e.ID).HasType(graph.TypeUser) {
 			continue
 		}
-		seen.Add(other)
-		if !c.g.Node(other).HasType(graph.TypeUser) {
-			continue
+		friend := c.isFriend(e.ID)
+		sim := 1.0
+		if !friend {
+			if sim = c.jaccard(e.ID); sim <= 0 {
+				continue
+			}
 		}
-		sim := c.userSim(other)
-		if sim <= 0 {
-			continue
-		}
-		ex.Users = append(ex.Users, WeightedID{other, sim * actRating(l)})
-		if c.friends.Has(other) {
+		ex.Users = append(ex.Users, WeightedID{e.ID, sim * e.Rating})
+		if friend {
 			endorsingFriends++
 		}
 	}
 	sortWeighted(ex.Users)
-	if c.friends.Len() > 0 {
-		pct := 100 * endorsingFriends / c.friends.Len()
+	if len(c.friends) > 0 {
+		pct := 100 * endorsingFriends / len(c.friends)
 		ex.Summary = fmt.Sprintf("%d%% of your friends endorsed this item", pct)
 	} else if len(ex.Users) > 0 {
 		ex.Summary = fmt.Sprintf("%d similar users endorsed this item", len(ex.Users))

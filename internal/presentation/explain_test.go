@@ -125,14 +125,16 @@ func oracleExplainGroupCF(g *graph.Graph, user graph.NodeID, group Group) Explan
 // survive: repeat act links by one user onto one item with different
 // ratings, rated-but-untagged acts, unparseable ratings, act links from
 // non-user nodes, non-act links onto items, connect links in both
-// directions and connect self-loops.
+// directions and connect self-loops. Item names share words, so content
+// similarity is sometimes positive.
 func randomCFGraph(rng *rand.Rand) (g *graph.Graph, users, items []graph.NodeID) {
 	b := graph.NewBuilder()
 	for i := 0; i < 4+rng.Intn(20); i++ {
 		users = append(users, b.Node([]string{graph.TypeUser}))
 	}
+	words := []string{"museum", "family", "park", "harbor", "museum park", "opera"}
 	for i := 0; i < 2+rng.Intn(10); i++ {
-		items = append(items, b.Node([]string{graph.TypeItem, "destination"}))
+		items = append(items, b.Node([]string{graph.TypeItem, "destination"}, "name", words[rng.Intn(len(words))]))
 	}
 	var others []graph.NodeID
 	for i := 0; i < rng.Intn(4); i++ {

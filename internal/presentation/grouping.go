@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"socialscope/internal/graph"
-	"socialscope/internal/scoring"
 )
 
 // Group is one presentation unit: a labeled subset of the result items.
@@ -32,51 +31,57 @@ type Grouping struct {
 	Groups    []Group
 }
 
-// taggers returns the set of users with act links onto the item —
-// taggers(i) in Definition 14.
-func taggers(g *graph.Graph, item graph.NodeID) scoring.Set[graph.NodeID] {
-	s := scoring.NewSet[graph.NodeID]()
-	for _, l := range g.In(item) {
-		if l.HasType(graph.TypeAct) {
-			s.Add(l.Src)
-		}
-	}
-	return s
-}
-
 // SocialGrouping partitions items by endorser overlap (Definition 14): two
-// items share a group when Jaccard(taggers(i1), taggers(i2)) ≥ θ. Like the
-// user clusterings it is materialized with deterministic leader
-// clustering. Groups are labeled by their leading item's name.
+// items share a group when Jaccard(taggers(i1), taggers(i2)) ≥ θ, taggers(i)
+// being the act sources of i (graph.Endorsers). Like the user clusterings
+// it is materialized with deterministic leader clustering. Groups are
+// labeled by their leading item's name.
 func SocialGrouping(g *graph.Graph, items []graph.NodeID, scores map[graph.NodeID]float64, theta float64) (Grouping, error) {
 	if theta < 0 || theta > 1 {
 		return Grouping{}, fmt.Errorf("presentation: theta %g outside [0,1]", theta)
 	}
-	tagSets := make(map[graph.NodeID]scoring.Set[graph.NodeID], len(items))
-	for _, it := range items {
-		tagSets[it] = taggers(g, it)
-	}
 	var groups []Group
-	leaders := []graph.NodeID{}
-	assign := map[graph.NodeID]int{}
+	var leaders [][]graph.Endorser // each group's leading item's endorsers
 	for _, it := range sortedIDs(items) {
+		taggers := g.Endorsers(it)
 		placed := false
-		for gi, leader := range leaders {
-			if scoring.Jaccard(tagSets[leader], tagSets[it]) >= theta {
+		for gi, lead := range leaders {
+			if endorserJaccard(lead, taggers) >= theta {
 				groups[gi].Items = append(groups[gi].Items, it)
-				assign[it] = gi
 				placed = true
 				break
 			}
 		}
 		if !placed {
-			assign[it] = len(groups)
-			leaders = append(leaders, it)
+			leaders = append(leaders, taggers)
 			groups = append(groups, Group{Label: labelFor(g, it), Items: []graph.NodeID{it}})
 		}
 	}
 	finishGroups(groups, scores)
 	return Grouping{Criterion: "social", Groups: groups}, nil
+}
+
+// endorserJaccard is the Jaccard similarity of two endorser vectors' ids,
+// merged in one pass; 0 when both are empty.
+func endorserJaccard(a, b []graph.Endorser) float64 {
+	inter := 0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i].ID < b[j].ID:
+			i++
+		case a[i].ID > b[j].ID:
+			j++
+		default:
+			inter++
+			i++
+			j++
+		}
+	}
+	union := len(a) + len(b) - inter
+	if union == 0 {
+		return 0
+	}
+	return float64(inter) / float64(union)
 }
 
 // TopicalGrouping partitions items by the topic node their belong link
