@@ -70,6 +70,37 @@ func TestQueryCtxAllocsPinned(t *testing.T) {
 	})
 }
 
+// The fusion path reads its discoverer's item catalog: no scope graph, no
+// tokenizing per query. AllocsPerRun's warm-up call builds the catalog.
+func TestFusionAllocsPinned(t *testing.T) {
+	eng, users := allocPinEngine(t)
+	who, qs := fusionReads(t, users, 64)
+	d := eng.state.Load().disc
+	ctx := context.Background()
+	for _, c := range []struct {
+		name  string
+		read  func(NodeID, discovery.Query) error
+		bound float64
+	}{
+		{"discovery.Discoverer.Discover", func(u NodeID, q discovery.Query) error {
+			_, err := d.Discover(u, q)
+			return err
+		}, 420},
+		{"Engine.QueryCtx (fusion)", func(u NodeID, q discovery.Query) error {
+			_, err := eng.QueryCtx(ctx, u, q)
+			return err
+		}, 650},
+	} {
+		i := 0
+		pinAllocs(t, c.name, c.bound, func() {
+			if err := c.read(who[i%len(who)], qs[i%len(qs)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+	}
+}
+
 func TestCollaborativeFilteringAllocsPinned(t *testing.T) {
 	eng, users := allocPinEngine(t)
 	for _, c := range []struct {

@@ -22,6 +22,9 @@
 //	GET  /healthz
 //	GET  /metrics    (Prometheus text exposition; see docs/observability.md)
 //
+// /search and /query refuse k over 1000 and query text over 4096 bytes
+// with 400.
+//
 // SIGINT/SIGTERM drain gracefully: in-flight requests finish (bounded by
 // -drain), buffered writes flush, then the process exits.
 package main

@@ -236,6 +236,12 @@ func (c Condition) SatisfiedByNode(n *graph.Node) bool { return c.matcher().node
 // SatisfiedByLink evaluates the structural part of the condition on a link.
 func (c Condition) SatisfiedByLink(l *graph.Link) bool { return c.matcher().link(l) }
 
+// NodeMatcher compiles the condition's structural part once, for a caller
+// that evaluates it over many nodes without building a graph: the returned
+// predicate is SatisfiedByNode with every operand already parsed, so it
+// keeps exactly the nodes NodeSelect keeps for the keyword-free condition.
+func (c Condition) NodeMatcher() func(*graph.Node) bool { return c.matcher().node }
+
 // matcher is a condition's structural part with every operand parsed, for
 // operators that evaluate one condition over many elements.
 type matcher []structMatcher

@@ -1,7 +1,7 @@
 package discovery
 
 import (
-	"sort"
+	"slices"
 
 	"socialscope/internal/graph"
 	"socialscope/internal/scoring"
@@ -47,31 +47,25 @@ type SocialBasis struct {
 // remain, fall back to topic experts drawn from the whole site. The
 // "right subset of the connections" problem the paper calls non-trivial is
 // resolved by this activity-evidence filter.
+//
+// It tokenizes the graph's items once per call; Discover runs the same
+// selection over its discoverer's catalog instead.
 func SelectSocialBasis(g *graph.Graph, user graph.NodeID, q Query, minSize int) SocialBasis {
+	var cat *catalog
+	if len(q.Keywords) > 0 {
+		cat = newCatalog(g, graph.TypeItem)
+	}
+	return selectBasis(g, cat, user, q, minSize)
+}
+
+// selectBasis is SelectSocialBasis reading item text from cat, which may
+// be nil when the query has no keywords.
+func selectBasis(g *graph.Graph, cat *catalog, user graph.NodeID, q Query, minSize int) SocialBasis {
 	if minSize <= 0 {
 		minSize = 1
 	}
-	var friends []graph.NodeID
-	seen := map[graph.NodeID]struct{}{}
-	for _, l := range g.Incident(user) {
-		if !l.HasType(graph.TypeConnect) {
-			continue
-		}
-		other := l.Tgt
-		if other == user {
-			other = l.Src
-		}
-		if _, dup := seen[other]; !dup && other != user {
-			seen[other] = struct{}{}
-			friends = append(friends, other)
-		}
-	}
-	sort.Slice(friends, func(i, j int) bool { return friends[i] < friends[j] })
-
+	friends := connections(g, user)
 	if len(q.Keywords) == 0 {
-		if len(friends) >= minSize {
-			return SocialBasis{Kind: BasisFriends, Users: friends}
-		}
 		return SocialBasis{Kind: BasisFriends, Users: friends}
 	}
 
@@ -82,12 +76,8 @@ func SelectSocialBasis(g *graph.Graph, user graph.NodeID, q Query, minSize int) 
 	const basisRelevance = 0.5
 	var relevant []graph.NodeID
 	for _, f := range friends {
-		for _, l := range g.Out(f) {
-			if !l.HasType(graph.TypeAct) {
-				continue
-			}
-			item := g.Node(l.Tgt)
-			if item != nil && scoring.DefaultScorer(q.Keywords, item.Text()) >= basisRelevance {
+		for _, item := range g.Acts(f) {
+			if scoring.DefaultScoreDoc(q.Keywords, cat.doc(g, item)) >= basisRelevance {
 				relevant = append(relevant, f)
 				break
 			}
@@ -99,54 +89,26 @@ func SelectSocialBasis(g *graph.Graph, user graph.NodeID, q Query, minSize int) 
 
 	// Fall back to experts (Example 2: "identify a group of experts on the
 	// topic to help answer Selma's query").
-	experts := expertsForBasis(g, q.Keywords, minSize*2, user)
-	if len(experts) > 0 {
+	if experts := cat.experts(g, q.Keywords, minSize*2, user); len(experts) > 0 {
 		return SocialBasis{Kind: BasisExperts, Users: experts}
 	}
 	return SocialBasis{Kind: BasisQueryFriends, Users: relevant}
 }
 
-// expertsForBasis wraps analyzer.ExpertsOn but excludes the querying user.
-func expertsForBasis(g *graph.Graph, keywords []string, n int, exclude graph.NodeID) []graph.NodeID {
-	// Local inline expert scan (keeps analyzer's ranking semantics).
-	type cnt struct {
-		id graph.NodeID
-		n  int
-	}
-	matching := make(map[graph.NodeID]struct{})
-	for _, item := range g.NodesOfType(graph.TypeItem) {
-		if scoring.DefaultScorer(keywords, item.Text()) == 1 {
-			matching[item.ID] = struct{}{}
+// connections returns the other ends of the user's connect links,
+// ascending and without repeats.
+func connections(g *graph.Graph, user graph.NodeID) []graph.NodeID {
+	var friends []graph.NodeID
+	for _, l := range g.Out(user) {
+		if l.HasType(graph.TypeConnect) && l.Tgt != user {
+			friends = append(friends, l.Tgt)
 		}
 	}
-	var counts []cnt
-	for _, u := range g.NodesOfType(graph.TypeUser) {
-		if u.ID == exclude {
-			continue
-		}
-		c := 0
-		for _, l := range g.Out(u.ID) {
-			if !l.HasType(graph.TypeAct) {
-				continue
-			}
-			if _, ok := matching[l.Tgt]; ok {
-				c++
-			}
-		}
-		if c > 0 {
-			counts = append(counts, cnt{u.ID, c})
+	for _, l := range g.In(user) {
+		if l.HasType(graph.TypeConnect) && l.Src != user {
+			friends = append(friends, l.Src)
 		}
 	}
-	sort.Slice(counts, func(i, j int) bool {
-		if counts[i].n != counts[j].n {
-			return counts[i].n > counts[j].n
-		}
-		return counts[i].id < counts[j].id
-	})
-	n = min(n, len(counts))
-	out := make([]graph.NodeID, n)
-	for i := 0; i < n; i++ {
-		out[i] = counts[i].id
-	}
-	return out
+	slices.Sort(friends)
+	return slices.Compact(friends)
 }

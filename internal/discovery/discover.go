@@ -1,14 +1,15 @@
 package discovery
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"socialscope/internal/core"
 	"socialscope/internal/graph"
-	"socialscope/internal/scoring"
 )
 
 // ErrUnknownUser reports a query or recommendation for a user absent
@@ -40,39 +41,40 @@ type MSG struct {
 }
 
 // Discoverer evaluates queries against a social content graph. The item
-// corpus (BM25 statistics) is computed lazily on the first fusion-path
-// query and then shared by every subsequent query — and, through
-// WithGraph, across engine snapshots whose item text is unchanged — so
-// rebinding a discoverer to a new graph version costs O(1), not
-// O(items). The lazy build is safe under concurrent queries.
+// catalog (each item's text tokenized once, and the BM25 statistics over
+// them) is computed lazily on the first fusion-path query and then shared
+// by every subsequent query — and, through WithGraph, across engine
+// snapshots whose item nodes are unchanged — so rebinding a discoverer to
+// a new graph version costs O(1), not O(items). The lazy build is safe
+// under concurrent queries.
 type Discoverer struct {
 	g        *graph.Graph
 	corpus   *corpusCell
 	itemType string
 }
 
-// corpusCell is the lazily built, shareable BM25 corpus. It releases its
-// graph reference the moment the corpus is built, and an unbuilt cell is
+// corpusCell is the lazily built, shareable item catalog. It releases its
+// graph reference the moment the catalog is built, and an unbuilt cell is
 // replaced rather than carried when the discoverer is rebound — so a
 // chain of engine snapshots never pins an old graph version just because
 // the fusion path was never queried.
 type corpusCell struct {
 	once     sync.Once
-	c        atomic.Pointer[scoring.Corpus]
+	c        atomic.Pointer[catalog]
 	g        *graph.Graph // build source; nilled inside once
 	itemType string
 }
 
-func (cc *corpusCell) get() *scoring.Corpus {
+func (cc *corpusCell) get() *catalog {
 	cc.once.Do(func() {
-		cc.c.Store(scoring.NodeCorpus(cc.g, cc.itemType))
+		cc.c.Store(newCatalog(cc.g, cc.itemType))
 		cc.g = nil
 	})
 	return cc.c.Load()
 }
 
-// built returns the corpus if it has been computed, else nil.
-func (cc *corpusCell) built() *scoring.Corpus { return cc.c.Load() }
+// built returns the catalog if it has been computed, else nil.
+func (cc *corpusCell) built() *catalog { return cc.c.Load() }
 
 // NewDiscoverer builds a discoverer over the graph. itemType scopes which
 // nodes are candidate results ("" means every item-typed node).
@@ -88,17 +90,24 @@ func NewDiscoverer(g *graph.Graph, itemType string) *Discoverer {
 }
 
 // WithGraph rebinds the discoverer to a new graph version. O(1). An
-// already-built corpus is shared; an unbuilt one is re-targeted at the
+// already-built catalog is shared; an unbuilt one is re-targeted at the
 // new graph, so no old graph version stays reachable. Correct only when
-// the searchable text of the item nodes is unchanged between the
+// no node carrying the item type or graph.TypeItem differs between the
 // versions — the live engine uses it for mutation batches that touch no
-// item node and falls back to NewDiscoverer otherwise.
+// such node and falls back to NewDiscoverer otherwise.
 func (d *Discoverer) WithGraph(g *graph.Graph) *Discoverer {
 	cell := d.corpus
 	if cell.built() == nil {
 		cell = &corpusCell{g: g, itemType: d.itemType}
 	}
 	return &Discoverer{g: g, corpus: cell, itemType: d.itemType}
+}
+
+// SharesCatalog reports whether d and other read one built item catalog:
+// true when other is d rebound by WithGraph after a fusion query built it.
+func (d *Discoverer) SharesCatalog(other *Discoverer) bool {
+	c := d.corpus.built()
+	return c != nil && c == other.corpus.built()
 }
 
 // Discover runs the full Information Discoverer pipeline:
@@ -113,6 +122,10 @@ func (d *Discoverer) WithGraph(g *graph.Graph) *Discoverer {
 //     empty query degenerates to pure social relevance, keyword-less
 //     structural queries to pure social within scope;
 //  5. assemble the MSG with provenance links.
+//
+// Every stage reads the catalog: the scope is the catalog entries whose
+// node passes the predicates, in ascending id order, and each leg writes
+// into that positional slice, so no graph is built before the MSG.
 func (d *Discoverer) Discover(user graph.NodeID, q Query) (*MSG, error) {
 	if !d.g.HasNode(user) {
 		return nil, fmt.Errorf("%w %d", ErrUnknownUser, user)
@@ -120,51 +133,51 @@ func (d *Discoverer) Discover(user graph.NodeID, q Query) (*MSG, error) {
 	if q.K <= 0 {
 		q.K = 10
 	}
-	if q.Alpha < 0 || q.Alpha > 1 {
+	if !(q.Alpha >= 0 && q.Alpha <= 1) {
 		return nil, fmt.Errorf("discovery: alpha %g outside [0,1]", q.Alpha)
 	}
+	cat := d.corpus.get()
 
-	// 1. Scope.
-	scopeCond := core.Condition{Structural: append([]core.StructCond{
-		core.Cond("type", d.itemType)}, q.Structural...)}
-	scope := core.NodeSelect(d.g, scopeCond, nil)
-
-	// 2. Semantic relevance, normalized to [0,1] by the max.
-	semantic := make(map[graph.NodeID]float64)
-	if len(q.Keywords) > 0 {
-		maxSem := 0.0
-		for _, n := range scope.Nodes() {
-			s := d.corpus.get().BM25(q.Keywords, n.Text())
-			semantic[n.ID] = s
-			if s > maxSem {
-				maxSem = s
+	// 1. Scope, and 2. semantic relevance, normalized to [0,1] by the max.
+	inScope := core.Condition{Structural: append([]core.StructCond{
+		core.Cond("type", d.itemType)}, q.Structural...)}.NodeMatcher()
+	ranked := make([]Result, 0, len(cat.ids))
+	maxSem := 0.0
+	for p, id := range cat.ids {
+		if n := d.g.Node(id); n == nil || !inScope(n) {
+			continue
+		}
+		r := Result{Item: id}
+		if len(q.Keywords) > 0 {
+			r.Semantic = cat.corpus.BM25Doc(q.Keywords, cat.docs[p])
+			if r.Semantic > maxSem {
+				maxSem = r.Semantic
 			}
 		}
-		if maxSem > 0 {
-			for id := range semantic {
-				semantic[id] /= maxSem
-			}
+		ranked = append(ranked, r)
+	}
+	if maxSem > 0 {
+		for i := range ranked {
+			ranked[i].Semantic /= maxSem
 		}
 	}
 
-	// 3. Social relevance over the selected basis.
-	basis := SelectSocialBasis(d.g, user, q, 1)
-	social := make(map[graph.NodeID]float64)
-	endorsers := make(map[graph.NodeID][]graph.NodeID)
-	if len(basis.Users) > 0 {
-		for _, b := range basis.Users {
-			for _, l := range d.g.Out(b) {
-				if !l.HasType(graph.TypeAct) || !scope.HasNode(l.Tgt) {
-					continue
-				}
-				if !contains(endorsers[l.Tgt], b) {
-					endorsers[l.Tgt] = append(endorsers[l.Tgt], b)
-				}
+	// 3. Social relevance over the selected basis, endorsers in basis order.
+	basis := selectBasis(d.g, cat, user, q, 1)
+	for _, b := range basis.Users {
+		for _, t := range d.g.Acts(b) {
+			if i, ok := slices.BinarySearchFunc(ranked, t, func(r Result, t graph.NodeID) int {
+				return cmp.Compare(r.Item, t)
+			}); ok {
+				ranked[i].Endorsers = append(ranked[i].Endorsers, b)
 			}
 		}
-		n := float64(len(basis.Users))
-		for item, es := range endorsers {
-			social[item] = float64(len(es)) / n
+	}
+	social := false
+	for i := range ranked {
+		if es := ranked[i].Endorsers; len(es) > 0 {
+			ranked[i].Social = float64(len(es)) / float64(len(basis.Users))
+			social = true
 		}
 	}
 
@@ -173,37 +186,41 @@ func (d *Discoverer) Discover(user graph.NodeID, q Query) (*MSG, error) {
 	switch {
 	case len(q.Keywords) == 0:
 		alpha = 0 // empty/structural-only query: social relevance only
-	case len(social) == 0:
+	case !social:
 		alpha = 1 // no usable social signal: semantic only
 	}
-	var ranked []Result
-	for _, n := range scope.Nodes() {
-		sem := semantic[n.ID]
-		soc := social[n.ID]
-		score := alpha*sem + (1-alpha)*soc
-		if score <= 0 {
-			continue
+	kept := ranked[:0]
+	for _, r := range ranked {
+		r.Score = alpha*r.Semantic + (1-alpha)*r.Social
+		if r.Score > 0 {
+			kept = append(kept, r)
 		}
-		ranked = append(ranked, Result{
-			Item: n.ID, Semantic: sem, Social: soc, Score: score,
-			Endorsers: endorsers[n.ID],
-		})
 	}
-	sortResults(ranked)
-	if q.K < len(ranked) {
-		ranked = ranked[:q.K]
+	slices.SortFunc(kept, func(a, b Result) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Item, b.Item)
+	})
+	switch {
+	case len(kept) == 0:
+		kept = nil
+	case q.K < len(kept):
+		kept = kept[:q.K]
 	}
 
 	// 5. MSG assembly.
-	msgGraph, err := d.assemble(user, ranked)
+	msgGraph, err := d.assemble(user, kept)
 	if err != nil {
 		return nil, err
 	}
-	return &MSG{User: user, Query: q, Basis: basis, Results: ranked, Graph: msgGraph}, nil
+	return &MSG{User: user, Query: q, Basis: basis, Results: kept, Graph: msgGraph}, nil
 }
 
 func (d *Discoverer) assemble(user graph.NodeID, results []Result) (*graph.Graph, error) {
 	out := graph.New()
+	out.BeginBulk()
+	defer out.EndBulk()
 	out.PutNode(d.g.Node(user).Clone())
 	ids := graph.IDSourceFor(d.g)
 	for _, r := range results {
@@ -230,26 +247,4 @@ func (d *Discoverer) assemble(user graph.NodeID, results []Result) (*graph.Graph
 		}
 	}
 	return out, nil
-}
-
-func sortResults(rs []Result) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0; j-- {
-			if rs[j].Score > rs[j-1].Score ||
-				(rs[j].Score == rs[j-1].Score && rs[j].Item < rs[j-1].Item) {
-				rs[j], rs[j-1] = rs[j-1], rs[j]
-			} else {
-				break
-			}
-		}
-	}
-}
-
-func contains(ids []graph.NodeID, id graph.NodeID) bool {
-	for _, v := range ids {
-		if v == id {
-			return true
-		}
-	}
-	return false
 }

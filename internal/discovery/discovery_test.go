@@ -203,6 +203,9 @@ func TestDiscoverErrors(t *testing.T) {
 	if _, err := d.Discover(f.john, Query{Alpha: 1.5}); err == nil {
 		t.Error("alpha out of range accepted")
 	}
+	if _, err := d.Discover(f.john, Query{Alpha: math.NaN()}); err == nil {
+		t.Error("NaN alpha accepted")
+	}
 }
 
 func TestSelectSocialBasisSelma(t *testing.T) {

@@ -23,36 +23,20 @@ func NewCorpus() *Corpus {
 }
 
 // AddDoc folds one document's text into the corpus statistics.
-func (c *Corpus) AddDoc(text string) {
-	toks := Tokenize(text)
+func (c *Corpus) AddDoc(text string) { c.Add(NewDoc(text)) }
+
+// Add folds one tokenized document into the corpus statistics.
+func (c *Corpus) Add(d Doc) {
 	c.docCount++
-	c.totalLen += len(toks)
-	seen := make(map[string]struct{}, len(toks))
-	for _, t := range toks {
-		if _, ok := seen[t]; ok {
-			continue
-		}
-		seen[t] = struct{}{}
+	c.totalLen += d.length
+	for _, t := range d.terms {
 		c.docFreq[t]++
 	}
 	c.avgDocLen = float64(c.totalLen) / float64(c.docCount)
 }
 
-// CorpusFromGraph builds a corpus from the searchable text of every node in
-// g that carries nodeType ("" means every node).
-func CorpusFromGraph(g *graph.Graph, nodeType string) *Corpus {
-	c := NewCorpus()
-	for _, n := range g.Nodes() {
-		if nodeType != "" && !n.HasType(nodeType) {
-			return nil
-		}
-		c.AddDoc(n.Text())
-	}
-	return c
-}
-
-// NodeCorpus builds a corpus from nodes of the given type only, skipping
-// others (unlike CorpusFromGraph, which requires homogeneity).
+// NodeCorpus builds a corpus from the searchable text of the nodes that
+// carry nodeType ("" means every node), skipping the others.
 func NodeCorpus(g *graph.Graph, nodeType string) *Corpus {
 	c := NewCorpus()
 	for _, n := range g.Nodes() {
@@ -111,21 +95,22 @@ const (
 
 // BM25 scores a document's text against query keywords with Okapi BM25.
 func (c *Corpus) BM25(query []string, docText string) float64 {
+	return c.BM25Doc(query, NewDoc(docText))
+}
+
+// BM25Doc is BM25 over a document tokenized once, for scoring one text
+// against many queries.
+func (c *Corpus) BM25Doc(query []string, d Doc) float64 {
 	if len(query) == 0 {
 		return 0
 	}
-	tf := TermFreq(docText)
-	docLen := 0
-	for _, n := range tf {
-		docLen += n
-	}
 	norm := 1.0
 	if c.avgDocLen > 0 {
-		norm = 1 - bm25B + bm25B*float64(docLen)/c.avgDocLen
+		norm = 1 - bm25B + bm25B*float64(d.length)/c.avgDocLen
 	}
 	var score float64
 	for _, q := range query {
-		f := float64(tf[q])
+		f := float64(d.Count(q))
 		if f == 0 {
 			continue
 		}
@@ -140,13 +125,17 @@ func (c *Corpus) BM25(query []string, docText string) float64 {
 // query terms present in the document, a simple containment measure that is
 // deterministic and corpus-free.
 func DefaultScorer(query []string, docText string) float64 {
+	return DefaultScoreDoc(query, NewDoc(docText))
+}
+
+// DefaultScoreDoc is DefaultScorer over a document tokenized once.
+func DefaultScoreDoc(query []string, d Doc) float64 {
 	if len(query) == 0 {
 		return 0
 	}
-	doc := TokenSet(docText)
 	hit := 0
 	for _, q := range query {
-		if _, ok := doc[q]; ok {
+		if d.Count(q) > 0 {
 			hit++
 		}
 	}

@@ -1,6 +1,7 @@
 package scoring
 
 import (
+	"slices"
 	"strings"
 	"unicode"
 )
@@ -55,3 +56,39 @@ func IsStopword(term string) bool {
 	_, ok := stopwords[term]
 	return ok
 }
+
+// Doc is a text tokenized once, for scoring it against many queries: its
+// distinct terms in ascending order, each term's occurrence count, and its
+// length in tokens.
+type Doc struct {
+	terms  []string
+	counts []int32
+	length int
+}
+
+// NewDoc tokenizes text into a Doc.
+func NewDoc(text string) Doc {
+	toks := Tokenize(text)
+	slices.Sort(toks)
+	counts := make([]int32, len(toks))
+	n := 0
+	for i, t := range toks {
+		if i == 0 || t != toks[i-1] {
+			toks[n] = t
+			n++
+		}
+		counts[n-1]++
+	}
+	return Doc{terms: toks[:n:n], counts: counts[:n:n], length: len(toks)}
+}
+
+// Count returns how often term occurs in the document.
+func (d Doc) Count(term string) int {
+	if i, ok := slices.BinarySearch(d.terms, term); ok {
+		return int(d.counts[i])
+	}
+	return 0
+}
+
+// Len returns the document's length in tokens.
+func (d Doc) Len() int { return d.length }

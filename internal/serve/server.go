@@ -23,6 +23,13 @@ import (
 // larger requests get 413. It sits far above any real batch.
 const maxRequestBody = 8 << 20
 
+// maxResultK and maxQueryBytes bound the k and the query text of /search
+// and /query; a request past either gets 400 before any evaluation.
+const (
+	maxResultK    = 1000
+	maxQueryBytes = 4096
+)
+
 // Config parameterizes a Server. The zero value serves with sane
 // defaults: 2s request deadline, DefaultCacheEntries cache,
 // bulk-threshold write coalescing, DefaultMaxConcurrent admission.
@@ -198,16 +205,28 @@ func (s *Server) Close() { s.coal.Stop() }
 func (s *Server) Engine() *socialscope.Engine { return s.eng }
 
 // parseQueryRequest extracts a QueryRequest from GET parameters
-// (/search) or a JSON body (/query).
+// (/search) or a JSON body (/query) and holds it to the request caps.
 func parseQueryRequest(r *http.Request) (QueryRequest, error) {
+	req, err := decodeQueryRequest(r)
+	switch {
+	case err != nil:
+		return QueryRequest{}, err
+	case req.K > maxResultK:
+		return QueryRequest{}, fmt.Errorf("serve: k %d over the limit of %d", req.K, maxResultK)
+	case len(req.Query) > maxQueryBytes:
+		return QueryRequest{}, fmt.Errorf("serve: query of %d bytes over the limit of %d", len(req.Query), maxQueryBytes)
+	}
+	return req, nil
+}
+
+func decodeQueryRequest(r *http.Request) (QueryRequest, error) {
+	var req QueryRequest
 	if r.Method == http.MethodPost {
-		var req QueryRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			return QueryRequest{}, fmt.Errorf("serve: bad request body: %w", err)
 		}
 		return req, nil
 	}
-	var req QueryRequest
 	userStr := r.FormValue("user")
 	if userStr == "" {
 		return QueryRequest{}, errors.New("serve: missing user parameter")

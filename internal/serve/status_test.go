@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -189,5 +191,48 @@ func decodeBody(t *testing.T, rec *httptest.ResponseRecorder, out any) {
 	t.Helper()
 	if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
 		t.Fatalf("decode: %v (body %q)", err, rec.Body.String())
+	}
+}
+
+// TestQueryLimitsAre400 pins the request caps of /search and /query: a k
+// or a query text past its limit is refused with 400 before evaluation,
+// and a request exactly at the limits is served.
+func TestQueryLimitsAre400(t *testing.T) {
+	site := newTestSite(t, Config{})
+	user := site.corpus.Users[0]
+	atQ, overQ := strings.Repeat("x", maxQueryBytes), strings.Repeat("x", maxQueryBytes+1)
+	search := func(q string, k int) string {
+		return site.searchPath(user, q, true) + "&k=" + strconv.Itoa(k)
+	}
+	query := func(q string, k int) string {
+		body, err := json.Marshal(QueryRequest{User: user, Query: q, K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	cases := []struct {
+		name, path, body string // a body means POST /query
+		want             int
+	}{
+		{"search at limits", search(atQ, maxResultK), "", http.StatusOK},
+		{"search k over limit", search("museum", maxResultK+1), "", http.StatusBadRequest},
+		{"search q over limit", search(overQ, 10), "", http.StatusBadRequest},
+		{"query at limits", "/query", query(atQ, maxResultK), http.StatusOK},
+		{"query k over limit", "/query", query("museum", maxResultK+1), http.StatusBadRequest},
+		{"query q over limit", "/query", query(overQ, 10), http.StatusBadRequest},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			req := httptest.NewRequest(http.MethodGet, tc.path, nil)
+			if tc.body != "" {
+				req = httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body))
+			}
+			site.srv.Handler().ServeHTTP(rec, req)
+			if rec.Code != tc.want {
+				t.Fatalf("status %d (%s), want %d", rec.Code, rec.Body, tc.want)
+			}
+		})
 	}
 }

@@ -354,7 +354,7 @@ func (e *Engine) analyzeLocked(live bool) error {
 // graph ShallowClone, index substrate clone, posting-list index share —
 // are O(1) header copies, and the remaining work is proportional to the
 // mutations applied: touched trie paths, tag shards, posting lists and
-// inner sets. The discovery corpus is reused across batches that touch
+// inner sets. The discovery catalog is reused across batches that touch
 // no item node (and rebuilt lazily otherwise), so nothing on this path
 // scales with graph size. Batching still amortizes per-call constants,
 // but one-mutation batches are no longer penalized by corpus-sized
@@ -503,9 +503,9 @@ func (e *Engine) applyLocked(muts []graph.Mutation, live bool) error {
 			return fmt.Errorf("socialscope: apply to analyzed graph: %w", err)
 		}
 	}
-	// Rebind discovery to the new serving graph. The BM25 item corpus is
-	// an O(items) aggregate, so it is carried over (O(1)) unless the batch
-	// touches an item node's text — the only thing that can change it.
+	// Rebind discovery to the new serving graph. The item catalog is an
+	// O(items) aggregate, so it is carried over (O(1)) unless the batch
+	// touches a node it covers — the only thing that can change it.
 	if batchTouchesItems(muts, st.base, e.cfg.ItemType) {
 		ns.disc = discovery.NewDiscoverer(ns.current(), e.cfg.ItemType)
 	} else {
@@ -534,22 +534,20 @@ func (e *Engine) applyLocked(muts []graph.Mutation, live bool) error {
 }
 
 // batchTouchesItems reports whether any mutation in the batch adds,
-// consolidates or removes a node carrying the engine's item type — the
-// mutations that can change the searchable item corpus. The payload's
-// types are not enough: a partial consolidation (or a bare removal) may
-// target an existing item node without re-stating its types, so the
-// node's resident state in the pre-batch graph is consulted too.
+// consolidates or removes a node carrying the engine's item type or
+// graph.TypeItem — the nodes the discovery catalog covers, so the only
+// mutations that can change it. The payload's types are not enough: a
+// partial consolidation (or a bare removal) may target an existing item
+// node without re-stating its types, so the node's resident state in the
+// pre-batch graph is consulted too.
 func batchTouchesItems(muts []graph.Mutation, base *Graph, itemType string) bool {
+	isItem := func(n *graph.Node) bool {
+		return n != nil && (n.HasType(itemType) || n.HasType(graph.TypeItem))
+	}
 	for _, m := range muts {
 		switch m.Kind {
 		case graph.MutAddNode, graph.MutPutNode, graph.MutRemoveNode:
-			if m.Node == nil {
-				continue
-			}
-			if m.Node.HasType(itemType) {
-				return true
-			}
-			if ex := base.Node(m.Node.ID); ex != nil && ex.HasType(itemType) {
+			if m.Node != nil && (isItem(m.Node) || isItem(base.Node(m.Node.ID))) {
 				return true
 			}
 		}
