@@ -488,9 +488,8 @@ func runPresentation(scale int, seed int64) error {
 	for _, alt := range resp.Presentation.Alternatives {
 		fmt.Printf("alternative: %s (%d groups)\n", alt.Criterion, len(alt.Groups))
 	}
-	if len(resp.Results()) > 0 {
-		top := resp.Results()[0].Item
-		fmt.Printf("explanation for top item: %s\n", resp.Explanations[top].Summary)
+	if len(resp.Summaries) > 0 {
+		fmt.Printf("explanation for top item: %s\n", resp.Summaries[0])
 	}
 	return nil
 }

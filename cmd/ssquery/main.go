@@ -75,7 +75,7 @@ func main() {
 	for i, r := range results {
 		n := gg.Node(r.Item)
 		fmt.Printf("%2d. %-28s score=%.3f sem=%.3f soc=%.3f — %s\n",
-			i+1, label(n), r.Score, r.Semantic, r.Social, resp.Explanations[r.Item].Summary)
+			i+1, label(n), r.Score, r.Semantic, r.Social, resp.Summaries[i])
 	}
 	fmt.Printf("\ngrouping (%s):\n", resp.Presentation.Chosen.Criterion)
 	for _, grp := range resp.Presentation.Chosen.Groups {

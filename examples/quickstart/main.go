@@ -65,8 +65,7 @@ func main() {
 	for _, grp := range resp.Presentation.Chosen.Groups {
 		fmt.Printf("  [%s] %d item(s), quality %.3f\n", grp.Label, grp.Size(), grp.Quality)
 	}
-	if len(resp.Results()) > 0 {
-		top := resp.Results()[0].Item
-		fmt.Printf("\nwhy the top result: %s\n", resp.Explanations[top].Summary)
+	if len(resp.Summaries) > 0 {
+		fmt.Printf("\nwhy the top result: %s\n", resp.Summaries[0])
 	}
 }

@@ -83,7 +83,10 @@ func RelatedEntities(g *graph.Graph, msg *MSG, minActs, limit int) Related {
 
 	// Users: a k-way merge of the items' endorser vectors, each ascending
 	// without repeats, so a user's count is the number of vectors whose
-	// head it is when the merge reaches it.
+	// head it is when the merge reaches it. rel.Users keeps the best limit
+	// users so far, in order; the merge meets users in ascending id, so a
+	// newcomer displaces only a strictly lower count and sits after every
+	// equal one.
 	heads := make(endorserHeap, 0, len(items))
 	for _, item := range items {
 		if es := g.Endorsers(item); len(es) > 0 {
@@ -97,15 +100,19 @@ func RelatedEntities(g *graph.Graph, msg *MSG, minActs, limit int) Related {
 			n++
 			heads.advance()
 		}
-		if _, skip := slices.BinarySearch(exclude, user); !skip && n >= minActs {
-			rel.Users = append(rel.Users, RelatedUser{user, n})
+		if _, skip := slices.BinarySearch(exclude, user); skip || n < minActs {
+			continue
 		}
-	}
-	slices.SortFunc(rel.Users, func(a, b RelatedUser) int {
-		return cmp.Or(cmp.Compare(b.Count, a.Count), cmp.Compare(a.User, b.User))
-	})
-	if len(rel.Users) > limit {
-		rel.Users = rel.Users[:limit]
+		if len(rel.Users) < limit {
+			rel.Users = append(rel.Users, RelatedUser{})
+		} else if n <= rel.Users[limit-1].Count {
+			continue
+		}
+		i := len(rel.Users) - 1
+		for ; i > 0 && rel.Users[i-1].Count < n; i-- {
+			rel.Users[i] = rel.Users[i-1]
+		}
+		rel.Users[i] = RelatedUser{user, n}
 	}
 	return rel
 }

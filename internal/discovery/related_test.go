@@ -160,6 +160,51 @@ func TestRelatedEntitiesMatchesSetOracle(t *testing.T) {
 	}
 }
 
+// TestRelatedUsersAtTheCut: RelatedEntities keeps the best limit users
+// during its merge instead of sorting them all. Counts by user id
+// ascending are 1, 2, 3, 2, 2, 3, so limit 3 cuts inside a tie, limit 1
+// keeps one of two tied leaders, and a later, higher count must displace
+// earlier, lower ones.
+func TestRelatedUsersAtTheCut(t *testing.T) {
+	b := graph.NewBuilder()
+	searcher := b.Node([]string{graph.TypeUser})
+	items := make([]graph.NodeID, 3)
+	for i := range items {
+		items[i] = b.Node([]string{graph.TypeItem})
+	}
+	var users []graph.NodeID
+	for _, n := range []int{1, 2, 3, 2, 2, 3} {
+		u := b.Node([]string{graph.TypeUser})
+		users = append(users, u)
+		for _, it := range items[:n] {
+			b.Link(u, it, []string{graph.TypeAct, graph.SubtypeVisit})
+		}
+	}
+	g := b.Graph()
+	msg := &MSG{User: searcher}
+	for _, it := range items {
+		msg.Results = append(msg.Results, Result{Item: it})
+	}
+	for _, c := range []struct {
+		minActs, limit int
+		want           []RelatedUser
+	}{
+		{1, 3, []RelatedUser{{users[2], 3}, {users[5], 3}, {users[1], 2}}}, // ties at the cut
+		{1, 1, []RelatedUser{{users[2], 3}}},
+		{3, 5, []RelatedUser{{users[2], 3}, {users[5], 3}}}, // fewer candidates than limit
+		{1, 100, []RelatedUser{{users[2], 3}, {users[5], 3}, {users[1], 2}, {users[3], 2}, {users[4], 2}, {users[0], 1}}},
+		{4, 5, nil}, // no candidates
+	} {
+		got := RelatedEntities(g, msg, c.minActs, c.limit)
+		if want := relatedEntitiesOracle(g, msg, c.minActs, c.limit); !reflect.DeepEqual(got, want) {
+			t.Fatalf("minActs %d limit %d:\n got %+v\nwant %+v (oracle)", c.minActs, c.limit, got, want)
+		}
+		if !reflect.DeepEqual(got.Users, c.want) {
+			t.Fatalf("minActs %d limit %d: users %+v, want %+v", c.minActs, c.limit, got.Users, c.want)
+		}
+	}
+}
+
 // TestRelatedTopicCountsResultsOnce: a topic counts the results belonging
 // to it, so two parallel belong links from one result count once.
 func TestRelatedTopicCountsResultsOnce(t *testing.T) {

@@ -27,4 +27,16 @@ func BenchmarkExplainCFSmall(b *testing.B) {
 	}
 }
 
+// BenchmarkCFContextSummary is what a response pays per result: the
+// summary alone, from one context shared by the query's results.
+func BenchmarkCFContextSummary(b *testing.B) {
+	f := buildAlexiaB(b)
+	cf := NewCFContext(f.g, f.alexia)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cf.Summary(f.items[i%len(f.items)])
+	}
+}
+
 func buildAlexiaB(b *testing.B) *alexiaFixture { return buildAlexia(b) }

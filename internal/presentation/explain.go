@@ -123,44 +123,78 @@ func (c *CFContext) jaccard(other graph.NodeID) float64 {
 	return float64(inter) / float64(union)
 }
 
-// Explain builds the collaborative-filtering explanation of item:
+// peer reports whether an endorser of an item can ground its explanation:
+// a user other than the searcher.
+func (c *CFContext) peer(id graph.NodeID) bool {
+	return id != c.user && c.g.Node(id).HasType(graph.TypeUser)
+}
+
+// Explain builds the collaborative-filtering explanation of item: the
+// weighted endorser list (Weighted) and its aggregate phrasing (Summary).
+func (c *CFContext) Explain(item graph.NodeID) Explanation {
+	return Explanation{Strategy: "cf", Users: c.Weighted(item), Summary: c.Summary(item)}
+}
+
+// Weighted is the list of the collaborative-filtering explanation of item:
 // Expl(u,i) = {u' | UserSim(u,u') > 0 & i ∈ Items(u')}, weighted by
-// UserSim(u,u') × rating(u',i). The aggregate phrasing counts the user's
-// direct connections among the endorsers.
+// UserSim(u,u') × rating(u',i), heaviest first.
 //
 // The walk starts from the item's endorser vector, so the cost follows the
 // item's in-degree, not the number of users; each endorser carries the
 // rating of its lowest-id act link onto the item — the link rating(u', i)
 // reads.
-func (c *CFContext) Explain(item graph.NodeID) Explanation {
-	ex := Explanation{Strategy: "cf"}
-	endorsingFriends := 0
+func (c *CFContext) Weighted(item graph.NodeID) []WeightedID {
+	var ws []WeightedID
 	for _, e := range c.g.Endorsers(item) {
-		if e.ID == c.user || !c.g.Node(e.ID).HasType(graph.TypeUser) {
+		if !c.peer(e.ID) {
 			continue
 		}
-		friend := c.isFriend(e.ID)
 		sim := 1.0
-		if !friend {
+		if !c.isFriend(e.ID) {
 			if sim = c.jaccard(e.ID); sim <= 0 {
 				continue
 			}
 		}
-		ex.Users = append(ex.Users, WeightedID{e.ID, sim * e.Rating})
-		if friend {
-			endorsingFriends++
+		ws = append(ws, WeightedID{e.ID, sim * e.Rating})
+	}
+	sortWeighted(ws)
+	return ws
+}
+
+// Summary is the aggregate phrasing of the collaborative-filtering
+// explanation of item — the part a response shows. A searcher with friends
+// reads the share of them among the item's endorsers; one without reads
+// the length of Weighted's list, the endorsing users whose acted items
+// meet the searcher's (UserSim > 0). It only counts: no similarity value,
+// no list, no sort.
+func (c *CFContext) Summary(item graph.NodeID) string {
+	es := c.g.Endorsers(item)
+	if len(c.friends) > 0 {
+		n := 0
+		for _, f := range c.friends {
+			i, found := slices.BinarySearchFunc(es, f, byEndorserID)
+			if found {
+				if c.peer(f) {
+					n++
+				}
+				i++
+			}
+			if es = es[i:]; len(es) == 0 {
+				break
+			}
+		}
+		return fmt.Sprintf("%d%% of your friends endorsed this item", 100*n/len(c.friends))
+	}
+	n := 0
+	for _, e := range es {
+		if c.peer(e.ID) && persist.Intersects(c.acted, c.g.Acts(e.ID)) {
+			n++
 		}
 	}
-	sortWeighted(ex.Users)
-	if len(c.friends) > 0 {
-		pct := 100 * endorsingFriends / len(c.friends)
-		ex.Summary = fmt.Sprintf("%d%% of your friends endorsed this item", pct)
-	} else if len(ex.Users) > 0 {
-		ex.Summary = fmt.Sprintf("%d similar users endorsed this item", len(ex.Users))
-	} else {
-		ex.Summary = "No social endorsement found for this item"
+	if n > 0 {
+		return fmt.Sprintf("%d similar users endorsed this item", n)
 	}
-	return ex
+	return "No social endorsement found for this item"
 }
 
 // ExplainCF builds the collaborative-filtering explanation of one item

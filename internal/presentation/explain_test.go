@@ -191,6 +191,9 @@ func TestExplainCFMatchesAllUsersOracle(t *testing.T) {
 				if got := ExplainCF(g, u, it); !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d: ExplainCF(%d, %d) =\n%+v\nwant\n%+v", seed, u, it, got, want)
 				}
+				if got := cf.Summary(it); got != want.Summary {
+					t.Fatalf("seed %d: CFContext(%d).Summary(%d) = %q, want %q", seed, u, it, got, want.Summary)
+				}
 			}
 			group := Group{Label: "g", Items: items[:1+rng.Intn(len(items))]}
 			if got, want := ExplainGroup(g, u, group, "cf"), oracleExplainGroupCF(g, u, group); !reflect.DeepEqual(got, want) {
@@ -231,5 +234,55 @@ func TestExplainCFEdgeCases(t *testing.T) {
 	}
 	if got.Summary != "50% of your friends endorsed this item" { // friends = {u itself, friend}
 		t.Errorf("summary = %q", got.Summary)
+	}
+
+	// One more input per shape Summary counts differently from the list.
+	for _, c := range []struct {
+		name  string
+		build func(b *graph.Builder) (u, item graph.NodeID)
+		want  string
+	}{
+		{"friendless searcher", func(b *graph.Builder) (graph.NodeID, graph.NodeID) {
+			u, near, far := b.Node([]string{graph.TypeUser}), b.Node([]string{graph.TypeUser}), b.Node([]string{graph.TypeUser})
+			item, past := b.Node([]string{graph.TypeItem}), b.Node([]string{graph.TypeItem})
+			b.Link(u, past, []string{graph.TypeAct, graph.SubtypeVisit})
+			b.Link(near, past, []string{graph.TypeAct, graph.SubtypeVisit}) // shares past with u
+			b.Link(near, item, []string{graph.TypeAct, graph.SubtypeVisit})
+			b.Link(far, item, []string{graph.TypeAct, graph.SubtypeVisit}) // shares nothing
+			return u, item
+		}, "1 similar users endorsed this item"},
+		{"friends only a connect self-loop", func(b *graph.Builder) (graph.NodeID, graph.NodeID) {
+			u, other := b.Node([]string{graph.TypeUser}), b.Node([]string{graph.TypeUser})
+			item := b.Node([]string{graph.TypeItem})
+			b.Link(u, u, []string{graph.TypeConnect, graph.SubtypeFriend})
+			b.Link(u, item, []string{graph.TypeAct, graph.SubtypeVisit})
+			b.Link(other, item, []string{graph.TypeAct, graph.SubtypeVisit})
+			return u, item
+		}, "0% of your friends endorsed this item"},
+		{"non-user friend endorser", func(b *graph.Builder) (graph.NodeID, graph.NodeID) {
+			u, friend := b.Node([]string{graph.TypeUser}), b.Node([]string{graph.TypeUser})
+			topic, item := b.Node([]string{graph.TypeTopic}), b.Node([]string{graph.TypeItem})
+			b.Link(u, topic, []string{graph.TypeConnect, graph.SubtypeFriend})
+			b.Link(u, friend, []string{graph.TypeConnect, graph.SubtypeFriend})
+			b.Link(topic, item, []string{graph.TypeAct, graph.SubtypeTag})
+			b.Link(friend, item, []string{graph.TypeAct, graph.SubtypeTag})
+			return u, item
+		}, "50% of your friends endorsed this item"},
+		{"searcher as sole endorser", func(b *graph.Builder) (graph.NodeID, graph.NodeID) {
+			u, item := b.Node([]string{graph.TypeUser}), b.Node([]string{graph.TypeItem})
+			b.Link(u, item, []string{graph.TypeAct, graph.SubtypeVisit})
+			return u, item
+		}, "No social endorsement found for this item"},
+	} {
+		b := graph.NewBuilder()
+		u, item := c.build(b)
+		g := b.Graph()
+		want := oracleExplainCF(g, u, item)
+		if got := ExplainCF(g, u, item); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: ExplainCF =\n%+v\nwant\n%+v", c.name, got, want)
+		}
+		if got := NewCFContext(g, u).Summary(item); got != want.Summary || got != c.want {
+			t.Errorf("%s: Summary = %q, oracle %q, want %q", c.name, got, want.Summary, c.want)
+		}
 	}
 }

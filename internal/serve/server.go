@@ -30,6 +30,11 @@ const (
 	maxQueryBytes = 4096
 )
 
+// maxApplyMutations bounds the mutations of one /apply request; a larger
+// batch gets 413. It sits far above any real batch (the coalescer flushes
+// at graph.BulkApplyThreshold).
+const maxApplyMutations = 4096
+
 // Config parameterizes a Server. The zero value serves with sane
 // defaults: 2s request deadline, DefaultCacheEntries cache,
 // bulk-threshold write coalescing, DefaultMaxConcurrent admission.
@@ -215,6 +220,8 @@ func parseQueryRequest(r *http.Request) (QueryRequest, error) {
 		return QueryRequest{}, fmt.Errorf("serve: k %d over the limit of %d", req.K, maxResultK)
 	case len(req.Query) > maxQueryBytes:
 		return QueryRequest{}, fmt.Errorf("serve: query of %d bytes over the limit of %d", len(req.Query), maxQueryBytes)
+	case req.Alpha != nil && !(*req.Alpha >= 0 && *req.Alpha <= 1): // NaN fails both
+		return QueryRequest{}, fmt.Errorf("serve: alpha %g outside [0, 1]", *req.Alpha)
 	}
 	return req, nil
 }
@@ -426,6 +433,11 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	var req ApplyRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil {
 		writeError(w, bodyStatus(err), fmt.Errorf("serve: bad request body: %w", err))
+		return
+	}
+	if len(req.Mutations) > maxApplyMutations {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("serve: %d mutations over the limit of %d", len(req.Mutations), maxApplyMutations))
 		return
 	}
 	muts := make([]graph.Mutation, 0, len(req.Mutations))

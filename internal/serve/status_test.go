@@ -195,8 +195,9 @@ func decodeBody(t *testing.T, rec *httptest.ResponseRecorder, out any) {
 }
 
 // TestQueryLimitsAre400 pins the request caps of /search and /query: a k
-// or a query text past its limit is refused with 400 before evaluation,
-// and a request exactly at the limits is served.
+// or a query text past its limit, or an alpha outside [0, 1], is refused
+// with 400 before evaluation, and a request exactly at the limits is
+// served.
 func TestQueryLimitsAre400(t *testing.T) {
 	site := newTestSite(t, Config{})
 	user := site.corpus.Users[0]
@@ -204,8 +205,18 @@ func TestQueryLimitsAre400(t *testing.T) {
 	search := func(q string, k int) string {
 		return site.searchPath(user, q, true) + "&k=" + strconv.Itoa(k)
 	}
+	searchAlpha := func(alpha string) string {
+		return site.searchPath(user, "museum", true) + "&alpha=" + alpha
+	}
 	query := func(q string, k int) string {
 		body, err := json.Marshal(QueryRequest{User: user, Query: q, K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	queryAlpha := func(alpha float64) string {
+		body, err := json.Marshal(QueryRequest{User: user, Query: "museum", Alpha: &alpha})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -221,6 +232,20 @@ func TestQueryLimitsAre400(t *testing.T) {
 		{"query at limits", "/query", query(atQ, maxResultK), http.StatusOK},
 		{"query k over limit", "/query", query("museum", maxResultK+1), http.StatusBadRequest},
 		{"query q over limit", "/query", query(overQ, 10), http.StatusBadRequest},
+		{"search alpha 0", searchAlpha("0"), "", http.StatusOK},
+		{"search alpha 1", searchAlpha("1"), "", http.StatusOK},
+		{"search alpha over 1", searchAlpha("1.5"), "", http.StatusBadRequest},
+		{"search alpha under 0", searchAlpha("-0.1"), "", http.StatusBadRequest},
+		{"search alpha NaN", searchAlpha("NaN"), "", http.StatusBadRequest},
+		{"search alpha Inf", searchAlpha("Inf"), "", http.StatusBadRequest},
+		{"search alpha -Inf", searchAlpha("-Inf"), "", http.StatusBadRequest},
+		{"query alpha 0", "/query", queryAlpha(0), http.StatusOK},
+		{"query alpha 1", "/query", queryAlpha(1), http.StatusOK},
+		{"query alpha over 1", "/query", queryAlpha(1.5), http.StatusBadRequest},
+		{"query alpha under 0", "/query", queryAlpha(-0.1), http.StatusBadRequest},
+		// JSON has no NaN or Inf: the nearest a body gets is a number the
+		// decoder cannot hold.
+		{"query alpha past float64", "/query", `{"user":1,"query":"museum","alpha":1e999}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -234,5 +259,46 @@ func TestQueryLimitsAre400(t *testing.T) {
 				t.Fatalf("status %d (%s), want %d", rec.Code, rec.Body, tc.want)
 			}
 		})
+	}
+
+	// Refused before the cache key is formed: a cacheable NaN read stores
+	// nothing.
+	entries := site.srv.cache.Stats().Entries
+	rec := httptest.NewRecorder()
+	site.srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet,
+		site.searchPath(user, "museum", false)+"&alpha=NaN", nil))
+	if rec.Code != http.StatusBadRequest || site.srv.cache.Stats().Entries != entries {
+		t.Fatalf("cacheable NaN alpha: status %d, cache entries %d -> %d", rec.Code, entries, site.srv.cache.Stats().Entries)
+	}
+}
+
+// TestApplyOverMutationCapIs413: an /apply carrying more than
+// maxApplyMutations mutations is refused with 413 before any is decoded
+// or applied; one at the cap passes the check (and here fails decoding,
+// so it applies nothing either).
+func TestApplyOverMutationCapIs413(t *testing.T) {
+	site := newTestSite(t, Config{})
+	v0 := site.eng.Version()
+	batch := func(n int) string {
+		return `{"mutations":[` + strings.Repeat(`{"op":"bogus"},`, n-1) + `{"op":"bogus"}]}`
+	}
+	for _, c := range []struct {
+		n    int
+		want int
+	}{
+		{maxApplyMutations + 1, http.StatusRequestEntityTooLarge},
+		{maxApplyMutations, http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		site.srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/apply", strings.NewReader(batch(c.n))))
+		if rec.Code != c.want {
+			t.Fatalf("%d mutations: status %d (%.200s), want %d", c.n, rec.Code, rec.Body, c.want)
+		}
+	}
+	if got := site.eng.Version(); got != v0 {
+		t.Fatalf("refused applies bumped version %d -> %d", v0, got)
+	}
+	if status, out, body := site.apply(t, site.stream.Batch(2)); status != http.StatusOK || out.Version != v0+1 {
+		t.Fatalf("normal apply after 413: status %d version %d (%s)", status, out.Version, body)
 	}
 }

@@ -233,7 +233,7 @@ func SearchResponseFromEngine(eng *socialscope.Engine, version uint64,
 		Results: make([]ResultWire, 0, len(resp.MSG.Results)),
 		Stats:   stats,
 	}
-	for _, r := range resp.MSG.Results {
+	for i, r := range resp.MSG.Results {
 		out.Results = append(out.Results, ResultWire{
 			Item:        r.Item,
 			Name:        name(r.Item),
@@ -241,7 +241,7 @@ func SearchResponseFromEngine(eng *socialscope.Engine, version uint64,
 			Semantic:    r.Semantic,
 			Social:      r.Social,
 			Endorsers:   r.Endorsers,
-			Explanation: resp.Explanations[r.Item].Summary,
+			Explanation: resp.Summaries[i],
 		})
 	}
 	out.Groups.Criterion = resp.Presentation.Chosen.Criterion

@@ -600,12 +600,14 @@ func (e *Engine) ensureProcessor() (*engineState, error) {
 }
 
 // Response is a complete answer: the MSG from the discovery layer and the
-// organized presentation with per-item explanations.
+// organized presentation with per-item explanation summaries.
 type Response struct {
 	MSG          *discovery.MSG
 	Presentation presentation.Presentation
-	// Explanations maps each result item to its CF explanation.
-	Explanations map[NodeID]presentation.Explanation
+	// Summaries holds each result's CF explanation summary ("60% of your
+	// friends endorsed this item"), aligned with MSG.Results. The full
+	// weighted Expl(u,i) is presentation.CFContext.Explain.
+	Summaries []string
 	// Related holds Example 3's onward exploration: topics and users
 	// adjacent to the result set.
 	Related discovery.Related
@@ -698,10 +700,9 @@ func (e *Engine) QueryCtx(ctx context.Context, user NodeID, q discovery.Query) (
 	}
 	g := st.current()
 	resp := &Response{
-		MSG:          msg,
-		Explanations: make(map[NodeID]presentation.Explanation),
-		Stats:        evalStats,
-		Version:      st.version,
+		MSG:     msg,
+		Stats:   evalStats,
+		Version: st.version,
 	}
 	if len(msg.Results) == 0 {
 		return resp, nil
@@ -722,11 +723,12 @@ func (e *Engine) QueryCtx(ctx context.Context, user NodeID, q discovery.Query) (
 	}
 	resp.Presentation = pres
 	cf := presentation.NewCFContext(g, user)
-	for _, it := range items {
+	resp.Summaries = make([]string, len(items))
+	for i, it := range items {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		resp.Explanations[it] = cf.Explain(it)
+		resp.Summaries[i] = cf.Summary(it)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

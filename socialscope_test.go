@@ -1,12 +1,14 @@
 package socialscope
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"socialscope/internal/discovery"
 	"socialscope/internal/graph"
+	"socialscope/internal/presentation"
 	"socialscope/internal/workload"
 )
 
@@ -58,8 +60,8 @@ func TestEngineEndToEnd(t *testing.T) {
 	if len(resp.Presentation.Chosen.Groups) == 0 {
 		t.Error("no presentation groups")
 	}
-	if len(resp.Explanations) != len(resp.Results()) {
-		t.Error("missing explanations")
+	if len(resp.Summaries) != len(resp.Results()) {
+		t.Error("missing explanation summaries")
 	}
 	if err := resp.MSG.Graph.Validate(); err != nil {
 		t.Error(err)
@@ -130,6 +132,62 @@ func TestEngineRecommendVariantsAgree(t *testing.T) {
 // item-side plan against the algebra program on the engine's analyzed
 // graph of the bench/ corpus: a 60-user sample, both variants, at the
 // paper's threshold and a looser one.
+// TestSummaryMatchesListOnBenchCorpus: on every (user, destination) pair
+// of the bench/ ledger's corpus, the summary a response carries equals the
+// phrasing of the full weighted explanation: the share of the user's
+// friends on its list, or the list's length for a friendless user.
+func TestSummaryMatchesListOnBenchCorpus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("explains 120k pairs of a 600-user corpus")
+	}
+	corpus, err := benchCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := corpus.Graph
+	endorsed := 0
+	for _, u := range corpus.Users {
+		friends := map[NodeID]bool{}
+		for _, l := range g.Incident(u) {
+			if l.HasType(graph.TypeConnect) {
+				other := l.Tgt
+				if other == u {
+					other = l.Src
+				}
+				friends[other] = true
+			}
+		}
+		cf := presentation.NewCFContext(g, u)
+		for _, d := range corpus.Destinations {
+			list := cf.Weighted(d)
+			n := 0
+			for _, w := range list {
+				if friends[w.ID] {
+					n++
+				}
+			}
+			if n > 0 {
+				endorsed++
+			}
+			var want string
+			switch {
+			case len(friends) > 0:
+				want = fmt.Sprintf("%d%% of your friends endorsed this item", 100*n/len(friends))
+			case len(list) > 0:
+				want = fmt.Sprintf("%d similar users endorsed this item", len(list))
+			default:
+				want = "No social endorsement found for this item"
+			}
+			if got := cf.Summary(d); got != want {
+				t.Fatalf("user %d destination %d: Summary = %q, the list says %q", u, d, got, want)
+			}
+		}
+	}
+	if endorsed == 0 {
+		t.Error("no friend endorses any destination; the comparison is vacuous")
+	}
+}
+
 func TestCollaborativeFilteringPlanMatchesAlgebraOnBenchCorpus(t *testing.T) {
 	eng, users := benchCorpusEngine(t)
 	g := eng.Graph()
