@@ -106,36 +106,6 @@ func IntersectionSize[T cmp.Ordered](a, b []T) int {
 	return n
 }
 
-// Intersects reports whether a and b, two ascending slices without
-// repeats, share an element: IntersectionSize(a, b) > 0, answered at the
-// first shared element.
-func Intersects[T cmp.Ordered](a, b []T) bool {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(a)*8 < len(b) {
-		for _, v := range a {
-			i, found := slices.BinarySearch(b, v)
-			if found {
-				return true
-			}
-			b = b[i:]
-		}
-		return false
-	}
-	for i, j := 0, 0; i < len(a) && j < len(b); {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			return true
-		}
-	}
-	return false
-}
-
 // AppendIntersection appends to dst the elements common to a and b, two
 // ascending slices without repeats, in ascending order.
 func AppendIntersection[T cmp.Ordered](dst, a, b []T) []T {

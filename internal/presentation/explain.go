@@ -165,8 +165,8 @@ func (c *CFContext) Weighted(item graph.NodeID) []WeightedID {
 // explanation of item — the part a response shows. A searcher with friends
 // reads the share of them among the item's endorsers; one without reads
 // the length of Weighted's list, the endorsing users whose acted items
-// meet the searcher's (UserSim > 0). It only counts: no similarity value,
-// no list, no sort.
+// meet the searcher's (UserSim > 0, a non-empty intersection). It only
+// counts: no similarity value, no list, no sort.
 func (c *CFContext) Summary(item graph.NodeID) string {
 	es := c.g.Endorsers(item)
 	if len(c.friends) > 0 {
@@ -187,7 +187,7 @@ func (c *CFContext) Summary(item graph.NodeID) string {
 	}
 	n := 0
 	for _, e := range es {
-		if c.peer(e.ID) && persist.Intersects(c.acted, c.g.Acts(e.ID)) {
+		if c.peer(e.ID) && persist.IntersectionSize(c.acted, c.g.Acts(e.ID)) > 0 {
 			n++
 		}
 	}

@@ -243,9 +243,6 @@ func TestQueryLimitsAre400(t *testing.T) {
 		{"query alpha 1", "/query", queryAlpha(1), http.StatusOK},
 		{"query alpha over 1", "/query", queryAlpha(1.5), http.StatusBadRequest},
 		{"query alpha under 0", "/query", queryAlpha(-0.1), http.StatusBadRequest},
-		// JSON has no NaN or Inf: the nearest a body gets is a number the
-		// decoder cannot hold.
-		{"query alpha past float64", "/query", `{"user":1,"query":"museum","alpha":1e999}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

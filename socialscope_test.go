@@ -128,14 +128,12 @@ func TestEngineRecommendVariantsAgree(t *testing.T) {
 	}
 }
 
-// TestCollaborativeFilteringPlanMatchesAlgebraOnBenchCorpus runs the
-// item-side plan against the algebra program on the engine's analyzed
-// graph of the bench/ corpus: a 60-user sample, both variants, at the
-// paper's threshold and a looser one.
 // TestSummaryMatchesListOnBenchCorpus: on every (user, destination) pair
 // of the bench/ ledger's corpus, the summary a response carries equals the
 // phrasing of the full weighted explanation: the share of the user's
-// friends on its list, or the list's length for a friendless user.
+// friends on its list. Every user of this corpus has friends, so the
+// friendless phrasing is held to the list by the presentation package's
+// oracle and edge-case tests instead.
 func TestSummaryMatchesListOnBenchCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("explains 120k pairs of a 600-user corpus")
@@ -188,6 +186,10 @@ func TestSummaryMatchesListOnBenchCorpus(t *testing.T) {
 	}
 }
 
+// TestCollaborativeFilteringPlanMatchesAlgebraOnBenchCorpus runs the
+// item-side plan against the algebra program on the engine's analyzed
+// graph of the bench/ corpus: a 60-user sample, both variants, at the
+// paper's threshold and a looser one.
 func TestCollaborativeFilteringPlanMatchesAlgebraOnBenchCorpus(t *testing.T) {
 	eng, users := benchCorpusEngine(t)
 	g := eng.Graph()
