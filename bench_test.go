@@ -14,6 +14,7 @@
 package socialscope
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -27,6 +28,7 @@ import (
 	"socialscope/internal/presentation"
 	"socialscope/internal/queryclass"
 	"socialscope/internal/scoring"
+	"socialscope/internal/topk"
 	"socialscope/internal/workload"
 )
 
@@ -81,7 +83,7 @@ func BenchmarkPipeline(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := eng.Search(corpus.Users[i%len(corpus.Users)], "denver attractions")
+		resp, err := eng.SearchCtx(context.Background(), corpus.Users[i%len(corpus.Users)], "denver attractions")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -211,11 +213,15 @@ func BenchmarkSection62IndexTopK(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		proc, err := topk.New(ix, scoring.SumG)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(s.String(), func(b *testing.B) {
 			exact := 0
 			for i := 0; i < b.N; i++ {
 				u := data.Users[i%len(data.Users)]
-				_, stats, err := ix.TopK(u, queryTags, 10, scoring.SumG)
+				_, stats, err := proc.TopKCtx(context.Background(), u, queryTags, 10, topk.TA)
 				if err != nil {
 					b.Fatal(err)
 				}

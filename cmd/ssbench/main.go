@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -302,6 +303,10 @@ func runIndex(scale int, seed int64) error {
 		if err != nil {
 			return err
 		}
+		proc, err := topk.New(ix, scoring.SumG)
+		if err != nil {
+			return err
+		}
 		r := ix.Report()
 		users := data.Users
 		if len(users) > 50 {
@@ -310,7 +315,7 @@ func runIndex(scale int, seed int64) error {
 		start := time.Now()
 		totalRescores := 0
 		for _, u := range users {
-			_, stats, err := ix.TopK(u, queryTags, 10, scoring.SumG)
+			_, stats, err := proc.TopKCtx(context.Background(), u, queryTags, 10, topk.TA)
 			if err != nil {
 				return err
 			}
@@ -381,7 +386,7 @@ func runTopK(scale int, seed int64) error {
 			early := 0
 			start := time.Now()
 			for _, u := range users {
-				_, st, err := proc.TopK(u, queryTags, 10, strat)
+				_, st, err := proc.TopKCtx(context.Background(), u, queryTags, 10, strat)
 				if err != nil {
 					return err
 				}
@@ -475,7 +480,7 @@ func runPresentation(scale int, seed int64) error {
 	if err := eng.Analyze(); err != nil {
 		return err
 	}
-	resp, err := eng.Search(corpus.Users[0], "attractions")
+	resp, err := eng.SearchCtx(context.Background(), corpus.Users[0], "attractions")
 	if err != nil {
 		return err
 	}
@@ -555,7 +560,7 @@ func runPipeline(scale int, seed int64) error {
 		if i >= 50 {
 			break
 		}
-		resp, err := eng.Search(u, queries[i%len(queries)])
+		resp, err := eng.SearchCtx(context.Background(), u, queries[i%len(queries)])
 		if err != nil {
 			return err
 		}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -57,7 +58,7 @@ func main() {
 			fail(err)
 		}
 	}
-	resp, err := eng.Search(socialscope.NodeID(*userID), *q)
+	resp, err := eng.SearchCtx(context.Background(), socialscope.NodeID(*userID), *q)
 	if err != nil {
 		fail(err)
 	}

@@ -12,9 +12,8 @@ import (
 )
 
 // TestFacadeContextVariants verifies the context-aware facade entry
-// points: an expired context aborts the evaluation with its error, a
-// live one answers identically to the plain variants, and the plain
-// signatures remain thin wrappers.
+// points: an expired context aborts the evaluation with its error, and a
+// live one answers through the index with its own stats.
 func TestFacadeContextVariants(t *testing.T) {
 	corpus, err := workload.Travel(workload.TravelConfig{
 		Users: 50, Destinations: 20, Seed: 4, VisitsPerUser: 6, TagFraction: 0.8,
@@ -39,24 +38,11 @@ func TestFacadeContextVariants(t *testing.T) {
 		t.Fatalf("RecommendCtx under cancelled context: %v, want context.Canceled", err)
 	}
 
-	plain, err := eng.Search(user, "museum hotel")
+	resp, err := eng.SearchCtx(context.Background(), user, "museum hotel")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctxed, err := eng.SearchCtx(context.Background(), user, "museum hotel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain.Results()) != len(ctxed.Results()) {
-		t.Fatalf("plain and ctx variants disagree: %d vs %d results",
-			len(plain.Results()), len(ctxed.Results()))
-	}
-	for i, r := range plain.Results() {
-		if ctxed.Results()[i].Item != r.Item || ctxed.Results()[i].Score != r.Score {
-			t.Fatalf("result %d differs between plain and ctx variants", i)
-		}
-	}
-	if ctxed.Stats == nil {
+	if resp.Stats == nil {
 		t.Fatal("index-backed response carries no per-evaluation stats")
 	}
 }

@@ -13,6 +13,7 @@ package socialscope
 // version, which must be at or past the last acknowledged write.
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -61,7 +62,7 @@ func engineDigest(t *testing.T, e *Engine, users []NodeID, query string) string 
 		h.Write(graph.NewCkptWriter().AppendCheckpoint(nil, st.analyzed))
 	}
 	for _, u := range users {
-		resp, err := e.Search(u, query)
+		resp, err := e.SearchCtx(context.Background(), u, query)
 		if err != nil {
 			t.Fatalf("digest query for user %d: %v", u, err)
 		}

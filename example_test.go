@@ -1,6 +1,7 @@
 package socialscope_test
 
 import (
+	"context"
 	"fmt"
 
 	"socialscope"
@@ -24,7 +25,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	resp, err := eng.Search(john, "denver")
+	resp, err := eng.SearchCtx(context.Background(), john, "denver")
 	if err != nil {
 		panic(err)
 	}

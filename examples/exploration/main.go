@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -65,7 +66,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	resp, err := eng.Search(alexia, "american history")
+	resp, err := eng.SearchCtx(context.Background(), alexia, "american history")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -49,7 +50,7 @@ func main() {
 	}
 
 	// Information discovery + presentation: John's Example 1 query.
-	resp, err := eng.Search(john, "denver attractions")
+	resp, err := eng.SearchCtx(context.Background(), john, "denver attractions")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -62,7 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	resp, err := eng.Search(selma, "barcelona family babies")
+	resp, err := eng.SearchCtx(context.Background(), selma, "barcelona family babies")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,12 +5,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"socialscope/internal/cluster"
 	"socialscope/internal/index"
 	"socialscope/internal/scoring"
+	"socialscope/internal/topk"
 	"socialscope/internal/workload"
 )
 
@@ -45,7 +47,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		top, stats, err := ix.TopK(user, query, 5, scoring.SumG)
+		proc, err := topk.New(ix, scoring.SumG)
+		if err != nil {
+			log.Fatal(err)
+		}
+		top, stats, err := proc.TopKCtx(context.Background(), user, query, 5, topk.TA)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,7 +37,7 @@ func main() {
 	fmt.Printf("John is %s with %d friends\n\n",
 		g.Node(john).Attrs.Get("name"), len(g.Neighbors(john)))
 
-	resp, err := eng.Search(john, "denver attractions")
+	resp, err := eng.SearchCtx(context.Background(), john, "denver attractions")
 	if err != nil {
 		log.Fatal(err)
 	}

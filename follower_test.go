@@ -9,6 +9,7 @@ package socialscope
 // comparable to leader crash recovery.
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -376,7 +377,7 @@ func TestFollowerConcurrentReads(t *testing.T) {
 		go func(u NodeID) { // concurrent readers
 			defer wg.Done()
 			for {
-				if _, err := fol.Search(u, query); err != nil {
+				if _, err := fol.SearchCtx(context.Background(), u, query); err != nil {
 					t.Errorf("follower query: %v", err)
 					return
 				}

@@ -1,6 +1,7 @@
 package socialscope
 
 import (
+	"context"
 	"testing"
 
 	"socialscope/internal/discovery"
@@ -49,7 +50,7 @@ func TestStoreBackedEngine(t *testing.T) {
 	if !eng.Graph().Equal(corpus.Graph) {
 		t.Fatal("recovered graph differs from the generated one")
 	}
-	resp, err := eng.Search(corpus.Users[0], "attractions")
+	resp, err := eng.SearchCtx(context.Background(), corpus.Users[0], "attractions")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestHierarchicalPresentation(t *testing.T) {
 	if err := eng.Analyze(); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := eng.Search(corpus.Users[0], "attractions")
+	resp, err := eng.SearchCtx(context.Background(), corpus.Users[0], "attractions")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,17 +1,16 @@
 // Package ctxflow enforces context threading on the request path: in
-// the serve layer and the facade, a function that has a
-// context.Context (or an *http.Request, which carries one) must not
-// call the context-free engine variants — Search/Query/Recommend/
-// TopK/DiscoverTagged all have Ctx siblings that honor deadlines and
-// admission-control cancellation — and must not mint a fresh
-// context.Background()/TODO(), which silently detaches the call from
-// the request's deadline. PR 5's p99 wins came from cancellation
-// propagating through the whole query path; one context-free call
-// reintroduces unbounded tail latency.
+// the serve layer, the routing tier and the facade, a function that has
+// a context.Context (or an *http.Request, which carries one) must not
+// mint a fresh context.Background()/TODO(), which silently detaches the
+// call from the request's deadline. The serving tier's tail latency rests
+// on cancellation propagating through the whole query path; one detached
+// call reintroduces unbounded tail latency.
 //
-// The facade's thin wrappers (Search calling SearchCtx with
-// context.Background()) are legal by construction: they have no
-// context in scope, so nothing is being dropped.
+// The engine's read entry points (SearchCtx, QueryCtx, RecommendCtx,
+// TopKCtx, DiscoverTaggedCtx) all take a context, so the compiler already
+// forces every caller to pass one; this pass checks that a request path
+// passes the one it has. Functions with no context in scope (background
+// loops, warm-up, command-line tools) mint legally: nothing is dropped.
 package ctxflow
 
 import (
@@ -23,7 +22,7 @@ import (
 // Analyzer is the ctxflow pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
-	Doc:  "request paths must thread the in-scope context: use Ctx variants, never context.Background()",
+	Doc:  "request paths must thread the in-scope context, never mint context.Background()",
 	Run:  run,
 }
 
@@ -40,13 +39,6 @@ var scopedPkgs = map[string]bool{
 	"socialscope/cmd/ssrouter":   true,
 }
 
-// ctxVariants are engine entry points with Ctx siblings. Discover is
-// deliberately absent: it has no Ctx variant (yet).
-var ctxVariants = map[string]bool{
-	"Search": true, "Query": true, "Recommend": true,
-	"TopK": true, "DiscoverTagged": true,
-}
-
 func run(pass *analysis.Pass) error {
 	if !scopedPkgs[pass.Pkg.Path] {
 		return nil
@@ -54,21 +46,12 @@ func run(pass *analysis.Pass) error {
 	for _, file := range pass.Pkg.Files {
 		f := file
 		analysis.EachFunc(file, func(_ string, ft *ast.FuncType, body *ast.BlockStmt) {
-			ctxName, reqVar := contextParam(f, ft)
+			ctxName := contextParam(f, ft)
 			if ctxName == "" {
 				return
 			}
 			ast.Inspect(body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if x, name, ok := analysis.Callee(call); ok && ctxVariants[name] && !rootedAt(x, reqVar) {
-					pass.Reportf(call.Pos(),
-						"%s drops the in-scope context %s: call %sCtx so deadlines and cancellation propagate",
-						name, ctxName, name)
-				}
-				if isContextMint(f, call) {
+				if call, ok := n.(*ast.CallExpr); ok && isContextMint(f, call) {
 					pass.Reportf(call.Pos(),
 						"fresh context on a request path detaches from %s's deadline: thread the caller's context", ctxName)
 				}
@@ -81,40 +64,28 @@ func run(pass *analysis.Pass) error {
 
 // contextParam returns how the function can reach a request context:
 // the name of a non-blank context.Context parameter, or "r.Context()"
-// for an *http.Request parameter (with reqVar = "r", so calls rooted
-// at the request itself — r.URL.Query() — are not mistaken for engine
-// entry points). "" means no context in scope.
-func contextParam(file *ast.File, ft *ast.FuncType) (expr, reqVar string) {
+// for an *http.Request parameter r. "" means no context in scope.
+func contextParam(file *ast.File, ft *ast.FuncType) string {
 	if ft.Params == nil {
-		return "", ""
+		return ""
 	}
 	ctxPkg, hasCtx := analysis.ImportLocal(file, "context")
 	httpPkg, hasHTTP := analysis.ImportLocal(file, "net/http")
 	for _, field := range ft.Params.List {
 		if hasCtx && isSelType(field.Type, ctxPkg, "Context") {
 			if name := fieldName(field); name != "" {
-				return name, ""
+				return name
 			}
 		}
 		if hasHTTP {
 			if star, ok := field.Type.(*ast.StarExpr); ok && isSelType(star.X, httpPkg, "Request") {
 				if name := fieldName(field); name != "" {
-					return name + ".Context()", name
+					return name + ".Context()"
 				}
 			}
 		}
 	}
-	return "", ""
-}
-
-// rootedAt reports whether the receiver chain starts at the variable
-// named root ("r" matches r.URL, r.Form, ...).
-func rootedAt(x ast.Expr, root string) bool {
-	if root == "" {
-		return false
-	}
-	path := analysis.ExprPath(x)
-	return path == root || len(path) > len(root) && path[:len(root)] == root && path[len(root)] == '.'
+	return ""
 }
 
 func fieldName(field *ast.Field) string {

@@ -1,29 +1,27 @@
-// Golden file: the facade package is in ctxflow scope. Thin wrappers
-// without a context in scope are legal; ctx-taking paths must thread
-// it.
+// Golden file: the facade package is in ctxflow scope. Entry points
+// take a context; a function with none in scope may mint one, but a
+// ctx-taking path must thread its own.
 package socialscope
 
 import "context"
 
 type Engine struct{}
 
-func (e *Engine) Search(user, q string) ([]string, error) {
-	// Clean: no context in scope — this IS the documented thin-wrapper
-	// idiom, nothing is being dropped.
-	return e.SearchCtx(context.Background(), user, q)
-}
-
 func (e *Engine) SearchCtx(ctx context.Context, user, q string) ([]string, error) {
 	return nil, nil
 }
 
-func (e *Engine) DiscoverTagged(tag string) []string    { return nil }
 func (e *Engine) DiscoverTaggedCtx(ctx context.Context, tag string) []string { return nil }
 
+func (e *Engine) Warm(user string) {
+	// Clean: no context in scope, so nothing is being dropped.
+	e.SearchCtx(context.Background(), user, "warmup")
+}
+
 func (e *Engine) QueryCtx(ctx context.Context, user, q string) ([]string, error) {
-	hot := e.DiscoverTagged(q) // want `DiscoverTagged drops the in-scope context ctx`
+	hot := e.DiscoverTaggedCtx(context.Background(), q) // want `fresh context on a request path detaches from ctx's deadline`
 	_ = hot
-	return e.SearchCtx(ctx, user, q) // clean: Ctx variant with the threaded context
+	return e.SearchCtx(ctx, user, q) // clean: the threaded context
 }
 
 func (e *Engine) refresh(ctx context.Context) error {

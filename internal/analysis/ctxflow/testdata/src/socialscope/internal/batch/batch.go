@@ -9,6 +9,6 @@ import (
 )
 
 func Warm(ctx context.Context, eng *socialscope.Engine) {
-	out, _ := eng.Search("u", "q") // clean: out of scope
+	out, _ := eng.SearchCtx(context.Background(), "u", "q") // clean: out of scope
 	_ = out
 }

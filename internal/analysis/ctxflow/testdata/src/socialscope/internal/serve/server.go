@@ -1,5 +1,5 @@
 // Golden file: HTTP handlers carry a context via *http.Request; every
-// engine call must use the Ctx variant against r.Context().
+// engine call must pass r.Context() (or a context derived from it).
 package serve
 
 import (
@@ -14,7 +14,7 @@ type Server struct {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	out, err := s.eng.Search(r.URL.Query().Get("user"), "q") // want `Search drops the in-scope context r\.Context\(\)`
+	out, err := s.eng.SearchCtx(context.Background(), r.URL.Query().Get("user"), "q") // want `fresh context on a request path detaches from r\.Context\(\)'s deadline`
 	_ = out
 	_ = err
 }
@@ -33,15 +33,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) flushLoop() {
 	// Clean: no request in scope — background maintenance may own its
 	// lifecycle.
-	ctx := context.Background()
-	_ = ctx
-	out, _ := s.eng.Search("system", "warmup") // clean: no context to drop
+	out, _ := s.eng.SearchCtx(context.Background(), "system", "warmup")
 	_ = out
 }
 
 func (s *Server) register(mux *http.ServeMux) {
 	mux.HandleFunc("/inline", func(w http.ResponseWriter, r *http.Request) {
-		out, _ := s.eng.Search("u", "q") // want `Search drops the in-scope context r\.Context\(\)`
+		out, _ := s.eng.SearchCtx(context.TODO(), "u", "q") // want `fresh context on a request path detaches from r\.Context\(\)'s deadline`
 		_ = out
 	})
 }

@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -44,7 +45,7 @@ func TestDiscoverTaggedAcrossSnapshots(t *testing.T) {
 	}
 	q.K = len(corpus.Destinations) // the endorsed item must not fall off the top k
 
-	before, st, err := d.DiscoverTagged(user, q, oldProc, topk.TA)
+	before, st, err := d.DiscoverTaggedCtx(context.Background(), user, q, oldProc, topk.TA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestDiscoverTaggedAcrossSnapshots(t *testing.T) {
 	}
 
 	// The old processor is oblivious to the update.
-	again, st, err := d.DiscoverTagged(user, q, oldProc, topk.TA)
+	again, st, err := d.DiscoverTaggedCtx(context.Background(), user, q, oldProc, topk.TA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestDiscoverTaggedAcrossSnapshots(t *testing.T) {
 	}
 
 	// The new processor sees the endorsement and credits the endorser.
-	after, st, err := d.DiscoverTagged(user, q, newProc, topk.TA)
+	after, st, err := d.DiscoverTaggedCtx(context.Background(), user, q, newProc, topk.TA)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 	"socialscope/internal/topk"
 )
 
-// DiscoverTagged answers a keyword-only query through the Section 6.2
+// DiscoverTaggedCtx answers a keyword-only query through the Section 6.2
 // activity-driven index instead of the BM25 + social-basis fusion path:
 // the query keywords are interpreted as tags, the processor evaluates
 // score(i, u) = g(f(network(u) ∩ taggers(i, k1)), ...) with the requested
@@ -28,15 +28,10 @@ import (
 // endorsers and scores all come from the snapshot's substrate, and a
 // processor over a newer snapshot (index.ApplyDelta) simply sees the
 // newer world.
-func (d *Discoverer) DiscoverTagged(user graph.NodeID, q Query, proc *topk.Processor,
-	strategy topk.Strategy) (*MSG, topk.Stats, error) {
-	return d.DiscoverTaggedCtx(context.Background(), user, q, proc, strategy)
-}
-
-// DiscoverTaggedCtx is DiscoverTagged under a context: the processor's
-// accumulation loops poll ctx (see topk.TopKCtx), so a serving layer's
-// per-request deadline bounds the index scan. MSG assembly after a
-// successful evaluation is O(k) and runs to completion.
+//
+// The processor's accumulation loops poll ctx (see topk.TopKCtx), so a
+// serving layer's per-request deadline bounds the index scan. MSG
+// assembly after a successful evaluation is O(k) and runs to completion.
 func (d *Discoverer) DiscoverTaggedCtx(ctx context.Context, user graph.NodeID, q Query,
 	proc *topk.Processor, strategy topk.Strategy) (*MSG, topk.Stats, error) {
 	if proc == nil {

@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"context"
 	"testing"
 
 	"socialscope/internal/cluster"
@@ -56,7 +57,7 @@ func TestDiscoverTaggedResolvesTagCase(t *testing.T) {
 	if len(q.Keywords) != 1 || q.Keywords[0] != "jazz" {
 		t.Fatalf("keywords = %v, want [jazz]", q.Keywords)
 	}
-	msg, stats, err := d.DiscoverTagged(users[0], q, p, topk.TA)
+	msg, stats, err := d.DiscoverTaggedCtx(context.Background(), users[0], q, p, topk.TA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,13 +83,13 @@ func TestDiscoverTaggedErrors(t *testing.T) {
 	g, users := taggedFixture(t)
 	p := taggedProcessor(t, g)
 	d := NewDiscoverer(g, "")
-	if _, _, err := d.DiscoverTagged(users[0], Query{Keywords: []string{"jazz"}}, nil, topk.TA); err == nil {
+	if _, _, err := d.DiscoverTaggedCtx(context.Background(), users[0], Query{Keywords: []string{"jazz"}}, nil, topk.TA); err == nil {
 		t.Error("nil processor accepted")
 	}
-	if _, _, err := d.DiscoverTagged(graph.NodeID(1<<40), Query{Keywords: []string{"jazz"}}, p, topk.TA); err == nil {
+	if _, _, err := d.DiscoverTaggedCtx(context.Background(), graph.NodeID(1<<40), Query{Keywords: []string{"jazz"}}, p, topk.TA); err == nil {
 		t.Error("unknown user accepted")
 	}
-	if _, _, err := d.DiscoverTagged(users[0], Query{}, p, topk.TA); err == nil {
+	if _, _, err := d.DiscoverTaggedCtx(context.Background(), users[0], Query{}, p, topk.TA); err == nil {
 		t.Error("keyword-less query accepted")
 	}
 }

@@ -36,28 +36,8 @@ func BenchmarkBuildPerUser(b *testing.B) {
 	}
 }
 
-func BenchmarkTopK(b *testing.B) {
-	d, g := benchData(b)
-	c, err := cluster.Build(g, cluster.NetworkBased, 0.3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ix, err := Build(d, c, scoring.CountF)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tags := d.Tags
-	if len(tags) > 2 {
-		tags = tags[:2]
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ix.TopK(d.Users[i%len(d.Users)], tags, 10, scoring.SumG); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkIncrementalUpdate times one-link ApplyDelta batches: each
+// iteration folds a fresh tagging into a new index snapshot.
 func BenchmarkIncrementalUpdate(b *testing.B) {
 	d, g := benchData(b)
 	c, err := cluster.Build(g, cluster.NetworkBased, 0.3)
@@ -68,13 +48,13 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	id := g.MaxLinkID()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		u := d.Users[i%len(d.Users)]
-		it := d.Items[i%len(d.Items)]
-		affected := d.AddTagging(u, it, "benchtag")
-		if err := ix.ApplyTagging(u, it, "benchtag", affected); err != nil {
-			b.Fatal(err)
-		}
+		id++
+		l := graph.NewLink(id, d.Users[i%len(d.Users)], d.Items[i%len(d.Items)],
+			graph.TypeAct, graph.SubtypeTag)
+		l.Attrs.Add("tags", "benchtag")
+		ix = ix.ApplyDelta([]graph.Mutation{{Kind: graph.MutAddLink, Link: l}})
 	}
 }

@@ -126,26 +126,29 @@ func TestDifferentialBulkBatches(t *testing.T) {
 }
 
 // TestExtractMatchesIncremental pins the transient-built Extract to the
-// incremental substrate path: folding a stream through AddTagging must
-// land on the same substrate (scores, universes) as re-extracting the
-// mutated graph, exactly as before the bulk rebase.
+// incremental substrate path: folding a stream through one-mutation
+// ApplyDelta batches must land on the same substrate (scores, universes)
+// as re-extracting the mutated graph, exactly as before the bulk rebase.
 func TestExtractMatchesIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	c := newDiffCorpus(t, rng, 12, 16, 5)
-	data := Extract(c.g)
-	reext := Extract(c.g)
+	cl, err := cluster.Build(c.g, cluster.PerUser, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Build(Extract(c.g), cl, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Fold 2*threshold fresh taggings both ways.
 	for i := 0; i < 2*BulkDeltaThreshold; i++ {
-		m := c.randTagging(rng)
-		if err := c.g.ApplyAll([]graph.Mutation{m}); err != nil {
+		muts := []graph.Mutation{c.randTagging(rng)}
+		if err := c.g.ApplyAll(muts); err != nil {
 			t.Fatal(err)
 		}
-		l := m.Link
-		for _, tag := range l.Attrs.All("tags") {
-			data.AddTagging(l.Src, l.Tgt, tag)
-		}
+		ix = ix.ApplyDelta(muts)
 	}
-	reext = Extract(c.g)
+	data, reext := ix.Data(), Extract(c.g)
 	if len(data.Users) != len(reext.Users) || len(data.Items) != len(reext.Items) ||
 		len(data.Tags) != len(reext.Tags) {
 		t.Fatalf("universes diverged: %d/%d users %d/%d items %d/%d tags",

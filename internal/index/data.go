@@ -1,7 +1,7 @@
 // Package index implements the activity-driven storage study of Section
-// 6.2: network-aware inverted lists over tagging actions, user-cluster
-// lists with score upper bounds (Equation 1), and threshold-algorithm
-// top-k query processing with exact rescoring.
+// 6.2: network-aware inverted lists over tagging actions and user-cluster
+// lists with score upper bounds (Equation 1). Top-k query processing over
+// these lists, with exact rescoring, lives in internal/topk.
 //
 // The paper's score model: for a keyword-only query Q = k1..kn issued by
 // user u,

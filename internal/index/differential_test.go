@@ -469,18 +469,10 @@ func TestApplyDeltaIsCopyOnWrite(t *testing.T) {
 	}
 	// The old snapshot still answers queries from its frozen substrate.
 	for _, u := range c.users[:3] {
-		gotOld, _, err := old.TopK(u, c.tags[:2], 5, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := old.Data().ExactTopK(u, c.tags[:2], 5, old.UserFn(), scoring.SumG)
 		want := frozen.Data().ExactTopK(u, c.tags[:2], 5, frozen.UserFn(), scoring.SumG)
-		if len(gotOld) != len(want) {
-			t.Fatalf("user %d: old snapshot returned %d results, want %d", u, len(gotOld), len(want))
-		}
-		for i := range want {
-			if gotOld[i] != want[i] {
-				t.Errorf("user %d rank %d: %+v, want %+v", u, i, gotOld[i], want[i])
-			}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("user %d: old snapshot answers %v, frozen %v", u, got, want)
 		}
 	}
 }

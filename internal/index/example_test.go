@@ -1,12 +1,14 @@
 package index_test
 
 import (
+	"context"
 	"fmt"
 
 	"socialscope/internal/cluster"
 	"socialscope/internal/graph"
 	"socialscope/internal/index"
 	"socialscope/internal/scoring"
+	"socialscope/internal/topk"
 )
 
 // ExampleBuild materializes the Section 6.2 network-aware inverted lists
@@ -42,7 +44,11 @@ func ExampleBuild() {
 	for _, e := range ix.List(1, "go") {
 		fmt.Printf("item %d stored score %.0f\n", e.Item, e.Score)
 	}
-	results, _, err := ix.TopK(1, []string{"go"}, 2, scoring.SumG)
+	proc, err := topk.New(ix, scoring.SumG)
+	if err != nil {
+		panic(err)
+	}
+	results, _, err := proc.TopKCtx(context.Background(), 1, []string{"go"}, 2, topk.TA)
 	if err != nil {
 		panic(err)
 	}

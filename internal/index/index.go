@@ -56,11 +56,6 @@ type Index struct {
 	// index at version+1. Query processors stamp it into their Stats so a
 	// live system can tell which snapshot answered a query.
 	version uint64
-	// shared is set once this index has been through ApplyDelta (as
-	// parent or child): inner shard maps and posting slices may then be
-	// shared across versions, so in-place maintenance (ApplyTagging) must
-	// replace rather than mutate them.
-	shared bool
 }
 
 // Build materializes the posting lists. For every tag and item it computes
@@ -254,105 +249,6 @@ func (ix *Index) List(user graph.NodeID, tag string) []Entry {
 		return nil
 	}
 	return ix.lists.At(tag).At(cid)
-}
-
-// QueryStats reports the work a top-k evaluation performed, the currency in
-// which Section 6.2 prices clustering ("score upper-bounds entail having to
-// compute exact scores at query time").
-type QueryStats struct {
-	EntriesScanned int // postings read across all lists
-	ExactScores    int // exact score_k computations (the rescoring overhead)
-	Candidates     int // distinct items considered
-}
-
-// TopK answers a keyword-only query with the threshold algorithm: scan the
-// per-tag lists of the user's cluster in stored-score order, fully rescore
-// each new item exactly, and stop when the k-th exact score reaches the
-// upper-bound threshold g(heads). Monotonicity of f and g plus the max
-// upper bound make early termination safe; singleton clusters never
-// rescore wastefully because rescored scores equal the stored ones.
-//
-// This is the single-shot §6.2 study API. The query-processor layer,
-// internal/topk, carries the canonical TA loop (plus NRA and the
-// exhaustive baseline) with richer work counters; it cannot be delegated
-// to from here without an import cycle, so behavioral changes to the TA
-// termination rule must be mirrored in topk.(*Processor).ta.
-func (ix *Index) TopK(user graph.NodeID, tags []string, k int,
-	g scoring.AggregateFn) ([]Result, QueryStats, error) {
-	var stats QueryStats
-	if k <= 0 {
-		return nil, stats, fmt.Errorf("index: k must be positive, got %d", k)
-	}
-	if g == nil {
-		g = scoring.SumG
-	}
-	cid := ix.clustering.Of(user)
-	if cid < 0 {
-		return nil, stats, fmt.Errorf("index: unknown user %d", user)
-	}
-	lists := make([][]Entry, len(tags))
-	pos := make([]int, len(tags))
-	for i, tag := range tags {
-		lists[i] = ix.lists.At(tag).At(cid)
-	}
-
-	seen := make(map[graph.NodeID]struct{})
-	var results []Result
-	kth := 0.0
-	heads := make([]float64, len(tags))
-
-	for {
-		advanced := false
-		for i := range lists {
-			if pos[i] >= len(lists[i]) {
-				continue
-			}
-			e := lists[i][pos[i]]
-			pos[i]++
-			stats.EntriesScanned++
-			advanced = true
-			if _, dup := seen[e.Item]; !dup {
-				seen[e.Item] = struct{}{}
-				stats.Candidates++
-				per := make([]float64, len(tags))
-				for j, tag := range tags {
-					per[j] = ix.data.ScoreTag(e.Item, user, tag, ix.f)
-					stats.ExactScores++
-				}
-				if s := g(per); s > 0 {
-					results = append(results, Result{e.Item, s})
-				}
-			}
-		}
-		if !advanced {
-			break
-		}
-		// Threshold: the best possible score of any unseen item.
-		for i := range lists {
-			if pos[i] < len(lists[i]) {
-				heads[i] = lists[i][pos[i]].Score
-			} else {
-				heads[i] = 0
-			}
-		}
-		threshold := g(heads)
-		if len(results) >= k {
-			sortResults(results)
-			results = results[:min(len(results), 4*k)] // bound the buffer
-			kth = results[k-1].Score
-			// Strict comparison: at equality an unseen item could still tie
-			// the k-th score and win the ascending-item-id tie-break, so
-			// draining continues until no unseen item can reach kth.
-			if kth > threshold {
-				break
-			}
-		}
-	}
-	sortResults(results)
-	if k < len(results) {
-		results = results[:k]
-	}
-	return results, stats, nil
 }
 
 // SizeReport summarizes an index build for the Section 6.2 tables.

@@ -121,6 +121,9 @@ func buildIndex(t testing.TB, g *graph.Graph, s cluster.Strategy, theta float64)
 
 func TestPerUserIndexStoresExactScores(t *testing.T) {
 	d, ix := buildIndex(t, tagFixture(t), cluster.PerUser, 0)
+	if ix.List(999, "go") != nil {
+		t.Error("unknown user List should be nil")
+	}
 	for _, u := range d.Users {
 		for _, tag := range d.Tags {
 			for _, e := range ix.List(u, tag) {
@@ -166,46 +169,6 @@ func TestClusterUpperBoundAdmissible(t *testing.T) {
 // NetworkStrategy is a tiny indirection so the test table reads naturally.
 func NetworkStrategy() cluster.Strategy { return cluster.NetworkBased }
 
-func TestTopKMatchesExactAcrossStrategies(t *testing.T) {
-	g := tagFixture(t)
-	d := Extract(g)
-	for _, s := range []cluster.Strategy{cluster.PerUser, cluster.NetworkBased,
-		cluster.BehaviorBased, cluster.Hybrid, cluster.Global} {
-		_, ix := buildIndex(t, g, s, 0.3)
-		for _, u := range d.Users {
-			want := d.ExactTopK(u, []string{"go", "db"}, 3, scoring.CountF, scoring.SumG)
-			got, _, err := ix.TopK(u, []string{"go", "db"}, 3, scoring.SumG)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameResults(want, got) {
-				t.Errorf("%s user %d: TopK = %v, exact = %v", s, u, got, want)
-			}
-		}
-	}
-}
-
-func TestTopKStatsShowRescoringOverhead(t *testing.T) {
-	g := tagFixture(t)
-	_, per := buildIndex(t, g, cluster.PerUser, 0)
-	_, glob := buildIndex(t, g, cluster.Global, 0)
-	_, sPer, err := per.TopK(1, []string{"go"}, 1, scoring.SumG)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, sGlob, err := glob.TopK(1, []string{"go"}, 1, scoring.SumG)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sGlob.ExactScores < sPer.ExactScores {
-		t.Errorf("global index should rescore at least as much: %d vs %d",
-			sGlob.ExactScores, sPer.ExactScores)
-	}
-	if sPer.EntriesScanned == 0 || sPer.Candidates == 0 {
-		t.Error("stats not populated")
-	}
-}
-
 func TestIndexSizeOrdering(t *testing.T) {
 	// Per-user indexes are at least as large as behavior-based clustered
 	// ones, which are at least as large as the global index (the Section
@@ -227,28 +190,6 @@ func TestIndexSizeOrdering(t *testing.T) {
 	}
 	if per.NumLists() == 0 || per.Strategy() != cluster.PerUser {
 		t.Error("NumLists/Strategy accessors broken")
-	}
-}
-
-func TestTopKErrors(t *testing.T) {
-	g := tagFixture(t)
-	_, ix := buildIndex(t, g, cluster.PerUser, 0)
-	if _, _, err := ix.TopK(1, []string{"go"}, 0, scoring.SumG); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, _, err := ix.TopK(999, []string{"go"}, 1, scoring.SumG); err == nil {
-		t.Error("unknown user accepted")
-	}
-	if _, err := Build(nil, nil, nil); err == nil {
-		t.Error("nil inputs accepted")
-	}
-	// Unindexed tags are silently empty lists.
-	got, _, err := ix.TopK(1, []string{"nosuch"}, 2, scoring.SumG)
-	if err != nil || len(got) != 0 {
-		t.Errorf("unindexed tag: %v, %v", got, err)
-	}
-	if ix.List(999, "go") != nil {
-		t.Error("unknown user List should be nil")
 	}
 }
 
@@ -284,47 +225,6 @@ func randomTagGraph(seed int64, nUsers, nItems, nTags int) *graph.Graph {
 	return b.Graph()
 }
 
-// Property: for every strategy and θ, TopK over the clustered index equals
-// brute force — upper bounds plus rescoring never change answers.
-func TestQuickTopKCorrectness(t *testing.T) {
-	f := func(seed int64) bool {
-		g := randomTagGraph(seed, 8, 10, 3)
-		d := Extract(g)
-		if len(d.Tags) == 0 {
-			return true
-		}
-		queryTags := d.Tags
-		if len(queryTags) > 2 {
-			queryTags = queryTags[:2]
-		}
-		for _, s := range []cluster.Strategy{cluster.PerUser, cluster.NetworkBased,
-			cluster.BehaviorBased, cluster.Global} {
-			c, err := cluster.Build(g, s, 0.4)
-			if err != nil {
-				return false
-			}
-			ix, err := Build(d, c, scoring.CountF)
-			if err != nil {
-				return false
-			}
-			for _, u := range d.Users {
-				want := d.ExactTopK(u, queryTags, 3, scoring.CountF, scoring.SumG)
-				got, _, err := ix.TopK(u, queryTags, 3, scoring.SumG)
-				if err != nil {
-					return false
-				}
-				if !sameResults(want, got) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: entry counts never increase as clustering coarsens from
 // per-user through behavior-based to global.
 func TestQuickSizeMonotonicity(t *testing.T) {
@@ -348,17 +248,4 @@ func TestQuickSizeMonotonicity(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
-}
-
-// sameResults treats nil and empty result slices as equal.
-func sameResults(a, b []Result) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

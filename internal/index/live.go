@@ -46,7 +46,6 @@ import (
 // link consolidations carry their pre-merge state so re-asserted
 // activities are not double counted.
 func (ix *Index) ApplyDelta(muts []graph.Mutation) *Index {
-	ix.shared = true
 	d := &delta{
 		ix: &Index{
 			data:       ix.data.cowClone(),
@@ -55,7 +54,6 @@ func (ix *Index) ApplyDelta(muts []graph.Mutation) *Index {
 			lists:      ix.lists, // persistent: O(1) share, COW below
 			entries:    ix.entries,
 			version:    ix.version + 1,
-			shared:     true,
 		},
 		ownedLists: make(map[listKey]bool),
 		userDelta:  make(map[graph.NodeID]bool),
@@ -585,4 +583,74 @@ func withoutMember[K comparable, V cmp.Ordered](m persist.Map[K, []V], e *persis
 		return m.SetWith(e, k, s)
 	}
 	return m
+}
+
+// raiseEntry lifts item's entry to at least score (inserting when absent),
+// preserving descending-score, ascending-id order. It returns the list and
+// the entry-count delta (1 on insert, else 0). The slice is mutated in
+// place; callers must own it first (delta.ownList).
+func raiseEntry(l []Entry, item graph.NodeID, score float64) ([]Entry, int) {
+	for i := range l {
+		if l[i].Item != item {
+			continue
+		}
+		if l[i].Score >= score {
+			return l, 0
+		}
+		l[i].Score = score
+		// Bubble the raised entry toward the front to restore order.
+		for i > 0 && less(l[i-1], l[i]) {
+			l[i-1], l[i] = l[i], l[i-1]
+			i--
+		}
+		return l, 0
+	}
+	l = append(l, Entry{item, score})
+	i := len(l) - 1
+	for i > 0 && less(l[i-1], l[i]) {
+		l[i-1], l[i] = l[i], l[i-1]
+		i--
+	}
+	return l, 1
+}
+
+// setEntry pins item's entry to exactly score — removing it when score is
+// not positive, matching Build's "entries exist only for positive upper
+// bounds" invariant — and restores order in either direction (scores can
+// fall after a retraction). It returns the list and the entry-count delta.
+func setEntry(l []Entry, item graph.NodeID, score float64) ([]Entry, int) {
+	for i := range l {
+		if l[i].Item != item {
+			continue
+		}
+		if score <= 0 {
+			return append(l[:i], l[i+1:]...), -1
+		}
+		if l[i].Score == score {
+			return l, 0
+		}
+		l[i].Score = score
+		for i > 0 && less(l[i-1], l[i]) {
+			l[i-1], l[i] = l[i], l[i-1]
+			i--
+		}
+		for i+1 < len(l) && less(l[i], l[i+1]) {
+			l[i], l[i+1] = l[i+1], l[i]
+			i++
+		}
+		return l, 0
+	}
+	if score <= 0 {
+		return l, 0
+	}
+	return raiseEntry(l, item, score)
+}
+
+// less reports whether a should sort after b (descending score, ascending
+// item id).
+func less(a, b Entry) bool {
+	if a.Score != b.Score {
+		return a.Score < b.Score
+	}
+	return a.Item > b.Item
 }

@@ -43,6 +43,9 @@ func TestParallelBuildDeterministic(t *testing.T) {
 }
 
 func TestBuildEmptyData(t *testing.T) {
+	if _, err := Build(nil, nil, nil); err == nil {
+		t.Error("nil inputs accepted")
+	}
 	d := NewData()
 	cl, err := cluster.BuildFromProfiles(nil, nil, cluster.Global, 0)
 	if err != nil {

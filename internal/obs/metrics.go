@@ -32,10 +32,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Load is an alias for Value, matching the atomic.Uint64 method set so
-// a Counter can drop in where code previously read a raw atomic.
-func (c *Counter) Load() uint64 { return c.v.Load() }
-
 // Gauge is a metric that can go up and down. Values are float64s held
 // as atomic bits; all methods are lock-free. A Gauge may instead be
 // backed by a function (Registry.GaugeFunc), in which case Value

@@ -17,6 +17,7 @@ package route
 //     FaultFS twin cloned at the kill instant) produces.
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -230,7 +231,7 @@ func chaosDigest(t *testing.T, e *socialscope.Engine, users []graph.NodeID) stri
 		sample = sample[:5]
 	}
 	for _, u := range sample {
-		resp, err := e.Search(u, "")
+		resp, err := e.SearchCtx(context.Background(), u, "")
 		if err != nil {
 			t.Fatalf("digest query for user %d: %v", u, err)
 		}
@@ -297,15 +298,15 @@ func TestChaosReadsSurviveInjectionSchedule(t *testing.T) {
 	}
 	// The schedule must actually have bitten: the router either retried,
 	// hedged, served stale or opened a breaker at least once.
-	handled := h.r.stats.retries.Load() + h.r.stats.hedges.Load() +
-		h.r.stats.staleServed.Load() + h.r.stats.breakerSkips.Load()
+	handled := h.r.stats.retries.Value() + h.r.stats.hedges.Value() +
+		h.r.stats.staleServed.Value() + h.r.stats.breakerSkips.Value()
 	if handled == 0 {
 		t.Fatalf("no fault-handling activity across %d armed faults (ops: %d/%d)",
 			armed, h.ft.Ops(h.fols[0].host), h.ft.Ops(h.fols[1].host))
 	}
 	t.Logf("armed=%d retries=%d hedges=%d stale=%d breakerSkips=%d",
-		armed, h.r.stats.retries.Load(), h.r.stats.hedges.Load(),
-		h.r.stats.staleServed.Load(), h.r.stats.breakerSkips.Load())
+		armed, h.r.stats.retries.Value(), h.r.stats.hedges.Value(),
+		h.r.stats.staleServed.Value(), h.r.stats.breakerSkips.Value())
 }
 
 // TestChaosFailoverDifferential is the headline: kill -9 the leader
@@ -352,7 +353,7 @@ func TestChaosFailoverDifferential(t *testing.T) {
 	// fails over automatically.
 	h.r.CheckNow()
 	h.r.CheckNow()
-	if got := h.r.stats.failovers.Load(); got != 1 {
+	if got := h.r.stats.failovers.Value(); got != 1 {
 		t.Fatalf("failovers = %d, want 1", got)
 	}
 	lead := h.r.Leader()

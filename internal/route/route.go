@@ -360,17 +360,17 @@ func (r *Router) handleRouterz(w http.ResponseWriter, req *http.Request) {
 		Token:          r.token.Load(),
 		Leader:         leader,
 		Backends:       r.Backends(),
-		Reads:          r.stats.reads.Load(),
-		Writes:         r.stats.writes.Load(),
-		Retries:        r.stats.retries.Load(),
-		Hedges:         r.stats.hedges.Load(),
-		HedgeWins:      r.stats.hedgeWins.Load(),
-		StaleServed:    r.stats.staleServed.Load(),
-		StaleRedirects: r.stats.staleRedirects.Load(),
-		BreakerSkips:   r.stats.breakerSkips.Load(),
-		Failovers:      r.stats.failovers.Load(),
-		ReadErrors:     r.stats.readErrors.Load(),
-		WriteErrors:    r.stats.writeErrs.Load(),
+		Reads:          r.stats.reads.Value(),
+		Writes:         r.stats.writes.Value(),
+		Retries:        r.stats.retries.Value(),
+		Hedges:         r.stats.hedges.Value(),
+		HedgeWins:      r.stats.hedgeWins.Value(),
+		StaleServed:    r.stats.staleServed.Value(),
+		StaleRedirects: r.stats.staleRedirects.Value(),
+		BreakerSkips:   r.stats.breakerSkips.Value(),
+		Failovers:      r.stats.failovers.Value(),
+		ReadErrors:     r.stats.readErrors.Value(),
+		WriteErrors:    r.stats.writeErrs.Value(),
 	})
 }
 

@@ -190,7 +190,7 @@ func TestReadRetriesThroughTransientFailures(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("read status %d after retries: %s", rec.Code, rec.Body.String())
 	}
-	if got := r.stats.retries.Load(); got < 2 {
+	if got := r.stats.retries.Value(); got < 2 {
 		t.Fatalf("retries counter %d, want >= 2", got)
 	}
 }
@@ -266,11 +266,11 @@ func TestBreakerSkipsDeadBackend(t *testing.T) {
 	}
 	// With the breaker open, reads no longer pay the dead backend's
 	// connection failures: no retries on this request.
-	before := r.stats.retries.Load()
+	before := r.stats.retries.Value()
 	if rec := get(t, r.Handler(), "/search?user=1&q=x", nil); rec.Code != http.StatusOK {
 		t.Fatalf("read with open breaker: %d", rec.Code)
 	}
-	if after := r.stats.retries.Load(); after != before {
+	if after := r.stats.retries.Value(); after != before {
 		t.Fatalf("open breaker still cost %d retries", after-before)
 	}
 }
@@ -299,9 +299,9 @@ func TestHedgedReadWinsOnSlowPrimary(t *testing.T) {
 	// b and be answered fast.
 	a.set(func(f *fake) { f.delay = 300 * time.Millisecond })
 	deadline := time.Now().Add(5 * time.Second)
-	for r.stats.hedgeWins.Load() == 0 {
+	for r.stats.hedgeWins.Value() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("no hedge win (hedges %d)", r.stats.hedges.Load())
+			t.Fatalf("no hedge win (hedges %d)", r.stats.hedges.Value())
 		}
 		start := time.Now()
 		rec := get(t, r.Handler(), "/search?user=1&q=x", nil)
@@ -343,7 +343,7 @@ func TestWriteFailoverPromotesFollower(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("write after leader death: %d %s", rec.Code, rec.Body.String())
 	}
-	if got := r.stats.failovers.Load(); got != 1 {
+	if got := r.stats.failovers.Value(); got != 1 {
 		t.Fatalf("failovers %d, want 1", got)
 	}
 	ahead.mu.Lock()
@@ -394,7 +394,7 @@ func TestStaleReadDegradesExplicitly(t *testing.T) {
 	if v := rec.Header().Get(serve.HeaderVersion); v != "3" {
 		t.Fatalf("stale version header %q, want 3", v)
 	}
-	if got := r.stats.staleServed.Load(); got != 1 {
+	if got := r.stats.staleServed.Value(); got != 1 {
 		t.Fatalf("staleServed %d, want 1", got)
 	}
 	// The token never regresses to the stale answer's version.

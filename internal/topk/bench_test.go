@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"context"
 	"testing"
 
 	"socialscope/internal/cluster"
@@ -44,7 +45,7 @@ func BenchmarkSearch(b *testing.B) {
 			var agg Stats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, st, err := p.TopK(users[i%len(users)], tags, 10, s)
+				_, st, err := p.TopKCtx(context.Background(), users[i%len(users)], tags, 10, s)
 				if err != nil {
 					b.Fatal(err)
 				}

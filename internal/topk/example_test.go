@@ -1,6 +1,7 @@
 package topk_test
 
 import (
+	"context"
 	"fmt"
 
 	"socialscope/internal/cluster"
@@ -53,9 +54,9 @@ func ExampleNew() {
 	// index entries: 11
 }
 
-// ExampleProcessor_TopK answers the same query with all three strategies;
+// ExampleProcessor_TopKCtx answers the same query with all three strategies;
 // the rankings are identical, only the work differs.
-func ExampleProcessor_TopK() {
+func ExampleProcessor_TopKCtx() {
 	g := exampleGraph()
 	clustering, err := cluster.Build(g, cluster.PerUser, 0)
 	if err != nil {
@@ -70,7 +71,7 @@ func ExampleProcessor_TopK() {
 		panic(err)
 	}
 	for _, s := range []topk.Strategy{topk.Exhaustive, topk.TA, topk.NRA} {
-		results, stats, err := p.TopK(1, []string{"go", "db"}, 2, s)
+		results, stats, err := p.TopKCtx(context.Background(), 1, []string{"go", "db"}, 2, s)
 		if err != nil {
 			panic(err)
 		}

@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -19,12 +20,12 @@ func assertStrategiesAgree(t *testing.T, proc *Processor, users []graph.NodeID,
 	tags []string, k int, ctx string) {
 	t.Helper()
 	for _, u := range users {
-		want, _, err := proc.TopK(u, tags, k, Exhaustive)
+		want, _, err := proc.TopKCtx(context.Background(), u, tags, k, Exhaustive)
 		if err != nil {
 			t.Fatalf("%s: exhaustive user %d: %v", ctx, u, err)
 		}
 		for _, strat := range []Strategy{TA, NRA} {
-			got, st, err := proc.TopK(u, tags, k, strat)
+			got, st, err := proc.TopKCtx(context.Background(), u, tags, k, strat)
 			if err != nil {
 				t.Fatalf("%s: %s user %d: %v", ctx, strat, u, err)
 			}

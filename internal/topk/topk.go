@@ -131,26 +131,21 @@ func New(ix *index.Index, g scoring.AggregateFn) (*Processor, error) {
 // Index returns the underlying activity-driven index.
 func (p *Processor) Index() *index.Index { return p.ix }
 
-// TopK answers a keyword-only query: the k best items for the user under
-// score(i, u) = g(score_k1(i,u), ..., score_kn(i,u)), ties broken by
-// ascending item id, items scoring 0 excluded. Every strategy returns the
-// identical ranking; they differ only in the Stats.
-func (p *Processor) TopK(user graph.NodeID, tags []string, k int,
-	strategy Strategy) ([]index.Result, Stats, error) {
-	return p.TopKCtx(context.Background(), user, tags, k, strategy)
-}
-
 // cancelCheckEvery is how many accumulation-loop iterations pass between
 // context checks: frequent enough that a request deadline bounds the scan
 // within microseconds, sparse enough that the atomic load disappears
 // against the posting work between checks.
 const cancelCheckEvery = 256
 
-// TopKCtx is TopK under a context: the accumulation loops of every
-// strategy poll ctx and abandon the evaluation with ctx.Err() once it is
-// cancelled, so a serving layer's per-request deadline bounds even an
-// exhaustive scan over a large corpus. Stats reflect the work actually
-// performed up to the abort.
+// TopKCtx answers a keyword-only query: the k best items for the user
+// under score(i, u) = g(score_k1(i,u), ..., score_kn(i,u)), ties broken
+// by ascending item id, items scoring 0 excluded. Every strategy returns
+// the identical ranking; they differ only in the Stats.
+//
+// The accumulation loops of every strategy poll ctx and abandon the
+// evaluation with ctx.Err() once it is cancelled, so a serving layer's
+// per-request deadline bounds even an exhaustive scan over a large
+// corpus. Stats reflect the work actually performed up to the abort.
 func (p *Processor) TopKCtx(ctx context.Context, user graph.NodeID, tags []string, k int,
 	strategy Strategy) ([]index.Result, Stats, error) {
 	stats := Stats{Strategy: strategy, SnapshotVersion: p.ix.Version()}
@@ -215,9 +210,6 @@ func (p *Processor) exhaustive(ctx context.Context, user graph.NodeID, tags []st
 // k-th exact score strictly exceeds the threshold assembled from the list
 // frontiers. The strict comparison matters: at equality an unseen item
 // could still tie the k-th score and win the ascending-id tie-break.
-// index.(*Index).TopK is the single-shot sibling of this loop (kept there
-// because index cannot import this package); changes to the termination
-// rule must be mirrored in both.
 func (p *Processor) ta(ctx context.Context, user graph.NodeID, tags []string, k int,
 	stats *Stats) ([]index.Result, error) {
 	data := p.ix.Data()

@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -98,12 +99,12 @@ func TestStrategiesMatchExhaustive(t *testing.T) {
 			cluster.BehaviorBased, cluster.Global} {
 			p := buildProc(t, c.g, cs, 0.3)
 			for _, u := range p.Index().Data().Users {
-				want, _, err := p.TopK(u, c.tags, 5, Exhaustive)
+				want, _, err := p.TopKCtx(context.Background(), u, c.tags, 5, Exhaustive)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, s := range []Strategy{TA, NRA} {
-					got, _, err := p.TopK(u, c.tags, 5, s)
+					got, _, err := p.TopKCtx(context.Background(), u, c.tags, 5, s)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -132,15 +133,15 @@ func TestEarlyTerminationSavesWork(t *testing.T) {
 	var ex, ta, nra Stats
 	var terminated int
 	for _, u := range p.Index().Data().Users {
-		_, s0, err := p.TopK(u, tags, 10, Exhaustive)
+		_, s0, err := p.TopKCtx(context.Background(), u, tags, 10, Exhaustive)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, s1, err := p.TopK(u, tags, 10, TA)
+		_, s1, err := p.TopKCtx(context.Background(), u, tags, 10, TA)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, s2, err := p.TopK(u, tags, 10, NRA)
+		_, s2, err := p.TopKCtx(context.Background(), u, tags, 10, NRA)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +178,7 @@ func TestStatsComparableAcrossStrategies(t *testing.T) {
 	}
 	p := buildProc(t, tagging.Graph, cluster.PerUser, 0)
 	u := p.Index().Data().Users[0]
-	_, s, err := p.TopK(u, tagging.Tags[:2], 5, Exhaustive)
+	_, s, err := p.TopKCtx(context.Background(), u, tagging.Tags[:2], 5, Exhaustive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,13 +200,13 @@ func TestErrors(t *testing.T) {
 	}
 	p := buildProc(t, tagging.Graph, cluster.PerUser, 0)
 	u := p.Index().Data().Users[0]
-	if _, _, err := p.TopK(u, tagging.Tags, 0, TA); err == nil {
+	if _, _, err := p.TopKCtx(context.Background(), u, tagging.Tags, 0, TA); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, _, err := p.TopK(graph.NodeID(1<<40), tagging.Tags, 3, TA); err == nil {
+	if _, _, err := p.TopKCtx(context.Background(), graph.NodeID(1<<40), tagging.Tags, 3, TA); err == nil {
 		t.Error("unknown user accepted")
 	}
-	if _, _, err := p.TopK(u, tagging.Tags, 3, Strategy(99)); err == nil {
+	if _, _, err := p.TopKCtx(context.Background(), u, tagging.Tags, 3, Strategy(99)); err == nil {
 		t.Error("bogus strategy accepted")
 	}
 	if _, err := New(nil, nil); err == nil {

@@ -1,6 +1,7 @@
 package socialscope
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -33,7 +34,7 @@ func TestEngineApplyMatchesRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Search(corpus.Users[0], query); err != nil {
+	if _, err := eng.SearchCtx(context.Background(), corpus.Users[0], query); err != nil {
 		t.Fatal(err) // warm: builds index snapshot version 0
 	}
 
@@ -65,14 +66,14 @@ func TestEngineApplyMatchesRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, u := range corpus.Users[:10] {
-		live, err := eng.Search(u, query)
+		live, err := eng.SearchCtx(context.Background(), u, query)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if live.Stats == nil || live.Stats.SnapshotVersion != 1 {
 			t.Fatalf("user %d: stats %+v, want snapshot version 1", u, live.Stats)
 		}
-		want, err := fresh.Search(u, query)
+		want, err := fresh.SearchCtx(context.Background(), u, query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +93,7 @@ func TestEngineApplyChangelog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Search(corpus.Users[0], workload.Categories[0]); err != nil {
+	if _, err := eng.SearchCtx(context.Background(), corpus.Users[0], workload.Categories[0]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -121,7 +122,7 @@ func TestEngineApplyChangelog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := eng.Search(newcomer, workload.Categories[0])
+	resp, err := eng.SearchCtx(context.Background(), newcomer, workload.Categories[0])
 	if err != nil {
 		t.Fatalf("newcomer not searchable after Apply: %v", err)
 	}
@@ -147,7 +148,7 @@ func TestEngineLiveConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Search(corpus.Users[0], workload.Categories[0]); err != nil {
+	if _, err := eng.SearchCtx(context.Background(), corpus.Users[0], workload.Categories[0]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -170,7 +171,7 @@ func TestEngineLiveConcurrent(t *testing.T) {
 			for i := 0; i < searchesPerGoro; i++ {
 				u := corpus.Users[(s*7+i)%len(corpus.Users)]
 				q := workload.Categories[i%len(workload.Categories)]
-				if _, err := eng.Search(u, q); err != nil {
+				if _, err := eng.SearchCtx(context.Background(), u, q); err != nil {
 					errCh <- fmt.Errorf("searcher %d: %w", s, err)
 					return
 				}
@@ -218,11 +219,11 @@ func TestEngineLiveConcurrent(t *testing.T) {
 	}
 	for _, u := range corpus.Users[:8] {
 		q := workload.Categories[0]
-		live, err := eng.Search(u, q)
+		live, err := eng.SearchCtx(context.Background(), u, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := fresh.Search(u, q)
+		want, err := fresh.SearchCtx(context.Background(), u, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +267,7 @@ func TestEngineApplyEmptyAndError(t *testing.T) {
 	if eng.Version() != 0 {
 		t.Errorf("failed Apply bumped version to %d", eng.Version())
 	}
-	if _, err := eng.Search(corpus.Users[0], workload.Categories[0]); err != nil {
+	if _, err := eng.SearchCtx(context.Background(), corpus.Users[0], workload.Categories[0]); err != nil {
 		t.Errorf("engine unusable after rejected Apply: %v", err)
 	}
 	// Remove-then-re-add of the same id inside one batch is a legitimate

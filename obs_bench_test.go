@@ -28,7 +28,7 @@ func benchObsEngine(b *testing.B) (*Engine, *workload.TravelCorpus) {
 		b.Fatal(err)
 	}
 	// Warm the lazily built index so neither variant pays for it.
-	if _, err := eng.Search(corpus.Users[0], workload.Categories[0]); err != nil {
+	if _, err := eng.SearchCtx(context.Background(), corpus.Users[0], workload.Categories[0]); err != nil {
 		b.Fatal(err)
 	}
 	return eng, corpus

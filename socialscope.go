@@ -17,7 +17,7 @@
 //	corpus, _ := workload.Travel(workload.TravelConfig{Users: 100, Destinations: 50, Seed: 1})
 //	eng, _ := socialscope.New(corpus.Graph, socialscope.Config{})
 //	_ = eng.Analyze()
-//	resp, _ := eng.Search(corpus.Users[0], "denver attractions")
+//	resp, _ := eng.SearchCtx(context.Background(), corpus.Users[0], "denver attractions")
 //
 // Commonly needed graph types are re-exported so simple applications need
 // only this package.
@@ -626,19 +626,15 @@ type Response struct {
 // Results returns the ranked discovery results.
 func (r *Response) Results() []discovery.Result { return r.MSG.Results }
 
-// Search parses and answers a query for the user: discovery followed by
-// presentation. An empty query string yields pure social recommendations
-// (the paper's empty-query semantics).
-func (e *Engine) Search(user NodeID, query string) (*Response, error) {
-	return e.SearchCtx(context.Background(), user, query)
-}
-
-// SearchCtx is Search under a context: the evaluation is abandoned with
-// ctx.Err() once the context is cancelled — inside the index-backed
-// top-k accumulation loops (see topk.TopKCtx), and on the fusion path at
-// each stage boundary (discovery → presentation → per-item explanations)
-// plus between explanations; the fusion scoring stage itself runs to
-// completion. A serving layer's per-request deadline therefore bounds
+// SearchCtx parses and answers a query for the user: discovery followed
+// by presentation. An empty query string yields pure social
+// recommendations (the paper's empty-query semantics).
+//
+// The evaluation is abandoned with ctx.Err() once the context is
+// cancelled — inside the index-backed top-k accumulation loops (see
+// topk.TopKCtx), and on the fusion path at each stage boundary
+// (discovery → presentation → per-item explanations) plus between
+// explanations; the fusion scoring stage itself runs to completion. A serving layer's per-request deadline therefore bounds
 // index-backed query work tightly and fusion work at stage granularity.
 func (e *Engine) SearchCtx(ctx context.Context, user NodeID, query string) (*Response, error) {
 	q, err := discovery.ParseQuery(query)
@@ -648,17 +644,12 @@ func (e *Engine) SearchCtx(ctx context.Context, user NodeID, query string) (*Res
 	return e.QueryCtx(ctx, user, q)
 }
 
-// Query answers a parsed query. Keyword-only queries go through the
+// QueryCtx answers a parsed query. Keyword-only queries go through the
 // activity-driven index when Config.TopK selects a strategy; everything
 // else (structural predicates, empty queries) uses the fusion path. The
 // whole evaluation — discovery, presentation, explanations — reads one
 // state snapshot, so a concurrent Apply can never show it half a batch.
-func (e *Engine) Query(user NodeID, q discovery.Query) (*Response, error) {
-	return e.QueryCtx(context.Background(), user, q)
-}
-
-// QueryCtx is Query under a context; see SearchCtx for the cancellation
-// contract.
+// See SearchCtx for the cancellation contract.
 func (e *Engine) QueryCtx(ctx context.Context, user NodeID, q discovery.Query) (*Response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -738,13 +729,8 @@ func (e *Engine) QueryCtx(ctx context.Context, user NodeID, q discovery.Query) (
 	return resp, nil
 }
 
-// Recommend runs pure collaborative filtering (Example 5) for the user.
-func (e *Engine) Recommend(user NodeID, variant discovery.CFVariant) ([]discovery.Recommendation, error) {
-	return e.RecommendCtx(context.Background(), user, variant)
-}
-
-// RecommendCtx is Recommend under a context. Collaborative filtering runs
-// as discovery.CollaborativeFiltering's item-side plan: it reads only the
+// RecommendCtx runs pure collaborative filtering (Example 5) for the
+// user, as discovery.CollaborativeFiltering's item-side plan: it reads only the
 // adjacency of the user, the user's acted-on items and their co-actors,
 // builds no intermediate graph, and returns exactly what the Example 5
 // algebra program (discovery.CollaborativeFilteringAlgebra) returns for

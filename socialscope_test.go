@@ -1,6 +1,7 @@
 package socialscope
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -41,7 +42,7 @@ func TestEngineEndToEnd(t *testing.T) {
 		t.Error("Analyze derived no belong links")
 	}
 
-	resp, err := eng.Search(corpus.Users[0], "denver attractions")
+	resp, err := eng.SearchCtx(context.Background(), corpus.Users[0], "denver attractions")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestEngineWithoutAnalyze(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Queries work pre-analysis (no topical grouping available).
-	resp, err := eng.Search(corpus.Users[1], "museum")
+	resp, err := eng.SearchCtx(context.Background(), corpus.Users[1], "museum")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestEngineEmptyQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := eng.Search(corpus.Users[2], "")
+	resp, err := eng.SearchCtx(context.Background(), corpus.Users[2], "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +111,11 @@ func TestEngineRecommendVariantsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	user := corpus.Users[3]
-	step, err := eng.Recommend(user, discovery.CFStepwise)
+	step, err := eng.RecommendCtx(context.Background(), user, discovery.CFStepwise)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pat, err := eng.Recommend(user, discovery.CFPattern)
+	pat, err := eng.RecommendCtx(context.Background(), user, discovery.CFPattern)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,10 +231,10 @@ func TestEngineErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Search(999999, "x"); err == nil {
+	if _, err := eng.SearchCtx(context.Background(), 999999, "x"); err == nil {
 		t.Error("unknown user accepted")
 	}
-	if _, err := eng.Search(corpus.Users[0], "rating>="); err == nil {
+	if _, err := eng.SearchCtx(context.Background(), corpus.Users[0], "rating>="); err == nil {
 		t.Error("malformed query accepted")
 	}
 }
@@ -269,7 +270,7 @@ func TestEngineStructuredQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := eng.Search(corpus.Users[0], "city:denver rating>=0.5")
+	resp, err := eng.SearchCtx(context.Background(), corpus.Users[0], "city:denver rating>=0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +295,7 @@ func TestEngineRelatedEntities(t *testing.T) {
 	if err := eng.Analyze(); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := eng.Search(corpus.Users[0], "attractions")
+	resp, err := eng.SearchCtx(context.Background(), corpus.Users[0], "attractions")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package socialscope
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestEngineTopKStrategiesAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		for ui, u := range corpus.Users[:10] {
-			resp, err := eng.Search(u, query)
+			resp, err := eng.SearchCtx(context.Background(), u, query)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +76,7 @@ func TestEngineTopKSavesWork(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, u := range corpus.Users[:10] {
-			resp, err := eng.Search(u, query)
+			resp, err := eng.SearchCtx(context.Background(), u, query)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +98,7 @@ func TestEngineTopKFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range []string{"", "city:paris"} {
-		resp, err := eng.Search(corpus.Users[0], q)
+		resp, err := eng.SearchCtx(context.Background(), corpus.Users[0], q)
 		if err != nil {
 			t.Fatalf("fallback query %q: %v", q, err)
 		}
@@ -115,7 +116,7 @@ func TestEngineTopKBadCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Search(corpus.Users[0], "museum"); err == nil {
+	if _, err := eng.SearchCtx(context.Background(), corpus.Users[0], "museum"); err == nil {
 		t.Error("bogus cluster strategy accepted")
 	}
 }
@@ -132,7 +133,7 @@ func TestEngineTopKConcurrentSearch(t *testing.T) {
 	done := make(chan error, 8)
 	for i := 0; i < 8; i++ {
 		go func(u NodeID) {
-			_, err := eng.Search(u, workload.Categories[0])
+			_, err := eng.SearchCtx(context.Background(), u, workload.Categories[0])
 			done <- err
 		}(corpus.Users[i])
 	}
