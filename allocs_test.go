@@ -62,7 +62,7 @@ func TestQueryCtxAllocsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	i := 0
-	pinAllocs(t, "Engine.QueryCtx", 345, func() {
+	pinAllocs(t, "Engine.QueryCtx", 118, func() {
 		if _, err := eng.QueryCtx(context.Background(), users[i%len(users)], q); err != nil {
 			t.Fatal(err)
 		}
@@ -85,11 +85,11 @@ func TestFusionAllocsPinned(t *testing.T) {
 		{"discovery.Discoverer.Discover", func(u NodeID, q discovery.Query) error {
 			_, err := d.Discover(u, q)
 			return err
-		}, 420},
+		}, 36},
 		{"Engine.QueryCtx (fusion)", func(u NodeID, q discovery.Query) error {
 			_, err := eng.QueryCtx(ctx, u, q)
 			return err
-		}, 560},
+		}, 179},
 	} {
 		i := 0
 		pinAllocs(t, c.name, c.bound, func() {

@@ -46,7 +46,7 @@ func assertFusionMatchesFresh(t *testing.T, eng *Engine, users []NodeID) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got.Results, want.Results) || !reflect.DeepEqual(got.Basis, want.Basis) ||
-				!got.Graph.Equal(want.Graph) {
+				!got.Graph().Equal(want.Graph()) {
 				t.Fatalf("user %d %q: live %+v %+v, fresh %+v %+v", u, text, got.Basis, got.Results, want.Basis, want.Results)
 			}
 		}

@@ -1,8 +1,13 @@
 package discovery
 
 import (
+	"context"
 	"fmt"
 	"testing"
+
+	"socialscope/internal/graph"
+	"socialscope/internal/topk"
+	"socialscope/internal/workload"
 )
 
 func BenchmarkDiscover(b *testing.B) {
@@ -83,6 +88,59 @@ func BenchmarkCFPattern(b *testing.B) {
 		if _, err := CollaborativeFilteringAlgebra(f.g, f.john, CFConfig{Variant: CFPattern, SimThreshold: 0.2}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRelatedEntities counts Example 3's related users and topics.
+// "ledger" is a computed read on the bench/ ledger's corpus: the top 10
+// of "museum family" through the tagged path, over a 16-user rotation.
+// "k=1000" takes every destination of a 1000-destination corpus as the
+// results, the /search cap on k.
+func BenchmarkRelatedEntities(b *testing.B) {
+	ledger, err := workload.Travel(workload.TravelConfig{
+		Users: 600, Destinations: 200, VisitsPerUser: 8, TagFraction: 0.8, Seed: 42,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := taggedProcessor(b, ledger.Graph)
+	d := NewDiscoverer(ledger.Graph, "destination")
+	q, err := ParseQuery("museum family")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var msgs []*MSG
+	for _, u := range ledger.Users[:16] {
+		msg, _, err := d.DiscoverTaggedCtx(context.Background(), u, q, p, topk.TA)
+		if err != nil {
+			b.Fatal(err)
+		}
+		msgs = append(msgs, msg)
+	}
+	wide, err := workload.Travel(workload.TravelConfig{
+		Users: 600, Destinations: 1000, VisitsPerUser: 8, TagFraction: 0.8, Seed: 42,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	all := &MSG{User: wide.Users[0]}
+	for _, it := range wide.Destinations {
+		all.Results = append(all.Results, Result{Item: it})
+	}
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		msgs []*MSG
+	}{
+		{"ledger", ledger.Graph, msgs},
+		{"k=1000", wide.Graph, []*MSG{all}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				RelatedEntities(c.g, c.msgs[i%len(c.msgs)], 2, 5)
+			}
+		})
 	}
 }
 

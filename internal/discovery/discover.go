@@ -29,15 +29,54 @@ type Result struct {
 
 // MSG is the Meaningful Social Graph (Section 3): the social content
 // subgraph semantically and socially relevant to a user and query, plus
-// the ranked results it was assembled from.
+// the ranked results it is assembled from.
 type MSG struct {
 	User    graph.NodeID
 	Query   Query
 	Basis   SocialBasis
 	Results []Result
-	// Graph holds the result items, the endorsing users, their provenance
-	// act links, and derived 'rec' links user→item carrying fused scores.
-	Graph *graph.Graph
+	// Snapshot is the immutable graph the MSG was discovered over; every
+	// name and attribute of the results resolves against it.
+	Snapshot *graph.Graph
+}
+
+// Graph assembles the MSG subgraph from Snapshot on each call: the user,
+// the result items (scored), the endorsing users, their provenance act
+// links, and derived 'rec' links user→item carrying fused scores. Every
+// node and link comes from Snapshot and every rec link id is fresh in it,
+// so a failed insertion is a broken invariant and panics.
+func (m *MSG) Graph() *graph.Graph {
+	g := m.Snapshot
+	out := graph.New()
+	out.BeginBulk()
+	defer out.EndBulk()
+	add := func(l *graph.Link) {
+		if err := out.AddLink(l); err != nil {
+			panic(fmt.Sprintf("discovery: assembling the MSG: %v", err))
+		}
+	}
+	out.PutNode(g.Node(m.User).Clone())
+	ids := graph.IDSourceFor(g)
+	for _, r := range m.Results {
+		item := g.Node(r.Item).Clone()
+		item.SetScore(r.Score)
+		out.PutNode(item)
+		rec := graph.NewLink(ids.NextLink(), m.User, r.Item, "rec")
+		rec.Attrs.SetFloat("score", r.Score)
+		add(rec)
+		for _, e := range r.Endorsers {
+			if !out.HasNode(e) {
+				out.PutNode(g.Node(e).Clone())
+			}
+			// Copy the provenance act links endorser→item.
+			for _, l := range g.Out(e) {
+				if l.Tgt == r.Item && l.HasType(graph.TypeAct) && !out.HasLink(l.ID) {
+					add(l.Clone())
+				}
+			}
+		}
+	}
+	return out
 }
 
 // Discoverer evaluates queries against a social content graph. The item
@@ -121,11 +160,12 @@ func (d *Discoverer) SharesCatalog(other *Discoverer) bool {
 //  4. fuse with score = α·semantic + (1-α)·social (normalized legs); an
 //     empty query degenerates to pure social relevance, keyword-less
 //     structural queries to pure social within scope;
-//  5. assemble the MSG with provenance links.
+//  5. return the MSG over the snapshot; its provenance subgraph is
+//     assembled only when MSG.Graph is called.
 //
 // Every stage reads the catalog: the scope is the catalog entries whose
 // node passes the predicates, in ascending id order, and each leg writes
-// into that positional slice, so no graph is built before the MSG.
+// into that positional slice, so no graph is built.
 func (d *Discoverer) Discover(user graph.NodeID, q Query) (*MSG, error) {
 	if !d.g.HasNode(user) {
 		return nil, fmt.Errorf("%w %d", ErrUnknownUser, user)
@@ -209,42 +249,5 @@ func (d *Discoverer) Discover(user graph.NodeID, q Query) (*MSG, error) {
 		kept = kept[:q.K]
 	}
 
-	// 5. MSG assembly.
-	msgGraph, err := d.assemble(user, kept)
-	if err != nil {
-		return nil, err
-	}
-	return &MSG{User: user, Query: q, Basis: basis, Results: kept, Graph: msgGraph}, nil
-}
-
-func (d *Discoverer) assemble(user graph.NodeID, results []Result) (*graph.Graph, error) {
-	out := graph.New()
-	out.BeginBulk()
-	defer out.EndBulk()
-	out.PutNode(d.g.Node(user).Clone())
-	ids := graph.IDSourceFor(d.g)
-	for _, r := range results {
-		item := d.g.Node(r.Item).Clone()
-		item.SetScore(r.Score)
-		out.PutNode(item)
-		rec := graph.NewLink(ids.NextLink(), user, r.Item, "rec")
-		rec.Attrs.SetFloat("score", r.Score)
-		if err := out.AddLink(rec); err != nil {
-			return nil, err
-		}
-		for _, e := range r.Endorsers {
-			if !out.HasNode(e) {
-				out.PutNode(d.g.Node(e).Clone())
-			}
-			// Copy the provenance act links endorser→item.
-			for _, l := range d.g.Out(e) {
-				if l.Tgt == r.Item && l.HasType(graph.TypeAct) && !out.HasLink(l.ID) {
-					if err := out.AddLink(l.Clone()); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-	}
-	return out, nil
+	return &MSG{User: user, Query: q, Basis: basis, Results: kept, Snapshot: d.g}, nil
 }

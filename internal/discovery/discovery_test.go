@@ -120,10 +120,11 @@ func TestDiscoverSemanticAndSocial(t *testing.T) {
 		}
 	}
 	// MSG graph carries provenance.
-	if msg.Graph.NumLinks() == 0 || !msg.Graph.HasNode(f.ann) {
+	mg := msg.Graph()
+	if mg.NumLinks() == 0 || !mg.HasNode(f.ann) {
 		t.Error("MSG lacks provenance")
 	}
-	if err := msg.Graph.Validate(); err != nil {
+	if err := mg.Validate(); err != nil {
 		t.Error(err)
 	}
 	if msg.Basis.Kind != BasisQueryFriends && msg.Basis.Kind != BasisFriends {

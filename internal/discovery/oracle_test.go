@@ -99,11 +99,7 @@ func discoverOracle(g *graph.Graph, corpus *scoring.Corpus, itemType string, use
 	if q.K < len(ranked) {
 		ranked = ranked[:q.K]
 	}
-	msgGraph, err := assembleOracle(g, user, ranked)
-	if err != nil {
-		return nil, err
-	}
-	return &MSG{User: user, Query: q, Basis: basis, Results: ranked, Graph: msgGraph}, nil
+	return &MSG{User: user, Query: q, Basis: basis, Results: ranked, Snapshot: g}, nil
 }
 
 func selectSocialBasisOracle(g *graph.Graph, user graph.NodeID, q Query, minSize int) SocialBasis {
@@ -249,7 +245,8 @@ func containsOracle(ids []graph.NodeID, id graph.NodeID) bool {
 
 // assertDiscoverMatchesOracle runs one query through d and through the
 // oracle over d's graph and requires the same error, or the same results
-// (every score to the bit, endorsers in order), basis and MSG graph.
+// (every score to the bit, endorsers in order) and basis, and an MSG
+// graph equal to assembleOracle over the oracle's own results.
 func assertDiscoverMatchesOracle(t *testing.T, d *Discoverer, corpus *scoring.Corpus, user graph.NodeID, q Query) *MSG {
 	t.Helper()
 	want, werr := discoverOracle(d.g, corpus, d.itemType, user, q)
@@ -269,13 +266,28 @@ func assertDiscoverMatchesOracle(t *testing.T, d *Discoverer, corpus *scoring.Co
 	if got.User != want.User || !reflect.DeepEqual(got.Query, want.Query) {
 		t.Fatalf("user %d %+v: header %d %+v, oracle %d %+v", user, q, got.User, got.Query, want.User, want.Query)
 	}
-	if !got.Graph.Equal(want.Graph) {
-		t.Fatalf("user %d %+v: MSG graph\n%v\noracle\n%v", user, q, got.Graph, want.Graph)
-	}
-	if err := got.Graph.Validate(); err != nil {
-		t.Fatalf("user %d %+v: %v", user, q, err)
-	}
+	assertMSGGraph(t, got, d.g, want.Results)
 	return got
+}
+
+// assertMSGGraph requires msg to be over snapshot g and its assembled
+// graph to be valid and equal to assembleOracle over g and results.
+func assertMSGGraph(t *testing.T, msg *MSG, g *graph.Graph, results []Result) {
+	t.Helper()
+	if msg.Snapshot != g {
+		t.Fatalf("user %d %+v: MSG over another snapshot", msg.User, msg.Query)
+	}
+	want, err := assembleOracle(g, msg.User, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := msg.Graph()
+	if !got.Equal(want) {
+		t.Fatalf("user %d %+v: MSG graph\n%v\noracle\n%v", msg.User, msg.Query, got, want)
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatalf("user %d %+v: %v", msg.User, msg.Query, err)
+	}
 }
 
 // oracleVocabulary is the text the random graphs draw from: a stopword, a

@@ -3,6 +3,7 @@ package discovery
 import (
 	"cmp"
 	"slices"
+	"sync"
 
 	"socialscope/internal/graph"
 )
@@ -81,76 +82,88 @@ func RelatedEntities(g *graph.Graph, msg *MSG, minActs, limit int) Related {
 		rel.Topics = rel.Topics[:limit]
 	}
 
-	// Users: a k-way merge of the items' endorser vectors, each ascending
-	// without repeats, so a user's count is the number of vectors whose
-	// head it is when the merge reaches it. rel.Users keeps the best limit
-	// users so far, in order; the merge meets users in ascending id, so a
-	// newcomer displaces only a strictly lower count and sits after every
-	// equal one.
-	heads := make(endorserHeap, 0, len(items))
-	for _, item := range items {
-		if es := g.Endorsers(item); len(es) > 0 {
-			heads = append(heads, es)
+	// Users: the items' endorser vectors, each ascending without repeats,
+	// merged pairwise in a balanced tree into one ascending run of (user,
+	// count) — O(T log k) for T endorsers over k items. rel.Users keeps the
+	// best limit users, in order; the run is in ascending id, so a newcomer
+	// displaces only a strictly lower count and sits after every equal one.
+	sc := countScratch.Get().(*userCounts)
+	defer countScratch.Put(sc)
+	for _, u := range sc.merge(g, items) {
+		if u.Count < minActs {
+			continue
 		}
-	}
-	heads.init()
-	for len(heads) > 0 {
-		user, n := heads[0][0].ID, 0
-		for len(heads) > 0 && heads[0][0].ID == user {
-			n++
-			heads.advance()
-		}
-		if _, skip := slices.BinarySearch(exclude, user); skip || n < minActs {
+		if _, skip := slices.BinarySearch(exclude, u.User); skip {
 			continue
 		}
 		if len(rel.Users) < limit {
 			rel.Users = append(rel.Users, RelatedUser{})
-		} else if n <= rel.Users[limit-1].Count {
+		} else if u.Count <= rel.Users[limit-1].Count {
 			continue
 		}
 		i := len(rel.Users) - 1
-		for ; i > 0 && rel.Users[i-1].Count < n; i-- {
+		for ; i > 0 && rel.Users[i-1].Count < u.Count; i-- {
 			rel.Users[i] = rel.Users[i-1]
 		}
-		rel.Users[i] = RelatedUser{user, n}
+		rel.Users[i] = u
 	}
 	return rel
 }
 
-// endorserHeap is a min-heap of non-empty endorser vectors ordered by
-// their first entry's id.
-type endorserHeap [][]graph.Endorser
-
-func (h endorserHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
+// userCounts is RelatedEntities' reusable merge space: two buffers of
+// ascending (user, count) runs and the end offsets of the current runs.
+type userCounts struct {
+	a, b []RelatedUser
+	ends []int
 }
 
-// advance drops the smallest head, removing its vector once it drains.
-func (h *endorserHeap) advance() {
-	s := *h
-	if s[0] = s[0][1:]; len(s[0]) == 0 {
-		s[0] = s[len(s)-1]
-		s = s[:len(s)-1]
-		*h = s
+var countScratch = sync.Pool{New: func() any { return new(userCounts) }}
+
+// merge returns every endorser of items with the number of items it
+// endorses, ascending by user. The result aliases sc until the next call.
+func (sc *userCounts) merge(g *graph.Graph, items []graph.NodeID) []RelatedUser {
+	a, ends := sc.a[:0], sc.ends[:0]
+	for _, item := range items {
+		for _, e := range g.Endorsers(item) {
+			a = append(a, RelatedUser{e.ID, 1})
+		}
+		ends = append(ends, len(a))
 	}
-	s.down(0)
+	b := sc.b
+	for len(ends) > 1 {
+		b = b[:0]
+		lo, n := 0, 0
+		for i := 0; i < len(ends); i += 2 {
+			mid, hi := ends[i], ends[i]
+			if i+1 < len(ends) {
+				hi = ends[i+1]
+			}
+			b = mergeRuns(b, a[lo:mid], a[mid:hi])
+			lo, ends[n], n = hi, len(b), n+1
+		}
+		a, b, ends = b, a, ends[:n]
+	}
+	sc.a, sc.b, sc.ends = a, b, ends
+	return a
 }
 
-func (h endorserHeap) down(i int) {
-	for {
-		least, l, r := i, 2*i+1, 2*i+2
-		if l < len(h) && h[l][0].ID < h[least][0].ID {
-			least = l
+// mergeRuns appends the merge of two ascending runs to dst, adding the
+// counts of a user present in both.
+func mergeRuns(dst, x, y []RelatedUser) []RelatedUser {
+	i, j := 0, 0
+	for i < len(x) && j < len(y) {
+		switch {
+		case x[i].User < y[j].User:
+			dst = append(dst, x[i])
+			i++
+		case x[i].User > y[j].User:
+			dst = append(dst, y[j])
+			j++
+		default:
+			dst = append(dst, RelatedUser{x[i].User, x[i].Count + y[j].Count})
+			i, j = i+1, j+1
 		}
-		if r < len(h) && h[r][0].ID < h[least][0].ID {
-			least = r
-		}
-		if least == i {
-			return
-		}
-		h[i], h[least] = h[least], h[i]
-		i = least
 	}
+	dst = append(dst, x[i:]...)
+	return append(dst, y[j:]...)
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"socialscope/internal/graph"
@@ -160,11 +161,74 @@ func TestRelatedEntitiesMatchesSetOracle(t *testing.T) {
 	}
 }
 
+// TestRelatedEntitiesWide holds RelatedEntities to the set oracle over
+// 240 results, beyond the balanced merge's shallow trees: 400 users act
+// on 1 to 7 random items each, with repeats, so every cut falls inside a
+// run of tied counts.
+func TestRelatedEntitiesWide(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	b := graph.NewBuilder()
+	searcher := b.Node([]string{graph.TypeUser})
+	items := make([]graph.NodeID, 240)
+	for i := range items {
+		items[i] = b.Node([]string{graph.TypeItem})
+	}
+	msg := &MSG{User: searcher}
+	for i := 0; i < 400; i++ {
+		u := b.Node([]string{graph.TypeUser})
+		for _, j := range rng.Perm(len(items))[:1+i%7] {
+			for rep := 1 + rng.Intn(2); rep > 0; rep-- {
+				b.Link(u, items[j], []string{graph.TypeAct, graph.SubtypeVisit})
+			}
+		}
+		if i%50 == 0 {
+			msg.Basis.Users = append(msg.Basis.Users, u)
+		}
+	}
+	g := b.Graph()
+	for _, it := range items {
+		msg.Results = append(msg.Results, Result{Item: it})
+	}
+	all := relatedEntitiesOracle(g, msg, 1, len(items)*400).Users
+	for _, limit := range []int{1, 5, 40, 100} {
+		if all[limit-1].Count != all[limit].Count {
+			t.Fatalf("limit %d does not cut a tie", limit)
+		}
+		for _, minActs := range []int{1, 2, 7} {
+			got := RelatedEntities(g, msg, minActs, limit)
+			if want := relatedEntitiesOracle(g, msg, minActs, limit); !reflect.DeepEqual(got, want) {
+				t.Fatalf("minActs %d limit %d:\n got %+v\nwant %+v", minActs, limit, got, want)
+			}
+		}
+	}
+}
+
+// TestRelatedEntitiesConcurrent: calls share the pooled merge space, so
+// concurrent calls over different graphs must each match the oracle.
+func TestRelatedEntitiesConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 50; i++ {
+				g, msg := randomRelatedCase(rng)
+				if got, want := RelatedEntities(g, msg, 2, 3), relatedEntitiesOracle(g, msg, 2, 3); !reflect.DeepEqual(got, want) {
+					t.Errorf("seed %d case %d:\n got %+v\nwant %+v", seed, i, got, want)
+					return
+				}
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+}
+
 // TestRelatedUsersAtTheCut: RelatedEntities keeps the best limit users
-// during its merge instead of sorting them all. Counts by user id
-// ascending are 1, 2, 3, 2, 2, 3, so limit 3 cuts inside a tie, limit 1
-// keeps one of two tied leaders, and a later, higher count must displace
-// earlier, lower ones.
+// while it scans the merged counts instead of sorting them all. Counts by
+// user id ascending are 1, 2, 3, 2, 2, 3, so limit 3 cuts inside a tie,
+// limit 1 keeps one of two tied leaders, and a later, higher count must
+// displace earlier, lower ones.
 func TestRelatedUsersAtTheCut(t *testing.T) {
 	b := graph.NewBuilder()
 	searcher := b.Node([]string{graph.TypeUser})

@@ -16,8 +16,8 @@ import (
 // activity-driven index instead of the BM25 + social-basis fusion path:
 // the query keywords are interpreted as tags, the processor evaluates
 // score(i, u) = g(f(network(u) ∩ taggers(i, k1)), ...) with the requested
-// early-termination strategy, and the ranked items are assembled into the
-// same MSG shape Discover produces — endorsers are the user's network
+// early-termination strategy, and the ranked items form the same MSG
+// shape Discover produces — endorsers are the user's network
 // members whose tagging produced the score, so presentation-layer
 // explanations keep working. The returned Stats expose the postings
 // scanned and random accesses the evaluation cost, plus the index
@@ -30,8 +30,8 @@ import (
 // newer world.
 //
 // The processor's accumulation loops poll ctx (see topk.TopKCtx), so a
-// serving layer's per-request deadline bounds the index scan. MSG
-// assembly after a successful evaluation is O(k) and runs to completion.
+// serving layer's per-request deadline bounds the index scan. Endorser
+// collection after a successful evaluation is O(k) and runs to completion.
 func (d *Discoverer) DiscoverTaggedCtx(ctx context.Context, user graph.NodeID, q Query,
 	proc *topk.Processor, strategy topk.Strategy) (*MSG, topk.Stats, error) {
 	if proc == nil {
@@ -102,9 +102,5 @@ func (d *Discoverer) DiscoverTaggedCtx(ctx context.Context, user graph.NodeID, q
 		res.Endorsers = endorsers
 		results = append(results, res)
 	}
-	msgGraph, err := d.assemble(user, results)
-	if err != nil {
-		return nil, stats, err
-	}
-	return &MSG{User: user, Query: q, Results: results, Graph: msgGraph}, stats, nil
+	return &MSG{User: user, Query: q, Results: results, Snapshot: d.g}, stats, nil
 }

@@ -2,12 +2,15 @@ package discovery
 
 import (
 	"context"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"socialscope/internal/cluster"
 	"socialscope/internal/graph"
 	"socialscope/internal/index"
 	"socialscope/internal/topk"
+	"socialscope/internal/workload"
 )
 
 // taggedFixture builds a site whose tags are stored with mixed case, the
@@ -27,7 +30,7 @@ func taggedFixture(t *testing.T) (*graph.Graph, []graph.NodeID) {
 	return b.Graph(), users
 }
 
-func taggedProcessor(t *testing.T, g *graph.Graph) *topk.Processor {
+func taggedProcessor(t testing.TB, g *graph.Graph) *topk.Processor {
 	t.Helper()
 	cl, err := cluster.Build(g, cluster.PerUser, 0)
 	if err != nil {
@@ -74,7 +77,7 @@ func TestDiscoverTaggedResolvesTagCase(t *testing.T) {
 	if stats.PostingsScanned == 0 {
 		t.Error("stats not populated")
 	}
-	if msg.Graph == nil || !msg.Graph.HasNode(r.Item) {
+	if !msg.Graph().HasNode(r.Item) {
 		t.Error("MSG graph missing the result item")
 	}
 }
@@ -91,5 +94,53 @@ func TestDiscoverTaggedErrors(t *testing.T) {
 	}
 	if _, _, err := d.DiscoverTaggedCtx(context.Background(), users[0], Query{}, p, topk.TA); err == nil {
 		t.Error("keyword-less query accepted")
+	}
+}
+
+// TestDiscoverTaggedMSGGraphBenchCorpus holds DiscoverTaggedCtx's MSG to
+// the oracles on the bench/ ledger's corpus under tagged_cold's query
+// shapes: TA ranks what Exhaustive ranks, and the assembled graph is
+// valid and equal to assembleOracle over the Exhaustive results.
+func TestDiscoverTaggedMSGGraphBenchCorpus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 600-user corpus")
+	}
+	corpus, err := workload.Travel(workload.TravelConfig{
+		Users: 600, Destinations: 200, VisitsPerUser: 8, TagFraction: 0.8, Seed: 42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := corpus.Graph
+	p := taggedProcessor(t, g)
+	d := NewDiscoverer(g, "destination")
+	rng := rand.New(rand.NewSource(30))
+	nonEmpty := 0
+	const draws = 60
+	for c := 0; c < draws; c++ {
+		user := corpus.Users[rng.Intn(len(corpus.Users))]
+		cats := workload.Categories
+		q := Query{Keywords: []string{cats[rng.Intn(len(cats))]}, K: []int{1, 10, 1000}[rng.Intn(3)]}
+		if rng.Intn(2) == 0 {
+			q.Keywords = append(q.Keywords, cats[rng.Intn(len(cats))])
+		}
+		got, _, err := d.DiscoverTaggedCtx(context.Background(), user, q, p, topk.TA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := d.DiscoverTaggedCtx(context.Background(), user, q, p, topk.Exhaustive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Results, want.Results) {
+			t.Fatalf("user %d %+v:\nTA         %+v\nExhaustive %+v", user, q, got.Results, want.Results)
+		}
+		assertMSGGraph(t, got, g, want.Results)
+		if len(got.Results) > 0 {
+			nonEmpty++
+		}
+	}
+	if nonEmpty*2 < draws {
+		t.Errorf("only %d of %d cases return results", nonEmpty, draws)
 	}
 }

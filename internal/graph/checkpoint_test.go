@@ -2,8 +2,11 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
+
+	"socialscope/internal/persist"
 )
 
 func buildCheckpointFixture(t *testing.T) *Graph {
@@ -290,5 +293,42 @@ func TestMaxIDsSurviveRemoveThenRecover(t *testing.T) {
 	}
 	if rec.MaxNodeID() != nid || rec.MaxLinkID() != lid {
 		t.Fatalf("delta recovery marks %d/%d, want %d/%d", rec.MaxNodeID(), rec.MaxLinkID(), nid, lid)
+	}
+}
+
+// TestCkptReaderRejectsLyingCounts: a checkpoint section whose node or
+// link count disagrees with its tries is rejected — including counts no
+// allocation could hold, which the reader once sized a slice by.
+func TestCkptReaderRejectsLyingCounts(t *testing.T) {
+	g := buildCheckpointFixture(t)
+	section := func(nodeCount, linkCount uint64) []byte {
+		nodeDelta, nodeRoot := persist.NewCkptState[NodeID, *Node]().EncodeDelta(nil, g.nodes,
+			func(b []byte, id NodeID) []byte { return binary.AppendUvarint(b, uint64(id)) }, AppendNodeBin)
+		linkDelta, linkRoot := persist.NewCkptState[LinkID, *Link]().EncodeDelta(nil, g.links,
+			func(b []byte, id LinkID) []byte { return binary.AppendUvarint(b, uint64(id)) }, AppendLinkBin)
+		var b []byte
+		for _, part := range []struct {
+			delta       []byte
+			root, count uint64
+		}{{nodeDelta, nodeRoot, nodeCount}, {linkDelta, linkRoot, linkCount}} {
+			b = binary.AppendUvarint(b, uint64(len(part.delta)))
+			b = append(b, part.delta...)
+			b = binary.AppendUvarint(b, part.root)
+			b = binary.AppendUvarint(b, part.count)
+		}
+		b = binary.AppendUvarint(b, uint64(g.MaxNodeID()))
+		return binary.AppendUvarint(b, uint64(g.MaxLinkID()))
+	}
+	nodes, links := uint64(g.NumNodes()), uint64(g.NumLinks())
+	if !bytes.Equal(section(nodes, links), NewCkptWriter().AppendCheckpoint(nil, g)) {
+		t.Fatal("test encoder drifted from AppendCheckpoint")
+	}
+	for _, c := range [][2]uint64{
+		{nodes + 1, links}, {nodes - 1, links}, {1 << 62, links}, {1<<63 + 1, links},
+		{nodes, links + 1}, {nodes, links - 1}, {nodes, 1 << 62}, {nodes, 1<<63 + 1},
+	} {
+		if _, err := NewCkptReader().Apply(section(c[0], c[1])); err == nil {
+			t.Errorf("counts %d/%d for %d/%d entries accepted", c[0], c[1], nodes, links)
+		}
 	}
 }

@@ -63,3 +63,80 @@ func FuzzDecodeMutations(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCkptReader feeds arbitrary bytes to the checkpoint reader as a full
+// checkpoint followed by one delta: section framing, persist trie node
+// records and the node and link records inside them. It must never
+// panic, and never size an allocation from a length it has not checked.
+// Whatever it accepts must be a graph its own maps can serve: every
+// entry found by lookup, sizes that match the entries, and a fresh
+// checkpoint of it read back equal.
+func FuzzCkptReader(f *testing.F) {
+	g := New()
+	for i := NodeID(1); i <= 12; i++ {
+		n := NewNode(i, TypeUser)
+		n.Attrs.Add("name", string(rune('a'+i)))
+		if i%4 == 0 {
+			n.SetScore(float64(i) / 3)
+		}
+		if err := g.AddNode(n); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for i := LinkID(1); i <= 20; i++ {
+		l := NewLink(i, NodeID(1+i%12), NodeID(1+(i*5)%12), TypeAct, SubtypeTag)
+		l.Attrs.Add("tags", "museum")
+		if err := g.AddLink(l); err != nil {
+			f.Fatal(err)
+		}
+	}
+	w := NewCkptWriter()
+	full := w.AppendCheckpoint(nil, g)
+	g.RemoveNode(3)
+	if err := g.AddNode(NewNode(13, TypeItem)); err != nil {
+		f.Fatal(err)
+	}
+	if err := g.AddLink(NewLink(21, 13, 1, TypeAct)); err != nil {
+		f.Fatal(err)
+	}
+	delta := w.AppendCheckpoint(nil, g)
+	empty := NewCkptWriter().AppendCheckpoint(nil, New())
+	f.Add(full, delta)
+	f.Add(full, empty)
+	f.Add(empty, empty)
+	f.Add(full[:len(full)/2], delta)
+	f.Add(full, delta[:len(delta)-1])
+
+	f.Fuzz(func(t *testing.T, full, delta []byte) {
+		r := NewCkptReader()
+		for _, data := range [][]byte{full, delta} {
+			got, err := r.Apply(data)
+			if err != nil {
+				return
+			}
+			nodes, links := 0, 0
+			got.nodes.Range(func(id NodeID, _ *Node) bool {
+				if nodes++; !got.HasNode(id) {
+					t.Fatalf("node %d ranged but not found", id)
+				}
+				return true
+			})
+			got.links.Range(func(id LinkID, _ *Link) bool {
+				if links++; !got.HasLink(id) {
+					t.Fatalf("link %d ranged but not found", id)
+				}
+				return true
+			})
+			if nodes != got.NumNodes() || links != got.NumLinks() {
+				t.Fatalf("sizes %d/%d, entries %d/%d", got.NumNodes(), got.NumLinks(), nodes, links)
+			}
+			again, err := NewCkptReader().Apply(NewCkptWriter().AppendCheckpoint(nil, got))
+			if err != nil {
+				t.Fatalf("re-encoded checkpoint rejected: %v", err)
+			}
+			if !again.Equal(got) || again.MaxNodeID() != got.MaxNodeID() || again.MaxLinkID() != got.MaxLinkID() {
+				t.Fatal("accepted checkpoint does not round-trip")
+			}
+		}
+	})
+}

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // AppendEncoder serializes v by appending to dst, returning the
@@ -218,7 +219,9 @@ func (ld *CkptLoader[K, V]) DecodeDelta(data []byte, decK Decoder[K], decV Decod
 
 // Map materializes the map whose root carries rootID (0 for empty) with
 // size entries. proto supplies the hash function — it must be the same
-// family the encoded map used, or lookups will miss.
+// family the encoded map used, or lookups will miss. The trie is checked
+// in one pass before it is trusted, so lookups find what Range visits and
+// Len — which callers size allocations by — is a count, not a claim.
 func (ld *CkptLoader[K, V]) Map(proto Map[K, V], rootID uint64, size int) (Map[K, V], error) {
 	if rootID == 0 {
 		if size != 0 {
@@ -229,5 +232,50 @@ func (ld *CkptLoader[K, V]) Map(proto Map[K, V], rootID uint64, size int) (Map[K
 	if rootID > uint64(len(ld.nodes)) {
 		return proto, fmt.Errorf("%w: root id %d of %d known", ErrCkptCorrupt, rootID, len(ld.nodes))
 	}
-	return Map[K, V]{root: ld.nodes[rootID-1], size: size, hash: proto.hash}, nil
+	root := ld.nodes[rootID-1]
+	if n, ok := root.check(proto.hash, 0, 0); !ok || n != size {
+		return proto, fmt.Errorf("%w: root %d is no trie of %d entries", ErrCkptCorrupt, rootID, size)
+	}
+	return Map[K, V]{root: root, size: size, hash: proto.hash}, nil
+}
+
+// check counts the entries under n, a node at shift whose slots so far
+// spell path (the low shift bits of every hash below it), and fails on a
+// trie lookups could not serve: an entry off its hash path, an empty
+// branch, a collision bucket above the last hash level or with a repeated
+// key. Every node holds an entry, so a node reachable by two paths fails
+// at its first entry and the walk stays linear in the trie.
+func (n *node[K, V]) check(hash func(K) uint64, shift uint, path uint64) (int, bool) {
+	if n.coll != (shift > maxShift) || !n.coll && n.datamap|n.nodemap == 0 {
+		return 0, false
+	}
+	if n.coll {
+		for i, k := range n.keys {
+			if hash(k) != path || slices.Contains(n.keys[:i], k) {
+				return 0, false
+			}
+		}
+		return len(n.keys), true
+	}
+	count, di, si := len(n.keys), 0, 0
+	for slots := n.datamap | n.nodemap; slots != 0; slots &= slots - 1 {
+		slot := uint64(bits.TrailingZeros64(slots))
+		want := path | slot<<shift
+		switch {
+		case want>>shift != slot: // past the hash's last bit
+			return 0, false
+		case n.datamap&(1<<slot) != 0:
+			if hash(n.keys[di])&^(^uint64(0)<<(shift+branchBits)) != want {
+				return 0, false
+			}
+			di++
+		default:
+			c, ok := n.subs[si].check(hash, shift+branchBits, want)
+			if !ok {
+				return 0, false
+			}
+			count, si = count+c, si+1
+		}
+	}
+	return count, true
 }

@@ -259,3 +259,55 @@ func TestCheckpointTransientBuiltMapRoundTrips(t *testing.T) {
 	}
 	assertSameMap(t, m, roundTrip(t, m))
 }
+
+// TestCheckpointMapRejectsUnservableTries: node records that decode
+// cleanly but describe a trie lookups cannot serve, or a size the trie
+// does not hold, are rejected when the map is materialized.
+func TestCheckpointMapRejectsUnservableTries(t *testing.T) {
+	m := NewIntMap[int, string]()
+	slot := func(k int, shift uint) uint64 { return (m.hash(k) >> shift) & branchMask }
+	branch := func(datamap, nodemap uint64, rest ...byte) []byte {
+		b := binary.AppendUvarint([]byte{0x00}, datamap)
+		return append(binary.AppendUvarint(b, nodemap), rest...)
+	}
+	entry := func(k int) []byte { return encStr(encInt(nil, k), "v") }
+	right := branch(1<<slot(1, 0), 0, entry(1)...)
+	// Key 1 on its own hash path down to the last level, where its slot
+	// is 16 past the 4 bits left: slot<<60 wraps to the right bits.
+	deep := branch(1<<(slot(1, maxShift)+16), 0, entry(1)...)
+	for id, shift := byte(1), uint(maxShift); shift > 0; id, shift = id+1, shift-branchBits {
+		deep = append(deep, branch(0, 1<<slot(1, shift-branchBits), id)...)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+		size int
+	}{
+		{"size above the entries", right, 2},
+		{"size below the entries", right, 0},
+		{"size past any allocation", right, 1 << 62},
+		{"entry in the wrong slot", branch(1<<((slot(1, 0)+1)%64), 0, entry(1)...), 1},
+		{"empty branch", branch(0, 0), 0},
+		// Record 1 is key 1's leaf; record 2 points at it from a slot
+		// key 1's hash does not take.
+		{"child off its hash path", append(branch(1<<slot(1, 6), 0, entry(1)...),
+			branch(0, 1<<((slot(1, 0)+1)%64), 1)...), 1},
+		{"collision bucket at the root", append([]byte{0x01, 1}, entry(1)...), 1},
+		{"slot past the hash's last bit", deep, 1},
+	} {
+		var ld CkptLoader[int, string]
+		if err := ld.DecodeDelta(c.data, decInt, decStr); err != nil {
+			t.Fatalf("%s: records rejected before Map: %v", c.name, err)
+		}
+		if _, err := ld.Map(m, ld.Decoded(), c.size); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+	var ld CkptLoader[int, string]
+	if err := ld.DecodeDelta(right, decInt, decStr); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ld.Map(m, 1, 1); err != nil || got.At(1) != "v" {
+		t.Fatalf("well-formed record: %v, %q", err, got.At(1))
+	}
+}

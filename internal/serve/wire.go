@@ -207,21 +207,14 @@ type SearchResponse struct {
 	Stats   *QueryStatsWire `json:"stats,omitempty"`
 }
 
-// SearchResponseFromEngine shapes a facade Response for the wire. Names
-// are resolved against the MSG's own snapshot-consistent graph, falling
-// back to the serving graph for entities the MSG does not carry.
-func SearchResponseFromEngine(eng *socialscope.Engine, version uint64,
+// SearchResponseFromEngine shapes a facade Response for the wire. Every
+// name — items, related topics and related users — resolves against the
+// snapshot the MSG was discovered over, the one version stamps, never the
+// engine's current graph.
+func SearchResponseFromEngine(_ *socialscope.Engine, version uint64,
 	q discovery.Query, resp *socialscope.Response, stats *QueryStatsWire) SearchResponse {
-	g := eng.Graph()
 	name := func(id graph.NodeID) string {
-		if resp.MSG.Graph != nil {
-			if n := resp.MSG.Graph.Node(id); n != nil {
-				if nm := n.Attrs.Get("name"); nm != "" {
-					return nm
-				}
-			}
-		}
-		if n := g.Node(id); n != nil {
+		if n := resp.MSG.Snapshot.Node(id); n != nil {
 			return n.Attrs.Get("name")
 		}
 		return ""

@@ -64,7 +64,7 @@ func TestEngineEndToEnd(t *testing.T) {
 	if len(resp.Summaries) != len(resp.Results()) {
 		t.Error("missing explanation summaries")
 	}
-	if err := resp.MSG.Graph.Validate(); err != nil {
+	if err := resp.MSG.Graph().Validate(); err != nil {
 		t.Error(err)
 	}
 }
