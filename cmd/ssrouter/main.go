@@ -11,7 +11,8 @@
 //
 // Endpoints (proxied): /search, /query, /recommend, /apply, /stats.
 // Router-local: GET /healthz (router health), GET /routerz (routing
-// view and fault counters), GET /metrics (Prometheus text exposition).
+// view: token, leader, backends), GET /metrics (Prometheus text
+// exposition, the one view of the fault-handling counters).
 package main
 
 import (

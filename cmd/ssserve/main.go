@@ -18,9 +18,9 @@
 //	GET  /recommend?user=ID[&variant=stepwise|pattern]
 //	POST /apply      {"mutations":[{"op":"add-link","link":{...}},...]}
 //	POST /promote    (follower only: become the writable leader)
-//	GET  /stats
+//	GET  /stats      (version, max node/link ids, uptime)
 //	GET  /healthz
-//	GET  /metrics    (Prometheus text exposition; see docs/observability.md)
+//	GET  /metrics    (every counter and gauge, Prometheus text; see docs/observability.md)
 //
 // /search and /query refuse k over 1000 and query text over 4096 bytes
 // with 400.

@@ -40,45 +40,6 @@ type MSG struct {
 	Snapshot *graph.Graph
 }
 
-// Graph assembles the MSG subgraph from Snapshot on each call: the user,
-// the result items (scored), the endorsing users, their provenance act
-// links, and derived 'rec' links user→item carrying fused scores. Every
-// node and link comes from Snapshot and every rec link id is fresh in it,
-// so a failed insertion is a broken invariant and panics.
-func (m *MSG) Graph() *graph.Graph {
-	g := m.Snapshot
-	out := graph.New()
-	out.BeginBulk()
-	defer out.EndBulk()
-	add := func(l *graph.Link) {
-		if err := out.AddLink(l); err != nil {
-			panic(fmt.Sprintf("discovery: assembling the MSG: %v", err))
-		}
-	}
-	out.PutNode(g.Node(m.User).Clone())
-	ids := graph.IDSourceFor(g)
-	for _, r := range m.Results {
-		item := g.Node(r.Item).Clone()
-		item.SetScore(r.Score)
-		out.PutNode(item)
-		rec := graph.NewLink(ids.NextLink(), m.User, r.Item, "rec")
-		rec.Attrs.SetFloat("score", r.Score)
-		add(rec)
-		for _, e := range r.Endorsers {
-			if !out.HasNode(e) {
-				out.PutNode(g.Node(e).Clone())
-			}
-			// Copy the provenance act links endorser→item.
-			for _, l := range g.Out(e) {
-				if l.Tgt == r.Item && l.HasType(graph.TypeAct) && !out.HasLink(l.ID) {
-					add(l.Clone())
-				}
-			}
-		}
-	}
-	return out
-}
-
 // Discoverer evaluates queries against a social content graph. The item
 // catalog (each item's text tokenized once, and the BM25 statistics over
 // them) is computed lazily on the first fusion-path query and then shared
@@ -160,8 +121,7 @@ func (d *Discoverer) SharesCatalog(other *Discoverer) bool {
 //  4. fuse with score = α·semantic + (1-α)·social (normalized legs); an
 //     empty query degenerates to pure social relevance, keyword-less
 //     structural queries to pure social within scope;
-//  5. return the MSG over the snapshot; its provenance subgraph is
-//     assembled only when MSG.Graph is called.
+//  5. return the MSG over the snapshot.
 //
 // Every stage reads the catalog: the scope is the catalog entries whose
 // node passes the predicates, in ascending id order, and each leg writes

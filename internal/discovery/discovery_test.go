@@ -120,7 +120,10 @@ func TestDiscoverSemanticAndSocial(t *testing.T) {
 		}
 	}
 	// MSG graph carries provenance.
-	mg := msg.Graph()
+	mg, err := assembleOracle(msg.Snapshot, msg.User, msg.Results)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if mg.NumLinks() == 0 || !mg.HasNode(f.ann) {
 		t.Error("MSG lacks provenance")
 	}

@@ -47,7 +47,7 @@ func (r *Router) CheckNow() {
 // probe performs one health check against b and folds the outcome into
 // the routing view.
 func (r *Router) probe(b *Backend) {
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.HealthTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.TryTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.URL+"/healthz", nil)
 	if err != nil {

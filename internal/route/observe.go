@@ -5,8 +5,8 @@ import (
 )
 
 // routerCounters are the routing tier's registry handles. All fields
-// are lock-free counters; /routerz and /metrics are two views over the
-// same handles, so they can never drift apart.
+// are lock-free counters, read out only through /metrics; /routerz
+// carries the routing view alone.
 type routerCounters struct {
 	reads, writes         *obs.Counter
 	retries, hedges       *obs.Counter

@@ -94,10 +94,9 @@ type Config struct {
 	// BreakerCooldown (defaults 3 / 500ms).
 	BreakerFails    int
 	BreakerCooldown time.Duration
-	// HealthEvery is the membership poll interval (default 250ms);
-	// HealthTimeout bounds each probe (default TryTimeout).
-	HealthEvery   time.Duration
-	HealthTimeout time.Duration
+	// HealthEvery is the membership poll interval (default 250ms); each
+	// probe is bounded by TryTimeout.
+	HealthEvery time.Duration
 	// StalenessWait is the budget for satisfying the monotonic-read
 	// token before degrading to an explicitly stale answer (default
 	// 250ms).
@@ -153,9 +152,6 @@ func (cfg *Config) fill() {
 	}
 	if cfg.HealthEvery <= 0 {
 		cfg.HealthEvery = DefaultHealthEvery
-	}
-	if cfg.HealthTimeout <= 0 {
-		cfg.HealthTimeout = cfg.TryTimeout
 	}
 	if cfg.StalenessWait <= 0 {
 		cfg.StalenessWait = DefaultStalenessWait
@@ -350,27 +346,16 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	})
 }
 
-// handleRouterz reports the full routing view and counters.
+// handleRouterz reports the routing view; counters are on /metrics.
 func (r *Router) handleRouterz(w http.ResponseWriter, req *http.Request) {
 	leader := ""
 	if l := r.Leader(); l != nil {
 		leader = l.Host
 	}
 	writeJSON(w, http.StatusOK, RouterStats{
-		Token:          r.token.Load(),
-		Leader:         leader,
-		Backends:       r.Backends(),
-		Reads:          r.stats.reads.Value(),
-		Writes:         r.stats.writes.Value(),
-		Retries:        r.stats.retries.Value(),
-		Hedges:         r.stats.hedges.Value(),
-		HedgeWins:      r.stats.hedgeWins.Value(),
-		StaleServed:    r.stats.staleServed.Value(),
-		StaleRedirects: r.stats.staleRedirects.Value(),
-		BreakerSkips:   r.stats.breakerSkips.Value(),
-		Failovers:      r.stats.failovers.Value(),
-		ReadErrors:     r.stats.readErrors.Value(),
-		WriteErrors:    r.stats.writeErrs.Value(),
+		Token:    r.token.Load(),
+		Leader:   leader,
+		Backends: r.Backends(),
 	})
 }
 

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -440,6 +442,13 @@ func TestRouterzReportsView(t *testing.T) {
 	defer r.Close()
 
 	rec := get(t, r.Handler(), "/routerz", nil)
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &keys); err != nil {
+		t.Fatalf("routerz decode: %v", err)
+	}
+	if got, want := slices.Sorted(maps.Keys(keys)), []string{"backends", "leader", "token"}; !slices.Equal(got, want) {
+		t.Fatalf("routerz keys %v, want exactly %v", got, want)
+	}
 	var rs RouterStats
 	if err := json.Unmarshal(rec.Body.Bytes(), &rs); err != nil {
 		t.Fatalf("routerz decode: %v", err)

@@ -11,22 +11,11 @@ type RouterHealth struct {
 	Token    uint64 `json:"token"`
 }
 
-// RouterStats is the body of GET /routerz: the routing view plus the
-// fault-handling counters — how often the router had to retry, hedge,
-// trip a breaker, serve stale or fail over to keep answering.
+// RouterStats is the body of GET /routerz: the routing view — the read
+// token, the leader and each backend's status. The fault-handling
+// counters are ss_route_* series on /metrics.
 type RouterStats struct {
-	Token          uint64          `json:"token"`
-	Leader         string          `json:"leader,omitempty"`
-	Backends       []BackendStatus `json:"backends"`
-	Reads          uint64          `json:"reads"`
-	Writes         uint64          `json:"writes"`
-	Retries        uint64          `json:"retries"`
-	Hedges         uint64          `json:"hedges"`
-	HedgeWins      uint64          `json:"hedge_wins"`
-	StaleServed    uint64          `json:"stale_served"`
-	StaleRedirects uint64          `json:"stale_redirects"`
-	BreakerSkips   uint64          `json:"breaker_skips"`
-	Failovers      uint64          `json:"failovers"`
-	ReadErrors     uint64          `json:"read_errors"`
-	WriteErrors    uint64          `json:"write_errors"`
+	Token    uint64          `json:"token"`
+	Leader   string          `json:"leader,omitempty"`
+	Backends []BackendStatus `json:"backends"`
 }

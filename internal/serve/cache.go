@@ -187,18 +187,3 @@ func (c *Cache) evictFor(key cacheKey) {
 		c.evictions.Inc()
 	}
 }
-
-// Stats snapshots the cache counters — a thin view over the registry
-// handles, so /stats and /metrics can never drift apart.
-func (c *Cache) Stats() CacheStatsWire {
-	c.mu.Lock()
-	entries := len(c.entries)
-	c.mu.Unlock()
-	return CacheStatsWire{
-		Entries:   entries,
-		Hits:      c.hits.Value(),
-		Misses:    c.misses.Value(),
-		Shared:    c.shared.Value(),
-		Evictions: c.evictions.Value(),
-	}
-}

@@ -103,8 +103,8 @@ func TestCacheStoreVeto(t *testing.T) {
 	if _, _, err := c.Do(context.Background(), key, func() ([]byte, bool, error) { return []byte("x"), false, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if s := c.Stats(); s.Entries != 0 {
-		t.Fatalf("vetoed store left %d entries", s.Entries)
+	if n := cacheEntries(c); n != 0 {
+		t.Fatalf("vetoed store left %d entries", n)
 	}
 }
 
@@ -231,16 +231,16 @@ func TestCacheNewerVersionFreesOlder(t *testing.T) {
 	put(1, "a")
 	put(1, "b")
 	put(1, "c")
-	if s := c.Stats(); s.Entries != 3 {
-		t.Fatalf("entries at v1 = %d, want 3", s.Entries)
+	if n := cacheEntries(c); n != 3 {
+		t.Fatalf("entries at v1 = %d, want 3", n)
 	}
 	put(2, "a")
-	if s := c.Stats(); s.Entries != 1 || s.Evictions != 3 {
-		t.Fatalf("after the first v2 store: entries = %d, evictions = %d; want 1, 3", s.Entries, s.Evictions)
+	if n := cacheEntries(c); n != 1 || c.evictions.Value() != 3 {
+		t.Fatalf("after the first v2 store: entries = %d, evictions = %d; want 1, 3", n, c.evictions.Value())
 	}
 	put(1, "late") // computed against v1, finished after v2 was stored
-	if s := c.Stats(); s.Entries != 1 || c.vetoes.Value() != 1 {
-		t.Fatalf("late v1 store: entries = %d, vetoes = %d; want 1, 1", s.Entries, c.vetoes.Value())
+	if n := cacheEntries(c); n != 1 || c.vetoes.Value() != 1 {
+		t.Fatalf("late v1 store: entries = %d, vetoes = %d; want 1, 1", n, c.vetoes.Value())
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -249,4 +249,11 @@ func TestCacheNewerVersionFreesOlder(t *testing.T) {
 			t.Errorf("entry %+v survived the move to version 2", k)
 		}
 	}
+}
+
+// cacheEntries is the resident entry count ss_cache_entries reports.
+func cacheEntries(c *Cache) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
 }

@@ -204,16 +204,3 @@ func (c *Coalescer) Stop() {
 	close(c.stop)
 	c.wg.Wait()
 }
-
-// Stats snapshots the coalescer counters — a thin view over the
-// registry handles, so /stats and /metrics can never drift apart.
-func (c *Coalescer) Stats() CoalescerStatsWire {
-	return CoalescerStatsWire{
-		Flushes:     c.flushes.Value(),
-		Requests:    c.requests.Value(),
-		Mutations:   c.mutations.Value(),
-		MaxFlush:    int(c.maxFlush.Value()),
-		BulkFlushes: c.bulkFlushes.Value(),
-		Fallbacks:   c.fallbacks.Value(),
-	}
-}

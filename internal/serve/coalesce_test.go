@@ -68,9 +68,8 @@ func TestCoalescerMergesConcurrentWrites(t *testing.T) {
 			t.Fatalf("writer %d: coalesced=%d batched=%d, want %d and 4", i, out.coalesced, out.batched, writers)
 		}
 	}
-	st := c.Stats()
-	if st.Flushes != 1 || st.Requests != writers || st.Mutations != 4 {
-		t.Fatalf("stats = %+v, want one 4-mutation flush of %d requests", st, writers)
+	if f, r, m := c.flushes.Value(), c.requests.Value(), c.mutations.Value(); f != 1 || r != writers || m != 4 {
+		t.Fatalf("flushes/requests/mutations = %d/%d/%d, want one 4-mutation flush of %d requests", f, r, m, writers)
 	}
 }
 
@@ -146,9 +145,8 @@ func TestCoalescerErrorIsolation(t *testing.T) {
 	if !eng.Graph().HasLink(good[0].Link.ID) || !eng.Graph().HasLink(good[1].Link.ID) {
 		t.Fatalf("innocent request's links missing")
 	}
-	st := c.Stats()
-	if st.Fallbacks != 1 {
-		t.Fatalf("stats = %+v, want one fallback flush", st)
+	if n := c.fallbacks.Value(); n != 1 {
+		t.Fatalf("fallbacks = %d, want one fallback flush", n)
 	}
 }
 
@@ -191,8 +189,7 @@ func TestLimiter(t *testing.T) {
 	r2()
 	release()
 
-	st := l.Stats()
-	if st.Admitted != 2 || st.Rejected != 1 {
-		t.Fatalf("stats = %+v, want 2 admitted / 1 rejected", st)
+	if a, r := l.admitted.Value(), l.rejected.Value(); a != 2 || r != 1 {
+		t.Fatalf("admitted/rejected = %d/%d, want 2 admitted / 1 rejected", a, r)
 	}
 }

@@ -17,7 +17,7 @@ var ErrOverloaded = errors.New("serve: overloaded — concurrency limit and queu
 // Limiter is the admission controller: at most maxConcurrent requests
 // execute, at most maxQueue more wait, the rest are rejected
 // immediately. Queue-depth gauges make saturation observable through
-// /stats before it becomes an outage.
+// /metrics before it becomes an outage.
 type Limiter struct {
 	slots    chan struct{}
 	maxQueue int64
@@ -81,14 +81,3 @@ func (l *Limiter) Acquire(ctx context.Context) (release func(), err error) {
 }
 
 func (l *Limiter) release() { <-l.slots }
-
-// Stats snapshots the admission gauges — a thin view over the registry
-// handles, so /stats and /metrics can never drift apart.
-func (l *Limiter) Stats() LimiterStatsWire {
-	return LimiterStatsWire{
-		Inflight: len(l.slots),
-		Queued:   l.queued.Load(),
-		Admitted: l.admitted.Value(),
-		Rejected: l.rejected.Value(),
-	}
-}

@@ -12,7 +12,7 @@ import (
 
 // serverMetrics are the HTTP front end's registry handles plus the
 // trace-sampling sequence. Cache, coalescer and limiter carry their own
-// handles (see their Instrument methods); /stats is a thin view over
+// handles (see their Instrument methods); /metrics is the one view over
 // all of them.
 type serverMetrics struct {
 	reg  *obs.Registry

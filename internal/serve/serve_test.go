@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -374,7 +376,8 @@ func TestRequestDeadline(t *testing.T) {
 	}
 }
 
-// TestHealthzAndStats smoke-tests the unlimited endpoints.
+// TestHealthzAndStats smoke-tests the unlimited endpoints and pins
+// /stats to the engine facts no metric series carries.
 func TestHealthzAndStats(t *testing.T) {
 	site := newTestSite(t, Config{})
 	status, body, _ := site.get(t, "/healthz")
@@ -389,11 +392,15 @@ func TestHealthzAndStats(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("stats: %d: %s", status, body)
 	}
-	var st StatsResponse
+	var st map[string]any
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatalf("stats body %s (%v)", body, err)
 	}
-	if st.MaxNodeID == 0 || st.MaxLinkID == 0 {
+	keys := slices.Sorted(maps.Keys(st))
+	if want := []string{"max_link_id", "max_node_id", "uptime_sec", "version"}; !slices.Equal(keys, want) {
+		t.Fatalf("stats keys %v, want exactly %v", keys, want)
+	}
+	if st["max_node_id"] == 0.0 || st["max_link_id"] == 0.0 {
 		t.Fatalf("stats did not report id high-water marks: %s", body)
 	}
 }

@@ -172,10 +172,7 @@ func (s *Server) limited(h http.HandlerFunc) http.HandlerFunc {
 func (s *Server) writeStatusError(w http.ResponseWriter, err error) {
 	status := statusFor(err)
 	if status == http.StatusServiceUnavailable {
-		hint := s.cfg.FlushInterval
-		if hint <= 0 {
-			hint = DefaultFlushInterval
-		}
+		hint := s.coal.interval
 		secs := int(hint / time.Second)
 		if secs < 1 {
 			secs = 1
@@ -314,11 +311,10 @@ func (s *Server) answerQuery(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, false, err
 		}
-		// Store only if the keyed version held through evaluation AND body
-		// assembly: the wire shaping's name fallback reads the live graph,
-		// so a version bump between evaluation and marshal could otherwise
-		// pin a mixed-version body under this version's key.
-		store := resp.Version == version && s.eng.Version() == version
+		// Store only if the evaluation read the keyed version: every name
+		// in the body resolves against resp.MSG.Snapshot, the snapshot
+		// resp.Version stamps.
+		store := resp.Version == version
 		obs.SpanFrom(r.Context()).SetBool("cache_veto", !store)
 		return body, store, nil
 	}
@@ -470,21 +466,15 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleStats answers GET /stats.
+// handleStats answers GET /stats with the engine facts; counters and
+// gauges are on /metrics.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	g := s.eng.Graph()
-	var cs CacheStatsWire
-	if s.cache != nil {
-		cs = s.cache.Stats()
-	}
 	writeJSON(w, http.StatusOK, StatsResponse{
 		Version:   s.eng.Version(),
 		MaxNodeID: g.MaxNodeID(),
 		MaxLinkID: g.MaxLinkID(),
 		UptimeSec: time.Since(s.started).Seconds(),
-		Cache:     cs,
-		Coalescer: s.coal.Stats(),
-		Limiter:   s.limiter.Stats(),
 	})
 }
 

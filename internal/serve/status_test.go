@@ -260,12 +260,12 @@ func TestQueryLimitsAre400(t *testing.T) {
 
 	// Refused before the cache key is formed: a cacheable NaN read stores
 	// nothing.
-	entries := site.srv.cache.Stats().Entries
+	entries := cacheEntries(site.srv.cache)
 	rec := httptest.NewRecorder()
 	site.srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet,
 		site.searchPath(user, "museum", false)+"&alpha=NaN", nil))
-	if rec.Code != http.StatusBadRequest || site.srv.cache.Stats().Entries != entries {
-		t.Fatalf("cacheable NaN alpha: status %d, cache entries %d -> %d", rec.Code, entries, site.srv.cache.Stats().Entries)
+	if rec.Code != http.StatusBadRequest || cacheEntries(site.srv.cache) != entries {
+		t.Fatalf("cacheable NaN alpha: status %d, cache entries %d -> %d", rec.Code, entries, cacheEntries(site.srv.cache))
 	}
 }
 

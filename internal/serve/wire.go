@@ -3,9 +3,10 @@
 // snapshots, O(delta) live updates and transient bulk mutation into
 // end-to-end request latency. It comprises
 //
-//   - handlers for /search, /query, /recommend, /apply, /stats and
-//     /healthz with per-request deadlines and graceful shutdown
-//     (server.go);
+//   - handlers for /search, /query, /recommend, /apply, /stats (engine
+//     facts) and /healthz with per-request deadlines and graceful
+//     shutdown (server.go), plus /metrics, the one view of every
+//     serving counter and gauge (observe.go);
 //   - a snapshot-version-keyed result cache with singleflight
 //     deduplication of concurrent identical misses — invalidation is
 //     free, a version bump from Apply orphans old entries and the first
@@ -289,44 +290,15 @@ type ApplyResponse struct {
 	Batched   int    `json:"batched"`   // mutations in the whole flush
 }
 
-// CacheStatsWire reports result-cache effectiveness.
-type CacheStatsWire struct {
-	Entries   int    `json:"entries"`
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Shared    uint64 `json:"shared"` // misses that piggybacked on an identical in-flight compute
-	Evictions uint64 `json:"evictions"`
-}
-
-// CoalescerStatsWire reports write-coalescing effectiveness.
-type CoalescerStatsWire struct {
-	Flushes     uint64 `json:"flushes"`
-	Requests    uint64 `json:"requests"`
-	Mutations   uint64 `json:"mutations"`
-	MaxFlush    int    `json:"max_flush"`    // largest single flush, in mutations
-	BulkFlushes uint64 `json:"bulk_flushes"` // flushes large enough for the transient bulk path
-	Fallbacks   uint64 `json:"fallbacks"`    // flushes that degraded to per-request applies
-}
-
-// LimiterStatsWire reports admission control state.
-type LimiterStatsWire struct {
-	Inflight int    `json:"inflight"`
-	Queued   int64  `json:"queued"`
-	Admitted uint64 `json:"admitted"`
-	Rejected uint64 `json:"rejected"`
-}
-
-// StatsResponse is the body of /stats: engine and subsystem gauges. Max
-// ids let remote writers allocate fresh element ids without a round trip
-// per element.
+// StatsResponse is the body of /stats: the engine facts no metric
+// series carries. Max ids let remote writers allocate fresh element ids
+// without a round trip per element. Every serving counter and gauge is
+// on /metrics instead (docs/observability.md).
 type StatsResponse struct {
-	Version   uint64             `json:"version"`
-	MaxNodeID graph.NodeID       `json:"max_node_id"`
-	MaxLinkID graph.LinkID       `json:"max_link_id"`
-	UptimeSec float64            `json:"uptime_sec"`
-	Cache     CacheStatsWire     `json:"cache"`
-	Coalescer CoalescerStatsWire `json:"coalescer"`
-	Limiter   LimiterStatsWire   `json:"limiter"`
+	Version   uint64       `json:"version"`
+	MaxNodeID graph.NodeID `json:"max_node_id"`
+	MaxLinkID graph.LinkID `json:"max_link_id"`
+	UptimeSec float64      `json:"uptime_sec"`
 }
 
 // Response and request header names shared by the server, the router
