@@ -111,54 +111,3 @@ func TestApplyRejectsIntraBatchDuplicateAdds(t *testing.T) {
 		t.Fatalf("remove-then-re-add rejected: %v", err)
 	}
 }
-
-// TestCacheScope pins the serving cache's sharing granularity: peruser
-// clustering yields a bare per-cluster scope (clusters are users),
-// anything else is refined by the user, and TopK-off engines scope by
-// user alone.
-func TestCacheScope(t *testing.T) {
-	corpus, err := workload.Travel(workload.TravelConfig{
-		Users: 30, Destinations: 12, Seed: 4, VisitsPerUser: 5, TagFraction: 0.8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	u1, u2 := corpus.Users[0], corpus.Users[1]
-
-	perUser, err := socialscope.New(corpus.Graph, socialscope.Config{
-		ItemType: "destination", TopK: socialscope.TopKTA, ClusterStrategy: "peruser",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1, s2 := perUser.CacheScope(u1), perUser.CacheScope(u2); s1 == s2 {
-		t.Fatalf("peruser scopes collide: %q vs %q", s1, s2)
-	}
-	if _, ok := perUser.ClusterOf(u1); !ok {
-		t.Fatal("ClusterOf found no cluster under an indexed engine")
-	}
-
-	network, err := socialscope.New(corpus.Graph, socialscope.Config{
-		ItemType: "destination", TopK: socialscope.TopKTA,
-		ClusterStrategy: "network", ClusterTheta: 0.0,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Even when two users share a cluster, their scopes must differ:
-	// responses are user-specific within a cluster.
-	if s1, s2 := network.CacheScope(u1), network.CacheScope(u2); s1 == s2 {
-		t.Fatalf("network-clustered scopes collide for distinct users: %q", s1)
-	}
-
-	off, err := socialscope.New(corpus.Graph, socialscope.Config{ItemType: "destination"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := off.ClusterOf(u1); ok {
-		t.Fatal("ClusterOf reported a cluster with TopK off")
-	}
-	if s1, s2 := off.CacheScope(u1), off.CacheScope(u2); s1 == s2 {
-		t.Fatalf("TopK-off scopes collide: %q", s1)
-	}
-}

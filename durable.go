@@ -7,11 +7,17 @@ package socialscope
 // is deterministic given the base graph and Config, so the record
 // carries no payload). Checkpoints capture the base and analyzed graphs
 // through structural-sharing deltas (internal/store) together with the
-// engine version and the WAL position they cover; recovery loads the
-// latest checkpoint chain and replays the WAL tail through the same
-// Apply/Analyze code paths that produced it, so a recovered engine
-// resumes at exactly the version and state the last acknowledged write
-// left behind.
+// engine version and the WAL position they cover.
+//
+// Records are read back only through wal.Tailer. Recovery folds the latest
+// checkpoint chain, drains the WAL from the checkpoint's LSN + 1 through
+// the same Apply/Analyze code paths that produced it, and only then
+// opens the log for writing at the drained position — exactly how a
+// follower's Promote takes over. A recovered engine therefore resumes at
+// exactly the version and state the last acknowledged write left
+// behind, and a log that cannot supply the records the checkpoint
+// expects (a missing segment) fails the open with wal.ErrGone instead
+// of skipping them.
 //
 // Guarantee: when Apply (or Analyze) returns nil on a durable engine,
 // the change survives a crash. The converse is one-directional — a
@@ -66,7 +72,6 @@ type DurableOptions struct {
 
 // durable is the engine's durability state, guarded by Engine.mu.
 type durable struct {
-	fsys      vfs.FS
 	log       *wal.Log
 	ckpt      *store.Checkpointer
 	every     int
@@ -78,84 +83,98 @@ type durable struct {
 // graph) and immediately checkpoints it, so the seed state — which
 // predates the WAL — survives crashes too. On an existing directory
 // genesis is ignored: the engine is rebuilt from the latest checkpoint
-// plus a replay of the WAL tail, resuming at the exact version the last
+// plus a drain of the WAL tail, resuming at the exact version the last
 // acknowledged write produced.
 func OpenDurable(dir string, genesis *Graph, cfg Config, opts DurableOptions) (*Engine, error) {
-	fsys := opts.FS
-	if fsys == nil {
-		fsys = vfs.OS{}
+	if opts.FS == nil {
+		opts.FS = vfs.OS{}
 	}
 	cfg.fill()
-
-	rec, err := store.LoadLatest(fsys, path.Join(dir, ckptSubdir))
+	rec, err := store.LoadLatest(opts.FS, path.Join(dir, ckptSubdir))
 	if err != nil {
 		return nil, fmt.Errorf("socialscope: recovery: %w", err)
 	}
-	firstLSN := uint64(1)
-	if rec != nil {
-		firstLSN = rec.Meta.WalLSN + 1
+	fresh := rec == nil
+	if fresh {
+		if genesis == nil {
+			genesis = graph.New()
+		}
+		rec = &store.Recovered{Graph: genesis}
 	}
-	log, err := wal.Open(fsys, path.Join(dir, walSubdir), wal.Options{
-		SegmentBytes: opts.SegmentBytes,
-		FirstLSN:     firstLSN,
-		Obs:          cfg.Obs,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("socialscope: recovery: %w", err)
-	}
-
 	e := &Engine{cfg: cfg, met: newEngineMetrics(cfg.Obs)}
-	var st *engineState
-	var startSeq uint64
-	if rec == nil {
-		g := genesis
-		if g == nil {
-			g = graph.New()
-		}
-		st = &engineState{base: g}
-	} else {
-		st = &engineState{
-			base:     rec.Graph,
-			analyzed: rec.Analyzed,
-			version:  rec.Meta.Version,
-		}
-		startSeq = rec.Seq
-	}
-	st.disc = discovery.NewDiscoverer(st.current(), cfg.ItemType)
-	e.publish(st)
-	e.dur = &durable{
-		fsys:  fsys,
-		log:   log,
-		ckpt:  store.NewCheckpointer(fsys, path.Join(dir, ckptSubdir), opts.MaxChain, startSeq).Instrument(cfg.Obs),
-		every: opts.CheckpointEvery,
-	}
+	e.publishCheckpoint(rec)
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if rec == nil {
-		// Make the genesis state durable before acknowledging the open.
-		if err := e.checkpointLocked(); err != nil {
-			_ = log.Close()
-			return nil, fmt.Errorf("socialscope: genesis checkpoint: %w", err)
-		}
-	}
-	if err := log.Replay(firstLSN, e.replayRecord); err != nil {
-		_ = log.Close()
+	// Crash-recovery semantics: every decodable record past the
+	// checkpoint, including a complete-but-unacknowledged tail.
+	tail := wal.NewTailer(opts.FS, path.Join(dir, walSubdir), rec.Meta.WalLSN+1)
+	if _, err := tail.Poll(wal.DrainConfirm, 0, e.replayRecord); err != nil {
 		return nil, fmt.Errorf("socialscope: wal replay: %w", err)
 	}
-	// Replayed records count toward CheckpointEvery but never cut a
-	// checkpoint mid-replay; settle the accumulated debt here so it does
-	// not fire inside the first live write's critical section — and so
-	// the WAL tail shrinks even if no write ever arrives.
-	if e.dur.every > 0 && e.dur.sinceCkpt >= e.dur.every {
-		_ = e.checkpointLocked()
+	if err := e.leadLocked(dir, opts, tail.NextLSN(), rec.Seq, rec.Meta.WalLSN); err != nil {
+		return nil, fmt.Errorf("socialscope: recovery: %w", err)
+	}
+	if fresh {
+		// Make the genesis state durable before acknowledging the open.
+		if err := e.checkpointLocked(); err != nil {
+			_ = e.dur.log.Close()
+			return nil, fmt.Errorf("socialscope: genesis checkpoint: %w", err)
+		}
 	}
 	return e, nil
 }
 
+// publishCheckpoint makes the state a checkpoint chain captured the
+// engine's current one. Callers hold e.mu or own e exclusively.
+func (e *Engine) publishCheckpoint(rec *store.Recovered) {
+	st := &engineState{
+		base:     rec.Graph,
+		analyzed: rec.Analyzed,
+		version:  rec.Meta.Version,
+	}
+	st.disc = discovery.NewDiscoverer(st.current(), e.cfg.ItemType)
+	e.publish(st)
+}
+
+// leadLocked makes e the writer of the durable tree at dir, once the
+// caller has drained its WAL up to next: it opens the log there and
+// resumes the checkpoint chain at seq, whose manifest covers the log
+// through ckptLSN. It refuses a log that resumes anywhere but next —
+// the drain and the log disagree only when another writer is appending.
+// The records between ckptLSN and next are inherited checkpoint debt,
+// settled here rather than inside the first live write's critical
+// section, so the WAL tail shrinks even if no write ever arrives.
+// Callers hold e.mu.
+func (e *Engine) leadLocked(dir string, opts DurableOptions, next, seq, ckptLSN uint64) error {
+	log, err := wal.Open(opts.FS, path.Join(dir, walSubdir), wal.Options{
+		SegmentBytes: opts.SegmentBytes,
+		FirstLSN:     next,
+		Obs:          e.cfg.Obs,
+	})
+	if err != nil {
+		return err
+	}
+	if got := log.NextLSN(); got != next {
+		_ = log.Close()
+		return fmt.Errorf("log resumes at LSN %d but the drained tail ends at %d — "+
+			"is another writer (an old leader) still appending?", got, next)
+	}
+	e.dur = &durable{
+		log:       log,
+		ckpt:      store.NewCheckpointer(opts.FS, path.Join(dir, ckptSubdir), opts.MaxChain, seq).Instrument(e.cfg.Obs),
+		every:     opts.CheckpointEvery,
+		sinceCkpt: int(next - 1 - ckptLSN),
+	}
+	if e.dur.every > 0 && e.dur.sinceCkpt >= e.dur.every {
+		_ = e.checkpointLocked()
+	}
+	return nil
+}
+
 // replayRecord decodes and applies one WAL record through the same
 // paths a live write takes, with live=false so nothing is re-logged.
-// Called with e.mu held, by recovery replay and by follower tailing.
+// Called with e.mu held, by the recovery drain and by follower tailing.
 func (e *Engine) replayRecord(lsn uint64, kind byte, payload []byte) error {
 	switch kind {
 	case recBatch:
@@ -185,17 +204,20 @@ func (e *Engine) logRecord(kind byte, payload []byte) error {
 	return nil
 }
 
-// maybeCheckpointLocked counts an applied batch and, on a live (non-
-// replay) engine with CheckpointEvery set, cuts a checkpoint when due.
-// Checkpoint errors here are deliberately swallowed: the batch is
-// already durable in the WAL, recovery replays it, and the next
-// explicit Checkpoint or Close surfaces persistent trouble.
-func (e *Engine) maybeCheckpointLocked(live bool) {
+// maybeCheckpointLocked counts an applied batch and, with
+// CheckpointEvery set, cuts a checkpoint when due. Replay never gets
+// here with durability attached: recovery drains before the log opens
+// and a follower owns no log, so replayed records reach the count as
+// the debt leadLocked inherits. Checkpoint errors here are deliberately
+// swallowed: the batch is already durable in the WAL, recovery replays
+// it, and the next explicit Checkpoint or Close surfaces persistent
+// trouble.
+func (e *Engine) maybeCheckpointLocked() {
 	if e.dur == nil {
 		return
 	}
 	e.dur.sinceCkpt++
-	if !live || e.dur.every <= 0 || e.dur.sinceCkpt < e.dur.every {
+	if e.dur.every <= 0 || e.dur.sinceCkpt < e.dur.every {
 		return
 	}
 	_ = e.checkpointLocked()
@@ -247,7 +269,6 @@ func (e *Engine) Close() error {
 // OpenFollower, guarded by Engine.mu. It owns no WAL handle and no
 // checkpointer — only read paths over the leader's durable tree.
 type follower struct {
-	fsys  vfs.FS
 	dir   string
 	opts  DurableOptions
 	watch *store.Watcher
@@ -273,12 +294,11 @@ type follower struct {
 // first. genesis is deliberately absent from the signature: a follower
 // has no authority to seed state.
 func OpenFollower(dir string, cfg Config, opts DurableOptions) (*Engine, error) {
-	fsys := opts.FS
-	if fsys == nil {
-		fsys = vfs.OS{}
+	if opts.FS == nil {
+		opts.FS = vfs.OS{}
 	}
 	cfg.fill()
-	rec, err := store.LoadLatest(fsys, path.Join(dir, ckptSubdir))
+	rec, err := store.LoadLatest(opts.FS, path.Join(dir, ckptSubdir))
 	if err != nil {
 		return nil, fmt.Errorf("socialscope: follower: %w", err)
 	}
@@ -286,19 +306,12 @@ func OpenFollower(dir string, cfg Config, opts DurableOptions) (*Engine, error) 
 		return nil, fmt.Errorf("socialscope: follower: no checkpoint in %s — start the leader first", dir)
 	}
 	e := &Engine{cfg: cfg, met: newEngineMetrics(cfg.Obs)}
-	st := &engineState{
-		base:     rec.Graph,
-		analyzed: rec.Analyzed,
-		version:  rec.Meta.Version,
-	}
-	st.disc = discovery.NewDiscoverer(st.current(), cfg.ItemType)
-	e.publish(st)
+	e.publishCheckpoint(rec)
 	e.fol = &follower{
-		fsys:    fsys,
 		dir:     dir,
 		opts:    opts,
-		watch:   store.NewWatcher(fsys, path.Join(dir, ckptSubdir), rec.Seq),
-		tail:    wal.NewTailer(fsys, path.Join(dir, walSubdir), rec.Meta.WalLSN+1),
+		watch:   store.NewWatcher(opts.FS, path.Join(dir, ckptSubdir), rec.Seq),
+		tail:    wal.NewTailer(opts.FS, path.Join(dir, walSubdir), rec.Meta.WalLSN+1),
 		manSeq:  rec.Seq,
 		manLSN:  rec.Meta.WalLSN,
 		confirm: rec.Meta.WalLSN,
@@ -404,29 +417,30 @@ func (e *Engine) catchUpLocked(max int, drain bool) (int, error) {
 
 // rebaseLocked reloads the latest checkpoint chain and re-points the
 // tailer past it. Versions may skip forward — every version ever
-// published was still once a leader version — but never backward.
+// published was still once a leader version — but never backward. A
+// checkpoint that does not cover the missing tail position cannot help:
+// re-basing onto it would meet the same gap again, so the gap is
+// reported as wal.ErrGone instead.
 func (e *Engine) rebaseLocked() error {
 	f := e.fol
-	rec, err := store.LoadLatest(f.fsys, path.Join(f.dir, ckptSubdir))
+	rec, err := store.LoadLatest(f.opts.FS, path.Join(f.dir, ckptSubdir))
 	if err != nil {
 		return fmt.Errorf("socialscope: follower re-base: %w", err)
 	}
 	if rec == nil {
 		return fmt.Errorf("socialscope: follower re-base: checkpoint chain vanished")
 	}
+	if next := f.tail.NextLSN(); rec.Meta.WalLSN < next {
+		return fmt.Errorf("socialscope: follower re-base: checkpoint %d covers the WAL through LSN %d, "+
+			"but LSN %d is missing from it: %w", rec.Seq, rec.Meta.WalLSN, next, wal.ErrGone)
+	}
 	if cur := e.state.Load(); rec.Meta.Version < cur.version {
 		return fmt.Errorf("socialscope: follower re-base: checkpoint at version %d behind follower at %d",
 			rec.Meta.Version, cur.version)
 	}
-	st := &engineState{
-		base:     rec.Graph,
-		analyzed: rec.Analyzed,
-		version:  rec.Meta.Version,
-	}
-	st.disc = discovery.NewDiscoverer(st.current(), e.cfg.ItemType)
-	e.publish(st)
-	f.watch = store.NewWatcher(f.fsys, path.Join(f.dir, ckptSubdir), rec.Seq)
-	f.tail = wal.NewTailer(f.fsys, path.Join(f.dir, walSubdir), rec.Meta.WalLSN+1)
+	e.publishCheckpoint(rec)
+	f.watch = store.NewWatcher(f.opts.FS, path.Join(f.dir, ckptSubdir), rec.Seq)
+	f.tail = wal.NewTailer(f.opts.FS, path.Join(f.dir, walSubdir), rec.Meta.WalLSN+1)
 	f.manSeq, f.manLSN, f.confirm = rec.Seq, rec.Meta.WalLSN, rec.Meta.WalLSN
 	return nil
 }
@@ -449,34 +463,11 @@ func (e *Engine) Promote() error {
 	if _, err := e.catchUpLocked(0, true); err != nil {
 		return fmt.Errorf("socialscope: promote: drain: %w", err)
 	}
-	next := f.tail.NextLSN()
-	log, err := wal.Open(f.fsys, path.Join(f.dir, walSubdir), wal.Options{
-		SegmentBytes: f.opts.SegmentBytes,
-		FirstLSN:     next,
-		Obs:          e.cfg.Obs,
-	})
-	if err != nil {
+	if err := e.leadLocked(f.dir, f.opts, f.tail.NextLSN(), f.manSeq, f.manLSN); err != nil {
 		return fmt.Errorf("socialscope: promote: %w", err)
-	}
-	if got := log.NextLSN(); got != next {
-		_ = log.Close()
-		return fmt.Errorf("socialscope: promote: log resumes at LSN %d but the drained tail ends at %d — "+
-			"is the old leader still writing?", got, next)
-	}
-	e.dur = &durable{
-		fsys:  f.fsys,
-		log:   log,
-		ckpt:  store.NewCheckpointer(f.fsys, path.Join(f.dir, ckptSubdir), f.opts.MaxChain, f.manSeq).Instrument(e.cfg.Obs),
-		every: f.opts.CheckpointEvery,
-		// Records replayed since the last checkpoint are inherited debt,
-		// same as leader recovery.
-		sinceCkpt: int(next - 1 - f.manLSN),
 	}
 	e.fol = nil
 	e.isFol.Store(false)
 	e.met.lag.Set(0) // a leader has no replication lag
-	if e.dur.every > 0 && e.dur.sinceCkpt >= e.dur.every {
-		_ = e.checkpointLocked()
-	}
 	return nil
 }

@@ -17,6 +17,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -25,6 +26,7 @@ import (
 	"socialscope/internal/graph"
 	"socialscope/internal/store"
 	"socialscope/internal/vfs"
+	"socialscope/internal/wal"
 	"socialscope/internal/workload"
 )
 
@@ -521,5 +523,55 @@ func TestDurableReopenResumesExactVersion(t *testing.T) {
 	}
 	if err := third.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// leaderMissingFirstSegment leaves a durable tree whose checkpoint
+// covers only the genesis state while the WAL segment holding the first
+// records after it has been deleted: 40 one-node writes over 256-byte
+// segments with no automatic checkpoints, a crash, then the oldest
+// segment removed. Nothing on disk can replay those records, so every
+// reader of the tree must refuse it rather than skip ahead.
+func leaderMissingFirstSegment(t *testing.T) *vfs.FaultFS {
+	t.Helper()
+	fsys := vfs.NewFaultFS(vfs.DropUnsynced)
+	opts := DurableOptions{SegmentBytes: 256, FS: fsys}
+	eng, err := OpenDurable(durTestDir, nil, Config{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		n := graph.NewNode(graph.IDSourceFor(eng.Graph()).NextNode(), graph.TypeUser)
+		if err := eng.Apply([]graph.Mutation{{Kind: graph.MutAddNode, Node: n}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fsys.SetCrashAtOp(fsys.Ops()) // crash without Close: no checkpoint covers the writes
+	fsys.Recover()
+	names, err := fsys.ReadDir(durTestDir + "/wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) < 2 {
+		t.Fatalf("want several WAL segments, got %v", names)
+	}
+	if err := fsys.Remove(durTestDir + "/wal/" + names[0]); err != nil {
+		t.Fatal(err)
+	}
+	return fsys
+}
+
+// TestRecoveryFailsClosedOnMissingSegment: recovery must not reopen at a
+// version short of the last acknowledged write because the records
+// between the checkpoint and the first surviving segment are gone.
+func TestRecoveryFailsClosedOnMissingSegment(t *testing.T) {
+	fsys := leaderMissingFirstSegment(t)
+	eng, err := OpenDurable(durTestDir, nil, Config{}, DurableOptions{SegmentBytes: 256, FS: fsys})
+	if !errors.Is(err, wal.ErrGone) {
+		v := uint64(0)
+		if eng != nil {
+			v = eng.Version()
+		}
+		t.Fatalf("OpenDurable with the first WAL segment missing: err=%v (version %d), want wal.ErrGone", err, v)
 	}
 }

@@ -13,8 +13,10 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"socialscope/internal/vfs"
+	"socialscope/internal/wal"
 )
 
 // followerPump drains everything currently confirmed into the follower
@@ -409,5 +411,25 @@ func TestFollowerConcurrentReads(t *testing.T) {
 	}
 	if v := fol.Version(); v != leader.Version() {
 		t.Fatalf("follower converged at %d, leader at %d", v, leader.Version())
+	}
+}
+
+// TestFollowerFailsClosedOnMissingSegment: a follower whose tail
+// position is gone and whose latest checkpoint does not move it forward
+// must report the gap, not re-base onto the same checkpoint forever.
+func TestFollowerFailsClosedOnMissingSegment(t *testing.T) {
+	fsys := leaderMissingFirstSegment(t)
+	done := make(chan error, 1)
+	go func() {
+		_, err := OpenFollower(durTestDir, Config{}, DurableOptions{SegmentBytes: 256, FS: fsys})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, wal.ErrGone) {
+			t.Fatalf("OpenFollower with the first WAL segment missing: %v, want wal.ErrGone", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("OpenFollower still re-basing after 10s")
 	}
 }

@@ -5,20 +5,23 @@ import (
 	"errors"
 	"sync"
 
+	"socialscope/internal/graph"
 	"socialscope/internal/obs"
 )
 
 // cacheKey identifies one cacheable evaluation: the engine state version
 // the answer was computed against, the handler kind (search results and
-// recommendations never alias), the user's cache scope (see
-// Engine.CacheScope) and the normalized query. Keying on the version
+// recommendations never alias), the requesting user and the normalized
+// query. Responses are user-specific — rankings, endorser provenance and
+// explanations all depend on who asks — so two users never share an
+// entry, whatever the clustering strategy. Keying on the version
 // makes invalidation free: an Apply batch bumps the engine version, new
 // requests carry the new version, and entries under older versions are
 // never read again — the first store at a newer version frees them all.
 type cacheKey struct {
 	version uint64
 	kind    string
-	scope   string
+	user    graph.NodeID
 	query   string
 }
 

@@ -13,7 +13,7 @@ import (
 // computation: the leader computes, everyone else piggybacks.
 func TestCacheSingleflight(t *testing.T) {
 	c := NewCache(16)
-	key := cacheKey{version: 1, kind: "search", scope: "c1", query: "'museum'|k=10|a=0.5"}
+	key := cacheKey{version: 1, kind: "search", user: 1, query: "'museum'|k=10|a=0.5"}
 	var computes atomic.Int32
 	release := make(chan struct{})
 
@@ -80,7 +80,7 @@ func TestCacheSingleflight(t *testing.T) {
 // every waiter but never cached.
 func TestCacheErrorNotStored(t *testing.T) {
 	c := NewCache(16)
-	key := cacheKey{version: 1, kind: "search", scope: "u1", query: "q"}
+	key := cacheKey{version: 1, kind: "search", user: 1, query: "q"}
 	boom := errors.New("boom")
 	if _, _, err := c.Do(context.Background(), key, func() ([]byte, bool, error) { return nil, false, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -99,7 +99,7 @@ func TestCacheErrorNotStored(t *testing.T) {
 // served but never cached.
 func TestCacheStoreVeto(t *testing.T) {
 	c := NewCache(16)
-	key := cacheKey{version: 1, kind: "search", scope: "u1", query: "q"}
+	key := cacheKey{version: 1, kind: "search", user: 1, query: "q"}
 	if _, _, err := c.Do(context.Background(), key, func() ([]byte, bool, error) { return []byte("x"), false, nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestCacheStoreVeto(t *testing.T) {
 // its waiters and the key stays usable.
 func TestCachePanicDoesNotWedgeKey(t *testing.T) {
 	c := NewCache(16)
-	key := cacheKey{version: 1, kind: "search", scope: "u1", query: "q"}
+	key := cacheKey{version: 1, kind: "search", user: 1, query: "q"}
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -144,7 +144,7 @@ func TestCachePanicDoesNotWedgeKey(t *testing.T) {
 // failing with its own context error does not fail a healthy waiter.
 func TestCacheWaiterHonorsOwnContext(t *testing.T) {
 	c := NewCache(16)
-	key := cacheKey{version: 1, kind: "search", scope: "u1", query: "q"}
+	key := cacheKey{version: 1, kind: "search", user: 1, query: "q"}
 	leaderStarted := make(chan struct{})
 	release := make(chan struct{})
 
@@ -195,7 +195,7 @@ func TestCacheWaiterHonorsOwnContext(t *testing.T) {
 func TestCacheEvictionPrefersStaleVersions(t *testing.T) {
 	c := NewCache(4)
 	put := func(version uint64, q string) {
-		key := cacheKey{version: version, kind: "search", scope: "u1", query: q}
+		key := cacheKey{version: version, kind: "search", user: 1, query: q}
 		c.Do(context.Background(), key, func() ([]byte, bool, error) { return []byte(q), true, nil })
 	}
 	put(1, "a")
@@ -225,7 +225,7 @@ func TestCacheEvictionPrefersStaleVersions(t *testing.T) {
 func TestCacheNewerVersionFreesOlder(t *testing.T) {
 	c := NewCache(16)
 	put := func(version uint64, q string) {
-		key := cacheKey{version: version, kind: "search", scope: "u1", query: q}
+		key := cacheKey{version: version, kind: "search", user: 1, query: q}
 		c.Do(context.Background(), key, func() ([]byte, bool, error) { return []byte(q), true, nil })
 	}
 	put(1, "a")

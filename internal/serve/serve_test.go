@@ -182,6 +182,66 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	}
 }
 
+// TestCacheNeverSharesAcrossUsers pins the cache's sharing granularity:
+// responses are user-specific under every clustering — peruser, a
+// network clustering that puts everyone in one cluster, and no index at
+// all — so a second user asking the same thing at the same version must
+// miss, and what the cache then holds for them is what they would get
+// uncached.
+func TestCacheNeverSharesAcrossUsers(t *testing.T) {
+	corpus, err := workload.Travel(workload.TravelConfig{
+		Users: 30, Destinations: 12, Seed: 4, VisitsPerUser: 5, TagFraction: 0.8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u1, u2 := corpus.Users[0], corpus.Users[1]
+	for name, cfg := range map[string]socialscope.Config{
+		"peruser": {ItemType: "destination", TopK: socialscope.TopKTA, ClusterStrategy: "peruser"},
+		"network": {ItemType: "destination", TopK: socialscope.TopKTA, ClusterStrategy: "network", ClusterTheta: 0.0},
+		"topkoff": {ItemType: "destination"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			eng, err := socialscope.New(corpus.Graph, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := New(eng, Config{})
+			ts := httptest.NewServer(srv.Handler())
+			defer func() {
+				ts.Close()
+				srv.Close()
+			}()
+			site := &testSite{corpus: corpus, eng: eng, srv: srv, ts: ts}
+			recommend := func(u graph.NodeID, nocache bool) string {
+				p := "/recommend?user=" + strconv.FormatInt(int64(u), 10)
+				if nocache {
+					p += "&nocache=1"
+				}
+				return p
+			}
+			for _, path := range []func(graph.NodeID, bool) string{
+				func(u graph.NodeID, nocache bool) string { return site.searchPath(u, "museum hotel", nocache) },
+				recommend,
+			} {
+				if code, body, _ := site.get(t, path(u1, false)); code != http.StatusOK {
+					t.Fatalf("%s: status %d: %s", path(u1, false), code, body)
+				}
+				if _, _, h := site.get(t, path(u1, false)); h.Get("X-SS-Cache") != string(OutcomeHit) {
+					t.Fatalf("%s: repeat for the same user: outcome %q, want hit", path(u1, false), h.Get("X-SS-Cache"))
+				}
+				_, cached, h := site.get(t, path(u2, false))
+				if got := h.Get("X-SS-Cache"); got != string(OutcomeMiss) {
+					t.Fatalf("%s: another user's identical request: outcome %q, want miss", path(u2, false), got)
+				}
+				if _, fresh, _ := site.get(t, path(u2, true)); !bytes.Equal(cached, fresh) {
+					t.Fatalf("%s: cached body differs from the user's own uncached one:\n%s\n%s", path(u2, false), cached, fresh)
+				}
+			}
+		})
+	}
+}
+
 // TestPostApplyNeverStale pins freshness: a search after an Apply that
 // changes its answer must serve the new answer, not the cached old one —
 // the version key makes the old entry unreachable.

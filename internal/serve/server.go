@@ -321,7 +321,7 @@ func (s *Server) answerQuery(w http.ResponseWriter, r *http.Request) {
 	s.respondCached(w, r, cacheKey{
 		version: version,
 		kind:    "search",
-		scope:   s.eng.CacheScope(req.User),
+		user:    req.User,
 		query:   NormalizeQuery(q),
 	}, compute, &bodyVersion)
 }
@@ -382,7 +382,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	s.respondCached(w, r, cacheKey{
 		version: version,
 		kind:    "recommend",
-		scope:   s.eng.CacheScope(user),
+		user:    user,
 		query:   variant.String(),
 	}, compute, &bodyVersion)
 }

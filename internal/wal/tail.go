@@ -24,10 +24,12 @@ package wal
 // log stays undelivered until any of those happen — bounded staleness,
 // in exchange for never replaying bytes the leader may retract.
 //
-// Promotion is the one moment that wants the opposite semantics: after
-// the leader is dead, a complete-but-unacknowledged tail record is
-// exactly what crash recovery would replay, so the promoting follower
-// drains with confirm = DrainConfirm and then owns the log.
+// Taking over the log wants the opposite semantics: once its writer is
+// dead, a complete-but-unacknowledged tail record is exactly what Open's
+// torn-tail healing keeps, so crash recovery and a promoting follower
+// both drain with confirm = DrainConfirm and only then Open the log at
+// the drained position. Apart from Open's scan of the last segment, the
+// Tailer is the log's only reader.
 
 import (
 	"errors"
@@ -39,14 +41,15 @@ import (
 
 // ErrGone reports that the records the tailer still needs were
 // truncated away: the leader checkpointed past the tail position and
-// removed the segments holding it. The follower cannot catch up by
-// replay alone and must re-base from the latest checkpoint.
+// removed the segments holding it (or they were lost). A follower
+// re-bases from the latest checkpoint; recovery, which already starts at
+// the latest one, fails.
 var ErrGone = errors.New("wal: tailed records truncated away")
 
 // DrainConfirm is the confirmation watermark that makes Poll deliver
 // every decodable record, including a complete-but-unacknowledged tail
-// — the same prefix crash recovery would replay. Only meaningful when
-// the leader is known dead; a tailer that drained must not keep
+// — the prefix Open's torn-tail healing keeps. Only meaningful when the
+// log's writer is known dead; a tailer that drained must not keep
 // tailing a live log.
 const DrainConfirm = ^uint64(0)
 

@@ -293,71 +293,6 @@ func (l *Log) rotate() error {
 	return l.startSegment(l.nextLSN)
 }
 
-// Replay calls fn for every record with LSN >= from that was
-// acknowledged as of the call, in LSN order, validating continuity and
-// CRCs along the way. The payload passed to fn is only valid for the
-// duration of the call.
-//
-// Replay snapshots the segment list and the acknowledged boundary under
-// the lock, then reads and decodes with the lock released, so a long
-// replay never stalls concurrent AppendSync callers; records appended
-// after the snapshot are simply not replayed. Concurrent TruncateThrough
-// must not drop segments the replay still needs (the engine serializes
-// checkpoints against replay on its own lock).
-func (l *Log) Replay(from uint64, fn func(lsn uint64, kind byte, payload []byte) error) error {
-	l.mu.Lock()
-	segs := append([]segInfo(nil), l.segs...)
-	good := l.goodSize
-	l.mu.Unlock()
-	for i, seg := range segs {
-		last := i == len(segs)-1
-		if !last && segs[i+1].first <= from {
-			continue // every record in this segment is below from
-		}
-		data, err := vfs.ReadFile(l.fsys, path.Join(l.dir, seg.name))
-		if err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		if last && int64(len(data)) > good {
-			// Bytes past the snapshot boundary are either appends that
-			// landed after the snapshot or an unacknowledged tail awaiting
-			// heal; neither belongs to this replay.
-			data = data[:good]
-		}
-		if len(data) < headerLen || [headerLen]byte(data[:headerLen]) != magic {
-			return fmt.Errorf("%w: %s: bad magic", ErrCorrupt, seg.name)
-		}
-		expect := seg.first
-		off := headerLen
-		for off < len(data) {
-			lsn, kind, payload, n, err := DecodeRecord(data[off:])
-			if err != nil {
-				// Open already healed the tail, so undecodable bytes in the
-				// last segment can only be a fresh torn append; anywhere
-				// else it is corruption.
-				if last {
-					break
-				}
-				return fmt.Errorf("%w: %s at offset %d: %v", ErrCorrupt, seg.name, off, err)
-			}
-			if lsn != expect {
-				return fmt.Errorf("%w: %s: lsn %d, want %d", ErrCorrupt, seg.name, lsn, expect)
-			}
-			if lsn >= from {
-				if err := fn(lsn, kind, payload); err != nil {
-					return err
-				}
-			}
-			expect++
-			off += n
-		}
-		if !last && segs[i+1].first != expect {
-			return fmt.Errorf("%w: gap between %s and %s", ErrCorrupt, seg.name, segs[i+1].name)
-		}
-	}
-	return nil
-}
-
 // TruncateThrough removes segments whose every record has LSN <= lsn.
 // The active segment is always retained. Used after a checkpoint makes
 // the prefix redundant.
@@ -365,8 +300,8 @@ func (l *Log) TruncateThrough(lsn uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	// Re-slice as each segment is removed, so a mid-loop Remove failure
-	// leaves l.segs naming only files that still exist — a later Replay
-	// must not trip over a half-finished truncation.
+	// leaves l.segs naming only files that still exist — a retry must not
+	// trip over a half-finished truncation.
 	for len(l.segs) > 1 && l.segs[1].first <= lsn+1 {
 		if err := l.fsys.Remove(path.Join(l.dir, l.segs[0].name)); err != nil {
 			return fmt.Errorf("wal: %w", err)

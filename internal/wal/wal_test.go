@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"testing"
-	"time"
 
 	"socialscope/internal/vfs"
 )
@@ -17,17 +16,12 @@ type rec struct {
 	payload string
 }
 
-func collect(t *testing.T, l *Log, from uint64) []rec {
+// collect drains the log in "w" from LSN from with recovery semantics:
+// every decodable record, the way OpenDurable replays before it opens
+// the log for writing.
+func collect(t *testing.T, fsys vfs.FS, from uint64) []rec {
 	t.Helper()
-	var got []rec
-	err := l.Replay(from, func(lsn uint64, kind byte, payload []byte) error {
-		got = append(got, rec{lsn, kind, string(payload)})
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	return got
+	return pollAll(t, NewTailer(fsys, "w", from), DrainConfirm)
 }
 
 func TestAppendReplayRoundTripWithRotation(t *testing.T) {
@@ -52,7 +46,7 @@ func TestAppendReplayRoundTripWithRotation(t *testing.T) {
 	if len(l.segs) < 3 {
 		t.Fatalf("expected rotation, got %d segments", len(l.segs))
 	}
-	got := collect(t, l, 0)
+	got := collect(t, fsys, 0)
 	if len(got) != len(want) {
 		t.Fatalf("replayed %d records, want %d", len(got), len(want))
 	}
@@ -62,7 +56,7 @@ func TestAppendReplayRoundTripWithRotation(t *testing.T) {
 		}
 	}
 	// Replay from the middle.
-	mid := collect(t, l, 21)
+	mid := collect(t, fsys, 21)
 	if len(mid) != 20 || mid[0].lsn != 21 {
 		t.Fatalf("replay from 21: len=%d first=%+v", len(mid), mid[0])
 	}
@@ -108,7 +102,7 @@ func TestTornTailHealedOnOpen(t *testing.T) {
 			if err != nil {
 				t.Fatalf("open after crash: %v", err)
 			}
-			got := collect(t, l2, 0)
+			got := collect(t, fsys, 0)
 			if len(got) != 5 {
 				t.Fatalf("replayed %d records, want 5 (torn tail dropped)", len(got))
 			}
@@ -118,7 +112,7 @@ func TestTornTailHealedOnOpen(t *testing.T) {
 			if lsn, err := l2.AppendSync(1, []byte("resumed")); err != nil || lsn != 6 {
 				t.Fatalf("append after heal: lsn=%d err=%v", lsn, err)
 			}
-			if got := collect(t, l2, 0); len(got) != 6 || got[5].payload != "resumed" {
+			if got := collect(t, fsys, 0); len(got) != 6 || got[5].payload != "resumed" {
 				t.Fatalf("after resume: %+v", got)
 			}
 		})
@@ -150,7 +144,7 @@ func TestCrashDuringRotationHealedOnOpen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open after rotation crash: %v", err)
 	}
-	if got := collect(t, l2, 0); len(got) != 4 {
+	if got := collect(t, fsys, 0); len(got) != 4 {
 		t.Fatalf("replayed %d records, want 4", len(got))
 	}
 	if lsn, err := l2.AppendSync(1, []byte("resumed")); err != nil || lsn != 5 {
@@ -179,7 +173,7 @@ func TestFailedSyncSelfHeals(t *testing.T) {
 	if err != nil || lsn != 2 {
 		t.Fatalf("append after failed sync: lsn=%d err=%v", lsn, err)
 	}
-	got := collect(t, l, 0)
+	got := collect(t, fsys, 0)
 	if len(got) != 2 || got[1].payload != "second" {
 		t.Fatalf("log contents: %+v", got)
 	}
@@ -207,7 +201,7 @@ func TestTruncateThroughDropsCoveredSegments(t *testing.T) {
 	if len(l.segs) >= nsegs {
 		t.Fatalf("no segments removed: %d -> %d", nsegs, len(l.segs))
 	}
-	got := collect(t, l, 16)
+	got := collect(t, fsys, 16)
 	if len(got) != 15 || got[0].lsn != 16 || got[14].lsn != 30 {
 		t.Fatalf("replay after truncate: len=%d", len(got))
 	}
@@ -242,7 +236,8 @@ func TestTruncateThroughPartialFailureKeepsReplayable(t *testing.T) {
 	covered := l.segs[nsegs-1].first - 1 // everything below the active segment
 	// Fail the SECOND Remove: the first segment is gone, the second
 	// survives on disk. The regression was l.segs still naming the
-	// removed file, making every later Replay hard-fail on ErrNotExist.
+	// removed file, so every later read of the log hard-failed on
+	// ErrNotExist.
 	fsys.FailAtOp(fsys.Ops() + 1)
 	if err := l.TruncateThrough(covered); !errors.Is(err, vfs.ErrInjected) {
 		t.Fatalf("want ErrInjected, got %v", err)
@@ -250,7 +245,7 @@ func TestTruncateThroughPartialFailureKeepsReplayable(t *testing.T) {
 	if len(l.segs) != nsegs-1 {
 		t.Fatalf("segs after partial truncate: got %d, want %d", len(l.segs), nsegs-1)
 	}
-	got := collect(t, l, 0) // must not touch the removed file
+	got := collect(t, fsys, l.segs[0].first) // ErrGone if l.segs[0] was removed
 	if len(got) == 0 || got[len(got)-1].lsn != 30 {
 		t.Fatalf("replay after partial truncate: %d records", len(got))
 	}
@@ -266,54 +261,6 @@ func TestTruncateThroughPartialFailureKeepsReplayable(t *testing.T) {
 	}
 	if lsn, err := l.AppendSync(1, []byte("after")); err != nil || lsn != 31 {
 		t.Fatalf("append after retry: lsn=%d err=%v", lsn, err)
-	}
-}
-
-func TestReplayDoesNotBlockAppends(t *testing.T) {
-	fsys := vfs.NewFaultFS(vfs.DropUnsynced)
-	l, err := Open(fsys, "w", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := l.AppendSync(1, []byte(fmt.Sprintf("r-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	started := make(chan struct{})
-	release := make(chan struct{})
-	replayed := make(chan int, 1)
-	go func() {
-		n := 0
-		_ = l.Replay(0, func(uint64, byte, []byte) error {
-			if n == 0 {
-				close(started)
-				<-release // hold the replay mid-stream
-			}
-			n++
-			return nil
-		})
-		replayed <- n
-	}()
-	<-started
-	// With the lock held across the whole replay this deadlocks; the
-	// snapshot-then-decode fix lets the append through immediately.
-	appended := make(chan error, 1)
-	go func() {
-		_, err := l.AppendSync(1, []byte("live"))
-		appended <- err
-	}()
-	select {
-	case err := <-appended:
-		if err != nil {
-			t.Fatalf("append during replay: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("AppendSync blocked behind an in-flight Replay")
-	}
-	close(release)
-	if n := <-replayed; n != 3 {
-		t.Fatalf("replay saw %d records, want the 3 pre-snapshot ones", n)
 	}
 }
 
@@ -349,7 +296,7 @@ func TestHealSurfacesCloseError(t *testing.T) {
 	if err != nil || lsn != 2 {
 		t.Fatalf("append after recovered heal: lsn=%d err=%v", lsn, err)
 	}
-	got := collect(t, l, 0)
+	got := collect(t, fsys, 0)
 	if len(got) != 2 || got[1].payload != "second" {
 		t.Fatalf("log contents: %+v", got)
 	}
@@ -386,7 +333,7 @@ func TestReopenAfterTruncationContinuity(t *testing.T) {
 		if l2.NextLSN() != total+1 {
 			t.Fatalf("ckpt=%d: NextLSN=%d, want %d", ckptLSN, l2.NextLSN(), total+1)
 		}
-		got := collect(t, l2, 0)
+		got := collect(t, fsys, first)
 		if len(got) == 0 {
 			t.Fatalf("ckpt=%d: nothing replayed", ckptLSN)
 		}
@@ -440,7 +387,7 @@ func TestMidStreamCorruptionFailsHard(t *testing.T) {
 	}
 	f.Close()
 
-	err = l.Replay(0, func(uint64, byte, []byte) error { return nil })
+	_, err = NewTailer(fsys, "w", 0).Poll(DrainConfirm, 0, func(uint64, byte, []byte) error { return nil })
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt, got %v", err)
 	}

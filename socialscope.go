@@ -384,7 +384,7 @@ func (e *Engine) Apply(muts []graph.Mutation) error {
 
 // applyLocked is Apply's body; callers hold e.mu. live is false during
 // WAL replay, when the batch comes from an already-durable record and
-// must be neither re-logged nor re-checkpointed.
+// must not be re-logged.
 func (e *Engine) applyLocked(muts []graph.Mutation, live bool) error {
 	st := e.state.Load()
 	// Validate additions against the graphs the batch will land on. IDs
@@ -529,7 +529,7 @@ func (e *Engine) applyLocked(muts []graph.Mutation, live bool) error {
 	e.publish(ns)
 	e.met.applies.Inc()
 	e.met.applyBatch.Observe(float64(len(muts)))
-	e.maybeCheckpointLocked(live)
+	e.maybeCheckpointLocked()
 	return nil
 }
 
@@ -746,46 +746,4 @@ func (e *Engine) RecommendCtx(ctx context.Context, user NodeID, variant discover
 		Variant:      variant,
 		ItemType:     e.cfg.ItemType,
 	})
-}
-
-// ClusterOf reports the activity-index cluster the user belongs to, and
-// whether that partition exists at all: false when the engine runs with
-// TopK off (the fusion path has no clustering), when the index cannot be
-// built, or when the user is unknown to the partition. A serving layer
-// uses it to key per-cluster result caching — under the default peruser
-// strategy every user is their own cluster, so cluster-granular sharing
-// degenerates to exactly per-user sharing.
-func (e *Engine) ClusterOf(user NodeID) (int, bool) {
-	if e.cfg.TopK == TopKOff {
-		return 0, false
-	}
-	st, err := e.ensureProcessor()
-	if err != nil {
-		return 0, false
-	}
-	cl := st.proc.Index().Clustering().Of(user)
-	if cl < 0 {
-		return 0, false
-	}
-	return cl, true
-}
-
-// CacheScope returns an opaque key component identifying the widest set
-// of users guaranteed byte-identical responses for identical queries
-// against one engine version — the sharing granularity a result cache
-// may use. The component is the user's activity-index cluster where one
-// exists; under the default peruser strategy the cluster is the user
-// (stored scores are exact per user), so the bare cluster id suffices,
-// while coarser strategies refine the scope by the user id because exact
-// rescoring, endorser provenance and explanations remain user-specific
-// within a cluster. Without a clustering (TopK off, unknown user) the
-// scope is the user alone.
-func (e *Engine) CacheScope(user NodeID) string {
-	if cl, ok := e.ClusterOf(user); ok {
-		if e.cfg.ClusterStrategy == cluster.PerUser.String() {
-			return fmt.Sprintf("c%d", cl)
-		}
-		return fmt.Sprintf("c%d.u%d", cl, user)
-	}
-	return fmt.Sprintf("u%d", user)
 }
