@@ -230,25 +230,6 @@ func TestTagTransactions(t *testing.T) {
 	}
 }
 
-func TestProfiles(t *testing.T) {
-	b := graph.NewBuilder()
-	u1 := b.Node([]string{graph.TypeUser})
-	u2 := b.Node([]string{graph.TypeUser})
-	i1 := b.Node([]string{graph.TypeItem})
-	b.Link(u1, u2, []string{graph.TypeConnect, graph.SubtypeFriend})
-	b.Link(u1, i1, []string{graph.TypeAct, graph.SubtypeVisit})
-	ps := Profiles(b.Graph())
-	if !ps[u1].Network.Has(u2) || !ps[u2].Network.Has(u1) {
-		t.Error("connections should register in both directions")
-	}
-	if !ps[u1].Items.Has(i1) {
-		t.Error("act target missing from items")
-	}
-	if ps[u2].Items.Len() != 0 {
-		t.Error("u2 has no items")
-	}
-}
-
 func TestDeriveMatches(t *testing.T) {
 	b := graph.NewBuilder()
 	u1 := b.Node([]string{graph.TypeUser})
@@ -280,36 +261,6 @@ func TestDeriveMatches(t *testing.T) {
 	if g.CountLinks(graph.TypeMatch) != 0 {
 		t.Error("DeriveMatches mutated its input")
 	}
-}
-
-func TestExpertsOn(t *testing.T) {
-	b := graph.NewBuilder()
-	alexia := b.Node([]string{graph.TypeUser}, "name", "Alexia")
-	jane := b.Node([]string{graph.TypeUser}, "name", "Jane")
-	casual := b.Node([]string{graph.TypeUser}, "name", "Casual")
-	var hist []graph.NodeID
-	for i := 0; i < 3; i++ {
-		hist = append(hist, b.Node([]string{graph.TypeItem}, "keywords", "american history museum"))
-	}
-	beach := b.Node([]string{graph.TypeItem}, "keywords", "beach resort")
-	for _, h := range hist {
-		b.Link(jane, h, []string{graph.TypeAct, graph.SubtypeReview})
-	}
-	b.Link(casual, hist[0], []string{graph.TypeAct, graph.SubtypeVisit})
-	b.Link(casual, beach, []string{graph.TypeAct, graph.SubtypeVisit})
-	g := b.Graph()
-
-	experts := ExpertsOn(g, []string{"american", "history"}, 2)
-	if len(experts) != 2 || experts[0] != jane || experts[1] != casual {
-		t.Errorf("experts = %v, want [Jane Casual]", experts)
-	}
-	if ExpertsOn(g, nil, 3) != nil {
-		t.Error("empty keywords should give nil")
-	}
-	if ExpertsOn(g, []string{"american", "history"}, 0) != nil {
-		t.Error("n=0 should give nil")
-	}
-	_ = alexia
 }
 
 // Property: Apriori support counts are exact — recount every reported

@@ -2,77 +2,27 @@ package analyzer
 
 import (
 	"socialscope/internal/graph"
-	"socialscope/internal/scoring"
+	"socialscope/internal/persist"
 )
-
-// UserProfile is the per-user view the similarity analyses operate on:
-// network(u), the users connected to u, and items(u), the items u has acted
-// on (tagged, visited, reviewed, ...).
-type UserProfile struct {
-	ID      graph.NodeID
-	Network scoring.Set[graph.NodeID]
-	Items   scoring.Set[graph.NodeID]
-}
-
-// Profiles extracts the user profiles from a social content graph.
-// Connections are links of type connect (either direction); items are
-// targets of act links.
-func Profiles(g *graph.Graph) map[graph.NodeID]*UserProfile {
-	out := make(map[graph.NodeID]*UserProfile)
-	for _, u := range g.NodesOfType(graph.TypeUser) {
-		out[u.ID] = &UserProfile{
-			ID:      u.ID,
-			Network: scoring.NewSet[graph.NodeID](),
-			Items:   scoring.NewSet[graph.NodeID](),
-		}
-	}
-	for _, l := range g.Links() {
-		switch {
-		case l.HasType(graph.TypeConnect):
-			if p, ok := out[l.Src]; ok {
-				p.Network.Add(l.Tgt)
-			}
-			if p, ok := out[l.Tgt]; ok {
-				p.Network.Add(l.Src)
-			}
-		case l.HasType(graph.TypeAct):
-			if p, ok := out[l.Src]; ok {
-				p.Items.Add(l.Tgt)
-			}
-		}
-	}
-	return out
-}
 
 // DeriveMatches adds derived 'match' links between every pair of users
 // whose item sets have Jaccard similarity ≥ threshold — the off-line
-// analysis that seeds the similarity network Examples 2 and 5 consult. The
-// input graph is not mutated; the returned graph carries one directed match
-// link per ordered pair (u,v), u ≠ v, with the similarity stored in 'sim'.
+// analysis that seeds the similarity network Examples 2 and 5 consult. A
+// user's items are the targets of its act links (Graph.Acts). The input
+// graph is not mutated; the returned graph carries one directed match link
+// per ordered pair (u,v), u ≠ v, with the similarity stored in 'sim'.
 func DeriveMatches(g *graph.Graph, threshold float64) *graph.Graph {
-	profiles := Profiles(g)
+	users := g.NodesOfType(graph.TypeUser) // ascending ids
 	out := g.Clone()
 	out.BeginBulk() // out is private until returned; sealed below
 	ids := graph.IDSourceFor(out)
-	users := make([]graph.NodeID, 0, len(profiles))
-	for id := range profiles {
-		users = append(users, id)
-	}
-	// Deterministic order.
-	for i := 0; i < len(users); i++ {
-		for j := i + 1; j < len(users); j++ {
-			if users[i] > users[j] {
-				users[i], users[j] = users[j], users[i]
-			}
-		}
-	}
 	for i, u := range users {
 		for _, v := range users[i+1:] {
-			sim := scoring.Jaccard(profiles[u].Items, profiles[v].Items)
+			sim := persist.Jaccard(g.Acts(u.ID), g.Acts(v.ID))
 			if sim < threshold || sim == 0 {
 				continue
 			}
-			for _, pair := range [][2]graph.NodeID{{u, v}, {v, u}} {
+			for _, pair := range [][2]graph.NodeID{{u.ID, v.ID}, {v.ID, u.ID}} {
 				ml := graph.NewLink(ids.NextLink(), pair[0], pair[1], graph.TypeMatch)
 				ml.Attrs.SetFloat("sim", sim)
 				if err := out.AddLink(ml); err != nil {
@@ -84,53 +34,5 @@ func DeriveMatches(g *graph.Graph, threshold float64) *graph.Graph {
 		}
 	}
 	out.EndBulk()
-	return out
-}
-
-// ExpertsOn returns the users with the most act links to items whose text
-// matches every query keyword — the "identify a group of experts on the
-// topic" fallback of Example 2. Users are returned in decreasing activity
-// order (ties by id); at most n users.
-func ExpertsOn(g *graph.Graph, keywords []string, n int) []graph.NodeID {
-	if len(keywords) == 0 || n <= 0 {
-		return nil
-	}
-	matching := make(map[graph.NodeID]struct{})
-	for _, item := range g.NodesOfType(graph.TypeItem) {
-		if scoring.DefaultScorer(keywords, item.Text()) == 1 {
-			matching[item.ID] = struct{}{}
-		}
-	}
-	type cnt struct {
-		id graph.NodeID
-		n  int
-	}
-	var counts []cnt
-	for _, u := range g.NodesOfType(graph.TypeUser) {
-		c := 0
-		for _, l := range g.Out(u.ID) {
-			if !l.HasType(graph.TypeAct) {
-				continue
-			}
-			if _, ok := matching[l.Tgt]; ok {
-				c++
-			}
-		}
-		if c > 0 {
-			counts = append(counts, cnt{u.ID, c})
-		}
-	}
-	for i := 0; i < len(counts); i++ {
-		for j := i + 1; j < len(counts); j++ {
-			if counts[j].n > counts[i].n || (counts[j].n == counts[i].n && counts[j].id < counts[i].id) {
-				counts[i], counts[j] = counts[j], counts[i]
-			}
-		}
-	}
-	n = min(n, len(counts))
-	out := make([]graph.NodeID, n)
-	for i := 0; i < n; i++ {
-		out[i] = counts[i].id
-	}
 	return out
 }

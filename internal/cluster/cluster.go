@@ -15,9 +15,8 @@ package cluster
 import (
 	"fmt"
 
-	"socialscope/internal/analyzer"
 	"socialscope/internal/graph"
-	"socialscope/internal/scoring"
+	"socialscope/internal/persist"
 )
 
 // Strategy selects the clustering predicate.
@@ -29,7 +28,8 @@ const (
 	PerUser Strategy = iota
 	// NetworkBased clusters users whose networks overlap: Definition 11.
 	NetworkBased
-	// BehaviorBased clusters users whose tagged items overlap: Definition 12.
+	// BehaviorBased clusters users whose acted-on items (the targets of
+	// their act links) overlap: Definition 12.
 	BehaviorBased
 	// Hybrid clusters users whose network members tag similarly: Definition 13.
 	Hybrid
@@ -158,37 +158,22 @@ func (c *Clustering) Stats() Stats {
 }
 
 // Build partitions the users of g under the given strategy and threshold θ.
-// Profiles are extracted once (network(u) from connect links, items(u) from
-// act links). θ is ignored by PerUser and Global.
+// network(u) is g.Connections(u) and items(u) is g.Acts(u), each derived
+// once per user per Build; a non-user reached through a connection has no
+// items. θ is ignored by PerUser and Global.
 func Build(g *graph.Graph, strategy Strategy, theta float64) (*Clustering, error) {
 	if theta < 0 || theta > 1 {
 		return nil, fmt.Errorf("cluster: theta %g outside [0,1]", theta)
 	}
-	profiles := analyzer.Profiles(g)
-	users := make([]graph.NodeID, 0, len(profiles))
+	var users []graph.NodeID
 	for _, n := range g.NodesOfType(graph.TypeUser) {
 		users = append(users, n.ID)
 	}
-	return buildFromProfiles(users, profiles, strategy, theta)
-}
-
-// BuildFromProfiles clusters an explicit profile set; the index layer uses
-// it to avoid re-extracting profiles it already holds.
-func BuildFromProfiles(users []graph.NodeID, profiles map[graph.NodeID]*analyzer.UserProfile,
-	strategy Strategy, theta float64) (*Clustering, error) {
-	if theta < 0 || theta > 1 {
-		return nil, fmt.Errorf("cluster: theta %g outside [0,1]", theta)
-	}
-	return buildFromProfiles(users, profiles, strategy, theta)
-}
-
-func buildFromProfiles(users []graph.NodeID, profiles map[graph.NodeID]*analyzer.UserProfile,
-	strategy Strategy, theta float64) (*Clustering, error) {
 	c := &Clustering{Strategy: strategy, Theta: theta, byUser: make(map[graph.NodeID]int)}
 	switch strategy {
 	case Global:
 		if len(users) > 0 {
-			cl := Cluster{ID: 0, Leader: users[0], Members: append([]graph.NodeID(nil), users...)}
+			cl := Cluster{ID: 0, Leader: users[0], Members: users}
 			c.Clusters = append(c.Clusters, cl)
 			for _, u := range users {
 				c.byUser[u] = 0
@@ -202,10 +187,7 @@ func buildFromProfiles(users []graph.NodeID, profiles map[graph.NodeID]*analyzer
 		}
 		return c, nil
 	case NetworkBased, BehaviorBased, Hybrid:
-		pred, err := predicate(strategy, profiles, theta)
-		if err != nil {
-			return nil, err
-		}
+		pred := predicate(g, users, strategy, theta)
 		for _, u := range users {
 			placed := false
 			for i := range c.Clusters {
@@ -227,47 +209,47 @@ func buildFromProfiles(users []graph.NodeID, profiles map[graph.NodeID]*analyzer
 	return nil, fmt.Errorf("cluster: unknown strategy %d", strategy)
 }
 
-func predicate(strategy Strategy, profiles map[graph.NodeID]*analyzer.UserProfile,
-	theta float64) (func(a, b graph.NodeID) bool, error) {
-	prof := func(u graph.NodeID) *analyzer.UserProfile {
-		if p := profiles[u]; p != nil {
-			return p
+// predicate returns the pairwise test of a leader-based strategy over
+// users, reading each fact it needs once per user up front.
+func predicate(g *graph.Graph, users []graph.NodeID, strategy Strategy, theta float64) func(a, b graph.NodeID) bool {
+	facts := func(of func(graph.NodeID) []graph.NodeID) map[graph.NodeID][]graph.NodeID {
+		m := make(map[graph.NodeID][]graph.NodeID, len(users))
+		for _, u := range users {
+			m[u] = of(u)
 		}
-		return &analyzer.UserProfile{
-			ID:      u,
-			Network: scoring.NewSet[graph.NodeID](),
-			Items:   scoring.NewSet[graph.NodeID](),
-		}
+		return m
 	}
 	switch strategy {
 	case NetworkBased:
 		// |network(u1) ∩ network(u2)| / |network(u1) ∪ network(u2)| ≥ θ.
+		network := facts(g.Connections)
 		return func(a, b graph.NodeID) bool {
-			return scoring.Jaccard(prof(a).Network, prof(b).Network) >= theta
-		}, nil
+			return persist.Jaccard(network[a], network[b]) >= theta
+		}
 	case BehaviorBased:
 		// |items(u1) ∩ items(u2)| / |items(u1) ∪ items(u2)| ≥ θ.
+		items := facts(g.Acts)
 		return func(a, b graph.NodeID) bool {
-			return scoring.Jaccard(prof(a).Items, prof(b).Items) >= theta
-		}, nil
-	case Hybrid:
-		// Definition 13: items(v1)~items(v2) ≥ θ for ALL v1 ∈ network(u1),
-		// v2 ∈ network(u2). Vacuously false when either network is empty
-		// (an empty-network user clusters with nobody but itself).
-		return func(a, b graph.NodeID) bool {
-			na, nb := prof(a).Network, prof(b).Network
-			if na.Len() == 0 || nb.Len() == 0 {
-				return false
-			}
-			for v1 := range na {
-				for v2 := range nb {
-					if scoring.Jaccard(prof(v1).Items, prof(v2).Items) < theta {
-						return false
-					}
+			return persist.Jaccard(items[a], items[b]) >= theta
+		}
+	}
+	// Definition 13: items(v1)~items(v2) ≥ θ for ALL v1 ∈ network(u1),
+	// v2 ∈ network(u2). Vacuously false when either network is empty (an
+	// empty-network user clusters with nobody but itself). items holds
+	// users only, so a non-user member of a network reads as no items.
+	network, items := facts(g.Connections), facts(g.Acts)
+	return func(a, b graph.NodeID) bool {
+		na, nb := network[a], network[b]
+		if len(na) == 0 || len(nb) == 0 {
+			return false
+		}
+		for _, v1 := range na {
+			for _, v2 := range nb {
+				if persist.Jaccard(items[v1], items[v2]) < theta {
+					return false
 				}
 			}
-			return true
-		}, nil
+		}
+		return true
 	}
-	return nil, fmt.Errorf("cluster: no predicate for strategy %d", strategy)
 }

@@ -64,7 +64,13 @@ func selectBasis(g *graph.Graph, cat *catalog, user graph.NodeID, q Query, minSi
 	if minSize <= 0 {
 		minSize = 1
 	}
-	friends := connections(g, user)
+	friends := g.Connections(user)
+	if i, ok := slices.BinarySearch(friends, user); ok {
+		friends = slices.Delete(friends, i, i+1)
+	}
+	if len(friends) == 0 {
+		friends = nil // a connect self-loop alone leaves no friends
+	}
 	if len(q.Keywords) == 0 {
 		return SocialBasis{Kind: BasisFriends, Users: friends}
 	}
@@ -93,22 +99,4 @@ func selectBasis(g *graph.Graph, cat *catalog, user graph.NodeID, q Query, minSi
 		return SocialBasis{Kind: BasisExperts, Users: experts}
 	}
 	return SocialBasis{Kind: BasisQueryFriends, Users: relevant}
-}
-
-// connections returns the other ends of the user's connect links,
-// ascending and without repeats.
-func connections(g *graph.Graph, user graph.NodeID) []graph.NodeID {
-	var friends []graph.NodeID
-	for _, l := range g.Out(user) {
-		if l.HasType(graph.TypeConnect) && l.Tgt != user {
-			friends = append(friends, l.Tgt)
-		}
-	}
-	for _, l := range g.In(user) {
-		if l.HasType(graph.TypeConnect) && l.Src != user {
-			friends = append(friends, l.Src)
-		}
-	}
-	slices.Sort(friends)
-	return slices.Compact(friends)
 }

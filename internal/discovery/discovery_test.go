@@ -374,6 +374,41 @@ func TestExpertBased(t *testing.T) {
 	}
 }
 
+// TestExpertBasedRanksExperts pins the expert scan behind ExpertBased:
+// experts rank by their act links onto items matching every keyword, most
+// first, and a recommendation's basis lists its experts in that order.
+func TestExpertBasedRanksExperts(t *testing.T) {
+	b := graph.NewBuilder()
+	b.Node([]string{graph.TypeUser}, "name", "Alexia") // acts on nothing
+	jane := b.Node([]string{graph.TypeUser}, "name", "Jane")
+	casual := b.Node([]string{graph.TypeUser}, "name", "Casual")
+	var hist []graph.NodeID
+	for i := 0; i < 3; i++ {
+		hist = append(hist, b.Node([]string{graph.TypeItem}, "keywords", "american history museum"))
+	}
+	beach := b.Node([]string{graph.TypeItem}, "keywords", "beach resort")
+	for _, h := range hist {
+		b.Link(jane, h, []string{graph.TypeAct, graph.SubtypeReview})
+	}
+	b.Link(casual, hist[0], []string{graph.TypeAct, graph.SubtypeVisit})
+	b.Link(casual, beach, []string{graph.TypeAct, graph.SubtypeVisit})
+	g := b.Graph()
+
+	recs, err := ExpertBased(g, []string{"american", "history"}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 || recs[0].Item != hist[0] || !reflect.DeepEqual(recs[0].Basis, []graph.NodeID{jane, casual}) {
+		t.Errorf("recs = %+v, want hist[0] first, endorsed by [Jane Casual]", recs)
+	}
+	if recs, err := ExpertBased(g, nil, 3); recs != nil || err != nil {
+		t.Errorf("empty keywords = %v, %v; want nil", recs, err)
+	}
+	if recs, err := ExpertBased(g, []string{"american", "history"}, 0); recs != nil || err != nil {
+		t.Errorf("n=0 = %v, %v; want nil", recs, err)
+	}
+}
+
 func TestRelatedEntities(t *testing.T) {
 	// Alexia's scenario: Jane reviews many result destinations; topics
 	// attach via belong links.

@@ -192,6 +192,56 @@ func expertsForBasisOracle(g *graph.Graph, keywords []string, n int, exclude gra
 	return out
 }
 
+// expertBasedOracle is ExpertBased over expertsForBasisOracle, the scan of
+// every user's out-links it used before it shared the catalog's.
+func expertBasedOracle(g *graph.Graph, keywords []string, n int) []Recommendation {
+	if len(keywords) == 0 || n <= 0 {
+		return nil
+	}
+	experts := expertsForBasisOracle(g, keywords, n, g.MaxNodeID()+1)
+	counts := make(map[graph.NodeID]int)
+	endorsers := make(map[graph.NodeID][]graph.NodeID)
+	for _, e := range experts {
+		for _, l := range g.Out(e) {
+			item := g.Node(l.Tgt)
+			if l.HasType(graph.TypeAct) && item != nil && scoring.DefaultScorer(keywords, item.Text()) == 1 {
+				counts[l.Tgt]++
+				endorsers[l.Tgt] = append(endorsers[l.Tgt], e)
+			}
+		}
+	}
+	var recs []Recommendation
+	for item, c := range counts {
+		recs = append(recs, Recommendation{Item: item, Score: float64(c), Basis: endorsers[item], Strategy: "expert"})
+	}
+	sortRecs(recs)
+	return recs
+}
+
+func TestExpertBasedMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	found := 0
+	for i := 0; i < 200; i++ {
+		g := randomDiscoveryGraph(rng)
+		q := randomDiscoveryQuery(rng)
+		for _, n := range []int{0, 1, 2, 5} {
+			got, err := ExpertBased(g, q.Keywords, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := expertBasedOracle(g, q.Keywords, n); !reflect.DeepEqual(got, want) {
+				t.Fatalf("graph %d keywords %v n %d:\ngot  %+v\nwant %+v", i, q.Keywords, n, got, want)
+			}
+			if len(got) > 0 {
+				found++
+			}
+		}
+	}
+	if found < 50 {
+		t.Errorf("only %d cases recommend anything", found)
+	}
+}
+
 func assembleOracle(g *graph.Graph, user graph.NodeID, results []Result) (*graph.Graph, error) {
 	out := graph.New()
 	out.PutNode(g.Node(user).Clone())

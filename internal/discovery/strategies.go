@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"socialscope/internal/analyzer"
 	"socialscope/internal/graph"
 	"socialscope/internal/scoring"
 )
@@ -237,7 +236,11 @@ func ContentBased(g *graph.Graph, user graph.NodeID, itemType string, minSim flo
 // query. Experts are the top-n users by activity on keyword-matching items;
 // each recommended item is scored by how many experts acted on it.
 func ExpertBased(g *graph.Graph, keywords []string, nExperts int) ([]Recommendation, error) {
-	experts := analyzer.ExpertsOn(g, keywords, nExperts)
+	if len(keywords) == 0 || nExperts <= 0 {
+		return nil, nil
+	}
+	// No node carries MaxNodeID()+1, so the scan excludes nobody.
+	experts := newCatalog(g, graph.TypeItem).experts(g, keywords, nExperts, g.MaxNodeID()+1)
 	if len(experts) == 0 {
 		return nil, nil
 	}

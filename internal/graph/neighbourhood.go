@@ -40,6 +40,28 @@ type neighbourhood struct {
 //ss:immutable — never write the slice.
 func (g *Graph) Acts(u NodeID) []NodeID { return g.neighbourhood().acts.At(u) }
 
+// Connections returns the other ends of u's connect links in either
+// direction, ascending and without repeats: network(u) in Definitions 11
+// and 13, the friends §7's explanations count. u itself is among them when
+// it has a connect self-loop, and endpoints of any node type count. Unlike
+// Acts it is derived on each call from u's adjacency, into a fresh slice
+// the caller owns.
+func (g *Graph) Connections(u NodeID) []NodeID {
+	var ids []NodeID
+	for _, l := range g.out.At(u) {
+		if l.HasType(TypeConnect) {
+			ids = append(ids, l.Tgt)
+		}
+	}
+	for _, l := range g.in.At(u) {
+		if l.HasType(TypeConnect) {
+			ids = append(ids, l.Src)
+		}
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
 // Endorsers returns the sources of act links onto i in ascending id
 // order, without repeats — taggers(i) in Definition 14 — each with the
 // rating of its lowest-id act link onto i. See Acts for the view's life

@@ -325,3 +325,50 @@ func TestNeighbourhoodConcurrentBuild(t *testing.T) {
 		checkView(t, s, fmt.Sprintf("snapshot %d", i))
 	}
 }
+
+// TestConnectionsAndActs pins network(u) and items(u) as the discovery,
+// clustering and presentation layers read them: connections count in both
+// directions, once each, in ascending order; a connect self-loop puts u in
+// its own network; a non-user endpoint counts; a user with no act links has
+// no items.
+func TestConnectionsAndActs(t *testing.T) {
+	b := NewBuilder()
+	u1 := b.Node([]string{TypeUser})
+	u2 := b.Node([]string{TypeUser})
+	u3 := b.Node([]string{TypeUser})
+	topic := b.Node([]string{TypeTopic})
+	i1 := b.Node([]string{TypeItem})
+	b.Link(u3, u1, []string{TypeConnect, SubtypeFriend})
+	b.Link(u1, u2, []string{TypeConnect, SubtypeFriend})
+	b.Link(u2, u1, []string{TypeConnect, SubtypeContact}) // the reverse repeats it
+	b.Link(u1, topic, []string{TypeConnect})
+	b.Link(u3, u3, []string{TypeConnect, SubtypeFriend})
+	b.Link(u1, i1, []string{TypeAct, SubtypeVisit})
+	b.Link(u1, u2, []string{TypeMatch}) // not a connection
+	g := b.Graph()
+
+	for _, c := range []struct {
+		u    NodeID
+		want []NodeID
+	}{
+		{u1, []NodeID{u2, u3, topic}},
+		{u2, []NodeID{u1}},
+		{u3, []NodeID{u1, u3}},
+		{topic, []NodeID{u1}},
+		{i1, nil},
+	} {
+		if got := g.Connections(c.u); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("Connections(%d) = %v, want %v", c.u, got, c.want)
+		}
+	}
+	g.Connections(u1)[0] = 99 // the caller owns the slice
+	if got := g.Connections(u1); got[0] != u2 {
+		t.Errorf("Connections(%d) shares its result: %v", u1, got)
+	}
+	if got := g.Acts(u1); !reflect.DeepEqual(got, []NodeID{i1}) {
+		t.Errorf("Acts(%d) = %v, want [%d]", u1, got, i1)
+	}
+	if got := g.Acts(u2); got != nil {
+		t.Errorf("Acts(%d) = %v, want none", u2, got)
+	}
+}

@@ -52,6 +52,13 @@ func NewItemTaggers() ItemTaggers {
 // constant-size header — O(1), not O(users+items+tags) — and every
 // snapshot shares all untouched storage with its ancestors. Construct with
 // NewData or Extract; the zero Data is not ready for use.
+//
+// Network and ItemsOf restate facts the graph also answers
+// (Graph.Connections, Graph.Acts), and both copies must exist: ApplyDelta
+// maintains a Data from mutations alone, with no graph to ask, and §6.2's
+// score counts tagging actions only, so ItemsOf(u) leaves out what u
+// visited, rated or reviewed without tagging, and Network(u) leaves out
+// non-user endpoints. TestSubstrateAgreesWithGraphFacts pins the relation.
 type Data struct {
 	// Users, Items and Tags are the sorted universes. They are rebound —
 	// never mutated in place — when the universe changes, so snapshots can
@@ -65,8 +72,8 @@ type Data struct {
 	// Network[user] = users connected to user (either direction). Every
 	// user has an entry, empty or not: presence marks a user.
 	Network persist.Map[graph.NodeID, []graph.NodeID]
-	// ItemsOf[user] = items the user tagged (for behavior clustering and
-	// content-based explanations).
+	// ItemsOf[user] = items the user tagged, which incremental maintenance
+	// of a connection mutation walks.
 	ItemsOf persist.Map[graph.NodeID, []graph.NodeID]
 
 	// tagsOf[user] = distinct tags the user has used. Maintained alongside

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"socialscope/internal/cluster"
+	"socialscope/internal/graph"
 	"socialscope/internal/scoring"
 )
 
@@ -47,7 +48,7 @@ func TestBuildEmptyData(t *testing.T) {
 		t.Error("nil inputs accepted")
 	}
 	d := NewData()
-	cl, err := cluster.BuildFromProfiles(nil, nil, cluster.Global, 0)
+	cl, err := cluster.Build(graph.New(), cluster.Global, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,13 @@ func TestApplyDeltaOnHandBuiltData(t *testing.T) {
 	d.Network = d.Network.Set(2, []graph.NodeID{1})
 	d.ItemsOf = d.ItemsOf.Set(1, []graph.NodeID{10})
 	d.ItemsOf = d.ItemsOf.Set(2, nil)
-	cl, err := cluster.BuildFromProfiles(d.Users, nil, cluster.PerUser, 0)
+	users := graph.New()
+	for _, u := range d.Users {
+		if err := users.AddNode(graph.NewNode(u, graph.TypeUser)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl, err := cluster.Build(users, cluster.PerUser, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,6 +106,18 @@ func IntersectionSize[T cmp.Ordered](a, b []T) int {
 	return n
 }
 
+// Jaccard returns |a∩b| / |a∪b| for two ascending slices without repeats,
+// or 0 when both are empty: the set similarity of Definitions 11 to 13
+// and of §7's UserSim, computed exactly as scoring.Jaccard computes it.
+func Jaccard[T cmp.Ordered](a, b []T) float64 {
+	inter := IntersectionSize(a, b)
+	union := len(a) + len(b) - inter
+	if union == 0 {
+		return 0
+	}
+	return float64(inter) / float64(union)
+}
+
 // AppendIntersection appends to dst the elements common to a and b, two
 // ascending slices without repeats, in ascending order.
 func AppendIntersection[T cmp.Ordered](dst, a, b []T) []T {

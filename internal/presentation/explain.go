@@ -91,36 +91,12 @@ type CFContext struct {
 
 // NewCFContext prepares the explanations of results shown to user on g.
 func NewCFContext(g *graph.Graph, user graph.NodeID) *CFContext {
-	var friends []graph.NodeID
-	for _, l := range g.Incident(user) {
-		if !l.HasType(graph.TypeConnect) {
-			continue
-		}
-		other := l.Tgt
-		if other == user {
-			other = l.Src
-		}
-		friends = append(friends, other)
-	}
-	slices.Sort(friends)
-	return &CFContext{g: g, user: user, friends: slices.Compact(friends), acted: g.Acts(user)}
+	return &CFContext{g: g, user: user, friends: g.Connections(user), acted: g.Acts(user)}
 }
 
 func (c *CFContext) isFriend(other graph.NodeID) bool {
 	_, ok := slices.BinarySearch(c.friends, other)
 	return ok
-}
-
-// jaccard is the Jaccard similarity of the searcher's acted items and
-// other's, merged as two ascending vectors.
-func (c *CFContext) jaccard(other graph.NodeID) float64 {
-	items := c.g.Acts(other)
-	inter := persist.IntersectionSize(c.acted, items)
-	union := len(c.acted) + len(items) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
 }
 
 // peer reports whether an endorser of an item can ground its explanation:
@@ -151,7 +127,7 @@ func (c *CFContext) Weighted(item graph.NodeID) []WeightedID {
 		}
 		sim := 1.0
 		if !c.isFriend(e.ID) {
-			if sim = c.jaccard(e.ID); sim <= 0 {
+			if sim = persist.Jaccard(c.acted, c.g.Acts(e.ID)); sim <= 0 {
 				continue
 			}
 		}

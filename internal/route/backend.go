@@ -2,9 +2,7 @@ package route
 
 import (
 	"fmt"
-	"math"
 	"net/url"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -27,51 +25,6 @@ func (r Role) String() string {
 		return "follower"
 	}
 	return "unknown"
-}
-
-// latencyWindow is a fixed-size ring of recent request latencies, the
-// input to the hedging trigger: hedge when the in-flight try exceeds a
-// high quantile of what this backend usually takes.
-type latencyWindow struct {
-	samples []time.Duration
-	next    int
-	full    bool
-}
-
-const latencyWindowSize = 64
-
-func (w *latencyWindow) observe(d time.Duration) {
-	if w.samples == nil {
-		w.samples = make([]time.Duration, latencyWindowSize)
-	}
-	w.samples[w.next] = d
-	w.next = (w.next + 1) % len(w.samples)
-	if w.next == 0 {
-		w.full = true
-	}
-}
-
-// quantile returns the q-quantile of the window by nearest rank, or
-// (0, false) with fewer than 8 samples — too little signal to hedge on.
-func (w *latencyWindow) quantile(q float64) (time.Duration, bool) {
-	n := w.next
-	if w.full {
-		n = len(w.samples)
-	}
-	if n < 8 {
-		return 0, false
-	}
-	sorted := make([]time.Duration, n)
-	copy(sorted, w.samples[:n])
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(math.Ceil(q*float64(n))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return sorted[idx], true
 }
 
 // Backend is one ssserve instance behind the router: its address plus
@@ -97,7 +50,6 @@ type Backend struct {
 	consecFails int
 	deposed     bool // was the leader, got failed over; never a leader again
 	brk         breaker
-	lat         latencyWindow
 }
 
 // newBackend normalizes addr ("host:port" or a full URL) into a Backend.
@@ -172,11 +124,8 @@ func (b *Backend) noteResult(ok bool, lat time.Duration, now time.Time) {
 	defer b.mu.Unlock()
 	if ok {
 		b.brk.success()
-		if lat > 0 {
-			b.lat.observe(lat)
-			if b.met != nil {
-				b.met.lat.Observe(lat.Seconds())
-			}
+		if lat > 0 && b.met != nil {
+			b.met.lat.Observe(lat.Seconds())
 		}
 	} else {
 		b.brk.failure(now)
@@ -219,15 +168,14 @@ func (b *Backend) roleVersion() (Role, uint64) {
 }
 
 // hedgeDelay returns how long to let a try run before hedging: the
-// configured quantile of this backend's recent latencies, clamped to
-// [min, max]. ok is false when the window is too thin to say.
+// q-quantile of this backend's ss_route_backend_seconds histogram,
+// clamped to [min, max]. ok is false when the backend has no metrics or
+// fewer than 8 observations — too little signal to hedge on.
 func (b *Backend) hedgeDelay(q float64, min, max time.Duration) (time.Duration, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	d, ok := b.lat.quantile(q)
-	if !ok {
+	if b.met == nil || b.met.lat.Count() < 8 {
 		return 0, false
 	}
+	d := time.Duration(b.met.lat.Quantile(q) * float64(time.Second))
 	if d < min {
 		d = min
 	}

@@ -3,31 +3,48 @@ package route
 import (
 	"testing"
 	"time"
+
+	"socialscope/internal/obs"
 )
 
-// TestLatencyWindowQuantileNearestRank pins the hedge trigger to the
-// nearest-rank definition: the q-quantile of n samples is the
-// ceil(q·n)-th smallest, never one rank lower.
-func TestLatencyWindowQuantileNearestRank(t *testing.T) {
-	for _, tc := range []struct {
-		n    int
-		q    float64
-		want time.Duration // samples are 1ms..n ms, so rank r is r ms
+// TestHedgeDelayReadsBackendHistogram pins the hedge trigger to the
+// backend's ss_route_backend_seconds histogram: no hedge without metrics
+// or below 8 observations, then the histogram's quantile clamped to
+// [min, max].
+func TestHedgeDelayReadsBackendHistogram(t *testing.T) {
+	b, err := newBackend("h:1", 3, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	b.noteResult(true, 3*time.Millisecond, now)
+	if d, ok := b.hedgeDelay(0.9, time.Millisecond, time.Second); ok {
+		t.Fatalf("backend without metrics hedges after %v", d)
+	}
+
+	b.met = newBackendMetrics(obs.NewRegistry(), b.Host)
+	for i := 0; i < 7; i++ {
+		b.noteResult(true, 3*time.Millisecond, now)
+	}
+	b.noteResult(true, 0, now) // a shed: no latency sample
+	if d, ok := b.hedgeDelay(0.9, time.Millisecond, time.Second); ok {
+		t.Fatalf("7 observations hedge after %v", d)
+	}
+	b.noteResult(true, 3*time.Millisecond, now)
+	want := time.Duration(b.met.lat.Quantile(0.9) * float64(time.Second))
+	if want <= 3*time.Millisecond || want > 5*time.Millisecond {
+		t.Fatalf("p90 of eight 3ms tries = %v, want in (3ms, 5ms], interpolated in the 2.5-5 ms bucket", want)
+	}
+	for _, c := range []struct {
+		min, max, want time.Duration
 	}{
-		{n: 7, q: 0.9, want: 0}, // too thin to hedge on
-		{n: 8, q: 0.5, want: 4 * time.Millisecond},
-		{n: 8, q: 0.9, want: 8 * time.Millisecond},
-		{n: 8, q: 1, want: 8 * time.Millisecond},
-		{n: 64, q: 0.9, want: 58 * time.Millisecond},
-		{n: 64, q: 0.5, want: 32 * time.Millisecond},
+		{time.Millisecond, time.Second, want},                          // unclamped
+		{10 * time.Millisecond, time.Second, 10 * time.Millisecond},    // floored
+		{time.Millisecond, 4 * time.Millisecond, 4 * time.Millisecond}, // capped
+		{time.Millisecond, 0, want},                                    // no cap
 	} {
-		var w latencyWindow
-		for i := tc.n; i >= 1; i-- { // reverse order: quantile must sort
-			w.observe(time.Duration(i) * time.Millisecond)
-		}
-		got, ok := w.quantile(tc.q)
-		if ok != (tc.want > 0) || got != tc.want {
-			t.Errorf("n=%d q=%v: quantile = %v, %v; want %v", tc.n, tc.q, got, ok, tc.want)
+		if d, ok := b.hedgeDelay(0.9, c.min, c.max); !ok || d != c.want {
+			t.Errorf("hedgeDelay(0.9, %v, %v) = %v, %v; want %v", c.min, c.max, d, ok, c.want)
 		}
 	}
 }

@@ -42,8 +42,8 @@ func newRouterCounters(reg *obs.Registry) routerCounters {
 
 // backendMetrics are one backend's per-host registry handles, labeled
 // by the backend's Host. Gauges mirror the routing view (see
-// Backend.syncLocked); the histogram feeds latency quantiles per
-// backend — the same signal the hedging trigger reads from its ring.
+// Backend.syncLocked); the histogram is the per-backend latency record
+// the hedging trigger reads its quantile from (Backend.hedgeDelay).
 type backendMetrics struct {
 	up       *obs.Gauge // ss_route_backend_up{backend}
 	brkState *obs.Gauge // ss_route_backend_breaker_state{backend}: 0 closed, 1 open, 2 half-open

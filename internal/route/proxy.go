@@ -150,7 +150,7 @@ func goodRead(res tryResult) bool {
 }
 
 // hedgedRead runs one read try against primary and, if it outlives the
-// configured quantile of the primary's recent latency, hedges a second
+// configured quantile of the primary's latency histogram, hedges a second
 // try to a different backend. The first definitive answer wins; the
 // straggler finishes into a buffered channel and is dropped (its breaker
 // bookkeeping still lands in tryOnce).

@@ -9,7 +9,7 @@
 //   - read routing with per-try timeouts, budgeted retries with
 //     jittered exponential backoff honoring Retry-After hints, hedged
 //     requests once a try outlives a high quantile of the backend's
-//     recent latency, and a per-backend circuit breaker so a dead
+//     latency histogram, and a per-backend circuit breaker so a dead
 //     replica stops costing a timeout per request (proxy.go,
 //     breaker.go);
 //   - explicit consistency: the router keeps a monotonic-read token —
@@ -83,10 +83,10 @@ type Config struct {
 	// between retries (defaults 10ms / 500ms, full jitter).
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// HedgeQuantile is the latency quantile of the target backend's
-	// recent reads after which a second try is hedged to another backend
-	// (default 0.9); HedgeMin floors the wait. DisableHedging turns the
-	// mechanism off.
+	// HedgeQuantile is the quantile of the target backend's
+	// ss_route_backend_seconds histogram after which a second try is
+	// hedged to another backend (default 0.9); HedgeMin floors the wait.
+	// DisableHedging turns the mechanism off.
 	HedgeQuantile  float64
 	HedgeMin       time.Duration
 	DisableHedging bool

@@ -291,7 +291,7 @@ func TestHedgedReadWinsOnSlowPrimary(t *testing.T) {
 	}
 	defer r.Close()
 
-	// Prime both latency windows so the hedge trigger has signal.
+	// Prime both latency histograms so the hedge trigger has signal.
 	for i := 0; i < 20; i++ {
 		if rec := get(t, r.Handler(), "/search?user=1&q=x", nil); rec.Code != http.StatusOK {
 			t.Fatalf("prime read %d: %d", i, rec.Code)
