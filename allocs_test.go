@@ -62,7 +62,7 @@ func TestQueryCtxAllocsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	i := 0
-	pinAllocs(t, "Engine.QueryCtx", 118, func() {
+	pinAllocs(t, "Engine.QueryCtx", 76, func() {
 		if _, err := eng.QueryCtx(context.Background(), users[i%len(users)], q); err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestFusionAllocsPinned(t *testing.T) {
 		{"Engine.QueryCtx (fusion)", func(u NodeID, q discovery.Query) error {
 			_, err := eng.QueryCtx(ctx, u, q)
 			return err
-		}, 179},
+		}, 118},
 	} {
 		i := 0
 		pinAllocs(t, c.name, c.bound, func() {

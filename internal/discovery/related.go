@@ -2,6 +2,7 @@ package discovery
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -82,88 +83,107 @@ func RelatedEntities(g *graph.Graph, msg *MSG, minActs, limit int) Related {
 		rel.Topics = rel.Topics[:limit]
 	}
 
-	// Users: the items' endorser vectors, each ascending without repeats,
-	// merged pairwise in a balanced tree into one ascending run of (user,
-	// count) — O(T log k) for T endorsers over k items. rel.Users keeps the
-	// best limit users, in order; the run is in ascending id, so a newcomer
-	// displaces only a strictly lower count and sits after every equal one.
-	sc := countScratch.Get().(*userCounts)
-	defer countScratch.Put(sc)
-	for _, u := range sc.merge(g, items) {
-		if u.Count < minActs {
+	// Users: one pass over the items' endorser vectors, each ascending
+	// without repeats, counting every endorser in an open-addressing table
+	// — O(T) time and memory for T endorsers, whatever the id values.
+	// rel.Users keeps the best limit users by (count desc, id asc); once it
+	// is full, floor is its last count, and a newcomer displaces the last
+	// only when it orders strictly before it. Exclusion is checked last:
+	// few users get that far.
+	ct := counterPool.Get().(*userCounter)
+	defer counterPool.Put(ct)
+	users := ct.count(g, items)
+	floor := minActs
+	for _, u := range users {
+		if u.Count < floor {
+			continue
+		}
+		full := len(rel.Users) == limit
+		if full && !ranksBefore(u, rel.Users[limit-1]) {
 			continue
 		}
 		if _, skip := slices.BinarySearch(exclude, u.User); skip {
 			continue
 		}
-		if len(rel.Users) < limit {
+		if rel.Users == nil {
+			rel.Users = make([]RelatedUser, 0, min(limit, len(users)))
+		}
+		if !full {
 			rel.Users = append(rel.Users, RelatedUser{})
-		} else if u.Count <= rel.Users[limit-1].Count {
-			continue
 		}
 		i := len(rel.Users) - 1
-		for ; i > 0 && rel.Users[i-1].Count < u.Count; i-- {
+		for ; i > 0 && ranksBefore(u, rel.Users[i-1]); i-- {
 			rel.Users[i] = rel.Users[i-1]
 		}
 		rel.Users[i] = u
+		if len(rel.Users) == limit {
+			floor = rel.Users[limit-1].Count
+		}
 	}
 	return rel
 }
 
-// userCounts is RelatedEntities' reusable merge space: two buffers of
-// ascending (user, count) runs and the end offsets of the current runs.
-type userCounts struct {
-	a, b []RelatedUser
-	ends []int
+// ranksBefore orders related users by descending count, ties by ascending id.
+func ranksBefore(a, b RelatedUser) bool {
+	return a.Count > b.Count || a.Count == b.Count && a.User < b.User
 }
 
-var countScratch = sync.Pool{New: func() any { return new(userCounts) }}
+// userCounter is RelatedEntities' reusable counting space: the items'
+// endorser vectors, the distinct endorsers with their counts in
+// first-seen order, and a linear-probing table of positions in that list
+// (0 marks an empty slot). The table is sized to a power of two at least
+// twice the endorser total, so its memory follows the endorser count and
+// never the id values (ids are client-chosen through /apply).
+type userCounter struct {
+	vecs  [][]graph.Endorser
+	users []RelatedUser
+	table []int32
+}
 
-// merge returns every endorser of items with the number of items it
-// endorses, ascending by user. The result aliases sc until the next call.
-func (sc *userCounts) merge(g *graph.Graph, items []graph.NodeID) []RelatedUser {
-	a, ends := sc.a[:0], sc.ends[:0]
+var counterPool = sync.Pool{New: func() any { return new(userCounter) }}
+
+// count returns every endorser of items with the number of items it
+// endorses, in first-seen order. The result aliases ct until the next
+// call.
+func (ct *userCounter) count(g *graph.Graph, items []graph.NodeID) []RelatedUser {
+	vecs, total := ct.vecs[:0], 0
 	for _, item := range items {
-		for _, e := range g.Endorsers(item) {
-			a = append(a, RelatedUser{e.ID, 1})
-		}
-		ends = append(ends, len(a))
+		v := g.Endorsers(item)
+		vecs = append(vecs, v)
+		total += len(v)
 	}
-	b := sc.b
-	for len(ends) > 1 {
-		b = b[:0]
-		lo, n := 0, 0
-		for i := 0; i < len(ends); i += 2 {
-			mid, hi := ends[i], ends[i]
-			if i+1 < len(ends) {
-				hi = ends[i+1]
+	size := 1
+	for size < 2*total {
+		size <<= 1
+	}
+	if cap(ct.table) < size {
+		ct.table = make([]int32, size)
+	}
+	table, users := ct.table[:size], ct.users[:0]
+	clear(table)
+	shift := 64 - bits.TrailingZeros(uint(size))
+	mask := size - 1
+	for _, v := range vecs {
+		for _, e := range v {
+			// Fibonacci hashing: the multiply spreads consecutive ids, the
+			// top bits index the table.
+			i := int(uint64(e.ID) * 0x9E3779B97F4A7C15 >> shift)
+			for {
+				at := table[i]
+				if at == 0 {
+					users = append(users, RelatedUser{e.ID, 1})
+					table[i] = int32(len(users))
+					break
+				}
+				if users[at-1].User == e.ID {
+					users[at-1].Count++
+					break
+				}
+				i = (i + 1) & mask
 			}
-			b = mergeRuns(b, a[lo:mid], a[mid:hi])
-			lo, ends[n], n = hi, len(b), n+1
-		}
-		a, b, ends = b, a, ends[:n]
-	}
-	sc.a, sc.b, sc.ends = a, b, ends
-	return a
-}
-
-// mergeRuns appends the merge of two ascending runs to dst, adding the
-// counts of a user present in both.
-func mergeRuns(dst, x, y []RelatedUser) []RelatedUser {
-	i, j := 0, 0
-	for i < len(x) && j < len(y) {
-		switch {
-		case x[i].User < y[j].User:
-			dst = append(dst, x[i])
-			i++
-		case x[i].User > y[j].User:
-			dst = append(dst, y[j])
-			j++
-		default:
-			dst = append(dst, RelatedUser{x[i].User, x[i].Count + y[j].Count})
-			i, j = i+1, j+1
 		}
 	}
-	dst = append(dst, x[i:]...)
-	return append(dst, y[j:]...)
+	clear(vecs) // drop the snapshot's vectors before pooling
+	ct.vecs, ct.users = vecs, users
+	return users
 }

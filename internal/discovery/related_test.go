@@ -3,6 +3,7 @@ package discovery
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -203,7 +204,7 @@ func TestRelatedEntitiesWide(t *testing.T) {
 	}
 }
 
-// TestRelatedEntitiesConcurrent: calls share the pooled merge space, so
+// TestRelatedEntitiesConcurrent: calls share the pooled counting space, so
 // concurrent calls over different graphs must each match the oracle.
 func TestRelatedEntitiesConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
@@ -288,5 +289,84 @@ func TestRelatedTopicCountsResultsOnce(t *testing.T) {
 	msg.Results = append(msg.Results, Result{Item: other})
 	if got := RelatedEntities(b.Graph(), msg, 0, 0).Topics; !reflect.DeepEqual(got, []RelatedTopic{{topic, 2}}) {
 		t.Fatalf("topics = %+v, want one topic counting 2 results", got)
+	}
+}
+
+// TestRelatedEntitiesExtremeIDs: ids are client-chosen through /apply, so
+// act links from users with ids near 1<<62 and below zero must count like
+// any others, and the bytes a call allocates must not grow with the
+// graph's MaxNodeID. The same act pattern is built twice, once with small
+// user ids and once with ids at the extremes, and both must match the set
+// oracle with the same allocations per call, up to a dropped pool entry.
+func TestRelatedEntitiesExtremeIDs(t *testing.T) {
+	build := func(userID func(i int) graph.NodeID) (*graph.Graph, *MSG) {
+		rng := rand.New(rand.NewSource(62))
+		b := graph.NewBuilder()
+		searcher := b.NodeWithID(1, []string{graph.TypeUser})
+		items := make([]graph.NodeID, 8)
+		for i := range items {
+			items[i] = b.NodeWithID(graph.NodeID(10+i), []string{graph.TypeItem})
+		}
+		msg := &MSG{User: searcher}
+		for i := 0; i < 64; i++ {
+			u := b.NodeWithID(userID(i), []string{graph.TypeUser})
+			for _, j := range rng.Perm(len(items))[:1+rng.Intn(4)] {
+				b.Link(u, items[j], []string{graph.TypeAct, graph.SubtypeVisit})
+			}
+			if i%16 == 0 {
+				msg.Basis.Users = append(msg.Basis.Users, u)
+			}
+		}
+		for _, it := range items {
+			msg.Results = append(msg.Results, Result{Item: it})
+		}
+		return b.Graph(), msg
+	}
+	small, smallMSG := build(func(i int) graph.NodeID { return graph.NodeID(100 + i) })
+	extreme, extremeMSG := build(func(i int) graph.NodeID {
+		if i%2 == 0 {
+			return graph.NodeID(1<<62 - i)
+		}
+		return graph.NodeID(-1 - i*(1<<40))
+	})
+	if extreme.MaxNodeID() < 1<<61 {
+		t.Fatalf("MaxNodeID %d, want the extreme ids in the graph", extreme.MaxNodeID())
+	}
+	perCall := func(g *graph.Graph, msg *MSG) (allocs, bytes float64) {
+		const runs = 64
+		call := func() { RelatedEntities(g, msg, 2, 5) }
+		allocs = testing.AllocsPerRun(runs, call)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			call()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		msg  *MSG
+	}{{"small ids", small, smallMSG}, {"extreme ids", extreme, extremeMSG}} {
+		got, want := RelatedEntities(c.g, c.msg, 2, 5), relatedEntitiesOracle(c.g, c.msg, 2, 5)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s:\n got %+v\nwant %+v", c.name, got, want)
+		}
+		if len(got.Users) == 0 {
+			t.Fatalf("%s: no related users", c.name)
+		}
+	}
+	smallAllocs, smallBytes := perCall(small, smallMSG)
+	extremeAllocs, extremeBytes := perCall(extreme, extremeMSG)
+	t.Logf("per call: small ids %.0f allocs %.0f B, extreme ids %.0f allocs %.0f B",
+		smallAllocs, smallBytes, extremeAllocs, extremeBytes)
+	// The pool may drop the counting scratch (after a GC, and at random
+	// under the race detector), and a call then allocates a fresh set;
+	// the slack covers that, orders of magnitude below anything that
+	// grows with ids near 1<<62.
+	if extremeAllocs > smallAllocs+4 || extremeBytes > 2*smallBytes+4096 {
+		t.Errorf("extreme ids allocate %.0f times and %.0f B per call, small ids %.0f and %.0f B",
+			extremeAllocs, extremeBytes, smallAllocs, smallBytes)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"socialscope/internal/graph"
 	"socialscope/internal/persist"
@@ -159,7 +160,7 @@ func (c *CFContext) Summary(item graph.NodeID) string {
 				break
 			}
 		}
-		return fmt.Sprintf("%d%% of your friends endorsed this item", 100*n/len(c.friends))
+		return strconv.Itoa(100*n/len(c.friends)) + "% of your friends endorsed this item"
 	}
 	n := 0
 	for _, e := range es {
@@ -168,7 +169,7 @@ func (c *CFContext) Summary(item graph.NodeID) string {
 		}
 	}
 	if n > 0 {
-		return fmt.Sprintf("%d similar users endorsed this item", n)
+		return strconv.Itoa(n) + " similar users endorsed this item"
 	}
 	return "No social endorsement found for this item"
 }

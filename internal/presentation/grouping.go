@@ -6,8 +6,11 @@
 package presentation
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"strings"
 
 	"socialscope/internal/graph"
 )
@@ -40,13 +43,14 @@ func SocialGrouping(g *graph.Graph, items []graph.NodeID, scores map[graph.NodeI
 	if theta < 0 || theta > 1 {
 		return Grouping{}, fmt.Errorf("presentation: theta %g outside [0,1]", theta)
 	}
-	var groups []Group
-	var leaders [][]graph.Endorser // each group's leading item's endorsers
-	for _, it := range sortedIDs(items) {
+	sorted := sortedIDs(items)
+	groups := make([]Group, 0, len(sorted))
+	leaders := make([][]graph.Endorser, 0, len(sorted)) // each group's leading item's endorsers
+	for _, it := range sorted {
 		taggers := g.Endorsers(it)
 		placed := false
 		for gi, lead := range leaders {
-			if endorserJaccard(lead, taggers) >= theta {
+			if jaccardAtLeast(lead, taggers, theta) {
 				groups[gi].Items = append(groups[gi].Items, it)
 				placed = true
 				break
@@ -61,9 +65,29 @@ func SocialGrouping(g *graph.Graph, items []graph.NodeID, scores map[graph.NodeI
 	return Grouping{Criterion: "social", Groups: groups}, nil
 }
 
-// endorserJaccard is the Jaccard similarity of two endorser vectors' ids,
-// merged in one pass; 0 when both are empty.
-func endorserJaccard(a, b []graph.Endorser) float64 {
+// jaccardAtLeast reports whether the Jaccard similarity of two endorser
+// vectors' ids reaches theta, with the verdict of the float test
+// float64(inter)/float64(union) >= theta (0 when both are empty) and two
+// exact prunes from the set-similarity-join literature (Bayardo et al.,
+// WWW '07; Xiao et al., PPJoin, WWW '08) that never reject a pair the
+// float test accepts:
+//   - size filter: J ≤ min/max, and rounding is monotone, so
+//     float64(min)/float64(max) < theta rejects;
+//   - early exit: J ≥ θ needs inter ≥ θ(|a|+|b|)/(1+θ), so the merge stops
+//     once inter plus the shorter remainder falls more than 1 below that,
+//     the 1 absorbing the float test's rounding.
+func jaccardAtLeast(a, b []graph.Endorser, theta float64) bool {
+	short, long := len(a), len(b)
+	if short > long {
+		short, long = long, short
+	}
+	if long == 0 {
+		return 0 >= theta
+	}
+	if float64(short)/float64(long) < theta {
+		return false
+	}
+	least := int(math.Ceil(theta*float64(len(a)+len(b))/(1+theta) - 1))
 	inter := 0
 	for i, j := 0, 0; i < len(a) && j < len(b); {
 		switch {
@@ -75,13 +99,13 @@ func endorserJaccard(a, b []graph.Endorser) float64 {
 			inter++
 			i++
 			j++
+			continue
+		}
+		if inter+min(len(a)-i, len(b)-j) < least {
+			return false
 		}
 	}
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
+	return float64(inter)/float64(len(a)+len(b)-inter) >= theta
 }
 
 // TopicalGrouping partitions items by the topic node their belong link
@@ -104,7 +128,7 @@ func TopicalGrouping(g *graph.Graph, items []graph.NodeID, scores map[graph.Node
 		}
 		byTopic[topic] = append(byTopic[topic], it)
 	}
-	var groups []Group
+	groups := make([]Group, 0, len(byTopic)+1)
 	for _, topic := range sortedIDs(keysOf(byTopic)) {
 		groups = append(groups, Group{Label: labelFor(g, topic), Items: byTopic[topic]})
 	}
@@ -134,8 +158,8 @@ func StructuralGrouping(g *graph.Graph, items []graph.NodeID, scores map[graph.N
 	for v := range byVal {
 		vals = append(vals, v)
 	}
-	sort.Strings(vals)
-	var groups []Group
+	slices.Sort(vals)
+	groups := make([]Group, 0, len(vals))
 	for _, v := range vals {
 		groups = append(groups, Group{Label: v, Items: byVal[v]})
 	}
@@ -149,12 +173,8 @@ func StructuralGrouping(g *graph.Graph, items []graph.NodeID, scores map[graph.N
 func finishGroups(groups []Group, scores map[graph.NodeID]float64) {
 	for i := range groups {
 		items := groups[i].Items
-		sort.Slice(items, func(a, b int) bool {
-			sa, sb := scores[items[a]], scores[items[b]]
-			if sa != sb {
-				return sa > sb
-			}
-			return items[a] < items[b]
+		slices.SortFunc(items, func(a, b graph.NodeID) int {
+			return cmp.Or(cmp.Compare(scores[b], scores[a]), cmp.Compare(a, b))
 		})
 		var sum float64
 		for _, it := range items {
@@ -164,11 +184,8 @@ func finishGroups(groups []Group, scores map[graph.NodeID]float64) {
 			groups[i].Quality = sum / float64(len(items))
 		}
 	}
-	sort.SliceStable(groups, func(a, b int) bool {
-		if groups[a].Quality != groups[b].Quality {
-			return groups[a].Quality > groups[b].Quality
-		}
-		return groups[a].Label < groups[b].Label
+	slices.SortStableFunc(groups, func(a, b Group) int {
+		return cmp.Or(cmp.Compare(b.Quality, a.Quality), strings.Compare(a.Label, b.Label))
 	})
 }
 
@@ -182,8 +199,8 @@ func labelFor(g *graph.Graph, id graph.NodeID) string {
 }
 
 func sortedIDs(ids []graph.NodeID) []graph.NodeID {
-	out := append([]graph.NodeID(nil), ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := slices.Clone(ids)
+	slices.Sort(out)
 	return out
 }
 

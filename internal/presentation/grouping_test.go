@@ -1,9 +1,12 @@
 package presentation
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"socialscope/internal/graph"
@@ -121,7 +124,7 @@ func TestSocialGroupingMatchesTaggersOracle(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g, _, items, scores := randomGroupingCase(rng)
-		for _, theta := range []float64{0, 0.3, 1} {
+		for _, theta := range []float64{0, 0.3, 1.0 / 3, 0.5, 2.0 / 3, 1, math.Nextafter(0.3, 0), math.Nextafter(0.3, 1)} {
 			got, err := SocialGrouping(g, items, scores, theta)
 			if err != nil {
 				t.Fatal(err)
@@ -145,6 +148,77 @@ func TestSocialGroupingMatchesTaggersOracle(t *testing.T) {
 	// Guard against a generator whose groupings are all trivial.
 	if grouped < 20 {
 		t.Errorf("only %d groupings were neither one group nor all singletons", grouped)
+	}
+}
+
+// endorserJaccard is the Jaccard similarity of two endorser vectors' ids,
+// merged in full; 0 when both are empty. SocialGrouping tested
+// endorserJaccard(a, b) >= θ before jaccardAtLeast pruned it, and that
+// test is the definition the pruned one must reproduce.
+func endorserJaccard(a, b []graph.Endorser) float64 {
+	inter := 0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i].ID < b[j].ID:
+			i++
+		case a[i].ID > b[j].ID:
+			j++
+		default:
+			inter++
+			i++
+			j++
+		}
+	}
+	union := len(a) + len(b) - inter
+	if union == 0 {
+		return 0
+	}
+	return float64(inter) / float64(union)
+}
+
+// randomEndorsers draws an ascending, repeat-free endorser vector of up
+// to n ids out of [0, span).
+func randomEndorsers(rng *rand.Rand, n, span int) []graph.Endorser {
+	var v []graph.Endorser
+	for _, id := range rng.Perm(span)[:rng.Intn(n+1)] {
+		v = append(v, graph.Endorser{ID: graph.NodeID(id)})
+	}
+	slices.SortFunc(v, func(x, y graph.Endorser) int { return cmp.Compare(x.ID, y.ID) })
+	return v
+}
+
+// TestJaccardAtLeastMatchesFloatTest: the pruned predicate equals the
+// full merge's float test on random sorted vectors, empty ones included,
+// at θ values that sit exactly on achievable ratios, one ulp either side
+// of them, and in between. Vectors drawn from a narrow id span overlap
+// often, so both verdicts are common.
+func TestJaccardAtLeastMatchesFloatTest(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	thetas := []float64{0, 1, 0.3, 0.5, math.Nextafter(0.3, 0), math.Nextafter(0.3, 1)}
+	for num := 1; num <= 12; num++ {
+		for den := num; den <= 12; den++ {
+			r := float64(num) / float64(den)
+			thetas = append(thetas, r, math.Nextafter(r, 0), math.Nextafter(r, 1))
+		}
+	}
+	accepted, rejected := 0, 0
+	for c := 0; c < 4000; c++ {
+		span := 4 + rng.Intn(40)
+		a, b := randomEndorsers(rng, min(span, 1+rng.Intn(24)), span), randomEndorsers(rng, min(span, 1+rng.Intn(24)), span)
+		for _, theta := range thetas {
+			got, want := jaccardAtLeast(a, b, theta), endorserJaccard(a, b) >= theta
+			if got != want {
+				t.Fatalf("θ %v a %v b %v: jaccardAtLeast %v, float test %v (J = %v)", theta, a, b, got, want, endorserJaccard(a, b))
+			}
+			if got {
+				accepted++
+			} else {
+				rejected++
+			}
+		}
+	}
+	if accepted < 10000 || rejected < 10000 {
+		t.Errorf("verdicts too one-sided: %d accepted, %d rejected", accepted, rejected)
 	}
 }
 

@@ -293,21 +293,11 @@ func (s *Server) answerQuery(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, false, err
 		}
-		var stats *QueryStatsWire
-		if resp.Stats != nil {
-			stats = &QueryStatsWire{
-				Strategy:        resp.Stats.Strategy.String(),
-				PostingsScanned: resp.Stats.PostingsScanned,
-				ExactScores:     resp.Stats.ExactScores,
-				Candidates:      resp.Stats.Candidates,
-				EarlyTerminated: resp.Stats.EarlyTerminated,
-			}
-		}
 		// The response carries the exact snapshot version the evaluation
 		// read — which may be newer than this request's cache key if an
 		// Apply landed in between.
 		bodyVersion = resp.Version
-		body, err := json.Marshal(SearchResponseFromEngine(s.eng, resp.Version, q, resp, stats))
+		body, err := encodeSearchResponse(resp.Version, q, resp, statsWire(resp.Stats))
 		if err != nil {
 			return nil, false, err
 		}
@@ -324,6 +314,21 @@ func (s *Server) answerQuery(w http.ResponseWriter, r *http.Request) {
 		user:    req.User,
 		query:   NormalizeQuery(q),
 	}, compute, &bodyVersion)
+}
+
+// statsWire shapes an evaluation's work report for the wire; nil when the
+// query did not go through the index.
+func statsWire(st *socialscope.SearchStats) *QueryStatsWire {
+	if st == nil {
+		return nil
+	}
+	return &QueryStatsWire{
+		Strategy:        st.Strategy.String(),
+		PostingsScanned: st.PostingsScanned,
+		ExactScores:     st.ExactScores,
+		Candidates:      st.Candidates,
+		EarlyTerminated: st.EarlyTerminated,
+	}
 }
 
 // handleRecommend answers GET /recommend?user=&variant=stepwise|pattern.
@@ -358,22 +363,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		// the evaluation, the label is exact.
 		after := s.eng.Version()
 		bodyVersion = after
-		out := RecommendResponse{
-			Version:         after,
-			User:            user,
-			Variant:         variant.String(),
-			Recommendations: make([]RecommendationWire, 0, len(recs)),
-		}
-		for _, rec := range recs {
-			name := ""
-			if n := g.Node(rec.Item); n != nil {
-				name = n.Attrs.Get("name")
-			}
-			out.Recommendations = append(out.Recommendations, RecommendationWire{
-				Item: rec.Item, Name: name, Score: rec.Score, Basis: rec.Basis,
-			})
-		}
-		body, err := json.Marshal(out)
+		body, err := encodeRecommendResponse(after, user, variant.String(), recs, g)
 		if err != nil {
 			return nil, false, err
 		}

@@ -14,10 +14,14 @@
 //   - a write coalescer that buffers incoming mutation batches and
 //     flushes them sized to ride the storage layer's transient bulk
 //     path, with a ticker bounding flush latency (coalesce.go);
-//   - an admission limiter with queue-depth metrics (limit.go).
+//   - an admission limiter with queue-depth metrics (limit.go);
+//   - an append encoder that writes computed /search, /query and
+//     /recommend bodies straight from the engine's answer (encode.go).
 //
-// This file defines the JSON wire types, shared by cmd/ssserve (the
-// server) and cmd/ssquery -addr (the client).
+// This file defines the JSON wire types. Clients decode with them
+// (cmd/ssquery -addr, the bench/ ledger), and json.Marshal of the shaped
+// structs (SearchResponseFromEngine, RecommendResponse) is the append
+// encoder's test oracle; the read path itself never reflects over them.
 package serve
 
 import (
@@ -211,7 +215,8 @@ type SearchResponse struct {
 // SearchResponseFromEngine shapes a facade Response for the wire. Every
 // name — items, related topics and related users — resolves against the
 // snapshot the MSG was discovered over, the one version stamps, never the
-// engine's current graph.
+// engine's current graph. The server writes its bodies with the append
+// encoder; json.Marshal of this shape is the bytes it must produce.
 func SearchResponseFromEngine(_ *socialscope.Engine, version uint64,
 	q discovery.Query, resp *socialscope.Response, stats *QueryStatsWire) SearchResponse {
 	name := func(id graph.NodeID) string {
