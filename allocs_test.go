@@ -2,6 +2,7 @@ package socialscope
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"socialscope/internal/discovery"
@@ -181,4 +182,19 @@ func TestExtractAllocsPinned(t *testing.T) {
 	pinAllocs(t, "index.Extract (bench corpus)", 7450, func() {
 		index.Extract(corpus.Graph)
 	})
+}
+
+// One Engine.Apply of fresh taggings at the coalescer's flush sizes: the
+// graph replay, the view patch and the index delta each claim a touched
+// trie node once per batch, inside their transient windows.
+func TestApplyAllocsPinned(t *testing.T) {
+	for _, pin := range []struct {
+		size  int
+		bound float64
+	}{{1, 180}, {8, 773}, {16, 1371}, {64, 4108}} {
+		f := newApplyFixture(t, pin.size)
+		pinAllocs(t, fmt.Sprintf("Engine.Apply (%d mutations)", pin.size), pin.bound, func() {
+			f.apply(t)
+		})
+	}
 }

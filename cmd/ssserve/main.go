@@ -1,6 +1,6 @@
 // Command ssserve runs the SocialScope query-serving subsystem: an HTTP
 // JSON server over a live Engine, with a snapshot-version-keyed result
-// cache, write coalescing onto the storage layer's bulk path, admission
+// cache, write coalescing into batched Engine.Apply calls, admission
 // control and graceful shutdown. It is the request-serving front end of
 // the paper's Figure 1 site architecture.
 //
@@ -64,7 +64,7 @@ func main() {
 	cacheSize := flag.Int("cachesize", serve.DefaultCacheEntries, "result cache entries (0 = default)")
 	noCache := flag.Bool("nocache", false, "disable the result cache")
 	flush := flag.Duration("flush", serve.DefaultFlushInterval, "write-coalescer flush interval")
-	maxBatch := flag.Int("maxbatch", graph.BulkApplyThreshold, "mutations that trigger an immediate flush")
+	maxBatch := flag.Int("maxbatch", serve.DefaultMaxBatch, "buffered mutations that flush the write coalescer without waiting for -flush")
 	maxConc := flag.Int("maxconc", serve.DefaultMaxConcurrent, "admitted concurrent requests")
 	maxQueue := flag.Int("maxqueue", serve.DefaultMaxQueue, "admission queue depth")
 	durableDir := flag.String("durable", "", "durability directory (WAL + checkpoints); empty = in-memory only")

@@ -244,13 +244,13 @@ func (d *adjDriver) twinClones() {
 	d.snapshot("twin-b", b)
 }
 
-// applyBatch replays a recorded batch of direct ops through ApplyAll, below
-// or at/above BulkApplyThreshold, and requires the same graph as the
-// direct path.
+// applyBatch replays a recorded batch of direct ops through ApplyAll, small
+// (1–8 ops) or large (32–71), and requires the same graph as the direct
+// path.
 func (d *adjDriver) applyBatch() {
 	n := 1 + d.rng.Intn(8)
 	if d.rng.Intn(2) == 0 {
-		n = BulkApplyThreshold + d.rng.Intn(40)
+		n = 32 + d.rng.Intn(40)
 	}
 	direct := d.g.ShallowClone()
 	log := RecordInto(direct)
@@ -337,8 +337,8 @@ func (d *adjDriver) run(steps int) {
 	}
 }
 
-// TestAdjacencyMatchesIDOracle drives random writes — direct, batched below
-// and above BulkApplyThreshold, inside bulk windows, through Builders —
+// TestAdjacencyMatchesIDOracle drives random writes — direct, in small and
+// large ApplyAll batches, inside bulk windows, through Builders —
 // while taking snapshots, and requires every snapshot to still read, after
 // all later writes, exactly what the id-resolving definition gave when it
 // was taken. A reader goroutine walks published snapshots throughout, so

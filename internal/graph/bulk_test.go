@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// bulkTestGraph builds a connected user/item graph big enough that bulk
-// batches exceed BulkApplyThreshold.
+// bulkTestGraph builds a connected user/item graph with users users and
+// items items, each user tagging one item.
 func bulkTestGraph(users, items int) *Graph {
 	b := NewBuilder()
 	uids := make([]NodeID, users)
@@ -29,57 +29,63 @@ func bulkTestGraph(users, items int) *Graph {
 	return b.Graph()
 }
 
-// TestBulkApplyAllSnapshotIsolation: a batch big enough to trigger the
-// bulk window must leave every pre-batch snapshot byte-for-byte intact,
-// and the post-batch graph must equal the one produced by the persistent
-// per-mutation path.
+// TestBulkApplyAllSnapshotIsolation: every ApplyAll batch runs in a bulk
+// window, which must leave every pre-batch snapshot byte-for-byte intact,
+// and the post-batch graph must equal the one the persistent path builds
+// by replaying the batch with Apply, outside any window.
 func TestBulkApplyAllSnapshotIsolation(t *testing.T) {
-	g := bulkTestGraph(40, 20)
-	snap := g.ShallowClone()
-	wantNodes, wantLinks := snap.NumNodes(), snap.NumLinks()
+	for _, n := range []int{1, 8, 96} {
+		t.Run(fmt.Sprintf("batch=%d", n), func(t *testing.T) {
+			g := bulkTestGraph(40, 20)
+			snap := g.ShallowClone()
+			wantNodes, wantLinks := snap.NumNodes(), snap.NumLinks()
 
-	var muts []Mutation
-	ids := IDSourceFor(g)
-	for i := 0; i < 3*BulkApplyThreshold; i++ {
-		switch i % 3 {
-		case 0:
-			n := NewNode(ids.NextNode(), TypeUser)
-			muts = append(muts, Mutation{Kind: MutAddNode, Node: n})
-		case 1:
-			l := NewLink(ids.NextLink(), 1, 2, TypeConnect)
-			muts = append(muts, Mutation{Kind: MutAddLink, Link: l})
-		case 2:
-			l := NewLink(ids.NextLink(), 2, 3, TypeAct, SubtypeTag)
-			l.Attrs.Add("tags", fmt.Sprintf("bulk%d", i))
-			muts = append(muts, Mutation{Kind: MutAddLink, Link: l})
-		}
-	}
+			var muts []Mutation
+			ids := IDSourceFor(g)
+			for i := 0; i < n; i++ {
+				switch i % 3 {
+				case 0:
+					node := NewNode(ids.NextNode(), TypeUser)
+					muts = append(muts, Mutation{Kind: MutAddNode, Node: node})
+				case 1:
+					l := NewLink(ids.NextLink(), 1, 2, TypeConnect)
+					muts = append(muts, Mutation{Kind: MutAddLink, Link: l})
+				case 2:
+					l := NewLink(ids.NextLink(), 2, 3, TypeAct, SubtypeTag)
+					l.Attrs.Add("tags", fmt.Sprintf("bulk%d", i))
+					muts = append(muts, Mutation{Kind: MutAddLink, Link: l})
+				}
+			}
 
-	// Reference: the same batch through the guaranteed-persistent path.
-	ref := snap.ShallowClone()
-	for _, m := range muts { // one at a time: never crosses the threshold
-		if err := ref.ApplyAll([]Mutation{m}); err != nil {
-			t.Fatal(err)
-		}
-	}
+			ref := snap.ShallowClone()
+			for _, m := range muts {
+				if err := ref.Apply(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ref.bulk != nil {
+				t.Fatal("the persistent reference ran in a bulk window")
+			}
 
-	if err := g.ApplyAll(muts); err != nil {
-		t.Fatal(err)
-	}
-	if g.bulk != nil {
-		t.Fatal("ApplyAll left its bulk window open")
-	}
-	if snap.NumNodes() != wantNodes || snap.NumLinks() != wantLinks {
-		t.Fatalf("snapshot grew to %d/%d under bulk ApplyAll", snap.NumNodes(), snap.NumLinks())
-	}
-	if err := snap.Validate(); err != nil {
-		t.Fatalf("snapshot corrupted: %v", err)
-	}
-	if !g.Equal(ref) {
-		t.Fatal("bulk ApplyAll result differs from persistent per-mutation replay")
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatalf("bulk-applied graph invalid: %v", err)
+			if err := g.ApplyAll(muts); err != nil {
+				t.Fatal(err)
+			}
+			if g.bulk != nil {
+				t.Fatal("ApplyAll left its bulk window open")
+			}
+			if snap.NumNodes() != wantNodes || snap.NumLinks() != wantLinks {
+				t.Fatalf("snapshot grew to %d/%d under bulk ApplyAll", snap.NumNodes(), snap.NumLinks())
+			}
+			if err := snap.Validate(); err != nil {
+				t.Fatalf("snapshot corrupted: %v", err)
+			}
+			if !g.Equal(ref) {
+				t.Fatal("bulk ApplyAll result differs from persistent per-mutation replay")
+			}
+			if err := g.Validate(); err != nil {
+				t.Fatalf("bulk-applied graph invalid: %v", err)
+			}
+		})
 	}
 }
 

@@ -90,7 +90,8 @@ func New() *Graph {
 // operations may mutate freshly created trie nodes in place (persist
 // transients) instead of copy-on-writing one path per write, cutting the
 // allocation cost of bulk construction — cold loads, Clone/Extract,
-// induced subgraphs, large ApplyAll batches — by an order of magnitude.
+// induced subgraphs — by an order of magnitude. Every ApplyAll batch runs
+// in one too.
 //
 // Correctness is unchanged: storage shared with any Graph that existed
 // before the window opened is still copied before the first write, so

@@ -2,8 +2,6 @@ package graph
 
 import (
 	"sync"
-
-	"socialscope/internal/persist"
 )
 
 // MutationKind identifies one write operation on a graph.
@@ -170,19 +168,10 @@ func (g *Graph) Apply(m Mutation) error {
 	return ErrNilElement
 }
 
-// BulkApplyThreshold is the batch size at which ApplyAll switches to a
-// bulk-mutation window (persist transients). Below it the persistent
-// per-write path is used unchanged — small live batches keep their exact
-// O(delta · log n) profile and never claim trie nodes; at or above it the
-// batch amortizes one node claim across every write that lands in the
-// same trie region, cutting allocation on large replays (cold loads,
-// migration catch-up) several-fold.
-const BulkApplyThreshold = 32
-
-// ApplyAll replays mutations in order, stopping at the first error.
-// Batches of BulkApplyThreshold or more run inside a bulk-mutation
-// window (sealed again before returning, even on error); snapshots taken
-// before the call never observe the batch either way.
+// ApplyAll replays mutations in order, stopping at the first error. The
+// batch runs inside a bulk-mutation window, sealed again before returning
+// (even on error) unless the caller opened it; snapshots taken before the
+// call never observe the batch.
 //
 // A neighbourhood view the graph holds (see Acts) survives the batch: the
 // keys it touched are re-derived from the post-batch adjacency and the
@@ -190,7 +179,7 @@ const BulkApplyThreshold = 32
 // view its writes could have made stale: they drop it.
 func (g *Graph) ApplyAll(muts []Mutation) error {
 	view := g.view.Load()
-	if len(muts) >= BulkApplyThreshold && g.bulk == nil {
+	if g.bulk == nil {
 		g.BeginBulk()
 		defer g.EndBulk()
 	}
@@ -204,11 +193,7 @@ func (g *Graph) ApplyAll(muts []Mutation) error {
 		}
 	}
 	if view != nil {
-		var e *persist.Edit
-		if len(muts) >= BulkApplyThreshold {
-			e = persist.NewEdit()
-		}
-		g.view.Store(view.patch(g, &touched, e))
+		g.view.Store(view.patch(g, &touched))
 	}
 	return nil
 }

@@ -197,17 +197,17 @@ func (t *viewTouch) link(l *Link) {
 
 // patch returns the view of g after a batch, given the receiver (the view
 // before it) and the keys the batch touched: those are re-derived from g's
-// adjacency, everything else is shared. e, when non-nil, is a fresh
-// transient token for a large batch.
-func (v *neighbourhood) patch(g *Graph, t *viewTouch, e *persist.Edit) *neighbourhood {
+// adjacency, everything else is shared. It writes through g's open bulk
+// window.
+func (v *neighbourhood) patch(g *Graph, t *viewTouch) *neighbourhood {
 	var s scratch
 	acts := v.acts
 	for _, u := range sortedSet(t.acts) {
-		acts = setVector(acts, e, u, s.acts(g.out.At(u)))
+		acts = setVector(acts, g.bulk, u, s.acts(g.out.At(u)))
 	}
 	endorsers := v.endorsers
 	for _, i := range sortedSet(t.ends) {
-		endorsers = setVector(endorsers, e, i, s.endorsers(g.in.At(i)))
+		endorsers = setVector(endorsers, g.bulk, i, s.endorsers(g.in.At(i)))
 	}
 	return &neighbourhood{acts: acts, endorsers: endorsers}
 }

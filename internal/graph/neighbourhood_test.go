@@ -181,8 +181,8 @@ func viewTestGraph(rng *rand.Rand) *Graph {
 }
 
 // TestNeighbourhoodIncrementalMatchesRebuild: a snapshot's view, carried
-// by ShallowClone and patched by ApplyAll over seeded batches below and
-// at/above BulkApplyThreshold, always equals the oracle — and every parent
+// by ShallowClone and patched by ApplyAll over seeded small (1–8) and
+// large (32–71) batches, always equals the oracle — and every parent
 // snapshot still reads the view it had before its child's batch.
 func TestNeighbourhoodIncrementalMatchesRebuild(t *testing.T) {
 	seeds, batches := 30, 25
@@ -196,7 +196,7 @@ func TestNeighbourhoodIncrementalMatchesRebuild(t *testing.T) {
 		for b := 0; b < batches; b++ {
 			n := 1 + rng.Intn(8)
 			if rng.Intn(2) == 0 {
-				n = BulkApplyThreshold + rng.Intn(40)
+				n = 32 + rng.Intn(40)
 			}
 			muts := randomBatch(t, rng, g, n)
 			parentActs, parentEnds := viewOf(g)
@@ -308,7 +308,7 @@ func TestNeighbourhoodConcurrentBuild(t *testing.T) {
 	for b := 0; b < 40; b++ {
 		n := 1 + rng.Intn(6)
 		if b%5 == 0 {
-			n = BulkApplyThreshold
+			n = 32
 		}
 		cur := published.Load()
 		muts := randomBatch(t, rng, cur, n)

@@ -14,12 +14,13 @@ import (
 )
 
 // TestTransientBuildMatchesPersistent runs the cold bulk pipeline — deep
-// Clone, induced subgraph, JSON Decode, Extract and Build — once on the
-// pure persistent write path (persist.DisableTransients) and once through
-// transient windows. Trie shapes are canonical for a key set, so the write
-// mode must never show through to a reader: every graph must be Equal and
-// the indexes must hold identical posting lists. The test flips a package
-// global, so it must not run in parallel.
+// Clone, induced subgraph, JSON Decode, Extract and Build — and then
+// ApplyDelta over seeded 1-, 8- and 16-mutation tagging batches, once on
+// the pure persistent write path (persist.DisableTransients) and once
+// through transient windows. Trie shapes are canonical for a key set, so
+// the write mode must never show through to a reader: every graph must be
+// Equal and every index must hold identical posting lists. The test flips
+// a package global, so it must not run in parallel.
 func TestTransientBuildMatchesPersistent(t *testing.T) {
 	corpus, err := workload.Tagging(workload.TaggingConfig{
 		Users: 150, Items: 300, Tags: 20, Seed: 42, TagsPerUser: 15,
@@ -42,10 +43,20 @@ func TestTransientBuildMatchesPersistent(t *testing.T) {
 			keep[id] = struct{}{}
 		}
 	}
+	stream, err := workload.NewTaggingStream(g, corpus.Users, corpus.Items, corpus.Tags, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchSizes := []int{1, 8, 16}
+	batches := make([][]graph.Mutation, len(batchSizes))
+	for i, n := range batchSizes {
+		batches[i] = stream.Batch(n)
+	}
 
 	type built struct {
 		graphs []*graph.Graph // clone, induced, decoded
 		ix     *Index
+		deltas []*Index // ix after each batch in turn
 	}
 	build := func(persistentOnly bool) built {
 		persist.DisableTransients = persistentOnly
@@ -58,7 +69,12 @@ func TestTransientBuildMatchesPersistent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return built{graphs: []*graph.Graph{g.Clone(), g.InducedByNodes(keep), decoded}, ix: ix}
+		var deltas []*Index
+		for cur, b := ix, 0; b < len(batches); b++ {
+			cur = cur.ApplyDelta(batches[b])
+			deltas = append(deltas, cur)
+		}
+		return built{graphs: []*graph.Graph{g.Clone(), g.InducedByNodes(keep), decoded}, ix: ix, deltas: deltas}
 	}
 	persistent, transient := build(true), build(false)
 	for i, name := range []string{"clone", "induced", "decode"} {
@@ -67,60 +83,59 @@ func TestTransientBuildMatchesPersistent(t *testing.T) {
 		}
 	}
 	assertSameLists(t, transient.ix, persistent.ix, "transient vs persistent build")
+	for i, n := range batchSizes {
+		assertSameLists(t, transient.deltas[i], persistent.deltas[i],
+			fmt.Sprintf("transient vs persistent ApplyDelta of %d mutations", n))
+	}
 }
 
-// TestDifferentialBulkBatches drives batches past BulkDeltaThreshold —
-// the size at which ApplyDelta switches its map writes onto a transient
-// window — and holds the result to the same contract as every other
-// batch: byte-identical to a from-scratch rebuild, with the pre-batch
-// snapshot untouched.
+// TestDifferentialBulkBatches drives small (8) and large (64) ApplyDelta
+// batches, each written through the batch's transient window, and holds
+// the result to the same contract as every other batch: byte-identical to
+// a from-scratch rebuild, with the pre-batch snapshot untouched.
 func TestDifferentialBulkBatches(t *testing.T) {
-	const (
-		batches   = 6
-		batchSize = 2 * BulkDeltaThreshold
-	)
-	if batchSize < BulkDeltaThreshold {
-		t.Fatal("test batch size must trigger the bulk window")
-	}
-	for seed := int64(0); seed < 3; seed++ {
-		rng := rand.New(rand.NewSource(seed*104729 + 3))
-		c := newDiffCorpus(t, rng, 16, 22, 6)
-		cl, err := cluster.Build(c.g, cluster.NetworkBased, 0.3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix, err := Build(Extract(c.g), cl, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for batch := 0; batch < batches; batch++ {
-			prev := ix
-			prevEntries := prev.EntryCount()
-			frozen, err := Build(Extract(c.g.Clone()), prev.Clustering(), nil)
+	const batches = 6
+	for _, batchSize := range []int{8, 64} {
+		for seed := int64(0); seed < 3; seed++ {
+			rng := rand.New(rand.NewSource(seed*104729 + 3))
+			c := newDiffCorpus(t, rng, 16, 22, 6)
+			cl, err := cluster.Build(c.g, cluster.NetworkBased, 0.3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			muts := make([]graph.Mutation, batchSize)
-			for i := range muts {
-				muts[i] = c.randMutation(rng)
-			}
-			if err := c.g.ApplyAll(muts); err != nil {
-				t.Fatalf("seed %d batch %d: %v", seed, batch, err)
-			}
-			ix = prev.ApplyDelta(muts)
-			ctx := fmt.Sprintf("bulk seed %d batch %d", seed, batch)
-			assertSorted(t, ix, ctx)
-			rebuilt, err := Build(Extract(c.g), ix.Clustering(), nil)
+			ix, err := Build(Extract(c.g), cl, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameLists(t, ix, rebuilt, ctx)
-			// The parent snapshot must not have observed the transient
-			// window: same entry count, same lists as its frozen twin.
-			if prev.EntryCount() != prevEntries {
-				t.Fatalf("%s: parent entry count changed under bulk delta", ctx)
+			for batch := 0; batch < batches; batch++ {
+				prev := ix
+				prevEntries := prev.EntryCount()
+				frozen, err := Build(Extract(c.g.Clone()), prev.Clustering(), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				muts := make([]graph.Mutation, batchSize)
+				for i := range muts {
+					muts[i] = c.randMutation(rng)
+				}
+				if err := c.g.ApplyAll(muts); err != nil {
+					t.Fatalf("seed %d batch %d: %v", seed, batch, err)
+				}
+				ix = prev.ApplyDelta(muts)
+				ctx := fmt.Sprintf("bulk seed %d batch %d (%d mutations)", seed, batch, batchSize)
+				assertSorted(t, ix, ctx)
+				rebuilt, err := Build(Extract(c.g), ix.Clustering(), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameLists(t, ix, rebuilt, ctx)
+				// The parent snapshot must not have observed the transient
+				// window: same entry count, same lists as its frozen twin.
+				if prev.EntryCount() != prevEntries {
+					t.Fatalf("%s: parent entry count changed under bulk delta", ctx)
+				}
+				assertSameLists(t, prev, frozen, ctx+" (parent snapshot)")
 			}
-			assertSameLists(t, prev, frozen, ctx+" (parent snapshot)")
 		}
 	}
 }
@@ -140,8 +155,8 @@ func TestExtractMatchesIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fold 2*threshold fresh taggings both ways.
-	for i := 0; i < 2*BulkDeltaThreshold; i++ {
+	// Fold 64 fresh taggings both ways.
+	for i := 0; i < 64; i++ {
 		muts := []graph.Mutation{c.randTagging(rng)}
 		if err := c.g.ApplyAll(muts); err != nil {
 			t.Fatal(err)

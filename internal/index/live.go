@@ -56,22 +56,10 @@ func (ix *Index) ApplyDelta(muts []graph.Mutation) *Index {
 			version:    ix.version + 1,
 		},
 		ownedLists: make(map[listKey]bool),
+		edit:       persist.NewEdit(),
 		userDelta:  make(map[graph.NodeID]bool),
 		itemDelta:  make(map[graph.NodeID]bool),
 		tagDelta:   make(map[string]bool),
-	}
-	// Adaptive bulk window: batches of BulkDeltaThreshold or more route
-	// their map writes through a persist transient, so repeated writes
-	// into the same trie region (hot tag shards, the same user's vectors)
-	// claim each node once instead of path-copying per mutation. Small
-	// batches keep the pure persistent path — their O(delta · log n)
-	// profile and allocation behavior are unchanged. Either way nothing
-	// the receiver (or any older snapshot) can reach is ever mutated: the
-	// edit token is born here, so every pre-existing node is claimed
-	// (copied) on first touch, and the token dies when this call returns —
-	// before the new index can be published to readers.
-	if len(muts) >= BulkDeltaThreshold {
-		d.edit = persist.NewEdit()
 	}
 	for _, m := range muts {
 		d.apply(m)
@@ -88,12 +76,6 @@ func (ix *Index) ApplyDelta(muts []graph.Mutation) *Index {
 	d.ix.data.Tags = persist.ApplySortedDelta(d.ix.data.Tags, d.tagDelta)
 	return d.ix
 }
-
-// BulkDeltaThreshold is the ApplyDelta batch size at which delta
-// application opens a transient window over the new snapshot's maps. It
-// mirrors graph.BulkApplyThreshold so one Engine.Apply batch switches
-// both layers together.
-const BulkDeltaThreshold = graph.BulkApplyThreshold
 
 // cowClone returns a Data sharing every structure with the receiver:
 // persistent maps, and copy-on-write universes and member vectors, which
@@ -112,9 +94,11 @@ func (d *Data) cowClone() *Data {
 type delta struct {
 	ix         *Index
 	ownedLists map[listKey]bool // individual posting slice owned
-	// edit is the transient ownership token of a large batch (nil below
-	// BulkDeltaThreshold: pure persistent writes). It never outlives the
-	// ApplyDelta call that created it.
+	// edit is the batch's transient ownership token: repeated writes into
+	// one trie region (hot tag shards, one user's vectors) claim each node
+	// once instead of path-copying per mutation. It is born in ApplyDelta,
+	// so every node an older snapshot can reach is copied on first touch,
+	// and dies when ApplyDelta returns, before the new index is published.
 	edit *persist.Edit
 	// userDelta/itemDelta/tagDelta buffer the batch's sorted-universe
 	// edits (true = insert, false = remove; last write wins), flushed by

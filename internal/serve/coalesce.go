@@ -26,11 +26,11 @@ type applyReq struct {
 }
 
 // Coalescer buffers incoming mutation batches and flushes them into
-// Engine.Apply as one combined batch, so concurrent small writes ride
-// the storage layer's transient bulk path (graph.BulkApplyThreshold)
-// instead of paying per-write persistent path copies — and the engine
-// version bumps once per flush, not once per request, which keeps the
-// result cache's version keys stable under write bursts.
+// Engine.Apply as one combined batch, so concurrent small writes share
+// one apply's fixed costs (snapshot headers, transient windows, the WAL
+// record) — and the engine version bumps once per flush, not once per
+// request, which keeps the result cache's version keys stable under
+// write bursts.
 //
 // A flush happens when the buffered mutation count reaches MaxBatch or
 // when the flush ticker fires, whichever comes first — the ticker bounds
@@ -54,14 +54,18 @@ type Coalescer struct {
 	wg   sync.WaitGroup
 
 	// registry handles (see Instrument); never nil after construction
-	flushes     *obs.Counter
-	requests    *obs.Counter
-	mutations   *obs.Counter
-	bulkFlushes *obs.Counter
-	fallbacks   *obs.Counter
-	maxFlush    *obs.Gauge // high watermark: largest single flush
-	batchSize   *obs.Histogram
+	flushes   *obs.Counter
+	requests  *obs.Counter
+	mutations *obs.Counter
+	fallbacks *obs.Counter
+	maxFlush  *obs.Gauge // high watermark: largest single flush
+	batchSize *obs.Histogram
 }
+
+// DefaultMaxBatch is the buffered mutation count that flushes without
+// waiting for the ticker: a few requests' worth, so a write burst shares
+// one apply, yet no writer's ack waits behind an unbounded one.
+const DefaultMaxBatch = 32
 
 // DefaultFlushInterval bounds write latency when the configuration does
 // not: long enough for concurrent writers to pile into one flush, short
@@ -69,12 +73,11 @@ type Coalescer struct {
 const DefaultFlushInterval = 10 * time.Millisecond
 
 // NewCoalescer starts a coalescer over the engine. maxBatch <= 0
-// defaults to graph.BulkApplyThreshold — the smallest batch that rides
-// the transient bulk path; interval <= 0 defaults to
+// defaults to DefaultMaxBatch; interval <= 0 defaults to
 // DefaultFlushInterval. Stop must be called to release the flusher.
 func NewCoalescer(eng *socialscope.Engine, maxBatch int, interval time.Duration) *Coalescer {
 	if maxBatch <= 0 {
-		maxBatch = graph.BulkApplyThreshold
+		maxBatch = DefaultMaxBatch
 	}
 	if interval <= 0 {
 		interval = DefaultFlushInterval
@@ -169,9 +172,6 @@ func (c *Coalescer) flush() {
 	c.flushes.Inc()
 	c.maxFlush.Max(float64(nmuts))
 	c.batchSize.Observe(float64(nmuts))
-	if nmuts >= graph.BulkApplyThreshold {
-		c.bulkFlushes.Inc()
-	}
 	if err == nil {
 		v := c.eng.Version()
 		for _, r := range reqs {

@@ -128,8 +128,6 @@ func (c *Coalescer) Instrument(reg *obs.Registry) *Coalescer {
 	c.flushes = reg.Counter("ss_coalescer_flushes_total", "write-coalescer flushes")
 	c.requests = reg.Counter("ss_coalescer_requests_total", "apply requests accepted for coalescing")
 	c.mutations = reg.Counter("ss_coalescer_mutations_total", "mutations accepted for coalescing")
-	c.bulkFlushes = reg.Counter("ss_coalescer_bulk_flushes_total",
-		"flushes large enough for the storage layer's transient bulk path")
 	c.fallbacks = reg.Counter("ss_coalescer_fallbacks_total",
 		"flushes that degraded to per-request applies after a combined-batch rejection")
 	c.maxFlush = reg.Gauge("ss_coalescer_max_flush", "largest single flush, in mutations")

@@ -32,12 +32,12 @@ const (
 
 // maxApplyMutations bounds the mutations of one /apply request; a larger
 // batch gets 413. It sits far above any real batch (the coalescer flushes
-// at graph.BulkApplyThreshold).
+// at DefaultMaxBatch).
 const maxApplyMutations = 4096
 
 // Config parameterizes a Server. The zero value serves with sane
 // defaults: 2s request deadline, DefaultCacheEntries cache,
-// bulk-threshold write coalescing, DefaultMaxConcurrent admission.
+// DefaultMaxBatch write coalescing, DefaultMaxConcurrent admission.
 type Config struct {
 	// RequestTimeout bounds each request's evaluation (default 2s). The
 	// deadline propagates into the engine's top-k accumulation loops via
@@ -48,10 +48,8 @@ type Config struct {
 	CacheEntries int
 	DisableCache bool
 	// MaxBatch is the buffered mutation count that triggers an immediate
-	// coalescer flush (default graph.BulkApplyThreshold, the smallest
-	// batch riding the storage layer's transient bulk path);
-	// FlushInterval bounds how long a write waits for company (default
-	// DefaultFlushInterval).
+	// coalescer flush (default DefaultMaxBatch); FlushInterval bounds how
+	// long a write waits for company (default DefaultFlushInterval).
 	MaxBatch      int
 	FlushInterval time.Duration
 	// MaxConcurrent and MaxQueue shape admission control (defaults

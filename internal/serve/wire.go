@@ -12,8 +12,8 @@
 //     free, a version bump from Apply orphans old entries and the first
 //     store at the new version frees them (cache.go);
 //   - a write coalescer that buffers incoming mutation batches and
-//     flushes them sized to ride the storage layer's transient bulk
-//     path, with a ticker bounding flush latency (coalesce.go);
+//     flushes them as one Engine.Apply, with a ticker bounding flush
+//     latency (coalesce.go);
 //   - an admission limiter with queue-depth metrics (limit.go);
 //   - an append encoder that writes computed /search, /query and
 //     /recommend bodies straight from the engine's answer (encode.go).

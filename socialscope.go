@@ -354,22 +354,13 @@ func (e *Engine) analyzeLocked(live bool) error {
 // graph ShallowClone, index substrate clone, posting-list index share —
 // are O(1) header copies, and the remaining work is proportional to the
 // mutations applied: touched trie paths, tag shards, posting lists and
-// inner sets. The discovery catalog is reused across batches that touch
-// no item node (and rebuilt lazily otherwise), so nothing on this path
-// scales with graph size. Batching still amortizes per-call constants,
-// but one-mutation batches are no longer penalized by corpus-sized
-// copies.
-//
-// Batch size also selects the storage write mode, adaptively: batches of
-// graph.BulkApplyThreshold (== index.BulkDeltaThreshold) mutations or
-// more run their graph replay and index delta inside a transient window
-// (persist bulk mode) that mutates batch-private trie nodes in place
-// instead of path-copying per write — several-fold less allocation on
-// catch-up and migration sized batches. Smaller batches keep the pure
-// persistent path untouched. The choice is invisible to readers either
-// way: the transient window is born and sealed inside this call, before
-// the new state is published, so in-flight queries and O(1) snapshots
-// behave identically under both modes.
+// inner sets. The graph replay and the index delta each write through a
+// transient window that copies a touched trie node once per batch; both
+// windows are sealed before the new state is published. The discovery
+// catalog is reused across batches that touch no item node (and rebuilt
+// lazily otherwise), so nothing on this path scales with graph size.
+// Batching still amortizes per-call constants, but one-mutation batches
+// are no longer penalized by corpus-sized copies.
 func (e *Engine) Apply(muts []graph.Mutation) error {
 	if len(muts) == 0 {
 		return nil
