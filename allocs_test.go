@@ -3,6 +3,7 @@ package socialscope
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"socialscope/internal/discovery"
@@ -56,6 +57,26 @@ func pinAllocs(t *testing.T, name string, bound float64, f func()) {
 	}
 }
 
+// pinBytes is pinAllocs for the bytes allocated per call, averaged over
+// the same number of runs after one warm-up call.
+func pinBytes(t *testing.T, name string, bound float64, f func()) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 16
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("%s: %.0f B per call (bound %.0f)", name, got, bound)
+	if got > bound {
+		t.Errorf("%s allocates %.0f B per call, over its pin of %.0f", name, got, bound)
+	}
+}
+
 func TestQueryCtxAllocsPinned(t *testing.T) {
 	eng, users := allocPinEngine(t)
 	q, err := discovery.ParseQuery("museum family")
@@ -86,11 +107,11 @@ func TestFusionAllocsPinned(t *testing.T) {
 		{"discovery.Discoverer.Discover", func(u NodeID, q discovery.Query) error {
 			_, err := d.Discover(u, q)
 			return err
-		}, 36},
+		}, 21},
 		{"Engine.QueryCtx (fusion)", func(u NodeID, q discovery.Query) error {
 			_, err := eng.QueryCtx(ctx, u, q)
 			return err
-		}, 118},
+		}, 103},
 	} {
 		i := 0
 		pinAllocs(t, c.name, c.bound, func() {
@@ -197,4 +218,9 @@ func TestApplyAllocsPinned(t *testing.T) {
 			f.apply(t)
 		})
 	}
+	// Bytes too, at the coalescer's common flush size: applied on the
+	// persistent per-write path instead, a batch allocates about as often
+	// but ~1.6× the bytes, which the allocation pin alone would let pass.
+	f := newApplyFixture(t, 16)
+	pinBytes(t, "Engine.Apply (16 mutations)", 195000, func() { f.apply(t) })
 }

@@ -119,6 +119,39 @@ func (sc StructCond) matcher() structMatcher {
 	return m
 }
 
+// ColumnCond is a structural condition over nodes in the form a
+// column-at-a-time evaluator applies it, with its operand parsed here, by
+// the row matcher's rule: either a type-set test — the node carries every
+// type in Types — or an ordered comparison of attribute Attr's number, its
+// first value as graph.Attrs.Float parses it, absent when that fails.
+type ColumnCond struct {
+	TypeSet bool
+	Types   []string
+	Attr    string
+	op      Op
+	want    float64
+}
+
+// Column returns sc as a ColumnCond, or false when only the row matcher
+// evaluates it: conditions on id, Eq and Ne on attributes, Ne on type, and
+// ordered comparisons whose operand is missing or does not parse. A node
+// satisfies sc exactly when it passes the returned test.
+func (sc StructCond) Column() (ColumnCond, bool) {
+	switch {
+	case sc.Attr == "type":
+		// Ordered operators on types act as Eq (compareTypes).
+		return ColumnCond{TypeSet: true, Types: sc.Values}, sc.Op != Ne
+	case sc.Attr == "id" || sc.Op == Eq || sc.Op == Ne:
+		return ColumnCond{}, false
+	}
+	m := sc.matcher()
+	return ColumnCond{Attr: sc.Attr, op: sc.Op, want: m.want}, m.wantOK
+}
+
+// Holds reports whether an ordered ColumnCond accepts a present attribute
+// value v.
+func (c ColumnCond) Holds(v float64) bool { return compareOrdered(c.op, v, c.want) }
+
 // satisfies evaluates the condition against an element's id, types and
 // attributes.
 func (m structMatcher) satisfies(id int64, types []string, attrs graph.Attrs) bool {

@@ -219,3 +219,52 @@ func TestStructCondOperandParsedOnce(t *testing.T) {
 		}
 	}
 }
+
+// A ColumnCond accepts exactly the nodes the row matcher accepts: a
+// type-set test against the node's types, an ordered one against its
+// attribute's Float value (absent fails), every operator on every kind of
+// operand, including ones that do not parse.
+func TestColumnCondMatchesRowMatcher(t *testing.T) {
+	values := []string{"0.5", "1", "-2", "NaN", "+Inf", "-Inf", "1e309", "0x1p-1", ".5", "", "x", "0.5x"}
+	var nodes []*graph.Node
+	for i, v := range values {
+		n := graph.NewNode(graph.NodeID(i+1), "item", []string{"city", "user"}[i%2])
+		n.Attrs.Add("rating", v)
+		if i%3 == 0 {
+			n.Attrs.Add("rating", "0.7") // multi-valued: the first value counts
+		}
+		nodes = append(nodes, n, graph.NewNode(graph.NodeID(100+i), "item"))
+	}
+	ops := []Op{Eq, Ne, Gt, Ge, Lt, Le}
+	var conds []StructCond
+	for _, op := range ops {
+		conds = append(conds, CondOp("type", op), CondOp("type", op, "item", "city"), CondOp("type", op, "none"),
+			CondOp("rating", op), CondOp("id", op, "3"))
+		for _, v := range values {
+			conds = append(conds, CondOp("rating", op, v), CondOp("absent", op, v))
+		}
+	}
+	columns := 0
+	for _, sc := range conds {
+		cc, ok := sc.Column()
+		if !ok {
+			continue
+		}
+		columns++
+		for _, n := range nodes {
+			var got bool
+			if cc.TypeSet {
+				got = n.TypeSuperset(cc.Types)
+			} else {
+				v, present := n.Attrs.Float(cc.Attr)
+				got = present && cc.Holds(v)
+			}
+			if want := NewCondition(sc).SatisfiedByNode(n); got != want {
+				t.Errorf("%v on node %d %v: column %v, row matcher %v", sc, n.ID, n.Attrs, got, want)
+			}
+		}
+	}
+	if columns < len(conds)/2 {
+		t.Errorf("only %d of %d conditions compile to columns", columns, len(conds))
+	}
+}

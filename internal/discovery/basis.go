@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"socialscope/internal/graph"
-	"socialscope/internal/scoring"
 )
 
 // BasisKind records how a social basis was chosen, so explanations can say
@@ -80,10 +79,11 @@ func selectBasis(g *graph.Graph, cat *catalog, user graph.NodeID, q Query, minSi
 	// the location matches but the intent does not): an acted-on item must
 	// match at least half the query terms to count.
 	const basisRelevance = 0.5
+	hits := cat.hits(q.Keywords)
 	var relevant []graph.NodeID
 	for _, f := range friends {
 		for _, item := range g.Acts(f) {
-			if scoring.DefaultScoreDoc(q.Keywords, cat.doc(g, item)) >= basisRelevance {
+			if cat.coverage(g, q.Keywords, hits, item) >= basisRelevance {
 				relevant = append(relevant, f)
 				break
 			}
@@ -95,7 +95,7 @@ func selectBasis(g *graph.Graph, cat *catalog, user graph.NodeID, q Query, minSi
 
 	// Fall back to experts (Example 2: "identify a group of experts on the
 	// topic to help answer Selma's query").
-	if experts := cat.experts(g, q.Keywords, minSize*2, user); len(experts) > 0 {
+	if experts := cat.experts(g, q.Keywords, hits, minSize*2, user); len(experts) > 0 {
 		return SocialBasis{Kind: BasisExperts, Users: experts}
 	}
 	return SocialBasis{Kind: BasisQueryFriends, Users: relevant}

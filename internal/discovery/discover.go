@@ -1,14 +1,12 @@
 package discovery
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
 
-	"socialscope/internal/core"
 	"socialscope/internal/graph"
 )
 
@@ -123,9 +121,11 @@ func (d *Discoverer) SharesCatalog(other *Discoverer) bool {
 //     structural queries to pure social within scope;
 //  5. return the MSG over the snapshot.
 //
-// Every stage reads the catalog: the scope is the catalog entries whose
-// node passes the predicates, in ascending id order, and each leg writes
-// into that positional slice, so no graph is built.
+// Every stage reads the catalog a column at a time: the scope is the
+// ascending positions of the entries that pass the predicates, each leg
+// is a column over that scope, and only the top K become Results. No
+// graph is built, and the legs and results are sized by the scope and K,
+// not by the catalog.
 func (d *Discoverer) Discover(user graph.NodeID, q Query) (*MSG, error) {
 	if !d.g.HasNode(user) {
 		return nil, fmt.Errorf("%w %d", ErrUnknownUser, user)
@@ -139,49 +139,55 @@ func (d *Discoverer) Discover(user graph.NodeID, q Query) (*MSG, error) {
 	cat := d.corpus.get()
 
 	// 1. Scope, and 2. semantic relevance, normalized to [0,1] by the max.
-	inScope := core.Condition{Structural: append([]core.StructCond{
-		core.Cond("type", d.itemType)}, q.Structural...)}.NodeMatcher()
-	ranked := make([]Result, 0, len(cat.ids))
-	maxSem := 0.0
-	for p, id := range cat.ids {
-		if n := d.g.Node(id); n == nil || !inScope(n) {
-			continue
+	scope := cat.scope(d.itemType, q.Structural)
+	var sem []float64
+	if len(q.Keywords) > 0 {
+		sem = cat.bm25(q.Keywords, scope)
+		maxSem := 0.0
+		for _, s := range sem {
+			maxSem = max(maxSem, s)
 		}
-		r := Result{Item: id}
-		if len(q.Keywords) > 0 {
-			r.Semantic = cat.corpus.BM25Doc(q.Keywords, cat.docs[p])
-			if r.Semantic > maxSem {
-				maxSem = r.Semantic
+		if maxSem > 0 {
+			for i := range sem {
+				sem[i] /= maxSem
 			}
-		}
-		ranked = append(ranked, r)
-	}
-	if maxSem > 0 {
-		for i := range ranked {
-			ranked[i].Semantic /= maxSem
 		}
 	}
 
-	// 3. Social relevance over the selected basis, endorsers in basis order.
+	// 3. Social relevance over the selected basis: how many basis users
+	// acted on each scoped entry.
 	basis := selectBasis(d.g, cat, user, q, 1)
-	for _, b := range basis.Users {
-		for _, t := range d.g.Acts(b) {
-			if i, ok := slices.BinarySearchFunc(ranked, t, func(r Result, t graph.NodeID) int {
-				return cmp.Compare(r.Item, t)
-			}); ok {
-				ranked[i].Endorsers = append(ranked[i].Endorsers, b)
+	var acts []endorsement
+	var endorsed []int32
+	if len(scope) > 0 {
+		n := 0
+		for _, u := range basis.Users {
+			n += len(d.g.Acts(u))
+		}
+		acts = make([]endorsement, 0, n)
+		for b, u := range basis.Users {
+			for _, t := range d.g.Acts(u) {
+				if i, ok := cat.scopeIndex(scope, t); ok {
+					acts = append(acts, endorsement{int32(i), int32(b)})
+				}
 			}
 		}
 	}
-	social := false
-	for i := range ranked {
-		if es := ranked[i].Endorsers; len(es) > 0 {
-			ranked[i].Social = float64(len(es)) / float64(len(basis.Users))
-			social = true
+	social := len(acts) > 0
+	if social {
+		endorsed = make([]int32, len(scope))
+		for _, a := range acts {
+			endorsed[a.i]++
 		}
 	}
+	socialAt := func(i int) float64 {
+		if !social || endorsed[i] == 0 {
+			return 0
+		}
+		return float64(endorsed[i]) / float64(len(basis.Users))
+	}
 
-	// 4. Fuse.
+	// 4. Fuse, keeping the top K by bounded selection.
 	alpha := q.Alpha
 	switch {
 	case len(q.Keywords) == 0:
@@ -189,25 +195,136 @@ func (d *Discoverer) Discover(user graph.NodeID, q Query) (*MSG, error) {
 	case !social:
 		alpha = 1 // no usable social signal: semantic only
 	}
-	kept := ranked[:0]
-	for _, r := range ranked {
-		r.Score = alpha*r.Semantic + (1-alpha)*r.Social
-		if r.Score > 0 {
-			kept = append(kept, r)
+	top := topK{k: q.K, heap: make([]ranked, 0, min(q.K, len(scope)))}
+	for i := range scope {
+		semantic := 0.0
+		if sem != nil {
+			semantic = sem[i]
+		}
+		if score := alpha*semantic + (1-alpha)*socialAt(i); score > 0 {
+			top.offer(ranked{score, int32(i)})
 		}
 	}
-	slices.SortFunc(kept, func(a, b Result) int {
-		if c := cmp.Compare(b.Score, a.Score); c != 0 {
-			return c
+	var results []Result
+	if best := top.sorted(); len(best) > 0 {
+		results = make([]Result, len(best))
+		for n, c := range best {
+			r := &results[n]
+			r.Item, r.Score, r.Social = cat.ids[scope[c.i]], c.score, socialAt(int(c.i))
+			if sem != nil {
+				r.Semantic = sem[c.i]
+			}
 		}
-		return cmp.Compare(a.Item, b.Item)
-	})
-	switch {
-	case len(kept) == 0:
-		kept = nil
-	case q.K < len(kept):
-		kept = kept[:q.K]
+		if social {
+			collectEndorsers(basis.Users, acts, endorsed, best, results)
+		}
 	}
+	return &MSG{User: user, Query: q, Basis: basis, Results: results, Snapshot: d.g}, nil
+}
 
-	return &MSG{User: user, Query: q, Basis: basis, Results: kept, Snapshot: d.g}, nil
+// endorsement is basis user b (its index in the basis) acting on the
+// scoped entry i.
+type endorsement struct{ i, b int32 }
+
+// collectEndorsers fills each result's endorsers, the basis users that
+// acted on it, in basis order. acts lists the endorsements in basis
+// order, endorsed holds each scoped entry's count and is overwritten, and
+// best is the results' scope indexes.
+func collectEndorsers(basis []graph.NodeID, acts []endorsement, endorsed []int32, best []ranked, results []Result) {
+	total := 0
+	for _, c := range best {
+		total += int(endorsed[c.i])
+	}
+	buf, off := make([]graph.NodeID, total), 0
+	for n, c := range best {
+		if e := int(endorsed[c.i]); e > 0 {
+			results[n].Endorsers = buf[off : off : off+e]
+			off += e
+		}
+	}
+	// From here endorsed marks a kept entry with -(its rank + 1).
+	clear(endorsed)
+	for n, c := range best {
+		endorsed[c.i] = -int32(n + 1)
+	}
+	for _, a := range acts {
+		if rank := endorsed[a.i]; rank < 0 {
+			r := &results[-rank-1]
+			r.Endorsers = append(r.Endorsers, basis[a.b])
+		}
+	}
+}
+
+// scopeIndex returns the index in scope of node id's catalog entry.
+func (c *catalog) scopeIndex(scope []int32, id graph.NodeID) (int, bool) {
+	p, ok := slices.BinarySearch(c.ids, id)
+	if !ok {
+		return 0, false
+	}
+	return slices.BinarySearch(scope, int32(p))
+}
+
+// ranked is a scoped entry's fused score and its index in the scope, whose
+// order is the entries' id order.
+type ranked struct {
+	score float64
+	i     int32
+}
+
+// before is the result order: score descending, ties by ascending id.
+func (a ranked) before(b ranked) bool {
+	return a.score > b.score || a.score == b.score && a.i < b.i
+}
+
+// topK keeps the k best entries offered, by ranked.before, in a heap whose
+// root is the worst kept.
+type topK struct {
+	k    int
+	heap []ranked
+}
+
+func (t *topK) offer(r ranked) {
+	h := t.heap
+	if len(h) < t.k {
+		h = append(h, r)
+		for i := len(h) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if !h[parent].before(h[i]) {
+				break
+			}
+			h[i], h[parent] = h[parent], h[i]
+			i = parent
+		}
+		t.heap = h
+		return
+	}
+	if !r.before(h[0]) {
+		return
+	}
+	h[0] = r
+	for i := 0; ; {
+		worst, l := i, 2*i+1
+		if l < len(h) && h[worst].before(h[l]) {
+			worst = l
+		}
+		if r := l + 1; r < len(h) && h[worst].before(h[r]) {
+			worst = r
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
+}
+
+// sorted returns the kept entries best first.
+func (t *topK) sorted() []ranked {
+	slices.SortFunc(t.heap, func(a, b ranked) int {
+		if a.before(b) {
+			return -1
+		}
+		return 1
+	})
+	return t.heap
 }

@@ -9,18 +9,21 @@ import (
 // FuzzParseQuery feeds untrusted search-box text to the query parser and
 // on to the fusion path. Neither may panic; every accepted query must ask
 // for a positive K at an α inside [0,1], carry only non-empty predicates
-// and non-stopword keywords, and evaluate or fail cleanly.
+// and non-stopword keywords, and evaluate to exactly discoverOracle's MSG.
 func FuzzParseQuery(f *testing.F) {
 	for _, s := range []string{
 		"", "Denver attractions", "family trip type:destination",
 		"type:destination rating>=0.5 baseball", "rating>=", ":x", "a:b:c",
 		">=<=!=", "id!=3 id:1 id>x", "rating>1e309 rating<NaN", "日本 type:ß İstanbul",
 		"the of and", "k!=v x<y z>", "\x00\xff type:\t",
+		"rating>=NaN", "rating<+Inf rating>-inf", "rating>0x1p-2 museum", "rating<=.5e1",
+		"type>destination", "type!=destination", "id>3 id<=9", "city!=Denver rating>=0.5x",
 	} {
 		f.Add(s)
 	}
 	fx := buildJohnFixture(f)
 	d := NewDiscoverer(fx.g, "destination")
+	corpus := scoring.NodeCorpus(fx.g, d.itemType)
 	f.Fuzz(func(t *testing.T, s string) {
 		q, err := ParseQuery(s)
 		if err != nil {
@@ -39,9 +42,9 @@ func FuzzParseQuery(f *testing.F) {
 				t.Fatalf("ParseQuery(%q): keyword %q", s, kw)
 			}
 		}
-		msg, err := d.Discover(fx.john, q)
-		if err != nil {
-			t.Fatalf("Discover(%q): %v", s, err)
+		msg := assertDiscoverMatchesOracle(t, d, corpus, fx.john, q)
+		if msg == nil {
+			t.Fatalf("Discover(%q) failed", s)
 		}
 		if len(msg.Results) > q.K {
 			t.Fatalf("Discover(%q): %d results for K %d", s, len(msg.Results), q.K)

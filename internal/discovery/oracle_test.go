@@ -344,8 +344,13 @@ var oracleVocabulary = []string{
 	"barcelona", "zoo", "park", "jazz", "b's",
 }
 
+// oracleRatings are the odd rating values the random graphs draw besides
+// plain decimals: the specials strconv.ParseFloat accepts, an overflow, a
+// hex float, the empty string and words it rejects.
+var oracleRatings = []string{"NaN", "+Inf", "-Inf", "inf", "1e309", "0x1p-1", ".5", "", "high", "0.5x"}
+
 // randomDiscoveryGraph draws a small site whose items carry random text
-// and ratings, and whose shapes stress the fusion path: parallel act links,
+// and ratings (plain, special, unparsable, empty, multi-valued or absent), and whose shapes stress the fusion path: parallel act links,
 // connect self-loops, acts onto users and groups, nodes typed item but not
 // destination (and the reverse), and users that are also destinations.
 func randomDiscoveryGraph(rng *rand.Rand) *graph.Graph {
@@ -372,7 +377,16 @@ func randomDiscoveryGraph(rng *rand.Rand) *graph.Graph {
 	n := 8 + rng.Intn(16)
 	ids := make([]graph.NodeID, n)
 	for i := range ids {
-		kv := []string{"keywords", words(), "rating", fmt.Sprintf("%.1f", rng.Float64())}
+		kv := []string{"keywords", words()}
+		switch r := rng.Intn(8); {
+		case r < 4:
+			kv = append(kv, "rating", fmt.Sprintf("%.1f", rng.Float64()))
+		case r == 4:
+			kv = append(kv, "rating", oracleRatings[rng.Intn(len(oracleRatings))])
+		case r == 5: // multi-valued: ordered conditions read the first value
+			kv = append(kv, "rating", oracleRatings[rng.Intn(len(oracleRatings))],
+				"rating", fmt.Sprintf("%.1f", rng.Float64()))
+		} // else no rating
 		if rng.Intn(2) == 0 {
 			kv = append(kv, "city", []string{"Denver", "Barcelona"}[rng.Intn(2)])
 		}
@@ -391,7 +405,8 @@ func randomDiscoveryGraph(rng *rand.Rand) *graph.Graph {
 
 // randomDiscoveryQuery draws a query from the shapes the fusion path
 // distinguishes: no keywords, keywords every/some/no item matches, with or
-// without structural predicates, at α ∈ {0, 0.5, 1} and small and large K.
+// without structural predicates — fixed ones, or random ones on every
+// core.Op — at α ∈ {0, 0.5, 1} and small and large K.
 func randomDiscoveryQuery(rng *rand.Rand) Query {
 	var q Query
 	for n := rng.Intn(4); n > 0; n-- {
@@ -407,10 +422,43 @@ func randomDiscoveryQuery(rng *rand.Rand) Query {
 		{core.Cond("type", graph.TypeItem)},
 		{core.CondOp("rating", core.Lt, "0.8"), core.CondOp("city", core.Ne, "Barcelona")},
 	}
-	q.Structural = structural[rng.Intn(len(structural))]
+	if rng.Intn(2) == 0 {
+		q.Structural = structural[rng.Intn(len(structural))]
+	} else {
+		for n := 1 + rng.Intn(2); n > 0; n-- {
+			q.Structural = append(q.Structural, randomStructCond(rng))
+		}
+	}
 	q.Alpha = []float64{0, 0.5, 1}[rng.Intn(3)]
 	q.K = []int{0, 1, 3, 100}[rng.Intn(4)]
 	return q
+}
+
+// randomStructCond draws a structural condition under any core.Op on id,
+// type or an attribute, with no, one or two operands, some of which do
+// not parse as the operator needs.
+func randomStructCond(rng *rand.Rand) core.StructCond {
+	operands := map[string][]string{
+		"id":     {"1", "5", "9", "14", "007", "+3", "-1", "2.5", "x", ""},
+		"type":   {"destination", graph.TypeItem, graph.TypeUser, "nowhere", ""},
+		"rating": append([]string{"0.2", "0.5", "0.9", "1"}, oracleRatings...),
+		"city":   {"Denver", "Barcelona", "3", ""},
+	}
+	attrs := []string{"id", "type", "rating", "rating", "city"}
+	attr := attrs[rng.Intn(len(attrs))]
+	ops := []core.Op{core.Eq, core.Ne, core.Gt, core.Ge, core.Lt, core.Le}
+	sc := core.StructCond{Attr: attr, Op: ops[rng.Intn(len(ops))]}
+	n := 1
+	switch rng.Intn(8) {
+	case 0:
+		n = 0
+	case 1:
+		n = 2
+	}
+	for ; n > 0; n-- {
+		sc.Values = append(sc.Values, operands[attr][rng.Intn(len(operands[attr]))])
+	}
+	return sc
 }
 
 func TestDiscoverMatchesOracleRandom(t *testing.T) {

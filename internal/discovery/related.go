@@ -86,20 +86,13 @@ func RelatedEntities(g *graph.Graph, msg *MSG, minActs, limit int) Related {
 	// Users: one pass over the items' endorser vectors, each ascending
 	// without repeats, counting every endorser in an open-addressing table
 	// — O(T) time and memory for T endorsers, whatever the id values.
-	// rel.Users keeps the best limit users by (count desc, id asc); once it
-	// is full, floor is its last count, and a newcomer displaces the last
-	// only when it orders strictly before it. Exclusion is checked last:
-	// few users get that far.
+	// rel.Users keeps the best limit users by (count desc, id asc).
+	// Exclusion is checked last: few users get that far.
 	ct := counterPool.Get().(*userCounter)
 	defer counterPool.Put(ct)
-	users := ct.count(g, items)
-	floor := minActs
+	users := ct.endorsers(g, items)
 	for _, u := range users {
-		if u.Count < floor {
-			continue
-		}
-		full := len(rel.Users) == limit
-		if full && !ranksBefore(u, rel.Users[limit-1]) {
+		if u.Count < minActs || !admits(rel.Users, limit, u) {
 			continue
 		}
 		if _, skip := slices.BinarySearch(exclude, u.User); skip {
@@ -108,19 +101,29 @@ func RelatedEntities(g *graph.Graph, msg *MSG, minActs, limit int) Related {
 		if rel.Users == nil {
 			rel.Users = make([]RelatedUser, 0, min(limit, len(users)))
 		}
-		if !full {
-			rel.Users = append(rel.Users, RelatedUser{})
-		}
-		i := len(rel.Users) - 1
-		for ; i > 0 && ranksBefore(u, rel.Users[i-1]); i-- {
-			rel.Users[i] = rel.Users[i-1]
-		}
-		rel.Users[i] = u
-		if len(rel.Users) == limit {
-			floor = rel.Users[limit-1].Count
-		}
+		rel.Users = insertBest(rel.Users, limit, u)
 	}
 	return rel
+}
+
+// admits reports whether u would enter best, a list of at most limit users
+// in ranksBefore order.
+func admits(best []RelatedUser, limit int, u RelatedUser) bool {
+	return len(best) < limit || limit > 0 && ranksBefore(u, best[limit-1])
+}
+
+// insertBest inserts u, which admits accepts, into best at its rank,
+// dropping the last user when best already holds limit.
+func insertBest(best []RelatedUser, limit int, u RelatedUser) []RelatedUser {
+	if len(best) < limit {
+		best = append(best, RelatedUser{})
+	}
+	i := len(best) - 1
+	for ; i > 0 && ranksBefore(u, best[i-1]); i-- {
+		best[i] = best[i-1]
+	}
+	best[i] = u
+	return best
 }
 
 // ranksBefore orders related users by descending count, ties by ascending id.
@@ -128,32 +131,39 @@ func ranksBefore(a, b RelatedUser) bool {
 	return a.Count > b.Count || a.Count == b.Count && a.User < b.User
 }
 
-// userCounter is RelatedEntities' reusable counting space: the items'
-// endorser vectors, the distinct endorsers with their counts in
+// userCounter is the reusable counting space of RelatedEntities and the
+// expert scan: the ids to count, the distinct ids with their counts in
 // first-seen order, and a linear-probing table of positions in that list
 // (0 marks an empty slot). The table is sized to a power of two at least
-// twice the endorser total, so its memory follows the endorser count and
-// never the id values (ids are client-chosen through /apply).
+// twice the number of ids, so its memory follows the id count and never
+// the id values (ids are client-chosen through /apply).
 type userCounter struct {
-	vecs  [][]graph.Endorser
+	ids   []graph.NodeID
 	users []RelatedUser
 	table []int32
 }
 
 var counterPool = sync.Pool{New: func() any { return new(userCounter) }}
 
-// count returns every endorser of items with the number of items it
+// endorsers counts every endorser of items with the number of items it
 // endorses, in first-seen order. The result aliases ct until the next
 // call.
-func (ct *userCounter) count(g *graph.Graph, items []graph.NodeID) []RelatedUser {
-	vecs, total := ct.vecs[:0], 0
+func (ct *userCounter) endorsers(g *graph.Graph, items []graph.NodeID) []RelatedUser {
+	ids := ct.ids[:0]
 	for _, item := range items {
-		v := g.Endorsers(item)
-		vecs = append(vecs, v)
-		total += len(v)
+		for _, e := range g.Endorsers(item) {
+			ids = append(ids, e.ID)
+		}
 	}
+	return ct.count(ids)
+}
+
+// count returns each distinct id of ids with its number of occurrences,
+// in first-seen order. ids is kept as ct's buffer; the result aliases ct
+// until the next call.
+func (ct *userCounter) count(ids []graph.NodeID) []RelatedUser {
 	size := 1
-	for size < 2*total {
+	for size < 2*len(ids) {
 		size <<= 1
 	}
 	if cap(ct.table) < size {
@@ -163,27 +173,24 @@ func (ct *userCounter) count(g *graph.Graph, items []graph.NodeID) []RelatedUser
 	clear(table)
 	shift := 64 - bits.TrailingZeros(uint(size))
 	mask := size - 1
-	for _, v := range vecs {
-		for _, e := range v {
-			// Fibonacci hashing: the multiply spreads consecutive ids, the
-			// top bits index the table.
-			i := int(uint64(e.ID) * 0x9E3779B97F4A7C15 >> shift)
-			for {
-				at := table[i]
-				if at == 0 {
-					users = append(users, RelatedUser{e.ID, 1})
-					table[i] = int32(len(users))
-					break
-				}
-				if users[at-1].User == e.ID {
-					users[at-1].Count++
-					break
-				}
-				i = (i + 1) & mask
+	for _, id := range ids {
+		// Fibonacci hashing: the multiply spreads consecutive ids, the
+		// top bits index the table.
+		i := int(uint64(id) * 0x9E3779B97F4A7C15 >> shift)
+		for {
+			at := table[i]
+			if at == 0 {
+				users = append(users, RelatedUser{id, 1})
+				table[i] = int32(len(users))
+				break
 			}
+			if users[at-1].User == id {
+				users[at-1].Count++
+				break
+			}
+			i = (i + 1) & mask
 		}
 	}
-	clear(vecs) // drop the snapshot's vectors before pooling
-	ct.vecs, ct.users = vecs, users
+	ct.ids, ct.users = ids, users
 	return users
 }

@@ -240,7 +240,9 @@ func ExpertBased(g *graph.Graph, keywords []string, nExperts int) ([]Recommendat
 		return nil, nil
 	}
 	// No node carries MaxNodeID()+1, so the scan excludes nobody.
-	experts := newCatalog(g, graph.TypeItem).experts(g, keywords, nExperts, g.MaxNodeID()+1)
+	cat := newCatalog(g, graph.TypeItem)
+	hits := cat.hits(keywords)
+	experts := cat.experts(g, keywords, hits, nExperts, g.MaxNodeID()+1)
 	if len(experts) == 0 {
 		return nil, nil
 	}
@@ -248,11 +250,7 @@ func ExpertBased(g *graph.Graph, keywords []string, nExperts int) ([]Recommendat
 	endorsers := make(map[graph.NodeID][]graph.NodeID)
 	for _, e := range experts {
 		for _, l := range g.Out(e) {
-			if !l.HasType(graph.TypeAct) {
-				continue
-			}
-			item := g.Node(l.Tgt)
-			if item == nil || scoring.DefaultScorer(keywords, item.Text()) < 1 {
+			if !l.HasType(graph.TypeAct) || cat.coverage(g, keywords, hits, l.Tgt) < 1 {
 				continue
 			}
 			counts[l.Tgt]++

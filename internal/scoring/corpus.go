@@ -104,19 +104,33 @@ func (c *Corpus) BM25Doc(query []string, d Doc) float64 {
 	if len(query) == 0 {
 		return 0
 	}
-	norm := 1.0
-	if c.avgDocLen > 0 {
-		norm = 1 - bm25B + bm25B*float64(d.length)/c.avgDocLen
-	}
+	norm := c.LengthNorm(d.length)
 	var score float64
 	for _, q := range query {
-		f := float64(d.Count(q))
-		if f == 0 {
-			continue
+		if f := d.Count(q); f > 0 {
+			score += BM25Term(c.IDF(q), f, norm)
 		}
-		score += c.IDF(q) * (f * (bm25K1 + 1)) / (f + bm25K1*norm)
 	}
 	return score
+}
+
+// LengthNorm is BM25's length normalization for a document of length
+// tokens: 1 - b + b·length/avgdl, or 1 over an empty corpus.
+func (c *Corpus) LengthNorm(length int) float64 {
+	if c.avgDocLen == 0 {
+		return 1
+	}
+	return 1 - bm25B + bm25B*float64(length)/c.avgDocLen
+}
+
+// BM25Term is one query term's BM25 contribution to a document it occurs
+// f times in: idf·f(k1+1) / (f + k1·norm), norm being the document's
+// LengthNorm. BM25Doc sums it in query order, and so must every other
+// evaluator that claims BM25Doc's scores, so the two evaluate one float
+// expression and cannot round apart.
+func BM25Term(idf float64, f int, norm float64) float64 {
+	tf := float64(f)
+	return idf * (tf * (bm25K1 + 1)) / (tf + bm25K1*norm)
 }
 
 // DefaultScorer is the scoring function selections fall back to when the
@@ -139,5 +153,9 @@ func DefaultScoreDoc(query []string, d Doc) float64 {
 			hit++
 		}
 	}
-	return float64(hit) / float64(len(query))
+	return Coverage(hit, len(query))
 }
+
+// Coverage is DefaultScoreDoc's score for a document that holds hit of a
+// query's n terms (counted with the query's repeats): hit/n.
+func Coverage(hit, n int) float64 { return float64(hit) / float64(n) }

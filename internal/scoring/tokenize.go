@@ -1,6 +1,7 @@
 package scoring
 
 import (
+	"iter"
 	"slices"
 	"strings"
 	"unicode"
@@ -92,3 +93,15 @@ func (d Doc) Count(term string) int {
 
 // Len returns the document's length in tokens.
 func (d Doc) Len() int { return d.length }
+
+// Terms yields the document's distinct terms in ascending order, each with
+// its occurrence count.
+func (d Doc) Terms() iter.Seq2[string, int] {
+	return func(yield func(string, int) bool) {
+		for i, t := range d.terms {
+			if !yield(t, int(d.counts[i])) {
+				return
+			}
+		}
+	}
+}

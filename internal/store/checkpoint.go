@@ -37,6 +37,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path"
+	"strconv"
 	"strings"
 	"time"
 
@@ -121,6 +122,17 @@ func NewCheckpointer(fsys vfs.FS, dir string, maxChain int, startSeq uint64) *Ch
 }
 
 func ckptName(seq uint64) string { return fmt.Sprintf("ckpt-%016x%s", seq, ckptSuffix) }
+
+// isCkptName reports whether name has ckptName's form: a base name, so a
+// manifest naming it cannot send recovery outside its directory.
+func isCkptName(name string) bool {
+	hex, ok := strings.CutPrefix(name, "ckpt-")
+	if hex, ok = strings.CutSuffix(hex, ckptSuffix); !ok || len(hex) != 16 {
+		return false
+	}
+	_, err := strconv.ParseUint(hex, 16, 64)
+	return err == nil
+}
 
 // Save writes a checkpoint of the base graph and (when non-nil) the
 // analyzed graph — deltas when a chain is open and has room, a fresh

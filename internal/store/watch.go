@@ -15,7 +15,8 @@ import (
 
 // LoadManifest reads and decodes dir's MANIFEST without folding the
 // checkpoint chain it names. It returns (nil, nil) when the directory
-// holds no manifest yet.
+// holds no manifest yet, and ErrCkptCorrupt for one that names no file or
+// a file not named as checkpoints are, such as one outside dir.
 func LoadManifest(fsys vfs.FS, dir string) (*Manifest, error) {
 	data, err := vfs.ReadFile(fsys, path.Join(dir, manifestName))
 	if vfs.IsNotExist(err) {
@@ -30,6 +31,11 @@ func LoadManifest(fsys vfs.FS, dir string) (*Manifest, error) {
 	}
 	if len(man.Chain) == 0 {
 		return nil, fmt.Errorf("%w: manifest names no files", ErrCkptCorrupt)
+	}
+	for _, name := range man.Chain {
+		if !isCkptName(name) {
+			return nil, fmt.Errorf("%w: manifest names %q, not a checkpoint file", ErrCkptCorrupt, name)
+		}
 	}
 	return &man, nil
 }

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"socialscope/internal/vfs"
@@ -47,5 +49,33 @@ func TestWatcherReportsManifestAdvances(t *testing.T) {
 	w2 := NewWatcher(fsys, "ck", man.Seq)
 	if _, changed, err := w2.Poll(); err != nil || changed {
 		t.Fatalf("seeded watcher: changed=%v err=%v", changed, err)
+	}
+}
+
+// A manifest may name only checkpoint files in its own directory: one
+// that points recovery at a valid checkpoint elsewhere, or at a file not
+// named as checkpoints are, is corrupt, not followed.
+func TestLoadManifestRejectsForeignChainNames(t *testing.T) {
+	fsys := vfs.NewFaultFS(vfs.DropUnsynced)
+	c := NewCheckpointer(fsys, "other", 4, 0)
+	if err := c.Save(bigGraph(t, 6, 4), nil, Meta{Version: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := fsys.MkdirAll("ck", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{
+		"../other/" + ckptName(1), "/other/" + ckptName(1), "ckpt-1.ck", ckptName(1) + ".tmp", "MANIFEST",
+	} {
+		man := fmt.Sprintf(`{"seq":1,"chain":[%q],"version":1}`, name)
+		if err := vfs.WriteFileSync(fsys, "ck/MANIFEST", []byte(man), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadManifest(fsys, "ck"); !errors.Is(err, ErrCkptCorrupt) {
+			t.Errorf("LoadManifest with chain %q: %v, want ErrCkptCorrupt", name, err)
+		}
+		if _, err := LoadLatest(fsys, "ck"); !errors.Is(err, ErrCkptCorrupt) {
+			t.Errorf("LoadLatest with chain %q: %v, want ErrCkptCorrupt", name, err)
+		}
 	}
 }
