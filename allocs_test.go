@@ -123,28 +123,28 @@ func TestFusionAllocsPinned(t *testing.T) {
 	}
 }
 
+// The plan's scratch is pooled, so a call allocates only the
+// recommendations, their shared basis and the strategy name. A -race build
+// drops pooled scratch at random, so the plan's pins hold in normal builds.
 func TestCollaborativeFilteringAllocsPinned(t *testing.T) {
 	eng, users := allocPinEngine(t)
-	for _, c := range []struct {
-		name  string
-		cf    func(*graph.Graph, NodeID, discovery.CFConfig) ([]discovery.Recommendation, error)
-		bound float64
-	}{
-		{"discovery.CollaborativeFiltering", discovery.CollaborativeFiltering, 35},
-		// The algebra program is the Figure 2 reproduction and the plan's
-		// oracle; its pin keeps the reproduction from regressing unseen.
-		{"discovery.CollaborativeFilteringAlgebra", discovery.CollaborativeFilteringAlgebra, 120000},
-	} {
+	cfg := discovery.CFConfig{SimThreshold: eng.cfg.MatchThreshold, ItemType: eng.cfg.ItemType}
+	rotate := func(cf func(*graph.Graph, NodeID, discovery.CFConfig) ([]discovery.Recommendation, error)) func() {
 		i := 0
-		pinAllocs(t, c.name, c.bound, func() {
-			if _, err := c.cf(eng.Graph(), users[i%len(users)], discovery.CFConfig{
-				SimThreshold: eng.cfg.MatchThreshold, ItemType: eng.cfg.ItemType,
-			}); err != nil {
+		return func() {
+			if _, err := cf(eng.Graph(), users[i%len(users)], cfg); err != nil {
 				t.Fatal(err)
 			}
 			i++
-		})
+		}
 	}
+	if !raceEnabled {
+		pinAllocs(t, "discovery.CollaborativeFiltering", 3, rotate(discovery.CollaborativeFiltering))
+		pinBytes(t, "discovery.CollaborativeFiltering", 305, rotate(discovery.CollaborativeFiltering))
+	}
+	// The algebra program is the Figure 2 reproduction and the plan's
+	// oracle; its pin keeps the reproduction from regressing unseen.
+	pinAllocs(t, "discovery.CollaborativeFilteringAlgebra", 120000, rotate(discovery.CollaborativeFilteringAlgebra))
 }
 
 // Adjacency reads hand out the stored slice: no lookup, no allocation.

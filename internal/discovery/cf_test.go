@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"socialscope/internal/graph"
+	"socialscope/internal/workload"
 )
 
 // assertCFMatchesAlgebra checks the item-side plan against the algebra
@@ -200,5 +201,45 @@ func TestCollaborativeFilteringPlanMatchesAlgebraRandom(t *testing.T) {
 	// Guard against a generator that stops producing matches.
 	if nonEmpty*10 < cases {
 		t.Errorf("only %d of %d cases recommend anything", nonEmpty, cases)
+	}
+}
+
+// TestCollaborativeFilteringResultOutlivesScratch holds one user's result
+// across calls for others that reuse the plan's pooled scratch: none of
+// its memory, the shared Basis included, may be theirs to overwrite.
+func TestCollaborativeFilteringResultOutlivesScratch(t *testing.T) {
+	c, err := workload.Travel(workload.TravelConfig{Users: 40, Destinations: 25, Seed: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := CFConfig{SimThreshold: 0.2, ItemType: "destination"}
+	var users []graph.NodeID
+	var want []Recommendation
+	for _, u := range c.Users {
+		recs, err := CollaborativeFilteringAlgebra(c.Graph, u, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) > 0 && len(users) < 3 {
+			users = append(users, u)
+			if want == nil {
+				want = recs
+			}
+		}
+	}
+	if len(users) < 3 {
+		t.Fatalf("only %d users have recommendations", len(users))
+	}
+	held, err := CollaborativeFiltering(c.Graph, users[0], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range users[1:] {
+		if _, err := CollaborativeFiltering(c.Graph, u, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(held, want) {
+		t.Errorf("user %d's result changed under later calls:\nplan    %+v\nalgebra %+v", users[0], held, want)
 	}
 }

@@ -131,16 +131,22 @@ func ranksBefore(a, b RelatedUser) bool {
 	return a.Count > b.Count || a.Count == b.Count && a.User < b.User
 }
 
-// userCounter is the reusable counting space of RelatedEntities and the
-// expert scan: the ids to count, the distinct ids with their counts in
-// first-seen order, and a linear-probing table of positions in that list
-// (0 marks an empty slot). The table is sized to a power of two at least
-// twice the number of ids, so its memory follows the id count and never
-// the id values (ids are client-chosen through /apply).
+// userCounter is the reusable counting space of RelatedEntities, the
+// expert scan and CollaborativeFiltering: the ids to count, the distinct
+// ids with their counts in first-seen order, and a linear-probing table of
+// positions in that list (0 marks an empty slot). The table is sized to a
+// power of two at least twice the number of ids, so its memory follows the
+// id count and never the id values (ids are client-chosen through /apply).
+// CollaborativeFiltering also keeps its act sets, matches and score sums
+// here.
 type userCounter struct {
 	ids   []graph.NodeID
 	users []RelatedUser
 	table []int32
+
+	mine, acted []graph.NodeID
+	matches     []cfMatch
+	sums        []float64
 }
 
 var counterPool = sync.Pool{New: func() any { return new(userCounter) }}
@@ -162,35 +168,46 @@ func (ct *userCounter) endorsers(g *graph.Graph, items []graph.NodeID) []Related
 // in first-seen order. ids is kept as ct's buffer; the result aliases ct
 // until the next call.
 func (ct *userCounter) count(ids []graph.NodeID) []RelatedUser {
+	ct.reset(len(ids))
+	for _, id := range ids {
+		ct.add(id)
+	}
+	ct.ids = ids
+	return ct.users
+}
+
+// reset empties the counts and sizes the table for n adds.
+func (ct *userCounter) reset(n int) {
 	size := 1
-	for size < 2*len(ids) {
+	for size < 2*n {
 		size <<= 1
 	}
 	if cap(ct.table) < size {
 		ct.table = make([]int32, size)
 	}
-	table, users := ct.table[:size], ct.users[:0]
-	clear(table)
-	shift := 64 - bits.TrailingZeros(uint(size))
-	mask := size - 1
-	for _, id := range ids {
-		// Fibonacci hashing: the multiply spreads consecutive ids, the
-		// top bits index the table.
-		i := int(uint64(id) * 0x9E3779B97F4A7C15 >> shift)
-		for {
-			at := table[i]
-			if at == 0 {
-				users = append(users, RelatedUser{id, 1})
-				table[i] = int32(len(users))
-				break
-			}
-			if users[at-1].User == id {
-				users[at-1].Count++
-				break
-			}
-			i = (i + 1) & mask
+	ct.table = ct.table[:size]
+	clear(ct.table)
+	ct.users = ct.users[:0]
+}
+
+// add counts one occurrence of id and returns its position in ct.users.
+// It must follow a reset sized for at least as many adds.
+func (ct *userCounter) add(id graph.NodeID) int {
+	table := ct.table
+	// Fibonacci hashing: the multiply spreads consecutive ids, the top
+	// bits index the table.
+	i := int(uint64(id) * 0x9E3779B97F4A7C15 >> (64 - bits.TrailingZeros(uint(len(table)))))
+	for {
+		at := int(table[i])
+		if at == 0 {
+			ct.users = append(ct.users, RelatedUser{id, 1})
+			table[i] = int32(len(ct.users))
+			return len(ct.users) - 1
 		}
+		if ct.users[at-1].User == id {
+			ct.users[at-1].Count++
+			return at - 1
+		}
+		i = (i + 1) & (len(table) - 1)
 	}
-	ct.ids, ct.users = ids, users
-	return users
 }

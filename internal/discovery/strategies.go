@@ -1,8 +1,9 @@
 package discovery
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"socialscope/internal/graph"
 	"socialscope/internal/scoring"
@@ -20,11 +21,8 @@ type Recommendation struct {
 
 // sortRecs orders by descending score, ties by ascending item id.
 func sortRecs(rs []Recommendation) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Score != rs[j].Score {
-			return rs[i].Score > rs[j].Score
-		}
-		return rs[i].Item < rs[j].Item
+	slices.SortFunc(rs, func(a, b Recommendation) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.Item, b.Item))
 	})
 }
 
@@ -70,18 +68,18 @@ func (c *CFConfig) fill() {
 
 // CollaborativeFiltering runs Example 5 for the given user and returns the
 // scored recommendations. It evaluates the program as one plan driven by
-// the graph's adjacency lists and builds no intermediate graph, yet returns
-// exactly what CollaborativeFilteringAlgebra returns — the same items,
-// bit-identical scores, basis and order. Both variants compute the same
-// links, so the plan serves both; Variant only names the Strategy. The
-// plan maps onto the program's steps as follows:
+// the graph's adjacency lists and builds no intermediate graph and no map,
+// yet returns exactly what CollaborativeFilteringAlgebra returns — the
+// same items, bit-identical scores, basis and order. Both variants compute
+// the same links, so the plan serves both; Variant only names the
+// Strategy. The plan maps onto the program's steps as follows:
 //
-//   - Steps 1-2 (G1, the searcher's vst): mine, the targets of the user's
-//     act links.
+//   - Steps 1-2 (G1, the searcher's vst): mine, the sorted distinct
+//     targets of the user's act links.
 //   - Steps 3-5 (G2, and G3's Jaccard composition on δ(tgt,tgt)): only
 //     users who acted on an item in mine compose with the searcher, so the
-//     candidates, and how many items of mine each shares, are read from
-//     the in-links of mine.
+//     candidates are each item's distinct act sources, and the counter
+//     table counts how many items of mine each shares.
 //   - Step 6 (G4): the candidates whose Jaccard exceeds the threshold. A
 //     candidate's out-links are read only when its shared count alone
 //     could carry it over the threshold.
@@ -89,6 +87,10 @@ func (c *CFConfig) fill() {
 //     each item averages the sim of the matches that acted on it. Matches
 //     are walked in ascending id and their out-links in link-id order,
 //     which is the order the algebra's link ids impose on the sums.
+//
+// ActType (visit by default) is read from the adjacency, not from the
+// neighbourhood view of act links: a link may carry either type without
+// the other. Scratch comes from a pool; the result and Basis are fresh.
 func CollaborativeFiltering(g *graph.Graph, user graph.NodeID, cfg CFConfig) ([]Recommendation, error) {
 	cfg.fill()
 	if !g.HasNode(user) {
@@ -97,95 +99,92 @@ func CollaborativeFiltering(g *graph.Graph, user graph.NodeID, cfg CFConfig) ([]
 	if cfg.Variant != CFStepwise && cfg.Variant != CFPattern {
 		return nil, fmt.Errorf("discovery: unknown CF variant %d", cfg.Variant)
 	}
-	mine := make(map[graph.NodeID]struct{})
-	for _, l := range g.Out(user) {
-		if l.HasType(cfg.ActType) {
-			mine[l.Tgt] = struct{}{}
-		}
-	}
+	ct := counterPool.Get().(*userCounter)
+	defer counterPool.Put(ct)
+	mine := actTargets(&ct.mine, g, user, cfg.ActType)
 	if len(mine) == 0 {
 		return nil, nil
 	}
-	// Co-actors and |mine ∩ acted(v)|, counted once per item of mine.
-	type coActor struct {
-		inter int
-		item  graph.NodeID // the item of mine last counted
-		user  bool
-	}
-	coActors := make(map[graph.NodeID]coActor)
-	for item := range mine {
+	ids := ct.ids[:0]
+	for _, item := range mine {
+		start := len(ids)
 		for _, l := range g.In(item) {
-			if l.Src == user || !l.HasType(cfg.ActType) {
-				continue
+			if l.Src != user && l.HasType(cfg.ActType) {
+				ids = append(ids, l.Src)
 			}
-			c, seen := coActors[l.Src]
-			switch {
-			case !seen:
-				c = coActor{inter: 1, item: item, user: g.Node(l.Src).HasType(graph.TypeUser)}
-			case c.item != item:
-				c.inter++
-				c.item = item
-			}
-			coActors[l.Src] = c
 		}
+		slices.Sort(ids[start:])
+		ids = ids[:start+len(slices.Compact(ids[start:]))]
 	}
-
-	type match struct {
-		id  graph.NodeID
-		sim float64
-	}
-	var matches []match
-	acted := make(map[graph.NodeID]struct{})
-	for v, c := range coActors {
+	matches, bound := ct.matches[:0], 0
+	for _, c := range ct.count(ids) {
 		// |acted(v)| >= inter, so the Jaccard is at most inter/|mine|, and
 		// float division is monotone in the divisor: a co-actor whose
 		// bound does not exceed the threshold cannot match, and its
 		// out-links need not be read.
-		if !c.user || float64(c.inter)/float64(len(mine)) <= cfg.SimThreshold {
+		if float64(c.Count)/float64(len(mine)) <= cfg.SimThreshold || !g.Node(c.User).HasType(graph.TypeUser) {
 			continue
 		}
-		clear(acted)
-		for _, l := range g.Out(v) {
-			if l.HasType(cfg.ActType) {
-				acted[l.Tgt] = struct{}{}
-			}
-		}
 		// The Jaccard of core.JaccardComposer over the two vst sets.
-		sim := float64(c.inter) / float64(len(mine)+len(acted)-c.inter)
-		if sim > cfg.SimThreshold {
-			matches = append(matches, match{v, sim})
+		acted := actTargets(&ct.acted, g, c.User, cfg.ActType)
+		if sim := float64(c.Count) / float64(len(mine)+len(acted)-c.Count); sim > cfg.SimThreshold {
+			matches = append(matches, cfMatch{c.User, sim})
+			bound += g.OutDegree(c.User)
 		}
 	}
+	ct.matches = matches
 	if len(matches) == 0 {
 		return nil, nil
 	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i].id < matches[j].id })
+	slices.SortFunc(matches, func(a, b cfMatch) int { return cmp.Compare(a.id, b.id) })
 	basis := make([]graph.NodeID, len(matches))
-	type acc struct {
-		sum float64
-		n   int
-	}
-	scores := make(map[graph.NodeID]acc)
+	// The counter table gives each item its slot of sums, in walk order.
+	ct.reset(bound)
+	sums := ct.sums[:0]
 	for i, m := range matches {
 		basis[i] = m.id
 		for _, l := range g.Out(m.id) {
 			if l.HasType(cfg.ActType) && g.Node(l.Tgt).HasType(cfg.ItemType) {
-				a := scores[l.Tgt]
-				a.sum += m.sim
-				a.n++
-				scores[l.Tgt] = a
+				k := ct.add(l.Tgt)
+				if k == len(sums) {
+					sums = append(sums, 0)
+				}
+				sums[k] += m.sim
 			}
 		}
 	}
+	ct.sums = sums
+	if len(sums) == 0 {
+		return nil, nil
+	}
+	// Sims exceed the threshold, which fill keeps positive: no score is <= 0.
 	strategy := "cf-" + cfg.Variant.String()
-	var recs []Recommendation
-	for item, a := range scores {
-		if score := a.sum / float64(a.n); score > 0 {
-			recs = append(recs, Recommendation{Item: item, Score: score, Basis: basis, Strategy: strategy})
-		}
+	recs := make([]Recommendation, len(sums))
+	for k, item := range ct.users {
+		recs[k] = Recommendation{Item: item.User, Score: sums[k] / float64(item.Count), Basis: basis, Strategy: strategy}
 	}
 	sortRecs(recs)
 	return recs, nil
+}
+
+// cfMatch is a co-actor whose Jaccard exceeds the threshold.
+type cfMatch struct {
+	id  graph.NodeID
+	sim float64
+}
+
+// actTargets returns the distinct targets of u's links of type act,
+// ascending, in *buf, which keeps the space for the next call.
+func actTargets(buf *[]graph.NodeID, g *graph.Graph, u graph.NodeID, act string) []graph.NodeID {
+	dst := (*buf)[:0]
+	for _, l := range g.Out(u) {
+		if l.HasType(act) {
+			dst = append(dst, l.Tgt)
+		}
+	}
+	slices.Sort(dst)
+	*buf = slices.Compact(dst)
+	return *buf
 }
 
 // ContentBased recommends items similar to those the user has acted on

@@ -115,3 +115,24 @@ func BenchmarkDiscoverFusion(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEngineRecommend is one /recommend read as fusion_mix issues it:
+// the ledger's corpus, collaborative filtering (CFStepwise) at the
+// engine's match threshold, for 64 users drawn uniformly from a fixed
+// seed.
+func BenchmarkEngineRecommend(b *testing.B) {
+	eng, users := benchCorpusEngine(b)
+	rng := rand.New(rand.NewSource(42))
+	who := make([]NodeID, 64)
+	for i := range who {
+		who[i] = users[rng.Intn(len(users))]
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.RecommendCtx(ctx, who[i%len(who)], discovery.CFStepwise); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

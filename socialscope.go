@@ -721,13 +721,15 @@ func (e *Engine) QueryCtx(ctx context.Context, user NodeID, q discovery.Query) (
 }
 
 // RecommendCtx runs pure collaborative filtering (Example 5) for the
-// user, as discovery.CollaborativeFiltering's item-side plan: it reads only the
-// adjacency of the user, the user's acted-on items and their co-actors,
-// builds no intermediate graph, and returns exactly what the Example 5
-// algebra program (discovery.CollaborativeFilteringAlgebra) returns for
-// either variant. With no loop long enough to be worth interrupting, the
-// context is checked once at the call boundary; the per-request deadline
-// still rejects work that arrives already expired.
+// user, as discovery.CollaborativeFiltering's item-side plan: it reads only
+// the adjacency of the user, the user's acted-on items and their
+// co-actors, counts shared items in pooled scratch, builds no intermediate
+// graph and no map, and returns exactly what the Example 5 algebra program
+// (discovery.CollaborativeFilteringAlgebra) returns for either variant. The
+// result is the caller's: it shares no memory with later calls. With no
+// loop long enough to be worth interrupting, the context is checked once
+// at the call boundary; the per-request deadline still rejects work that
+// arrives already expired.
 func (e *Engine) RecommendCtx(ctx context.Context, user NodeID, variant discovery.CFVariant) ([]discovery.Recommendation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

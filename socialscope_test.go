@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"socialscope/internal/discovery"
@@ -152,6 +154,57 @@ func TestEngineRecommendVariantsAgree(t *testing.T) {
 	}
 }
 
+// TestConcurrentRecommend runs RecommendCtx from several goroutines at
+// once: the plan's pooled scratch must never leak one call's state into
+// another's answer, which must stay the algebra program's. Run it with
+// -race.
+func TestConcurrentRecommend(t *testing.T) {
+	corpus := buildCorpus(t)
+	eng, err := New(corpus.Graph, Config{ItemType: "destination", MatchThreshold: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]discovery.Recommendation, len(corpus.Users))
+	nonEmpty := 0
+	for i, u := range corpus.Users {
+		want[i], err = discovery.CollaborativeFilteringAlgebra(eng.Graph(), u, discovery.CFConfig{
+			SimThreshold: eng.cfg.MatchThreshold, ItemType: eng.cfg.ItemType,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want[i]) > 0 {
+			nonEmpty++
+		}
+	}
+	if nonEmpty == 0 {
+		t.Fatal("no user has recommendations; the comparison is vacuous")
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 5; r++ {
+				// Each goroutine walks the users from its own offset.
+				for j := range corpus.Users {
+					i := (j + 7*w) % len(corpus.Users)
+					got, err := eng.RecommendCtx(context.Background(), corpus.Users[i], discovery.CFStepwise)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("user %d:\nplan    %+v\nalgebra %+v", corpus.Users[i], got, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestSummaryMatchesListOnBenchCorpus: on every (user, destination) pair
 // of the bench/ ledger's corpus, the summary a response carries equals the
 // phrasing of the full weighted explanation: the share of the user's
@@ -211,38 +264,79 @@ func TestSummaryMatchesListOnBenchCorpus(t *testing.T) {
 }
 
 // TestCollaborativeFilteringPlanMatchesAlgebraOnBenchCorpus runs the
-// item-side plan against the algebra program on the engine's analyzed
-// graph of the bench/ corpus: a 60-user sample, both variants, at the
-// paper's threshold and a looser one.
+// item-side plan against the algebra program on the engine's graph of the
+// bench/ corpus: a 60-user sample, both variants, at the paper's threshold
+// and a looser one, before and after a stream of taggings.
 func TestCollaborativeFilteringPlanMatchesAlgebraOnBenchCorpus(t *testing.T) {
 	eng, users := benchCorpusEngine(t)
-	g := eng.Graph()
-	nonEmpty := 0
-	for i := 0; i < 60; i++ {
-		user := users[i*len(users)/60]
-		for _, variant := range []discovery.CFVariant{discovery.CFStepwise, discovery.CFPattern} {
-			for _, thr := range []float64{0.5, 0.2} {
-				cfg := discovery.CFConfig{Variant: variant, SimThreshold: thr, ItemType: eng.cfg.ItemType}
-				want, err := discovery.CollaborativeFilteringAlgebra(g, user, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := discovery.CollaborativeFiltering(g, user, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("user %d %+v:\nplan    %+v\nalgebra %+v", user, cfg, got, want)
-				}
-				if len(got) > 0 {
-					nonEmpty++
+	sample := make([]NodeID, 60)
+	for i := range sample {
+		sample[i] = users[i*len(users)/len(sample)]
+	}
+	compare := func(pass string) {
+		g := eng.Graph()
+		nonEmpty := 0
+		for _, user := range sample {
+			for _, variant := range []discovery.CFVariant{discovery.CFStepwise, discovery.CFPattern} {
+				for _, thr := range []float64{0.5, 0.2} {
+					cfg := discovery.CFConfig{Variant: variant, SimThreshold: thr, ItemType: eng.cfg.ItemType}
+					want, err := discovery.CollaborativeFilteringAlgebra(g, user, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := discovery.CollaborativeFiltering(g, user, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s, user %d %+v:\nplan    %+v\nalgebra %+v", pass, user, cfg, got, want)
+					}
+					if len(got) > 0 {
+						nonEmpty++
+					}
 				}
 			}
 		}
+		if nonEmpty == 0 {
+			t.Errorf("%s: no sampled user has recommendations; the comparison is vacuous", pass)
+		}
 	}
-	if nonEmpty == 0 {
-		t.Error("no sampled user has recommendations; the comparison is vacuous")
+	compare("corpus")
+
+	// Taggings are act links without visit, onto destinations the tagger
+	// need not have visited, so afterwards a user's act targets (the
+	// neighbourhood view's Acts) and visit targets part ways: a plan that
+	// read the view instead of the visit links would fail the second pass.
+	var dests []NodeID
+	for _, n := range eng.Graph().NodesOfType(eng.cfg.ItemType) {
+		dests = append(dests, n.ID)
 	}
+	stream, err := workload.NewTaggingStream(eng.Graph(), users, dests, workload.Categories, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if err := eng.Apply(stream.Batch(16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, parted := eng.Graph(), 0
+	for _, user := range sample {
+		var visits []NodeID
+		for _, l := range g.Out(user) {
+			if l.HasType(graph.SubtypeVisit) {
+				visits = append(visits, l.Tgt)
+			}
+		}
+		slices.Sort(visits)
+		if !slices.Equal(g.Acts(user), slices.Compact(visits)) {
+			parted++
+		}
+	}
+	if parted == 0 {
+		t.Fatal("every sampled user's act targets equal their visit targets; the taggings test nothing")
+	}
+	compare("after taggings")
 }
 
 func TestEngineErrors(t *testing.T) {
