@@ -61,7 +61,7 @@ func TestDiscoverTaggedAcrossSnapshots(t *testing.T) {
 	friend := friends[0]
 	l := graph.NewLink(g.MaxLinkID()+1, friend, corpus.Destinations[0], graph.TypeAct, graph.SubtypeTag)
 	l.Attrs.Add("tags", workload.Categories[0])
-	newIx := oldIx.ApplyDelta([]graph.Mutation{{Kind: graph.MutAddLink, Link: l}})
+	newIx := oldIx.ApplyDelta(g, []graph.Mutation{{Kind: graph.MutAddLink, Link: l}})
 	newProc, err := topk.New(newIx, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -55,6 +55,12 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 		l := graph.NewLink(id, d.Users[i%len(d.Users)], d.Items[i%len(d.Items)],
 			graph.TypeAct, graph.SubtypeTag)
 		l.Attrs.Add("tags", "benchtag")
-		ix = ix.ApplyDelta([]graph.Mutation{{Kind: graph.MutAddLink, Link: l}})
+		muts := []graph.Mutation{{Kind: graph.MutAddLink, Link: l}}
+		ix = ix.ApplyDelta(g, muts)
+		b.StopTimer()
+		if err := g.ApplyAll(muts); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }

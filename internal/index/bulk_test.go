@@ -70,8 +70,12 @@ func TestTransientBuildMatchesPersistent(t *testing.T) {
 			t.Fatal(err)
 		}
 		var deltas []*Index
+		live := g.ShallowClone()
 		for cur, b := ix, 0; b < len(batches); b++ {
-			cur = cur.ApplyDelta(batches[b])
+			cur = cur.ApplyDelta(live, batches[b])
+			if err := live.ApplyAll(batches[b]); err != nil {
+				t.Fatal(err)
+			}
 			deltas = append(deltas, cur)
 		}
 		return built{graphs: []*graph.Graph{g.Clone(), g.InducedByNodes(keep), decoded}, ix: ix, deltas: deltas}
@@ -118,10 +122,11 @@ func TestDifferentialBulkBatches(t *testing.T) {
 				for i := range muts {
 					muts[i] = c.randMutation(rng)
 				}
+				pre := c.g.ShallowClone()
 				if err := c.g.ApplyAll(muts); err != nil {
 					t.Fatalf("seed %d batch %d: %v", seed, batch, err)
 				}
-				ix = prev.ApplyDelta(muts)
+				ix = prev.ApplyDelta(pre, muts)
 				ctx := fmt.Sprintf("bulk seed %d batch %d (%d mutations)", seed, batch, batchSize)
 				assertSorted(t, ix, ctx)
 				rebuilt, err := Build(Extract(c.g), ix.Clustering(), nil)
@@ -158,10 +163,11 @@ func TestExtractMatchesIncremental(t *testing.T) {
 	// Fold 64 fresh taggings both ways.
 	for i := 0; i < 64; i++ {
 		muts := []graph.Mutation{c.randTagging(rng)}
+		pre := c.g.ShallowClone()
 		if err := c.g.ApplyAll(muts); err != nil {
 			t.Fatal(err)
 		}
-		ix = ix.ApplyDelta(muts)
+		ix = ix.ApplyDelta(pre, muts)
 	}
 	data, reext := ix.Data(), Extract(c.g)
 	if len(data.Users) != len(reext.Users) || len(data.Items) != len(reext.Items) ||

@@ -53,12 +53,13 @@ func NewItemTaggers() ItemTaggers {
 // snapshot shares all untouched storage with its ancestors. Construct with
 // NewData or Extract; the zero Data is not ready for use.
 //
-// Network and ItemsOf restate facts the graph also answers
-// (Graph.Connections, Graph.Acts), and both copies must exist: ApplyDelta
-// maintains a Data from mutations alone, with no graph to ask, and §6.2's
-// score counts tagging actions only, so ItemsOf(u) leaves out what u
-// visited, rated or reviewed without tagging, and Network(u) leaves out
-// non-user endpoints. TestSubstrateAgreesWithGraphFacts pins the relation.
+// Network restates a fact the graph also answers (Graph.Connections) and
+// keeps its own copy: every exact rescore reads it, and Connections derives
+// and sorts the set on each call. §6.2's network counts users only, so
+// Network(u) leaves out non-user endpoints. Nothing else the graph answers
+// is mirrored here: the taggings of one user, which ApplyDelta needs when a
+// connection changes or a user leaves, it reads from the pre-batch graph it
+// is handed. TestSubstrateAgreesWithGraphFacts pins both relations.
 type Data struct {
 	// Users, Items and Tags are the sorted universes. They are rebound —
 	// never mutated in place — when the universe changes, so snapshots can
@@ -72,17 +73,6 @@ type Data struct {
 	// Network[user] = users connected to user (either direction). Every
 	// user has an entry, empty or not: presence marks a user.
 	Network persist.Map[graph.NodeID, []graph.NodeID]
-	// ItemsOf[user] = items the user tagged, which incremental maintenance
-	// of a connection mutation walks.
-	ItemsOf persist.Map[graph.NodeID, []graph.NodeID]
-
-	// tagsOf[user] = distinct tags the user has used. Maintained alongside
-	// ItemsOf so incremental maintenance of a connection mutation visits
-	// only the (tag, item) pairs the other endpoint actually tagged
-	// instead of scanning the whole tag vocabulary. Absent per-user
-	// entries (hand-built Data) make the delta code fall back to the full
-	// scan.
-	tagsOf persist.Map[graph.NodeID, []string]
 
 	// tagDups and connDups count duplicate source records beyond the first:
 	// two distinct links asserting the same (user, item, tag) action or the
@@ -99,8 +89,6 @@ func NewData() *Data {
 	return &Data{
 		Taggers: persist.NewStringMap[ItemTaggers](),
 		Network: persist.NewIntMap[graph.NodeID, []graph.NodeID](),
-		ItemsOf: persist.NewIntMap[graph.NodeID, []graph.NodeID](),
-		tagsOf:  persist.NewIntMap[graph.NodeID, []string](),
 		tagDups: persist.NewMap[taggingKey, int](hashTaggingKey),
 		connDups: persist.NewMap[edgeKey, int](func(k edgeKey) uint64 {
 			return persist.Mix64(persist.Hash64(uint64(k.a)), persist.Hash64(uint64(k.b)))
@@ -199,20 +187,24 @@ func Extract(g *graph.Graph) *Data {
 		}
 	})
 	network := d.Network.Transient()
-	perUser(network, d.Users, conns, func(p idPair) graph.NodeID { return p.v })
+	var buf []graph.NodeID
+	for _, u := range d.Users {
+		buf = buf[:0]
+		for ; len(conns) > 0 && conns[0].u == u; conns = conns[1:] {
+			buf = append(buf, conns[0].v)
+		}
+		network.Set(u, persist.CloneExact(buf))
+	}
 	d.Network = network.Persistent()
 
 	// taggers(i, k), one tag at a time, its assertions sorted by item, then
-	// tagger. userItems and userTags collect what ItemsOf and tagsOf need:
-	// (user, item) and (user, index of the tag in d.Tags).
+	// tagger.
 	for tag := range byTag {
 		d.Tags = append(d.Tags, tag)
 	}
 	slices.Sort(d.Tags)
 	taggers := d.Taggers.Transient()
-	var userItems, userTags []idPair
-	var buf []graph.NodeID
-	for ti, tag := range d.Tags {
+	for _, tag := range d.Tags {
 		recs := sortedRuns(byTag[tag], func(p idPair, n int) {
 			if n > 1 {
 				d.noteTagDup(taggingKey{tag, p.u, p.v}, n-1)
@@ -223,12 +215,7 @@ func Extract(g *graph.Graph) *Data {
 			item := recs[i].u
 			buf = buf[:0]
 			for ; i < len(recs) && recs[i].u == item; i++ {
-				u := recs[i].v
-				buf = append(buf, u)
-				if has(d.Users, u) {
-					userItems = append(userItems, idPair{u, item})
-					userTags = append(userTags, idPair{u, graph.NodeID(ti)})
-				}
+				buf = append(buf, recs[i].v)
 			}
 			byItem.Set(item, persist.CloneExact(buf))
 			d.Items = append(d.Items, item)
@@ -238,13 +225,6 @@ func Extract(g *graph.Graph) *Data {
 	d.Taggers = taggers.Persistent()
 	slices.Sort(d.Items)
 	d.Items = slices.Compact(d.Items)
-
-	itemsOf := d.ItemsOf.Transient()
-	perUser(itemsOf, d.Users, sortedRuns(userItems, nil), func(p idPair) graph.NodeID { return p.v })
-	d.ItemsOf = itemsOf.Persistent()
-	tagsOf := d.tagsOf.Transient()
-	perUser(tagsOf, d.Users, sortedRuns(userTags, nil), func(p idPair) string { return d.Tags[p.v] })
-	d.tagsOf = tagsOf.Persistent()
 	return d
 }
 
@@ -252,8 +232,8 @@ func Extract(g *graph.Graph) *Data {
 type idPair struct{ u, v graph.NodeID }
 
 // sortedRuns sorts recs by key, then member, reports each run of equal
-// records with its length to run (when non-nil), and returns recs with
-// every run reduced to one record.
+// records with its length to run, and returns recs with every run reduced
+// to one record.
 func sortedRuns(recs []idPair, run func(idPair, int)) []idPair {
 	slices.SortFunc(recs, func(a, b idPair) int {
 		if c := cmp.Compare(a.u, b.u); c != 0 {
@@ -267,27 +247,11 @@ func sortedRuns(recs []idPair, run func(idPair, int)) []idPair {
 		for j < len(recs) && recs[j] == recs[i] {
 			j++
 		}
-		if run != nil {
-			run(recs[i], j-i)
-		}
+		run(recs[i], j-i)
 		out = append(out, recs[i])
 		i = j
 	}
 	return out
-}
-
-// perUser stores under every user of users the vector of its records'
-// members — recs sorted by key, keyed by users only.
-func perUser[V any](m *persist.TMap[graph.NodeID, []V], users []graph.NodeID, recs []idPair,
-	member func(idPair) V) {
-	var buf []V
-	for _, u := range users {
-		buf = buf[:0]
-		for ; len(recs) > 0 && recs[0].u == u; recs = recs[1:] {
-			buf = append(buf, member(recs[0]))
-		}
-		m.Set(u, persist.CloneExact(buf))
-	}
 }
 
 // has reports whether the ascending vector s holds v.

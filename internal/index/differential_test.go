@@ -176,13 +176,12 @@ func assertSameLists(t *testing.T, got, want *Index, ctx string) {
 // dataDump is a Data's content in comparable form: every vector family
 // keyed as stored (an empty vector reads as nil), and the duplicate counts.
 type dataDump struct {
-	Users, Items     []graph.NodeID
-	Tags             []string
-	Network, ItemsOf map[graph.NodeID][]graph.NodeID
-	TagsOf           map[graph.NodeID][]string
-	Taggers          map[string]map[graph.NodeID][]graph.NodeID
-	TagDups          map[taggingKey]int
-	ConnDups         map[edgeKey]int
+	Users, Items []graph.NodeID
+	Tags         []string
+	Network      map[graph.NodeID][]graph.NodeID
+	Taggers      map[string]map[graph.NodeID][]graph.NodeID
+	TagDups      map[taggingKey]int
+	ConnDups     map[edgeKey]int
 }
 
 func dumpVectors[K comparable, V any](m persist.Map[K, []V]) map[K][]V {
@@ -197,7 +196,7 @@ func dumpVectors[K comparable, V any](m persist.Map[K, []V]) map[K][]V {
 func dumpData(d *Data) dataDump {
 	dd := dataDump{
 		Users: persist.CloneExact(d.Users), Items: persist.CloneExact(d.Items), Tags: persist.CloneExact(d.Tags),
-		Network: dumpVectors(d.Network), ItemsOf: dumpVectors(d.ItemsOf), TagsOf: dumpVectors(d.tagsOf),
+		Network:  dumpVectors(d.Network),
 		Taggers:  make(map[string]map[graph.NodeID][]graph.NodeID),
 		TagDups:  make(map[taggingKey]int),
 		ConnDups: make(map[edgeKey]int),
@@ -278,10 +277,11 @@ func TestDifferentialIncrementalVsRebuild(t *testing.T) {
 					for i := range muts {
 						muts[i] = c.randMutation(rng)
 					}
+					pre := c.g.ShallowClone()
 					if err := c.g.ApplyAll(muts); err != nil {
 						t.Fatalf("seed %d batch %d: %v", seed, batch, err)
 					}
-					ix = ix.ApplyDelta(muts)
+					ix = ix.ApplyDelta(pre, muts)
 					ctx := fmt.Sprintf("%s seed %d batch %d", sc.s, seed, batch)
 					assertSorted(t, ix, ctx)
 					rebuilt, err := Build(Extract(c.g), ix.Clustering(), nil)
@@ -318,8 +318,9 @@ func TestDifferentialRecordedChangelog(t *testing.T) {
 
 	step := func(ctx string, mutate func()) {
 		t.Helper()
+		pre := c.g.ShallowClone()
 		mutate()
-		ix = ix.ApplyDelta(log.Drain())
+		ix = ix.ApplyDelta(pre, log.Drain())
 		rebuilt, err := Build(Extract(c.g), ix.Clustering(), nil)
 		if err != nil {
 			t.Fatal(err)
@@ -392,10 +393,11 @@ func TestDifferentialHandBuiltItemRemoval(t *testing.T) {
 		t.Fatal("corpus has no postings")
 	}
 	muts := []graph.Mutation{{Kind: graph.MutRemoveNode, Node: graph.NewNode(victim, graph.TypeItem)}}
+	pre := c.g.ShallowClone()
 	if err := c.g.ApplyAll(muts); err != nil {
 		t.Fatal(err)
 	}
-	ix = ix.ApplyDelta(muts)
+	ix = ix.ApplyDelta(pre, muts)
 	rebuilt, err := Build(Extract(c.g), ix.Clustering(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -419,15 +421,17 @@ func TestDifferentialHandBuiltItemRemoval(t *testing.T) {
 	guru := c.users[0]
 	tagged := c.newTagLink(c.users[1], guru, c.tags[0])
 	muts = []graph.Mutation{{Kind: graph.MutAddLink, Link: tagged}}
+	pre = c.g.ShallowClone()
 	if err := c.g.ApplyAll(muts); err != nil {
 		t.Fatal(err)
 	}
-	ix = ix.ApplyDelta(muts)
+	ix = ix.ApplyDelta(pre, muts)
 	muts = []graph.Mutation{{Kind: graph.MutRemoveNode, Node: graph.NewNode(guru, graph.TypeUser)}}
+	pre = c.g.ShallowClone()
 	if err := c.g.ApplyAll(muts); err != nil {
 		t.Fatal(err)
 	}
-	ix = ix.ApplyDelta(muts)
+	ix = ix.ApplyDelta(pre, muts)
 	rebuilt, err = Build(Extract(c.g), ix.Clustering(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -458,10 +462,11 @@ func TestApplyDeltaIsCopyOnWrite(t *testing.T) {
 	cur := old
 	for i := 0; i < 20; i++ {
 		muts := []graph.Mutation{c.randMutation(rng)}
+		pre := c.g.ShallowClone()
 		if err := c.g.ApplyAll(muts); err != nil {
 			t.Fatal(err)
 		}
-		cur = cur.ApplyDelta(muts)
+		cur = cur.ApplyDelta(pre, muts)
 	}
 	assertSameLists(t, old, frozen, "pre-delta snapshot")
 	if old.Version() != 0 || cur.Version() != 20 {
@@ -500,9 +505,9 @@ func TestDifferentialIDReuseAfterRemoval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	step := func(muts []graph.Mutation, ctx string) {
+	step := func(pre *graph.Graph, muts []graph.Mutation, ctx string) {
 		t.Helper()
-		ix = ix.ApplyDelta(muts)
+		ix = ix.ApplyDelta(pre, muts)
 		assertSorted(t, ix, ctx)
 		rebuilt, err := Build(Extract(c.g), ix.Clustering(), nil)
 		if err != nil {
@@ -527,17 +532,19 @@ func TestDifferentialIDReuseAfterRemoval(t *testing.T) {
 		arrival = append(arrival, graph.Mutation{Kind: graph.MutAddLink,
 			Link: c.newTagLink(maxUser, item, c.tags[0])})
 	}
+	pre := c.g.ShallowClone()
 	if err := c.g.ApplyAll(arrival); err != nil {
 		t.Fatal(err)
 	}
-	step(arrival, "max-user arrival")
+	step(pre, arrival, "max-user arrival")
 
 	// The newcomer departs: recorded cascade (incident link removals, then
 	// the node removal), exactly what a live engine's changelog carries.
+	pre = c.g.ShallowClone()
 	log := graph.RecordInto(c.g)
 	c.g.RemoveNode(maxUser)
 	c.g.SetRecorder(nil)
-	step(log.Drain(), "max-user removal")
+	step(pre, log.Drain(), "max-user removal")
 
 	// Fresh-id allocation must not resurrect the retracted id.
 	ids := graph.IDSourceFor(c.g)
@@ -565,10 +572,11 @@ func TestDifferentialIDReuseAfterRemoval(t *testing.T) {
 		l.Attrs.Add("tags", c.tags[0])
 		rejoin = append(rejoin, graph.Mutation{Kind: graph.MutAddLink, Link: l})
 	}
+	pre = c.g.ShallowClone()
 	if err := c.g.ApplyAll(rejoin); err != nil {
 		t.Fatal(err)
 	}
-	step(rejoin, "fresh-user rejoin")
+	step(pre, rejoin, "fresh-user rejoin")
 
 	// The departed user must be fully gone from the substrate; the fresh
 	// one fully present.
@@ -586,5 +594,70 @@ func TestDifferentialIDReuseAfterRemoval(t *testing.T) {
 	}
 	if got := data.ScoreTag(taggedItems[0], c.users[1], c.tags[0], ix.UserFn()); got < 1 {
 		t.Errorf("fresh user's tagging invisible to their connection: score %v", got)
+	}
+}
+
+// TestDifferentialMidBatchTaggings pins the two places ApplyDelta reads a
+// user's taggings from when a connection changes or the user leaves: the
+// batch's own tag links, and the graph as it stood before the batch. Each
+// case leaves a stale posting or tagger behind when its source is missing.
+func TestDifferentialMidBatchTaggings(t *testing.T) {
+	const x, other, bystander, item graph.NodeID = 1, 2, 3, 10
+	connect := []string{graph.TypeConnect, graph.SubtypeFriend}
+	tag := []string{graph.TypeAct, graph.SubtypeTag}
+	cases := []struct {
+		name string
+		muts func(g *graph.Graph, conn, tagged graph.LinkID) []graph.Mutation
+	}{
+		{"other tags Z, x-other disconnect, other untags Z", func(g *graph.Graph, conn, _ graph.LinkID) []graph.Mutation {
+			z := graph.NewLink(g.MaxLinkID()+1, other, item, tag...)
+			z.Attrs.Add("tags", "Z")
+			return []graph.Mutation{
+				{Kind: graph.MutAddLink, Link: z},
+				{Kind: graph.MutRemoveLink, Link: g.Link(conn).Clone()},
+				{Kind: graph.MutRemoveLink, Link: z.Clone()},
+			}
+		}},
+		{"x-other disconnect, other untags standing Y", func(g *graph.Graph, conn, tagged graph.LinkID) []graph.Mutation {
+			return []graph.Mutation{
+				{Kind: graph.MutRemoveLink, Link: g.Link(conn).Clone()},
+				{Kind: graph.MutRemoveLink, Link: g.Link(tagged).Clone()},
+			}
+		}},
+		{"bare removal of a connected tagger", func(*graph.Graph, graph.LinkID, graph.LinkID) []graph.Mutation {
+			return []graph.Mutation{{Kind: graph.MutRemoveNode, Node: graph.NewNode(other, graph.TypeUser)}}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := graph.NewBuilder()
+			for _, u := range []graph.NodeID{x, other, bystander} {
+				b.NodeWithID(u, []string{graph.TypeUser})
+			}
+			b.NodeWithID(item, []string{graph.TypeItem})
+			conn := b.Link(x, other, connect)
+			b.Link(other, bystander, connect)
+			tagged := b.Link(other, item, tag, "tags", "Y")
+			g := b.Graph()
+			cl, err := cluster.Build(g, cluster.PerUser, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix, err := Build(Extract(g), cl, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			muts := tc.muts(g, conn, tagged)
+			pre := g.ShallowClone()
+			if err := g.ApplyAll(muts); err != nil {
+				t.Fatal(err)
+			}
+			ix = ix.ApplyDelta(pre, muts)
+			rebuilt, err := Build(Extract(g), ix.Clustering(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameLists(t, ix, rebuilt, tc.name)
+		})
 	}
 }

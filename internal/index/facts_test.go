@@ -1,6 +1,7 @@
 package index
 
 import (
+	"cmp"
 	"slices"
 	"testing"
 
@@ -8,12 +9,12 @@ import (
 	"socialscope/internal/workload"
 )
 
-// TestSubstrateAgreesWithGraphFacts pins how the substrate's Network and
-// ItemsOf relate to the graph's Connections and Acts, the neighbourhood
-// facts clustering, discovery and presentation read. Network(u) is
-// Connections(u) restricted to users. ItemsOf(u) is the part of Acts(u)
-// u reached by a tag link: an act target u only visited, rated or
-// reviewed is in Acts(u) and not in ItemsOf(u).
+// TestSubstrateAgreesWithGraphFacts pins how the substrate relates to the
+// graph it was extracted from. Network(u) is Connections(u) restricted to
+// users. The (item, tag) pairs u holds in Taggers are exactly the pairs on
+// u's tag links: the contract ApplyDelta relies on when it reads a user's
+// taggings from the pre-batch graph. An act target u only visited, rated or
+// reviewed is in Acts(u) and in none of those pairs.
 func TestSubstrateAgreesWithGraphFacts(t *testing.T) {
 	travel, err := workload.Travel(workload.TravelConfig{Users: 60, Destinations: 40, Seed: 3})
 	if err != nil {
@@ -42,32 +43,49 @@ func TestSubstrateAgreesWithGraphFacts(t *testing.T) {
 			if got := d.Network.At(u); !slices.Equal(got, net) {
 				t.Errorf("%s: Network(%d) = %v, users among Connections = %v", name, u, got, net)
 			}
-			var byTag []graph.NodeID
+			var held, onLinks []itemTag
+			d.Taggers.Range(func(tag string, byItem ItemTaggers) bool {
+				byItem.Range(func(item graph.NodeID, taggers []graph.NodeID) bool {
+					if has(taggers, u) {
+						held = append(held, itemTag{item, tag})
+					}
+					return true
+				})
+				return true
+			})
 			for _, l := range g.Out(u) {
-				if l.HasType(graph.SubtypeTag) && len(l.Attrs.All("tags")) > 0 {
-					byTag = append(byTag, l.Tgt)
+				if l.HasType(graph.SubtypeTag) {
+					for _, tag := range l.Attrs.All("tags") {
+						onLinks = append(onLinks, itemTag{l.Tgt, tag})
+					}
 				}
 			}
-			acts, items := g.Acts(u), d.ItemsOf.At(u)
-			for _, i := range items {
-				if _, ok := slices.BinarySearch(acts, i); !ok {
-					t.Errorf("%s: ItemsOf(%d) holds %d, which is not in Acts = %v", name, u, i, acts)
-				}
+			held, onLinks = sortedPairs(held), sortedPairs(onLinks)
+			if !slices.Equal(held, onLinks) {
+				t.Errorf("%s: user %d holds (item, tag) pairs %v, its tag links assert %v", name, u, held, onLinks)
 			}
-			untagged := false
-			for _, i := range acts {
-				_, inItems := slices.BinarySearch(items, i)
-				if viaTag := slices.Contains(byTag, i); inItems != viaTag {
-					t.Errorf("%s: act target %d of %d: in ItemsOf %v, reached by a tag link %v", name, i, u, inItems, viaTag)
+			for _, i := range g.Acts(u) {
+				if !slices.ContainsFunc(onLinks, func(p itemTag) bool { return p.item == i }) {
+					disagree++
+					break
 				}
-				untagged = untagged || !inItems
-			}
-			if untagged {
-				disagree++
 			}
 		}
 		if disagree == 0 {
 			t.Errorf("%s: no user acts on an item without tagging it; the test pins nothing", name)
 		}
 	}
+}
+
+type itemTag struct {
+	item graph.NodeID
+	tag  string
+}
+
+// sortedPairs sorts ps by item, then tag, without repeats.
+func sortedPairs(ps []itemTag) []itemTag {
+	slices.SortFunc(ps, func(a, b itemTag) int {
+		return cmp.Or(cmp.Compare(a.item, b.item), cmp.Compare(a.tag, b.tag))
+	})
+	return slices.Compact(ps)
 }

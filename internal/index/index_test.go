@@ -58,12 +58,6 @@ func TestExtract(t *testing.T) {
 	if got := d.Network.At(3); !reflect.DeepEqual(got, []graph.NodeID{1, 2, 4}) {
 		t.Errorf("network(3) = %v, want [1 2 4]: the network is symmetric", got)
 	}
-	if got := d.ItemsOf.At(3); !reflect.DeepEqual(got, []graph.NodeID{11, 12}) {
-		t.Errorf("items(3) = %v, want [11 12]", got)
-	}
-	if got := d.tagsOf.At(3); !reflect.DeepEqual(got, []string{"db", "go"}) {
-		t.Errorf("tags(3) = %v, want [db go]", got)
-	}
 }
 
 func TestExactScores(t *testing.T) {

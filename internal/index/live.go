@@ -26,7 +26,6 @@
 package index
 
 import (
-	"cmp"
 	"slices"
 
 	"socialscope/internal/graph"
@@ -41,12 +40,19 @@ import (
 // Extract ignores them. The returned index has Version() one higher than
 // the receiver.
 //
+// g is the graph the receiver indexes as it stood before the batch: the
+// substrate keeps no per-user tagging profile, so when a connection
+// changes or a user leaves, that user's taggings are read from g's tag
+// links and the batch's own. g is only read, and only during the call.
+//
 // Changelogs produced by graph.RecordInto replay exactly: removing a node
 // arrives as its incident link removals followed by the node removal, and
 // link consolidations carry their pre-merge state so re-asserted
 // activities are not double counted.
-func (ix *Index) ApplyDelta(muts []graph.Mutation) *Index {
+func (ix *Index) ApplyDelta(g *graph.Graph, muts []graph.Mutation) *Index {
 	d := &delta{
+		g:    g,
+		muts: muts,
 		ix: &Index{
 			data:       ix.data.cowClone(),
 			clustering: ix.clustering,
@@ -92,7 +98,12 @@ func (d *Data) cowClone() *Data {
 // mutations touch it. Member vectors need no tracking: every write
 // replaces one.
 type delta struct {
-	ix         *Index
+	ix *Index
+	// g and muts are ApplyDelta's arguments; bySrc indexes muts' tag
+	// links by source, built on first use (taggingsOf).
+	g          *graph.Graph
+	muts       []graph.Mutation
+	bySrc      map[graph.NodeID][]*graph.Link
 	ownedLists map[listKey]bool // individual posting slice owned
 	// edit is the batch's transient ownership token: repeated writes into
 	// one trie region (hot tag shards, one user's vectors) claim each node
@@ -201,12 +212,6 @@ func (d *delta) addTagging(user, item graph.NodeID, tag string, countDup bool) {
 	}
 	data.Taggers = data.Taggers.SetWith(d.edit, tag,
 		byItem.SetWith(d.edit, item, persist.InsertSorted(taggers, user)))
-	if data.ItemsOf.Has(user) {
-		data.ItemsOf = withMember(data.ItemsOf, d.edit, user, item)
-	}
-	if data.tagsOf.Has(user) {
-		data.tagsOf = withMember(data.tagsOf, d.edit, user, tag)
-	}
 	for _, v := range data.Network.At(user) {
 		cid := d.ix.clustering.Of(v)
 		if cid < 0 {
@@ -247,12 +252,6 @@ func (d *delta) removeTagging(user, item graph.NodeID, tag string) {
 		d.tagDelta[tag] = false
 	default:
 		data.Taggers = data.Taggers.SetWith(d.edit, tag, byItem.DeleteWith(d.edit, item))
-	}
-	if has(data.ItemsOf.At(user), item) && !d.stillTags(user, item) {
-		data.ItemsOf = withoutMember(data.ItemsOf, d.edit, user, item)
-	}
-	if has(data.tagsOf.At(user), tag) && !d.stillUsesTag(user, tag) {
-		data.tagsOf = withoutMember(data.tagsOf, d.edit, user, tag)
 	}
 	// A non-empty tagger vector proves the item is still tagged; the
 	// vocabulary-wide scan is only needed once this (tag, item) cell
@@ -310,73 +309,76 @@ func (d *delta) removeConnect(u, v graph.NodeID) {
 	}
 }
 
-// tagsUsedBy returns the tags a user's maintenance loops must visit: the
-// user's own tag profile when tracked, the full vocabulary otherwise
-// (hand-built Data without profiles stays correct, just slower). The
-// vocabulary comes from the Taggers map, not the Tags slice — slice
-// maintenance is deferred to the end of the batch, while the map always
-// reflects every mutation applied so far.
-func (d *delta) tagsUsedBy(u graph.NodeID) []string {
-	if tags, ok := d.ix.data.tagsOf.Get(u); ok {
-		return tags
+// taggingsOf calls fn for every (item, tag) that u tags at this point of
+// the batch. A standing tagging by u was asserted either by one of u's tag
+// links in the pre-batch graph, which the receiver's substrate indexes, or
+// by one of the batch's own tag links from u; a candidate from either
+// counts only while u stands in Taggers[tag][item]. That check runs per
+// candidate, so fn may retract the pair it is handed. Parallel links
+// asserting one tagging hand it to fn once each.
+func (d *delta) taggingsOf(u graph.NodeID, fn func(item graph.NodeID, tag string)) {
+	visit := func(ls []*graph.Link) {
+		for _, l := range ls {
+			if !l.HasType(graph.SubtypeTag) {
+				continue
+			}
+			for _, tag := range l.Attrs.All("tags") {
+				if has(d.ix.data.Taggers.At(tag).At(l.Tgt), u) {
+					fn(l.Tgt, tag)
+				}
+			}
+		}
 	}
-	return d.ix.data.Taggers.Keys()
+	visit(d.g.Out(u))
+	if d.bySrc == nil {
+		// Built once per batch, and only here: connection changes and
+		// user removals ask, so tagging-only batches never pay for it.
+		d.bySrc = make(map[graph.NodeID][]*graph.Link)
+		for _, m := range d.muts {
+			if (m.Kind == graph.MutAddLink || m.Kind == graph.MutPutLink) &&
+				m.Link != nil && m.Link.HasType(graph.SubtypeTag) {
+				d.bySrc[m.Link.Src] = append(d.bySrc[m.Link.Src], m.Link)
+			}
+		}
+	}
+	visit(d.bySrc[u])
 }
 
 // raisePair raises x's entries for everything other tagged: x just gained
 // other in its network, so score_tag(i, x) grew exactly for other's
-// taggings. The loop visits only other's own tags × items, not the whole
-// vocabulary.
+// taggings.
 func (d *delta) raisePair(x, other graph.NodeID) {
-	data := d.ix.data
 	cid := d.ix.clustering.Of(x)
 	if cid < 0 {
 		return
 	}
-	items := data.ItemsOf.At(other)
-	for _, tag := range d.tagsUsedBy(other) {
-		byItem := data.Taggers.At(tag)
-		for _, item := range items {
-			if !has(byItem.At(item), other) {
-				continue
-			}
-			if s := data.ScoreTag(item, x, tag, d.ix.f); s > 0 {
-				d.raise(listKey{cid, tag}, item, s)
-			}
+	d.taggingsOf(other, func(item graph.NodeID, tag string) {
+		if s := d.ix.data.ScoreTag(item, x, tag, d.ix.f); s > 0 {
+			d.raise(listKey{cid, tag}, item, s)
 		}
-	}
+	})
 }
 
 // recomputePair recomputes x's cluster entries for everything other
 // tagged: x just lost other from its network, so those scores may shrink.
 func (d *delta) recomputePair(x, other graph.NodeID) {
-	data := d.ix.data
 	cid := d.ix.clustering.Of(x)
 	if cid < 0 {
 		return
 	}
-	items := data.ItemsOf.At(other)
-	for _, tag := range d.tagsUsedBy(other) {
-		byItem := data.Taggers.At(tag)
-		for _, item := range items {
-			if has(byItem.At(item), other) {
-				d.recompute(listKey{cid, tag}, item)
-			}
-		}
-	}
+	d.taggingsOf(other, func(item graph.NodeID, tag string) {
+		d.recompute(listKey{cid, tag}, item)
+	})
 }
 
 // addUser registers a user who arrived after the index was built: empty
-// network and item profile, placed into the (copy-on-write extended)
-// clustering.
+// network, placed into the (copy-on-write extended) clustering.
 func (d *delta) addUser(u graph.NodeID) {
 	data := d.ix.data
 	if data.Network.Has(u) {
 		return
 	}
 	data.Network = data.Network.SetWith(d.edit, u, nil)
-	data.ItemsOf = data.ItemsOf.SetWith(d.edit, u, nil)
-	data.tagsOf = data.tagsOf.SetWith(d.edit, u, nil)
 	d.userDelta[u] = true
 	d.ix.clustering = d.ix.clustering.WithUser(u)
 }
@@ -396,18 +398,11 @@ func (d *delta) removeUser(u graph.NodeID) {
 		data.connDups = data.connDups.Delete(edgeOf(u, v))
 		d.removeConnect(u, v)
 	}
-	tags := d.tagsUsedBy(u)
-	for _, item := range data.ItemsOf.At(u) {
-		for _, tag := range tags {
-			if has(data.Taggers.At(tag).At(item), u) {
-				data.tagDups = data.tagDups.Delete(taggingKey{tag, item, u})
-				d.removeTagging(u, item, tag)
-			}
-		}
-	}
+	d.taggingsOf(u, func(item graph.NodeID, tag string) {
+		data.tagDups = data.tagDups.Delete(taggingKey{tag, item, u})
+		d.removeTagging(u, item, tag)
+	})
 	data.Network = data.Network.DeleteWith(d.edit, u)
-	data.ItemsOf = data.ItemsOf.DeleteWith(d.edit, u)
-	data.tagsOf = data.tagsOf.DeleteWith(d.edit, u)
 	d.userDelta[u] = false
 }
 
@@ -515,30 +510,6 @@ func (d *delta) ownList(k listKey, insert bool) []Entry {
 	return c
 }
 
-// stillTags reports whether user still tags item under any tag.
-func (d *delta) stillTags(user, item graph.NodeID) bool {
-	for _, tag := range d.tagsUsedBy(user) {
-		if has(d.ix.data.Taggers.At(tag).At(item), user) {
-			return true
-		}
-	}
-	return false
-}
-
-// stillUsesTag reports whether user still tags anything with tag.
-func (d *delta) stillUsesTag(user graph.NodeID, tag string) bool {
-	byItem, ok := d.ix.data.Taggers.Get(tag)
-	if !ok {
-		return false
-	}
-	for _, item := range d.ix.data.ItemsOf.At(user) {
-		if has(byItem.At(item), user) {
-			return true
-		}
-	}
-	return false
-}
-
 // itemTagged reports whether any tagger remains for item under any tag.
 func (d *delta) itemTagged(item graph.NodeID) bool {
 	tagged := false
@@ -551,7 +522,7 @@ func (d *delta) itemTagged(item graph.NodeID) bool {
 
 // withMember returns m with v added to the vector under k, copy-on-write;
 // m itself when the vector already holds v.
-func withMember[K comparable, V cmp.Ordered](m persist.Map[K, []V], e *persist.Edit, k K, v V) persist.Map[K, []V] {
+func withMember(m persist.Map[graph.NodeID, []graph.NodeID], e *persist.Edit, k, v graph.NodeID) persist.Map[graph.NodeID, []graph.NodeID] {
 	old := m.At(k)
 	if s := persist.InsertSorted(old, v); len(s) != len(old) {
 		return m.SetWith(e, k, s)
@@ -561,7 +532,7 @@ func withMember[K comparable, V cmp.Ordered](m persist.Map[K, []V], e *persist.E
 
 // withoutMember returns m with v removed from the vector under k, keeping
 // the key; m itself when the vector lacks v.
-func withoutMember[K comparable, V cmp.Ordered](m persist.Map[K, []V], e *persist.Edit, k K, v V) persist.Map[K, []V] {
+func withoutMember(m persist.Map[graph.NodeID, []graph.NodeID], e *persist.Edit, k, v graph.NodeID) persist.Map[graph.NodeID, []graph.NodeID] {
 	old := m.At(k)
 	if s := persist.RemoveSorted(old, v); len(s) != len(old) {
 		return m.SetWith(e, k, s)

@@ -11,28 +11,20 @@ import (
 	"socialscope/internal/scoring"
 )
 
-// TestApplyDeltaOnHandBuiltData pins the fallback path: Data constructed
-// by hand (no tag profiles) must survive every mutation kind through
-// ApplyDelta — in particular addUser, which populates the lazily created
-// profile maps — with the full-vocabulary scan standing in for missing
-// per-user tag profiles.
+// TestApplyDeltaOnHandBuiltData pins maintenance through every mutation
+// kind over a minimal substrate — in particular addUser followed by a
+// connection to a user whose taggings come only from the pre-batch graph,
+// and a tagging the same batch asserts and retracts.
 func TestApplyDeltaOnHandBuiltData(t *testing.T) {
-	d := NewData()
-	d.Users = []graph.NodeID{1, 2}
-	d.Items = []graph.NodeID{10}
-	d.Tags = []string{"go"}
-	d.Taggers = d.Taggers.Set("go", NewItemTaggers().Set(10, []graph.NodeID{1}))
-	d.Network = d.Network.Set(1, []graph.NodeID{2})
-	d.Network = d.Network.Set(2, []graph.NodeID{1})
-	d.ItemsOf = d.ItemsOf.Set(1, []graph.NodeID{10})
-	d.ItemsOf = d.ItemsOf.Set(2, nil)
-	users := graph.New()
-	for _, u := range d.Users {
-		if err := users.AddNode(graph.NewNode(u, graph.TypeUser)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cl, err := cluster.Build(users, cluster.PerUser, 0)
+	b := graph.NewBuilder()
+	b.NodeWithID(1, []string{graph.TypeUser})
+	b.NodeWithID(2, []string{graph.TypeUser})
+	b.NodeWithID(10, []string{graph.TypeItem})
+	b.Link(1, 2, []string{graph.TypeConnect})
+	b.Link(1, 10, []string{graph.TypeAct, graph.SubtypeTag}, "tags", "go")
+	g := b.Graph()
+	d := Extract(g)
+	cl, err := cluster.Build(g, cluster.PerUser, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +33,10 @@ func TestApplyDeltaOnHandBuiltData(t *testing.T) {
 		t.Fatal(err)
 	}
 	newUser := graph.NewNode(3, graph.TypeUser)
-	conn := graph.NewLink(1, 3, 1, graph.TypeConnect)
-	tagLink := graph.NewLink(2, 3, 10, graph.TypeAct, graph.SubtypeTag)
+	conn := graph.NewLink(g.MaxLinkID()+1, 3, 1, graph.TypeConnect)
+	tagLink := graph.NewLink(g.MaxLinkID()+2, 3, 10, graph.TypeAct, graph.SubtypeTag)
 	tagLink.Attrs.Add("tags", "go")
-	ix = ix.ApplyDelta([]graph.Mutation{
+	ix = ix.ApplyDelta(g, []graph.Mutation{
 		{Kind: graph.MutAddNode, Node: newUser},
 		{Kind: graph.MutAddLink, Link: conn},
 		{Kind: graph.MutAddLink, Link: tagLink},
@@ -85,10 +77,11 @@ func TestQuickIncrementalEqualsRebuild(t *testing.T) {
 				graph.TypeAct, graph.SubtypeTag)
 			l.Attrs.Add("tags", tags[rng.Intn(len(tags))])
 			muts := []graph.Mutation{{Kind: graph.MutAddLink, Link: l}}
+			pre := g.ShallowClone()
 			if err := g.ApplyAll(muts); err != nil {
 				return false
 			}
-			ix = ix.ApplyDelta(muts)
+			ix = ix.ApplyDelta(pre, muts)
 		}
 		rebuilt, err := Build(Extract(g), cl, scoring.CountF)
 		if err != nil {

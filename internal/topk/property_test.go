@@ -114,10 +114,11 @@ func TestStrategiesAgreeOnRandomCorpora(t *testing.T) {
 	}
 }
 
-// TestStrategiesAgreeAfterDeltas streams random mutations through
-// ApplyDelta and re-checks both properties after every batch: every
-// posting list stays sorted descending, and the three strategies keep
-// returning identical rankings on the maintained snapshot.
+// TestStrategiesAgreeAfterDeltas streams random mutations through the
+// graph and ApplyDelta and re-checks after every batch: every posting list
+// stays sorted descending, the three strategies keep returning identical
+// rankings on the maintained snapshot, and each returns the same ranking
+// as it does over a rebuild of the mutated graph.
 func TestStrategiesAgreeAfterDeltas(t *testing.T) {
 	w, err := workload.Tagging(workload.TaggingConfig{
 		Users: 25, Items: 40, Tags: 6, Seed: 19, TagsPerUser: 10,
@@ -125,17 +126,17 @@ func TestStrategiesAgreeAfterDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := cluster.Build(w.Graph, cluster.NetworkBased, 0.3)
+	g := w.Graph
+	cl, err := cluster.Build(g, cluster.NetworkBased, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := index.Extract(w.Graph)
-	ix, err := index.Build(data, cl, nil)
+	ix, err := index.Build(index.Extract(g), cl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(5))
-	nextLink := w.Graph.MaxLinkID()
+	nextLink := g.MaxLinkID()
 	var added []*graph.Link
 
 	randMut := func() graph.Mutation {
@@ -177,8 +178,20 @@ func TestStrategiesAgreeAfterDeltas(t *testing.T) {
 		for i := range muts {
 			muts[i] = randMut()
 		}
-		ix = ix.ApplyDelta(muts)
+		pre := g.ShallowClone()
+		if err := g.ApplyAll(muts); err != nil {
+			t.Fatal(err)
+		}
+		ix = ix.ApplyDelta(pre, muts)
 		proc, err := New(ix, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rebuilt, err := index.Build(index.Extract(g), ix.Clustering(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rebuiltProc, err := New(rebuilt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,6 +203,21 @@ func TestStrategiesAgreeAfterDeltas(t *testing.T) {
 			tags = tags[:2]
 		}
 		assertStrategiesAgree(t, proc, users, tags, 5, ctx)
+		for _, u := range users {
+			for _, strat := range []Strategy{Exhaustive, TA, NRA} {
+				got, _, err := proc.TopKCtx(context.Background(), u, tags, 5, strat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _, err := rebuiltProc.TopKCtx(context.Background(), u, tags, 5, strat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: %s user %d: maintained index ranks %v, rebuild %v", ctx, strat, u, got, want)
+				}
+			}
+		}
 	}
 	if ix.Version() != batches {
 		t.Errorf("index version %d, want %d", ix.Version(), batches)

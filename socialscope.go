@@ -503,7 +503,7 @@ func (e *Engine) applyLocked(muts []graph.Mutation, live bool) error {
 		ns.disc = st.disc.WithGraph(ns.current())
 	}
 	if st.proc != nil {
-		proc, err := topk.New(st.proc.Index().ApplyDelta(muts), nil)
+		proc, err := topk.New(st.proc.Index().ApplyDelta(st.current(), muts), nil)
 		if err != nil {
 			return fmt.Errorf("socialscope: %w", err)
 		}
