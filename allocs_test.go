@@ -212,7 +212,7 @@ func TestApplyAllocsPinned(t *testing.T) {
 	for _, pin := range []struct {
 		size  int
 		bound float64
-	}{{1, 163}, {8, 683}, {16, 1205}, {64, 3597}} {
+	}{{1, 160}, {8, 659}, {16, 1165}, {64, 3436}} {
 		f := newApplyFixture(t, pin.size)
 		pinAllocs(t, fmt.Sprintf("Engine.Apply (%d mutations)", pin.size), pin.bound, func() {
 			f.apply(t)
@@ -222,5 +222,5 @@ func TestApplyAllocsPinned(t *testing.T) {
 	// persistent per-write path instead, a batch allocates about as often
 	// but ~1.6× the bytes, which the allocation pin alone would let pass.
 	f := newApplyFixture(t, 16)
-	pinBytes(t, "Engine.Apply (16 mutations)", 177100, func() { f.apply(t) })
+	pinBytes(t, "Engine.Apply (16 mutations)", 175800, func() { f.apply(t) })
 }

@@ -18,9 +18,10 @@ const (
 	probeBatches   = 1000
 	probeBatchSize = 8
 	// Bounds: 1.25× the figures measured when the neighbourhood view and
-	// the vector-backed index substrate landed (linux/amd64, go1.24).
+	// the vector-backed index substrate landed, and for retention when
+	// stored links began sharing attribute sets (linux/amd64, go1.24).
 	probeBaseBound     = 1.25 * 3.12 * (1 << 20) // bytes
-	probeRetainedBound = 1.25 * 3410             // bytes per batch
+	probeRetainedBound = 1.25 * 2915             // bytes per batch
 )
 
 func liveHeap() float64 {

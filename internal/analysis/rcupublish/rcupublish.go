@@ -42,8 +42,8 @@ var Analyzer = &analysis.Analyzer{
 // mutatorNames are method names that, called for effect (result
 // discarded) on a tainted receiver, mutate it in place.
 var mutatorNames = map[string]bool{
-	"Set": true, "Add": true, "SetFloat": true, "SetScore": true,
-	"Merge": true, "Consolidate": true, "Delete": true, "Clear": true,
+	"Set": true, "Add": true, "SetFloat": true, "SetInt": true, "SetScore": true,
+	"AddType": true, "Merge": true, "Consolidate": true, "Delete": true, "Clear": true,
 }
 
 // sortFns are pkg.Fn spellings that reorder their first argument in

@@ -54,6 +54,26 @@ func tupleGet(m *snap.Map) {
 	}
 }
 
+func setIntDiscarded(m *snap.Map) {
+	attrs := m.At("k")
+	attrs.SetInt("rating", 4) // want `SetInt\(\) with a discarded result on a value from example/snap\.Map\.At`
+}
+
+func addTypeDiscarded(g *snap.Graph) {
+	for _, l := range g.Out("u") {
+		l.AddType("tag") // want `AddType\(\) with a discarded result on a value from example/snap\.Graph\.Out`
+	}
+}
+
+// typeAndIntOnClones: AddType on a link's clone, and SetInt on a deep
+// graph clone's attributes, touch private state.
+func typeAndIntOnClones(g *snap.Graph) {
+	l := g.Out("u")[0].Clone()
+	l.AddType("tag") // clean: Clone broke the alias
+	out := g.Clone()
+	out.Out("u")[0].Attrs.SetInt("rating", 4) // clean: private all the way down
+}
+
 func packageLevelAccessor(g *snap.Graph) {
 	posting := snap.List(g, "beach")
 	posting[0] = nil // want `element write through a value from example/snap\.List`

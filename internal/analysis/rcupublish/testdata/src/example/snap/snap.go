@@ -11,10 +11,14 @@ type Link struct {
 // Clone returns a private copy callers may mutate.
 func (l *Link) Clone() *Link { c := *l; return &c }
 
+// AddType appends a type to the link in place.
+func (l *Link) AddType(t string) { l.To += t }
+
 type Attrs struct{ m map[string]int }
 
-func (a *Attrs) Add(k string)        { a.m[k]++ }
-func (a *Attrs) Set(k string, v int) { a.m[k] = v }
+func (a *Attrs) Add(k string)           { a.m[k]++ }
+func (a *Attrs) Set(k string, v int)    { a.m[k] = v }
+func (a *Attrs) SetInt(k string, v int) { a.m[k] = v }
 
 type Graph struct{ adj map[string][]*Link }
 

@@ -2,7 +2,6 @@ package discovery
 
 import (
 	"cmp"
-	"math/bits"
 	"slices"
 	"sync"
 
@@ -143,6 +142,7 @@ type userCounter struct {
 	ids   []graph.NodeID
 	users []RelatedUser
 	table []int32
+	shift uint // 64 − log2(len(table)): the top bits index the table
 
 	mine, acted []graph.NodeID
 	matches     []cfMatch
@@ -178,10 +178,12 @@ func (ct *userCounter) count(ids []graph.NodeID) []RelatedUser {
 
 // reset empties the counts and sizes the table for n adds.
 func (ct *userCounter) reset(n int) {
-	size := 1
+	size, log2 := 1, uint(0)
 	for size < 2*n {
 		size <<= 1
+		log2++
 	}
+	ct.shift = 64 - log2
 	if cap(ct.table) < size {
 		ct.table = make([]int32, size)
 	}
@@ -196,7 +198,7 @@ func (ct *userCounter) add(id graph.NodeID) int {
 	table := ct.table
 	// Fibonacci hashing: the multiply spreads consecutive ids, the top
 	// bits index the table.
-	i := int(uint64(id) * 0x9E3779B97F4A7C15 >> (64 - bits.TrailingZeros(uint(len(table)))))
+	i := int(uint64(id) * 0x9E3779B97F4A7C15 >> ct.shift)
 	for {
 		at := int(table[i])
 		if at == 0 {

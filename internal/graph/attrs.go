@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Attr is one structural attribute of a node or link: a key and its values.
@@ -33,7 +33,96 @@ type Attr struct {
 // copy does not share writes with its original: a write through one copy
 // may or may not show through the other. Mutate only an Attrs you own —
 // Clone one read from a published graph.
+//
+// A link the graph stores whose attributes are one key with one short
+// value — a tagging's tags=<tag> — holds a set shared with every stored
+// link that spells the same pair (see attrSets). A shared set is never
+// written: Set, Add and Merge on it would write the Attr element every
+// such link reads. Clone, which always copies deeply, then mutate.
 type Attrs []Attr
+
+// Shared attribute sets. On a live site most links carry one attribute
+// with one value drawn from a small vocabulary, so the graph stores one
+// immutable copy of each such set, as it does for link types
+// (linkTypeSets). The table is process-wide and bounded: a pair longer
+// than maxSharedAttrBytes, or one that finds the table holding
+// maxSharedAttrSets sets, stays a private copy, so a hostile vocabulary
+// cannot grow it.
+const (
+	maxSharedAttrSets  = 4096
+	maxSharedAttrBytes = 64
+)
+
+// attrPair keys the table by key and value, so a hit builds no string.
+type attrPair struct{ key, val string }
+
+// attrTable maps each shared pair to its set.
+type attrTable struct {
+	mu sync.RWMutex
+	m  map[attrPair]Attrs
+}
+
+// attrSets is the process-wide table every stored link draws from.
+var attrSets = attrTable{m: make(map[attrPair]Attrs)}
+
+// get returns the shared set {key=val}, adding it while the table has
+// room, or nil when the pair is too long or the table is full. Both
+// levels of a shared set are capped at their length, so an append to
+// either copies. A hit allocates nothing.
+func (t *attrTable) get(key, val string) Attrs {
+	if len(key)+len(val) > maxSharedAttrBytes {
+		return nil
+	}
+	p := attrPair{key, val}
+	t.mu.RLock()
+	a, full := t.m[p], len(t.m) >= maxSharedAttrSets
+	t.mu.RUnlock()
+	if a != nil || full {
+		return a
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if a = t.m[p]; a != nil || len(t.m) >= maxSharedAttrSets {
+		return a
+	}
+	// Own the strings: a caller's may be slices of a larger buffer.
+	p = attrPair{strings.Clone(key), strings.Clone(val)}
+	a = Attrs{{Key: p.key, Vals: []string{p.val}}}
+	t.m[p] = a
+	return a
+}
+
+// getBytes is get for a pair still in a decode buffer: a hit converts
+// neither slice to a string.
+func (t *attrTable) getBytes(key, val []byte) Attrs {
+	if len(key)+len(val) > maxSharedAttrBytes {
+		return nil
+	}
+	t.mu.RLock()
+	a := t.m[attrPair{string(key), string(val)}]
+	t.mu.RUnlock()
+	if a != nil {
+		return a
+	}
+	return t.get(string(key), string(val))
+}
+
+// sharedAttrs returns the shared set equal to a, or nil when a is not one
+// key with one value or the table cannot hold it.
+func sharedAttrs(a Attrs) Attrs {
+	if len(a) != 1 || len(a[0].Vals) != 1 {
+		return nil
+	}
+	return attrSets.get(a[0].Key, a[0].Vals[0])
+}
+
+// storedAttrs returns the shared set equal to a, or else a deep copy.
+func storedAttrs(a Attrs) Attrs {
+	if s := sharedAttrs(a); s != nil {
+		return s
+	}
+	return a.Clone()
+}
 
 // NewAttrs builds an attribute set from alternating key/value pairs.
 // Repeated keys accumulate multiple values. It panics on an odd number of
@@ -50,7 +139,9 @@ func NewAttrs(kv ...string) Attrs {
 }
 
 // AttrsFromMap builds an attribute set from a key → values map, the shape
-// of the JSON encodings. The result shares no storage with m.
+// of the JSON encodings. The result shares no storage with m, and none
+// with a stored link: it builds node sets too, and callers may mutate it.
+// A graph shares a link's set when it stores the link.
 func AttrsFromMap(m map[string][]string) Attrs {
 	if m == nil {
 		return nil
@@ -59,7 +150,7 @@ func AttrsFromMap(m map[string][]string) Attrs {
 	for k, vs := range m {
 		a = append(a, Attr{Key: k, Vals: slices.Clone(vs)})
 	}
-	sort.Slice(a, func(i, j int) bool { return a[i].Key < a[j].Key })
+	slices.SortFunc(a, func(x, y Attr) int { return strings.Compare(x.Key, y.Key) })
 	return a
 }
 

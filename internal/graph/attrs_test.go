@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -154,6 +156,8 @@ func TestBinAttrsCanonical(t *testing.T) {
 		raw, want Attrs
 	}{
 		{"empty", Attrs{}, Attrs{}},
+		{"one pair", Attrs{{"tags", vs("museum")}}, Attrs{{"tags", vs("museum")}}},
+		{"one pair, two values", Attrs{{"tags", vs("a", "b")}}, Attrs{{"tags", vs("a", "b")}}},
 		{"sorted", Attrs{{"a", vs("1")}, {"b", vs("2", "3")}}, Attrs{{"a", vs("1")}, {"b", vs("2", "3")}}},
 		{"unsorted", Attrs{{"b", vs("2")}, {"a", vs("1")}}, Attrs{{"a", vs("1")}, {"b", vs("2")}}},
 		{"repeated key", Attrs{{"a", vs("1")}, {"a", vs("2")}}, Attrs{{"a", vs("2")}}},
@@ -161,16 +165,18 @@ func TestBinAttrsCanonical(t *testing.T) {
 			Attrs{{"a", vs("2")}, {"b", nil}, {"c", vs("y")}}},
 	}
 	for _, c := range cases {
-		src := appendAttrs(nil, c.raw)
-		got, n, err := binAttrs(src)
-		if err != nil || n != len(src) {
-			t.Fatalf("%s: binAttrs = _, %d, %v; want %d bytes consumed", c.name, n, err, len(src))
-		}
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("%s: decoded %#v, want %#v", c.name, got, c.want)
-		}
-		if again := appendAttrs(nil, got); !bytes.Equal(again, appendAttrs(nil, c.want)) {
-			t.Errorf("%s: re-encoding is not canonical", c.name)
+		for _, share := range []bool{false, true} {
+			src := appendAttrs(nil, c.raw)
+			got, n, err := binAttrs(src, share)
+			if err != nil || n != len(src) {
+				t.Fatalf("%s: binAttrs = _, %d, %v; want %d bytes consumed", c.name, n, err, len(src))
+			}
+			if !reflect.DeepEqual(got, c.want) {
+				t.Errorf("%s (share %v): decoded %#v, want %#v", c.name, share, got, c.want)
+			}
+			if again := appendAttrs(nil, got); !bytes.Equal(again, appendAttrs(nil, c.want)) {
+				t.Errorf("%s: re-encoding is not canonical", c.name)
+			}
 		}
 	}
 }
@@ -248,4 +254,174 @@ func TestNewAttrsOneKeyAllocsPinned(t *testing.T) {
 		t.Errorf("NewAttrs with one key allocates %.0f times, over its pin of 2", got)
 	}
 	_ = sink
+}
+
+// checkAttrTable fails t when a shared set no longer spells its pair, or
+// could grow in place.
+func checkAttrTable(t *testing.T, tab *attrTable) {
+	t.Helper()
+	tab.mu.RLock()
+	defer tab.mu.RUnlock()
+	for p, a := range tab.m {
+		if len(a) != 1 || cap(a) != 1 || a[0].Key != p.key ||
+			len(a[0].Vals) != 1 || cap(a[0].Vals) != 1 || a[0].Vals[0] != p.val {
+			t.Fatalf("shared set for %q=%q is now %#v", p.key, p.val, a)
+		}
+	}
+}
+
+// TestAttrTable: a pair's shared set is one exact-size copy, found again
+// from strings or decode bytes without allocating; pairs past the length
+// bound, or new pairs once the table is full, are not shared.
+func TestAttrTable(t *testing.T) {
+	tab := attrTable{m: make(map[attrPair]Attrs)}
+	a := tab.get("tags", "museum")
+	if !reflect.DeepEqual(a, NewAttrs("tags", "museum")) || cap(a) != 1 || cap(a[0].Vals) != 1 {
+		t.Fatalf("shared set %#v (caps %d, %d), want tags=museum at cap 1", a, cap(a), cap(a[0].Vals))
+	}
+	key, val := []byte("tags"), []byte("museum")
+	if b := tab.getBytes(key, val); &b[0] != &a[0] {
+		t.Error("getBytes did not find the pair get stored")
+	}
+	if n := testing.AllocsPerRun(100, func() { tab.get("tags", "museum") }); n != 0 {
+		t.Errorf("a hit by strings allocates %.0f times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { tab.getBytes(key, val) }); n != 0 {
+		t.Errorf("a hit by decode bytes allocates %.0f times", n)
+	}
+	limit := strings.Repeat("v", maxSharedAttrBytes-1)
+	if tab.get("k", limit) == nil {
+		t.Error("a pair at the length bound is not shared")
+	}
+	if tab.get("k", limit+"v") != nil || tab.getBytes([]byte("k"), []byte(limit+"v")) != nil {
+		t.Error("a pair past the length bound is shared")
+	}
+	for i := 0; len(tab.m) < maxSharedAttrSets; i++ {
+		tab.get("k", strconv.Itoa(i))
+	}
+	if tab.get("k", "one too many") != nil || tab.getBytes([]byte("k"), []byte("one too many")) != nil {
+		t.Error("a full table took a new pair")
+	}
+	if got := tab.get("tags", "museum"); &got[0] != &a[0] {
+		t.Error("a full table no longer finds a stored pair")
+	}
+	if len(tab.m) != maxSharedAttrSets {
+		t.Errorf("table holds %d sets, bound %d", len(tab.m), maxSharedAttrSets)
+	}
+	_ = append(a, Attr{Key: "z"})
+	_ = append(a[0].Vals, "beach")
+	checkAttrTable(t, &tab)
+}
+
+// TestStorePathsShareAttrs: every path that stores a link — Builder.Link,
+// Apply's add and put-link merge, the JSON decoder, checkpoint loads and
+// the WAL batch decoder — holds a one-pair attribute set as the shared
+// set; larger sets stay private, and Clone still copies deeply.
+func TestStorePathsShareAttrs(t *testing.T) {
+	shared := attrSets.get("tags", "museum")
+	isShared := func(a Attrs) bool { return len(a) == 1 && &a[0] == &shared[0] }
+	tagged := []string{TypeAct, SubtypeTag}
+
+	b := NewBuilder()
+	u, v := b.Node([]string{TypeUser}), b.Node([]string{TypeItem})
+	built := b.Link(u, v, tagged, "tags", "museum")
+	rated := b.Link(u, v, tagged, "tags", "museum", "rating", "4")
+	g := b.Graph()
+	if !isShared(g.Link(built).Attrs) {
+		t.Error("Builder.Link does not share a one-pair set")
+	}
+	if got := g.Link(rated).Attrs; !got.Equal(NewAttrs("tags", "museum", "rating", "4")) {
+		t.Errorf("Builder.Link stored %v", got)
+	}
+
+	added := NewLink(10, u, v, tagged...)
+	added.Attrs.Add("tags", "museum")
+	if err := g.Apply(Mutation{Kind: MutAddLink, Link: added}); err != nil {
+		t.Fatal(err)
+	}
+	added.Attrs.Set("tags", "beach")
+	if got := g.Link(10).Attrs; !isShared(got) {
+		t.Errorf("Apply's add-link stored %v, not the shared set", got)
+	}
+	if err := g.Apply(Mutation{Kind: MutAddLink, Link: NewLink(11, u, v, tagged...)}); err != nil {
+		t.Fatal(err)
+	}
+	put := NewLink(11, u, v)
+	put.Attrs.Add("tags", "museum")
+	if err := g.Apply(Mutation{Kind: MutPutLink, Link: put}); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.Link(11).Attrs; !isShared(got) {
+		t.Errorf("a put-link merge stored %v, not the shared set", got)
+	}
+
+	var buf bytes.Buffer
+	if err := g.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := NewCkptReader().Apply(NewCkptWriter().AppendCheckpoint(nil, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, lg := range map[string]*Graph{"JSON decode": dec, "checkpoint load": ckpt} {
+		if !isShared(lg.Link(built).Attrs) || !isShared(lg.Link(11).Attrs) {
+			t.Errorf("%s does not share one-pair sets", name)
+		}
+		if !lg.Link(rated).Attrs.Equal(g.Link(rated).Attrs) {
+			t.Errorf("%s stored %v", name, lg.Link(rated).Attrs)
+		}
+	}
+	muts, err := DecodeMutations(AppendMutations(nil, []Mutation{{Kind: MutAddLink, Link: g.Link(10)}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !isShared(muts[0].Link.Attrs) {
+		t.Error("the WAL batch decoder does not share a one-pair set")
+	}
+
+	c := g.Link(built).Clone()
+	c.Attrs.Set("tags", "beach")
+	c.Attrs.Add("tags", "family")
+	c.Attrs.Merge(NewAttrs("tags", "parks"))
+	if !reflect.DeepEqual(shared, NewAttrs("tags", "museum")) {
+		t.Fatalf("a mutated clone wrote the shared set: %v", shared)
+	}
+	checkAttrTable(t, &attrSets)
+}
+
+// TestAttrTableConcurrent: goroutines filing overlapping pairs, from
+// strings and from bytes, each get the one set the table keeps per pair.
+func TestAttrTableConcurrent(t *testing.T) {
+	tab := attrTable{m: make(map[attrPair]Attrs)}
+	const workers, pairs = 4, 64
+	got := make([][]Attrs, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[w] = make([]Attrs, pairs)
+			for i := range pairs {
+				val := strconv.Itoa((i + w*7) % pairs)
+				if w%2 == 0 {
+					got[w][(i+w*7)%pairs] = tab.get("tags", val)
+				} else {
+					got[w][(i+w*7)%pairs] = tab.getBytes([]byte("tags"), []byte(val))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range pairs {
+		for w := 1; w < workers; w++ {
+			if &got[w][i][0] != &got[0][i][0] {
+				t.Fatalf("pair %d: workers 0 and %d hold different sets", i, w)
+			}
+		}
+	}
+	checkAttrTable(t, &tab)
 }

@@ -39,11 +39,17 @@ func appendString(dst []byte, s string) []byte {
 }
 
 func binString(src []byte) (string, int, error) {
+	b, n, err := binBytes(src)
+	return string(b), n, err
+}
+
+// binBytes decodes what appendString wrote, as a slice of src.
+func binBytes(src []byte) ([]byte, int, error) {
 	l, n, err := binUvarint(src)
 	if err != nil || l > uint64(len(src)-n) {
-		return "", 0, ErrBinCorrupt
+		return nil, 0, ErrBinCorrupt
 	}
-	return string(src[n : n+int(l)]), n + int(l), nil
+	return src[n : n+int(l)], n + int(l), nil
 }
 
 func appendStrings(dst []byte, ss []string) []byte {
@@ -82,8 +88,14 @@ func appendAttrs(dst []byte, a Attrs) []byte {
 
 // binAttrs decodes what appendAttrs wrote. Input it did not write is made
 // canonical: a repeated key is last-wins, and keys out of order come back
-// sorted.
-func binAttrs(src []byte) (Attrs, int, error) {
+// sorted. A link's set (share) of one key with one value comes back as
+// the package's shared set where it can (see attrSets).
+func binAttrs(src []byte, share bool) (Attrs, int, error) {
+	if share {
+		if a, n := binSharedAttr(src); a != nil {
+			return a, n, nil
+		}
+	}
 	count, off, err := binUvarint(src)
 	if err != nil || count > uint64(len(src)) {
 		return nil, 0, ErrBinCorrupt
@@ -117,6 +129,30 @@ func binAttrs(src []byte) (Attrs, int, error) {
 		a = last
 	}
 	return a, off, nil
+}
+
+// binSharedAttr decodes the front of src as a shared set, or returns nil
+// when it is not one key with one value or the table cannot hold it.
+func binSharedAttr(src []byte) (Attrs, int) {
+	count, off, err := binUvarint(src)
+	if err != nil || count != 1 {
+		return nil, 0
+	}
+	key, n, err := binBytes(src[off:])
+	if err != nil {
+		return nil, 0
+	}
+	off += n
+	vals, n, err := binUvarint(src[off:])
+	if err != nil || vals != 1 {
+		return nil, 0
+	}
+	off += n
+	val, n, err := binBytes(src[off:])
+	if err != nil {
+		return nil, 0
+	}
+	return attrSets.getBytes(key, val), off + n
 }
 
 func appendScore(dst []byte, score float64, scored bool) []byte {
@@ -160,7 +196,7 @@ func DecodeNodeBin(src []byte) (*Node, int, error) {
 		return nil, 0, err
 	}
 	off += n
-	attrs, n, err := binAttrs(src[off:])
+	attrs, n, err := binAttrs(src[off:], false)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -205,7 +241,7 @@ func DecodeLinkBin(src []byte) (*Link, int, error) {
 		return nil, 0, err
 	}
 	off += n
-	attrs, n, err := binAttrs(src[off:])
+	attrs, n, err := binAttrs(src[off:], true)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -80,6 +80,9 @@ func Decode(r io.Reader) (*Graph, error) {
 		l := NewLink(lj.ID, lj.Src, lj.Tgt, lj.Types...)
 		if lj.Attrs != nil {
 			l.Attrs = AttrsFromMap(lj.Attrs)
+			if a := sharedAttrs(l.Attrs); a != nil {
+				l.Attrs = a
+			}
 		}
 		if err := g.AddLink(l); err != nil {
 			return nil, err

@@ -140,3 +140,97 @@ func FuzzCkptReader(f *testing.F) {
 		}
 	})
 }
+
+// fuzzAttrs reads one attribute set from the front of data: up to two
+// keys of up to three bytes, each with up to two values of up to 70 bytes
+// (past the shared-pair bound), built with Add as callers build them. It
+// returns the set and the bytes left.
+func fuzzAttrs(data []byte) (Attrs, []byte) {
+	take := func(n int) string {
+		n = min(n, len(data))
+		s := string(data[:n])
+		data = data[n:]
+		return s
+	}
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	a := Attrs{}
+	for k := next() % 3; k > 0; k-- {
+		key := take(next() % 4)
+		for v := next() % 3; v > 0; v-- {
+			a.Add(key, take(next()%71))
+		}
+	}
+	return a, data
+}
+
+// FuzzStoredAttrs: bytes become attribute sets, stored through Apply as
+// add-links and put-link merges onto a handful of link ids, and decoded
+// through the binary codec. Every stored link must hold exactly what was
+// applied or merged, however the callers' copies and clones of stored
+// links are mutated afterwards, and no shared set may ever differ from
+// the pair it is filed under.
+func FuzzStoredAttrs(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 4, 't', 'a', 'g', 's', 1, 6, 'm', 'u', 's', 'e', 'u', 'm'})
+	f.Add([]byte{0, 1, 1, 1, 'k', 1, 1, 'v', 1, 1, 1, 1, 'k', 1, 1, 'w', 2, 2, 1, 1, 'k', 1, 1, 'v'})
+	f.Add([]byte{0, 2, 2, 1, 'a', 2, 1, 'x', 1, 'y', 1, 'b', 1, 70, 'l', 'o', 'n', 'g'})
+	f.Add(bytes.Repeat([]byte{1, 3, 1, 1, 'k', 1, 2, 'v', 'w'}, 4))
+	f.Fuzz(storedAttrsCase)
+}
+
+func storedAttrsCase(t *testing.T, data []byte) {
+	g := New()
+	for id := NodeID(1); id <= 2; id++ {
+		if err := g.AddNode(NewNode(id, TypeUser)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[LinkID]Attrs{}
+	for steps := 0; len(data) >= 2 && steps < 64; steps++ {
+		op, id := data[0]%3, LinkID(data[1]%4+1)
+		var a Attrs
+		a, data = fuzzAttrs(data[2:])
+		switch op {
+		case 0, 1:
+			kind := MutAddLink
+			if op == 1 {
+				kind = MutPutLink
+			}
+			l := NewLink(id, 1, 2, TypeAct, SubtypeTag)
+			l.Attrs = a.Clone()
+			if err := g.Apply(Mutation{Kind: kind, Link: l}); err != nil {
+				t.Fatal(err)
+			}
+			if w, ok := want[id]; ok {
+				w.Merge(a)
+				want[id] = w
+			} else {
+				want[id] = a.Clone()
+			}
+			l.Attrs.Set("tags", "caller")
+			l.Attrs.Add("zz", "caller")
+		case 2:
+			got, n, err := binAttrs(appendAttrs(nil, a), true)
+			if err != nil || !got.Equal(a) {
+				t.Fatalf("binAttrs decoded %v (%d bytes, %v), want %v", got, n, err, a)
+			}
+		}
+		for lid, w := range want {
+			stored := g.Link(lid)
+			if !stored.Attrs.Equal(w) {
+				t.Fatalf("link %d holds %v, want %v", lid, stored.Attrs, w)
+			}
+			c := stored.Clone()
+			c.Attrs.Set("tags", "clone")
+			c.Attrs.Add("zz", "clone")
+			c.Attrs.Merge(a)
+		}
+	}
+	checkAttrTable(t, &attrSets)
+}

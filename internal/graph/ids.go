@@ -79,10 +79,18 @@ func (b *Builder) NodeWithID(id NodeID, types []string, kv ...string) NodeID {
 }
 
 // Link adds a link with a fresh id between existing nodes; it returns the id.
+// A single key/value attribute is stored as a shared set (see Link).
 func (b *Builder) Link(src, tgt NodeID, types []string, kv ...string) LinkID {
 	id := b.ids.NextLink()
 	l := NewLink(id, src, tgt, types...)
-	l.Attrs = NewAttrs(kv...)
+	var a Attrs
+	if len(kv) == 2 {
+		a = attrSets.get(kv[0], kv[1])
+	}
+	if a == nil {
+		a = NewAttrs(kv...)
+	}
+	l.Attrs = a
 	if err := b.g.AddLink(l); err != nil {
 		panic(err)
 	}

@@ -11,13 +11,20 @@ import (
 // a tagging action, a review, a derived match, or a membership. Like nodes,
 // links carry a multi-valued type and schema-less attributes, plus an
 // optional score attached by link selection.
+//
+// A link the graph stores is immutable, and its Types and Attrs may be
+// sets shared with other links: Apply, PutLink, Builder.Link and the
+// decoders store one-key, one-value attributes as a shared set (see
+// attrSets). Clone copies both deeply, so mutate a clone.
 type Link struct {
 	ID  LinkID
 	Src NodeID
 	Tgt NodeID
 	// Types may share a package-level slice (see linkTypeSets): append to
 	// it or replace it, never write its elements in place.
-	Types  []string
+	Types []string
+	// Attrs may share a package-level set when the link is stored: never
+	// write it in place, not even through Set or Add.
 	Attrs  Attrs
 	Score  float64
 	Scored bool
@@ -109,6 +116,15 @@ func (l *Link) Clone() *Link {
 	c := *l
 	c.Types = storedTypes(l.Types)
 	c.Attrs = l.Attrs.Clone()
+	return &c
+}
+
+// stored returns the copy of l a graph stores: its Types and Attrs are
+// the package's shared sets where they spell one, else private copies.
+func (l *Link) stored() *Link {
+	c := *l
+	c.Types = storedTypes(l.Types)
+	c.Attrs = storedAttrs(l.Attrs)
 	return &c
 }
 

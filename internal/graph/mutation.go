@@ -129,7 +129,8 @@ func RecordInto(g *Graph) *Changelog {
 // ShallowClone can absorb a changelog while readers of the original keep
 // a consistent view (the copy-on-write discipline Engine.Apply builds
 // its snapshots on). Fresh insertions store a clone of the mutation's
-// element, so later edits to the caller's copy cannot leak in. Removals
+// element, so later edits to the caller's copy cannot leak in; a link's
+// clone shares its attribute set where it can (see Link). Removals
 // of absent elements are no-ops, which makes replaying a changelog that
 // already cascaded (MutRemoveNode after its incident MutRemoveLink
 // entries) idempotent.
@@ -151,7 +152,7 @@ func (g *Graph) Apply(m Mutation) error {
 		if g.links.Has(m.Link.ID) {
 			return g.PutLink(m.Link)
 		}
-		return g.AddLink(m.Link.Clone())
+		return g.AddLink(m.Link.stored())
 	case MutRemoveNode:
 		if m.Node == nil {
 			return ErrNilElement

@@ -1,0 +1,96 @@
+package serve
+
+import (
+	"context"
+	"encoding/json"
+	"runtime"
+	"testing"
+
+	"socialscope"
+	"socialscope/internal/graph"
+	"socialscope/internal/workload"
+)
+
+// Wire retention: what a durable leader of the bench/ ledger's mixed
+// workloads keeps per /apply mutation once the batch carrying it is
+// applied. The ledger's writes are 8-mutation tagging batches decoded from
+// JSON, so the probe decodes the same bodies through MutationWire and
+// applies them, with the index built as the ledger's set-up builds it.
+// It fails when retention grows past about 1.25× its figure at the time
+// of writing.
+const (
+	wireBatches   = 2000
+	wireBatchSize = 8
+	// 1.25× the figure measured once stored links shared their attribute
+	// sets (linux/amd64, go1.24). With a private set per link it read
+	// 330 B: the set, and the decoded key and value strings it held.
+	wireRetainedBound = 1.25 * 250 // bytes per mutation
+)
+
+func liveHeap() float64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return float64(m.HeapAlloc)
+}
+
+func TestApplyWireRetention(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 600-user durable leader and applies 2000 batches")
+	}
+	corpus, err := workload.Travel(workload.TravelConfig{
+		Users: 600, Destinations: 200, VisitsPerUser: 8, TagFraction: 0.8, Seed: 42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := socialscope.OpenDurable(t.TempDir(), corpus.Graph, socialscope.Config{
+		ItemType: "destination", TopK: socialscope.TopKTA, ClusterStrategy: "peruser",
+	}, socialscope.DurableOptions{CheckpointEvery: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	// The ledger's set-up: one tagged query builds the index and the
+	// serving snapshot's neighbourhood view.
+	if _, err := eng.SearchCtx(context.Background(), corpus.Users[0], "museum family"); err != nil {
+		t.Fatal(err)
+	}
+	stream, err := workload.NewTaggingStream(eng.Graph(), corpus.Users, corpus.Destinations, workload.Categories, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := make([][]byte, wireBatches)
+	for i := range bodies {
+		req := ApplyRequest{}
+		for _, m := range stream.Batch(wireBatchSize) {
+			req.Mutations = append(req.Mutations, MutationToWire(m))
+		}
+		if bodies[i], err = json.Marshal(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := liveHeap()
+	for _, body := range bodies {
+		var req ApplyRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatal(err)
+		}
+		muts := make([]graph.Mutation, len(req.Mutations))
+		for i, mw := range req.Mutations {
+			if muts[i], err = mw.Mutation(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := eng.Apply(muts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perMutation := (liveHeap() - before) / (wireBatches * wireBatchSize)
+	t.Logf("durable leader: %.0f B retained per wire-decoded mutation", perMutation)
+	if perMutation > wireRetainedBound {
+		t.Errorf("%.0f B retained per mutation, over its bound of %.0f B", perMutation, wireRetainedBound)
+	}
+	runtime.KeepAlive(bodies)
+}

@@ -26,6 +26,7 @@ package serve
 
 import (
 	"fmt"
+	"strconv"
 
 	"socialscope"
 	"socialscope/internal/discovery"
@@ -364,5 +365,12 @@ type ErrorResponse struct {
 // result-shaping parameters, so two textual spellings of the same
 // evaluation share one cache entry and different k or α never collide.
 func NormalizeQuery(q discovery.Query) string {
-	return fmt.Sprintf("%s|k=%d|a=%g", q.String(), q.K, q.Alpha)
+	s := q.String()
+	b := make([]byte, 0, len(s)+32)
+	b = append(b, s...)
+	b = append(b, "|k="...)
+	b = strconv.AppendInt(b, int64(q.K), 10)
+	b = append(b, "|a="...)
+	b = strconv.AppendFloat(b, q.Alpha, 'g', -1, 64)
+	return string(b)
 }

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"testing"
 
 	"socialscope"
@@ -74,5 +76,30 @@ func TestResponseNamesFromOneSnapshot(t *testing.T) {
 	}
 	if tn, un := names(fresh); tn != "new-topic" || un != "jane" {
 		t.Errorf("version %d body names topic %q and user %q, want %q and %q", fresh.Version, tn, un, "new-topic", "jane")
+	}
+}
+
+// TestNormalizeQueryMatchesSprintf: the cache key NormalizeQuery appends
+// is byte for byte the fmt form it replaced, which stays here as the
+// oracle, over k, α and keyword and structural queries.
+func TestNormalizeQueryMatchesSprintf(t *testing.T) {
+	for _, text := range []string{
+		"", "museum family", "Denver attractions", "type:destination",
+		"family trip type:destination", "type:destination rating>=0.5 baseball",
+		"rating<3 price>10.25 name:Denver",
+	} {
+		q, err := discovery.ParseQuery(text)
+		if err != nil {
+			t.Fatalf("ParseQuery(%q): %v", text, err)
+		}
+		for _, k := range []int{0, 1, 10, 1000, -1} {
+			for _, alpha := range []float64{0, 1e-7, 0.3, 0.5, 1, math.Copysign(0, -1), 1e21, math.Inf(1), math.NaN()} {
+				q.K, q.Alpha = k, alpha
+				want := fmt.Sprintf("%s|k=%d|a=%g", q.String(), q.K, q.Alpha)
+				if got := NormalizeQuery(q); got != want {
+					t.Errorf("NormalizeQuery(%q, k=%d, α=%g) = %q, want %q", text, k, alpha, got, want)
+				}
+			}
+		}
 	}
 }
