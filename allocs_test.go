@@ -213,7 +213,7 @@ func TestApplyAllocsPinned(t *testing.T) {
 		size  int
 		bound float64
 	}{{1, 160}, {8, 659}, {16, 1165}, {64, 3436}} {
-		f := newApplyFixture(t, pin.size)
+		f := newApplyFixture(t, pin.size, false)
 		pinAllocs(t, fmt.Sprintf("Engine.Apply (%d mutations)", pin.size), pin.bound, func() {
 			f.apply(t)
 		})
@@ -221,6 +221,11 @@ func TestApplyAllocsPinned(t *testing.T) {
 	// Bytes too, at the coalescer's common flush size: applied on the
 	// persistent per-write path instead, a batch allocates about as often
 	// but ~1.6× the bytes, which the allocation pin alone would let pass.
-	f := newApplyFixture(t, 16)
+	f := newApplyFixture(t, 16, false)
 	pinBytes(t, "Engine.Apply (16 mutations)", 175800, func() { f.apply(t) })
+	// After Analyze the batch lands on the one serving graph, so it costs
+	// what it costs a plain engine.
+	fa := newApplyFixture(t, 16, true)
+	pinAllocs(t, "Engine.Apply (16 mutations, analyzed)", 1180, func() { fa.apply(t) })
+	pinBytes(t, "Engine.Apply (16 mutations, analyzed)", 179300, func() { fa.apply(t) })
 }

@@ -5,9 +5,9 @@ package socialscope
 // Every Apply batch is encoded and fsynced to the WAL *before* the new
 // state is published; Analyze appends a marker record (the derivation
 // is deterministic given the base graph and Config, so the record
-// carries no payload). Checkpoints capture the base and analyzed graphs
-// through structural-sharing deltas (internal/store) together with the
-// engine version and the WAL position they cover.
+// carries no payload). Checkpoints capture the serving graph through
+// structural-sharing deltas (internal/store) together with the engine
+// version, the WAL position they cover and the derived id ranges.
 //
 // Records are read back only through wal.Tailer. Recovery folds the latest
 // checkpoint chain, drains the WAL from the checkpoint's LSN + 1 through
@@ -128,13 +128,12 @@ func OpenDurable(dir string, genesis *Graph, cfg Config, opts DurableOptions) (*
 // publishCheckpoint makes the state a checkpoint chain captured the
 // engine's current one. Callers hold e.mu or own e exclusively.
 func (e *Engine) publishCheckpoint(rec *store.Recovered) {
-	st := &engineState{
-		base:     rec.Graph,
-		analyzed: rec.Analyzed,
-		version:  rec.Meta.Version,
-	}
-	st.disc = discovery.NewDiscoverer(st.current(), e.cfg.ItemType)
-	e.publish(st)
+	e.publish(&engineState{
+		g:       rec.Graph,
+		derived: rec.Meta.Derived,
+		disc:    discovery.NewDiscoverer(rec.Graph, e.cfg.ItemType),
+		version: rec.Meta.Version,
+	})
 }
 
 // leadLocked makes e the writer of the durable tree at dir, once the
@@ -237,8 +236,8 @@ func (e *Engine) Checkpoint() error {
 
 func (e *Engine) checkpointLocked() error {
 	st := e.state.Load()
-	meta := store.Meta{Version: st.version, WalLSN: e.dur.log.NextLSN() - 1}
-	if err := e.dur.ckpt.Save(st.base, st.analyzed, meta); err != nil {
+	meta := store.Meta{Version: st.version, WalLSN: e.dur.log.NextLSN() - 1, Derived: st.derived}
+	if err := e.dur.ckpt.Save(st.g, meta); err != nil {
 		return err
 	}
 	e.dur.sinceCkpt = 0

@@ -6,9 +6,10 @@ package socialscope
 // engine running over a fault-injection filesystem that is crashed at
 // EVERY filesystem operation boundary, under both loss models (drop
 // unsynced writes / keep torn tails). After each crash the engine is
-// reopened from disk and its digest — canonical encodings of the base
-// and analyzed graphs (contents, iteration order, id high-water marks),
-// the state version, and index-backed top-k rankings for a user panel —
+// reopened from disk and its digest — canonical encodings of the serving
+// graph and, once analyzed, of the derived id ranges and the base graph
+// they recover (contents, iteration order, id high-water marks), the
+// state version, and index-backed top-k rankings for a user panel —
 // must be byte-identical to the oracle's digest at the recovered
 // version, which must be at or past the last acknowledged write.
 
@@ -58,10 +59,14 @@ func engineDigest(t *testing.T, e *Engine, users []NodeID, query string) string 
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], st.version)
 	h.Write(buf[:])
-	h.Write(graph.NewCkptWriter().AppendCheckpoint(nil, st.base))
-	if st.analyzed != nil {
+	h.Write(graph.NewCkptWriter().AppendCheckpoint(nil, st.g))
+	if d := st.derived; d != nil {
 		h.Write([]byte{1})
-		h.Write(graph.NewCkptWriter().AppendCheckpoint(nil, st.analyzed))
+		for _, v := range []int64{int64(d.NodeLo), int64(d.NodeHi), int64(d.LinkLo), int64(d.LinkHi)} {
+			binary.LittleEndian.PutUint64(buf[:], uint64(v))
+			h.Write(buf[:])
+		}
+		h.Write(graph.NewCkptWriter().AppendCheckpoint(nil, st.g.WithoutDerived(*d)))
 	}
 	for _, u := range users {
 		resp, err := e.SearchCtx(context.Background(), u, query)
@@ -145,13 +150,12 @@ func buildDurabilityWorkload(t *testing.T) (genesis *graph.Graph, steps []durSte
 			// Analyzer-derived elements allocate ids past the base maxima;
 			// later stream ids must clear them too (the engine rejects
 			// collisions with the analyzed graph).
-			if an := oracle.state.Load().analyzed; an != nil {
-				if m := an.MaxNodeID(); m >= nextNode {
-					nextNode = m + 1
-				}
-				if m := an.MaxLinkID(); m >= nextLink {
-					nextLink = m + 1
-				}
+			an := oracle.Graph()
+			if m := an.MaxNodeID(); m >= nextNode {
+				nextNode = m + 1
+			}
+			if m := an.MaxLinkID(); m >= nextLink {
+				nextLink = m + 1
 			}
 			digests[oracle.Version()] = engineDigest(t, oracle, users, query)
 			continue

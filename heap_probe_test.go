@@ -22,6 +22,9 @@ const (
 	// stored links began sharing attribute sets (linux/amd64, go1.24).
 	probeBaseBound     = 1.25 * 3.12 * (1 << 20) // bytes
 	probeRetainedBound = 1.25 * 2915             // bytes per batch
+	// probeAnalyzedBound is 1.25× an analyzed engine's heap once Analyze
+	// came to enrich the one serving graph instead of a deep copy of it.
+	probeAnalyzedBound = 1.25 * 3.94 * (1 << 20) // bytes
 )
 
 func liveHeap() float64 {
@@ -72,4 +75,34 @@ func TestHeapProbeDurableLeader(t *testing.T) {
 		t.Errorf("%.0f B retained per batch, over its bound of %.0f B", perBatch, probeRetainedBound)
 	}
 	runtime.KeepAlive(corpus)
+}
+
+// An analyzed engine holds one graph: the corpus, the derived topics,
+// belong and match links sharing its storage, and the index one tagged
+// query builds over them.
+func TestHeapProbeAnalyzedEngine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and analyzes a 600-user engine")
+	}
+	before := liveHeap()
+	corpus, err := benchCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(corpus.Graph, Config{ItemType: "destination", TopK: TopKTA, ClusterStrategy: "peruser"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Analyze(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.SearchCtx(context.Background(), corpus.Users[0], "museum family"); err != nil {
+		t.Fatal(err)
+	}
+	heap := liveHeap() - before
+	t.Logf("analyzed engine: %.2f MB", heap/(1<<20))
+	if heap > probeAnalyzedBound {
+		t.Errorf("analyzed engine holds %.2f MB, over its bound of %.2f MB", heap/(1<<20), probeAnalyzedBound/(1<<20))
+	}
+	runtime.KeepAlive(eng)
 }

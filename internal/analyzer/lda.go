@@ -193,7 +193,8 @@ func (m *LDAModel) DominantTopic(d int) int {
 // paper's Content Analyzer does: one new node of type 'topic' per latent
 // topic (named by its top terms) and one 'belong' link from each document
 // node to its dominant topic, weighted by the document-topic probability.
-// It returns a new graph (the input is not mutated) plus the model.
+// It returns a new graph, sharing the input's storage copy-on-write (the
+// input is not mutated), plus the model.
 func DeriveTopics(g *graph.Graph, nodeType string, cfg LDAConfig) (*graph.Graph, *LDAModel, error) {
 	var docNodes []*graph.Node
 	var docs [][]string
@@ -210,7 +211,7 @@ func DeriveTopics(g *graph.Graph, nodeType string, cfg LDAConfig) (*graph.Graph,
 	if err != nil {
 		return nil, nil, err
 	}
-	out := g.Clone()
+	out := g.ShallowClone()
 	out.BeginBulk() // out is private until returned; sealed below
 	ids := graph.IDSourceFor(out)
 	topicNodes := make([]graph.NodeID, cfg.Topics)

@@ -9,11 +9,12 @@ import (
 // whose item sets have Jaccard similarity ≥ threshold — the off-line
 // analysis that seeds the similarity network Examples 2 and 5 consult. A
 // user's items are the targets of its act links (Graph.Acts). The input
-// graph is not mutated; the returned graph carries one directed match link
-// per ordered pair (u,v), u ≠ v, with the similarity stored in 'sim'.
+// graph is not mutated; the returned graph shares its storage
+// copy-on-write and carries one directed match link per ordered pair
+// (u,v), u ≠ v, with the similarity stored in 'sim'.
 func DeriveMatches(g *graph.Graph, threshold float64) *graph.Graph {
 	users := g.NodesOfType(graph.TypeUser) // ascending ids
-	out := g.Clone()
+	out := g.ShallowClone()
 	out.BeginBulk() // out is private until returned; sealed below
 	ids := graph.IDSourceFor(out)
 	for i, u := range users {

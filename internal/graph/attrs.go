@@ -107,6 +107,13 @@ func (t *attrTable) getBytes(key, val []byte) Attrs {
 	return t.get(string(key), string(val))
 }
 
+// SharedAttrSets returns how many sets the shared attribute table holds.
+func SharedAttrSets() int {
+	attrSets.mu.RLock()
+	defer attrSets.mu.RUnlock()
+	return len(attrSets.m)
+}
+
 // sharedAttrs returns the shared set equal to a, or nil when a is not one
 // key with one value or the table cannot hold it.
 func sharedAttrs(a Attrs) Attrs {

@@ -34,6 +34,33 @@ func (s *IDSource) NextNode() NodeID { return NodeID(s.node.Add(1)) }
 // NextLink returns a fresh link id.
 func (s *IDSource) NextLink() LinkID { return LinkID(s.link.Add(1)) }
 
+// Derived is the node and link id ranges an analysis allocated past a base.
+type Derived struct {
+	NodeLo, NodeHi NodeID
+	LinkLo, LinkHi LinkID
+}
+
+// WithoutDerived returns the base d was allocated past: a ShallowClone of g
+// without d's ids, each high-water mark at Lo−1 unless g held ids past Hi.
+func (g *Graph) WithoutDerived(d Derived) *Graph {
+	b := g.ShallowClone()
+	b.BeginBulk()
+	for id := d.LinkLo; id <= d.LinkHi; id++ {
+		b.RemoveLink(id)
+	}
+	for id := d.NodeLo; id <= d.NodeHi; id++ {
+		b.RemoveNode(id)
+	}
+	b.EndBulk()
+	if b.maxNode == d.NodeHi {
+		b.maxNode = d.NodeLo - 1
+	}
+	if b.maxLink == d.LinkHi {
+		b.maxLink = d.LinkLo - 1
+	}
+	return b
+}
+
 // Builder constructs site graphs fluently. It panics on structural errors
 // (duplicate ids, dangling endpoints), which in construction code are
 // programming errors; data-driven loading paths use Graph.AddNode/AddLink

@@ -7,14 +7,14 @@ package store
 
 // Checkpoint files and the manifest that binds them to the WAL — the
 // durable half of the engine's recovery pair (the other half is
-// internal/wal). A checkpoint file carries a graph checkpoint section
-// for the base graph and, when the engine has analyzed, a second
-// section for the enriched graph (each full or delta — see
-// graph.CkptWriter), framed with a magic, sequence metadata, the engine
-// version and WAL position it captures, and a whole-file CRC. The MANIFEST names the current chain: one full
-// checkpoint followed by the deltas on top of it, in order. Recovery
-// reads the manifest, folds the chain through a graph.CkptReader, and
-// replays the WAL from the recorded LSN.
+// internal/wal). A checkpoint file carries one graph checkpoint section
+// (full or delta — see graph.CkptWriter) for the engine's serving graph,
+// framed with a magic, sequence metadata, the engine version and WAL
+// position it captures, the analyzed flag with the id ranges the last
+// Analyze derived, and a whole-file CRC. The MANIFEST names the current
+// chain: one full checkpoint followed by the deltas on top of it, in
+// order. Recovery reads the manifest, folds the chain through a
+// graph.CkptReader, and replays the WAL from the recorded LSN.
 //
 // Write protocol (all through vfs, so the fault-injection harness can
 // crash it at every operation):
@@ -54,7 +54,7 @@ const (
 	DefaultMaxChain = 8
 )
 
-var ckptMagic = [8]byte{'S', 'S', 'C', 'K', 'P', 'T', '0', '1'}
+var ckptMagic = [8]byte{'S', 'S', 'C', 'K', 'P', 'T', '0', '2'}
 
 // ErrCkptCorrupt is returned when checkpoint files or the manifest fail
 // validation.
@@ -62,16 +62,15 @@ var ErrCkptCorrupt = errors.New("store: corrupt checkpoint")
 
 var ckptCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// Meta is the engine state a checkpoint captures beyond the graphs
-// themselves: the version the serving layer keys its caches by, the
-// last WAL LSN the checkpoint covers, and whether the engine had an
-// analyzed (enriched) graph — in which case the file carries its
-// section too, since the enrichment depends on the base graph as of the
-// Analyze call, which a later checkpoint's base no longer is.
+// Meta is the engine state a checkpoint captures beyond the graph itself:
+// the version the serving layer keys its caches by, the last WAL LSN the
+// checkpoint covers, and the id ranges the last Analyze derived (nil if
+// the engine has not analyzed), without which the graph is the base a
+// later Analyze re-derives from (graph.Graph.WithoutDerived).
 type Meta struct {
-	Version  uint64
-	WalLSN   uint64
-	Analyzed bool
+	Version uint64
+	WalLSN  uint64
+	Derived *graph.Derived
 }
 
 // Manifest is the durable index of the current checkpoint chain.
@@ -83,29 +82,26 @@ type Manifest struct {
 	Analyzed bool     `json:"analyzed"`
 }
 
-// Recovered is the result of loading the latest checkpoint chain.
+// Recovered is the result of loading the latest checkpoint chain: the
+// engine's serving graph and the Meta it was saved with.
 type Recovered struct {
 	Graph *graph.Graph
-	// Analyzed is the enriched graph the checkpoint carried, nil when
-	// the engine had not analyzed.
-	Analyzed *graph.Graph
-	Meta     Meta
-	Seq      uint64
+	Meta  Meta
+	Seq   uint64
 }
 
 // Checkpointer writes checkpoint files for one graph lineage. It is not
 // safe for concurrent use; the engine serializes saves on its write
 // path.
 type Checkpointer struct {
-	fsys      vfs.FS
-	dir       string
-	maxChain  int
-	wBase     *graph.CkptWriter
-	wAnalyzed *graph.CkptWriter
-	seq       uint64
-	chain     []string
-	met       *storeMetrics
-	lastFull  int // bytes of the chain's full checkpoint, for the delta ratio
+	fsys     vfs.FS
+	dir      string
+	maxChain int
+	w        *graph.CkptWriter
+	seq      uint64
+	chain    []string
+	met      *storeMetrics
+	lastFull int // bytes of the chain's full checkpoint, for the delta ratio
 }
 
 // NewCheckpointer returns a checkpointer writing into dir, numbering
@@ -134,22 +130,19 @@ func isCkptName(name string) bool {
 	return err == nil
 }
 
-// Save writes a checkpoint of the base graph and (when non-nil) the
-// analyzed graph — deltas when a chain is open and has room, a fresh
-// full checkpoint otherwise — publishes the updated manifest, and
-// deletes files the manifest no longer references. On error the
-// previous manifest (and chain) remain authoritative. meta.Analyzed is
-// derived from the analyzed argument.
-func (c *Checkpointer) Save(base, analyzed *graph.Graph, meta Meta) error {
+// Save writes a checkpoint of g with meta — a delta when a chain is open
+// and has room, a fresh full checkpoint otherwise — publishes the updated
+// manifest, and deletes files the manifest no longer references. On
+// error the previous manifest (and chain) remain authoritative.
+func (c *Checkpointer) Save(g *graph.Graph, meta Meta) error {
 	start := time.Now()
 	if err := c.fsys.MkdirAll(c.dir, 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	parentSeq := uint64(0)
 	full := false
-	if c.wBase == nil || len(c.chain) >= c.maxChain {
-		c.wBase = graph.NewCkptWriter()
-		c.wAnalyzed = graph.NewCkptWriter()
+	if c.w == nil || len(c.chain) >= c.maxChain {
+		c.w = graph.NewCkptWriter()
 		c.chain = nil
 		full = true
 	}
@@ -157,46 +150,31 @@ func (c *Checkpointer) Save(base, analyzed *graph.Graph, meta Meta) error {
 		parentSeq = c.seq
 	}
 	seq := c.seq + 1
-	meta.Analyzed = analyzed != nil
 
-	data := append([]byte(nil), ckptMagic[:]...)
-	data = binary.AppendUvarint(data, seq)
-	data = binary.AppendUvarint(data, parentSeq)
-	data = binary.AppendUvarint(data, meta.Version)
-	data = binary.AppendUvarint(data, meta.WalLSN)
-	if meta.Analyzed {
-		data = append(data, 1)
-	} else {
-		data = append(data, 0)
-	}
-	baseSec := c.wBase.AppendCheckpoint(nil, base)
-	data = binary.AppendUvarint(data, uint64(len(baseSec)))
-	data = append(data, baseSec...)
-	if analyzed != nil {
-		anSec := c.wAnalyzed.AppendCheckpoint(nil, analyzed)
-		data = binary.AppendUvarint(data, uint64(len(anSec)))
-		data = append(data, anSec...)
-	}
+	data := appendHeader(nil, seq, parentSeq, meta)
+	sec := c.w.AppendCheckpoint(nil, g)
+	data = binary.AppendUvarint(data, uint64(len(sec)))
+	data = append(data, sec...)
 	data = binary.LittleEndian.AppendUint32(data, crc32.Checksum(data, ckptCRC))
 
 	name := ckptName(seq)
 	tmp := path.Join(c.dir, name+".tmp")
 	if err := vfs.WriteFileSync(c.fsys, tmp, data, 0o644); err != nil {
 		// The delta state already advanced; force a full restart next time.
-		c.wBase = nil
+		c.w = nil
 		return fmt.Errorf("store: checkpoint write: %w", err)
 	}
 	if err := c.fsys.Rename(tmp, path.Join(c.dir, name)); err != nil {
-		c.wBase = nil
+		c.w = nil
 		return fmt.Errorf("store: checkpoint publish: %w", err)
 	}
 
 	man := Manifest{
 		Seq: seq, Chain: append(append([]string(nil), c.chain...), name),
-		Version: meta.Version, WalLSN: meta.WalLSN, Analyzed: meta.Analyzed,
+		Version: meta.Version, WalLSN: meta.WalLSN, Analyzed: meta.Derived != nil,
 	}
 	if err := c.writeManifest(man); err != nil {
-		c.wBase = nil
+		c.w = nil
 		return err
 	}
 	c.seq = seq
@@ -261,9 +239,8 @@ func LoadLatest(fsys vfs.FS, dir string) (*Recovered, error) {
 	if err != nil || man == nil {
 		return nil, err
 	}
-	rBase := graph.NewCkptReader()
-	rAnalyzed := graph.NewCkptReader()
-	var g, an *graph.Graph
+	r := graph.NewCkptReader()
+	var g *graph.Graph
 	var prevSeq uint64
 	var fileMeta Meta
 	for i, name := range man.Chain {
@@ -271,7 +248,7 @@ func LoadLatest(fsys vfs.FS, dir string) (*Recovered, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: chain file %s: %w", name, err)
 		}
-		baseSec, anSec, seq, parentSeq, meta, err := parseCkptFile(raw)
+		sec, seq, parentSeq, meta, err := parseCkptFile(raw)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
@@ -281,37 +258,40 @@ func LoadLatest(fsys vfs.FS, dir string) (*Recovered, error) {
 		if i > 0 && parentSeq != prevSeq {
 			return nil, fmt.Errorf("%w: %s parent %d, want %d", ErrCkptCorrupt, name, parentSeq, prevSeq)
 		}
-		if g, err = rBase.Apply(baseSec); err != nil {
+		if g, err = r.Apply(sec); err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		if anSec != nil {
-			if an, err = rAnalyzed.Apply(anSec); err != nil {
-				return nil, fmt.Errorf("%s (analyzed): %w", name, err)
-			}
 		}
 		prevSeq = seq
 		fileMeta = meta
 	}
 	if prevSeq != man.Seq || fileMeta.Version != man.Version ||
-		fileMeta.WalLSN != man.WalLSN || fileMeta.Analyzed != man.Analyzed {
+		fileMeta.WalLSN != man.WalLSN || (fileMeta.Derived != nil) != man.Analyzed {
 		return nil, fmt.Errorf("%w: manifest/chain metadata mismatch", ErrCkptCorrupt)
 	}
-	if !man.Analyzed {
-		an = nil
-	} else if an == nil {
-		return nil, fmt.Errorf("%w: analyzed flagged but no analyzed section in chain", ErrCkptCorrupt)
+	if d := fileMeta.Derived; d != nil && (d.NodeHi > g.MaxNodeID() || d.LinkHi > g.MaxLinkID()) {
+		return nil, fmt.Errorf("%w: derived ranges %+v past the graph's high-water marks", ErrCkptCorrupt, *d)
 	}
-	return &Recovered{
-		Graph:    g,
-		Analyzed: an,
-		Meta:     Meta{Version: man.Version, WalLSN: man.WalLSN, Analyzed: man.Analyzed},
-		Seq:      man.Seq,
-	}, nil
+	return &Recovered{Graph: g, Meta: fileMeta, Seq: man.Seq}, nil
 }
 
-func parseCkptFile(raw []byte) (baseSec, anSec []byte, seq, parentSeq uint64, meta Meta, err error) {
-	fail := func(err error) ([]byte, []byte, uint64, uint64, Meta, error) {
-		return nil, nil, 0, 0, Meta{}, err
+// appendHeader appends a checkpoint file's header: the magic, the
+// sequence numbers, the engine version and WAL position, and the analyzed
+// flag, followed when set by the derived node and link ranges.
+func appendHeader(dst []byte, seq, parentSeq uint64, meta Meta) []byte {
+	vs := []uint64{seq, parentSeq, meta.Version, meta.WalLSN, 0} // the flag's one byte is its uvarint
+	if d := meta.Derived; d != nil {
+		vs = append(vs[:4], 1, uint64(d.NodeLo), uint64(d.NodeHi), uint64(d.LinkLo), uint64(d.LinkHi))
+	}
+	dst = append(dst, ckptMagic[:]...)
+	for _, v := range vs {
+		dst = binary.AppendUvarint(dst, v)
+	}
+	return dst
+}
+
+func parseCkptFile(raw []byte) (sec []byte, seq, parentSeq uint64, meta Meta, err error) {
+	fail := func(err error) ([]byte, uint64, uint64, Meta, error) {
+		return nil, 0, 0, Meta{}, err
 	}
 	if len(raw) < len(ckptMagic)+4 || [8]byte(raw[:8]) != ckptMagic {
 		return fail(fmt.Errorf("%w: bad magic", ErrCkptCorrupt))
@@ -321,58 +301,43 @@ func parseCkptFile(raw []byte) (baseSec, anSec []byte, seq, parentSeq uint64, me
 		return fail(fmt.Errorf("%w: crc mismatch", ErrCkptCorrupt))
 	}
 	off := len(ckptMagic)
-	read := func() (uint64, error) {
-		v, n := binary.Uvarint(body[off:])
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: truncated header", ErrCkptCorrupt)
+	read := func(vs ...*uint64) error {
+		for _, v := range vs {
+			x, n := binary.Uvarint(body[off:])
+			if n <= 0 {
+				return fmt.Errorf("%w: truncated header", ErrCkptCorrupt)
+			}
+			*v, off = x, off+n
 		}
-		off += n
-		return v, nil
+		return nil
 	}
-	if seq, err = read(); err != nil {
+	if err = read(&seq, &parentSeq, &meta.Version, &meta.WalLSN); err != nil {
 		return fail(err)
 	}
-	if parentSeq, err = read(); err != nil {
-		return fail(err)
+	if off >= len(body) || body[off] > 1 {
+		return fail(fmt.Errorf("%w: bad analyzed flag", ErrCkptCorrupt))
 	}
-	if meta.Version, err = read(); err != nil {
-		return fail(err)
-	}
-	if meta.WalLSN, err = read(); err != nil {
-		return fail(err)
-	}
-	if off >= len(body) {
-		return fail(fmt.Errorf("%w: truncated header", ErrCkptCorrupt))
-	}
-	meta.Analyzed = body[off] != 0
 	off++
-	section := func() ([]byte, error) {
-		l, err := read()
-		if err != nil {
-			return nil, err
-		}
-		if l > uint64(len(body)-off) {
-			return nil, fmt.Errorf("%w: section overruns file", ErrCkptCorrupt)
-		}
-		s := body[off : off+int(l)]
-		off += int(l)
-		return s, nil
-	}
-	if baseSec, err = section(); err != nil {
-		return fail(err)
-	}
-	if meta.Analyzed {
-		if anSec, err = section(); err != nil {
+	if body[off-1] == 1 {
+		var r [4]uint64 // node lo, node hi, link lo, link hi
+		if err = read(&r[0], &r[1], &r[2], &r[3]); err != nil {
 			return fail(err)
 		}
-		if anSec == nil {
-			anSec = []byte{}
+		d := graph.Derived{NodeLo: graph.NodeID(r[0]), NodeHi: graph.NodeID(r[1]),
+			LinkLo: graph.LinkID(r[2]), LinkHi: graph.LinkID(r[3])}
+		if d.NodeLo < 1 || d.NodeLo > d.NodeHi || d.LinkLo < 1 || d.LinkLo > d.LinkHi {
+			return fail(fmt.Errorf("%w: derived ranges %v out of order", ErrCkptCorrupt, r))
 		}
+		meta.Derived = &d
 	}
-	if off != len(body) {
-		return fail(fmt.Errorf("%w: trailing bytes after sections", ErrCkptCorrupt))
+	var l uint64
+	if err = read(&l); err != nil {
+		return fail(err)
 	}
-	return baseSec, anSec, seq, parentSeq, meta, nil
+	if l != uint64(len(body)-off) {
+		return fail(fmt.Errorf("%w: section length %d, %d bytes follow the header", ErrCkptCorrupt, l, len(body)-off))
+	}
+	return body[off:], seq, parentSeq, meta, nil
 }
 
 // CkptFiles lists the checkpoint-owned files currently in dir (test and

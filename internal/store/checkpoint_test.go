@@ -1,9 +1,12 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"testing"
 
@@ -60,7 +63,7 @@ func TestDeltaCheckpointsMeasurablySmaller(t *testing.T) {
 	fsys := vfs.NewFaultFS(vfs.DropUnsynced)
 	g := bigGraph(t, 200, 100)
 	c := NewCheckpointer(fsys, "ck", 16, 0)
-	if err := c.Save(g, nil, Meta{Version: 1, WalLSN: 10}); err != nil {
+	if err := c.Save(g, Meta{Version: 1, WalLSN: 10}); err != nil {
 		t.Fatal(err)
 	}
 	fullSize := ckptSize(t, fsys, "ck", ckptName(1))
@@ -80,7 +83,7 @@ func TestDeltaCheckpointsMeasurablySmaller(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := c.Save(g, nil, Meta{Version: uint64(s + 2), WalLSN: uint64(20 + s)}); err != nil {
+		if err := c.Save(g, Meta{Version: uint64(s + 2), WalLSN: uint64(20 + s)}); err != nil {
 			t.Fatal(err)
 		}
 		deltaTotal += ckptSize(t, fsys, "ck", ckptName(uint64(s+2)))
@@ -114,7 +117,7 @@ func TestCheckpointChainResetAndRetention(t *testing.T) {
 		if err := g.AddNode(graph.NewNode(ids.NextNode(), "user")); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Save(g, nil, Meta{Version: v, WalLSN: v * 10}); err != nil {
+		if err := c.Save(g, Meta{Version: v, WalLSN: v * 10}); err != nil {
 			t.Fatal(err)
 		}
 		// Chains cap at 3: at most 3 checkpoint files + MANIFEST survive.
@@ -139,10 +142,10 @@ func TestCheckpointAfterRestartStartsFullChain(t *testing.T) {
 	fsys := vfs.NewFaultFS(vfs.DropUnsynced)
 	g := bigGraph(t, 30, 15)
 	c := NewCheckpointer(fsys, "ck", 8, 0)
-	if err := c.Save(g, nil, Meta{Version: 1, WalLSN: 1}); err != nil {
+	if err := c.Save(g, Meta{Version: 1, WalLSN: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Save(g, nil, Meta{Version: 2, WalLSN: 2}); err != nil {
+	if err := c.Save(g, Meta{Version: 2, WalLSN: 2}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -153,7 +156,7 @@ func TestCheckpointAfterRestartStartsFullChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2 := NewCheckpointer(fsys, "ck", 8, rec.Seq)
-	if err := c2.Save(rec.Graph, nil, Meta{Version: 3, WalLSN: 3}); err != nil {
+	if err := c2.Save(rec.Graph, Meta{Version: 3, WalLSN: 3}); err != nil {
 		t.Fatal(err)
 	}
 	rec2, err := LoadLatest(fsys, "ck")
@@ -190,7 +193,7 @@ func TestCheckpointCrashBetweenFileAndManifest(t *testing.T) {
 	fsys := vfs.NewFaultFS(vfs.DropUnsynced)
 	g := bigGraph(t, 20, 10)
 	c := NewCheckpointer(fsys, "ck", 8, 0)
-	if err := c.Save(g, nil, Meta{Version: 1, WalLSN: 5}); err != nil {
+	if err := c.Save(g, Meta{Version: 1, WalLSN: 5}); err != nil {
 		t.Fatal(err)
 	}
 	before := g.ShallowClone()
@@ -203,19 +206,19 @@ func TestCheckpointCrashBetweenFileAndManifest(t *testing.T) {
 	// never an error, never a hybrid.
 	probe := NewCheckpointer(fsys, "ck", 8, 1)
 	opsBefore := fsys.Ops()
-	if err := probe.Save(g, nil, Meta{Version: 2, WalLSN: 9}); err != nil {
+	if err := probe.Save(g, Meta{Version: 2, WalLSN: 9}); err != nil {
 		t.Fatal(err)
 	}
 	opsDuring := fsys.Ops() - opsBefore
 	for cp := int64(0); cp <= opsDuring; cp++ {
 		fs2 := vfs.NewFaultFS(vfs.DropUnsynced)
 		c2 := NewCheckpointer(fs2, "ck", 8, 0)
-		if err := c2.Save(before, nil, Meta{Version: 1, WalLSN: 5}); err != nil {
+		if err := c2.Save(before, Meta{Version: 1, WalLSN: 5}); err != nil {
 			t.Fatal(err)
 		}
 		c3 := NewCheckpointer(fs2, "ck", 8, 1)
 		fs2.SetCrashAtOp(fs2.Ops() + cp)
-		err := c3.Save(g, nil, Meta{Version: 2, WalLSN: 9})
+		err := c3.Save(g, Meta{Version: 2, WalLSN: 9})
 		crashed := fs2.Crashed()
 		fs2.Recover()
 		rec, lerr := LoadLatest(fs2, "ck")
@@ -240,27 +243,11 @@ func TestCheckpointCrashBetweenFileAndManifest(t *testing.T) {
 	}
 }
 
-// TestCheckpointCarriesAnalyzedGraph covers the two-section format: an
-// analyzed (enriched) graph rides along with the base graph, both as
-// deltas, and recovery returns both exactly.
-func TestCheckpointCarriesAnalyzedGraph(t *testing.T) {
-	fsys := vfs.NewFaultFS(vfs.DropUnsynced)
-	g := bigGraph(t, 30, 15)
-	c := NewCheckpointer(fsys, "ck", 8, 0)
-
-	// Not yet analyzed: no analyzed section.
-	if err := c.Save(g, nil, Meta{Version: 1, WalLSN: 1}); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := LoadLatest(fsys, "ck")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Analyzed != nil || rec.Meta.Analyzed {
-		t.Fatal("unanalyzed checkpoint reported an analyzed graph")
-	}
-
-	// "Analyze": the enriched graph is a divergent copy of the base.
+// analyze stands in for the engine's Analyze: it adds a topic node and a
+// link to it past g's high-water marks and returns the enriched graph
+// with the id ranges it derived.
+func analyze(t *testing.T, g *graph.Graph) (*graph.Graph, *graph.Derived) {
+	t.Helper()
 	an := g.ShallowClone()
 	ids := graph.IDSourceFor(an)
 	topic := graph.NewNode(ids.NextNode(), "topic")
@@ -268,24 +255,43 @@ func TestCheckpointCarriesAnalyzedGraph(t *testing.T) {
 	if err := an.AddNode(topic); err != nil {
 		t.Fatal(err)
 	}
-	if err := an.AddLink(graph.NewLink(ids.NextLink(), 31, topic.ID, "assoc", "about")); err != nil {
+	l := graph.NewLink(ids.NextLink(), 31, topic.ID, "belong")
+	if err := an.AddLink(l); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Save(g, an, Meta{Version: 2, WalLSN: 2}); err != nil {
+	return an, &graph.Derived{NodeLo: topic.ID, NodeHi: topic.ID, LinkLo: l.ID, LinkHi: l.ID}
+}
+
+// TestCheckpointCarriesAnalyzedGraph covers the analyzed format: one
+// section for the enriched serving graph, full then delta, with the
+// derived id ranges in the header; recovery returns both exactly.
+func TestCheckpointCarriesAnalyzedGraph(t *testing.T) {
+	fsys := vfs.NewFaultFS(vfs.DropUnsynced)
+	g := bigGraph(t, 30, 15)
+	c := NewCheckpointer(fsys, "ck", 8, 0)
+
+	// Not yet analyzed: no ranges.
+	if err := c.Save(g, Meta{Version: 1, WalLSN: 1}); err != nil {
 		t.Fatal(err)
+	}
+	rec, err := LoadLatest(fsys, "ck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Meta.Derived != nil {
+		t.Fatal("unanalyzed checkpoint reported derived ranges")
 	}
 
-	// Both lineages then evolve; deltas must track each independently.
-	// (Allocate past the analyzed graph's marks, as the engine does.)
-	nid := an.MaxNodeID() + 1
-	if err := g.AddNode(graph.NewNode(nid, "user")); err != nil {
+	an, d := analyze(t, g)
+	if err := c.Save(an, Meta{Version: 2, WalLSN: 2, Derived: d}); err != nil {
 		t.Fatal(err)
 	}
+	// The serving graph then evolves past the derived ids, as a delta.
 	an = an.ShallowClone()
-	if err := an.AddNode(graph.NewNode(nid, "user")); err != nil {
+	if err := an.AddNode(graph.NewNode(an.MaxNodeID()+1, "user")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Save(g, an, Meta{Version: 3, WalLSN: 3}); err != nil {
+	if err := c.Save(an, Meta{Version: 3, WalLSN: 3, Derived: d}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -293,14 +299,91 @@ func TestCheckpointCarriesAnalyzedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec.Graph.Equal(g) {
-		t.Fatal("recovered base graph differs")
-	}
-	if rec.Analyzed == nil || !rec.Analyzed.Equal(an) {
+	if !rec.Graph.Equal(an) || rec.Graph.MaxNodeID() != an.MaxNodeID() {
 		t.Fatal("recovered analyzed graph differs")
 	}
-	if rec.Meta.Version != 3 || !rec.Meta.Analyzed {
-		t.Fatalf("recovered meta %+v", rec.Meta)
+	if rec.Meta.Version != 3 || rec.Meta.Derived == nil || *rec.Meta.Derived != *d {
+		t.Fatalf("recovered meta %+v, want derived %+v", rec.Meta, *d)
+	}
+	// The ranges recover the base: g plus the user added past them.
+	base := rec.Graph.WithoutDerived(*rec.Meta.Derived)
+	if base.HasNode(d.NodeLo) || base.HasLink(d.LinkLo) || base.NumNodes() != g.NumNodes()+1 ||
+		base.MaxNodeID() != an.MaxNodeID() || base.MaxLinkID() != g.MaxLinkID() {
+		t.Fatal("derived ranges do not recover the base graph")
+	}
+}
+
+// writeCkpt frames a hand-built checkpoint file: header bytes (from the
+// magic on), one graph section, and the CRC trailer.
+func writeCkpt(t *testing.T, fsys *vfs.FaultFS, name string, hdr, sec []byte) {
+	t.Helper()
+	data := binary.AppendUvarint(bytes.Clone(hdr), uint64(len(sec)))
+	data = append(data, sec...)
+	data = binary.LittleEndian.AppendUint32(data, crc32.Checksum(data, ckptCRC))
+	if err := vfs.WriteFileSync(fsys, "ck/"+name, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLoadLatestRejectsHostileHeaders feeds recovery checkpoint files
+// whose CRC is valid but whose header lies about the derived ranges or
+// predates the one-graph format; each must fail closed.
+func TestLoadLatestRejectsHostileHeaders(t *testing.T) {
+	g := bigGraph(t, 30, 15)
+	an, d := analyze(t, g)
+	sec := graph.NewCkptWriter().AppendCheckpoint(nil, an)
+	maxN, maxL := an.MaxNodeID(), an.MaxLinkID()
+	if maxN > 127 || maxL > 127 {
+		t.Fatal("fixture ranges no longer encode in one byte each")
+	}
+	ranges := func(nlo, nhi graph.NodeID, llo, lhi graph.LinkID) *graph.Derived {
+		return &graph.Derived{NodeLo: nlo, NodeHi: nhi, LinkLo: llo, LinkHi: lhi}
+	}
+	for _, tc := range []struct {
+		name     string
+		analyzed bool // the manifest's flag
+		hdr      func() []byte
+	}{
+		{"node range low above high", true, func() []byte {
+			return appendHeader(nil, 1, 0, Meta{Version: 1, Derived: ranges(d.NodeHi+1, d.NodeHi, d.LinkLo, d.LinkHi)})
+		}},
+		{"link range low above high", true, func() []byte {
+			return appendHeader(nil, 1, 0, Meta{Version: 1, Derived: ranges(d.NodeLo, d.NodeHi, d.LinkHi, d.LinkHi-1)})
+		}},
+		{"node range past the graph", true, func() []byte {
+			return appendHeader(nil, 1, 0, Meta{Version: 1, Derived: ranges(d.NodeLo, maxN+1, d.LinkLo, d.LinkHi)})
+		}},
+		{"link range past the graph", true, func() []byte {
+			return appendHeader(nil, 1, 0, Meta{Version: 1, Derived: ranges(d.NodeLo, d.NodeHi, d.LinkLo, maxL+1)})
+		}},
+		{"ranges on an unanalyzed file", false, func() []byte {
+			hdr := appendHeader(nil, 1, 0, Meta{Version: 1, Derived: d})
+			hdr[len(hdr)-5] = 0 // the flag, before four one-byte range ends
+			return hdr
+		}},
+		{"stored SSCKPT01 file", false, func() []byte {
+			hdr := appendHeader(nil, 1, 0, Meta{Version: 1})
+			hdr[7] = '1'
+			return hdr
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fsys := vfs.NewFaultFS(vfs.DropUnsynced)
+			if err := fsys.MkdirAll("ck", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			writeCkpt(t, fsys, ckptName(1), tc.hdr(), sec)
+			man, err := json.Marshal(Manifest{Seq: 1, Chain: []string{ckptName(1)}, Version: 1, Analyzed: tc.analyzed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := vfs.WriteFileSync(fsys, "ck/"+manifestName, man, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if rec, err := LoadLatest(fsys, "ck"); !errors.Is(err, ErrCkptCorrupt) {
+				t.Fatalf("LoadLatest = %+v, %v; want ErrCkptCorrupt", rec, err)
+			}
+		})
 	}
 }
 
@@ -316,7 +399,7 @@ func TestLoadLatestRejectsTamperedFile(t *testing.T) {
 	fsys := vfs.NewFaultFS(vfs.DropUnsynced)
 	g := bigGraph(t, 10, 5)
 	c := NewCheckpointer(fsys, "ck", 8, 0)
-	if err := c.Save(g, nil, Meta{Version: 1, WalLSN: 1}); err != nil {
+	if err := c.Save(g, Meta{Version: 1, WalLSN: 1}); err != nil {
 		t.Fatal(err)
 	}
 	name := "ck/" + ckptName(1)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"path"
+	"reflect"
 	"testing"
 
 	"socialscope/internal/graph"
@@ -17,8 +18,10 @@ import (
 // files. With fixCRC the files' trailers are recomputed, so the fuzzer
 // reaches past the checksum into the header and sections. Nothing may
 // panic or size an allocation from a length it has not checked; whatever
-// is accepted must be self-consistent, and an accepted manifest names
-// only checkpoint files inside its directory.
+// is accepted must be self-consistent — a header re-framed from what it
+// decoded to parses back the same, and accepted derived ranges are
+// ordered and under the graph's high-water marks — and an accepted
+// manifest names only checkpoint files inside its directory.
 func FuzzCkptFile(f *testing.F) {
 	b := graph.NewBuilder()
 	u := b.Node([]string{graph.TypeUser}, "name", "ann")
@@ -26,11 +29,18 @@ func FuzzCkptFile(f *testing.F) {
 	g := b.Graph()
 	fsys := vfs.NewFaultFS(vfs.DropUnsynced)
 	c := NewCheckpointer(fsys, "d", 4, 0)
-	if err := c.Save(g, nil, Meta{Version: 1, WalLSN: 3}); err != nil {
+	if err := c.Save(g, Meta{Version: 1, WalLSN: 3}); err != nil {
 		f.Fatal(err)
 	}
-	b.Node([]string{graph.TypeUser})
-	if err := c.Save(g, g, Meta{Version: 2, WalLSN: 5}); err != nil {
+	// "Analyze": a topic and a belong link past the marks, saved as an
+	// analyzed delta and, by a fresh checkpointer, as an analyzed full file.
+	topic := b.Node([]string{graph.TypeTopic}, "name", "topic-0")
+	bl := b.Link(u, topic, []string{graph.TypeBelong})
+	d := &graph.Derived{NodeLo: topic, NodeHi: topic, LinkLo: bl, LinkHi: bl}
+	if err := c.Save(g, Meta{Version: 2, WalLSN: 5, Derived: d}); err != nil {
+		f.Fatal(err)
+	}
+	if err := NewCheckpointer(fsys, "a", 4, 0).Save(g, Meta{Version: 2, WalLSN: 5, Derived: d}); err != nil {
 		f.Fatal(err)
 	}
 	full, delta := fsys.Bytes("d/"+ckptName(1)), fsys.Bytes("d/"+ckptName(2))
@@ -43,6 +53,7 @@ func FuzzCkptFile(f *testing.F) {
 	f.Add([]byte(`{"chain":[]}`), []byte{}, []byte{}, false)
 	f.Add([]byte(`null`), full, delta, false)
 	f.Add([]byte(`{"seq":2,"chain":["ckpt-0000000000000002.ck","ckpt-0000000000000002.ck"]}`), delta, delta, true)
+	f.Add(fsys.Bytes("a/"+manifestName), fsys.Bytes("a/"+ckptName(1)), []byte{}, false)
 
 	f.Fuzz(func(t *testing.T, manifest, file1, file2 []byte, fixCRC bool) {
 		files := [][]byte{file1, file2}
@@ -53,13 +64,23 @@ func FuzzCkptFile(f *testing.F) {
 				binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.Checksum(body, ckptCRC))
 				files[i] = raw
 			}
-			base, an, _, _, meta, err := parseCkptFile(raw)
+			sec, seq, parentSeq, meta, err := parseCkptFile(raw)
 			if err != nil {
 				continue
 			}
-			if (an != nil) != meta.Analyzed || len(base)+len(an) > len(raw) {
-				t.Fatalf("parseCkptFile: base %d B, analyzed %v (%d B), flag %v, file %d B",
-					len(base), an != nil, len(an), meta.Analyzed, len(raw))
+			if len(sec) > len(raw) {
+				t.Fatalf("parseCkptFile: section %d B of a %d B file", len(sec), len(raw))
+			}
+			// The header round-trips: re-framed, it parses to the same
+			// sequence numbers and meta, derived ranges included.
+			hdr := appendHeader(nil, seq, parentSeq, meta)
+			data := binary.AppendUvarint(hdr, uint64(len(sec)))
+			data = append(data, sec...)
+			data = binary.LittleEndian.AppendUint32(data, crc32.Checksum(data, ckptCRC))
+			sec2, seq2, parent2, meta2, err := parseCkptFile(data)
+			if err != nil || !bytes.Equal(sec2, sec) || seq2 != seq || parent2 != parentSeq ||
+				!reflect.DeepEqual(meta2, meta) {
+				t.Fatalf("parseCkptFile: meta %+v (derived %v) did not round-trip: %+v, %v", meta, meta.Derived, meta2, err)
 			}
 		}
 
@@ -92,9 +113,14 @@ func FuzzCkptFile(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if rec.Graph == nil || (rec.Analyzed != nil) != rec.Meta.Analyzed || rec.Seq != m.Seq ||
+		if rec.Graph == nil || (rec.Meta.Derived != nil) != m.Analyzed || rec.Seq != m.Seq ||
 			rec.Meta.Version != m.Version || rec.Meta.WalLSN != m.WalLSN {
 			t.Fatalf("LoadLatest: %+v for manifest %+v", rec, m)
+		}
+		if d := rec.Meta.Derived; d != nil && (d.NodeLo < 1 || d.NodeLo > d.NodeHi || d.NodeHi > rec.Graph.MaxNodeID() ||
+			d.LinkLo < 1 || d.LinkLo > d.LinkHi || d.LinkHi > rec.Graph.MaxLinkID()) {
+			t.Fatalf("LoadLatest accepted derived ranges %+v over marks %d/%d",
+				*d, rec.Graph.MaxNodeID(), rec.Graph.MaxLinkID())
 		}
 	})
 }

@@ -19,7 +19,7 @@ func TestWatcherReportsManifestAdvances(t *testing.T) {
 
 	g := bigGraph(t, 6, 4)
 	c := NewCheckpointer(fsys, "ck", 4, 0)
-	if err := c.Save(g, nil, Meta{Version: 3, WalLSN: 7}); err != nil {
+	if err := c.Save(g, Meta{Version: 3, WalLSN: 7}); err != nil {
 		t.Fatal(err)
 	}
 	man, changed, err := w.Poll()
@@ -37,7 +37,7 @@ func TestWatcherReportsManifestAdvances(t *testing.T) {
 	}
 
 	// A second save advances the sequence.
-	if err := c.Save(g, nil, Meta{Version: 4, WalLSN: 9}); err != nil {
+	if err := c.Save(g, Meta{Version: 4, WalLSN: 9}); err != nil {
 		t.Fatal(err)
 	}
 	man, changed, err = w.Poll()
@@ -58,7 +58,7 @@ func TestWatcherReportsManifestAdvances(t *testing.T) {
 func TestLoadManifestRejectsForeignChainNames(t *testing.T) {
 	fsys := vfs.NewFaultFS(vfs.DropUnsynced)
 	c := NewCheckpointer(fsys, "other", 4, 0)
-	if err := c.Save(bigGraph(t, 6, 4), nil, Meta{Version: 1}); err != nil {
+	if err := c.Save(bigGraph(t, 6, 4), Meta{Version: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := fsys.MkdirAll("ck", 0o755); err != nil {

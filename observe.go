@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"socialscope/internal/graph"
 	"socialscope/internal/obs"
 )
 
@@ -66,6 +67,10 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 				return 0
 			}
 			return time.Since(time.Unix(0, ns)).Seconds()
+		})
+	reg.GaugeFunc("ss_graph_shared_attr_sets",
+		"attribute sets in the process-wide shared table stored links draw from", func() float64 {
+			return float64(graph.SharedAttrSets())
 		})
 	return m
 }

@@ -26,6 +26,7 @@ package socialscope
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -210,25 +211,29 @@ func (c *Config) fill() {
 }
 
 // engineState is one immutable snapshot of everything a query touches:
-// the graphs, the discoverer bound to the serving graph, and the lazily
-// built index processor. Readers load it once per query and never see a
-// torn version; writers (Analyze, Apply, the lazy index build) construct a
+// the serving graph, the discoverer bound to it, and the lazily built
+// index processor. Readers load it once per query and never see a torn
+// version; writers (Analyze, Apply, the lazy index build) construct a
 // successor under the writer lock and publish it atomically — the RCU
 // discipline that lets Search run concurrently with Apply.
 type engineState struct {
-	base     *Graph // source graph, receives mutations
-	analyzed *Graph // enriched copy produced by Analyze; nil until then
-	disc     *discovery.Discoverer
-	proc     *topk.Processor // nil until the first tagged query
-	version  uint64          // bumped by Analyze and every Apply batch
+	// g is the serving graph: the base graph mutations land on, enriched
+	// in place by Analyze.
+	g *Graph
+	// derived is the id ranges the last Analyze allocated, nil until then.
+	// g without them is the base a re-Analyze derives from.
+	derived *graph.Derived
+	disc    *discovery.Discoverer
+	proc    *topk.Processor // nil until the first tagged query
+	version uint64          // bumped by Analyze and every Apply batch
 }
 
-// current returns the graph queries run against.
-func (s *engineState) current() *Graph {
-	if s.analyzed != nil {
-		return s.analyzed
-	}
-	return s.base
+func (s *engineState) derivedNode(id NodeID) bool {
+	return s.derived != nil && s.derived.NodeLo <= id && id <= s.derived.NodeHi
+}
+
+func (s *engineState) derivedLink(id LinkID) bool {
+	return s.derived != nil && s.derived.LinkLo <= id && id <= s.derived.LinkHi
 }
 
 // Engine is the end-to-end SocialScope system over one social content
@@ -259,9 +264,8 @@ type Engine struct {
 func (e *Engine) IsFollower() bool { return e.isFol.Load() }
 
 // New builds an engine over the graph. The graph is used as-is (not
-// copied) until the first Apply, which switches the engine onto private
-// copy-on-write versions; Analyze produces an enriched copy and re-targets
-// discovery at it.
+// copied) until the first Apply or Analyze, which switch the engine onto
+// private copy-on-write versions of it.
 func New(g *Graph, cfg Config) (*Engine, error) {
 	if g == nil {
 		return nil, fmt.Errorf("socialscope: nil graph")
@@ -269,29 +273,30 @@ func New(g *Graph, cfg Config) (*Engine, error) {
 	cfg.fill()
 	e := &Engine{cfg: cfg, met: newEngineMetrics(cfg.Obs)}
 	e.publish(&engineState{
-		base: g,
+		g:    g,
 		disc: discovery.NewDiscoverer(g, cfg.ItemType),
 	})
 	return e, nil
 }
 
-// Graph returns the graph queries currently run against (the enriched one
-// after Analyze).
-func (e *Engine) Graph() *Graph { return e.state.Load().current() }
+// Graph returns the graph queries currently run against, which after
+// Analyze holds the derived topics, belong links and match links too.
+func (e *Engine) Graph() *Graph { return e.state.Load().g }
 
 // Version returns the engine's state version: 0 at construction, bumped
 // by Analyze and by every Apply batch.
 func (e *Engine) Version() uint64 { return e.state.Load().version }
 
-// Analyzed reports whether the engine is serving from an enriched
-// (analyzer-derived) graph.
-func (e *Engine) Analyzed() bool { return e.state.Load().analyzed != nil }
+// Analyzed reports whether the serving graph carries analyzer-derived
+// elements.
+func (e *Engine) Analyzed() bool { return e.state.Load().derived != nil }
 
 // Analyze runs the Content Analyzer: LDA topic derivation over the item
-// nodes and Jaccard match derivation between users. The engine then serves
-// queries from the enriched graph. Idempotent: re-running re-derives from
-// the engine's current base graph (the original plus any applied
-// mutations).
+// nodes and Jaccard match derivation between users, materialized into the
+// serving graph with ids allocated past the base graph's high-water marks.
+// Idempotent: re-running first drops the elements the previous Analyze
+// derived, then re-derives from what remains (the original graph plus any
+// applied mutations).
 func (e *Engine) Analyze() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -306,7 +311,11 @@ func (e *Engine) Analyze() error {
 // durable and must not be re-logged.
 func (e *Engine) analyzeLocked(live bool) error {
 	st := e.state.Load()
-	withTopics, _, err := analyzer.DeriveTopics(st.base, e.cfg.ItemType, analyzer.LDAConfig{
+	base := st.g
+	if st.derived != nil {
+		base = st.g.WithoutDerived(*st.derived)
+	}
+	withTopics, _, err := analyzer.DeriveTopics(base, e.cfg.ItemType, analyzer.LDAConfig{
 		Topics: e.cfg.Topics, Seed: e.cfg.Seed, Alpha: 0.1,
 	})
 	if err != nil {
@@ -322,11 +331,14 @@ func (e *Engine) analyzeLocked(live bool) error {
 		}
 	}
 	e.publish(&engineState{
-		base:     st.base,
-		analyzed: enriched,
-		disc:     discovery.NewDiscoverer(enriched, e.cfg.ItemType),
-		proc:     nil, // the index must be rebuilt over the enriched graph
-		version:  st.version + 1,
+		g: enriched,
+		derived: &graph.Derived{
+			NodeLo: base.MaxNodeID() + 1, NodeHi: enriched.MaxNodeID(),
+			LinkLo: base.MaxLinkID() + 1, LinkHi: enriched.MaxLinkID(),
+		},
+		disc:    discovery.NewDiscoverer(enriched, e.cfg.ItemType),
+		proc:    nil, // the index must be rebuilt over the enriched graph
+		version: st.version + 1,
 	})
 	return nil
 }
@@ -347,7 +359,10 @@ func (e *Engine) analyzeLocked(live bool) error {
 // construct them directly — never on the engine's own serving graph,
 // which readers may be walking concurrently and whose contents the index
 // may already reflect. Additions already present in the serving graph are
-// rejected with an error rather than silently double-counted.
+// rejected with an error rather than silently double-counted. After
+// Analyze, so are adds and puts of ids Analyze derived and links to
+// derived nodes, which may only be removed: allocate new ids with
+// graph.IDSourceFor(eng.Graph()).
 //
 // Cost note: a batch costs O(delta) end-to-end. Graph and index storage
 // is persistent (structurally shared), so the per-batch snapshots —
@@ -378,12 +393,11 @@ func (e *Engine) Apply(muts []graph.Mutation) error {
 // must not be re-logged.
 func (e *Engine) applyLocked(muts []graph.Mutation, live bool) error {
 	st := e.state.Load()
-	// Validate additions against the graphs the batch will land on. IDs
+	g := st.g
+	// Validate additions against the graph the batch will land on. IDs
 	// already present — except ones an earlier mutation in this same
 	// batch removes — are rejected loudly: replaying an absorbed change
-	// would double-count its activity in the index's duplicate refcounts,
-	// and colliding with an analyzer-derived element (Analyze allocates
-	// ids past the base maxima) would silently merge unrelated entities.
+	// would double-count its activity in the index's duplicate refcounts.
 	// Duplicate additions *within* the batch are rejected for the same
 	// reason: graph replay would silently consolidate the second add while
 	// the index delta counted both — the shape two concurrent writers
@@ -393,16 +407,11 @@ func (e *Engine) applyLocked(muts []graph.Mutation, live bool) error {
 	removedLinks := make(map[LinkID]bool)
 	addedNodes := make(map[NodeID]bool)
 	addedLinks := make(map[LinkID]bool)
-	present := func(hasBase, hasAnalyzed bool) string {
-		switch {
-		case hasBase:
-			return "the engine's graph — record mutations on a scratch copy (graph.RecordInto over Clone), not on the serving graph"
-		case hasAnalyzed:
-			return "the analyzed graph — allocate fresh ids past graph.IDSourceFor(eng.Graph()) after Analyze"
-		}
-		return ""
-	}
+	const present = "the engine's graph — record mutations on a scratch copy (graph.RecordInto over Clone), not on the serving graph"
 	for i, m := range muts {
+		if err := st.derivedWrite(i, m); err != nil {
+			return err
+		}
 		switch m.Kind {
 		case graph.MutRemoveNode:
 			if m.Node != nil {
@@ -427,10 +436,9 @@ func (e *Engine) applyLocked(muts []graph.Mutation, live bool) error {
 				addedLinks[m.Link.ID] = true
 				continue
 			}
-			if where := present(st.base.HasLink(m.Link.ID),
-				st.analyzed != nil && st.analyzed.HasLink(m.Link.ID)); where != "" {
+			if g.HasLink(m.Link.ID) {
 				return fmt.Errorf("socialscope: apply: mutation %d adds link %d already present in %s",
-					i, m.Link.ID, where)
+					i, m.Link.ID, present)
 			}
 			addedLinks[m.Link.ID] = true
 		case graph.MutAddNode:
@@ -446,10 +454,9 @@ func (e *Engine) applyLocked(muts []graph.Mutation, live bool) error {
 				addedNodes[m.Node.ID] = true
 				continue
 			}
-			if where := present(st.base.HasNode(m.Node.ID),
-				st.analyzed != nil && st.analyzed.HasNode(m.Node.ID)); where != "" {
+			if g.HasNode(m.Node.ID) {
 				return fmt.Errorf("socialscope: apply: mutation %d adds node %d already present in %s",
-					i, m.Node.ID, where)
+					i, m.Node.ID, present)
 			}
 			addedNodes[m.Node.ID] = true
 		case graph.MutPutNode:
@@ -457,12 +464,13 @@ func (e *Engine) applyLocked(muts []graph.Mutation, live bool) error {
 			// maintained incrementally: the index would have to discover
 			// the node's pre-existing connections and taggings, which
 			// mutations do not carry. Reject rather than silently diverge
-			// from a rebuild.
+			// from a rebuild. Derived links (belong, match) carry neither.
 			if m.Node == nil || !m.Node.HasType(graph.TypeUser) || removedNodes[m.Node.ID] {
 				continue
 			}
-			if ex := st.base.Node(m.Node.ID); ex != nil && !ex.HasType(graph.TypeUser) &&
-				st.base.OutDegree(m.Node.ID)+st.base.InDegree(m.Node.ID) > 0 {
+			base := func(l *Link) bool { return !st.derivedLink(l.ID) }
+			if ex := g.Node(m.Node.ID); ex != nil && !ex.HasType(graph.TypeUser) &&
+				(slices.ContainsFunc(g.Out(ex.ID), base) || slices.ContainsFunc(g.In(ex.ID), base)) {
 				return fmt.Errorf("socialscope: apply: mutation %d promotes linked node %d to a user — "+
 					"incremental maintenance cannot recover its existing links; rebuild instead "+
 					"(new Engine or Analyze)", i, m.Node.ID)
@@ -475,35 +483,27 @@ func (e *Engine) applyLocked(muts []graph.Mutation, live bool) error {
 			if m.Link == nil || m.Prev == nil || m.Prev.Equal(m.Link) || removedLinks[m.Link.ID] {
 				continue
 			}
-			if ex := st.base.Link(m.Link.ID); ex != nil && ex.Equal(m.Link) {
+			if ex := g.Link(m.Link.ID); ex != nil && ex.Equal(m.Link) {
 				return fmt.Errorf("socialscope: apply: mutation %d replays consolidation of link %d "+
 					"already absorbed by the engine — drain each changelog into Apply exactly once",
 					i, m.Link.ID)
 			}
 		}
 	}
-	ns := &engineState{version: st.version + 1}
-
-	ns.base = st.base.ShallowClone()
-	if err := ns.base.ApplyAll(muts); err != nil {
+	ns := &engineState{g: g.ShallowClone(), derived: st.derived, version: st.version + 1}
+	if err := ns.g.ApplyAll(muts); err != nil {
 		return fmt.Errorf("socialscope: apply: %w", err)
-	}
-	if st.analyzed != nil {
-		ns.analyzed = st.analyzed.ShallowClone()
-		if err := ns.analyzed.ApplyAll(muts); err != nil {
-			return fmt.Errorf("socialscope: apply to analyzed graph: %w", err)
-		}
 	}
 	// Rebind discovery to the new serving graph. The item catalog is an
 	// O(items) aggregate, so it is carried over (O(1)) unless the batch
 	// touches a node it covers — the only thing that can change it.
-	if batchTouchesItems(muts, st.base, e.cfg.ItemType) {
-		ns.disc = discovery.NewDiscoverer(ns.current(), e.cfg.ItemType)
+	if batchTouchesItems(muts, g, e.cfg.ItemType) {
+		ns.disc = discovery.NewDiscoverer(ns.g, e.cfg.ItemType)
 	} else {
-		ns.disc = st.disc.WithGraph(ns.current())
+		ns.disc = st.disc.WithGraph(ns.g)
 	}
 	if st.proc != nil {
-		proc, err := topk.New(st.proc.Index().ApplyDelta(st.current(), muts), nil)
+		proc, err := topk.New(st.proc.Index().ApplyDelta(g, muts), nil)
 		if err != nil {
 			return fmt.Errorf("socialscope: %w", err)
 		}
@@ -524,6 +524,35 @@ func (e *Engine) applyLocked(muts []graph.Mutation, live bool) error {
 	return nil
 }
 
+// derivedWrite rejects mutation i when it adds or puts an id the last
+// Analyze derived, or links a derived node. A re-Analyze derives from the
+// serving graph without those ids, so such a write would be lost, or
+// re-use an id the analyzer held before a cascade removed it.
+func (s *engineState) derivedWrite(i int, m graph.Mutation) error {
+	var what string
+	switch m.Kind {
+	case graph.MutAddNode, graph.MutPutNode:
+		if m.Node != nil && s.derivedNode(m.Node.ID) {
+			what = fmt.Sprintf("writes node %d, an id", m.Node.ID)
+		}
+	case graph.MutAddLink, graph.MutPutLink:
+		switch l := m.Link; {
+		case l == nil:
+		case s.derivedLink(l.ID):
+			what = fmt.Sprintf("writes link %d, an id", l.ID)
+		case s.derivedNode(l.Src):
+			what = fmt.Sprintf("links node %d, which", l.Src)
+		case s.derivedNode(l.Tgt):
+			what = fmt.Sprintf("links node %d, which", l.Tgt)
+		}
+	}
+	if what == "" {
+		return nil
+	}
+	return fmt.Errorf("socialscope: apply: mutation %d %s Analyze derived — derived elements can only be "+
+		"removed; allocate fresh ids past graph.IDSourceFor(eng.Graph())", i, what)
+}
+
 // batchTouchesItems reports whether any mutation in the batch adds,
 // consolidates or removes a node carrying the engine's item type or
 // graph.TypeItem — the nodes the discovery catalog covers, so the only
@@ -531,14 +560,14 @@ func (e *Engine) applyLocked(muts []graph.Mutation, live bool) error {
 // partial consolidation (or a bare removal) may target an existing item
 // node without re-stating its types, so the node's resident state in the
 // pre-batch graph is consulted too.
-func batchTouchesItems(muts []graph.Mutation, base *Graph, itemType string) bool {
+func batchTouchesItems(muts []graph.Mutation, g *Graph, itemType string) bool {
 	isItem := func(n *graph.Node) bool {
 		return n != nil && (n.HasType(itemType) || n.HasType(graph.TypeItem))
 	}
 	for _, m := range muts {
 		switch m.Kind {
 		case graph.MutAddNode, graph.MutPutNode, graph.MutRemoveNode:
-			if m.Node != nil && (isItem(m.Node) || isItem(base.Node(m.Node.ID))) {
+			if m.Node != nil && (isItem(m.Node) || isItem(g.Node(m.Node.ID))) {
 				return true
 			}
 		}
@@ -563,11 +592,11 @@ func (e *Engine) ensureProcessor() (*engineState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("socialscope: %w", err)
 	}
-	cl, err := cluster.Build(st.current(), strat, e.cfg.ClusterTheta)
+	cl, err := cluster.Build(st.g, strat, e.cfg.ClusterTheta)
 	if err != nil {
 		return nil, fmt.Errorf("socialscope: clustering: %w", err)
 	}
-	ix, err := index.Build(index.Extract(st.current()), cl, nil)
+	ix, err := index.Build(index.Extract(st.g), cl, nil)
 	if err != nil {
 		return nil, fmt.Errorf("socialscope: index build: %w", err)
 	}
@@ -580,11 +609,11 @@ func (e *Engine) ensureProcessor() (*engineState, error) {
 		return nil, fmt.Errorf("socialscope: %w", err)
 	}
 	ns := &engineState{
-		base:     st.base,
-		analyzed: st.analyzed,
-		disc:     st.disc,
-		proc:     proc,
-		version:  st.version,
+		g:       st.g,
+		derived: st.derived,
+		disc:    st.disc,
+		proc:    proc,
+		version: st.version,
 	}
 	e.publish(ns)
 	return ns, nil
@@ -680,7 +709,7 @@ func (e *Engine) QueryCtx(ctx context.Context, user NodeID, q discovery.Query) (
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	g := st.current()
+	g := st.g
 	resp := &Response{
 		MSG:     msg,
 		Stats:   evalStats,

@@ -11,6 +11,7 @@ import (
 
 	"socialscope/internal/discovery"
 	"socialscope/internal/graph"
+	"socialscope/internal/obs"
 	"socialscope/internal/presentation"
 	"socialscope/internal/workload"
 )
@@ -428,5 +429,31 @@ func TestEngineRelatedEntities(t *testing.T) {
 		if !eng.Graph().Node(rt.Topic).HasType(TypeTopic) {
 			t.Errorf("related topic %d is not a topic node", rt.Topic)
 		}
+	}
+}
+
+// The shared attribute table's fill is exported as a gauge: storing a
+// known set of pairs no test stores elsewhere (the values carry the
+// table's size, so a repeated run stores new ones) raises it by exactly
+// their number, and a repeat of one adds nothing.
+func TestSharedAttrSetsGauge(t *testing.T) {
+	reg := obs.NewRegistry()
+	if _, err := New(NewGraph(), Config{Obs: reg}); err != nil {
+		t.Fatal(err)
+	}
+	read := func() float64 { return reg.Snapshot()["ss_graph_shared_attr_sets"] }
+	before := read()
+	if before != float64(graph.SharedAttrSets()) {
+		t.Fatalf("gauge %v, table holds %d sets", before, graph.SharedAttrSets())
+	}
+	b := NewBuilder()
+	u := b.Node([]string{TypeUser})
+	const pairs = 5
+	for i := 0; i < pairs; i++ {
+		b.Link(u, b.Node([]string{TypeItem}), []string{TypeAct, SubtypeTag}, "tags", fmt.Sprintf("gauge-probe-%v-%d", before, i))
+	}
+	b.Link(u, b.Node([]string{TypeItem}), []string{TypeAct, SubtypeTag}, "tags", fmt.Sprintf("gauge-probe-%v-0", before))
+	if got := read(); got != before+pairs {
+		t.Fatalf("gauge %v after storing %d new pairs over %v", got, pairs, before)
 	}
 }
