@@ -4,15 +4,20 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"path"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"socialscope/internal/analyzer"
 	"socialscope/internal/discovery"
 	"socialscope/internal/graph"
 	"socialscope/internal/presentation"
+	"socialscope/internal/store"
+	"socialscope/internal/vfs"
 	"socialscope/internal/workload"
 )
 
@@ -191,7 +196,7 @@ func TestAnalyzedEngineMatchesDoubleApply(t *testing.T) {
 		tagging := func(u NodeID) {
 			l := graph.NewLink(ids.NextLink(), u, corpus.Destinations[rng.Intn(len(corpus.Destinations))],
 				graph.TypeAct, graph.SubtypeTag)
-			l.Attrs.Add("tags", vocab[rng.Intn(len(vocab))])
+			l.AddAttr("tags", vocab[rng.Intn(len(vocab))])
 			if err := scratch.AddLink(l); err != nil {
 				t.Fatal(err)
 			}
@@ -219,7 +224,7 @@ func TestAnalyzedEngineMatchesDoubleApply(t *testing.T) {
 			case 3: // consolidate a tagging
 				tags := ofType(scratch, graph.SubtypeTag)
 				l := scratch.Link(tags[rng.Intn(len(tags))]).Clone()
-				l.Attrs.Add("tags", vocab[rng.Intn(len(vocab))])
+				l.AddAttr("tags", vocab[rng.Intn(len(vocab))])
 				if err := scratch.PutLink(l); err != nil {
 					t.Fatal(err)
 				}
@@ -342,5 +347,52 @@ func TestApplyRejectsDerivedWrites(t *testing.T) {
 	// Fresh ids past the serving graph's marks are accepted.
 	if err := eng.Apply([]graph.Mutation{{Kind: graph.MutAddLink, Link: fresh(user, item)}}); err != nil {
 		t.Fatalf("fresh tagging after Analyze: %v", err)
+	}
+}
+
+// TestReanalyzeHostileDerivedRange: a CRC-valid checkpoint may claim a
+// derived link range up to the largest id there is, provided the graph's
+// high-water mark reaches it. A re-Analyze over such a file walks the ids
+// the graph stores, not the range, and returns within a second.
+func TestReanalyzeHostileDerivedRange(t *testing.T) {
+	corpus := buildCorpus(t)
+	cfg := Config{ItemType: "destination"}
+	eng, err := New(corpus.Graph, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Analyze(); err != nil {
+		t.Fatal(err)
+	}
+	g, d := eng.Graph().ShallowClone(), *eng.state.Load().derived
+	if err := g.AddLink(graph.NewLink(math.MaxInt64, corpus.Users[0], d.NodeLo, TypeBelong)); err != nil {
+		t.Fatal(err)
+	}
+	d.LinkHi = math.MaxInt64
+	dir := t.TempDir()
+	ckpt := store.NewCheckpointer(vfs.OS{}, path.Join(dir, ckptSubdir), 0, 0)
+	if err := ckpt.Save(g, store.Meta{Version: eng.Version(), Derived: &d}); err != nil {
+		t.Fatal(err)
+	}
+	crafted, err := OpenDurable(dir, nil, cfg, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- crafted.Analyze() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		// No Close: it would wait on the engine lock Analyze still holds.
+		t.Fatal("re-Analyze over a derived link range ending at MaxInt64 did not return within 1 s")
+	}
+	if crafted.Graph().HasLink(math.MaxInt64) || !crafted.Graph().Equal(eng.Graph()) {
+		t.Error("re-Analyze kept the crafted derived link, or derived a different graph")
+	}
+	if err := crafted.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

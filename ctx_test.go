@@ -68,7 +68,7 @@ func TestApplyRejectsIntraBatchDuplicateAdds(t *testing.T) {
 	id := corpus.Graph.MaxLinkID() + 1
 	mk := func(tag string) *graph.Link {
 		l := graph.NewLink(id, corpus.Users[0], corpus.Destinations[0], graph.TypeAct, graph.SubtypeTag)
-		l.Attrs.Add("tags", tag)
+		l.AddAttr("tags", tag)
 		return l
 	}
 	v0 := eng.Version()

@@ -107,7 +107,7 @@ func buildDurabilityWorkload(t *testing.T) (genesis *graph.Graph, steps []durSte
 	var vocab []string
 	seen := map[string]bool{}
 	for _, id := range genesis.LinkIDs() {
-		if tag := genesis.Link(id).Attrs.Get("tags"); tag != "" && !seen[tag] {
+		if tag := genesis.Link(id).Attrs().Get("tags"); tag != "" && !seen[tag] {
 			seen[tag] = true
 			vocab = append(vocab, tag)
 		}
@@ -135,7 +135,7 @@ func buildDurabilityWorkload(t *testing.T) (genesis *graph.Graph, steps []durSte
 		l := graph.NewLink(nextLink, src, items[rng.Intn(len(items))],
 			graph.TypeAct, graph.SubtypeTag)
 		nextLink++
-		l.Attrs.Add("tags", vocab[rng.Intn(len(vocab))])
+		l.AddAttr("tags", vocab[rng.Intn(len(vocab))])
 		if err := scratch.AddLink(l); err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func buildDurabilityWorkload(t *testing.T) (genesis *graph.Graph, steps []durSte
 			case k < 8: // consolidate an existing link (records Prev)
 				lids := scratch.LinkIDs()
 				l := scratch.Link(lids[rng.Intn(len(lids))]).Clone()
-				l.Attrs.Add("tags", vocab[rng.Intn(len(vocab))])
+				l.AddAttr("tags", vocab[rng.Intn(len(vocab))])
 				if err := scratch.PutLink(l); err != nil {
 					t.Fatal(err)
 				}

@@ -18,10 +18,12 @@ const (
 	probeBatches   = 1000
 	probeBatchSize = 8
 	// Bounds: 1.25× the figures measured when the neighbourhood view and
-	// the vector-backed index substrate landed, and for retention when
-	// stored links began sharing attribute sets (linux/amd64, go1.24).
+	// the vector-backed index substrate landed, and for retention when a
+	// stored tagging became a 32-byte link over an interned body and trie
+	// claims began copying only the slice they write (linux/amd64,
+	// go1.24; 2926 B per batch before).
 	probeBaseBound     = 1.25 * 3.12 * (1 << 20) // bytes
-	probeRetainedBound = 1.25 * 2915             // bytes per batch
+	probeRetainedBound = 1.25 * 2319             // bytes per batch
 	// probeAnalyzedBound is 1.25× an analyzed engine's heap once Analyze
 	// came to enrich the one serving graph instead of a deep copy of it.
 	probeAnalyzedBound = 1.25 * 3.94 * (1 << 20) // bytes

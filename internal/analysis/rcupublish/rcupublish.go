@@ -10,7 +10,8 @@
 //
 // Aliases are tracked syntactically within each function: a variable
 // assigned from an annotated accessor (or derived from one by
-// indexing, slicing, field selection, range, or append) is tainted;
+// indexing, slicing, field selection, range, append, or a view accessor
+// such as a link's Attrs or Types) is tainted;
 // a Clone() call breaks the taint; reassignment from a fresh value
 // clears it. Flagged writes: assignments and ++/-- through a tainted
 // target, sort/copy over a tainted slice, and bare mutator-method
@@ -40,11 +41,21 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // mutatorNames are method names that, called for effect (result
-// discarded) on a tainted receiver, mutate it in place.
+// discarded) on a tainted receiver, mutate it in place. A graph.Link's
+// body mutators (SetAttr, SetAttrs, AddAttr, SetAttrFloat, MergeAttrs,
+// AddType, SetScore, Merge) copy a shared body first, but still write the
+// link itself, which every reader of the snapshot holds.
 var mutatorNames = map[string]bool{
 	"Set": true, "Add": true, "SetFloat": true, "SetInt": true, "SetScore": true,
 	"AddType": true, "Merge": true, "Consolidate": true, "Delete": true, "Clear": true,
+	"SetAttr": true, "SetAttrs": true, "AddAttr": true, "SetAttrFloat": true, "MergeAttrs": true,
 }
+
+// viewNames are accessor methods that hand out part of their receiver's
+// storage — graph.Link's Attrs and Types return its body's sets, which
+// other links may share — so their result aliases whatever the receiver
+// aliases.
+var viewNames = map[string]bool{"Attrs": true, "Types": true}
 
 // sortFns are pkg.Fn spellings that reorder their first argument in
 // place.
@@ -250,6 +261,9 @@ func (c *checker) callTaint(call *ast.CallExpr) taint {
 		if c.pass.Immutable.Has(name) {
 			id, isIdent := x.(*ast.Ident)
 			return taint{src: accessorLabel(c.pass, x, name), shallow: isIdent && c.cloned[id.Name]}
+		}
+		if viewNames[name] {
+			return taint{src: c.taintSource(x).deep()}
 		}
 		return taint{}
 	}

@@ -74,6 +74,36 @@ func typeAndIntOnClones(g *snap.Graph) {
 	out.Out("u")[0].Attrs.SetInt("rating", 4) // clean: private all the way down
 }
 
+// bodyMutatorsDiscarded: a link's body mutators copy a shared body, but
+// they write the link itself, which readers of the snapshot hold.
+func bodyMutatorsDiscarded(g *snap.Graph, a *snap.Attrs) {
+	e := g.Edges("u")[0]
+	e.SetAttr("tags", 1)        // want `SetAttr\(\) with a discarded result on a value from example/snap\.Graph\.Edges`
+	e.SetAttrs(a)               // want `SetAttrs\(\) with a discarded result on a value from example/snap\.Graph\.Edges`
+	e.AddAttr("tags")           // want `AddAttr\(\) with a discarded result on a value from example/snap\.Graph\.Edges`
+	e.SetAttrFloat("rating", 4) // want `SetAttrFloat\(\) with a discarded result on a value from example/snap\.Graph\.Edges`
+	e.MergeAttrs(a)             // want `MergeAttrs\(\) with a discarded result on a value from example/snap\.Graph\.Edges`
+	e.SetScore(1)               // want `SetScore\(\) with a discarded result on a value from example/snap\.Graph\.Edges`
+}
+
+// writesThroughViews: Attrs and Types hand out a link's body, which other
+// links may share.
+func writesThroughViews(g *snap.Graph) {
+	e := g.Edges("u")[0]
+	e.Attrs().Add("tag") // want `Add\(\) with a discarded result on a value from example/snap\.Graph\.Edges`
+	ts := e.Types()
+	ts[0] = "x" // want `element write through a value from example/snap\.Graph\.Edges`
+}
+
+// bodyMutatorsOnClone is the sanctioned pattern: a clone's body is its own.
+func bodyMutatorsOnClone(g *snap.Graph, a *snap.Attrs) {
+	e := g.Edges("u")[0].Clone()
+	e.SetAttr("tags", 1) // clean: Clone broke the alias
+	e.MergeAttrs(a)      // clean
+	e.Attrs().Add("tag") // clean
+	e.Types()[0] = "x"   // clean
+}
+
 func packageLevelAccessor(g *snap.Graph) {
 	posting := snap.List(g, "beach")
 	posting[0] = nil // want `element write through a value from example/snap\.List`
@@ -112,9 +142,9 @@ func clonedReceiverElements(g *snap.Graph) {
 func clonedReceiverSliceWrites(g *snap.Graph, fresh []*snap.Link) {
 	out := g.Clone()
 	ls := out.Out("u")
-	ls[0] = fresh[0] // want `element write through a value from example/snap\.Graph\.Out`
+	ls[0] = fresh[0]                                                         // want `element write through a value from example/snap\.Graph\.Out`
 	sort.Slice(ls, func(i, j int) bool { return ls[i].Score > ls[j].Score }) // want `sort\.Slice reorders a value from example/snap\.Graph\.Out`
-	copy(out.In("u"), fresh) // want `copy into a value from example/snap\.Graph\.In`
+	copy(out.In("u"), fresh)                                                 // want `copy into a value from example/snap\.Graph\.In`
 	grown := append(out.In("u"), fresh...)
 	grown[0] = nil // want `element write through a value from example/snap\.Graph\.In`
 }
@@ -136,6 +166,6 @@ func reassignClears(g *snap.Graph, fresh []*snap.Link) {
 
 // freshSliceWrites never touch the snapshot.
 func freshSliceWrites(fresh []*snap.Link) {
-	fresh[0] = nil // clean
+	fresh[0] = nil                                                                    // clean
 	sort.Slice(fresh, func(i, j int) bool { return fresh[i].Score > fresh[j].Score }) // clean
 }

@@ -20,7 +20,30 @@ func (a *Attrs) Add(k string)           { a.m[k]++ }
 func (a *Attrs) Set(k string, v int)    { a.m[k] = v }
 func (a *Attrs) SetInt(k string, v int) { a.m[k] = v }
 
-type Graph struct{ adj map[string][]*Link }
+// Edge keeps its attributes and types behind accessors and mutators, as
+// graph.Link keeps them in a body it may share.
+type Edge struct {
+	attrs *Attrs
+	types []string
+	score float64
+}
+
+// Clone returns a private copy callers may mutate.
+func (e *Edge) Clone() *Edge { c := *e; return &c }
+
+func (e *Edge) Attrs() *Attrs                    { return e.attrs }
+func (e *Edge) Types() []string                  { return e.types }
+func (e *Edge) SetAttr(k string, v int)          { e.attrs.Set(k, v) }
+func (e *Edge) SetAttrs(a *Attrs)                { e.attrs = a }
+func (e *Edge) AddAttr(k string)                 { e.attrs.Add(k) }
+func (e *Edge) SetAttrFloat(k string, v float64) { e.attrs.Set(k, int(v)) }
+func (e *Edge) MergeAttrs(a *Attrs)              { e.attrs = a }
+func (e *Edge) SetScore(s float64)               { e.score = s }
+
+type Graph struct {
+	adj   map[string][]*Link
+	edges map[string][]*Edge
+}
 
 // Clone returns a deep copy: private links all the way down.
 func (g *Graph) Clone() *Graph {
@@ -37,6 +60,11 @@ func (g *Graph) Clone() *Graph {
 //
 //ss:immutable — aliases the published snapshot; Clone before mutating.
 func (g *Graph) Out(u string) []*Link { return g.adj[u] }
+
+// Edges returns u's live edges.
+//
+//ss:immutable
+func (g *Graph) Edges(u string) []*Edge { return g.edges[u] }
 
 // In returns u's live reverse-adjacency slice.
 //

@@ -254,8 +254,8 @@ func TestDeriveMatches(t *testing.T) {
 		t.Fatalf("match links = %d, want 2", len(matches))
 	}
 	for _, m := range matches {
-		if v, _ := m.Attrs.Float("sim"); v != 0.75 {
-			t.Errorf("sim = %v, want 0.75", m.Attrs.Get("sim"))
+		if v, _ := m.Attrs().Float("sim"); v != 0.75 {
+			t.Errorf("sim = %v, want 0.75", m.Attrs().Get("sim"))
 		}
 	}
 	if g.CountLinks(graph.TypeMatch) != 0 {

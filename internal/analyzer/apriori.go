@@ -167,7 +167,7 @@ func TagTransactions(g *graph.Graph) [][]string {
 		var tags []string
 		for _, l := range g.Out(u.ID) {
 			if l.HasType(graph.SubtypeTag) {
-				tags = append(tags, l.Attrs.All("tags")...)
+				tags = append(tags, l.Attrs().All("tags")...)
 			}
 		}
 		if len(tags) > 0 {

@@ -228,7 +228,7 @@ func DeriveTopics(g *graph.Graph, nodeType string, cfg LDAConfig) (*graph.Graph,
 	for d, n := range docNodes {
 		t := model.DominantTopic(d)
 		bl := graph.NewLink(ids.NextLink(), n.ID, topicNodes[t], graph.TypeBelong)
-		bl.Attrs.SetFloat("weight", model.DocTopic(d, t))
+		bl.SetAttrFloat("weight", model.DocTopic(d, t))
 		if err := out.AddLink(bl); err != nil {
 			return nil, nil, err
 		}

@@ -25,7 +25,7 @@ func DeriveMatches(g *graph.Graph, threshold float64) *graph.Graph {
 			}
 			for _, pair := range [][2]graph.NodeID{{u.ID, v.ID}, {v.ID, u.ID}} {
 				ml := graph.NewLink(ids.NextLink(), pair[0], pair[1], graph.TypeMatch)
-				ml.Attrs.SetFloat("sim", sim)
+				ml.SetAttrFloat("sim", sim)
 				if err := out.AddLink(ml); err != nil {
 					// Both endpoints exist in the clone; AddLink can only
 					// fail on a duplicate id, which NextLink precludes.

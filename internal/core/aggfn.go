@@ -34,7 +34,7 @@ func Collect(attr string) Aggregator { return collectAttr{attr} }
 func (c collectAttr) Aggregate(ls []*graph.Link) []string {
 	seen := make(map[string]struct{})
 	for _, l := range ls {
-		for _, v := range l.Attrs.All(c.attr) {
+		for _, v := range l.Attrs().All(c.attr) {
 			seen[v] = struct{}{}
 		}
 	}
@@ -127,7 +127,7 @@ type attrNum struct{ attr string }
 func AttrNum(attr string) LinkFn { return attrNum{attr} }
 
 func (a attrNum) Eval(l *graph.Link) float64 {
-	v, _ := l.Attrs.Float(a.attr)
+	v, _ := l.Attrs().Float(a.attr)
 	return v
 }
 func (a attrNum) String() string { return "$" + a.attr }

@@ -114,11 +114,11 @@ func LinkAggregate(g *graph.Graph, c Condition, att string, a Aggregator, ids *g
 			nl = graph.NewLink(ids.NextLink(), p.s, p.t, values...)
 		} else {
 			nl = graph.NewLink(ids.NextLink(), p.s, p.t)
-			nl.Attrs.Set(att, values...)
+			nl.SetAttr(att, values...)
 		}
 		for _, k := range cfg.carry {
-			if vs := ls[0].Attrs.All(k); len(vs) > 0 {
-				nl.Attrs.Set(k, vs...)
+			if vs := ls[0].Attrs().All(k); len(vs) > 0 {
+				nl.SetAttr(k, vs...)
 			}
 		}
 		if err := out.AddLink(nl); err != nil {

@@ -136,7 +136,7 @@ func TestLinkAggregateReplacesGroups(t *testing.T) {
 	if agg == nil {
 		t.Fatal("aggregated link missing")
 	}
-	if v, _ := agg.Attrs.Int("vst_cnt"); v != 2 {
+	if v, _ := agg.Attrs().Int("vst_cnt"); v != 2 {
 		t.Errorf("vst_cnt = %d, want 2", v)
 	}
 	if agg.Src != u || agg.Tgt != d {
@@ -163,10 +163,10 @@ func TestLinkAggregateTypeAndCarry(t *testing.T) {
 	}
 	l := got.Links()[0]
 	if !l.HasType("match") {
-		t.Errorf("types = %v", l.Types)
+		t.Errorf("types = %v", l.Types())
 	}
-	if l.Attrs.Get("sim") != "0.8" {
-		t.Errorf("sim = %q, want carried 0.8", l.Attrs.Get("sim"))
+	if l.Attrs().Get("sim") != "0.8" {
+		t.Errorf("sim = %q, want carried 0.8", l.Attrs().Get("sim"))
 	}
 }
 
@@ -206,7 +206,7 @@ func mkLinks(vals ...float64) []*graph.Link {
 	ls := make([]*graph.Link, len(vals))
 	for i, v := range vals {
 		l := graph.NewLink(graph.LinkID(i+1), 1, 2, "t")
-		l.Attrs.SetFloat("w", v)
+		l.SetAttrFloat("w", v)
 		ls[i] = l
 	}
 	return ls
@@ -290,8 +290,8 @@ func TestSAFCollect(t *testing.T) {
 	ls := []*graph.Link{
 		graph.NewLink(1, 1, 2, "t"), graph.NewLink(2, 1, 3, "t"), graph.NewLink(3, 1, 2, "t"),
 	}
-	ls[0].Attrs.Set("tags", "b", "a")
-	ls[1].Attrs.Set("tags", "a", "c")
+	ls[0].SetAttr("tags", "b", "a")
+	ls[1].SetAttr("tags", "a", "c")
 	// ls[2] has no tags.
 	if got := Collect("tags").Aggregate(ls); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
 		t.Errorf("Collect = %v", got)

@@ -63,7 +63,7 @@ func Compose(g1, g2 *graph.Graph, d DirCond, f ComposeFn, ids *graph.IDSource) (
 			}
 			nl := graph.NewLink(ids.NextLink(), u, v, types...)
 			if attrs != nil {
-				nl.Attrs = attrs
+				nl.SetAttrs(attrs)
 			}
 			if err := out.AddLink(nl); err != nil {
 				return nil, err
@@ -130,7 +130,7 @@ func ConstComposer(newType string, copyFromL1 ...string) ComposeFn {
 	return func(l1, _ *graph.Link, _, _ *graph.Graph) ([]string, graph.Attrs) {
 		attrs := graph.Attrs{}
 		for _, k := range copyFromL1 {
-			if vs := l1.Attrs.All(k); len(vs) > 0 {
+			if vs := l1.Attrs().All(k); len(vs) > 0 {
 				attrs.Set(k, vs...)
 			}
 		}
@@ -143,7 +143,7 @@ func ConstComposer(newType string, copyFromL1 ...string) ComposeFn {
 func CopyAttrComposer(newType, srcAttr, dstAttr string) ComposeFn {
 	return func(l1, _ *graph.Link, _, _ *graph.Graph) ([]string, graph.Attrs) {
 		attrs := graph.Attrs{}
-		if vs := l1.Attrs.All(srcAttr); len(vs) > 0 {
+		if vs := l1.Attrs().All(srcAttr); len(vs) > 0 {
 			attrs.Set(dstAttr, vs...)
 		}
 		return []string{newType}, attrs

@@ -75,7 +75,7 @@ func TestComposeBasic(t *testing.T) {
 	}
 	for _, l := range got.Links() {
 		if !l.HasType("user_friend_item") {
-			t.Errorf("composed link lacks stamped type: %v", l.Types)
+			t.Errorf("composed link lacks stamped type: %v", l.Types())
 		}
 		if f.g.HasLink(l.ID) {
 			t.Errorf("composed link id %d collides with base graph", l.ID)
@@ -170,8 +170,8 @@ func TestJaccardComposer(t *testing.T) {
 	for _, l := range got.Links() {
 		if l.Src == u1 && l.Tgt == u2 {
 			found = true
-			if v, ok := l.Attrs.Float("sim"); !ok || v < 0.33 || v > 0.34 {
-				t.Errorf("sim = %v, want 1/3", l.Attrs.Get("sim"))
+			if v, ok := l.Attrs().Float("sim"); !ok || v < 0.33 || v > 0.34 {
+				t.Errorf("sim = %v, want 1/3", l.Attrs().Get("sim"))
 			}
 		}
 	}
@@ -202,8 +202,8 @@ func TestCopyAttrComposer(t *testing.T) {
 	if recLink == nil {
 		t.Fatal("missing a→d composed link")
 	}
-	if recLink.Attrs.Get("sim_sc") != "0.8" {
-		t.Errorf("sim_sc = %q", recLink.Attrs.Get("sim_sc"))
+	if recLink.Attrs().Get("sim_sc") != "0.8" {
+		t.Errorf("sim_sc = %q", recLink.Attrs().Get("sim_sc"))
 	}
 	if !recLink.HasType("rec") {
 		t.Error("composed link missing type")

@@ -298,7 +298,7 @@ func (m matcher) node(n *graph.Node) bool {
 
 func (m matcher) link(l *graph.Link) bool {
 	for i := range m {
-		if !m[i].satisfies(int64(l.ID), l.Types, l.Attrs) {
+		if !m[i].satisfies(int64(l.ID), l.Types(), l.Attrs()) {
 			return false
 		}
 	}

@@ -130,9 +130,9 @@ func TestExample5CollaborativeFiltering(t *testing.T) {
 			t.Errorf("recommendation source = %d, want John", l.Src)
 		}
 		seen[l.Tgt] = true
-		score, ok := l.Attrs.Float("score")
+		score, ok := l.Attrs().Float("score")
 		if !ok || math.Abs(score-2.0/3.0) > 1e-9 {
-			t.Errorf("score to %d = %v, want 2/3", l.Tgt, l.Attrs.Get("score"))
+			t.Errorf("score to %d = %v, want 2/3", l.Tgt, l.Attrs().Get("score"))
 		}
 	}
 	for _, d := range []graph.NodeID{10, 11, 12} {
@@ -220,7 +220,7 @@ func TestExample5PatternEquivalence(t *testing.T) {
 	collect := func(g *graph.Graph) map[rec]float64 {
 		out := make(map[rec]float64)
 		for _, l := range g.Links() {
-			s, _ := l.Attrs.Float("score")
+			s, _ := l.Attrs().Float("score")
 			out[rec{l.Src, l.Tgt}] = s
 		}
 		return out

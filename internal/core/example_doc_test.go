@@ -78,7 +78,7 @@ func ExamplePatternAggregate() {
 		panic(err)
 	}
 	for _, l := range out.Links() {
-		fmt.Printf("recommend %d -> %d score=%s\n", l.Src, l.Tgt, l.Attrs.Get("score"))
+		fmt.Printf("recommend %d -> %d score=%s\n", l.Src, l.Tgt, l.Attrs().Get("score"))
 	}
 	// Output:
 	// recommend 1 -> 3 score=0.8

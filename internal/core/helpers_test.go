@@ -39,7 +39,7 @@ func travelFixture(t testing.TB) *fixture {
 	}
 	addLink := func(id graph.LinkID, src, tgt graph.NodeID, types []string, kv ...string) graph.LinkID {
 		l := graph.NewLink(id, src, tgt, types...)
-		l.Attrs = graph.NewAttrs(kv...)
+		l.SetAttrs(graph.NewAttrs(kv...))
 		if err := f.g.AddLink(l); err != nil {
 			t.Fatal(err)
 		}

@@ -78,7 +78,7 @@ func (a avgPathAttr) AggregatePaths(paths []graph.Path) []string {
 		if a.step >= len(p) {
 			continue
 		}
-		if v, ok := p[a.step].Attrs.Float(a.attr); ok {
+		if v, ok := p[a.step].Attrs().Float(a.attr); ok {
 			sum += v
 			n++
 		}
@@ -169,7 +169,7 @@ func PatternAggregate(g *graph.Graph, p Pattern, att string, a PathAggregator, i
 				nl = graph.NewLink(ids.NextLink(), start.ID, end, values...)
 			} else {
 				nl = graph.NewLink(ids.NextLink(), start.ID, end)
-				nl.Attrs.Set(att, values...)
+				nl.SetAttr(att, values...)
 			}
 			if err := out.AddLink(nl); err != nil {
 				return nil, err

@@ -65,11 +65,11 @@ func TestPatternAggregateFigure2(t *testing.T) {
 		t.Fatal("missing destination links")
 	}
 	// d1: average of {0.8, 0.6} = 0.7; d2: 0.8.
-	if v, _ := toD1.Attrs.Float("score"); v < 0.699 || v > 0.701 {
-		t.Errorf("d1 score = %v, want 0.7", toD1.Attrs.Get("score"))
+	if v, _ := toD1.Attrs().Float("score"); v < 0.699 || v > 0.701 {
+		t.Errorf("d1 score = %v, want 0.7", toD1.Attrs().Get("score"))
 	}
-	if v, _ := toD2.Attrs.Float("score"); v != 0.8 {
-		t.Errorf("d2 score = %v, want 0.8", toD2.Attrs.Get("score"))
+	if v, _ := toD2.Attrs().Float("score"); v != 0.8 {
+		t.Errorf("d2 score = %v, want 0.8", toD2.Attrs().Get("score"))
 	}
 	if err := got.Validate(); err != nil {
 		t.Error(err)
@@ -101,7 +101,7 @@ func TestPatternAggregateCountPaths(t *testing.T) {
 		if l.Tgt == d1 {
 			want = 2
 		}
-		if v, _ := l.Attrs.Int("paths"); v != want {
+		if v, _ := l.Attrs().Int("paths"); v != want {
 			t.Errorf("paths to %d = %d, want %d", l.Tgt, v, want)
 		}
 	}

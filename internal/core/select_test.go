@@ -91,10 +91,10 @@ func TestLinkSelectKeywords(t *testing.T) {
 		t.Fatalf("links = %v", got.LinkIDs())
 	}
 	l := got.Link(f.tAnnTag)
-	if !l.Scored || l.Score <= 0 {
+	if !l.Scored() || l.Score() <= 0 {
 		t.Error("selected link lacks a score")
 	}
-	if f.g.Link(f.tAnnTag).Scored {
+	if f.g.Link(f.tAnnTag).Scored() {
 		t.Error("LinkSelect scored a link of the input graph")
 	}
 }

@@ -109,7 +109,7 @@ func CollaborativeFilteringAlgebra(g *graph.Graph, user graph.NodeID, cfg CFConf
 		if l.Src != user {
 			continue
 		}
-		score, ok := l.Attrs.Float("score")
+		score, ok := l.Attrs().Float("score")
 		if !ok || score <= 0 {
 			continue
 		}

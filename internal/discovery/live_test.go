@@ -60,7 +60,7 @@ func TestDiscoverTaggedAcrossSnapshots(t *testing.T) {
 	}
 	friend := friends[0]
 	l := graph.NewLink(g.MaxLinkID()+1, friend, corpus.Destinations[0], graph.TypeAct, graph.SubtypeTag)
-	l.Attrs.Add("tags", workload.Categories[0])
+	l.AddAttr("tags", workload.Categories[0])
 	newIx := oldIx.ApplyDelta(g, []graph.Mutation{{Kind: graph.MutAddLink, Link: l}})
 	newProc, err := topk.New(newIx, nil)
 	if err != nil {

@@ -251,7 +251,7 @@ func assembleOracle(g *graph.Graph, user graph.NodeID, results []Result) (*graph
 		item.SetScore(r.Score)
 		out.PutNode(item)
 		rec := graph.NewLink(ids.NextLink(), user, r.Item, "rec")
-		rec.Attrs.SetFloat("score", r.Score)
+		rec.SetAttrFloat("score", r.Score)
 		if err := out.AddLink(rec); err != nil {
 			return nil, err
 		}

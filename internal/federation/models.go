@@ -94,7 +94,7 @@ func buildGraph(profiles map[string]Profile, conns []Connection, acts []Activity
 		}
 		l := graph.NewLink(ids.NextLink(), ensureUser(a.User), item, graph.TypeAct, a.Kind)
 		if len(a.Tags) > 0 {
-			l.Attrs.Set("tags", a.Tags...)
+			l.SetAttr("tags", a.Tags...)
 		}
 		if err := g.AddLink(l); err != nil {
 			return nil, err

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // oracleAdjacency is the id-resolving definition of Out and In: for each
@@ -126,7 +127,7 @@ func (d *adjDriver) newLink(g *Graph) (*Link, bool) {
 	}
 	tgt, _ := d.pickNode(g)
 	l := NewLink(d.freshLinkID(g), src, tgt, adjLinkTypes[d.rng.Intn(len(adjLinkTypes))]...)
-	l.Attrs.Add("k", fmt.Sprintf("v%d", d.rng.Intn(4)))
+	l.AddAttr("k", fmt.Sprintf("v%d", d.rng.Intn(4)))
 	return l, true
 }
 
@@ -148,7 +149,7 @@ func (d *adjDriver) directOp(g *Graph) {
 		// in both endpoint slices.
 		if ex, ok := d.pickLink(g); ok {
 			more := NewLink(ex.ID, ex.Src, ex.Tgt, fmt.Sprintf("extra%d", d.rng.Intn(3)))
-			more.Attrs.Add("k", fmt.Sprintf("v%d", d.rng.Intn(6)))
+			more.AddAttr("k", fmt.Sprintf("v%d", d.rng.Intn(6)))
 			if err := g.PutLink(more); err != nil {
 				d.t.Fatal(err)
 			}
@@ -436,8 +437,8 @@ func TestSharedTypesOnApply(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tagged := &Link{ID: 1, Src: 1, Tgt: 2, Types: []string{TypeAct, SubtypeTag}}
-	odd := &Link{ID: 2, Src: 1, Tgt: 2, Types: []string{SubtypeTag, TypeAct}}
+	tagged := NewLink(1, 1, 2, TypeAct, SubtypeTag)
+	odd := NewLink(2, 1, 2, SubtypeTag, TypeAct)
 	wire := AppendMutations(nil, []Mutation{{Kind: MutAddLink, Link: tagged}, {Kind: MutAddLink, Link: odd}})
 	muts, err := DecodeMutations(wire)
 	if err != nil {
@@ -447,16 +448,36 @@ func TestSharedTypesOnApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	shared := sharedTypes([]string{TypeAct, SubtypeTag})
-	if got := g.Link(1).Types; &got[0] != &shared[0] {
+	if got := g.Link(1).Types(); &got[0] != &shared[0] {
 		t.Error("decoded act,tag link does not share the catalog type set")
 	}
-	if got := g.Link(2).Types; &got[0] == &muts[1].Link.Types[0] || sharedTypes(got) != nil {
+	if got := g.Link(2).Types(); &got[0] == &muts[1].Link.Types()[0] || sharedTypes(got) != nil {
 		t.Error("a non-catalog type set must be a private copy")
 	}
 	l := g.Link(1).Clone()
-	l.Types = g.Link(1).Types
 	l.AddType("extra")
-	if !slices.Equal(shared, []string{TypeAct, SubtypeTag}) || !slices.Equal(g.Link(1).Types, shared) {
+	if !slices.Equal(shared, []string{TypeAct, SubtypeTag}) || !slices.Equal(g.Link(1).Types(), shared) {
 		t.Fatalf("AddType wrote the shared set: %v", shared)
 	}
+}
+
+// TestStoredLinkSize: a link is its id, its endpoints and one pointer to
+// its body, and a stored catalog tagging shares the body interned for its
+// (type set, attribute set) pair, so storing one allocates its 32 bytes
+// and nothing more.
+func TestStoredLinkSize(t *testing.T) {
+	if n := unsafe.Sizeof(Link{}); n > 32 {
+		t.Errorf("a Link is %d bytes, over its pin of 32", n)
+	}
+	l := NewLink(1, 2, 3, TypeAct, SubtypeTag)
+	l.SetAttr("tags", "museum")
+	s := l.stored()
+	if s.b == nil || !s.b.shared || s.b != l.stored().b || &s.Attrs()[0] != &attrSets.get("tags", "museum").set[0] {
+		t.Fatal("a stored catalog tagging does not hold the interned body of its pair")
+	}
+	var sink *Link
+	if n := testing.AllocsPerRun(100, func() { sink = l.stored() }); n != 1 {
+		t.Errorf("storing a catalog tagging allocates %.0f times, want 1", n)
+	}
+	_ = sink
 }

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Attr is one structural attribute of a node or link: a key and its values.
@@ -36,18 +37,25 @@ type Attr struct {
 //
 // A link the graph stores whose attributes are one key with one short
 // value — a tagging's tags=<tag> — holds a set shared with every stored
-// link that spells the same pair (see attrSets). A shared set is never
-// written: Set, Add and Merge on it would write the Attr element every
-// such link reads. Clone, which always copies deeply, then mutate.
+// link that spells the same pair (see attrSets), and when its types spell
+// a catalog type set it shares its whole body with them too (see Link).
+// A shared set is never written: Set, Add and Merge on it would write the
+// Attr element every such link reads. A link's Attrs is read-only; write
+// through the link's mutators (SetAttr, AddAttr, MergeAttrs), which copy
+// a shared set first, or Clone, which always copies deeply, then mutate.
 type Attrs []Attr
 
 // Shared attribute sets. On a live site most links carry one attribute
 // with one value drawn from a small vocabulary, so the graph stores one
 // immutable copy of each such set, as it does for link types
-// (linkTypeSets). The table is process-wide and bounded: a pair longer
-// than maxSharedAttrBytes, or one that finds the table holding
-// maxSharedAttrSets sets, stays a private copy, so a hostile vocabulary
-// cannot grow it.
+// (linkTypeSets), and hangs off it the bodies interned for the set with
+// each catalog type set (see Link). The table is process-wide and
+// bounded: a pair longer than maxSharedAttrBytes stays a private copy,
+// and once the table holds maxSharedAttrSets sets a new pair takes the
+// place of one not asked for since the clock hand last passed it
+// (second-chance replacement), so a hostile vocabulary can neither grow
+// the table nor keep a live vocabulary out of it. An evicted set lives on
+// in the links that hold it.
 const (
 	maxSharedAttrSets  = 4096
 	maxSharedAttrBytes = 64
@@ -56,53 +64,102 @@ const (
 // attrPair keys the table by key and value, so a hit builds no string.
 type attrPair struct{ key, val string }
 
-// attrTable maps each shared pair to its set.
+// attrEntry is one shared set, the bodies interned for it (one per
+// catalog type set, built on first use) and its clock reference bit.
+type attrEntry struct {
+	pair   attrPair
+	set    Attrs
+	ref    atomic.Bool
+	bodies [len(linkTypeSets)]atomic.Pointer[linkBody]
+}
+
+// body returns the interned body of unscored links with type set
+// linkTypeSets[i] and this attribute set.
+func (e *attrEntry) body(i int) *linkBody {
+	if b := e.bodies[i].Load(); b != nil {
+		return b
+	}
+	e.bodies[i].CompareAndSwap(nil, &linkBody{types: linkTypeSets[i], attrs: e.set, shared: true})
+	return e.bodies[i].Load()
+}
+
+// attrTable maps each shared pair to its entry. ring holds the entries in
+// clock order and hand is the next one the clock considers replacing.
 type attrTable struct {
-	mu sync.RWMutex
-	m  map[attrPair]Attrs
+	mu   sync.RWMutex
+	m    map[attrPair]*attrEntry
+	ring []*attrEntry
+	hand int
 }
 
 // attrSets is the process-wide table every stored link draws from.
-var attrSets = attrTable{m: make(map[attrPair]Attrs)}
+var attrSets = attrTable{m: make(map[attrPair]*attrEntry)}
 
-// get returns the shared set {key=val}, adding it while the table has
-// room, or nil when the pair is too long or the table is full. Both
-// levels of a shared set are capped at their length, so an append to
-// either copies. A hit allocates nothing.
-func (t *attrTable) get(key, val string) Attrs {
+// get returns the entry of the shared set {key=val}, adding it, or nil
+// when the pair is too long. Both levels of a shared set are capped at
+// their length, so an append to either copies. A hit allocates nothing.
+func (t *attrTable) get(key, val string) *attrEntry {
 	if len(key)+len(val) > maxSharedAttrBytes {
 		return nil
 	}
 	p := attrPair{key, val}
 	t.mu.RLock()
-	a, full := t.m[p], len(t.m) >= maxSharedAttrSets
+	e := t.m[p]
 	t.mu.RUnlock()
-	if a != nil || full {
-		return a
+	if e != nil {
+		e.hit()
+		return e
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if a = t.m[p]; a != nil || len(t.m) >= maxSharedAttrSets {
-		return a
+	if e = t.m[p]; e != nil {
+		e.hit()
+		return e
 	}
 	// Own the strings: a caller's may be slices of a larger buffer.
 	p = attrPair{strings.Clone(key), strings.Clone(val)}
-	a = Attrs{{Key: p.key, Vals: []string{p.val}}}
-	t.m[p] = a
-	return a
+	e = &attrEntry{pair: p, set: Attrs{{Key: p.key, Vals: []string{p.val}}}}
+	t.m[p] = e
+	if len(t.ring) < maxSharedAttrSets {
+		t.ring = append(t.ring, e)
+		return e
+	}
+	// Second chance: clear reference bits until an entry without one
+	// comes under the hand, and put the new pair in its place. At most
+	// one turn of the clock, as the hand clears every bit it passes.
+	for {
+		old := t.ring[t.hand]
+		if old.ref.Load() {
+			old.ref.Store(false)
+			t.hand = (t.hand + 1) % len(t.ring)
+			continue
+		}
+		delete(t.m, old.pair)
+		t.ring[t.hand] = e
+		t.hand = (t.hand + 1) % len(t.ring)
+		return e
+	}
+}
+
+// hit sets the entry's reference bit, writing it only when clear.
+func (e *attrEntry) hit() {
+	if !e.ref.Load() {
+		e.ref.Store(true)
+	}
 }
 
 // getBytes is get for a pair still in a decode buffer: a hit converts
 // neither slice to a string.
-func (t *attrTable) getBytes(key, val []byte) Attrs {
+func (t *attrTable) getBytes(key, val []byte) *attrEntry {
 	if len(key)+len(val) > maxSharedAttrBytes {
 		return nil
 	}
 	t.mu.RLock()
-	a := t.m[attrPair{string(key), string(val)}]
+	e := t.m[attrPair{string(key), string(val)}]
 	t.mu.RUnlock()
-	if a != nil {
-		return a
+	if e != nil {
+		e.hit()
+		return e
 	}
 	return t.get(string(key), string(val))
 }
@@ -114,21 +171,21 @@ func SharedAttrSets() int {
 	return len(attrSets.m)
 }
 
-// sharedAttrs returns the shared set equal to a, or nil when a is not one
-// key with one value or the table cannot hold it.
-func sharedAttrs(a Attrs) Attrs {
+// sharedEntry returns the table's entry for a, or nil when a is not one
+// key with one value or the pair is too long to share.
+func sharedEntry(a Attrs) *attrEntry {
 	if len(a) != 1 || len(a[0].Vals) != 1 {
 		return nil
 	}
 	return attrSets.get(a[0].Key, a[0].Vals[0])
 }
 
-// storedAttrs returns the shared set equal to a, or else a deep copy.
-func storedAttrs(a Attrs) Attrs {
-	if s := sharedAttrs(a); s != nil {
-		return s
+// sharedAttrs returns the shared set equal to a, or nil (see sharedEntry).
+func sharedAttrs(a Attrs) Attrs {
+	if e := sharedEntry(a); e != nil {
+		return e.set
 	}
-	return a.Clone()
+	return nil
 }
 
 // NewAttrs builds an attribute set from alternating key/value pairs.

@@ -165,17 +165,24 @@ func TestBinAttrsCanonical(t *testing.T) {
 			Attrs{{"a", vs("2")}, {"b", nil}, {"c", vs("y")}}},
 	}
 	for _, c := range cases {
-		for _, share := range []bool{false, true} {
-			src := appendAttrs(nil, c.raw)
-			got, n, err := binAttrs(src, share)
-			if err != nil || n != len(src) {
-				t.Fatalf("%s: binAttrs = _, %d, %v; want %d bytes consumed", c.name, n, err, len(src))
-			}
+		src := appendAttrs(nil, c.raw)
+		got, n, err := binAttrs(src)
+		if err != nil || n != len(src) {
+			t.Fatalf("%s: binAttrs = _, %d, %v; want %d bytes consumed", c.name, n, err, len(src))
+		}
+		// A link's decoder shares what it can, to the same attributes.
+		l := NewLink(1, 1, 2, TypeAct, SubtypeTag)
+		l.SetAttrs(c.raw)
+		dl, _, err := DecodeLinkBin(AppendLinkBin(nil, l))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for from, got := range map[string]Attrs{"binAttrs": got, "DecodeLinkBin": dl.Attrs()} {
 			if !reflect.DeepEqual(got, c.want) {
-				t.Errorf("%s (share %v): decoded %#v, want %#v", c.name, share, got, c.want)
+				t.Errorf("%s (%s): decoded %#v, want %#v", c.name, from, got, c.want)
 			}
 			if again := appendAttrs(nil, got); !bytes.Equal(again, appendAttrs(nil, c.want)) {
-				t.Errorf("%s: re-encoding is not canonical", c.name)
+				t.Errorf("%s (%s): re-encoding is not canonical", c.name, from)
 			}
 		}
 	}
@@ -257,30 +264,40 @@ func TestNewAttrsOneKeyAllocsPinned(t *testing.T) {
 }
 
 // checkAttrTable fails t when a shared set no longer spells its pair, or
-// could grow in place.
+// could grow in place, or the clock's ring and the map disagree.
 func checkAttrTable(t *testing.T, tab *attrTable) {
 	t.Helper()
 	tab.mu.RLock()
 	defer tab.mu.RUnlock()
-	for p, a := range tab.m {
-		if len(a) != 1 || cap(a) != 1 || a[0].Key != p.key ||
+	for p, e := range tab.m {
+		a := e.set
+		if e.pair != p || len(a) != 1 || cap(a) != 1 || a[0].Key != p.key ||
 			len(a[0].Vals) != 1 || cap(a[0].Vals) != 1 || a[0].Vals[0] != p.val {
 			t.Fatalf("shared set for %q=%q is now %#v", p.key, p.val, a)
+		}
+	}
+	if len(tab.ring) != len(tab.m) {
+		t.Fatalf("clock ring holds %d entries, map %d", len(tab.ring), len(tab.m))
+	}
+	for _, e := range tab.ring {
+		if tab.m[e.pair] != e {
+			t.Fatalf("clock ring entry %q=%q is not the map's", e.pair.key, e.pair.val)
 		}
 	}
 }
 
 // TestAttrTable: a pair's shared set is one exact-size copy, found again
 // from strings or decode bytes without allocating; pairs past the length
-// bound, or new pairs once the table is full, are not shared.
+// bound are not shared, and a full table takes a new pair in place of
+// one no store asked for since the clock hand last passed it.
 func TestAttrTable(t *testing.T) {
-	tab := attrTable{m: make(map[attrPair]Attrs)}
-	a := tab.get("tags", "museum")
+	tab := attrTable{m: make(map[attrPair]*attrEntry)}
+	a := tab.get("tags", "museum").set
 	if !reflect.DeepEqual(a, NewAttrs("tags", "museum")) || cap(a) != 1 || cap(a[0].Vals) != 1 {
 		t.Fatalf("shared set %#v (caps %d, %d), want tags=museum at cap 1", a, cap(a), cap(a[0].Vals))
 	}
 	key, val := []byte("tags"), []byte("museum")
-	if b := tab.getBytes(key, val); &b[0] != &a[0] {
+	if b := tab.getBytes(key, val).set; &b[0] != &a[0] {
 		t.Error("getBytes did not find the pair get stored")
 	}
 	if n := testing.AllocsPerRun(100, func() { tab.get("tags", "museum") }); n != 0 {
@@ -299,11 +316,14 @@ func TestAttrTable(t *testing.T) {
 	for i := 0; len(tab.m) < maxSharedAttrSets; i++ {
 		tab.get("k", strconv.Itoa(i))
 	}
-	if tab.get("k", "one too many") != nil || tab.getBytes([]byte("k"), []byte("one too many")) != nil {
-		t.Error("a full table took a new pair")
+	if tab.get("k", "one too many") == nil || tab.getBytes([]byte("k"), []byte("one more")) == nil {
+		t.Error("a full table refused a new pair")
 	}
-	if got := tab.get("tags", "museum"); &got[0] != &a[0] {
-		t.Error("a full table no longer finds a stored pair")
+	if got := tab.get("tags", "museum").set; &got[0] != &a[0] {
+		t.Error("a full table evicted a pair asked for since the hand last passed it")
+	}
+	if tab.m[attrPair{"k", limit}] != nil || tab.m[attrPair{"k", "0"}] != nil {
+		t.Error("the two new pairs did not take the places of the first pairs asked for once")
 	}
 	if len(tab.m) != maxSharedAttrSets {
 		t.Errorf("table holds %d sets, bound %d", len(tab.m), maxSharedAttrSets)
@@ -318,7 +338,7 @@ func TestAttrTable(t *testing.T) {
 // the WAL batch decoder — holds a one-pair attribute set as the shared
 // set; larger sets stay private, and Clone still copies deeply.
 func TestStorePathsShareAttrs(t *testing.T) {
-	shared := attrSets.get("tags", "museum")
+	shared := attrSets.get("tags", "museum").set
 	isShared := func(a Attrs) bool { return len(a) == 1 && &a[0] == &shared[0] }
 	tagged := []string{TypeAct, SubtypeTag}
 
@@ -327,31 +347,31 @@ func TestStorePathsShareAttrs(t *testing.T) {
 	built := b.Link(u, v, tagged, "tags", "museum")
 	rated := b.Link(u, v, tagged, "tags", "museum", "rating", "4")
 	g := b.Graph()
-	if !isShared(g.Link(built).Attrs) {
+	if !isShared(g.Link(built).Attrs()) {
 		t.Error("Builder.Link does not share a one-pair set")
 	}
-	if got := g.Link(rated).Attrs; !got.Equal(NewAttrs("tags", "museum", "rating", "4")) {
+	if got := g.Link(rated).Attrs(); !got.Equal(NewAttrs("tags", "museum", "rating", "4")) {
 		t.Errorf("Builder.Link stored %v", got)
 	}
 
 	added := NewLink(10, u, v, tagged...)
-	added.Attrs.Add("tags", "museum")
+	added.AddAttr("tags", "museum")
 	if err := g.Apply(Mutation{Kind: MutAddLink, Link: added}); err != nil {
 		t.Fatal(err)
 	}
-	added.Attrs.Set("tags", "beach")
-	if got := g.Link(10).Attrs; !isShared(got) {
+	added.SetAttr("tags", "beach")
+	if got := g.Link(10).Attrs(); !isShared(got) {
 		t.Errorf("Apply's add-link stored %v, not the shared set", got)
 	}
 	if err := g.Apply(Mutation{Kind: MutAddLink, Link: NewLink(11, u, v, tagged...)}); err != nil {
 		t.Fatal(err)
 	}
 	put := NewLink(11, u, v)
-	put.Attrs.Add("tags", "museum")
+	put.AddAttr("tags", "museum")
 	if err := g.Apply(Mutation{Kind: MutPutLink, Link: put}); err != nil {
 		t.Fatal(err)
 	}
-	if got := g.Link(11).Attrs; !isShared(got) {
+	if got := g.Link(11).Attrs(); !isShared(got) {
 		t.Errorf("a put-link merge stored %v, not the shared set", got)
 	}
 
@@ -368,25 +388,25 @@ func TestStorePathsShareAttrs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, lg := range map[string]*Graph{"JSON decode": dec, "checkpoint load": ckpt} {
-		if !isShared(lg.Link(built).Attrs) || !isShared(lg.Link(11).Attrs) {
+		if !isShared(lg.Link(built).Attrs()) || !isShared(lg.Link(11).Attrs()) {
 			t.Errorf("%s does not share one-pair sets", name)
 		}
-		if !lg.Link(rated).Attrs.Equal(g.Link(rated).Attrs) {
-			t.Errorf("%s stored %v", name, lg.Link(rated).Attrs)
+		if !lg.Link(rated).Attrs().Equal(g.Link(rated).Attrs()) {
+			t.Errorf("%s stored %v", name, lg.Link(rated).Attrs())
 		}
 	}
 	muts, err := DecodeMutations(AppendMutations(nil, []Mutation{{Kind: MutAddLink, Link: g.Link(10)}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !isShared(muts[0].Link.Attrs) {
+	if !isShared(muts[0].Link.Attrs()) {
 		t.Error("the WAL batch decoder does not share a one-pair set")
 	}
 
 	c := g.Link(built).Clone()
-	c.Attrs.Set("tags", "beach")
-	c.Attrs.Add("tags", "family")
-	c.Attrs.Merge(NewAttrs("tags", "parks"))
+	c.SetAttr("tags", "beach")
+	c.AddAttr("tags", "family")
+	c.MergeAttrs(NewAttrs("tags", "parks"))
 	if !reflect.DeepEqual(shared, NewAttrs("tags", "museum")) {
 		t.Fatalf("a mutated clone wrote the shared set: %v", shared)
 	}
@@ -396,15 +416,15 @@ func TestStorePathsShareAttrs(t *testing.T) {
 // TestAttrTableConcurrent: goroutines filing overlapping pairs, from
 // strings and from bytes, each get the one set the table keeps per pair.
 func TestAttrTableConcurrent(t *testing.T) {
-	tab := attrTable{m: make(map[attrPair]Attrs)}
+	tab := attrTable{m: make(map[attrPair]*attrEntry)}
 	const workers, pairs = 4, 64
-	got := make([][]Attrs, workers)
+	got := make([][]*attrEntry, workers)
 	var wg sync.WaitGroup
 	for w := range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[w] = make([]Attrs, pairs)
+			got[w] = make([]*attrEntry, pairs)
 			for i := range pairs {
 				val := strconv.Itoa((i + w*7) % pairs)
 				if w%2 == 0 {
@@ -418,10 +438,56 @@ func TestAttrTableConcurrent(t *testing.T) {
 	wg.Wait()
 	for i := range pairs {
 		for w := 1; w < workers; w++ {
-			if &got[w][i][0] != &got[0][i][0] {
+			if got[w][i] != got[0][i] {
 				t.Fatalf("pair %d: workers 0 and %d hold different sets", i, w)
 			}
 		}
 	}
 	checkAttrTable(t, &tab)
+}
+
+// TestAttrTablePoisoning: a writer that fills the shared table with junk
+// pairs cannot keep a live vocabulary out of it. With the table full of
+// junk, a real tag stored again and again among more junk ends up shared:
+// every link stored with it holds the one set, and the one body.
+func TestAttrTablePoisoning(t *testing.T) {
+	g := New()
+	for id := NodeID(1); id <= 2; id++ {
+		if err := g.AddNode(NewNode(id, TypeUser)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.BeginBulk() // the links share endpoints: let their lists grow in place
+	defer g.EndBulk()
+	var id LinkID
+	store := func(key, val string) *Link {
+		id++
+		l := NewLink(id, 1, 2, TypeAct, SubtypeTag)
+		l.SetAttr(key, val)
+		if err := g.Apply(Mutation{Kind: MutAddLink, Link: l}); err != nil {
+			t.Fatal(err)
+		}
+		return g.Link(id)
+	}
+	for i := range maxSharedAttrSets {
+		store("junk", "poison-"+strconv.Itoa(i))
+	}
+	var real []*Link
+	for i := range 4 * maxSharedAttrSets {
+		store("junk", "more-"+strconv.Itoa(i))
+		if i%16 == 0 {
+			real = append(real, store("tags", "waterfront"))
+		}
+	}
+	first := real[0]
+	for i, l := range real {
+		if a := l.Attrs(); len(a) != 1 || &a[0] != &first.Attrs()[0] || l.b != first.b {
+			t.Fatalf("real tag stored %d times among junk: store %d holds %p (body %p), the first %p (body %p)",
+				len(real), i, a, l.b, first.Attrs(), first.b)
+		}
+	}
+	if n := SharedAttrSets(); n > maxSharedAttrSets {
+		t.Errorf("table holds %d sets, bound %d", n, maxSharedAttrSets)
+	}
+	checkAttrTable(t, &attrSets)
 }

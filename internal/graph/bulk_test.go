@@ -21,7 +21,7 @@ func bulkTestGraph(users, items int) *Graph {
 	for i, u := range uids {
 		b.Link(u, uids[(i+1)%len(uids)], []string{TypeConnect, SubtypeFriend})
 		l := NewLink(b.IDs().NextLink(), u, iids[i%len(iids)], TypeAct, SubtypeTag)
-		l.Attrs.Add("tags", fmt.Sprintf("t%d", i%7))
+		l.AddAttr("tags", fmt.Sprintf("t%d", i%7))
 		if err := b.Graph().AddLink(l); err != nil {
 			panic(err)
 		}
@@ -52,7 +52,7 @@ func TestBulkApplyAllSnapshotIsolation(t *testing.T) {
 					muts = append(muts, Mutation{Kind: MutAddLink, Link: l})
 				case 2:
 					l := NewLink(ids.NextLink(), 2, 3, TypeAct, SubtypeTag)
-					l.Attrs.Add("tags", fmt.Sprintf("bulk%d", i))
+					l.AddAttr("tags", fmt.Sprintf("bulk%d", i))
 					muts = append(muts, Mutation{Kind: MutAddLink, Link: l})
 				}
 			}

@@ -88,14 +88,8 @@ func appendAttrs(dst []byte, a Attrs) []byte {
 
 // binAttrs decodes what appendAttrs wrote. Input it did not write is made
 // canonical: a repeated key is last-wins, and keys out of order come back
-// sorted. A link's set (share) of one key with one value comes back as
-// the package's shared set where it can (see attrSets).
-func binAttrs(src []byte, share bool) (Attrs, int, error) {
-	if share {
-		if a, n := binSharedAttr(src); a != nil {
-			return a, n, nil
-		}
-	}
+// sorted.
+func binAttrs(src []byte) (Attrs, int, error) {
 	count, off, err := binUvarint(src)
 	if err != nil || count > uint64(len(src)) {
 		return nil, 0, ErrBinCorrupt
@@ -132,7 +126,8 @@ func binAttrs(src []byte, share bool) (Attrs, int, error) {
 }
 
 // binSharedAttr decodes the front of src as a shared set, or returns nil
-// when it is not one key with one value or the table cannot hold it.
+// when it is not one key with one value or is too long to share (see
+// attrSets).
 func binSharedAttr(src []byte) (Attrs, int) {
 	count, off, err := binUvarint(src)
 	if err != nil || count != 1 {
@@ -152,7 +147,10 @@ func binSharedAttr(src []byte) (Attrs, int) {
 	if err != nil {
 		return nil, 0
 	}
-	return attrSets.getBytes(key, val), off + n
+	if e := attrSets.getBytes(key, val); e != nil {
+		return e.set, off + n
+	}
+	return nil, 0
 }
 
 func appendScore(dst []byte, score float64, scored bool) []byte {
@@ -196,7 +194,7 @@ func DecodeNodeBin(src []byte) (*Node, int, error) {
 		return nil, 0, err
 	}
 	off += n
-	attrs, n, err := binAttrs(src[off:], false)
+	attrs, n, err := binAttrs(src[off:])
 	if err != nil {
 		return nil, 0, err
 	}
@@ -214,13 +212,14 @@ func AppendLinkBin(dst []byte, l *Link) []byte {
 	dst = binary.AppendUvarint(dst, uint64(l.ID))
 	dst = binary.AppendUvarint(dst, uint64(l.Src))
 	dst = binary.AppendUvarint(dst, uint64(l.Tgt))
-	dst = appendStrings(dst, l.Types)
-	dst = appendAttrs(dst, l.Attrs)
-	return appendScore(dst, l.Score, l.Scored)
+	dst = appendStrings(dst, l.Types())
+	dst = appendAttrs(dst, l.Attrs())
+	return appendScore(dst, l.Score(), l.Scored())
 }
 
 // DecodeLinkBin decodes one link from the front of src, returning it
-// and the bytes consumed.
+// and the bytes consumed. The link is in the form a graph stores (see
+// Link), so a checkpoint load keeps one body per interned pair.
 func DecodeLinkBin(src []byte) (*Link, int, error) {
 	id, off, err := binUvarint(src)
 	if err != nil {
@@ -241,9 +240,11 @@ func DecodeLinkBin(src []byte) (*Link, int, error) {
 		return nil, 0, err
 	}
 	off += n
-	attrs, n, err := binAttrs(src[off:], true)
-	if err != nil {
-		return nil, 0, err
+	attrs, n := binSharedAttr(src[off:])
+	if attrs == nil {
+		if attrs, n, err = binAttrs(src[off:]); err != nil {
+			return nil, 0, err
+		}
 	}
 	off += n
 	score, scored, n, err := binScore(src[off:])
@@ -251,13 +252,7 @@ func DecodeLinkBin(src []byte) (*Link, int, error) {
 		return nil, 0, err
 	}
 	off += n
-	if shared := sharedTypes(types); shared != nil {
-		types = shared // checkpoint loads keep one copy per type set
-	}
-	return &Link{
-		ID: LinkID(id), Src: NodeID(srcID), Tgt: NodeID(tgtID),
-		Types: types, Attrs: attrs, Score: score, Scored: scored,
-	}, off, nil
+	return storedLink(LinkID(id), NodeID(srcID), NodeID(tgtID), types, attrs, score, scored), off, nil
 }
 
 // AppendMutations appends the binary encoding of a mutation batch to

@@ -27,7 +27,7 @@ func buildCheckpointFixture(t *testing.T) *Graph {
 		for j := i + 1; j <= 40; j += 7 {
 			lid++
 			l := NewLink(lid, NodeID(i), NodeID(j), "act", "tag")
-			l.Attrs.Add("tags", "t"+string(rune('a'+int(lid)%26)))
+			l.AddAttr("tags", "t"+string(rune('a'+int(lid)%26)))
 			if err := g.AddLink(l); err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +151,7 @@ func TestMutationBatchCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	merged := NewLink(9000, 100, 1, "act")
-	merged.Attrs.Add("tags", "beach")
+	merged.AddAttr("tags", "beach")
 	merged.SetScore(0.25)
 	if err := g.PutLink(merged); err != nil { // emits MutPutLink with Prev
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -48,7 +49,7 @@ func (g *Graph) Encode(w io.Writer) error {
 		doc.Nodes = append(doc.Nodes, nodeJSON{ID: n.ID, Types: n.Types, Attrs: n.Attrs.Map()})
 	}
 	for _, l := range g.Links() {
-		doc.Links = append(doc.Links, linkJSON{ID: l.ID, Src: l.Src, Tgt: l.Tgt, Types: l.Types, Attrs: l.Attrs.Map()})
+		doc.Links = append(doc.Links, linkJSON{ID: l.ID, Src: l.Src, Tgt: l.Tgt, Types: l.Types(), Attrs: l.Attrs().Map()})
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
@@ -77,14 +78,11 @@ func Decode(r io.Reader) (*Graph, error) {
 		}
 	}
 	for _, lj := range doc.Links {
-		l := NewLink(lj.ID, lj.Src, lj.Tgt, lj.Types...)
+		a := Attrs{}
 		if lj.Attrs != nil {
-			l.Attrs = AttrsFromMap(lj.Attrs)
-			if a := sharedAttrs(l.Attrs); a != nil {
-				l.Attrs = a
-			}
+			a = AttrsFromMap(lj.Attrs)
 		}
-		if err := g.AddLink(l); err != nil {
+		if err := g.AddLink(storedLink(lj.ID, lj.Src, lj.Tgt, lj.Types, a, 0, false)); err != nil {
 			return nil, err
 		}
 	}
@@ -110,7 +108,7 @@ func (g *Graph) DOT(name string) string {
 		fmt.Fprintf(&sb, "  n%d [label=%q];\n", n.ID, fmt.Sprintf("%d %s", n.ID, label))
 	}
 	for _, l := range g.Links() {
-		types := append([]string(nil), l.Types...)
+		types := slices.Clone(l.Types())
 		sort.Strings(types)
 		fmt.Fprintf(&sb, "  n%d -> n%d [label=%q];\n", l.Src, l.Tgt, strings.Join(types, ","))
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -16,8 +17,8 @@ func FuzzDecodeMutations(f *testing.F) {
 	n.Attrs.Add("name", "ann")
 	n.SetScore(0.5)
 	l := NewLink(9, 7, 8, TypeAct, SubtypeTag)
-	l.Attrs.Add("tags", "museum")
-	l.Attrs.Add("tags", "beach")
+	l.AddAttr("tags", "museum")
+	l.AddAttr("tags", "beach")
 	prev := NewLink(9, 7, 8, TypeAct)
 	prev.SetScore(math.NaN())
 	batch := AppendMutations(nil, []Mutation{
@@ -39,7 +40,7 @@ func FuzzDecodeMutations(f *testing.F) {
 	dup := NewNode(7, "user")
 	dup.Attrs = Attrs{{Key: "name", Vals: []string{"ann"}}, {Key: "name", Vals: []string{"bob"}}}
 	unsorted := NewLink(9, 7, 8, TypeAct)
-	unsorted.Attrs = Attrs{{Key: "tags", Vals: []string{"museum"}}, {Key: "rating", Vals: []string{"4"}}, {Key: "date"}}
+	unsorted.SetAttrs(Attrs{{Key: "tags", Vals: []string{"museum"}}, {Key: "rating", Vals: []string{"4"}}, {Key: "date"}})
 	f.Add(AppendMutations(nil, []Mutation{{Kind: MutAddNode, Node: dup}, {Kind: MutAddLink, Link: unsorted}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -85,7 +86,7 @@ func FuzzCkptReader(f *testing.F) {
 	}
 	for i := LinkID(1); i <= 20; i++ {
 		l := NewLink(i, NodeID(1+i%12), NodeID(1+(i*5)%12), TypeAct, SubtypeTag)
-		l.Attrs.Add("tags", "museum")
+		l.AddAttr("tags", "museum")
 		if err := g.AddLink(l); err != nil {
 			f.Fatal(err)
 		}
@@ -203,7 +204,7 @@ func storedAttrsCase(t *testing.T, data []byte) {
 				kind = MutPutLink
 			}
 			l := NewLink(id, 1, 2, TypeAct, SubtypeTag)
-			l.Attrs = a.Clone()
+			l.SetAttrs(a.Clone())
 			if err := g.Apply(Mutation{Kind: kind, Link: l}); err != nil {
 				t.Fatal(err)
 			}
@@ -213,24 +214,84 @@ func storedAttrsCase(t *testing.T, data []byte) {
 			} else {
 				want[id] = a.Clone()
 			}
-			l.Attrs.Set("tags", "caller")
-			l.Attrs.Add("zz", "caller")
+			l.SetAttr("tags", "caller")
+			l.AddAttr("zz", "caller")
 		case 2:
-			got, n, err := binAttrs(appendAttrs(nil, a), true)
-			if err != nil || !got.Equal(a) {
-				t.Fatalf("binAttrs decoded %v (%d bytes, %v), want %v", got, n, err, a)
+			l := NewLink(id, 1, 2, TypeAct, SubtypeTag)
+			l.SetAttrs(a)
+			got, _, err := DecodeLinkBin(AppendLinkBin(nil, l))
+			if err != nil || !got.Attrs().Equal(a) {
+				t.Fatalf("DecodeLinkBin decoded %v (%v), want %v", got, err, a)
 			}
 		}
 		for lid, w := range want {
 			stored := g.Link(lid)
-			if !stored.Attrs.Equal(w) {
-				t.Fatalf("link %d holds %v, want %v", lid, stored.Attrs, w)
+			if !stored.Attrs().Equal(w) {
+				t.Fatalf("link %d holds %v, want %v", lid, stored.Attrs(), w)
 			}
 			c := stored.Clone()
-			c.Attrs.Set("tags", "clone")
-			c.Attrs.Add("zz", "clone")
-			c.Attrs.Merge(a)
+			c.SetAttr("tags", "clone")
+			c.AddAttr("zz", "clone")
+			c.MergeAttrs(a)
 		}
 	}
 	checkAttrTable(t, &attrSets)
+}
+
+// FuzzStoredLink: any link DecodeLinkBin accepts is already in the form a
+// graph stores, and storing it again changes nothing: the stored copy
+// re-encodes to the decoded link's bytes and is Equal to it. Mutating a
+// Clone of a stored link, or a struct copy of one holding a shared body,
+// leaves every link holding that body unchanged.
+func FuzzStoredLink(f *testing.F) {
+	tagged := NewLink(1, 2, 3, TypeAct, SubtypeTag)
+	tagged.SetAttr("tags", "museum")
+	rated := NewLink(4, 2, 3, TypeAct, SubtypeRating)
+	rated.SetAttr("rating", "4")
+	rated.SetAttr("tags", "museum", "family")
+	scored := NewLink(5, 2, 3, TypeMatch)
+	scored.SetScore(0.5)
+	odd := NewLink(6, 3, 2, "custom", TypeAct)
+	odd.SetAttr("tags", "museum")
+	long := NewLink(7, 2, 3, TypeBelong)
+	long.SetAttr("note", strings.Repeat("x", maxSharedAttrBytes))
+	for _, l := range []*Link{tagged, rated, scored, odd, long, NewLink(8, 2, 2, TypeConnect, SubtypeFriend), {ID: 9}} {
+		f.Add(AppendLinkBin(nil, l))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l, _, err := DecodeLinkBin(data)
+		if err != nil {
+			return
+		}
+		want := AppendLinkBin(nil, l)
+		s := l.stored()
+		if got := AppendLinkBin(nil, s); !bytes.Equal(got, want) {
+			t.Fatalf("stored %v encodes to %x, the decoded link %v to %x", s, got, l, want)
+		}
+		if !s.Equal(l) || !l.Equal(s) {
+			t.Fatalf("stored %v is not Equal to the decoded %v", s, l)
+		}
+		sibling := s.stored()
+		if s.b != nil && s.b.shared && sibling.b != s.b {
+			t.Fatalf("storing a link with an interned body gave it another body")
+		}
+		mutate := func(c *Link) {
+			c.AddType("fuzzed")
+			c.SetAttr("tags", "clone")
+			c.AddAttr("zz", "clone")
+			c.MergeAttrs(NewAttrs("tags", "merged"))
+			c.SetScore(-1)
+		}
+		mutate(s.Clone())
+		mutate(l.Clone())
+		if s.b != nil && s.b.shared {
+			c := *s
+			mutate(&c)
+		}
+		for _, x := range []*Link{l, s, sibling} {
+			if got := AppendLinkBin(nil, x); !bytes.Equal(got, want) {
+				t.Fatalf("mutating a copy changed a link sharing its body: %v", x)
+			}
+		}
+	})
 }

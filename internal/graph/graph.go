@@ -238,9 +238,7 @@ func (g *Graph) PutLink(l *Link) error {
 		g.dropView()
 		merged := ex.Clone()
 		merged.Merge(l)
-		if a := sharedAttrs(merged.Attrs); a != nil {
-			merged.Attrs = a
-		}
+		merged = merged.stored()
 		g.links = g.links.SetWith(g.bulk, l.ID, merged)
 		g.out = g.out.SetWith(g.bulk, l.Src, replaceLink(g.out.At(l.Src), merged))
 		g.in = g.in.SetWith(g.bulk, l.Tgt, replaceLink(g.in.At(l.Tgt), merged))

@@ -23,8 +23,8 @@ func buildSample(t *testing.T) *Graph {
 		t.Fatal(err)
 	}
 	tag := NewLink(12, 1, 2, TypeAct, SubtypeTag)
-	tag.Attrs.Set("date", "2008-8-2")
-	tag.Attrs.Set("tags", "rockies", "baseball")
+	tag.SetAttr("date", "2008-8-2")
+	tag.SetAttr("tags", "rockies", "baseball")
 	if err := g.AddLink(tag); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestPutConsolidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	if l := g.Link(12); !l.HasType(SubtypeReview) || !l.HasType(SubtypeTag) {
-		t.Errorf("link consolidation lost types: %v", l.Types)
+		t.Errorf("link consolidation lost types: %v", l.Types())
 	}
 	// Consolidating a link with different endpoints is rejected.
 	bad := NewLink(12, 2, 1, TypeAct)
@@ -155,11 +155,11 @@ func TestCloneDeep(t *testing.T) {
 	g := buildSample(t)
 	c := g.Clone()
 	c.Node(1).Attrs.Set("name", "NotJohn")
-	c.Link(12).Attrs.Set("tags", "soccer")
+	c.Link(12).SetAttr("tags", "soccer")
 	if g.Node(1).Attrs.Get("name") != "John" {
 		t.Error("Clone shares node attrs")
 	}
-	if !g.Link(12).Attrs.Has("tags", "rockies") {
+	if !g.Link(12).Attrs().Has("tags", "rockies") {
 		t.Error("Clone shares link attrs")
 	}
 	if err := c.Validate(); err != nil {
@@ -428,7 +428,7 @@ func TestPutConsolidationPreservesSnapshots(t *testing.T) {
 	n.Attrs.Set("name", "Johnny")
 	g.PutNode(n)
 	l := NewLink(12, 1, 2, TypeAct)
-	l.Attrs.Add("tags", "mountains")
+	l.AddAttr("tags", "mountains")
 	if err := g.PutLink(l); err != nil {
 		t.Fatal(err)
 	}
@@ -438,10 +438,10 @@ func TestPutConsolidationPreservesSnapshots(t *testing.T) {
 	if names := snap.Node(1).Attrs.All("name"); len(names) != 1 || names[0] != "John" {
 		t.Errorf("snapshot observed consolidation: names = %v", names)
 	}
-	if tags := snap.Link(12).Attrs.All("tags"); len(tags) != 2 {
+	if tags := snap.Link(12).Attrs().All("tags"); len(tags) != 2 {
 		t.Errorf("snapshot observed link consolidation: tags = %v", tags)
 	}
-	if tags := g.Link(12).Attrs.All("tags"); len(tags) != 3 {
+	if tags := g.Link(12).Attrs().All("tags"); len(tags) != 3 {
 		t.Errorf("link merge lost: tags = %v", tags)
 	}
 }

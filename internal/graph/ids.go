@@ -1,6 +1,10 @@
 package graph
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"socialscope/internal/persist"
+)
 
 // IDSource allocates fresh node and link ids within a site's id space.
 // Operators that create new elements (composition, link aggregation, pattern
@@ -42,13 +46,16 @@ type Derived struct {
 
 // WithoutDerived returns the base d was allocated past: a ShallowClone of g
 // without d's ids, each high-water mark at Lo−1 unless g held ids past Hi.
+// It walks the shorter of each range and the ids g stores, so a range as
+// wide as the id space, which a checkpoint may claim, costs one pass over
+// the graph.
 func (g *Graph) WithoutDerived(d Derived) *Graph {
 	b := g.ShallowClone()
 	b.BeginBulk()
-	for id := d.LinkLo; id <= d.LinkHi; id++ {
+	for _, id := range idsIn(g.links, d.LinkLo, d.LinkHi) {
 		b.RemoveLink(id)
 	}
-	for id := d.NodeLo; id <= d.NodeHi; id++ {
+	for _, id := range idsIn(g.nodes, d.NodeLo, d.NodeHi) {
 		b.RemoveNode(id)
 	}
 	b.EndBulk()
@@ -59,6 +66,33 @@ func (g *Graph) WithoutDerived(d Derived) *Graph {
 		b.maxLink = d.LinkLo - 1
 	}
 	return b
+}
+
+// idsIn returns the keys of m in [lo, hi], walking the range when it holds
+// fewer ids than m and m otherwise. It never steps past hi, so hi may be
+// the largest id there is.
+func idsIn[K NodeID | LinkID, V any](m persist.Map[K, V], lo, hi K) []K {
+	var ids []K
+	switch {
+	case hi < lo:
+	case uint64(hi-lo) < uint64(m.Len()):
+		for id := lo; ; id++ {
+			if m.Has(id) {
+				ids = append(ids, id)
+			}
+			if id == hi {
+				break
+			}
+		}
+	default:
+		m.Range(func(id K, _ V) bool {
+			if lo <= id && id <= hi {
+				ids = append(ids, id)
+			}
+			return true
+		})
+	}
+	return ids
 }
 
 // Builder constructs site graphs fluently. It panics on structural errors
@@ -106,19 +140,18 @@ func (b *Builder) NodeWithID(id NodeID, types []string, kv ...string) NodeID {
 }
 
 // Link adds a link with a fresh id between existing nodes; it returns the id.
-// A single key/value attribute is stored as a shared set (see Link).
+// The link is stored as Apply stores it, sharing its body or attribute
+// set where it can (see Link).
 func (b *Builder) Link(src, tgt NodeID, types []string, kv ...string) LinkID {
 	id := b.ids.NextLink()
-	l := NewLink(id, src, tgt, types...)
 	var a Attrs
 	if len(kv) == 2 {
-		a = attrSets.get(kv[0], kv[1])
+		a = sharedAttrs(Attrs{{Key: kv[0], Vals: kv[1:]}})
 	}
 	if a == nil {
 		a = NewAttrs(kv...)
 	}
-	l.Attrs = a
-	if err := b.g.AddLink(l); err != nil {
+	if err := b.g.AddLink(storedLink(id, src, tgt, types, a, 0, false)); err != nil {
 		panic(err)
 	}
 	return id

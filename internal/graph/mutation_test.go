@@ -20,7 +20,7 @@ func buildSmall(t *testing.T) (*Graph, *Changelog) {
 		t.Fatal(err)
 	}
 	tagLink := NewLink(2, 1, 3, TypeAct, SubtypeTag)
-	tagLink.Attrs = NewAttrs("tags", "museum")
+	tagLink.SetAttrs(NewAttrs("tags", "museum"))
 	if err := g.AddLink(tagLink); err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +40,8 @@ func TestRecorderEmitsWrites(t *testing.T) {
 		}
 	}
 	// Snapshots are clones: editing the live element must not alter history.
-	g.Link(2).Attrs.Add("tags", "historic")
-	if got := muts[4].Link.Attrs.All("tags"); len(got) != 1 || got[0] != "museum" {
+	g.Link(2).AddAttr("tags", "historic")
+	if got := muts[4].Link.Attrs().All("tags"); len(got) != 1 || got[0] != "museum" {
 		t.Errorf("changelog snapshot mutated through live link: %v", got)
 	}
 	if log.Len() != 0 {
@@ -67,7 +67,7 @@ func TestRecorderCascadesNodeRemoval(t *testing.T) {
 	// Removed-link snapshots carry the full link, tags included.
 	for _, m := range muts[:2] {
 		if m.Link.ID == 2 {
-			if got := m.Link.Attrs.All("tags"); len(got) != 1 || got[0] != "museum" {
+			if got := m.Link.Attrs().All("tags"); len(got) != 1 || got[0] != "museum" {
 				t.Errorf("removed tag link lost its attrs: %v", got)
 			}
 		}

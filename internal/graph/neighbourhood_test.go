@@ -33,7 +33,7 @@ func oracleView(g *Graph) (acts map[NodeID][]NodeID, ends map[NodeID][]Endorser)
 		}
 		for src, l := range first {
 			rating := 1.0
-			if v, ok := l.Attrs.Float("rating"); ok {
+			if v, ok := l.Attrs().Float("rating"); ok {
 				rating = v
 			}
 			ends[id] = append(ends[id], Endorser{ID: src, Rating: rating})
@@ -91,7 +91,7 @@ func viewOp(rng *rand.Rand, g *Graph) error {
 	case r < 8:
 		l := link(TypeAct, []string{SubtypeTag, SubtypeReview, SubtypeVisit}[rng.Intn(3)])
 		if rng.Intn(2) == 0 {
-			l.Attrs.Add("rating", viewRatings[rng.Intn(len(viewRatings))])
+			l.AddAttr("rating", viewRatings[rng.Intn(len(viewRatings))])
 		}
 		return g.AddLink(l)
 	case r < 9:
@@ -112,7 +112,7 @@ func viewOp(rng *rand.Rand, g *Graph) error {
 			more.AddType(TypeAct)
 		}
 		if rng.Intn(2) == 0 {
-			more.Attrs.Add("rating", viewRatings[rng.Intn(len(viewRatings))])
+			more.AddAttr("rating", viewRatings[rng.Intn(len(viewRatings))])
 		}
 		return g.PutLink(more)
 	case r < 18:
@@ -150,7 +150,8 @@ func randomBatch(t *testing.T, rng *rand.Rand, g *Graph, n int) []Mutation {
 	}
 	if ls := scratch.Links(); rng.Intn(3) == 0 && len(ls) > 0 {
 		l := ls[rng.Intn(len(ls))]
-		rated := &Link{ID: l.ID, Src: l.Src, Tgt: l.Tgt, Attrs: NewAttrs("rating", "0.25")}
+		rated := &Link{ID: l.ID, Src: l.Src, Tgt: l.Tgt}
+		rated.SetAttrs(NewAttrs("rating", "0.25"))
 		muts = append(muts, Mutation{Kind: MutPutLink, Link: rated})
 	}
 	if ids := scratch.NodeIDs(); rng.Intn(3) == 0 && len(ids) > 4 {
@@ -167,7 +168,7 @@ func viewTestGraph(rng *rand.Rand) *Graph {
 	hot := g.MaxNodeID()
 	for i := 0; i < 40; i++ {
 		l := NewLink(g.MaxLinkID()+1, users[rng.Intn(len(users))], hot, TypeAct, SubtypeReview)
-		l.Attrs.Add("rating", viewRatings[rng.Intn(len(viewRatings))])
+		l.AddAttr("rating", viewRatings[rng.Intn(len(viewRatings))])
 		if err := g.AddLink(l); err != nil {
 			panic(err)
 		}

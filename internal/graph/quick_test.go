@@ -24,7 +24,7 @@ func randomGraph(seed int64, n, m int) *Graph {
 		src := NodeID(rng.Intn(n) + 1)
 		tgt := NodeID(rng.Intn(n) + 1)
 		l := NewLink(LinkID(i), src, tgt, ltypes[rng.Intn(len(ltypes))])
-		l.Attrs.SetFloat("w", rng.Float64())
+		l.SetAttrFloat("w", rng.Float64())
 		if err := g.AddLink(l); err != nil {
 			panic(err)
 		}

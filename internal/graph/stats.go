@@ -46,7 +46,7 @@ func (g *Graph) ComputeStats() Stats {
 		return true
 	})
 	g.links.Range(func(_ LinkID, l *Link) bool {
-		for _, t := range l.Types {
+		for _, t := range l.Types() {
 			s.LinksByType[t]++
 		}
 		return true

@@ -54,7 +54,7 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 		id++
 		l := graph.NewLink(id, d.Users[i%len(d.Users)], d.Items[i%len(d.Items)],
 			graph.TypeAct, graph.SubtypeTag)
-		l.Attrs.Add("tags", "benchtag")
+		l.AddAttr("tags", "benchtag")
 		muts := []graph.Mutation{{Kind: graph.MutAddLink, Link: l}}
 		ix = ix.ApplyDelta(g, muts)
 		b.StopTimer()

@@ -172,7 +172,7 @@ func Extract(g *graph.Graph) *Data {
 					conns = append(conns, idPair{l.Tgt, l.Src})
 				}
 			case l.HasType(graph.SubtypeTag):
-				for _, tag := range l.Attrs.All("tags") {
+				for _, tag := range l.Attrs().All("tags") {
 					byTag[tag] = append(byTag[tag], idPair{l.Tgt, l.Src})
 				}
 			}

@@ -74,7 +74,7 @@ func (c *diffCorpus) newTagLink(src, tgt graph.NodeID, tags ...string) *graph.Li
 	c.nextLink++
 	l := graph.NewLink(c.nextLink, src, tgt, graph.TypeAct, graph.SubtypeTag)
 	for _, tag := range tags {
-		l.Attrs.Add("tags", tag)
+		l.AddAttr("tags", tag)
 	}
 	c.tagLinks = append(c.tagLinks, l)
 	return l
@@ -332,7 +332,7 @@ func TestDifferentialRecordedChangelog(t *testing.T) {
 	target := c.tagLinks[0]
 	step("putlink extends tags", func() {
 		ext := target.Clone()
-		ext.Attrs = graph.NewAttrs("tags", ext.Attrs.All("tags")[0], "tags", "brandnew")
+		ext.SetAttrs(graph.NewAttrs("tags", ext.Attrs().All("tags")[0], "tags", "brandnew"))
 		if err := c.g.PutLink(ext); err != nil {
 			t.Fatal(err)
 		}
@@ -569,7 +569,7 @@ func TestDifferentialIDReuseAfterRemoval(t *testing.T) {
 	for _, item := range taggedItems {
 		lid := ids.NextLink()
 		l := graph.NewLink(lid, freshUser, item, graph.TypeAct, graph.SubtypeTag)
-		l.Attrs.Add("tags", c.tags[0])
+		l.AddAttr("tags", c.tags[0])
 		rejoin = append(rejoin, graph.Mutation{Kind: graph.MutAddLink, Link: l})
 	}
 	pre = c.g.ShallowClone()
@@ -611,7 +611,7 @@ func TestDifferentialMidBatchTaggings(t *testing.T) {
 	}{
 		{"other tags Z, x-other disconnect, other untags Z", func(g *graph.Graph, conn, _ graph.LinkID) []graph.Mutation {
 			z := graph.NewLink(g.MaxLinkID()+1, other, item, tag...)
-			z.Attrs.Add("tags", "Z")
+			z.AddAttr("tags", "Z")
 			return []graph.Mutation{
 				{Kind: graph.MutAddLink, Link: z},
 				{Kind: graph.MutRemoveLink, Link: g.Link(conn).Clone()},

@@ -55,7 +55,7 @@ func TestSubstrateAgreesWithGraphFacts(t *testing.T) {
 			})
 			for _, l := range g.Out(u) {
 				if l.HasType(graph.SubtypeTag) {
-					for _, tag := range l.Attrs.All("tags") {
+					for _, tag := range l.Attrs().All("tags") {
 						onLinks = append(onLinks, itemTag{l.Tgt, tag})
 					}
 				}

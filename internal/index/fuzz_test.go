@@ -77,7 +77,7 @@ func decodeMutation(g *graph.Graph, tags []string, kind byte, a, b int) (graph.M
 			return graph.Mutation{}, false
 		}
 		l := graph.NewLink(g.MaxLinkID()+1, users[a%len(users)], nodes[b%len(nodes)], graph.TypeAct, graph.SubtypeTag)
-		l.Attrs.Add("tags", tag)
+		l.AddAttr("tags", tag)
 		return graph.Mutation{Kind: graph.MutAddLink, Link: l}, true
 	case 1: // a user connects to any node; only user pairs reach the network
 		if len(users) == 0 || len(nodes) == 0 {
@@ -99,7 +99,7 @@ func decodeMutation(g *graph.Graph, tags []string, kind byte, a, b int) (graph.M
 			return graph.Mutation{}, false
 		}
 		merged := prev.Clone()
-		merged.Attrs.Add("tags", tag)
+		merged.AddAttr("tags", tag)
 		return graph.Mutation{Kind: graph.MutPutLink, Link: merged, Prev: prev.Clone()}, true
 	case 4: // a node arrives
 		typ := graph.TypeItem

@@ -159,13 +159,13 @@ func (d *delta) applyLinkAdd(l, prev *graph.Link, countDups bool) {
 	if l.HasType(graph.SubtypeTag) {
 		var prevTags []string
 		if prev != nil && prev.HasType(graph.SubtypeTag) {
-			prevTags = prev.Attrs.All("tags")
+			prevTags = prev.Attrs().All("tags")
 		}
 		remaining := make(map[string]int, len(prevTags))
 		for _, t := range prevTags {
 			remaining[t]++
 		}
-		for _, tag := range l.Attrs.All("tags") {
+		for _, tag := range l.Attrs().All("tags") {
 			if remaining[tag] > 0 {
 				remaining[tag]-- // the link asserted this before the merge
 				continue
@@ -183,7 +183,7 @@ func (d *delta) applyLinkRemove(l *graph.Link) {
 		d.removeConnect(l.Src, l.Tgt)
 	}
 	if l.HasType(graph.SubtypeTag) {
-		for _, tag := range l.Attrs.All("tags") {
+		for _, tag := range l.Attrs().All("tags") {
 			d.removeTagging(l.Src, l.Tgt, tag)
 		}
 	}
@@ -322,7 +322,7 @@ func (d *delta) taggingsOf(u graph.NodeID, fn func(item graph.NodeID, tag string
 			if !l.HasType(graph.SubtypeTag) {
 				continue
 			}
-			for _, tag := range l.Attrs.All("tags") {
+			for _, tag := range l.Attrs().All("tags") {
 				if has(d.ix.data.Taggers.At(tag).At(l.Tgt), u) {
 					fn(l.Tgt, tag)
 				}

@@ -35,7 +35,7 @@ func TestApplyDeltaOnHandBuiltData(t *testing.T) {
 	newUser := graph.NewNode(3, graph.TypeUser)
 	conn := graph.NewLink(g.MaxLinkID()+1, 3, 1, graph.TypeConnect)
 	tagLink := graph.NewLink(g.MaxLinkID()+2, 3, 10, graph.TypeAct, graph.SubtypeTag)
-	tagLink.Attrs.Add("tags", "go")
+	tagLink.AddAttr("tags", "go")
 	ix = ix.ApplyDelta(g, []graph.Mutation{
 		{Kind: graph.MutAddNode, Node: newUser},
 		{Kind: graph.MutAddLink, Link: conn},
@@ -75,7 +75,7 @@ func TestQuickIncrementalEqualsRebuild(t *testing.T) {
 			id++
 			l := graph.NewLink(id, d.Users[rng.Intn(len(d.Users))], d.Items[rng.Intn(len(d.Items))],
 				graph.TypeAct, graph.SubtypeTag)
-			l.Attrs.Add("tags", tags[rng.Intn(len(tags))])
+			l.AddAttr("tags", tags[rng.Intn(len(tags))])
 			muts := []graph.Mutation{{Kind: graph.MutAddLink, Link: l}}
 			pre := g.ShallowClone()
 			if err := g.ApplyAll(muts); err != nil {

@@ -119,6 +119,10 @@ type node[K comparable, V any] struct {
 	vals    []V
 	subs    []*node[K, V]
 	coll    bool
+	// own marks the slices a node claimed in a transient window has
+	// copied (ownKeys, ownVals, ownSubs): the rest it still shares with
+	// the node it was claimed from. Inert without a live edit.
+	own uint8
 	// edit, when non-nil, is the ownership token of the transient that
 	// created (or claimed) this node; writes carrying the same token may
 	// mutate the node in place (see transient.go). Nodes reachable from a
@@ -264,7 +268,7 @@ func (m Map[K, V]) set(n *node[K, V], shift uint, h uint64, k K, v V) (*node[K, 
 // the persistent path) so a transient build keeps owning the region.
 func (m Map[K, V]) merge(e *Edit, shift uint, h1 uint64, k1 K, v1 V, h2 uint64, k2 K, v2 V) *node[K, V] {
 	if shift > maxShift {
-		return &node[K, V]{coll: true, keys: []K{k1, k2}, vals: []V{v1, v2}, edit: e}
+		return &node[K, V]{coll: true, keys: []K{k1, k2}, vals: []V{v1, v2}, edit: e, own: ownAll}
 	}
 	i1 := (h1 >> shift) & branchMask
 	i2 := (h2 >> shift) & branchMask
@@ -273,6 +277,7 @@ func (m Map[K, V]) merge(e *Edit, shift uint, h1 uint64, k1 K, v1 V, h2 uint64, 
 			nodemap: 1 << i1,
 			subs:    []*node[K, V]{m.merge(e, shift+branchBits, h1, k1, v1, h2, k2, v2)},
 			edit:    e,
+			own:     ownAll,
 		}
 	}
 	if i1 > i2 {
@@ -285,6 +290,7 @@ func (m Map[K, V]) merge(e *Edit, shift uint, h1 uint64, k1 K, v1 V, h2 uint64, 
 		keys:    []K{k1, k2},
 		vals:    []V{v1, v2},
 		edit:    e,
+		own:     ownAll,
 	}
 }
 

@@ -51,26 +51,70 @@ var DisableTransients bool
 func (n *node[K, V]) owned(e *Edit) bool { return e != nil && n.edit == e }
 
 // claim returns a node the edit may freely write: n itself when already
-// owned, otherwise a copy — slices included, since in-place mutation of a
-// shared backing array would corrupt published versions — stamped with e.
+// owned, otherwise a copy of its header stamped with e. The copy shares
+// n's keys, vals and subs; each write then copies only the slice it
+// changes, once (own), since in-place mutation of a shared backing array
+// would corrupt published versions.
 func claim[K comparable, V any](e *Edit, n *node[K, V]) *node[K, V] {
 	if n.owned(e) {
 		return n
 	}
-	c := &node[K, V]{
+	return &node[K, V]{
 		datamap: n.datamap,
 		nodemap: n.nodemap,
+		keys:    n.keys,
+		vals:    n.vals,
+		subs:    n.subs,
 		coll:    n.coll,
 		edit:    e,
 	}
-	if n.keys != nil {
-		c.keys = append(make([]K, 0, len(n.keys)+1), n.keys...)
-		c.vals = append(make([]V, 0, len(n.vals)+1), n.vals...)
+}
+
+// The bits of node.own: which of a claimed node's slices it has copied.
+const (
+	ownKeys uint8 = 1 << iota
+	ownVals
+	ownSubs
+	ownAll = ownKeys | ownVals | ownSubs
+)
+
+// setVal, setSub, insertEntry, removeEntry, insertSub and removeSub write
+// a node the edit owns, copying a slice it still shares with a published
+// node on its first write.
+func (n *node[K, V]) setVal(i int, v V) {
+	if n.own&ownVals == 0 {
+		n.vals, n.own = setAt(n.vals, i, v), n.own|ownVals
+		return
 	}
-	if n.subs != nil {
-		c.subs = append(make([]*node[K, V], 0, len(n.subs)+1), n.subs...)
+	n.vals[i] = v
+}
+
+func (n *node[K, V]) setSub(j int, sub *node[K, V]) {
+	if n.own&ownSubs == 0 {
+		n.subs, n.own = setAt(n.subs, j, sub), n.own|ownSubs
+		return
 	}
-	return c
+	n.subs[j] = sub
+}
+
+func (n *node[K, V]) insertEntry(i int, k K, v V) {
+	n.keys = insertOwned(n.keys, n.own&ownKeys != 0, i, k)
+	n.vals = insertOwned(n.vals, n.own&ownVals != 0, i, v)
+	n.own |= ownKeys | ownVals
+}
+
+func (n *node[K, V]) removeEntry(i int) {
+	n.keys = removeOwned(n.keys, n.own&ownKeys != 0, i)
+	n.vals = removeOwned(n.vals, n.own&ownVals != 0, i)
+	n.own |= ownKeys | ownVals
+}
+
+func (n *node[K, V]) insertSub(j int, sub *node[K, V]) {
+	n.subs, n.own = insertOwned(n.subs, n.own&ownSubs != 0, j, sub), n.own|ownSubs
+}
+
+func (n *node[K, V]) removeSub(j int) {
+	n.subs, n.own = removeOwned(n.subs, n.own&ownSubs != 0, j), n.own|ownSubs
 }
 
 // SetWith is Set carrying a transient ownership token: nodes owned by e
@@ -93,6 +137,7 @@ func (m Map[K, V]) SetWith(e *Edit, k K, v V) Map[K, V] {
 				keys:    []K{k},
 				vals:    []V{v},
 				edit:    e,
+				own:     ownAll,
 			},
 			size: 1,
 			hash: m.hash,
@@ -114,13 +159,12 @@ func (m Map[K, V]) setT(e *Edit, n *node[K, V], shift uint, h uint64, k K, v V) 
 		for i := range n.keys {
 			if n.keys[i] == k {
 				n = claim(e, n)
-				n.vals[i] = v
+				n.setVal(i, v)
 				return n, false
 			}
 		}
 		n = claim(e, n)
-		n.keys = append(n.keys, k)
-		n.vals = append(n.vals, v)
+		n.insertEntry(len(n.keys), k, v)
 		return n, true
 	}
 	bit := uint64(1) << ((h >> shift) & branchMask)
@@ -129,7 +173,7 @@ func (m Map[K, V]) setT(e *Edit, n *node[K, V], shift uint, h uint64, k K, v V) 
 		i := bits.OnesCount64(n.datamap & (bit - 1))
 		if n.keys[i] == k {
 			n = claim(e, n)
-			n.vals[i] = v
+			n.setVal(i, v)
 			return n, false
 		}
 		// Slot conflict: push the resident entry and the new one down into
@@ -140,22 +184,23 @@ func (m Map[K, V]) setT(e *Edit, n *node[K, V], shift uint, h uint64, k K, v V) 
 		n = claim(e, n)
 		n.datamap &^= bit
 		n.nodemap |= bit
-		n.keys = removeInPlace(n.keys, i)
-		n.vals = removeInPlace(n.vals, i)
-		n.subs = insertInPlace(n.subs, j, sub)
+		n.removeEntry(i)
+		n.insertSub(j, sub)
 		return n, true
 	case n.nodemap&bit != 0:
 		j := bits.OnesCount64(n.nodemap & (bit - 1))
 		sub, added := m.setT(e, n.subs[j], shift+branchBits, h, k, v)
+		if sub == n.subs[j] {
+			return n, added // the subtree was written in place
+		}
 		n = claim(e, n)
-		n.subs[j] = sub
+		n.setSub(j, sub)
 		return n, added
 	default:
 		i := bits.OnesCount64(n.datamap & (bit - 1))
 		n = claim(e, n)
 		n.datamap |= bit
-		n.keys = insertInPlace(n.keys, i, k)
-		n.vals = insertInPlace(n.vals, i, v)
+		n.insertEntry(i, k, v)
 		return n, true
 	}
 }
@@ -188,8 +233,7 @@ func (m Map[K, V]) delT(e *Edit, n *node[K, V], shift uint, h uint64, k K) (*nod
 				return nil, true
 			}
 			n = claim(e, n)
-			n.keys = removeInPlace(n.keys, i)
-			n.vals = removeInPlace(n.vals, i)
+			n.removeEntry(i)
 			return n, true
 		}
 		return n, false
@@ -206,8 +250,7 @@ func (m Map[K, V]) delT(e *Edit, n *node[K, V], shift uint, h uint64, k K) (*nod
 		}
 		n = claim(e, n)
 		n.datamap &^= bit
-		n.keys = removeInPlace(n.keys, i)
-		n.vals = removeInPlace(n.vals, i)
+		n.removeEntry(i)
 		return n, true
 	case n.nodemap&bit != 0:
 		j := bits.OnesCount64(n.nodemap & (bit - 1))
@@ -222,7 +265,7 @@ func (m Map[K, V]) delT(e *Edit, n *node[K, V], shift uint, h uint64, k K) (*nod
 			}
 			n = claim(e, n)
 			n.nodemap &^= bit
-			n.subs = removeInPlace(n.subs, j)
+			n.removeSub(j)
 			return n, true
 		case sub.inlineable():
 			i := bits.OnesCount64(n.datamap & (bit - 1))
@@ -230,13 +273,14 @@ func (m Map[K, V]) delT(e *Edit, n *node[K, V], shift uint, h uint64, k K) (*nod
 			n = claim(e, n)
 			n.datamap |= bit
 			n.nodemap &^= bit
-			n.keys = insertInPlace(n.keys, i, key)
-			n.vals = insertInPlace(n.vals, i, val)
-			n.subs = removeInPlace(n.subs, j)
+			n.insertEntry(i, key, val)
+			n.removeSub(j)
 			return n, true
+		case sub == n.subs[j]:
+			return n, true // the subtree was written in place
 		default:
 			n = claim(e, n)
-			n.subs[j] = sub
+			n.setSub(j, sub)
 			return n, true
 		}
 	default:
@@ -318,10 +362,13 @@ func (t *TMap[K, V]) Persistent() Map[K, V] {
 	return t.m
 }
 
-// insertInPlace inserts v before index i, shifting in place (the slice
-// must be transient-owned; growth via append is fine, the backing array
-// is private).
-func insertInPlace[T any](s []T, i int, v T) []T {
+// insertOwned inserts v before index i: in place when the node owns s
+// (growth via append is fine, the backing array is private), else into
+// a fresh copy.
+func insertOwned[T any](s []T, owned bool, i int, v T) []T {
+	if !owned {
+		return insertAt(s, i, v)
+	}
 	var zero T
 	s = append(s, zero)
 	copy(s[i+1:], s[i:])
@@ -329,9 +376,13 @@ func insertInPlace[T any](s []T, i int, v T) []T {
 	return s
 }
 
-// removeInPlace removes the element at index i, shifting in place and
-// zeroing the vacated tail slot so owned slices never pin dead values.
-func removeInPlace[T any](s []T, i int) []T {
+// removeOwned removes the element at index i: in place when the node owns
+// s, zeroing the vacated tail slot so owned slices never pin dead values,
+// else into a fresh copy.
+func removeOwned[T any](s []T, owned bool, i int) []T {
+	if !owned {
+		return removeAt(s, i)
+	}
 	copy(s[i:], s[i+1:])
 	var zero T
 	s[len(s)-1] = zero

@@ -61,7 +61,7 @@ func oracleRating(g *graph.Graph, user, item graph.NodeID) float64 {
 		if l.Tgt != item || !l.HasType(graph.TypeAct) {
 			continue
 		}
-		if v, ok := l.Attrs.Float("rating"); ok {
+		if v, ok := l.Attrs().Float("rating"); ok {
 			return v
 		}
 		return 1

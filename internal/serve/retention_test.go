@@ -21,10 +21,12 @@ import (
 const (
 	wireBatches   = 2000
 	wireBatchSize = 8
-	// 1.25× the figure measured once stored links shared their attribute
-	// sets (linux/amd64, go1.24). With a private set per link it read
-	// 330 B: the set, and the decoded key and value strings it held.
-	wireRetainedBound = 1.25 * 250 // bytes per mutation
+	// 1.25× the figure measured once a stored tagging became a 32-byte
+	// link over a body interned for its (type set, attribute set) pair,
+	// and trie claims copied only the slice they write (linux/amd64,
+	// go1.24). With 96-byte links and whole-node claims it read 250 B,
+	// and 330 B before that with a private attribute set per link.
+	wireRetainedBound = 1.25 * 181 // bytes per mutation
 )
 
 func liveHeap() float64 {

@@ -272,7 +272,7 @@ func TestPostApplyNeverStale(t *testing.T) {
 	// must change.
 	dest := site.corpus.Destinations[0]
 	l := graph.NewLink(site.corpus.Graph.MaxLinkID()+1000, friend, dest, graph.TypeAct, graph.SubtypeTag)
-	l.Attrs.Add("tags", tag)
+	l.AddAttr("tags", tag)
 	status, out, body := site.apply(t, []graph.Mutation{{Kind: graph.MutAddLink, Link: l}})
 	if status != http.StatusOK {
 		t.Fatalf("apply: %d: %s", status, body)
@@ -471,7 +471,7 @@ func TestMutationWireRoundTrip(t *testing.T) {
 	n := graph.NewNode(42, graph.TypeUser)
 	n.Attrs.Add("name", "jane")
 	l := graph.NewLink(7, 42, 43, graph.TypeAct, graph.SubtypeTag)
-	l.Attrs.Add("tags", "museum")
+	l.AddAttr("tags", "museum")
 	prev := graph.NewLink(7, 42, 43, graph.TypeAct)
 	muts := []graph.Mutation{
 		{Kind: graph.MutAddNode, Node: n},

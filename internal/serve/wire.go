@@ -73,7 +73,7 @@ func (w NodeWire) node() *graph.Node {
 func (w LinkWire) link() *graph.Link {
 	l := graph.NewLink(w.ID, w.Src, w.Tgt, w.Types...)
 	if w.Attrs != nil {
-		l.Attrs = graph.AttrsFromMap(w.Attrs)
+		l.SetAttrs(graph.AttrsFromMap(w.Attrs))
 	}
 	return l
 }
@@ -84,7 +84,7 @@ func NodeToWire(n *graph.Node) NodeWire {
 }
 
 func LinkToWire(l *graph.Link) LinkWire {
-	return LinkWire{ID: l.ID, Src: l.Src, Tgt: l.Tgt, Types: l.Types, Attrs: l.Attrs.Map()}
+	return LinkWire{ID: l.ID, Src: l.Src, Tgt: l.Tgt, Types: l.Types(), Attrs: l.Attrs().Map()}
 }
 
 // MutationToWire converts a changelog entry for transmission.

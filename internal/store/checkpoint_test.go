@@ -38,7 +38,7 @@ func bigGraph(t *testing.T, users, items int) *graph.Graph {
 		for k := 0; k < 4; k++ {
 			l := graph.NewLink(ids.NextLink(),
 				graph.NodeID(u+1), graph.NodeID(users+1+(u*7+k*13)%items), "act", "tag")
-			l.Attrs.Add("tags", fmt.Sprintf("tag-%d", (u+k)%17))
+			l.AddAttr("tags", fmt.Sprintf("tag-%d", (u+k)%17))
 			if err := g.AddLink(l); err != nil {
 				t.Fatal(err)
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"path"
 	"reflect"
 	"testing"
@@ -54,6 +55,18 @@ func FuzzCkptFile(f *testing.F) {
 	f.Add([]byte(`null`), full, delta, false)
 	f.Add([]byte(`{"seq":2,"chain":["ckpt-0000000000000002.ck","ckpt-0000000000000002.ck"]}`), delta, delta, true)
 	f.Add(fsys.Bytes("a/"+manifestName), fsys.Bytes("a/"+ckptName(1)), []byte{}, false)
+	// A derived link range ending at the largest id there is, which the
+	// graph's mark reaches: accepted, and the base must still come back
+	// at graph speed.
+	top := graph.NewLink(math.MaxInt64, u, topic, graph.TypeBelong)
+	if err := g.AddLink(top); err != nil {
+		f.Fatal(err)
+	}
+	wide := &graph.Derived{NodeLo: topic, NodeHi: topic, LinkLo: bl, LinkHi: top.ID}
+	if err := NewCheckpointer(fsys, "h", 4, 0).Save(g, Meta{Version: 2, WalLSN: 5, Derived: wide}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fsys.Bytes("h/"+manifestName), fsys.Bytes("h/"+ckptName(1)), []byte{}, false)
 
 	f.Fuzz(func(t *testing.T, manifest, file1, file2 []byte, fixCRC bool) {
 		files := [][]byte{file1, file2}
@@ -121,6 +134,11 @@ func FuzzCkptFile(f *testing.F) {
 			d.LinkLo < 1 || d.LinkLo > d.LinkHi || d.LinkHi > rec.Graph.MaxLinkID()) {
 			t.Fatalf("LoadLatest accepted derived ranges %+v over marks %d/%d",
 				*d, rec.Graph.MaxNodeID(), rec.Graph.MaxLinkID())
+		}
+		if d := rec.Meta.Derived; d != nil {
+			if base := rec.Graph.WithoutDerived(*d); base.MaxLinkID() >= d.LinkLo && base.MaxLinkID() <= d.LinkHi {
+				t.Fatalf("WithoutDerived(%+v) left the link mark at %d", *d, base.MaxLinkID())
+			}
 		}
 	})
 }

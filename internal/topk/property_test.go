@@ -148,7 +148,7 @@ func TestStrategiesAgreeAfterDeltas(t *testing.T) {
 			nextLink++
 			l := graph.NewLink(nextLink, users[rng.Intn(len(users))],
 				items[rng.Intn(len(items))], graph.TypeAct, graph.SubtypeTag)
-			l.Attrs.Add("tags", tags[rng.Intn(len(tags))])
+			l.AddAttr("tags", tags[rng.Intn(len(tags))])
 			added = append(added, l)
 			return graph.Mutation{Kind: graph.MutAddLink, Link: l}
 		case p < 0.75: // new connection
@@ -166,7 +166,7 @@ func TestStrategiesAgreeAfterDeltas(t *testing.T) {
 			nextLink++
 			l := graph.NewLink(nextLink, users[rng.Intn(len(users))],
 				items[rng.Intn(len(items))], graph.TypeAct, graph.SubtypeTag)
-			l.Attrs.Add("tags", tags[rng.Intn(len(tags))])
+			l.AddAttr("tags", tags[rng.Intn(len(tags))])
 			added = append(added, l)
 			return graph.Mutation{Kind: graph.MutAddLink, Link: l}
 		}

@@ -190,7 +190,7 @@ func (s *TaggingStream) Batch(n int) []graph.Mutation {
 		d := s.items[s.rng.Intn(len(s.items))]
 		tag := s.tags[s.rng.Intn(len(s.tags))]
 		l := graph.NewLink(s.next, u, d, graph.TypeAct, graph.SubtypeTag)
-		l.Attrs.Add("tags", tag)
+		l.AddAttr("tags", tag)
 		muts[i] = graph.Mutation{Kind: graph.MutAddLink, Link: l}
 	}
 	return muts

@@ -20,7 +20,7 @@ func liveConfig() Config {
 // tagMutation builds an add-link mutation: user tags item with tag.
 func tagMutation(id LinkID, user, item NodeID, tag string) Mutation {
 	l := graph.NewLink(id, user, item, TypeAct, SubtypeTag)
-	l.Attrs.Add("tags", tag)
+	l.AddAttr("tags", tag)
 	return Mutation{Kind: graph.MutAddLink, Link: l}
 }
 
@@ -114,7 +114,7 @@ func TestEngineApplyChangelog(t *testing.T) {
 	// provably scores it.
 	lid++
 	endorsed := graph.NewLink(lid, corpus.Users[0], corpus.Destinations[0], TypeAct, SubtypeTag)
-	endorsed.Attrs.Add("tags", workload.Categories[0])
+	endorsed.AddAttr("tags", workload.Categories[0])
 	if err := scratch.AddLink(endorsed); err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestEngineApplyRejectsUnmaintainable(t *testing.T) {
 	scratch := corpus.Graph.Clone()
 	log := graph.RecordInto(scratch)
 	ext := scratch.Links()[0].Clone()
-	ext.Attrs.Add("note", "edited")
+	ext.AddAttr("note", "edited")
 	if err := scratch.PutLink(ext); err != nil {
 		t.Fatal(err)
 	}
