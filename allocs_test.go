@@ -6,9 +6,11 @@ import (
 	"runtime"
 	"testing"
 
+	"socialscope/internal/cluster"
 	"socialscope/internal/discovery"
 	"socialscope/internal/graph"
 	"socialscope/internal/index"
+	"socialscope/internal/scoring"
 	"socialscope/internal/workload"
 )
 
@@ -202,6 +204,30 @@ func TestExtractAllocsPinned(t *testing.T) {
 	}
 	pinAllocs(t, "index.Extract (bench corpus)", 7450, func() {
 		index.Extract(corpus.Graph)
+	})
+}
+
+// A cold per-user index build counts over dense tables with per-worker
+// scratch and stores each list once, exact-size: ~13.2k allocations on
+// the bench corpus with one worker (AllocsPerRun runs at GOMAXPROCS 1),
+// where the map-based build took ~31k.
+func TestIndexBuildAllocsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 600-user corpus")
+	}
+	corpus, err := benchCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := index.Extract(corpus.Graph)
+	cl, err := cluster.Build(corpus.Graph, cluster.PerUser, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinAllocs(t, "index.Build peruser (bench corpus)", 16450, func() {
+		if _, err := index.Build(d, cl, scoring.CountF); err != nil {
+			t.Fatal(err)
+		}
 	})
 }
 

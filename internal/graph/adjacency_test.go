@@ -481,3 +481,26 @@ func TestStoredLinkSize(t *testing.T) {
 	}
 	_ = sink
 }
+
+// TestDecodedLinkAllocs: decoding a catalog tagging whose attribute set is
+// shared, as checkpoint loads and WAL replay do for most links, resolves
+// its type set and its body from the encoded bytes, so the decoded link's
+// 32 bytes are its one allocation.
+func TestDecodedLinkAllocs(t *testing.T) {
+	l := NewLink(7, 2, 3, TypeAct, SubtypeTag)
+	l.SetAttr("tags", "museum")
+	buf := AppendLinkBin(nil, l)
+	var sink *Link
+	n := testing.AllocsPerRun(100, func() {
+		var err error
+		if sink, _, err = DecodeLinkBin(buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 1 {
+		t.Errorf("decoding a catalog tagging allocates %.0f times, want 1", n)
+	}
+	if sink.b != l.stored().b {
+		t.Error("a decoded catalog tagging does not hold the interned body of its pair")
+	}
+}

@@ -153,6 +153,32 @@ func binSharedAttr(src []byte) (Attrs, int) {
 	return nil, 0
 }
 
+// binSharedTypes decodes what appendStrings wrote when it spells a
+// catalog type set, returning that set (see linkTypeSets) and building no
+// string. It returns nil, 0 for anything else, which binStrings decodes.
+func binSharedTypes(src []byte) ([]string, int) {
+	count, start, err := binUvarint(src)
+	if err != nil {
+		return nil, 0
+	}
+sets:
+	for _, ts := range linkTypeSets {
+		if uint64(len(ts)) != count {
+			continue
+		}
+		off := start
+		for _, t := range ts {
+			b, n, err := binBytes(src[off:])
+			if err != nil || string(b) != t {
+				continue sets
+			}
+			off += n
+		}
+		return ts, off
+	}
+	return nil, 0
+}
+
 func appendScore(dst []byte, score float64, scored bool) []byte {
 	if !scored {
 		return append(dst, 0)
@@ -235,9 +261,11 @@ func DecodeLinkBin(src []byte) (*Link, int, error) {
 		return nil, 0, err
 	}
 	off += n
-	types, n, err := binStrings(src[off:])
-	if err != nil {
-		return nil, 0, err
+	types, n := binSharedTypes(src[off:])
+	if types == nil {
+		if types, n, err = binStrings(src[off:]); err != nil {
+			return nil, 0, err
+		}
 	}
 	off += n
 	attrs, n := binSharedAttr(src[off:])

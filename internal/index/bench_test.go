@@ -6,7 +6,13 @@ import (
 	"socialscope/internal/cluster"
 	"socialscope/internal/graph"
 	"socialscope/internal/scoring"
+	"socialscope/internal/workload"
 )
+
+// ledgerCorpus is the corpus the bench/ ledger serves.
+var ledgerCorpus = workload.TravelConfig{
+	Users: 600, Destinations: 200, VisitsPerUser: 8, TagFraction: 0.8, Seed: 42,
+}
 
 func benchData(b *testing.B) (*Data, *graph.Graph) {
 	b.Helper()
@@ -22,17 +28,28 @@ func BenchmarkExtract(b *testing.B) {
 	}
 }
 
-func BenchmarkBuildPerUser(b *testing.B) {
-	d, g := benchData(b)
-	c, err := cluster.Build(g, cluster.PerUser, 0)
+// BenchmarkIndexBuild times a cold Build over the ledger's corpus under
+// each strategy, θ 0.1 where the strategy takes one: the build the first
+// tagged query after New, OpenDurable, OpenFollower or Analyze runs.
+func BenchmarkIndexBuild(b *testing.B) {
+	c, err := workload.Travel(ledgerCorpus)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Build(d, c, scoring.CountF); err != nil {
+	d := Extract(c.Graph)
+	for _, s := range allStrategies {
+		cl, err := cluster.Build(c.Graph, s, 0.1)
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.Run(s.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := Build(d, cl, scoring.CountF); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -113,4 +114,69 @@ func decodeMutation(g *graph.Graph, tags []string, kind byte, a, b int) (graph.M
 		}
 		return graph.Mutation{Kind: graph.MutRemoveNode, Node: g.Node(nodes[a%len(nodes)]).Clone()}, true
 	}
+}
+
+// FuzzBuildMatchesOracle decodes its input into a small graph and holds
+// Build to the map-based oracle under every strategy. The first byte picks
+// the threshold and the scoring function; each op after it is three
+// bytes, a kind and two picks: a node arrives (a user or an item), a node
+// connects to a node (only user pairs reach the network), a node tags a
+// node, or the clustering is taken there, so users arriving after it have
+// no cluster.
+func FuzzBuildMatchesOracle(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 2, 0, 1, 0, 1, 2, 0, 1, 2, 1, 0})
+	f.Add([]byte{5, 0, 0, 0, 0, 2, 0, 0, 4, 0, 1, 1, 2, 1, 0, 3, 0, 0, 0, 6, 0, 1, 3, 2, 2, 3, 1})
+	f.Add([]byte{7, 0, 1, 0, 0, 3, 0, 0, 5, 0, 1, 0, 0, 1, 1, 1, 2, 0, 1, 2, 1, 1, 2, 2, 2, 0, 2, 2, 1, 2})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 {
+			return
+		}
+		theta := []float64{0, 0.1, 0.4}[in[0]%3]
+		fn := oracleFns[int(in[0]/3)%len(oracleFns)]
+		g := graph.New()
+		var nodes []graph.NodeID
+		var clusterOn *graph.Graph
+		for in = in[1:]; len(in) >= 3 && len(nodes) < 64; in = in[3:] {
+			a, b := int(in[1]), int(in[2])
+			switch in[0] % 4 {
+			case 0:
+				typ := graph.TypeItem
+				if b%2 == 0 {
+					typ = graph.TypeUser
+				}
+				id := g.MaxNodeID() + 1
+				if g.AddNode(graph.NewNode(id, typ)) == nil {
+					nodes = append(nodes, id)
+				}
+			case 1:
+				if len(nodes) > 0 {
+					addLink(t, g, nodes[a%len(nodes)], nodes[b%len(nodes)], nil, graph.TypeConnect)
+				}
+			case 2:
+				if len(nodes) > 0 {
+					addLink(t, g, nodes[a%len(nodes)], nodes[b%len(nodes)],
+						[]string{"tags", string(rune('a' + a%3))}, graph.TypeAct, graph.SubtypeTag)
+				}
+			default:
+				if clusterOn == nil {
+					clusterOn = g.ShallowClone()
+				}
+			}
+		}
+		if clusterOn == nil {
+			clusterOn = g
+		}
+		d := Extract(g)
+		for _, s := range allStrategies {
+			cl, err := cluster.Build(clusterOn, s, theta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix, err := Build(d, cl, fn.f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertMatchesOracle(t, ix, fmt.Sprintf("%s/θ=%g/%s", s, theta, fn.name))
+		}
+	})
 }

@@ -1,8 +1,10 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -58,18 +60,25 @@ type Index struct {
 	version uint64
 }
 
-// Build materializes the posting lists. For every tag and item it computes
-// per-user exact scores by walking the taggers' reverse networks (touching
-// only users who can score > 0), folds them into per-cluster maxima, and
-// sorts each list by descending score. Tags are independent, so the build
-// is sharded by tag across a worker pool sized to the machine; the result
-// is deterministic regardless of worker count.
+// Build materializes the posting lists. For every tag and item it counts,
+// for each user, the item's taggers in that user's network (walking the
+// taggers' reverse networks, so only users who can score > 0 are touched),
+// folds f(count) into per-cluster maxima, and sorts each list by
+// descending score, then ascending item id. The counting runs over dense
+// tables set up once per build — users as positions, each position's
+// network and cluster id — and per-worker scratch counters reused across
+// items and tags, so a build allocates little beyond the lists it stores,
+// each at exact size. Tags are independent, so the build is sharded by tag
+// across a worker pool sized to the machine; the result is deterministic
+// regardless of worker count.
 func Build(data *Data, clustering *cluster.Clustering, f scoring.UserSetFn) (*Index, error) {
 	return BuildWithWorkers(data, clustering, f, 0)
 }
 
 // BuildWithWorkers is Build with an explicit worker-pool size. workers <= 0
-// means GOMAXPROCS. workers == 1 is the sequential reference build.
+// means GOMAXPROCS. workers == 1 is the sequential reference build. Every
+// worker count yields the same lists. Each worker holds scratch of
+// O(users + clusters) for the length of the build.
 func BuildWithWorkers(data *Data, clustering *cluster.Clustering, f scoring.UserSetFn,
 	workers int) (*Index, error) {
 	if data == nil || clustering == nil {
@@ -86,20 +95,22 @@ func BuildWithWorkers(data *Data, clustering *cluster.Clustering, f scoring.User
 	}
 	ix := &Index{data: data, clustering: clustering, f: f,
 		lists: persist.NewStringMap[clusterLists]()}
+	tab := newBuildTable(data, clustering)
 
-	// Shard by tag: each worker builds the complete, sorted per-cluster
-	// lists of its tags. Shards write into disjoint slots of a per-tag
-	// result slice, so the merge below needs no locking and the final map
-	// contents do not depend on scheduling.
-	shards := make([]map[int][]Entry, len(data.Tags))
+	// Shard by tag: each worker builds and seals the complete, sorted
+	// per-cluster lists of its tags. Shards write into disjoint slots of a
+	// per-tag result slice, so the merge below needs no locking and the
+	// final map contents do not depend on scheduling.
+	shards := make([]tagShard, len(data.Tags))
 	var wg sync.WaitGroup
 	tagCh := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			sc := tab.newScratch()
 			for ti := range tagCh {
-				shards[ti] = buildTagLists(data, clustering, f, data.Tags[ti])
+				shards[ti] = sc.tagLists(tab, f, data.Taggers.At(data.Tags[ti]))
 			}
 		}()
 	}
@@ -109,74 +120,148 @@ func BuildWithWorkers(data *Data, clustering *cluster.Clustering, f scoring.User
 	close(tagCh)
 	wg.Wait()
 
-	// Seal the shards into the two persistent levels through transients:
-	// the by-tag map and each tag's cluster map are assembled with
-	// in-place writes (one node claim per trie region instead of one path
-	// copy per Set) and sealed — once per shard, once for the index —
+	// Seal the by-tag level through a transient: in-place writes (one node
+	// claim per trie region instead of one path copy per Set), sealed once
 	// before anything is published. Trie shapes are canonical, so the
 	// result is byte-identical to a persistent-only assembly.
 	lists := ix.lists.Transient()
 	for ti, tag := range data.Tags {
-		if len(shards[ti]) == 0 {
+		if shards[ti].entries == 0 {
 			continue
 		}
-		sh := newClusterLists().Transient()
-		for cid, l := range shards[ti] {
-			sh.Set(cid, l)
-			ix.entries += len(l)
-		}
-		lists.Set(tag, sh.Persistent())
+		lists.Set(tag, shards[ti].lists)
+		ix.entries += shards[ti].entries
 	}
 	ix.lists = lists.Persistent()
 	return ix, nil
 }
 
-// buildTagLists computes the sorted posting lists of one tag, keyed by
-// cluster id.
-func buildTagLists(data *Data, clustering *cluster.Clustering, f scoring.UserSetFn,
-	tag string) map[int][]Entry {
-	byItem := data.Taggers.At(tag)
-	items := byItem.Keys()
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	lists := make(map[int][]Entry)
-	for _, item := range items {
-		taggers := byItem.At(item)
-		// Count taggers within each potential querier's network (the
-		// reverse network: who has the tagger in their network; symmetric,
-		// so identical to Network, but keep the access pattern explicit).
-		counts := make(map[graph.NodeID]int)
-		for _, tg := range taggers {
-			for _, u := range data.Network.At(tg) {
-				counts[u]++
+// buildTable is what every build worker reads: data.Users as dense
+// positions, the network of each position as positions, and each
+// position's cluster id. Network members are users (Data's invariant); a
+// tagger who is not a user has no position and counts for no one.
+type buildTable struct {
+	users []graph.NodeID // position p is users[p]
+	// net[netAt[p]:netAt[p+1]] are the positions in users[p]'s network.
+	netAt []int32
+	net   []int32
+	// cluster[p] is users[p]'s cluster id, or -1 outside the clustering.
+	cluster  []int32
+	clusters int // one past the largest cluster id
+}
+
+func newBuildTable(data *Data, clustering *cluster.Clustering) *buildTable {
+	t := &buildTable{users: data.Users, netAt: make([]int32, 1, len(data.Users)+1),
+		cluster: make([]int32, len(data.Users))}
+	for p, u := range data.Users {
+		for _, v := range data.Network.At(u) {
+			if q, ok := slices.BinarySearch(t.users, v); ok {
+				t.net = append(t.net, int32(q))
 			}
 		}
-		// Fold into per-cluster maxima of f(count).
-		maxima := make(map[int]float64)
-		for u, c := range counts {
-			cid := clustering.Of(u)
-			if cid < 0 {
+		t.netAt = append(t.netAt, int32(len(t.net)))
+		c := clustering.Of(u)
+		t.cluster[p] = int32(c)
+		t.clusters = max(t.clusters, c+1)
+	}
+	return t
+}
+
+// buildScratch is one worker's scratch, reused across items and tags: a
+// counter per position and a maximum and a growing list per cluster, each
+// with the list of slots it touched, so resetting costs what was written.
+type buildScratch struct {
+	count   []int32 // by position
+	counted []int32 // positions with count > 0
+	max     []float64
+	raised  []int32 // clusters with max > 0
+	lists   [][]Entry
+	listed  []int32 // clusters with a non-empty list
+}
+
+// tagShard is one tag's sealed cluster → list map and its entry count.
+type tagShard struct {
+	lists   clusterLists
+	entries int
+}
+
+func (t *buildTable) newScratch() *buildScratch {
+	return &buildScratch{count: make([]int32, len(t.users)),
+		max: make([]float64, t.clusters), lists: make([][]Entry, t.clusters)}
+}
+
+// tagLists computes the sorted posting lists of one tag, keyed by cluster
+// id. Items may come in any order: each list is sorted by a total order.
+func (sc *buildScratch) tagLists(t *buildTable, f scoring.UserSetFn, byItem ItemTaggers) tagShard {
+	byItem.Range(func(item graph.NodeID, taggers []graph.NodeID) bool {
+		// Count taggers within each potential querier's network: walk each
+		// tagger's reverse network (who has the tagger in their network;
+		// symmetric, so the tagger's own network).
+		for _, tg := range taggers {
+			p, ok := slices.BinarySearch(t.users, tg)
+			if !ok {
 				continue
 			}
-			if s := f(c); s > maxima[cid] {
-				maxima[cid] = s
+			for _, q := range t.net[t.netAt[p]:t.netAt[p+1]] {
+				if sc.count[q] == 0 {
+					sc.counted = append(sc.counted, q)
+				}
+				sc.count[q]++
 			}
 		}
-		for cid, ub := range maxima {
-			if ub > 0 {
-				lists[cid] = append(lists[cid], Entry{item, ub})
+		// Fold into per-cluster maxima of f(count). A cluster is raised
+		// only past its zero start, so a zero bound never makes an entry.
+		for _, q := range sc.counted {
+			n := sc.count[q]
+			sc.count[q] = 0
+			c := t.cluster[q]
+			if c < 0 {
+				continue
+			}
+			if s := f(int(n)); s > sc.max[c] {
+				if sc.max[c] == 0 {
+					sc.raised = append(sc.raised, c)
+				}
+				sc.max[c] = s
 			}
 		}
-	}
-	for cid := range lists {
-		l := lists[cid]
-		sort.Slice(l, func(i, j int) bool {
-			if l[i].Score != l[j].Score {
-				return l[i].Score > l[j].Score
+		sc.counted = sc.counted[:0]
+		for _, c := range sc.raised {
+			if len(sc.lists[c]) == 0 {
+				sc.listed = append(sc.listed, c)
 			}
-			return l[i].Item < l[j].Item
-		})
+			sc.lists[c] = append(sc.lists[c], Entry{item, sc.max[c]})
+			sc.max[c] = 0
+		}
+		sc.raised = sc.raised[:0]
+		return true
+	})
+	var out tagShard
+	if len(sc.listed) == 0 {
+		return out
 	}
-	return lists
+	sh := newClusterLists().Transient()
+	for _, c := range sc.listed {
+		l := sc.lists[c]
+		slices.SortFunc(l, order)
+		stored := make([]Entry, len(l)) // exact size: a list lives as long as its index
+		copy(stored, l)
+		sh.Set(int(c), stored)
+		out.entries += len(l)
+		sc.lists[c] = l[:0]
+	}
+	sc.listed = sc.listed[:0]
+	out.lists = sh.Persistent()
+	return out
+}
+
+// order is the posting-list order as a comparison for slices.SortFunc:
+// descending score, then ascending item id, the order less tests.
+func order(a, b Entry) int {
+	if c := cmp.Compare(b.Score, a.Score); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Item, b.Item)
 }
 
 // Strategy returns the clustering strategy the index was built with.
