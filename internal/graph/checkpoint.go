@@ -513,10 +513,8 @@ func (r *CkptReader) Apply(data []byte) (*Graph, error) {
 }
 
 // rebuildAdjacency derives the out/in indexes from the link set, in the
-// canonical ascending-link-id order, inside a bulk window.
+// canonical ascending-link-id order.
 func (g *Graph) rebuildAdjacency() {
-	g.BeginBulk()
-	defer g.EndBulk()
 	ls := make([]*Link, 0, g.links.Len())
 	g.links.Range(func(_ LinkID, l *Link) bool {
 		ls = append(ls, l)

@@ -89,9 +89,11 @@ func New() *Graph {
 // BeginBulk opens a bulk-mutation window: until the window closes, write
 // operations may mutate freshly created trie nodes in place (persist
 // transients) instead of copy-on-writing one path per write, cutting the
-// allocation cost of bulk construction — cold loads, Clone/Extract,
-// induced subgraphs — by an order of magnitude. Every ApplyAll batch runs
-// in one too.
+// allocation cost of a batch of writes by an order of magnitude: every
+// ApplyAll batch runs in one, and so do graph.Decode and the algebra's
+// operators. Builds from a known element set (the Builder, Clone,
+// induced subgraphs, checkpoint loads) skip the writes altogether and lay
+// each trie out in one go (persist.Map.Build).
 //
 // Correctness is unchanged: storage shared with any Graph that existed
 // before the window opened is still copied before the first write, so
@@ -282,9 +284,9 @@ func searchLink(ls []*Link, id LinkID) int {
 
 // insertLink returns ls, the adjacency slice of node id under the ownership
 // set own, with l inserted in id order; l's id is not in ls. A slice the
-// open bulk window owns grows in place when l goes last — the Builder's
-// ascending-id case, amortised O(1). Otherwise the result is a fresh copy,
-// which the window (if one is open) then owns.
+// open bulk window owns grows in place when l goes last — the
+// ascending-id case of a load, amortised O(1). Otherwise the result is a
+// fresh copy, which the window (if one is open) then owns.
 func (g *Graph) insertLink(own map[NodeID]struct{}, id NodeID, ls []*Link, l *Link) []*Link {
 	n := len(ls)
 	i := n
@@ -444,39 +446,22 @@ func (g *Graph) Neighbors(id NodeID) []NodeID {
 // Clone returns a deep copy of the graph: node and link values are cloned,
 // and the adjacency indexes are rebuilt over the cloned links — they hold
 // link pointers, so sharing them would hand the origin's links to anyone
-// mutating the clone's. The rewrite runs in a bulk window: the clone's
-// tries are rebuilt with transient in-place writes (one claim per trie
-// node instead of one path copy per element), sealed before the clone is
-// returned.
+// mutating the clone's. Each trie is built in one go (load).
 func (g *Graph) Clone() *Graph {
 	c := g.ShallowClone()
-	c.BeginBulk()
-	g.nodes.Range(func(id NodeID, n *Node) bool {
-		c.nodes = c.nodes.SetWith(c.bulk, id, n.Clone())
+	ns := make([]*Node, 0, g.nodes.Len())
+	g.nodes.Range(func(_ NodeID, n *Node) bool {
+		ns = append(ns, n.Clone())
 		return true
 	})
-	g.links.Range(func(id LinkID, l *Link) bool {
-		c.links = c.links.SetWith(c.bulk, id, l.Clone())
+	ls := make([]*Link, 0, g.links.Len())
+	g.links.Range(func(_ LinkID, l *Link) bool {
+		ls = append(ls, l.Clone())
 		return true
 	})
-	c.out, c.in = c.relink(g.out), c.relink(g.in)
-	c.EndBulk()
+	c.nodes, c.links = persist.NewIntMap[NodeID, *Node](), persist.NewIntMap[LinkID, *Link]()
+	c.load(ns, ls)
 	return c
-}
-
-// relink returns a copy of the adjacency index adj with every link replaced
-// by g's link of the same id.
-func (g *Graph) relink(adj persist.Map[NodeID, []*Link]) persist.Map[NodeID, []*Link] {
-	out := persist.NewIntMap[NodeID, []*Link]()
-	adj.Range(func(id NodeID, ls []*Link) bool {
-		cs := make([]*Link, len(ls))
-		for i, l := range ls {
-			cs[i] = g.links.At(l.ID)
-		}
-		out = out.SetWith(g.bulk, id, cs)
-		return true
-	})
-	return out
 }
 
 // ShallowClone returns a snapshot of the graph that shares all storage —
@@ -508,23 +493,22 @@ func (g *Graph) ShallowClone() *Graph {
 // those nodes plus every link whose both endpoints are in the set. Node and
 // link values are shared with g (callers clone before mutating).
 func (g *Graph) InducedByNodes(ids map[NodeID]struct{}) *Graph {
-	sub := New()
-	sub.BeginBulk()
+	var ns []*Node
 	for id := range ids {
 		if n, ok := g.nodes.Get(id); ok {
-			sub.nodes = sub.nodes.SetWith(sub.bulk, id, n)
-			sub.noteNodeID(id)
+			ns = append(ns, n)
 		}
 	}
 	var kept []*Link
 	g.links.Range(func(_ LinkID, l *Link) bool {
-		if sub.HasNode(l.Src) && sub.HasNode(l.Tgt) {
+		_, src := ids[l.Src]
+		if _, tgt := ids[l.Tgt]; src && tgt {
 			kept = append(kept, l)
 		}
 		return true
 	})
-	sub.addInducedLinks(kept)
-	sub.EndBulk()
+	sub := New()
+	sub.load(ns, kept)
 	return sub
 }
 
@@ -532,38 +516,44 @@ func (g *Graph) InducedByNodes(ids map[NodeID]struct{}) *Graph {
 // those links plus precisely the nodes they are incident on (Definition 2's
 // "subgraph induced by those links"). Values are shared with g.
 func (g *Graph) InducedByLinks(ids map[LinkID]struct{}) *Graph {
-	sub := New()
-	sub.BeginBulk()
 	var kept []*Link
+	ends := make(map[NodeID]struct{})
+	var ns []*Node
 	for lid := range ids {
 		l, ok := g.links.Get(lid)
 		if !ok {
 			continue
 		}
-		if !sub.HasNode(l.Src) {
-			sub.nodes = sub.nodes.SetWith(sub.bulk, l.Src, g.nodes.At(l.Src))
-			sub.noteNodeID(l.Src)
-		}
-		if !sub.HasNode(l.Tgt) {
-			sub.nodes = sub.nodes.SetWith(sub.bulk, l.Tgt, g.nodes.At(l.Tgt))
-			sub.noteNodeID(l.Tgt)
+		for _, id := range [2]NodeID{l.Src, l.Tgt} {
+			if _, seen := ends[id]; !seen {
+				ends[id] = struct{}{}
+				ns = append(ns, g.nodes.At(id))
+			}
 		}
 		kept = append(kept, l)
 	}
-	sub.addInducedLinks(kept)
-	sub.EndBulk()
+	sub := New()
+	sub.load(ns, kept)
 	return sub
 }
 
-// addInducedLinks installs pre-screened links (endpoints already present,
-// no adjacency yet) in bulk: links are stored, then the adjacency lists are
-// assembled in one sorted pass (setAdjacencyOf), so construction is
-// O(L log L) instead of per-insert slice copying.
-func (g *Graph) addInducedLinks(ls []*Link) {
-	for _, l := range ls {
-		g.links = g.links.SetWith(g.bulk, l.ID, l)
+// load installs ns and ls, and the adjacency of ls, on a graph that holds
+// no node or link yet, raising the high-water marks over their ids: one
+// Build per trie. Ids must be distinct and every link's endpoints among
+// ns. It sorts ls.
+func (g *Graph) load(ns []*Node, ls []*Link) {
+	nids := make([]NodeID, len(ns))
+	for i, n := range ns {
+		nids[i] = n.ID
+		g.noteNodeID(n.ID)
+	}
+	g.nodes = g.nodes.Build(nids, ns)
+	lids := make([]LinkID, len(ls))
+	for i, l := range ls {
+		lids[i] = l.ID
 		g.noteLinkID(l.ID)
 	}
+	g.links = g.links.Build(lids, ls)
 	g.setAdjacencyOf(ls)
 }
 
@@ -572,18 +562,38 @@ func (g *Graph) addInducedLinks(ls []*Link) {
 // ls.
 func (g *Graph) setAdjacencyOf(ls []*Link) {
 	slices.SortFunc(ls, func(a, b *Link) int { return cmp.Compare(a.ID, b.ID) })
-	out := make(map[NodeID][]*Link)
-	in := make(map[NodeID][]*Link)
-	for _, l := range ls {
-		out[l.Src] = append(out[l.Src], l)
-		in[l.Tgt] = append(in[l.Tgt], l)
+	g.out = adjacencyOf(ls, Src)
+	g.in = adjacencyOf(ls, Tgt)
+}
+
+// adjacencyOf groups ls, sorted by id, by their end d into one adjacency
+// index of exact-size lists. Each list is its own allocation, so a write
+// that replaces one frees it.
+func adjacencyOf(ls []*Link, d Direction) persist.Map[NodeID, []*Link] {
+	pos := make(map[NodeID]int32) // node → its position in ids
+	var ids []NodeID
+	var count []int
+	at := make([]int32, len(ls))
+	for i, l := range ls {
+		id := l.End(d)
+		p, ok := pos[id]
+		if !ok {
+			p = int32(len(ids))
+			pos[id] = p
+			ids = append(ids, id)
+			count = append(count, 0)
+		}
+		at[i] = p
+		count[p]++
 	}
-	for id, adj := range out {
-		g.out = g.out.SetWith(g.bulk, id, adj)
+	lists := make([][]*Link, len(ids))
+	for p, c := range count {
+		lists[p] = make([]*Link, 0, c)
 	}
-	for id, adj := range in {
-		g.in = g.in.SetWith(g.bulk, id, adj)
+	for i, l := range ls {
+		lists[at[i]] = append(lists[at[i]], l)
 	}
+	return persist.NewIntMap[NodeID, []*Link]().Build(ids, lists)
 }
 
 // Equal reports whether two graphs contain equal node and link sets.

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"socialscope/internal/persist"
@@ -99,19 +100,40 @@ func idsIn[K NodeID | LinkID, V any](m persist.Map[K, V], lo, hi K) []K {
 // (duplicate ids, dangling endpoints), which in construction code are
 // programming errors; data-driven loading paths use Graph.AddNode/AddLink
 // and handle errors as values.
+//
+// Until the graph is first asked for (Peek or Graph), the builder only
+// buffers what it is given, and the first ask builds every trie in one go
+// (persist.Map.Build): a cold corpus pays about three allocations per trie
+// node, not several per element. From then on it writes straight through
+// to that graph.
 type Builder struct {
-	g   *Graph
+	g   *Graph // nil until Peek or Graph builds it
 	ids *IDSource
+	// nodes and links are the elements buffered before g is built, in the
+	// order given; has holds the buffered node ids.
+	nodes []*Node
+	links []*Link
+	has   map[NodeID]struct{}
 }
 
-// NewBuilder returns a builder over a fresh graph. Construction runs in a
-// bulk-mutation window (the builder owns the graph until Graph() hands it
-// out), so large synthetic corpora and loaders built fluently pay
-// transient, not per-write path-copy, allocation costs.
+// NewBuilder returns a builder over a fresh graph.
 func NewBuilder() *Builder {
-	b := &Builder{g: New(), ids: NewIDSource(0, 0)}
-	b.g.BeginBulk()
-	return b
+	return &Builder{ids: NewIDSource(0, 0), has: make(map[NodeID]struct{})}
+}
+
+// addNode adds n, panicking on a duplicate id.
+func (b *Builder) addNode(n *Node) {
+	if b.g != nil {
+		if err := b.g.AddNode(n); err != nil {
+			panic(err)
+		}
+		return
+	}
+	if _, dup := b.has[n.ID]; dup {
+		panic(fmt.Errorf("%w: %d", ErrDuplicateNode, n.ID))
+	}
+	b.has[n.ID] = struct{}{}
+	b.nodes = append(b.nodes, n)
 }
 
 // Node adds a node with a fresh id, the given types, and alternating
@@ -120,9 +142,7 @@ func (b *Builder) Node(types []string, kv ...string) NodeID {
 	id := b.ids.NextNode()
 	n := NewNode(id, types...)
 	n.Attrs = NewAttrs(kv...)
-	if err := b.g.AddNode(n); err != nil {
-		panic(err)
-	}
+	b.addNode(n)
 	return id
 }
 
@@ -130,9 +150,7 @@ func (b *Builder) Node(types []string, kv ...string) NodeID {
 func (b *Builder) NodeWithID(id NodeID, types []string, kv ...string) NodeID {
 	n := NewNode(id, types...)
 	n.Attrs = NewAttrs(kv...)
-	if err := b.g.AddNode(n); err != nil {
-		panic(err)
-	}
+	b.addNode(n)
 	if cur := b.ids.node.Load(); int64(id) > cur {
 		b.ids.node.Store(int64(id))
 	}
@@ -151,26 +169,47 @@ func (b *Builder) Link(src, tgt NodeID, types []string, kv ...string) LinkID {
 	if a == nil {
 		a = NewAttrs(kv...)
 	}
-	if err := b.g.AddLink(storedLink(id, src, tgt, types, a, 0, false)); err != nil {
-		panic(err)
+	l := storedLink(id, src, tgt, types, a, 0, false)
+	if b.g != nil {
+		if err := b.g.AddLink(l); err != nil {
+			panic(err)
+		}
+		return id
 	}
+	if _, ok := b.has[src]; !ok {
+		panic(fmt.Errorf("%w: src %d of link %d", ErrMissingEnd, src, id))
+	}
+	if _, ok := b.has[tgt]; !ok {
+		panic(fmt.Errorf("%w: tgt %d of link %d", ErrMissingEnd, tgt, id))
+	}
+	b.links = append(b.links, l)
 	return id
 }
 
-// Graph returns the built graph, sealing the builder's bulk-mutation
-// window first so the result is safe to publish to concurrent readers.
-// The builder remains usable; subsequent additions keep mutating the same
-// graph through the ordinary persistent per-write path.
+// Graph returns the built graph, building it on the first ask. The
+// result is sealed and safe to publish to concurrent readers. The
+// builder remains usable; subsequent additions write to the same graph
+// through the ordinary persistent per-write path.
 func (b *Builder) Graph() *Graph {
-	b.g.EndBulk()
-	return b.g
+	g := b.Peek()
+	g.EndBulk()
+	return g
 }
 
-// Peek returns the graph without sealing the bulk-mutation window. It is
+// Peek returns the graph, building it on the first ask, without sealing
+// it: later additions write to it through a bulk-mutation window. It is
 // for mid-construction reads by the builder's owner (looking up a node
 // just built, setting attributes on it); the result must not be handed to
 // other goroutines — publish through Graph instead, which seals.
-func (b *Builder) Peek() *Graph { return b.g }
+func (b *Builder) Peek() *Graph {
+	if b.g == nil {
+		b.g = New()
+		b.g.load(b.nodes, b.links)
+		b.g.BeginBulk()
+		b.nodes, b.links, b.has = nil, nil, nil
+	}
+	return b.g
+}
 
 // IDs returns the builder's id allocator, positioned after everything built
 // so far.

@@ -63,9 +63,10 @@ type Mutation struct {
 
 // SetRecorder installs a changelog callback invoked after every successful
 // write operation (AddNode, PutNode, AddLink, PutLink, RemoveNode,
-// RemoveLink — Builder writes route through these). A nil fn detaches the
-// recorder. The callback runs synchronously on the mutating goroutine;
-// keep it cheap and do not mutate the graph from inside it.
+// RemoveLink; a Builder's writes after it has handed out its graph route
+// through these). A nil fn detaches the recorder. The callback runs
+// synchronously on the mutating goroutine; keep it cheap and do not
+// mutate the graph from inside it.
 func (g *Graph) SetRecorder(fn func(Mutation)) { g.recorder = fn }
 
 // emitNode and emitLink snapshot the element only when a recorder is

@@ -92,24 +92,32 @@ func (g *Graph) dropView() {
 }
 
 // buildNeighbourhood derives the view from g's adjacency: one pass over the
-// out-lists, one over the in-lists, each writing a transient map.
+// out-lists, one over the in-lists, each collecting the vectors one Build
+// lays out.
 func buildNeighbourhood(g *Graph) *neighbourhood {
 	var s scratch
-	acts := persist.NewIntMap[NodeID, []NodeID]().Transient()
+	us := make([]NodeID, 0, g.out.Len())
+	acts := make([][]NodeID, 0, g.out.Len())
 	g.out.Range(func(u NodeID, out []*Link) bool {
 		if v := s.acts(out); len(v) > 0 {
-			acts.Set(u, persist.CloneExact(v))
+			us = append(us, u)
+			acts = append(acts, persist.CloneExact(v))
 		}
 		return true
 	})
-	endorsers := persist.NewIntMap[NodeID, []Endorser]().Transient()
+	is := make([]NodeID, 0, g.in.Len())
+	endorsers := make([][]Endorser, 0, g.in.Len())
 	g.in.Range(func(i NodeID, in []*Link) bool {
 		if v := s.endorsers(in); len(v) > 0 {
-			endorsers.Set(i, persist.CloneExact(v))
+			is = append(is, i)
+			endorsers = append(endorsers, persist.CloneExact(v))
 		}
 		return true
 	})
-	return &neighbourhood{acts: acts.Persistent(), endorsers: endorsers.Persistent()}
+	return &neighbourhood{
+		acts:      persist.NewIntMap[NodeID, []NodeID]().Build(us, acts),
+		endorsers: persist.NewIntMap[NodeID, []Endorser]().Build(is, endorsers),
+	}
 }
 
 // scratch holds the buffers one derivation reuses across nodes.

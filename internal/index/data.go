@@ -146,10 +146,10 @@ func (d *Data) noteConnDup(k edgeKey, delta int) int {
 //
 // Construction is a cold bulk build: the walk collects flat records per
 // family (per tag for the taggers), one sort groups each, and each group
-// becomes one exact-size vector, stored through a transient and sealed
-// before the Data is returned. The sealed maps are byte-identical
-// (canonical trie shapes) to what persistent per-write assembly produces,
-// at a fraction of the allocation.
+// becomes one exact-size vector; each map is then laid out by one
+// persist Build. The maps are byte-identical (canonical trie shapes) to
+// what persistent per-write assembly produces, at a fraction of the
+// allocation.
 func Extract(g *graph.Graph) *Data {
 	d := NewData()
 	nodes := g.Nodes()
@@ -186,16 +186,24 @@ func Extract(g *graph.Graph) *Data {
 			d.noteConnDup(edgeOf(p.u, p.v), n-1)
 		}
 	})
-	network := d.Network.Transient()
-	var buf []graph.NodeID
-	for _, u := range d.Users {
-		buf = buf[:0]
-		for ; len(conns) > 0 && conns[0].u == u; conns = conns[1:] {
-			buf = append(buf, conns[0].v)
-		}
-		network.Set(u, persist.CloneExact(buf))
+	// Every network is an exact-size window of one vector: writes replace
+	// a network only when a connect link comes or goes, which is rare.
+	members := make([]graph.NodeID, len(conns))
+	for i, p := range conns {
+		members[i] = p.v
 	}
-	d.Network = network.Persistent()
+	networks := make([][]graph.NodeID, len(d.Users))
+	for i, u := range d.Users {
+		n := 0
+		for n < len(conns) && conns[n].u == u {
+			n++
+		}
+		if n > 0 {
+			networks[i] = members[:n:n]
+		}
+		members, conns = members[n:], conns[n:]
+	}
+	d.Network = d.Network.Build(d.Users, networks)
 
 	// taggers(i, k), one tag at a time, its assertions sorted by item, then
 	// tagger.
@@ -203,26 +211,29 @@ func Extract(g *graph.Graph) *Data {
 		d.Tags = append(d.Tags, tag)
 	}
 	slices.Sort(d.Tags)
-	taggers := d.Taggers.Transient()
-	for _, tag := range d.Tags {
+	shards := make([]ItemTaggers, len(d.Tags))
+	var buf, items []graph.NodeID
+	var taggers [][]graph.NodeID
+	for ti, tag := range d.Tags {
 		recs := sortedRuns(byTag[tag], func(p idPair, n int) {
 			if n > 1 {
 				d.noteTagDup(taggingKey{tag, p.u, p.v}, n-1)
 			}
 		})
-		byItem := NewItemTaggers().Transient()
+		items, taggers = items[:0], taggers[:0]
 		for i := 0; i < len(recs); {
 			item := recs[i].u
 			buf = buf[:0]
 			for ; i < len(recs) && recs[i].u == item; i++ {
 				buf = append(buf, recs[i].v)
 			}
-			byItem.Set(item, persist.CloneExact(buf))
-			d.Items = append(d.Items, item)
+			items = append(items, item)
+			taggers = append(taggers, persist.CloneExact(buf))
 		}
-		taggers.Set(tag, byItem.Persistent()) // seal once per tag shard
+		shards[ti] = NewItemTaggers().Build(items, taggers)
+		d.Items = append(d.Items, items...)
 	}
-	d.Taggers = taggers.Persistent()
+	d.Taggers = d.Taggers.Build(d.Tags, shards)
 	slices.Sort(d.Items)
 	d.Items = slices.Compact(d.Items)
 	return d

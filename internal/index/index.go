@@ -120,19 +120,19 @@ func BuildWithWorkers(data *Data, clustering *cluster.Clustering, f scoring.User
 	close(tagCh)
 	wg.Wait()
 
-	// Seal the by-tag level through a transient: in-place writes (one node
-	// claim per trie region instead of one path copy per Set), sealed once
-	// before anything is published. Trie shapes are canonical, so the
-	// result is byte-identical to a persistent-only assembly.
-	lists := ix.lists.Transient()
+	// Lay the by-tag level out in one Build. Trie shapes are canonical, so
+	// the result is byte-identical to a persistent-only assembly.
+	tags := make([]string, 0, len(data.Tags))
+	lists := make([]clusterLists, 0, len(data.Tags))
 	for ti, tag := range data.Tags {
 		if shards[ti].entries == 0 {
 			continue
 		}
-		lists.Set(tag, shards[ti].lists)
+		tags = append(tags, tag)
+		lists = append(lists, shards[ti].lists)
 		ix.entries += shards[ti].entries
 	}
-	ix.lists = lists.Persistent()
+	ix.lists = ix.lists.Build(tags, lists)
 	return ix, nil
 }
 
@@ -177,6 +177,10 @@ type buildScratch struct {
 	raised  []int32 // clusters with max > 0
 	lists   [][]Entry
 	listed  []int32 // clusters with a non-empty list
+	// clusters and stored are one tag's cluster ids and stored lists,
+	// handed to Build.
+	clusters []int
+	stored   [][]Entry
 }
 
 // tagShard is one tag's sealed cluster → list map and its entry count.
@@ -240,18 +244,17 @@ func (sc *buildScratch) tagLists(t *buildTable, f scoring.UserSetFn, byItem Item
 	if len(sc.listed) == 0 {
 		return out
 	}
-	sh := newClusterLists().Transient()
+	sc.clusters, sc.stored = sc.clusters[:0], sc.stored[:0]
 	for _, c := range sc.listed {
 		l := sc.lists[c]
 		slices.SortFunc(l, order)
-		stored := make([]Entry, len(l)) // exact size: a list lives as long as its index
-		copy(stored, l)
-		sh.Set(int(c), stored)
+		sc.clusters = append(sc.clusters, int(c))
+		sc.stored = append(sc.stored, persist.CloneExact(l)) // a list lives as long as its index
 		out.entries += len(l)
 		sc.lists[c] = l[:0]
 	}
 	sc.listed = sc.listed[:0]
-	out.lists = sh.Persistent()
+	out.lists = newClusterLists().Build(sc.clusters, sc.stored)
 	return out
 }
 

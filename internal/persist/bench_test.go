@@ -60,13 +60,18 @@ func BenchmarkSnapshotVsClone(b *testing.B) {
 	})
 }
 
-// BenchmarkBulkBuild contrasts cold construction through persistent Sets
-// (one path copy per write, O(n log n) discarded nodes) with the
-// transient mode (claim-once, mutate in place). b.ReportAllocs makes the
-// allocation gap — the reason every bulk path in graph/index goes through
-// transients — visible in CI's bench smoke.
+// BenchmarkBulkBuild contrasts three ways to build a map cold: sequential
+// persistent Sets (one path copy per write, O(n log n) discarded nodes),
+// SetWith under one Edit (claim once, then append in place), and Build
+// (one counting pass, then exact-size slabs). b.ReportAllocs makes the
+// allocation gap visible in CI's bench smoke.
 func BenchmarkBulkBuild(b *testing.B) {
 	const size = 100000
+	keys := make([]int64, size)
+	vals := make([]int, size)
+	for j := range keys {
+		keys[j], vals[j] = int64(j), j
+	}
 	b.Run("persistent", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -82,11 +87,19 @@ func BenchmarkBulkBuild(b *testing.B) {
 	b.Run("transient", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			t := NewIntMap[int64, int]().Transient()
+			m, e := NewIntMap[int64, int](), NewEdit()
 			for j := 0; j < size; j++ {
-				t.Set(int64(j), j)
+				m = m.SetWith(e, int64(j), j)
 			}
-			if m := t.Persistent(); m.Len() != size {
+			if m.Len() != size {
+				b.Fatal("bad build")
+			}
+		}
+	})
+	b.Run("build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if m := NewIntMap[int64, int]().Build(keys, vals); m.Len() != size {
 				b.Fatal("bad build")
 			}
 		}

@@ -241,23 +241,29 @@ func TestCheckpointDecodeRejectsGarbage(t *testing.T) {
 }
 
 func TestCheckpointTransientBuiltMapRoundTrips(t *testing.T) {
-	// Maps built through the transient path must checkpoint identically
-	// to persistently-built ones: sealed tries are what they are.
-	tm := NewIntMap[int, string]().Transient()
-	for i := 0; i < 300; i++ {
-		tm.Set(i, fmt.Sprintf("t%d", i))
-	}
-	m := tm.Persistent()
+	// Maps built through the transient path, or by Build, must checkpoint
+	// identically to persistently-built ones: tries are what they are.
+	m, e := NewIntMap[int, string](), NewEdit()
 	p := NewIntMap[int, string]()
+	keys := make([]int, 300)
+	vals := make([]string, 300)
 	for i := 0; i < 300; i++ {
+		m = m.SetWith(e, i, fmt.Sprintf("t%d", i))
 		p = p.Set(i, fmt.Sprintf("t%d", i))
+		keys[i], vals[i] = i, fmt.Sprintf("t%d", i)
 	}
+	b := NewIntMap[int, string]().Build(keys, vals)
 	dm, _ := NewCkptState[int, string]().EncodeDelta(nil, m, encInt, encStr)
 	dp, _ := NewCkptState[int, string]().EncodeDelta(nil, p, encInt, encStr)
+	db, _ := NewCkptState[int, string]().EncodeDelta(nil, b, encInt, encStr)
 	if !bytes.Equal(dm, dp) {
 		t.Fatal("transient-built map encodes differently")
 	}
+	if !bytes.Equal(db, dp) {
+		t.Fatal("Build-built map encodes differently")
+	}
 	assertSameMap(t, m, roundTrip(t, m))
+	assertSameMap(t, b, roundTrip(t, b))
 }
 
 // TestCheckpointMapRejectsUnservableTries: node records that decode

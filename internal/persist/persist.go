@@ -21,10 +21,14 @@
 // The zero Map is not ready for use: construct with NewMap (explicit hash
 // function), NewIntMap or NewStringMap.
 //
-// Bulk construction should go through the transient mode (Map.Transient /
-// TMap, or the SetWith/DeleteWith embedding API — see transient.go): same
-// resulting Maps, same canonical trie shapes, a fraction of the
-// allocation.
+// A cold build from a known key set goes through Build (see build.go): one
+// counting pass over the entries' hash paths, then the whole trie laid out
+// in four exact-size slabs — nodes, keys, values and child pointers — a
+// handful of allocations whatever the size. A batch of writes over a
+// published Map goes through the transient mode (SetWith/DeleteWith under
+// one Edit, see transient.go), which mutates in place the nodes the batch
+// itself created. Both give the same Maps, the same canonical trie
+// shapes, as plain Set and Delete, at a fraction of the allocation.
 package persist
 
 import "math/bits"
@@ -123,11 +127,11 @@ type node[K comparable, V any] struct {
 	// copied (ownKeys, ownVals, ownSubs): the rest it still shares with
 	// the node it was claimed from. Inert without a live edit.
 	own uint8
-	// edit, when non-nil, is the ownership token of the transient that
-	// created (or claimed) this node; writes carrying the same token may
-	// mutate the node in place (see transient.go). Nodes reachable from a
-	// sealed Map are never owned by any live transient, so the field is
-	// inert outside a bulk-mutation window.
+	// edit, when non-nil, is the ownership token of the transient window
+	// that created (or claimed) this node; writes carrying the same token
+	// may mutate the node in place (see transient.go). Nodes reachable
+	// from a published Map are never owned by any open window, so the
+	// field is inert outside a bulk-mutation window.
 	edit *Edit
 }
 

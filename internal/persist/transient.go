@@ -1,36 +1,37 @@
-// Transient (batch-mutation) mode: the Clojure-style escape hatch that
-// makes bulk construction allocation-lean without giving up persistence.
+// Transient (batch-mutation) writes: the Clojure-style escape hatch that
+// makes a batch of writes allocation-lean without giving up persistence.
 //
-// A persistent Set copies one root-to-leaf path per write, so building an
-// N-entry map allocates O(N log N) trie nodes and immediately discards
-// all but the last path — pure GC churn. A transient instead carries an
+// A persistent Set copies one root-to-leaf path per write, so a batch of
+// N writes allocates O(N log N) trie nodes and immediately discards all
+// but the last path — pure GC churn. A transient write instead carries an
 // ownership token (an Edit): trie nodes created or first-touched under
 // the token are stamped with it and may be mutated in place by later
-// writes of the same transient; nodes reachable from previously published
-// Maps are never stamped, so the first write through them falls back to
-// copy-on-write. The effect is that a bulk build pays one copy per
+// writes carrying the same token; nodes reachable from previously
+// published Maps are never stamped, so the first write through them falls
+// back to copy-on-write. The effect is that a batch pays one copy per
 // *touched node*, not one per *write*, while every Map snapshot taken
-// before the transient was created stays exactly as immutable as always.
+// before the window opened stays exactly as immutable as always.
 //
-// Sealing (TMap.Persistent) is O(1): the token is dropped, the current
-// root becomes an ordinary immutable Map. Stamped edit pointers remain in
-// the nodes but are inert — ownership tests compare against a live
-// transient's token, and every NewEdit allocation is distinct — so a
-// sealed result is safe to share across goroutines like any other Map.
+// Closing a window is O(1): its owner stops using the token, and the
+// current header becomes an ordinary immutable Map. Stamped edit pointers
+// remain in the nodes but are inert — ownership tests compare against the
+// token a write carries, and every NewEdit allocation is distinct — so a
+// Map from a closed window is safe to share across goroutines like any
+// other.
 //
-// Contract: a transient is single-goroutine; a sealed transient panics on
-// further mutation. Structures embedding persistent maps (graph.Graph,
-// the index) open bulk windows through the lower-level SetWith/DeleteWith
-// edit-parameter API instead of TMap, so their read paths keep working on
-// ordinary Map headers mid-batch.
+// Contract: a window is single-goroutine, and its Maps are published
+// (shared with readers) only after it closes. Structures embedding
+// persistent maps (graph.Graph, the index's live deltas) open windows
+// through SetWith/DeleteWith, so their read paths keep working on
+// ordinary Map headers mid-batch. A cold build from a known key set uses
+// Build (build.go) instead.
 package persist
 
 import "math/bits"
 
-// Edit is a transient ownership token. Trie nodes stamped with a live
-// Edit may be mutated in place by writes carrying the same token; all
-// other nodes are copied first. Obtain one with NewEdit (for the
-// SetWith/DeleteWith embedding API) or implicitly via Map.Transient.
+// Edit is a transient ownership token. Trie nodes stamped with an Edit may
+// be mutated in place by writes carrying the same token; all other nodes
+// are copied first. Obtain one with NewEdit, one per window.
 type Edit struct {
 	_ int8 // non-zero size: every NewEdit allocation is a distinct identity
 }
@@ -38,9 +39,9 @@ type Edit struct {
 // NewEdit returns a fresh ownership token for one bulk-mutation window.
 func NewEdit() *Edit { return &Edit{} }
 
-// DisableTransients, when true, makes SetWith/DeleteWith (and therefore
-// TMap and every bulk path built on them) ignore their edit token and run
-// the pure persistent path. It is a test seam: tests run the same bulk
+// DisableTransients, when true, makes SetWith/DeleteWith (and every bulk
+// path built on them) ignore their edit token and run the pure persistent
+// path, and Build run a chain of Sets. It is a test seam: tests run the same bulk
 // code in both write modes and require identical results (see
 // TestTransientBuildMatchesPersistent in internal/index). Not for
 // concurrent toggling; a test that sets it must restore it and must not
@@ -120,11 +121,11 @@ func (n *node[K, V]) removeSub(j int) {
 // SetWith is Set carrying a transient ownership token: nodes owned by e
 // are mutated in place, everything else is copied first (and the copy
 // stamped with e, so the next write through it is free). A nil e — or
-// DisableTransients — is exactly Set. This is the embedding API for
-// structures that hold Maps as fields and want a bulk window without
-// routing reads through a TMap; the single-goroutine transient contract
-// applies to the whole window, and the final headers must only be
-// published (shared with readers) after the window closes.
+// DisableTransients — is exactly Set. Structures that hold Maps as fields
+// open a bulk window this way and keep reading the Map headers mid-batch;
+// the single-goroutine transient contract applies to the whole window,
+// and the final headers must only be published (shared with readers)
+// after the window closes.
 func (m Map[K, V]) SetWith(e *Edit, k K, v V) Map[K, V] {
 	if e == nil || DisableTransients {
 		return m.Set(k, v)
@@ -286,80 +287,6 @@ func (m Map[K, V]) delT(e *Edit, n *node[K, V], shift uint, h uint64, k K) (*nod
 	default:
 		return n, false
 	}
-}
-
-// TMap is a transient view of a Map: a mutable builder that shares all
-// storage with the Map it came from, mutates in place what it alone owns,
-// and seals back into an immutable Map in O(1). Use it for bulk
-// construction — build, seal, publish:
-//
-//	t := persist.NewIntMap[int, string]().Transient()
-//	for k, v := range input {
-//		t.Set(k, v)
-//	}
-//	m := t.Persistent() // immutable from here on
-//
-// A TMap is single-goroutine by contract (mutation is in place; there is
-// nothing to snapshot mid-build), and every mutating method panics once
-// the transient has been sealed. Maps obtained from Persistent, and every
-// Map that existed before Transient was called, carry the full persistent
-// guarantees: concurrent readers, O(1) snapshots, total immunity to the
-// transient's edits.
-type TMap[K comparable, V any] struct {
-	m    Map[K, V]
-	edit *Edit
-}
-
-// Transient opens a batch-mutation window over the map's current
-// contents. O(1): no storage is copied up front; the receiver — like
-// every other published version — is never modified by the transient's
-// writes (shared nodes are copied on first touch).
-func (m Map[K, V]) Transient() *TMap[K, V] {
-	return &TMap[K, V]{m: m, edit: NewEdit()}
-}
-
-func (t *TMap[K, V]) mustBeLive() {
-	if t.edit == nil {
-		panic("persist: mutation of a sealed TMap (Persistent was called)")
-	}
-}
-
-// Set binds k to v, mutating owned trie nodes in place. Panics if sealed.
-func (t *TMap[K, V]) Set(k K, v V) {
-	t.mustBeLive()
-	t.m = t.m.SetWith(t.edit, k, v)
-}
-
-// Delete removes k (no-op when absent). Panics if sealed.
-func (t *TMap[K, V]) Delete(k K) {
-	t.mustBeLive()
-	t.m = t.m.DeleteWith(t.edit, k)
-}
-
-// Get returns the value stored under k and whether it is present.
-func (t *TMap[K, V]) Get(k K) (V, bool) { return t.m.Get(k) }
-
-// At returns the value stored under k, or V's zero value when absent.
-func (t *TMap[K, V]) At(k K) V { return t.m.At(k) }
-
-// Has reports whether k is present.
-func (t *TMap[K, V]) Has(k K) bool { return t.m.Has(k) }
-
-// Len returns the number of entries. O(1).
-func (t *TMap[K, V]) Len() int { return t.m.Len() }
-
-// Range calls fn for every entry until fn returns false, in the same
-// canonical hash order as Map.Range. fn must not mutate the transient.
-func (t *TMap[K, V]) Range(fn func(K, V) bool) { t.m.Range(fn) }
-
-// Persistent seals the transient and returns its contents as an immutable
-// Map. O(1): the ownership token is dropped, so no node can be mutated in
-// place anymore and the result is safe to share across goroutines. The
-// TMap is dead afterwards — further Set/Delete calls panic.
-func (t *TMap[K, V]) Persistent() Map[K, V] {
-	t.mustBeLive()
-	t.edit = nil
-	return t.m
 }
 
 // insertOwned inserts v before index i: in place when the node owns s

@@ -8,15 +8,15 @@ import (
 )
 
 // TestTransientEquivalence is the contract test the transient
-// implementation lives under: any interleaving of Set/Delete on a TMap
-// must observably equal the same ops on a persistent Map (and a built-in
-// map), including the canonical trie shape — checked through iteration
-// order — and Len.
+// implementation lives under: any interleaving of SetWith/DeleteWith under
+// one Edit must observably equal the same ops on a persistent Map (and a
+// built-in map), including the canonical trie shape — checked through
+// iteration order — and Len.
 func TestTransientEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		rng := rand.New(rand.NewSource(seed))
 		p := NewIntMap[int64, int]()
-		tr := NewIntMap[int64, int]().Transient()
+		m, e := NewIntMap[int64, int](), NewEdit()
 		ref := make(map[int64]int)
 		const ops = 8000
 		for i := 0; i < ops; i++ {
@@ -24,19 +24,18 @@ func TestTransientEquivalence(t *testing.T) {
 			switch rng.Intn(3) {
 			case 0, 1:
 				p = p.Set(k, i)
-				tr.Set(k, i)
+				m = m.SetWith(e, k, i)
 				ref[k] = i
 			case 2:
 				p = p.Delete(k)
-				tr.Delete(k)
+				m = m.DeleteWith(e, k)
 				delete(ref, k)
 			}
-			if p.Len() != tr.Len() {
+			if p.Len() != m.Len() {
 				t.Fatalf("seed %d op %d: persistent Len %d != transient Len %d",
-					seed, i, p.Len(), tr.Len())
+					seed, i, p.Len(), m.Len())
 			}
 		}
-		m := tr.Persistent()
 		if !reflect.DeepEqual(p.Keys(), m.Keys()) {
 			t.Fatalf("seed %d: iteration order diverged — trie shapes differ", seed)
 		}
@@ -56,22 +55,21 @@ func TestTransientEquivalence(t *testing.T) {
 func TestTransientCollisions(t *testing.T) {
 	badHash := func(int) uint64 { return 42 }
 	p := NewMap[int, int](badHash)
-	tr := NewMap[int, int](badHash).Transient()
+	m, e := NewMap[int, int](badHash), NewEdit()
 	ref := make(map[int]int)
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 2000; i++ {
 		k := rng.Intn(150)
 		if rng.Intn(3) == 0 {
 			p = p.Delete(k)
-			tr.Delete(k)
+			m = m.DeleteWith(e, k)
 			delete(ref, k)
 		} else {
 			p = p.Set(k, i)
-			tr.Set(k, i)
+			m = m.SetWith(e, k, i)
 			ref[k] = i
 		}
 	}
-	m := tr.Persistent()
 	if m.Len() != len(ref) || p.Len() != len(ref) {
 		t.Fatalf("Len: transient %d persistent %d ref %d", m.Len(), p.Len(), len(ref))
 	}
@@ -83,26 +81,26 @@ func TestTransientCollisions(t *testing.T) {
 }
 
 // TestTransientSnapshotIsolation is the safety property the bulk paths
-// rely on: no persistent snapshot — the base the transient was opened
-// over, or any Map sealed earlier — ever observes transient edits.
+// rely on: no persistent snapshot — the base a window was opened over, or
+// any Map a closed window produced — ever observes a later window's edits.
 func TestTransientSnapshotIsolation(t *testing.T) {
 	base := NewIntMap[int, int]()
 	for i := 0; i < 3000; i++ {
 		base = base.Set(i, i*7)
 	}
-	tr := base.Transient()
+	m, e := base, NewEdit()
 	for i := 0; i < 3000; i += 2 {
-		tr.Delete(i)
+		m = m.DeleteWith(e, i)
 	}
-	mid := tr.Persistent() // seal a checkpoint...
-	tr2 := mid.Transient() // ...and keep building from it
+	mid := m              // close the window: a checkpoint...
+	m, e = mid, NewEdit() // ...and keep building from it in another
 	for i := 5000; i < 9000; i++ {
-		tr2.Set(i, -i)
+		m = m.SetWith(e, i, -i)
 	}
 	for i := 1; i < 3000; i += 2 {
-		tr2.Set(i, 0)
+		m = m.SetWith(e, i, 0)
 	}
-	final := tr2.Persistent()
+	final := m
 
 	if base.Len() != 3000 {
 		t.Fatalf("base Len changed to %d", base.Len())
@@ -126,51 +124,43 @@ func TestTransientSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestTransientSealedPanics: a sealed transient must refuse mutation
-// loudly rather than corrupt the Map it handed out.
-func TestTransientSealedPanics(t *testing.T) {
-	tr := NewIntMap[int, int]().Transient()
-	tr.Set(1, 1)
-	_ = tr.Persistent()
-	for name, fn := range map[string]func(){
-		"Set":        func() { tr.Set(2, 2) },
-		"Delete":     func() { tr.Delete(1) },
-		"Persistent": func() { tr.Persistent() },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s on sealed TMap did not panic", name)
-				}
-			}()
-			fn()
-		}()
+// TestTransientSealedByNewEdit: a Map handed out of a window is sealed as
+// soon as its owner moves to a fresh Edit — writes under the new token
+// copy instead of reaching it, even over the nodes the old window owned.
+func TestTransientSealedByNewEdit(t *testing.T) {
+	e := NewEdit()
+	sealed := NewIntMap[int, int]().SetWith(e, 1, 1)
+	next := NewEdit()
+	m := sealed.SetWith(next, 2, 2).DeleteWith(next, 1).SetWith(next, 3, 3)
+	if sealed.Len() != 1 || sealed.At(1) != 1 || sealed.Has(2) || sealed.Has(3) {
+		t.Fatalf("a write under a new Edit reached the sealed Map: len=%d", sealed.Len())
+	}
+	if m.Len() != 2 || m.Has(1) || m.At(2) != 2 || m.At(3) != 3 {
+		t.Fatalf("the new window's Map is wrong: len=%d", m.Len())
 	}
 }
 
-// TestSealedSafeToShare builds maps transiently, seals them, and hands
-// them to concurrent readers while a sibling transient keeps mutating —
-// run under -race this proves sealing really does end in-place mutation
+// TestSealedSafeToShare builds maps in a window, closes it, and hands them
+// to concurrent readers while a sibling window keeps writing over them —
+// run under -race this proves closing really does end in-place mutation
 // of anything a reader can reach.
 func TestSealedSafeToShare(t *testing.T) {
-	tr := NewIntMap[int, int]().Transient()
+	sealed, e := NewIntMap[int, int](), NewEdit()
 	for i := 0; i < 4096; i++ {
-		tr.Set(i, i)
+		sealed = sealed.SetWith(e, i, i)
 	}
-	sealed := tr.Persistent()
 
-	// A second transient over the sealed map mutates concurrently with
-	// the readers below; claim-on-first-touch must keep them disjoint.
+	// A second window over the sealed map writes concurrently with the
+	// readers below; claim-on-first-touch must keep them disjoint.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		tr2 := sealed.Transient()
+		m, e2 := sealed, NewEdit()
 		for i := 0; i < 4096; i++ {
-			tr2.Set(i, -i)
-			tr2.Set(i+10000, i)
+			m = m.SetWith(e2, i, -i)
+			m = m.SetWith(e2, i+10000, i)
 		}
-		_ = tr2.Persistent()
 	}()
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
@@ -201,12 +191,11 @@ func TestTransientFromPopulatedBase(t *testing.T) {
 	for _, k := range []string{"a", "b", "c", "d", "e"} {
 		base = base.Set(k, 1)
 	}
-	tr := base.Transient()
+	m, e := base, NewEdit()
 	for i := 0; i < 100; i++ {
-		tr.Set("a", i)
-		tr.Set("z", i)
+		m = m.SetWith(e, "a", i)
+		m = m.SetWith(e, "z", i)
 	}
-	m := tr.Persistent()
 	if m.At("a") != 99 || m.At("z") != 99 || m.Len() != 6 {
 		t.Fatalf("transient result wrong: a=%d z=%d len=%d", m.At("a"), m.At("z"), m.Len())
 	}
@@ -216,25 +205,25 @@ func TestTransientFromPopulatedBase(t *testing.T) {
 	}
 }
 
-// TestTransientReads: reads on a live transient see its own writes.
+// TestTransientReads: reads of a Map mid-window see the window's writes.
 func TestTransientReads(t *testing.T) {
-	tr := NewIntMap[int, string]().Transient()
-	tr.Set(1, "one")
-	tr.Set(2, "two")
-	tr.Delete(1)
-	if tr.Has(1) || !tr.Has(2) || tr.Len() != 1 {
-		t.Fatalf("transient reads wrong: has1=%v has2=%v len=%d", tr.Has(1), tr.Has(2), tr.Len())
+	m, e := NewIntMap[int, string](), NewEdit()
+	m = m.SetWith(e, 1, "one")
+	m = m.SetWith(e, 2, "two")
+	m = m.DeleteWith(e, 1)
+	if m.Has(1) || !m.Has(2) || m.Len() != 1 {
+		t.Fatalf("transient reads wrong: has1=%v has2=%v len=%d", m.Has(1), m.Has(2), m.Len())
 	}
-	if v, ok := tr.Get(2); !ok || v != "two" {
+	if v, ok := m.Get(2); !ok || v != "two" {
 		t.Fatalf("Get(2) = %q, %v", v, ok)
 	}
 	n := 0
-	tr.Range(func(int, string) bool { n++; return true })
+	m.Range(func(int, string) bool { n++; return true })
 	if n != 1 {
 		t.Fatalf("Range visited %d entries", n)
 	}
-	if tr.At(2) != "two" {
-		t.Fatalf("At(2) = %q", tr.At(2))
+	if m.At(2) != "two" {
+		t.Fatalf("At(2) = %q", m.At(2))
 	}
 }
 
@@ -253,13 +242,15 @@ func TestSetWithNilEditIsSet(t *testing.T) {
 func TestDisableTransients(t *testing.T) {
 	DisableTransients = true
 	defer func() { DisableTransients = false }()
-	tr := NewIntMap[int, int]().Transient()
+	m, e := NewIntMap[int, int](), NewEdit()
 	for i := 0; i < 500; i++ {
-		tr.Set(i, i)
+		m = m.SetWith(e, i, i)
 	}
-	tr.Delete(100)
-	m := tr.Persistent()
+	m = m.DeleteWith(e, 100)
 	if m.Len() != 499 || m.Has(100) || m.At(3) != 3 {
 		t.Fatalf("DisableTransients changed behavior: len=%d", m.Len())
+	}
+	if m.root.edit != nil {
+		t.Fatal("DisableTransients: a write stamped its Edit on a node")
 	}
 }

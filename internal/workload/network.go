@@ -10,6 +10,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"socialscope/internal/graph"
 )
@@ -44,7 +45,7 @@ func SmallWorld(b *graph.Builder, cfg SmallWorldConfig) ([]graph.NodeID, error) 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	users := make([]graph.NodeID, cfg.Users)
 	for i := range users {
-		users[i] = b.Node([]string{graph.TypeUser}, "name", fmt.Sprintf("user-%d", i))
+		users[i] = b.Node([]string{graph.TypeUser}, "name", "user-"+strconv.Itoa(i))
 	}
 	type edge struct{ a, b int }
 	seen := make(map[edge]struct{})

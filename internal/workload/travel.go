@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"socialscope/internal/graph"
 )
@@ -114,16 +115,16 @@ func Travel(cfg TravelConfig) (*TravelCorpus, error) {
 		city := Cities[rng.Intn(len(Cities))]
 		cat := Categories[rng.Intn(len(Categories))]
 		cat2 := Categories[rng.Intn(len(Categories))]
-		name := fmt.Sprintf("dest-%d", i)
+		name := "dest-" + strconv.Itoa(i)
 		if rng.Float64() < 0.2 && i < len(SpecificDestinations) {
 			name = SpecificDestinations[i]
 		}
 		dests[i] = b.Node([]string{graph.TypeItem, "destination"},
 			"name", name,
 			"city", city,
-			"keywords", fmt.Sprintf("%s %s %s attractions", city, cat, cat2),
+			"keywords", city+" "+cat+" "+cat2+" attractions",
 			"category", cat,
-			"rating", fmt.Sprintf("%.2f", 0.3+rng.Float64()*0.7),
+			"rating", strconv.FormatFloat(0.3+rng.Float64()*0.7, 'f', 2, 64),
 		)
 	}
 
@@ -171,7 +172,7 @@ func Travel(cfg TravelConfig) (*TravelCorpus, error) {
 			}
 			if rng.Float64() < 0.3 {
 				b.Link(u, d, []string{graph.TypeAct, graph.SubtypeReview},
-					"rating", fmt.Sprintf("%.1f", 0.2+rng.Float64()*0.8))
+					"rating", strconv.FormatFloat(0.2+rng.Float64()*0.8, 'f', 1, 64))
 			}
 		}
 	}
