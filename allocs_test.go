@@ -237,6 +237,17 @@ func TestIndexBuildAllocsPinned(t *testing.T) {
 	})
 }
 
+// A follower's start on the ledger's corpus reads the checkpoint into one
+// buffer sized by Size, decodes every trie node at its final size, takes
+// each link's interned body from the lookups its decode already made, and
+// groups the adjacency in one pass over id-ordered links: 28,056
+// allocations, where reading through io.ReadAll, growing every node by
+// appends and sorting and grouping through maps took 38,450.
+func TestOpenFollowerAllocsPinned(t *testing.T) {
+	dir := followerDir(t)
+	pinAllocs(t, "OpenFollower (bench corpus)", 35070, func() { openFollower(t, dir) })
+}
+
 // One Engine.Apply of fresh taggings at the coalescer's flush sizes: the
 // graph replay, the view patch and the index delta each claim a touched
 // trie node once per batch, inside their transient windows, copying only

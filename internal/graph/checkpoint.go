@@ -66,6 +66,9 @@ func binStrings(src []byte) ([]string, int, error) {
 		return nil, 0, ErrBinCorrupt
 	}
 	var ss []string
+	if count > 0 {
+		ss = make([]string, 0, count)
+	}
 	for i := uint64(0); i < count; i++ {
 		s, n, err := binString(src[off:])
 		if err != nil {
@@ -125,10 +128,10 @@ func binAttrs(src []byte) (Attrs, int, error) {
 	return a, off, nil
 }
 
-// binSharedAttr decodes the front of src as a shared set, or returns nil
-// when it is not one key with one value or is too long to share (see
-// attrSets).
-func binSharedAttr(src []byte) (Attrs, int) {
+// binSharedAttr decodes the front of src as a shared set, returning its
+// entry, or nil when it is not one key with one value or is too long to
+// share (see attrSets).
+func binSharedAttr(src []byte) (*attrEntry, int) {
 	count, off, err := binUvarint(src)
 	if err != nil || count != 1 {
 		return nil, 0
@@ -148,35 +151,41 @@ func binSharedAttr(src []byte) (Attrs, int) {
 		return nil, 0
 	}
 	if e := attrSets.getBytes(key, val); e != nil {
-		return e.set, off + n
+		return e, off + n
 	}
 	return nil, 0
 }
 
 // binSharedTypes decodes what appendStrings wrote when it spells a
-// catalog type set, returning that set (see linkTypeSets) and building no
-// string. It returns nil, 0 for anything else, which binStrings decodes.
-func binSharedTypes(src []byte) ([]string, int) {
-	count, start, err := binUvarint(src)
-	if err != nil {
-		return nil, 0
+// catalog type set, returning that set's index in linkTypeSets and
+// building no string. It returns -1, 0 for anything else, which
+// binStrings decodes.
+func binSharedTypes(src []byte) (int, int) {
+	count, off, err := binUvarint(src)
+	if err != nil || count == 0 || count > maxLinkTypeSet {
+		return -1, 0
+	}
+	var ts [maxLinkTypeSet][]byte
+	for i := range ts[:count] {
+		b, n, err := binBytes(src[off:])
+		if err != nil {
+			return -1, 0
+		}
+		ts[i], off = b, off+n
 	}
 sets:
-	for _, ts := range linkTypeSets {
-		if uint64(len(ts)) != count {
+	for i, set := range linkTypeSets {
+		if uint64(len(set)) != count {
 			continue
 		}
-		off := start
-		for _, t := range ts {
-			b, n, err := binBytes(src[off:])
-			if err != nil || string(b) != t {
+		for j, t := range set {
+			if string(ts[j]) != t {
 				continue sets
 			}
-			off += n
 		}
-		return ts, off
+		return i, off
 	}
-	return nil, 0
+	return -1, 0
 }
 
 func appendScore(dst []byte, score float64, scored bool) []byte {
@@ -261,18 +270,20 @@ func DecodeLinkBin(src []byte) (*Link, int, error) {
 		return nil, 0, err
 	}
 	off += n
-	types, n := binSharedTypes(src[off:])
-	if types == nil {
-		if types, n, err = binStrings(src[off:]); err != nil {
-			return nil, 0, err
-		}
+	var types []string
+	ti, n := binSharedTypes(src[off:])
+	if ti >= 0 {
+		types = linkTypeSets[ti]
+	} else if types, n, err = binStrings(src[off:]); err != nil {
+		return nil, 0, err
 	}
 	off += n
-	attrs, n := binSharedAttr(src[off:])
-	if attrs == nil {
-		if attrs, n, err = binAttrs(src[off:]); err != nil {
-			return nil, 0, err
-		}
+	var attrs Attrs
+	e, n := binSharedAttr(src[off:])
+	if e != nil {
+		attrs = e.set
+	} else if attrs, n, err = binAttrs(src[off:]); err != nil {
+		return nil, 0, err
 	}
 	off += n
 	score, scored, n, err := binScore(src[off:])
@@ -280,6 +291,16 @@ func DecodeLinkBin(src []byte) (*Link, int, error) {
 		return nil, 0, err
 	}
 	off += n
+	// The interned body of a catalog type set and a shared or empty
+	// attribute set is at hand: storedLink would look both up again.
+	if !scored && ti >= 0 {
+		if e != nil {
+			return &Link{ID: LinkID(id), Src: NodeID(srcID), Tgt: NodeID(tgtID), b: e.body(ti)}, off, nil
+		}
+		if len(attrs) == 0 {
+			return &Link{ID: LinkID(id), Src: NodeID(srcID), Tgt: NodeID(tgtID), b: emptyBodies[ti]}, off, nil
+		}
+	}
 	return storedLink(LinkID(id), NodeID(srcID), NodeID(tgtID), types, attrs, score, scored), off, nil
 }
 
@@ -386,25 +407,43 @@ func NewCkptWriter() *CkptWriter {
 // AppendCheckpoint appends g's checkpoint section to dst: the node and
 // link trie deltas plus root ids, sizes and the id high-water marks.
 // Adjacency indexes are not written — they are a deterministic function
-// of the link set and are rebuilt on load.
+// of the link set and are rebuilt on load. Each delta is encoded in place
+// behind its length (AppendPrefixed), so dst is the only buffer: given
+// the room the section needs, it never grows.
 func (w *CkptWriter) AppendCheckpoint(dst []byte, g *Graph) []byte {
-	nodeDelta, nodeRoot := w.nodes.EncodeDelta(nil, g.nodes,
-		func(b []byte, id NodeID) []byte { return binary.AppendUvarint(b, uint64(id)) },
-		AppendNodeBin)
-	linkDelta, linkRoot := w.links.EncodeDelta(nil, g.links,
-		func(b []byte, id LinkID) []byte { return binary.AppendUvarint(b, uint64(id)) },
-		AppendLinkBin)
-	dst = binary.AppendUvarint(dst, uint64(len(nodeDelta)))
-	dst = append(dst, nodeDelta...)
+	var nodeRoot, linkRoot uint64
+	dst = AppendPrefixed(dst, func(b []byte) []byte {
+		b, nodeRoot = w.nodes.EncodeDelta(b, g.nodes,
+			func(b []byte, id NodeID) []byte { return binary.AppendUvarint(b, uint64(id)) },
+			AppendNodeBin)
+		return b
+	})
 	dst = binary.AppendUvarint(dst, nodeRoot)
 	dst = binary.AppendUvarint(dst, uint64(g.nodes.Len()))
-	dst = binary.AppendUvarint(dst, uint64(len(linkDelta)))
-	dst = append(dst, linkDelta...)
+	dst = AppendPrefixed(dst, func(b []byte) []byte {
+		b, linkRoot = w.links.EncodeDelta(b, g.links,
+			func(b []byte, id LinkID) []byte { return binary.AppendUvarint(b, uint64(id)) },
+			AppendLinkBin)
+		return b
+	})
 	dst = binary.AppendUvarint(dst, linkRoot)
 	dst = binary.AppendUvarint(dst, uint64(g.links.Len()))
 	dst = binary.AppendUvarint(dst, uint64(g.maxNode))
 	dst = binary.AppendUvarint(dst, uint64(g.maxLink))
 	return dst
+}
+
+// AppendPrefixed appends to dst the uvarint length of what fill appends,
+// then that, with no second buffer: fill appends after room for the
+// longest uvarint, and its bytes then move back over the room the length
+// leaves.
+func AppendPrefixed(dst []byte, fill func([]byte) []byte) []byte {
+	at := len(dst)
+	dst = fill(append(dst, make([]byte, binary.MaxVarintLen64)...))
+	body := len(dst) - at - binary.MaxVarintLen64
+	n := binary.PutUvarint(dst[at:], uint64(body))
+	copy(dst[at+n:], dst[at+binary.MaxVarintLen64:])
+	return dst[:at+n+body]
 }
 
 // CkptReader accumulates a checkpoint chain — the full checkpoint, then
@@ -432,6 +471,29 @@ func decLinkID(src []byte) (LinkID, int, error) {
 // from the accumulated tries, adjacency rebuilt from the link set in
 // the same ascending-id order every Graph maintains.
 func (r *CkptReader) Apply(data []byte) (*Graph, error) {
+	g, err := r.fold(data)
+	if err != nil {
+		return nil, err
+	}
+	g.rebuildAdjacency()
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("graph: checkpoint inconsistent: %w", err)
+	}
+	return g, nil
+}
+
+// Fold is Apply for a section whose graph nobody reads, every file of a
+// chain but the last: it decodes the section onto the chain and checks
+// its tries as Apply does, but builds no adjacency and runs no Validate,
+// which the last section's graph gets.
+func (r *CkptReader) Fold(data []byte) error {
+	_, err := r.fold(data)
+	return err
+}
+
+// fold decodes one section onto the chain and returns the graph of its
+// checked node and link tries and high-water marks, without adjacency.
+func (r *CkptReader) fold(data []byte) (*Graph, error) {
 	readUvarint := func(off *int) (uint64, error) {
 		v, n, err := binUvarint(data[*off:])
 		if err != nil {
@@ -504,10 +566,6 @@ func (r *CkptReader) Apply(data []byte) (*Graph, error) {
 	g.maxLink = LinkID(maxLink)
 	if g.maxNode < 0 || g.maxLink < 0 {
 		return nil, fmt.Errorf("%w: negative high-water mark", ErrBinCorrupt)
-	}
-	g.rebuildAdjacency()
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("graph: checkpoint inconsistent: %w", err)
 	}
 	return g, nil
 }

@@ -561,39 +561,143 @@ func (g *Graph) load(ns []*Node, ls []*Link) {
 // adjacency yet, in the ascending-id order every Graph maintains. It sorts
 // ls.
 func (g *Graph) setAdjacencyOf(ls []*Link) {
-	slices.SortFunc(ls, func(a, b *Link) int { return cmp.Compare(a.ID, b.ID) })
-	g.out = adjacencyOf(ls, Src)
-	g.in = adjacencyOf(ls, Tgt)
+	sortByID(ls)
+	g.out, g.in = adjacencyOf(ls)
 }
 
-// adjacencyOf groups ls, sorted by id, by their end d into one adjacency
-// index of exact-size lists. Each list is its own allocation, so a write
-// that replaces one frees it.
-func adjacencyOf(ls []*Link, d Direction) persist.Map[NodeID, []*Link] {
-	pos := make(map[NodeID]int32) // node → its position in ids
-	var ids []NodeID
-	var count []int
-	at := make([]int32, len(ls))
-	for i, l := range ls {
-		id := l.End(d)
-		p, ok := pos[id]
-		if !ok {
-			p = int32(len(ids))
-			pos[id] = p
-			ids = append(ids, id)
-			count = append(count, 0)
+// sortByID sorts ls, whose ids are distinct, by id: by placing each link
+// at its id in a table over their span when that is at most a couple of
+// slots per link, else through (id, link) pairs, so no comparison
+// dereferences a link. It leaves ls be when it is already in order.
+func sortByID(ls []*Link) {
+	if slices.IsSortedFunc(ls, func(a, b *Link) int { return cmp.Compare(a.ID, b.ID) }) {
+		return
+	}
+	lo, hi := ls[0].ID, ls[0].ID
+	for _, l := range ls {
+		lo, hi = min(lo, l.ID), max(hi, l.ID)
+	}
+	if span := uint64(hi) - uint64(lo); span < uint64(2*len(ls)+64) {
+		slots := make([]*Link, span+1)
+		for _, l := range ls {
+			slots[l.ID-lo] = l
 		}
-		at[i] = p
-		count[p]++
+		copy(ls, slices.DeleteFunc(slots, func(l *Link) bool { return l == nil }))
+		return
 	}
-	lists := make([][]*Link, len(ids))
-	for p, c := range count {
-		lists[p] = make([]*Link, 0, c)
+	type idLink struct {
+		id LinkID
+		l  *Link
 	}
+	ps := make([]idLink, len(ls))
 	for i, l := range ls {
-		lists[at[i]] = append(lists[at[i]], l)
+		ps[i] = idLink{l.ID, l}
 	}
-	return persist.NewIntMap[NodeID, []*Link]().Build(ids, lists)
+	slices.SortFunc(ps, func(a, b idLink) int { return cmp.Compare(a.id, b.id) })
+	for i, p := range ps {
+		ls[i] = p.l
+	}
+}
+
+// adjacencyOf groups ls, sorted by id, by their sources and by their
+// targets into the out and in adjacency indexes, in one pass over ls, with
+// exact-size lists. Each list is its own allocation, so a write that
+// replaces one frees it.
+func adjacencyOf(ls []*Link) (out, in persist.Map[NodeID, []*Link]) {
+	out, in = persist.NewIntMap[NodeID, []*Link](), persist.NewIntMap[NodeID, []*Link]()
+	if len(ls) == 0 {
+		return out, in
+	}
+	// Slot 2e of the tables below is end e's out-list, 2e+1 its in-list.
+	ends := numberEnds(ls)
+	count := make([]int32, 2*len(ends.ids))
+	for _, l := range ls {
+		count[2*ends.of(l.Src)]++
+		count[2*ends.of(l.Tgt)+1]++
+	}
+	lists := make([][]*Link, len(count))
+	for p, c := range count {
+		if c > 0 {
+			lists[p] = make([]*Link, 0, c)
+		}
+	}
+	for _, l := range ls {
+		s, t := 2*ends.of(l.Src), 2*ends.of(l.Tgt)+1
+		lists[s] = append(lists[s], l)
+		lists[t] = append(lists[t], l)
+	}
+	return buildAdjacency(out, ends.ids, lists, 0), buildAdjacency(in, ends.ids, lists, 1)
+}
+
+// buildAdjacency builds the index of the lists of direction d (0 out, 1
+// in) in lists, the two directions interleaved per end of ids, keeping
+// only the ends that have one.
+func buildAdjacency(m persist.Map[NodeID, []*Link], ids []NodeID, lists [][]*Link, d int) persist.Map[NodeID, []*Link] {
+	keys := make([]NodeID, 0, len(ids))
+	vals := make([][]*Link, 0, len(ids))
+	for e, id := range ids {
+		if l := lists[2*e+d]; l != nil {
+			keys, vals = append(keys, id), append(vals, l)
+		}
+	}
+	return m.Build(keys, vals)
+}
+
+// endNumbers numbers the distinct endpoints of a set of links 0, 1, 2, ...
+// in order of first appearance: through a dense table over the span of
+// their ids when it is at most a couple of entries per link, a map
+// otherwise, so no id, however large, sizes an allocation.
+type endNumbers struct {
+	lo     NodeID
+	dense  []int32 // number of id lo+i
+	sparse map[NodeID]int32
+	ids    []NodeID // the id of each number
+}
+
+// numberEnds numbers the endpoints of ls, which must not be empty.
+func numberEnds(ls []*Link) *endNumbers {
+	lo, hi := ls[0].Src, ls[0].Src
+	for _, l := range ls {
+		lo, hi = min(lo, l.Src, l.Tgt), max(hi, l.Src, l.Tgt)
+	}
+	e := &endNumbers{lo: lo}
+	span := uint64(hi) - uint64(lo)
+	if span < uint64(2*len(ls)+64) {
+		e.dense = make([]int32, span+1)
+		for i := range e.dense {
+			e.dense[i] = -1
+		}
+		e.ids = make([]NodeID, 0, min(span+1, uint64(2*len(ls))))
+	} else {
+		e.sparse = make(map[NodeID]int32)
+	}
+	for _, l := range ls {
+		e.add(l.Src)
+		e.add(l.Tgt)
+	}
+	return e
+}
+
+// add gives id the next number unless it has one.
+func (e *endNumbers) add(id NodeID) {
+	next := int32(len(e.ids))
+	if e.dense != nil {
+		if slot := &e.dense[id-e.lo]; *slot < 0 {
+			*slot, e.ids = next, append(e.ids, id)
+		}
+		return
+	}
+	if _, ok := e.sparse[id]; !ok {
+		e.sparse[id], e.ids = next, append(e.ids, id)
+	}
+}
+
+// of returns the number of id, an endpoint numbered.
+func (e *endNumbers) of(id NodeID) int32 {
+	if e.dense != nil {
+		return e.dense[id-e.lo]
+	}
+	return e.sparse[id]
 }
 
 // Equal reports whether two graphs contain equal node and link sets.

@@ -158,6 +158,9 @@ var linkTypeSets = [...][]string{
 	{TypeMatch}, {TypeBelong},
 }
 
+// maxLinkTypeSet is the most types any set of linkTypeSets holds.
+const maxLinkTypeSet = 2
+
 // typeSet returns the index in linkTypeSets of the set equal to ts, or -1.
 func typeSet(ts []string) int {
 	for i, s := range linkTypeSets[:] {

@@ -23,7 +23,11 @@
 // Map was built.
 package persist
 
-import "math/bits"
+import (
+	"cmp"
+	"math/bits"
+	"slices"
+)
 
 // pathEntry is one entry of a Build, keyed by its hash path.
 type pathEntry struct {
@@ -88,52 +92,62 @@ func (m Map[K, V]) Build(keys []K, vals []V) Map[K, V] {
 	for i, k := range keys {
 		es = append(es, pathEntry{pathOf(m.hash(k)), i})
 	}
-	var tmp []pathEntry
-	if len(es) > sortSmall {
-		tmp = make([]pathEntry, len(es))
-	}
-	sortPaths(es, tmp, 0)
+	sortPaths(es, 0)
 	return Map[K, V]{root: buildNode(keys, vals, es, 0), size: len(keys), hash: m.hash}
 }
 
 // sortSmall is the size at or below which sortPaths insertion-sorts.
 const sortSmall = 32
 
-// sortPaths sorts es by path, stably, given that every entry of es agrees
-// on the chunks above shift. Large groups are counting-sorted on the
-// chunk at shift, through tmp (len(tmp) == len(es)), and each bucket
-// recursively; small ones are insertion-sorted whole.
-func sortPaths(es, tmp []pathEntry, shift uint) {
+// sortPaths sorts es by path, and entries of one path by input order,
+// given that every entry of es agrees on the chunks above shift. Large
+// groups are partitioned in place on the chunk at shift (an American-flag
+// sort, which needs no second buffer but does not keep input order) and
+// each bucket sorted recursively; small ones are insertion-sorted whole.
+func sortPaths(es []pathEntry, shift uint) {
 	if len(es) <= sortSmall {
 		for i := 1; i < len(es); i++ {
-			for j := i; j > 0 && es[j-1].path > es[j].path; j-- {
+			for j := i; j > 0 && es[j].before(es[j-1]); j-- {
 				es[j-1], es[j] = es[j], es[j-1]
 			}
 		}
 		return
 	}
 	if shift > maxShift {
-		return // one full hash: already in input order
+		// One full hash: a collision bucket, whose entries keep input order.
+		slices.SortFunc(es, func(a, b pathEntry) int { return cmp.Compare(a.at, b.at) })
+		return
 	}
-	var at [1<<branchBits + 1]int
+	var count [1 << branchBits]int
 	for _, e := range es {
-		at[chunkOf(e.path, shift)+1]++
+		count[chunkOf(e.path, shift)]++
 	}
-	for c := 1; c < len(at); c++ {
-		at[c] += at[c-1]
+	var start, next [1 << branchBits]int
+	for c := 1; c < len(start); c++ {
+		start[c] = start[c-1] + count[c-1]
 	}
-	start := at
-	for _, e := range es {
-		c := chunkOf(e.path, shift)
-		tmp[at[c]] = e
-		at[c]++
-	}
-	copy(es, tmp)
-	for c := 0; c < 1<<branchBits; c++ {
-		if lo, hi := start[c], start[c+1]; hi-lo > 1 {
-			sortPaths(es[lo:hi], tmp[lo:hi], shift+branchBits)
+	next = start
+	// Take each bucket's first unplaced entry and swap it into the bucket
+	// its chunk names, until the bucket is full of its own.
+	for c := range next {
+		for end := start[c] + count[c]; next[c] < end; {
+			d := chunkOf(es[next[c]].path, shift)
+			if d != uint64(c) {
+				es[next[c]], es[next[d]] = es[next[d]], es[next[c]]
+			}
+			next[d]++
 		}
 	}
+	for c := range count {
+		if count[c] > 1 {
+			sortPaths(es[start[c]:start[c]+count[c]], shift+branchBits)
+		}
+	}
+}
+
+// before orders entries by path, then by input order.
+func (e pathEntry) before(f pathEntry) bool {
+	return e.path < f.path || e.path == f.path && e.at < f.at
 }
 
 // runEnd returns the end of the run of es, sorted by path, that shares

@@ -72,6 +72,15 @@ func (st *CkptState[K, V]) Emitted() uint64 { return st.next - 1 }
 // chains.
 func (st *CkptState[K, V]) EncodeDelta(dst []byte, m Map[K, V], encK AppendEncoder[K], encV AppendEncoder[V]) ([]byte, uint64) {
 	var rootID uint64
+	if len(st.ids) == 0 {
+		// A full checkpoint: every node it assigns an id is reachable, so
+		// the ids it leaves are already the reachable set.
+		if m.root != nil {
+			st.ids = make(map[*node[K, V]]uint64, m.root.count())
+			dst, rootID = st.emit(dst, m.root, encK, encV)
+		}
+		return dst, rootID
+	}
 	if m.root != nil {
 		dst, rootID = st.emit(dst, m.root, encK, encV)
 	}
@@ -116,6 +125,15 @@ func (st *CkptState[K, V]) emit(dst []byte, n *node[K, V], encK AppendEncoder[K]
 	return dst, id
 }
 
+// count returns the number of nodes in the trie under n.
+func (n *node[K, V]) count() int {
+	c := 1
+	for _, sub := range n.subs {
+		c += sub.count()
+	}
+	return c
+}
+
 func (st *CkptState[K, V]) retain(n *node[K, V], reach map[*node[K, V]]uint64) {
 	if _, ok := reach[n]; ok {
 		return
@@ -149,20 +167,18 @@ func (ld *CkptLoader[K, V]) DecodeDelta(data []byte, decK Decoder[K], decV Decod
 		off += n
 		return v, nil
 	}
-	readEntry := func(n *node[K, V]) error {
+	readEntry := func() (k K, v V, err error) {
 		k, kn, err := decK(data[off:])
 		if err != nil {
-			return fmt.Errorf("%w: key at offset %d: %v", ErrCkptCorrupt, off, err)
+			return k, v, fmt.Errorf("%w: key at offset %d: %v", ErrCkptCorrupt, off, err)
 		}
 		off += kn
 		v, vn, err := decV(data[off:])
 		if err != nil {
-			return fmt.Errorf("%w: value at offset %d: %v", ErrCkptCorrupt, off, err)
+			return k, v, fmt.Errorf("%w: value at offset %d: %v", ErrCkptCorrupt, off, err)
 		}
 		off += vn
-		n.keys = append(n.keys, k)
-		n.vals = append(n.vals, v)
-		return nil
+		return k, v, nil
 	}
 	for off < len(data) {
 		tag := data[off]
@@ -178,10 +194,16 @@ func (ld *CkptLoader[K, V]) DecodeDelta(data []byte, decK Decoder[K], decV Decod
 			if count < 1 || count > uint64(len(data)) {
 				return fmt.Errorf("%w: collision count %d", ErrCkptCorrupt, count)
 			}
+			// Allocate for no more entries than the bytes left could
+			// hold, at two or more each: a count is a claim until read.
+			c := min(count, uint64(len(data)-off)/2)
+			n.keys, n.vals = make([]K, 0, c), make([]V, 0, c)
 			for i := uint64(0); i < count; i++ {
-				if err := readEntry(n); err != nil {
+				k, v, err := readEntry()
+				if err != nil {
 					return err
 				}
+				n.keys, n.vals = append(n.keys, k), append(n.vals, v)
 			}
 		case 0x00:
 			var err error
@@ -194,12 +216,19 @@ func (ld *CkptLoader[K, V]) DecodeDelta(data []byte, decK Decoder[K], decV Decod
 			if n.datamap&n.nodemap != 0 {
 				return fmt.Errorf("%w: overlapping bitmaps", ErrCkptCorrupt)
 			}
-			for i := 0; i < bits.OnesCount64(n.datamap); i++ {
-				if err := readEntry(n); err != nil {
+			// A bitmap names at most 64 slots: no count here is large.
+			if d := bits.OnesCount64(n.datamap); d > 0 {
+				n.keys, n.vals = make([]K, d), make([]V, d)
+			}
+			for i := range n.keys {
+				if n.keys[i], n.vals[i], err = readEntry(); err != nil {
 					return err
 				}
 			}
-			for i := 0; i < bits.OnesCount64(n.nodemap); i++ {
+			if s := bits.OnesCount64(n.nodemap); s > 0 {
+				n.subs = make([]*node[K, V], s)
+			}
+			for i := range n.subs {
 				id, err := readUvarint()
 				if err != nil {
 					return err
@@ -207,7 +236,7 @@ func (ld *CkptLoader[K, V]) DecodeDelta(data []byte, decK Decoder[K], decV Decod
 				if id < 1 || id > uint64(len(ld.nodes)) {
 					return fmt.Errorf("%w: child id %d of %d known", ErrCkptCorrupt, id, len(ld.nodes))
 				}
-				n.subs = append(n.subs, ld.nodes[id-1])
+				n.subs[i] = ld.nodes[id-1]
 			}
 		default:
 			return fmt.Errorf("%w: unknown node tag %#x", ErrCkptCorrupt, tag)

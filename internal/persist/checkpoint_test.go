@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -315,5 +316,64 @@ func TestCheckpointMapRejectsUnservableTries(t *testing.T) {
 	}
 	if got, err := ld.Map(m, 1, 1); err != nil || got.At(1) != "v" {
 		t.Fatalf("well-formed record: %v, %q", err, got.At(1))
+	}
+}
+
+// TestCheckpointDecodeExactSize: every node a checkpoint decodes is
+// allocated at its final size, cap == len, as Build lays a cold trie out,
+// so a loaded map holds no spare slots, and it is the trie that was saved.
+func TestCheckpointDecodeExactSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	m := NewIntMap[int, string]()
+	for i := 0; i < 5000; i++ {
+		m = m.Set(rng.Intn(1<<20), fmt.Sprintf("v%d", i))
+	}
+	coll := NewMap[int, string](func(k int) uint64 { return uint64(k % 3) })
+	for i := 0; i < 200; i++ {
+		coll = coll.Set(i, fmt.Sprintf("c%d", i))
+	}
+	for _, m := range []Map[int, string]{m, coll} {
+		got := roundTrip(t, m)
+		if err := sameShape(got.root, m.root, "root"); err != nil {
+			t.Fatal(err)
+		}
+		if err := exactSize(got.root); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCheckpointDecodeCapsCollisionCount: a collision record claiming as
+// many entries as the whole record has bytes is refused when its entries
+// run out, and the decoder allocated for no more entries than the bytes
+// after the count could hold at two or more each.
+func TestCheckpointDecodeCapsCollisionCount(t *testing.T) {
+	const entries = 1 << 15
+	body := bytes.Repeat([]byte{5, 0}, entries) // key 5, value ""
+	data := []byte{0x01}
+	// The count is the record's own length, which takes three bytes.
+	data = binary.AppendUvarint(data, uint64(1+3+len(body)))
+	data = append(data, body...)
+	if got := binary.PutUvarint(make([]byte, 10), uint64(len(data))); got != 3 || len(data) != 1+3+len(body) {
+		t.Fatalf("crafted record is %d bytes with a %d-byte count", len(data), got)
+	}
+	var ld CkptLoader[int, string]
+	if err := ld.DecodeDelta(data, decInt, decStr); err == nil {
+		t.Fatal("a collision count past its entries decoded")
+	}
+	const runs = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		var ld CkptLoader[int, string]
+		_ = ld.DecodeDelta(data, decInt, decStr)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	// Keys and values of the entries the bytes could hold, plus the error.
+	bound := uint64(entries*(8+16) + 4096)
+	if per > bound {
+		t.Fatalf("decoding a count of %d allocated %d B, over the %d B its %d entries' bytes allow",
+			len(data), per, bound, entries)
 	}
 }

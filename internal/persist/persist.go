@@ -435,6 +435,24 @@ func (m Map[K, V]) Keys() []K {
 	return out
 }
 
+// SpareSlots returns how many slots the trie's node slices hold beyond
+// their length, O(trie): none for a Map laid out by Build or decoded from
+// a checkpoint, whose nodes are all exact-size.
+func (m Map[K, V]) SpareSlots() int {
+	if m.root == nil {
+		return 0
+	}
+	return m.root.spare()
+}
+
+func (n *node[K, V]) spare() int {
+	s := cap(n.keys) - len(n.keys) + cap(n.vals) - len(n.vals) + cap(n.subs) - len(n.subs)
+	for _, sub := range n.subs {
+		s += sub.spare()
+	}
+	return s
+}
+
 // setAt returns a copy of s with s[i] replaced by v.
 func setAt[T any](s []T, i int, v T) []T {
 	c := make([]T, len(s))

@@ -94,14 +94,15 @@ type Recovered struct {
 // safe for concurrent use; the engine serializes saves on its write
 // path.
 type Checkpointer struct {
-	fsys     vfs.FS
-	dir      string
-	maxChain int
-	w        *graph.CkptWriter
-	seq      uint64
-	chain    []string
-	met      *storeMetrics
-	lastFull int // bytes of the chain's full checkpoint, for the delta ratio
+	fsys      vfs.FS
+	dir       string
+	maxChain  int
+	w         *graph.CkptWriter
+	seq       uint64
+	chain     []string
+	met       *storeMetrics
+	lastFull  int // bytes of the chain's full checkpoint, for the delta ratio
+	lastDelta int // bytes of the last delta checkpoint
 }
 
 // NewCheckpointer returns a checkpointer writing into dir, numbering
@@ -151,10 +152,8 @@ func (c *Checkpointer) Save(g *graph.Graph, meta Meta) error {
 	}
 	seq := c.seq + 1
 
-	data := appendHeader(nil, seq, parentSeq, meta)
-	sec := c.w.AppendCheckpoint(nil, g)
-	data = binary.AppendUvarint(data, uint64(len(sec)))
-	data = append(data, sec...)
+	data := appendHeader(make([]byte, 0, c.sizeHint(g, full)), seq, parentSeq, meta)
+	data = graph.AppendPrefixed(data, func(b []byte) []byte { return c.w.AppendCheckpoint(b, g) })
 	data = binary.LittleEndian.AppendUint32(data, crc32.Checksum(data, ckptCRC))
 
 	name := ckptName(seq)
@@ -185,6 +184,7 @@ func (c *Checkpointer) Save(g *graph.Graph, meta Meta) error {
 		c.lastFull = len(data)
 	} else {
 		c.met.saves.With("delta").Inc()
+		c.lastDelta = len(data)
 		if c.lastFull > 0 {
 			c.met.ratio.Set(float64(len(data)) / float64(c.lastFull))
 		}
@@ -194,6 +194,28 @@ func (c *Checkpointer) Save(g *graph.Graph, meta Meta) error {
 	c.met.dur.ObserveSince(start)
 	return nil
 }
+
+// sizeHint guesses the bytes of the next checkpoint file, so that Save
+// encodes it into one buffer: the last file of its kind with room to
+// grow, or, before the first full one, about what the ledger's corpus
+// takes per node and per link. A short guess costs one growth.
+func (c *Checkpointer) sizeHint(g *graph.Graph, full bool) int {
+	last := c.lastDelta
+	if full {
+		last = c.lastFull
+		if last == 0 {
+			return bytesPerNode*g.NumNodes() + bytesPerLink*g.NumLinks() + 4096
+		}
+	}
+	return last + last/4 + 4096
+}
+
+// bytesPerNode and bytesPerLink are a little over what a full checkpoint
+// of the bench/ ledger's corpus spends per node and per link (55 and 31).
+const (
+	bytesPerNode = 64
+	bytesPerLink = 32
+)
 
 func (c *Checkpointer) writeManifest(man Manifest) error {
 	data, err := json.Marshal(man)
@@ -232,8 +254,9 @@ func (c *Checkpointer) sweep() {
 }
 
 // LoadLatest reads the manifest and folds the checkpoint chain into the
-// graph it encodes. It returns nil (no error) when the directory holds
-// no manifest — a fresh deployment.
+// graph it encodes: every file's tries are decoded and checked, and the
+// graph of the last one is built and validated. It returns nil (no error)
+// when the directory holds no manifest — a fresh deployment.
 func LoadLatest(fsys vfs.FS, dir string) (*Recovered, error) {
 	man, err := LoadManifest(fsys, dir)
 	if err != nil || man == nil {
@@ -258,7 +281,12 @@ func LoadLatest(fsys vfs.FS, dir string) (*Recovered, error) {
 		if i > 0 && parentSeq != prevSeq {
 			return nil, fmt.Errorf("%w: %s parent %d, want %d", ErrCkptCorrupt, name, parentSeq, prevSeq)
 		}
-		if g, err = r.Apply(sec); err != nil {
+		if i < len(man.Chain)-1 {
+			err = r.Fold(sec)
+		} else {
+			g, err = r.Apply(sec)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		prevSeq = seq

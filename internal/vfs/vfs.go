@@ -108,7 +108,7 @@ func ReadFile(fsys FS, name string) ([]byte, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return io.ReadAll(f)
+	return readRest(f, sizeHint(fsys, name, 0))
 }
 
 // ReadFileFrom reads name from byte offset off to its end, allocating only
@@ -120,16 +120,57 @@ func ReadFileFrom(fsys FS, name string, off int64) (data []byte, ok bool, err er
 		return nil, false, err
 	}
 	defer f.Close()
+	hint := sizeHint(fsys, name, off)
 	if n, err := io.CopyN(io.Discard, f, off); n < off {
 		if err == io.EOF {
 			return nil, false, nil
 		}
 		return nil, false, err
 	}
-	if data, err = io.ReadAll(f); err != nil {
+	if data, err = readRest(f, hint); err != nil {
 		return nil, false, err
 	}
 	return data, true, nil
+}
+
+// sizeHint returns how many bytes name holds past off, by Size, at most
+// maxReadHint, or -1 when Size fails. It is only a guess at the buffer a
+// read needs: the file may change before or during the read, which reads
+// it as it then is.
+func sizeHint(fsys FS, name string, off int64) int {
+	size, err := fsys.Size(name)
+	if err != nil {
+		return -1
+	}
+	return int(min(max(size-off, 0), maxReadHint))
+}
+
+// maxReadHint bounds the buffer a read allocates before it has read
+// anything, so a wrong Size cannot ask for more memory than this.
+const maxReadHint = 1 << 30
+
+// readRest reads f to its end into one buffer sized for hint bytes, plus
+// one so that a file of exactly hint bytes meets EOF without growing it,
+// or 512 bytes without a hint. It grows the buffer only if the file held
+// more than the hint said.
+func readRest(f File, hint int) ([]byte, error) {
+	if hint < 0 {
+		hint = 511
+	}
+	data := make([]byte, 0, hint+1)
+	for {
+		n, err := f.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return data, err
+		}
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)] // let append pick the growth
+		}
+	}
 }
 
 // WriteFileSync writes data to name (creating or truncating), syncs it,

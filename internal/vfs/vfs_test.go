@@ -337,3 +337,99 @@ func TestFaultFSClonePreservesCrashedState(t *testing.T) {
 		t.Fatalf("KeepUnsynced clone lost data: %q", got)
 	}
 }
+
+// resizingFS is a FaultFS whose file changes length at a chosen moment of
+// a read: when Size has answered (before the first Read), or after the
+// first Read, which returns at most readChunk bytes.
+type resizingFS struct {
+	*FaultFS
+	afterSize bool
+	resize    func()
+	readChunk int
+}
+
+func (r *resizingFS) Size(name string) (int64, error) {
+	n, err := r.FaultFS.Size(name)
+	if r.afterSize {
+		r.resize()
+	}
+	return n, err
+}
+
+func (r *resizingFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := r.FaultFS.OpenFile(name, flag, perm)
+	if err != nil || flag != os.O_RDONLY {
+		return f, err
+	}
+	return &resizingFile{File: f, fs: r}, nil
+}
+
+type resizingFile struct {
+	File
+	fs    *resizingFS
+	reads int
+}
+
+func (f *resizingFile) Read(p []byte) (int, error) {
+	n, err := f.File.Read(p[:min(len(p), f.fs.readChunk)])
+	if f.reads++; f.reads == 1 && !f.fs.afterSize {
+		f.fs.resize()
+	}
+	return n, err
+}
+
+// TestReadFileSizeChanges: ReadFile and ReadFileFrom size their buffer by
+// Size, but a file that grows or shrinks after Size answers, or between
+// two reads, is read as it then is, in full and with no error.
+func TestReadFileSizeChanges(t *testing.T) {
+	content := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i*7 + i/251)
+		}
+		return b
+	}
+	for _, c := range []struct {
+		name      string
+		afterSize bool
+		from, to  int
+	}{
+		{"grows after Size", true, 1000, 70000},
+		{"shrinks after Size", true, 70000, 300},
+		{"empties after Size", true, 1000, 0},
+		{"grows mid-read", false, 1000, 70000},
+		{"shrinks mid-read", false, 70000, 600},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			base := NewFaultFS(DropUnsynced)
+			writeAll(t, base, "f", content(c.from))
+			fsys := &resizingFS{FaultFS: base, afterSize: c.afterSize, readChunk: 128}
+			fsys.resize = func() {
+				if err := base.Truncate("f", 0); err != nil {
+					t.Fatal(err)
+				}
+				writeAll(t, base, "f", content(c.to))
+			}
+			want := content(c.to)
+			got, err := ReadFile(fsys, "f")
+			if err != nil || string(got) != string(want) {
+				t.Fatalf("ReadFile: %d bytes, %v; want the %d bytes the file holds", len(got), err, len(want))
+			}
+			const off = 100
+			if err := base.Truncate("f", 0); err != nil {
+				t.Fatal(err)
+			}
+			writeAll(t, base, "f", content(c.from))
+			got, ok, err := ReadFileFrom(fsys, "f", off)
+			if c.to < off {
+				if err != nil || ok && len(got) != 0 {
+					t.Fatalf("ReadFileFrom past the end: %d bytes, %v, %v", len(got), ok, err)
+				}
+				return
+			}
+			if err != nil || !ok || string(got) != string(want[off:]) {
+				t.Fatalf("ReadFileFrom(%d): %d bytes, %v, %v; want %d", off, len(got), ok, err, len(want)-off)
+			}
+		})
+	}
+}
