@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"socialscope/internal/graph"
+	"socialscope/internal/persist"
 )
 
 // RelatedTopic is a derived topic connected to many result items, with the
@@ -132,17 +133,15 @@ func ranksBefore(a, b RelatedUser) bool {
 
 // userCounter is the reusable counting space of RelatedEntities, the
 // expert scan and CollaborativeFiltering: the ids to count, the distinct
-// ids with their counts in first-seen order, and a linear-probing table of
-// positions in that list (0 marks an empty slot). The table is sized to a
-// power of two at least twice the number of ids, so its memory follows the
-// id count and never the id values (ids are client-chosen through /apply).
-// CollaborativeFiltering also keeps its act sets, matches and score sums
-// here.
+// ids numbered in first-seen order by a persist.Numbering, whose memory
+// follows the id count and never the id values (ids are client-chosen
+// through /apply), and a count per number. CollaborativeFiltering also
+// keeps its act sets, matches and score sums here.
 type userCounter struct {
-	ids   []graph.NodeID
-	users []RelatedUser
-	table []int32
-	shift uint // 64 − log2(len(table)): the top bits index the table
+	ids    []graph.NodeID
+	num    persist.Numbering[graph.NodeID]
+	counts []int32
+	users  []RelatedUser
 
 	mine, acted []graph.NodeID
 	matches     []cfMatch
@@ -173,43 +172,25 @@ func (ct *userCounter) count(ids []graph.NodeID) []RelatedUser {
 		ct.add(id)
 	}
 	ct.ids = ids
-	return ct.users
+	users := ct.users[:0]
+	for k, id := range ct.num.Keys() {
+		users = append(users, RelatedUser{id, int(ct.counts[k])})
+	}
+	ct.users = users
+	return users
 }
 
-// reset empties the counts and sizes the table for n adds.
+// reset empties the counts and sizes them, and the numbering, for n adds.
 func (ct *userCounter) reset(n int) {
-	size, log2 := 1, uint(0)
-	for size < 2*n {
-		size <<= 1
-		log2++
-	}
-	ct.shift = 64 - log2
-	if cap(ct.table) < size {
-		ct.table = make([]int32, size)
-	}
-	ct.table = ct.table[:size]
-	clear(ct.table)
-	ct.users = ct.users[:0]
+	ct.num.Reset(n)
+	ct.counts = slices.Grow(ct.counts[:0], n)[:n]
+	clear(ct.counts)
 }
 
-// add counts one occurrence of id and returns its position in ct.users.
-// It must follow a reset sized for at least as many adds.
+// add counts one occurrence of id and returns its number. It must follow
+// a reset sized for at least as many adds.
 func (ct *userCounter) add(id graph.NodeID) int {
-	table := ct.table
-	// Fibonacci hashing: the multiply spreads consecutive ids, the top
-	// bits index the table.
-	i := int(uint64(id) * 0x9E3779B97F4A7C15 >> ct.shift)
-	for {
-		at := int(table[i])
-		if at == 0 {
-			ct.users = append(ct.users, RelatedUser{id, 1})
-			table[i] = int32(len(ct.users))
-			return len(ct.users) - 1
-		}
-		if ct.users[at-1].User == id {
-			ct.users[at-1].Count++
-			return at - 1
-		}
-		i = (i + 1) & (len(table) - 1)
-	}
+	k := ct.num.Add(id)
+	ct.counts[k]++
+	return k
 }

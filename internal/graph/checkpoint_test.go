@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -330,5 +331,27 @@ func TestCkptReaderRejectsLyingCounts(t *testing.T) {
 		if _, err := NewCkptReader().Apply(section(c[0], c[1])); err == nil {
 			t.Errorf("counts %d/%d for %d/%d entries accepted", c[0], c[1], nodes, links)
 		}
+	}
+}
+
+// TestCkptReaderRejectsLinksWithoutEnds: a checkpoint whose links name
+// far more endpoints than it holds nodes is rejected, not looped on. The
+// load numbers the endpoints over a table sized by the node count, so
+// that table must grow past it before validation finds the missing ends.
+func TestCkptReaderRejectsLinksWithoutEnds(t *testing.T) {
+	g := New()
+	for i := NodeID(1); i <= 2; i++ {
+		if err := g.AddNode(NewNode(i, "user")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Bypass AddLink, which refuses such links.
+	for lid := LinkID(1); lid <= 16; lid++ {
+		g.links = g.links.Set(lid, NewLink(lid, NodeID(100+2*lid), NodeID(101+2*lid), "act"))
+		g.noteLinkID(lid)
+	}
+	_, err := NewCkptReader().Apply(NewCkptWriter().AppendCheckpoint(nil, g))
+	if !errors.Is(err, ErrMissingEnd) {
+		t.Fatalf("checkpoint with 32 missing ends: err %v, want ErrMissingEnd", err)
 	}
 }

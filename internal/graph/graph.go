@@ -562,7 +562,7 @@ func (g *Graph) load(ns []*Node, ls []*Link) {
 // ls.
 func (g *Graph) setAdjacencyOf(ls []*Link) {
 	sortByID(ls)
-	g.out, g.in = adjacencyOf(ls)
+	g.out, g.in = adjacencyOf(ls, g.nodes.Len())
 }
 
 // sortByID sorts ls, whose ids are distinct, by id: by placing each link
@@ -600,20 +600,28 @@ func sortByID(ls []*Link) {
 }
 
 // adjacencyOf groups ls, sorted by id, by their sources and by their
-// targets into the out and in adjacency indexes, in one pass over ls, with
-// exact-size lists. Each list is its own allocation, so a write that
-// replaces one frees it.
-func adjacencyOf(ls []*Link) (out, in persist.Map[NodeID, []*Link]) {
+// targets into the out and in adjacency indexes, in two passes over ls,
+// with exact-size lists. The ends are numbered in order of first
+// appearance, over a table sized for at most ends of them. Each list is
+// its own allocation, so a write that replaces one frees it.
+func adjacencyOf(ls []*Link, ends int) (out, in persist.Map[NodeID, []*Link]) {
 	out, in = persist.NewIntMap[NodeID, []*Link](), persist.NewIntMap[NodeID, []*Link]()
 	if len(ls) == 0 {
 		return out, in
 	}
 	// Slot 2e of the tables below is end e's out-list, 2e+1 its in-list.
-	ends := numberEnds(ls)
-	count := make([]int32, 2*len(ends.ids))
+	ends = min(2*len(ls), ends)
+	var num persist.Numbering[NodeID]
+	num.Reset(ends)
+	count := make([]int32, 0, 2*ends)
 	for _, l := range ls {
-		count[2*ends.of(l.Src)]++
-		count[2*ends.of(l.Tgt)+1]++
+		for d, end := range [2]NodeID{l.Src, l.Tgt} {
+			e := num.Add(end)
+			if 2*e == len(count) {
+				count = append(count, 0, 0)
+			}
+			count[2*e+d]++
+		}
 	}
 	lists := make([][]*Link, len(count))
 	for p, c := range count {
@@ -622,11 +630,12 @@ func adjacencyOf(ls []*Link) (out, in persist.Map[NodeID, []*Link]) {
 		}
 	}
 	for _, l := range ls {
-		s, t := 2*ends.of(l.Src), 2*ends.of(l.Tgt)+1
+		s, t := 2*num.Add(l.Src), 2*num.Add(l.Tgt)+1
 		lists[s] = append(lists[s], l)
 		lists[t] = append(lists[t], l)
 	}
-	return buildAdjacency(out, ends.ids, lists, 0), buildAdjacency(in, ends.ids, lists, 1)
+	ids := num.Keys()
+	return buildAdjacency(out, ids, lists, 0), buildAdjacency(in, ids, lists, 1)
 }
 
 // buildAdjacency builds the index of the lists of direction d (0 out, 1
@@ -641,63 +650,6 @@ func buildAdjacency(m persist.Map[NodeID, []*Link], ids []NodeID, lists [][]*Lin
 		}
 	}
 	return m.Build(keys, vals)
-}
-
-// endNumbers numbers the distinct endpoints of a set of links 0, 1, 2, ...
-// in order of first appearance: through a dense table over the span of
-// their ids when it is at most a couple of entries per link, a map
-// otherwise, so no id, however large, sizes an allocation.
-type endNumbers struct {
-	lo     NodeID
-	dense  []int32 // number of id lo+i
-	sparse map[NodeID]int32
-	ids    []NodeID // the id of each number
-}
-
-// numberEnds numbers the endpoints of ls, which must not be empty.
-func numberEnds(ls []*Link) *endNumbers {
-	lo, hi := ls[0].Src, ls[0].Src
-	for _, l := range ls {
-		lo, hi = min(lo, l.Src, l.Tgt), max(hi, l.Src, l.Tgt)
-	}
-	e := &endNumbers{lo: lo}
-	span := uint64(hi) - uint64(lo)
-	if span < uint64(2*len(ls)+64) {
-		e.dense = make([]int32, span+1)
-		for i := range e.dense {
-			e.dense[i] = -1
-		}
-		e.ids = make([]NodeID, 0, min(span+1, uint64(2*len(ls))))
-	} else {
-		e.sparse = make(map[NodeID]int32)
-	}
-	for _, l := range ls {
-		e.add(l.Src)
-		e.add(l.Tgt)
-	}
-	return e
-}
-
-// add gives id the next number unless it has one.
-func (e *endNumbers) add(id NodeID) {
-	next := int32(len(e.ids))
-	if e.dense != nil {
-		if slot := &e.dense[id-e.lo]; *slot < 0 {
-			*slot, e.ids = next, append(e.ids, id)
-		}
-		return
-	}
-	if _, ok := e.sparse[id]; !ok {
-		e.sparse[id], e.ids = next, append(e.ids, id)
-	}
-}
-
-// of returns the number of id, an endpoint numbered.
-func (e *endNumbers) of(id NodeID) int32 {
-	if e.dense != nil {
-		return e.dense[id-e.lo]
-	}
-	return e.sparse[id]
 }
 
 // Equal reports whether two graphs contain equal node and link sets.

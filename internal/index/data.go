@@ -120,24 +120,23 @@ func edgeOf(u, v graph.NodeID) edgeKey {
 	return edgeKey{u, v}
 }
 
-func (d *Data) noteTagDup(k taggingKey, delta int) int {
-	n := d.tagDups.At(k) + delta
-	if n <= 0 {
-		d.tagDups = d.tagDups.Delete(k)
-		return 0
+// noteTagDup adds delta to the repeat count of tagging k, writing under
+// e; a count that reaches 0 is dropped.
+func (d *Data) noteTagDup(e *persist.Edit, k taggingKey, delta int) {
+	if n := d.tagDups.At(k) + delta; n > 0 {
+		d.tagDups = d.tagDups.SetWith(e, k, n)
+	} else {
+		d.tagDups = d.tagDups.DeleteWith(e, k)
 	}
-	d.tagDups = d.tagDups.Set(k, n)
-	return n
 }
 
-func (d *Data) noteConnDup(k edgeKey, delta int) int {
-	n := d.connDups.At(k) + delta
-	if n <= 0 {
-		d.connDups = d.connDups.Delete(k)
-		return 0
+// noteConnDup is noteTagDup for the repeat count of connection k.
+func (d *Data) noteConnDup(e *persist.Edit, k edgeKey, delta int) {
+	if n := d.connDups.At(k) + delta; n > 0 {
+		d.connDups = d.connDups.SetWith(e, k, n)
+	} else {
+		d.connDups = d.connDups.DeleteWith(e, k)
 	}
-	d.connDups = d.connDups.Set(k, n)
-	return n
 }
 
 // Extract walks the graph once and builds the tagging substrate. Tag
@@ -183,7 +182,7 @@ func Extract(g *graph.Graph) *Data {
 	// its repeats are counted once, from the direction with u <= v.
 	conns = sortedRuns(conns, func(p idPair, n int) {
 		if n > 1 && p.u <= p.v {
-			d.noteConnDup(edgeOf(p.u, p.v), n-1)
+			d.noteConnDup(nil, edgeOf(p.u, p.v), n-1)
 		}
 	})
 	// Every network is an exact-size window of one vector: writes replace
@@ -217,7 +216,7 @@ func Extract(g *graph.Graph) *Data {
 	for ti, tag := range d.Tags {
 		recs := sortedRuns(byTag[tag], func(p idPair, n int) {
 			if n > 1 {
-				d.noteTagDup(taggingKey{tag, p.u, p.v}, n-1)
+				d.noteTagDup(nil, taggingKey{tag, p.u, p.v}, n-1)
 			}
 		})
 		items, taggers = items[:0], taggers[:0]

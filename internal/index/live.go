@@ -199,7 +199,7 @@ func (d *delta) addTagging(user, item graph.NodeID, tag string, countDup bool) {
 	taggers, hadItem := byItem.Get(item)
 	if has(taggers, user) {
 		if countDup {
-			data.noteTagDup(taggingKey{tag, item, user}, 1)
+			data.noteTagDup(d.edit, taggingKey{tag, item, user}, 1)
 		}
 		return
 	}
@@ -239,7 +239,7 @@ func (d *delta) removeTagging(user, item graph.NodeID, tag string) {
 	}
 	key := taggingKey{tag, item, user}
 	if data.tagDups.At(key) > 0 {
-		data.noteTagDup(key, -1)
+		data.noteTagDup(d.edit, key, -1)
 		return
 	}
 	taggers = persist.RemoveSorted(taggers, user)
@@ -278,7 +278,7 @@ func (d *delta) addConnect(u, v graph.NodeID, countDup bool) {
 	}
 	if has(data.Network.At(u), v) {
 		if countDup {
-			data.noteConnDup(edgeOf(u, v), 1)
+			data.noteConnDup(d.edit, edgeOf(u, v), 1)
 		}
 		return
 	}
@@ -298,7 +298,7 @@ func (d *delta) removeConnect(u, v graph.NodeID) {
 	}
 	key := edgeOf(u, v)
 	if data.connDups.At(key) > 0 {
-		data.noteConnDup(key, -1)
+		data.noteConnDup(d.edit, key, -1)
 		return
 	}
 	data.Network = withoutMember(data.Network, d.edit, u, v)
@@ -395,11 +395,11 @@ func (d *delta) removeUser(u graph.NodeID) {
 		return
 	}
 	for _, v := range net {
-		data.connDups = data.connDups.Delete(edgeOf(u, v))
+		data.connDups = data.connDups.DeleteWith(d.edit, edgeOf(u, v))
 		d.removeConnect(u, v)
 	}
 	d.taggingsOf(u, func(item graph.NodeID, tag string) {
-		data.tagDups = data.tagDups.Delete(taggingKey{tag, item, u})
+		data.tagDups = data.tagDups.DeleteWith(d.edit, taggingKey{tag, item, u})
 		d.removeTagging(u, item, tag)
 	})
 	data.Network = data.Network.DeleteWith(d.edit, u)
@@ -415,7 +415,7 @@ func (d *delta) removeItem(item graph.NodeID) {
 	data := d.ix.data
 	for _, tag := range data.Taggers.Keys() {
 		for _, u := range data.Taggers.At(tag).At(item) {
-			data.tagDups = data.tagDups.Delete(taggingKey{tag, item, u})
+			data.tagDups = data.tagDups.DeleteWith(d.edit, taggingKey{tag, item, u})
 			d.removeTagging(u, item, tag)
 		}
 	}
@@ -450,14 +450,15 @@ func (d *delta) recompute(k listKey, item graph.NodeID) {
 	d.storeList(k, l, n)
 }
 
-// raise lifts item's entry in list k to at least score.
+// raise lifts item's entry in list k to at least score, which is
+// positive.
 func (d *delta) raise(k listKey, item graph.NodeID, score float64) {
 	l := d.ix.lists.At(k.tag).At(k.cluster)
 	i := entryOf(l, item)
 	if i >= 0 && l[i].Score >= score {
 		return // the list already says so
 	}
-	l, n := raiseEntry(d.ownList(k, i < 0), item, score)
+	l, n := setEntry(d.ownList(k, i < 0), item, score)
 	d.storeList(k, l, n)
 }
 
@@ -540,65 +541,37 @@ func withoutMember(m persist.Map[graph.NodeID, []graph.NodeID], e *persist.Edit,
 	return m
 }
 
-// raiseEntry lifts item's entry to at least score (inserting when absent),
-// preserving descending-score, ascending-id order. It returns the list and
-// the entry-count delta (1 on insert, else 0). The slice is mutated in
-// place; callers must own it first (delta.ownList).
-func raiseEntry(l []Entry, item graph.NodeID, score float64) ([]Entry, int) {
-	for i := range l {
-		if l[i].Item != item {
-			continue
-		}
-		if l[i].Score >= score {
-			return l, 0
-		}
-		l[i].Score = score
-		// Bubble the raised entry toward the front to restore order.
-		for i > 0 && less(l[i-1], l[i]) {
-			l[i-1], l[i] = l[i], l[i-1]
-			i--
-		}
+// setEntry pins item's entry to exactly score — inserting it when absent,
+// removing it when score is not positive, matching Build's "entries exist
+// only for positive upper bounds" invariant — and restores
+// descending-score, ascending-id order in either direction (scores can
+// fall after a retraction). It returns the list and the entry-count delta.
+// The slice is mutated in place; callers must own it first
+// (delta.ownList).
+func setEntry(l []Entry, item graph.NodeID, score float64) ([]Entry, int) {
+	i, n := entryOf(l, item), 0
+	switch {
+	case i < 0 && score <= 0:
 		return l, 0
+	case i < 0:
+		l = append(l, Entry{item, score})
+		i, n = len(l)-1, 1
+	case score <= 0:
+		return append(l[:i], l[i+1:]...), -1
+	case l[i].Score == score:
+		return l, 0
+	default:
+		l[i].Score = score
 	}
-	l = append(l, Entry{item, score})
-	i := len(l) - 1
 	for i > 0 && less(l[i-1], l[i]) {
 		l[i-1], l[i] = l[i], l[i-1]
 		i--
 	}
-	return l, 1
-}
-
-// setEntry pins item's entry to exactly score — removing it when score is
-// not positive, matching Build's "entries exist only for positive upper
-// bounds" invariant — and restores order in either direction (scores can
-// fall after a retraction). It returns the list and the entry-count delta.
-func setEntry(l []Entry, item graph.NodeID, score float64) ([]Entry, int) {
-	for i := range l {
-		if l[i].Item != item {
-			continue
-		}
-		if score <= 0 {
-			return append(l[:i], l[i+1:]...), -1
-		}
-		if l[i].Score == score {
-			return l, 0
-		}
-		l[i].Score = score
-		for i > 0 && less(l[i-1], l[i]) {
-			l[i-1], l[i] = l[i], l[i-1]
-			i--
-		}
-		for i+1 < len(l) && less(l[i], l[i+1]) {
-			l[i], l[i+1] = l[i+1], l[i]
-			i++
-		}
-		return l, 0
+	for i+1 < len(l) && less(l[i], l[i+1]) {
+		l[i], l[i+1] = l[i+1], l[i]
+		i++
 	}
-	if score <= 0 {
-		return l, 0
-	}
-	return raiseEntry(l, item, score)
+	return l, n
 }
 
 // less reports whether a should sort after b (descending score, ascending

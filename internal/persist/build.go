@@ -1,15 +1,14 @@
 // Bulk construction: a Map built from a known key set in one ordering
 // pass and one layout pass, every node sized exactly once.
 //
-// A chain of Sets — transient or not — grows each trie node one entry at
-// a time, so a cold build of n entries pays an append (and, past each
-// capacity, a copy) per entry per node it lands in. Build knows every key
-// up front. It orders the entries by their hash path (the trie's own
+// A chain of writes — under an Edit or not — grows each trie node one
+// entry at a time, so a cold build of n entries pays an append (and, past
+// each capacity, a copy) per entry per node it lands in. Build knows every
+// key up front. It orders the entries by their hash path (the trie's own
 // order), then walks that order once, allocating each node with its keys,
 // values and child pointers at their final length, cap == len, so no
-// later write can grow one in place: the persistent and transient write
-// paths copy a slice before they change it, as they do for any published
-// node.
+// later write can grow one in place: the writer copies a slice before it
+// changes one, as it does in any node its Edit does not own.
 //
 // Nodes are allocated one by one, not carved from shared slabs: a slab
 // lives as long as any node in it, so once later writes had replaced most
@@ -60,11 +59,12 @@ func chunkOf(p uint64, shift uint) uint64 {
 // non-empty receiver and on slices of unequal length. It reads its
 // arguments and keeps neither.
 //
-// The result equals, node for node, the trie that Setting the entries in
+// The result equals, node for node, the trie that writing the entries in
 // order would build, with every node slice exact-size, at about three
-// allocations per node instead of several per entry. Under
-// DisableTransients it is that chain of Sets, so tests can hold one path
-// to the other.
+// allocations per node instead of several per entry. Build and the writer
+// (SetWith) share no code, so each is the other's reference: under
+// DisableTransients Build is that chain of Sets, and the write tests hold
+// the writer's tries to Build's.
 func (m Map[K, V]) Build(keys []K, vals []V) Map[K, V] {
 	if m.size != 0 {
 		panic("persist: Build on a non-empty Map")

@@ -24,11 +24,11 @@
 // A cold build from a known key set goes through Build (see build.go): one
 // counting pass over the entries' hash paths, then the whole trie laid out
 // in four exact-size slabs — nodes, keys, values and child pointers — a
-// handful of allocations whatever the size. A batch of writes over a
-// published Map goes through the transient mode (SetWith/DeleteWith under
-// one Edit, see transient.go), which mutates in place the nodes the batch
-// itself created. Both give the same Maps, the same canonical trie
-// shapes, as plain Set and Delete, at a fraction of the allocation.
+// handful of allocations whatever the size. Every other write goes
+// through one writer, SetWith/DeleteWith (see transient.go): under an
+// Edit, a batch mutates in place the nodes it created itself; under a nil
+// Edit — Set and Delete — it copies every node it touches. Either way a
+// key set has one canonical trie shape, the one Build lays out.
 package persist
 
 import "math/bits"
@@ -191,85 +191,15 @@ func (m Map[K, V]) Has(k K) bool {
 	return ok
 }
 
-// Set returns a map with k bound to v. The receiver is unchanged.
-func (m Map[K, V]) Set(k K, v V) Map[K, V] {
-	h := m.hash(k)
-	if m.root == nil {
-		return Map[K, V]{
-			root: &node[K, V]{
-				datamap: 1 << (h & branchMask),
-				keys:    []K{k},
-				vals:    []V{v},
-			},
-			size: 1,
-			hash: m.hash,
-		}
-	}
-	root, added := m.set(m.root, 0, h, k, v)
-	size := m.size
-	if added {
-		size++
-	}
-	return Map[K, V]{root: root, size: size, hash: m.hash}
-}
-
-func (m Map[K, V]) set(n *node[K, V], shift uint, h uint64, k K, v V) (*node[K, V], bool) {
-	if n.coll {
-		for i := range n.keys {
-			if n.keys[i] == k {
-				c := &node[K, V]{coll: true, keys: n.keys, vals: setAt(n.vals, i, v)}
-				return c, false
-			}
-		}
-		return &node[K, V]{
-			coll: true,
-			keys: append(append(make([]K, 0, len(n.keys)+1), n.keys...), k),
-			vals: append(append(make([]V, 0, len(n.vals)+1), n.vals...), v),
-		}, true
-	}
-	bit := uint64(1) << ((h >> shift) & branchMask)
-	switch {
-	case n.datamap&bit != 0:
-		i := bits.OnesCount64(n.datamap & (bit - 1))
-		if n.keys[i] == k {
-			return &node[K, V]{
-				datamap: n.datamap, nodemap: n.nodemap,
-				keys: n.keys, vals: setAt(n.vals, i, v), subs: n.subs,
-			}, false
-		}
-		// Slot conflict: push the resident entry and the new one down
-		// into a fresh subtree keyed by deeper hash bits.
-		sub := m.merge(nil, shift+branchBits, m.hash(n.keys[i]), n.keys[i], n.vals[i], h, k, v)
-		j := bits.OnesCount64(n.nodemap & (bit - 1))
-		return &node[K, V]{
-			datamap: n.datamap &^ bit,
-			nodemap: n.nodemap | bit,
-			keys:    removeAt(n.keys, i),
-			vals:    removeAt(n.vals, i),
-			subs:    insertAt(n.subs, j, sub),
-		}, true
-	case n.nodemap&bit != 0:
-		j := bits.OnesCount64(n.nodemap & (bit - 1))
-		sub, added := m.set(n.subs[j], shift+branchBits, h, k, v)
-		return &node[K, V]{
-			datamap: n.datamap, nodemap: n.nodemap,
-			keys: n.keys, vals: n.vals, subs: setAt(n.subs, j, sub),
-		}, added
-	default:
-		i := bits.OnesCount64(n.datamap & (bit - 1))
-		return &node[K, V]{
-			datamap: n.datamap | bit, nodemap: n.nodemap,
-			keys: insertAt(n.keys, i, k),
-			vals: insertAt(n.vals, i, v),
-			subs: n.subs,
-		}, true
-	}
-}
+// Set returns a map with k bound to v. The receiver is unchanged. It is
+// SetWith under a nil Edit, which owns no node: every node on k's path is
+// copied, so the result shares everything else with the receiver.
+func (m Map[K, V]) Set(k K, v V) Map[K, V] { return m.SetWith(nil, k, v) }
 
 // merge builds the minimal subtree holding two distinct keys, descending
 // while their hash chunks collide and dropping into a collision bucket
-// once the hash is exhausted. The fresh nodes are stamped with e (nil on
-// the persistent path) so a transient build keeps owning the region.
+// once the hash is exhausted. The fresh nodes are stamped with e (nil for
+// Set) so a batch under e keeps owning the region.
 func (m Map[K, V]) merge(e *Edit, shift uint, h1 uint64, k1 K, v1 V, h2 uint64, k2 K, v2 V) *node[K, V] {
 	if shift > maxShift {
 		return &node[K, V]{coll: true, keys: []K{k1, k2}, vals: []V{v1, v2}, edit: e, own: ownAll}
@@ -299,81 +229,9 @@ func (m Map[K, V]) merge(e *Edit, shift uint, h1 uint64, k1 K, v1 V, h2 uint64, 
 }
 
 // Delete returns a map without k. The receiver is unchanged; deleting an
-// absent key returns the receiver as-is.
-func (m Map[K, V]) Delete(k K) Map[K, V] {
-	if m.root == nil {
-		return m
-	}
-	root, removed := m.del(m.root, 0, m.hash(k), k)
-	if !removed {
-		return m
-	}
-	return Map[K, V]{root: root, size: m.size - 1, hash: m.hash}
-}
-
-func (m Map[K, V]) del(n *node[K, V], shift uint, h uint64, k K) (*node[K, V], bool) {
-	if n.coll {
-		for i := range n.keys {
-			if n.keys[i] != k {
-				continue
-			}
-			if len(n.keys) == 1 {
-				return nil, true
-			}
-			return &node[K, V]{coll: true, keys: removeAt(n.keys, i), vals: removeAt(n.vals, i)}, true
-		}
-		return n, false
-	}
-	bit := uint64(1) << ((h >> shift) & branchMask)
-	switch {
-	case n.datamap&bit != 0:
-		i := bits.OnesCount64(n.datamap & (bit - 1))
-		if n.keys[i] != k {
-			return n, false
-		}
-		if len(n.keys) == 1 && n.nodemap == 0 {
-			return nil, true
-		}
-		return &node[K, V]{
-			datamap: n.datamap &^ bit, nodemap: n.nodemap,
-			keys: removeAt(n.keys, i), vals: removeAt(n.vals, i), subs: n.subs,
-		}, true
-	case n.nodemap&bit != 0:
-		j := bits.OnesCount64(n.nodemap & (bit - 1))
-		sub, removed := m.del(n.subs[j], shift+branchBits, h, k)
-		if !removed {
-			return n, false
-		}
-		switch {
-		case sub == nil:
-			if len(n.subs) == 1 && n.datamap == 0 {
-				return nil, true
-			}
-			return &node[K, V]{
-				datamap: n.datamap, nodemap: n.nodemap &^ bit,
-				keys: n.keys, vals: n.vals, subs: removeAt(n.subs, j),
-			}, true
-		case sub.inlineable():
-			// Canonical form: a subtree holding a single entry collapses
-			// into its parent's datamap, so a key set has exactly one trie
-			// shape no matter how it was reached.
-			i := bits.OnesCount64(n.datamap & (bit - 1))
-			return &node[K, V]{
-				datamap: n.datamap | bit, nodemap: n.nodemap &^ bit,
-				keys: insertAt(n.keys, i, sub.keys[0]),
-				vals: insertAt(n.vals, i, sub.vals[0]),
-				subs: removeAt(n.subs, j),
-			}, true
-		default:
-			return &node[K, V]{
-				datamap: n.datamap, nodemap: n.nodemap,
-				keys: n.keys, vals: n.vals, subs: setAt(n.subs, j, sub),
-			}, true
-		}
-	default:
-		return n, false
-	}
-}
+// absent key returns the receiver as-is. It is DeleteWith under a nil
+// Edit.
+func (m Map[K, V]) Delete(k K) Map[K, V] { return m.DeleteWith(nil, k) }
 
 // inlineable reports whether the node holds exactly one entry and no
 // subtrees, so a parent can absorb it as an inline entry.

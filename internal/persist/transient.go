@@ -1,16 +1,15 @@
-// Transient (batch-mutation) writes: the Clojure-style escape hatch that
-// makes a batch of writes allocation-lean without giving up persistence.
+// The one trie writer: SetWith and DeleteWith, under an ownership token
+// (an Edit) or none. Set and Delete are the nil-token case.
 //
-// A persistent Set copies one root-to-leaf path per write, so a batch of
-// N writes allocates O(N log N) trie nodes and immediately discards all
-// but the last path — pure GC churn. A transient write instead carries an
-// ownership token (an Edit): trie nodes created or first-touched under
-// the token are stamped with it and may be mutated in place by later
-// writes carrying the same token; nodes reachable from previously
-// published Maps are never stamped, so the first write through them falls
-// back to copy-on-write. The effect is that a batch pays one copy per
-// *touched node*, not one per *write*, while every Map snapshot taken
-// before the window opened stays exactly as immutable as always.
+// A write copies the nodes on its key's path that its token does not own
+// and stamps each copy with the token; it mutates the nodes the token does
+// own in place. A nil token owns nothing, so a write under it copies one
+// root-to-leaf path and shares the rest: the persistent write, O(log n)
+// node copies. A batch of N writes under one token pays one copy per
+// *touched node*, not one per *write* — the Clojure-style transient —
+// since the paths a batch has copied are its own for the rest of it. Nodes
+// reachable from a Map published before the token existed are never
+// stamped with it, so no write under it can reach them.
 //
 // Closing a window is O(1): its owner stops using the token, and the
 // current header becomes an ordinary immutable Map. Stamped edit pointers
@@ -40,12 +39,12 @@ type Edit struct {
 func NewEdit() *Edit { return &Edit{} }
 
 // DisableTransients, when true, makes SetWith/DeleteWith (and every bulk
-// path built on them) ignore their edit token and run the pure persistent
-// path, and Build run a chain of Sets. It is a test seam: tests run the same bulk
-// code in both write modes and require identical results (see
-// TestTransientBuildMatchesPersistent in internal/index). Not for
-// concurrent toggling; a test that sets it must restore it and must not
-// run in parallel.
+// path built on them) write under a nil Edit whatever token they carry,
+// copying every node they touch, and Build run a chain of Sets. It is a
+// test seam: tests run the same bulk code both ways and require identical
+// results (see TestTransientBuildMatchesPersistent in internal/index). Not
+// for concurrent toggling; a test that sets it must restore it and must
+// not run in parallel.
 var DisableTransients bool
 
 // owned reports whether the node may be mutated in place under e.
@@ -118,17 +117,18 @@ func (n *node[K, V]) removeSub(j int) {
 	n.subs, n.own = removeOwned(n.subs, n.own&ownSubs != 0, j), n.own|ownSubs
 }
 
-// SetWith is Set carrying a transient ownership token: nodes owned by e
-// are mutated in place, everything else is copied first (and the copy
-// stamped with e, so the next write through it is free). A nil e — or
-// DisableTransients — is exactly Set. Structures that hold Maps as fields
-// open a bulk window this way and keep reading the Map headers mid-batch;
-// the single-goroutine transient contract applies to the whole window,
+// SetWith returns a map with k bound to v, writing under e: nodes owned
+// by e are mutated in place, everything else is copied first (and the
+// copy stamped with e, so the next write through it is free). Under a nil
+// e — Set, or any e under DisableTransients — every node on k's path is
+// copied and the receiver is unchanged. Structures that hold Maps as
+// fields open a bulk window this way and keep reading the Map headers
+// mid-batch; the single-goroutine contract applies to the whole window,
 // and the final headers must only be published (shared with readers)
 // after the window closes.
 func (m Map[K, V]) SetWith(e *Edit, k K, v V) Map[K, V] {
-	if e == nil || DisableTransients {
-		return m.Set(k, v)
+	if DisableTransients {
+		e = nil
 	}
 	h := m.hash(k)
 	if m.root == nil {
@@ -144,7 +144,7 @@ func (m Map[K, V]) SetWith(e *Edit, k K, v V) Map[K, V] {
 			hash: m.hash,
 		}
 	}
-	root, added := m.setT(e, m.root, 0, h, k, v)
+	root, added := m.setIn(e, m.root, 0, h, k, v)
 	size := m.size
 	if added {
 		size++
@@ -152,10 +152,9 @@ func (m Map[K, V]) SetWith(e *Edit, k K, v V) Map[K, V] {
 	return Map[K, V]{root: root, size: size, hash: m.hash}
 }
 
-// setT is the transient write: claim-then-mutate instead of copy-per-path.
-// It mirrors Map.set case for case; TestTransientEquivalence holds the two
-// implementations to identical observable behavior.
-func (m Map[K, V]) setT(e *Edit, n *node[K, V], shift uint, h uint64, k K, v V) (*node[K, V], bool) {
+// setIn writes k into the subtree n at shift, claiming each node before
+// it mutates it, and reports whether k is new.
+func (m Map[K, V]) setIn(e *Edit, n *node[K, V], shift uint, h uint64, k K, v V) (*node[K, V], bool) {
 	if n.coll {
 		for i := range n.keys {
 			if n.keys[i] == k {
@@ -190,7 +189,7 @@ func (m Map[K, V]) setT(e *Edit, n *node[K, V], shift uint, h uint64, k K, v V) 
 		return n, true
 	case n.nodemap&bit != 0:
 		j := bits.OnesCount64(n.nodemap & (bit - 1))
-		sub, added := m.setT(e, n.subs[j], shift+branchBits, h, k, v)
+		sub, added := m.setIn(e, n.subs[j], shift+branchBits, h, k, v)
 		if sub == n.subs[j] {
 			return n, added // the subtree was written in place
 		}
@@ -206,25 +205,27 @@ func (m Map[K, V]) setT(e *Edit, n *node[K, V], shift uint, h uint64, k K, v V) 
 	}
 }
 
-// DeleteWith is Delete carrying a transient ownership token; see SetWith.
+// DeleteWith returns a map without k, writing under e as SetWith does;
+// deleting an absent key returns the receiver as-is.
 func (m Map[K, V]) DeleteWith(e *Edit, k K) Map[K, V] {
-	if e == nil || DisableTransients {
-		return m.Delete(k)
+	if DisableTransients {
+		e = nil
 	}
 	if m.root == nil {
 		return m
 	}
-	root, removed := m.delT(e, m.root, 0, m.hash(k), k)
+	root, removed := m.delIn(e, m.root, 0, m.hash(k), k)
 	if !removed {
 		return m
 	}
 	return Map[K, V]{root: root, size: m.size - 1, hash: m.hash}
 }
 
-// delT is the transient delete, mirroring Map.del with claim-then-mutate.
-// Canonicalization (inlining single-entry subtrees) is preserved so
-// transient and persistent histories converge on identical trie shapes.
-func (m Map[K, V]) delT(e *Edit, n *node[K, V], shift uint, h uint64, k K) (*node[K, V], bool) {
+// delIn removes k from the subtree n at shift, claiming each node before
+// it mutates it, and reports whether k was there. A subtree left holding
+// a single entry collapses into its parent's datamap, so a key set has
+// exactly one trie shape no matter how it was reached.
+func (m Map[K, V]) delIn(e *Edit, n *node[K, V], shift uint, h uint64, k K) (*node[K, V], bool) {
 	if n.coll {
 		for i := range n.keys {
 			if n.keys[i] != k {
@@ -255,7 +256,7 @@ func (m Map[K, V]) delT(e *Edit, n *node[K, V], shift uint, h uint64, k K) (*nod
 		return n, true
 	case n.nodemap&bit != 0:
 		j := bits.OnesCount64(n.nodemap & (bit - 1))
-		sub, removed := m.delT(e, n.subs[j], shift+branchBits, h, k)
+		sub, removed := m.delIn(e, n.subs[j], shift+branchBits, h, k)
 		if !removed {
 			return n, false
 		}

@@ -1,23 +1,79 @@
 package persist
 
 import (
+	"cmp"
+	"encoding/binary"
+	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
 
-// TestTransientEquivalence is the contract test the transient
-// implementation lives under: any interleaving of SetWith/DeleteWith under
-// one Edit must observably equal the same ops on a persistent Map (and a
-// built-in map), including the canonical trie shape — checked through
-// iteration order — and Len.
+// model is what a Map must hold after a sequence of writes: its entries,
+// and for each key the write that last made it present, which orders a
+// collision bucket.
+type model[K comparable, V any] struct {
+	vals map[K]V
+	born map[K]int
+	next int
+}
+
+func newModel[K comparable, V any]() *model[K, V] {
+	return &model[K, V]{vals: make(map[K]V), born: make(map[K]int)}
+}
+
+func (md *model[K, V]) set(k K, v V) {
+	if _, ok := md.vals[k]; !ok {
+		md.born[k] = md.next
+		md.next++
+	}
+	md.vals[k] = v
+}
+
+func (md *model[K, V]) del(k K) {
+	delete(md.vals, k)
+	delete(md.born, k)
+}
+
+func (md *model[K, V]) clone() *model[K, V] {
+	return &model[K, V]{vals: maps.Clone(md.vals), born: maps.Clone(md.born), next: md.next}
+}
+
+// checkModel requires m to hold exactly md's entries, in the trie Build
+// lays out for them, collision buckets in the order their keys arrived.
+// Build shares no code with the writer, so it is the writer's reference
+// for shape.
+func checkModel[K comparable, V comparable](m Map[K, V], md *model[K, V]) error {
+	if m.Len() != len(md.vals) {
+		return fmt.Errorf("Len %d, want %d", m.Len(), len(md.vals))
+	}
+	keys := slices.SortedFunc(maps.Keys(md.vals), func(a, b K) int { return cmp.Compare(md.born[a], md.born[b]) })
+	vals := make([]V, len(keys))
+	for i, k := range keys {
+		vals[i] = md.vals[k]
+		if v, ok := m.Get(k); !ok || v != vals[i] {
+			return fmt.Errorf("Get(%v) = %v, %v; want %v", k, v, ok, vals[i])
+		}
+	}
+	return sameShape(m.root, NewMap[K, V](m.hash).Build(keys, vals).root, "root")
+}
+
+// TestTransientEquivalence is the contract test the writer lives under:
+// any interleaving of SetWith/DeleteWith under one Edit must observably
+// equal the same ops through Set/Delete (and a built-in map), including
+// the canonical trie shape — checked through iteration order — and Len,
+// and must end node for node in the trie Build lays out for the
+// surviving entries.
 func TestTransientEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
 		rng := rand.New(rand.NewSource(seed))
 		p := NewIntMap[int64, int]()
 		m, e := NewIntMap[int64, int](), NewEdit()
 		ref := make(map[int64]int)
+		md := newModel[int64, int]()
 		const ops = 8000
 		for i := 0; i < ops; i++ {
 			k := int64(rng.Intn(1500))
@@ -26,10 +82,12 @@ func TestTransientEquivalence(t *testing.T) {
 				p = p.Set(k, i)
 				m = m.SetWith(e, k, i)
 				ref[k] = i
+				md.set(k, i)
 			case 2:
 				p = p.Delete(k)
 				m = m.DeleteWith(e, k)
 				delete(ref, k)
+				md.del(k)
 			}
 			if p.Len() != m.Len() {
 				t.Fatalf("seed %d op %d: persistent Len %d != transient Len %d",
@@ -47,16 +105,24 @@ func TestTransientEquivalence(t *testing.T) {
 				t.Fatalf("seed %d: Get(%d) = %d, %v; want %d", seed, k, got, ok, v)
 			}
 		}
+		for name, got := range map[string]Map[int64, int]{"SetWith": m, "Set": p} {
+			if err := checkModel(got, md); err != nil {
+				t.Fatalf("seed %d, %s chain against Build: %v", seed, name, err)
+			}
+		}
 	}
 }
 
 // TestTransientCollisions drives the equivalence property through the
-// collision-bucket paths by forcing every key onto one hash.
+// collision-bucket paths by forcing every key onto one hash, and holds
+// both chains to Build's bucket, whose entries keep the order their keys
+// last arrived in.
 func TestTransientCollisions(t *testing.T) {
 	badHash := func(int) uint64 { return 42 }
 	p := NewMap[int, int](badHash)
 	m, e := NewMap[int, int](badHash), NewEdit()
 	ref := make(map[int]int)
+	md := newModel[int, int]()
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 2000; i++ {
 		k := rng.Intn(150)
@@ -64,10 +130,12 @@ func TestTransientCollisions(t *testing.T) {
 			p = p.Delete(k)
 			m = m.DeleteWith(e, k)
 			delete(ref, k)
+			md.del(k)
 		} else {
 			p = p.Set(k, i)
 			m = m.SetWith(e, k, i)
 			ref[k] = i
+			md.set(k, i)
 		}
 	}
 	if m.Len() != len(ref) || p.Len() != len(ref) {
@@ -78,6 +146,74 @@ func TestTransientCollisions(t *testing.T) {
 			t.Fatalf("At(%d) = %d, want %d", k, got, v)
 		}
 	}
+	for name, got := range map[string]Map[int, int]{"SetWith": m, "Set": p} {
+		if err := checkModel(got, md); err != nil {
+			t.Fatalf("%s chain against Build: %v", name, err)
+		}
+	}
+}
+
+// FuzzWritesMatchBuild decodes the input as a program of writes over
+// 16-bit keys, under a hash that keeps only some of their bits so short
+// inputs reach deep chains and collision buckets: Set, Delete, SetWith
+// and DeleteWith under the current Edit, a fresh Edit, and a retained
+// snapshot (which also moves to a fresh Edit, closing the window, as the
+// transient contract requires before a Map is shared). Every Map it
+// produced must hold its model's entries in the trie Build lays out —
+// the final one and each snapshot, checked after all later writes.
+func FuzzWritesMatchBuild(f *testing.F) {
+	f.Add([]byte{}, uint8(64))
+	f.Add([]byte{0, 1, 0, 2, 1, 0, 5, 0, 0, 3, 1, 0}, uint8(0))
+	f.Add([]byte{2, 1, 0, 2, 2, 0, 5, 0, 0, 3, 1, 0, 2, 1, 0, 4, 0, 0, 2, 3, 0}, uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, width uint8) {
+		bitsKept := uint(width % 65)
+		hash := func(k uint16) uint64 {
+			h := Hash64(uint64(k))
+			if bitsKept < 64 {
+				h &= 1<<bitsKept - 1
+			}
+			return h
+		}
+		type snapshot struct {
+			m  Map[uint16, int]
+			md *model[uint16, int]
+		}
+		const maxSnaps = 16 // each costs a model copy and a Build
+		var snaps []snapshot
+		m, e, md := NewMap[uint16, int](hash), NewEdit(), newModel[uint16, int]()
+		for i := 0; i+2 < len(data); i += 3 {
+			k := binary.LittleEndian.Uint16(data[i+1:])
+			switch data[i] % 6 {
+			case 0:
+				m = m.Set(k, i)
+				md.set(k, i)
+			case 1:
+				m = m.Delete(k)
+				md.del(k)
+			case 2:
+				m = m.SetWith(e, k, i)
+				md.set(k, i)
+			case 3:
+				m = m.DeleteWith(e, k)
+				md.del(k)
+			case 4:
+				e = NewEdit()
+			case 5:
+				if len(snaps) < maxSnaps {
+					snaps = append(snaps, snapshot{m, md.clone()})
+				}
+				e = NewEdit()
+			}
+		}
+		if err := checkModel(m, md); err != nil {
+			t.Fatalf("final map: %v", err)
+		}
+		for i, s := range snaps {
+			if err := checkModel(s.m, s.md); err != nil {
+				t.Fatalf("snapshot %d: %v", i, err)
+			}
+		}
+	})
 }
 
 // TestTransientSnapshotIsolation is the safety property the bulk paths
