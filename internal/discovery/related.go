@@ -132,16 +132,15 @@ func ranksBefore(a, b RelatedUser) bool {
 }
 
 // userCounter is the reusable counting space of RelatedEntities, the
-// expert scan and CollaborativeFiltering: the ids to count, the distinct
-// ids numbered in first-seen order by a persist.Numbering, whose memory
-// follows the id count and never the id values (ids are client-chosen
-// through /apply), and a count per number. CollaborativeFiltering also
-// keeps its act sets, matches and score sums here.
+// expert scan and CollaborativeFiltering: the ids to count, and the
+// distinct ids with their counts, numbered in first-seen order by a
+// persist.Numbering, whose memory follows the id count and never the id
+// values (ids are client-chosen through /apply). CollaborativeFiltering
+// also keeps its act sets, matches and score sums here.
 type userCounter struct {
-	ids    []graph.NodeID
-	num    persist.Numbering[graph.NodeID]
-	counts []int32
-	users  []RelatedUser
+	ids   []graph.NodeID
+	num   persist.Numbering[graph.NodeID]
+	users []RelatedUser
 
 	mine, acted []graph.NodeID
 	matches     []cfMatch
@@ -172,25 +171,22 @@ func (ct *userCounter) count(ids []graph.NodeID) []RelatedUser {
 		ct.add(id)
 	}
 	ct.ids = ids
-	users := ct.users[:0]
-	for k, id := range ct.num.Keys() {
-		users = append(users, RelatedUser{id, int(ct.counts[k])})
-	}
-	ct.users = users
-	return users
+	return ct.users
 }
 
-// reset empties the counts and sizes them, and the numbering, for n adds.
+// reset empties the counts and sizes the numbering for n adds.
 func (ct *userCounter) reset(n int) {
 	ct.num.Reset(n)
-	ct.counts = slices.Grow(ct.counts[:0], n)[:n]
-	clear(ct.counts)
+	ct.users = ct.users[:0]
 }
 
-// add counts one occurrence of id and returns its number. It must follow
-// a reset sized for at least as many adds.
+// add counts one occurrence of id and returns its number, its position in
+// ct.users. It must follow a reset.
 func (ct *userCounter) add(id graph.NodeID) int {
 	k := ct.num.Add(id)
-	ct.counts[k]++
+	if k == len(ct.users) {
+		ct.users = append(ct.users, RelatedUser{User: id})
+	}
+	ct.users[k].Count++
 	return k
 }

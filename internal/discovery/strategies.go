@@ -160,8 +160,8 @@ func CollaborativeFiltering(g *graph.Graph, user graph.NodeID, cfg CFConfig) ([]
 	// Sims exceed the threshold, which fill keeps positive: no score is <= 0.
 	strategy := "cf-" + cfg.Variant.String()
 	recs := make([]Recommendation, len(sums))
-	for k, item := range ct.num.Keys() {
-		recs[k] = Recommendation{Item: item, Score: sums[k] / float64(ct.counts[k]), Basis: basis, Strategy: strategy}
+	for k, item := range ct.users {
+		recs[k] = Recommendation{Item: item.User, Score: sums[k] / float64(item.Count), Basis: basis, Strategy: strategy}
 	}
 	sortRecs(recs)
 	return recs, nil
