@@ -15,6 +15,7 @@ import (
 	"socialscope/internal/analyzer"
 	"socialscope/internal/discovery"
 	"socialscope/internal/graph"
+	"socialscope/internal/obs"
 	"socialscope/internal/presentation"
 	"socialscope/internal/store"
 	"socialscope/internal/vfs"
@@ -370,7 +371,7 @@ func TestReanalyzeHostileDerivedRange(t *testing.T) {
 	}
 	d.LinkHi = math.MaxInt64
 	dir := t.TempDir()
-	ckpt := store.NewCheckpointer(vfs.OS{}, path.Join(dir, ckptSubdir), 0, 0)
+	ckpt := store.NewCheckpointer(vfs.OS{}, path.Join(dir, ckptSubdir), 0, 0, obs.NewRegistry())
 	if err := ckpt.Save(g, store.Meta{Version: eng.Version(), Derived: &d}); err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,9 @@ func OpenDurable(dir string, genesis *Graph, cfg Config, opts DurableOptions) (*
 	if opts.FS == nil {
 		opts.FS = vfs.OS{}
 	}
-	cfg.fill()
+	if err := cfg.fill(); err != nil {
+		return nil, err
+	}
 	rec, err := store.LoadLatest(opts.FS, path.Join(dir, ckptSubdir))
 	if err != nil {
 		return nil, fmt.Errorf("socialscope: recovery: %w", err)
@@ -161,7 +163,7 @@ func (e *Engine) leadLocked(dir string, opts DurableOptions, next, seq, ckptLSN 
 	}
 	e.dur = &durable{
 		log:       log,
-		ckpt:      store.NewCheckpointer(opts.FS, path.Join(dir, ckptSubdir), opts.MaxChain, seq).Instrument(e.cfg.Obs),
+		ckpt:      store.NewCheckpointer(opts.FS, path.Join(dir, ckptSubdir), opts.MaxChain, seq, e.cfg.Obs),
 		every:     opts.CheckpointEvery,
 		sinceCkpt: int(next - 1 - ckptLSN),
 	}
@@ -275,9 +277,17 @@ type follower struct {
 	// Latest manifest observed (or folded): its WAL watermark doubles as
 	// the external confirmation for tail records, its seq seeds the
 	// checkpointer on promotion, and its LSN sets the checkpoint debt.
-	manSeq  uint64
-	manLSN  uint64
-	confirm uint64
+	manSeq uint64
+	manLSN uint64
+}
+
+// lag is the count of confirmed WAL records not yet applied. The
+// unconfirmed tail record is not counted: a follower may not apply it.
+func (f *follower) lag() uint64 {
+	if applied := f.tail.NextLSN() - 1; f.manLSN > applied {
+		return f.manLSN - applied
+	}
+	return 0
 }
 
 // OpenFollower opens a read-only engine over a leader's durable tree:
@@ -296,7 +306,9 @@ func OpenFollower(dir string, cfg Config, opts DurableOptions) (*Engine, error) 
 	if opts.FS == nil {
 		opts.FS = vfs.OS{}
 	}
-	cfg.fill()
+	if err := cfg.fill(); err != nil {
+		return nil, err
+	}
 	rec, err := store.LoadLatest(opts.FS, path.Join(dir, ckptSubdir))
 	if err != nil {
 		return nil, fmt.Errorf("socialscope: follower: %w", err)
@@ -307,13 +319,12 @@ func OpenFollower(dir string, cfg Config, opts DurableOptions) (*Engine, error) 
 	e := &Engine{cfg: cfg, met: newEngineMetrics(cfg.Obs)}
 	e.publishCheckpoint(rec)
 	e.fol = &follower{
-		dir:     dir,
-		opts:    opts,
-		watch:   store.NewWatcher(opts.FS, path.Join(dir, ckptSubdir), rec.Seq),
-		tail:    wal.NewTailer(opts.FS, path.Join(dir, walSubdir), rec.Meta.WalLSN+1),
-		manSeq:  rec.Seq,
-		manLSN:  rec.Meta.WalLSN,
-		confirm: rec.Meta.WalLSN,
+		dir:    dir,
+		opts:   opts,
+		watch:  store.NewWatcher(opts.FS, path.Join(dir, ckptSubdir), rec.Seq),
+		tail:   wal.NewTailer(opts.FS, path.Join(dir, walSubdir), rec.Meta.WalLSN+1),
+		manSeq: rec.Seq,
+		manLSN: rec.Meta.WalLSN,
 	}
 	e.isFol.Store(true)
 
@@ -334,15 +345,10 @@ func OpenFollower(dir string, cfg Config, opts DurableOptions) (*Engine, error) 
 func (e *Engine) ReplicationLag() (lag uint64, ok bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	f := e.fol
-	if f == nil {
+	if e.fol == nil {
 		return 0, false
 	}
-	applied := f.tail.NextLSN() - 1
-	if f.confirm > applied {
-		return f.confirm - applied, true
-	}
-	return 0, true
+	return e.fol.lag(), true
 }
 
 // CatchUp polls the leader's manifest and WAL once, folding newly
@@ -373,17 +379,13 @@ func (e *Engine) catchUpLocked(max int, drain bool) (int, error) {
 	// path returns (the tail and confirmation point both may move).
 	defer func() {
 		if f := e.fol; f != nil {
-			var lag uint64
-			if applied := f.tail.NextLSN() - 1; f.confirm > applied {
-				lag = f.confirm - applied
-			}
-			e.met.lag.SetUint(lag)
+			e.met.lag.SetUint(f.lag())
 		}
 	}()
 	if man, changed, err := f.watch.Poll(); err != nil {
 		return 0, fmt.Errorf("socialscope: follower: manifest watch: %w", err)
 	} else if changed {
-		f.manSeq, f.manLSN, f.confirm = man.Seq, man.WalLSN, man.WalLSN
+		f.manSeq, f.manLSN = man.Seq, man.WalLSN
 	}
 	total := 0
 	for {
@@ -393,7 +395,7 @@ func (e *Engine) catchUpLocked(max int, drain bool) (int, error) {
 				return total, nil
 			}
 		}
-		confirm := f.confirm
+		confirm := f.manLSN
 		if drain {
 			confirm = wal.DrainConfirm
 		}
@@ -440,7 +442,7 @@ func (e *Engine) rebaseLocked() error {
 	e.publishCheckpoint(rec)
 	f.watch = store.NewWatcher(f.opts.FS, path.Join(f.dir, ckptSubdir), rec.Seq)
 	f.tail = wal.NewTailer(f.opts.FS, path.Join(f.dir, walSubdir), rec.Meta.WalLSN+1)
-	f.manSeq, f.manLSN, f.confirm = rec.Seq, rec.Meta.WalLSN, rec.Meta.WalLSN
+	f.manSeq, f.manLSN = rec.Seq, rec.Meta.WalLSN
 	return nil
 }
 

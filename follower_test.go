@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"socialscope/internal/obs"
 	"socialscope/internal/vfs"
 	"socialscope/internal/wal"
 )
@@ -431,5 +432,72 @@ func TestFollowerFailsClosedOnMissingSegment(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("OpenFollower still re-basing after 10s")
+	}
+}
+
+// TestReplicationLagMatchesGauge pins the follower's one watermark:
+// ReplicationLag and the ss_replication_lag_records gauge agree after a
+// partial and a full CatchUp, and both read 0 once the follower is
+// promoted.
+func TestReplicationLagMatchesGauge(t *testing.T) {
+	genesis, steps, _, _, _ := buildDurabilityWorkload(t)
+	fsys := vfs.NewFaultFS(vfs.DropUnsynced)
+	// One WAL segment and no automatic checkpoints: the explicit
+	// checkpoint below confirms records the follower can still read.
+	opts := DurableOptions{FS: fsys}
+	leader, err := OpenDurable(durTestDir, genesis, durableTestConfig(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	cfg := durableTestConfig()
+	cfg.Obs = reg
+	fol, err := OpenFollower(durTestDir, cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range steps[:4] {
+		if s.analyze {
+			err = leader.Analyze()
+		} else {
+			err = leader.Apply(s.muts)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := leader.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string, want uint64) {
+		t.Helper()
+		lag, ok := fol.ReplicationLag()
+		if !ok {
+			t.Fatalf("%s: ReplicationLag not ok on a follower", stage)
+		}
+		if gauge := reg.Snapshot()["ss_replication_lag_records"]; lag != want || gauge != float64(want) {
+			t.Fatalf("%s: ReplicationLag %d, gauge %v, want both %d", stage, lag, gauge, want)
+		}
+	}
+	if _, err := fol.CatchUp(1); err != nil {
+		t.Fatal(err)
+	}
+	check("partial catch-up", 3)
+	if _, err := fol.CatchUp(0); err != nil {
+		t.Fatal(err)
+	}
+	check("full catch-up", 0)
+
+	if err := leader.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fol.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	if lag, ok := fol.ReplicationLag(); lag != 0 || ok {
+		t.Fatalf("promoted: ReplicationLag (%d, %v), want (0, false)", lag, ok)
+	}
+	if gauge := reg.Snapshot()["ss_replication_lag_records"]; gauge != 0 {
+		t.Fatalf("promoted: gauge %v, want 0", gauge)
 	}
 }

@@ -23,7 +23,7 @@ func CollaborativeFilteringAlgebra(g *graph.Graph, user graph.NodeID, cfg CFConf
 		return nil, fmt.Errorf("%w %d", ErrUnknownUser, user)
 	}
 	ids := graph.IDSourceFor(g)
-	act := core.NewCondition(core.Cond("type", cfg.ActType))
+	act := core.NewCondition(core.Cond("type", graph.SubtypeVisit))
 	uid := strconv.FormatInt(int64(user), 10)
 
 	// Steps 1-2: the user and their acted-on items, folded into vst.
@@ -83,7 +83,7 @@ func CollaborativeFilteringAlgebra(g *graph.Graph, user graph.NodeID, cfg CFConf
 			Start: core.NewCondition(core.Cond("id", uid)),
 			Steps: []core.PatternStep{
 				{Link: core.NewCondition(core.Cond("type", "match"))},
-				{Link: core.NewCondition(core.Cond("type", cfg.ActType)),
+				{Link: core.NewCondition(core.Cond("type", graph.SubtypeVisit)),
 					Node: core.NewCondition(core.Cond("type", cfg.ItemType))},
 			},
 		}

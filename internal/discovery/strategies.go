@@ -50,16 +50,12 @@ func (v CFVariant) String() string {
 type CFConfig struct {
 	SimThreshold float64   // minimum Jaccard similarity for the match network (default 0.5, the paper's)
 	Variant      CFVariant // evaluation strategy
-	ActType      string    // activity link type consulted (default visit)
 	ItemType     string    // item node type recommended (default destination)
 }
 
 func (c *CFConfig) fill() {
 	if c.SimThreshold <= 0 {
 		c.SimThreshold = 0.5
-	}
-	if c.ActType == "" {
-		c.ActType = graph.SubtypeVisit
 	}
 	if c.ItemType == "" {
 		c.ItemType = "destination"
@@ -88,9 +84,9 @@ func (c *CFConfig) fill() {
 //     are walked in ascending id and their out-links in link-id order,
 //     which is the order the algebra's link ids impose on the sums.
 //
-// ActType (visit by default) is read from the adjacency, not from the
-// neighbourhood view of act links: a link may carry either type without
-// the other. Scratch comes from a pool; the result and Basis are fresh.
+// The visit type is read from the adjacency, not from the neighbourhood
+// view of act links: a link may carry either type without the other.
+// Scratch comes from a pool; the result and Basis are fresh.
 func CollaborativeFiltering(g *graph.Graph, user graph.NodeID, cfg CFConfig) ([]Recommendation, error) {
 	cfg.fill()
 	if !g.HasNode(user) {
@@ -101,7 +97,7 @@ func CollaborativeFiltering(g *graph.Graph, user graph.NodeID, cfg CFConfig) ([]
 	}
 	ct := counterPool.Get().(*userCounter)
 	defer counterPool.Put(ct)
-	mine := actTargets(&ct.mine, g, user, cfg.ActType)
+	mine := actTargets(&ct.mine, g, user)
 	if len(mine) == 0 {
 		return nil, nil
 	}
@@ -109,7 +105,7 @@ func CollaborativeFiltering(g *graph.Graph, user graph.NodeID, cfg CFConfig) ([]
 	for _, item := range mine {
 		start := len(ids)
 		for _, l := range g.In(item) {
-			if l.Src != user && l.HasType(cfg.ActType) {
+			if l.Src != user && l.HasType(graph.SubtypeVisit) {
 				ids = append(ids, l.Src)
 			}
 		}
@@ -126,7 +122,7 @@ func CollaborativeFiltering(g *graph.Graph, user graph.NodeID, cfg CFConfig) ([]
 			continue
 		}
 		// The Jaccard of core.JaccardComposer over the two vst sets.
-		acted := actTargets(&ct.acted, g, c.User, cfg.ActType)
+		acted := actTargets(&ct.acted, g, c.User)
 		if sim := float64(c.Count) / float64(len(mine)+len(acted)-c.Count); sim > cfg.SimThreshold {
 			matches = append(matches, cfMatch{c.User, sim})
 			bound += g.OutDegree(c.User)
@@ -144,7 +140,7 @@ func CollaborativeFiltering(g *graph.Graph, user graph.NodeID, cfg CFConfig) ([]
 	for i, m := range matches {
 		basis[i] = m.id
 		for _, l := range g.Out(m.id) {
-			if l.HasType(cfg.ActType) && g.Node(l.Tgt).HasType(cfg.ItemType) {
+			if l.HasType(graph.SubtypeVisit) && g.Node(l.Tgt).HasType(cfg.ItemType) {
 				k := ct.add(l.Tgt)
 				if k == len(sums) {
 					sums = append(sums, 0)
@@ -173,12 +169,12 @@ type cfMatch struct {
 	sim float64
 }
 
-// actTargets returns the distinct targets of u's links of type act,
+// actTargets returns the distinct targets of u's visit links,
 // ascending, in *buf, which keeps the space for the next call.
-func actTargets(buf *[]graph.NodeID, g *graph.Graph, u graph.NodeID, act string) []graph.NodeID {
+func actTargets(buf *[]graph.NodeID, g *graph.Graph, u graph.NodeID) []graph.NodeID {
 	dst := (*buf)[:0]
 	for _, l := range g.Out(u) {
-		if l.HasType(act) {
+		if l.HasType(graph.SubtypeVisit) {
 			dst = append(dst, l.Tgt)
 		}
 	}

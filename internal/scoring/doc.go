@@ -1,8 +1,8 @@
 // Package scoring implements the relevance machinery SocialScope layers on
 // its algebra: semantic relevance of nodes and links to keyword queries
-// (tf-idf and BM25 over attribute text), set and vector similarities used by
-// clustering and collaborative filtering (Jaccard, cosine, Dice, overlap),
-// and the monotone score-composition framework of Section 6.2
+// (tf-idf and BM25 over attribute text), the Jaccard set similarity used by
+// clustering and collaborative filtering, and the monotone
+// score-composition framework of Section 6.2
 // (score_k(i,u) = f(network(u) ∩ taggers(i,k)), score(i,u) = g(...)).
 //
 // # The monotonicity contract

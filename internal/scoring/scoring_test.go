@@ -154,15 +154,8 @@ func TestSetOps(t *testing.T) {
 	if got := Jaccard(a, b); got != 0.4 {
 		t.Errorf("Jaccard = %f", got)
 	}
-	if got := Dice(a, b); math.Abs(got-4.0/7.0) > 1e-12 {
-		t.Errorf("Dice = %f", got)
-	}
-	if got := Overlap(a, b); math.Abs(got-2.0/3.0) > 1e-12 {
-		t.Errorf("Overlap = %f", got)
-	}
-	empty := NewSet[int]()
-	if Jaccard(empty, empty) != 0 || Dice(empty, empty) != 0 || Overlap(empty, a) != 0 {
-		t.Error("empty-set similarities should be 0")
+	if empty := NewSet[int](); Jaccard(empty, empty) != 0 {
+		t.Error("empty-set Jaccard should be 0")
 	}
 	a.Add(9)
 	if !a.Has(9) || a.Len() != 4 {
@@ -173,20 +166,6 @@ func TestSetOps(t *testing.T) {
 	}
 	if len(a.Members()) != 4 {
 		t.Error("Members wrong")
-	}
-}
-
-func TestCosine(t *testing.T) {
-	a := map[string]float64{"x": 1, "y": 2}
-	if got := Cosine(a, a); math.Abs(got-1) > 1e-12 {
-		t.Errorf("self cosine = %f", got)
-	}
-	b := map[string]float64{"z": 3}
-	if Cosine(a, b) != 0 {
-		t.Error("orthogonal cosine should be 0")
-	}
-	if Cosine(a, map[string]float64{}) != 0 {
-		t.Error("empty vector cosine should be 0")
 	}
 }
 

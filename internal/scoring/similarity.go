@@ -1,9 +1,6 @@
 package scoring
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // Set is a set of comparable scalar values (node ids, items, tags) used by
 // the similarity measures that drive clustering (Definitions 11-13), social
@@ -69,42 +66,6 @@ func Jaccard[T comparable](s, t Set[T]) float64 {
 		return 0
 	}
 	return float64(IntersectionSize(s, t)) / float64(u)
-}
-
-// Dice returns 2|s∩t| / (|s|+|t|); 0 when both sets are empty.
-func Dice[T comparable](s, t Set[T]) float64 {
-	d := len(s) + len(t)
-	if d == 0 {
-		return 0
-	}
-	return 2 * float64(IntersectionSize(s, t)) / float64(d)
-}
-
-// Overlap returns |s∩t| / min(|s|,|t|); 0 when either set is empty.
-func Overlap[T comparable](s, t Set[T]) float64 {
-	m := min(len(s), len(t))
-	if m == 0 {
-		return 0
-	}
-	return float64(IntersectionSize(s, t)) / float64(m)
-}
-
-// Cosine returns the cosine similarity between two sparse vectors.
-func Cosine[T comparable](a, b map[T]float64) float64 {
-	var dot, na, nb float64
-	for k, v := range a {
-		na += v * v
-		if w, ok := b[k]; ok {
-			dot += v * w
-		}
-	}
-	for _, w := range b {
-		nb += w * w
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
 }
 
 // Members returns the set's members in an unspecified order.

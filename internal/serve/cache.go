@@ -47,7 +47,7 @@ type Cache struct {
 	// at it, and a body computed at an older version is not stored.
 	newest uint64
 
-	// registry handles (see Instrument); never nil after construction
+	// registry handles, resolved by NewCache
 	hits, misses, shared, evictions, vetoes *obs.Counter
 }
 
@@ -55,19 +55,33 @@ type Cache struct {
 const DefaultCacheEntries = 4096
 
 // NewCache returns a cache holding at most max marshaled bodies
-// (DefaultCacheEntries when max <= 0).
-func NewCache(max int) *Cache {
+// (DefaultCacheEntries when max <= 0), recording into reg (obs.Default
+// when nil).
+func NewCache(max int, reg *obs.Registry) *Cache {
 	if max <= 0 {
 		max = DefaultCacheEntries
+	}
+	if reg == nil {
+		reg = obs.Default
 	}
 	c := &Cache{
 		max:     max,
 		entries: make(map[cacheKey][]byte),
 		flights: make(map[cacheKey]*flight),
+		hits:    reg.Counter("ss_cache_hits_total", "result-cache hits"),
+		misses:  reg.Counter("ss_cache_misses_total", "result-cache misses (led a compute)"),
+		shared: reg.Counter("ss_cache_shared_total",
+			"misses that piggybacked on an identical in-flight compute"),
+		evictions: reg.Counter("ss_cache_evictions_total", "result-cache evictions"),
+		vetoes: reg.Counter("ss_cache_store_vetoes_total",
+			"computed bodies not stored because the engine version advanced mid-compute or a newer version was already stored"),
 	}
-	// A private registry keeps a bare cache's counters isolated (tests
-	// build many); the Server re-points them at its configured registry.
-	return c.Instrument(obs.NewRegistry())
+	reg.GaugeFunc("ss_cache_entries", "result-cache resident entries", func() float64 {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return float64(len(c.entries))
+	})
+	return c
 }
 
 // Outcome classifies how a Do call was answered, for the X-SS-Cache

@@ -7,12 +7,14 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"socialscope/internal/obs"
 )
 
 // TestCacheSingleflight verifies concurrent identical misses share one
 // computation: the leader computes, everyone else piggybacks.
 func TestCacheSingleflight(t *testing.T) {
-	c := NewCache(16)
+	c := NewCache(16, obs.NewRegistry())
 	key := cacheKey{version: 1, kind: "search", user: 1, query: "'museum'|k=10|a=0.5"}
 	var computes atomic.Int32
 	release := make(chan struct{})
@@ -79,7 +81,7 @@ func TestCacheSingleflight(t *testing.T) {
 // TestCacheErrorNotStored verifies failed computations are returned to
 // every waiter but never cached.
 func TestCacheErrorNotStored(t *testing.T) {
-	c := NewCache(16)
+	c := NewCache(16, obs.NewRegistry())
 	key := cacheKey{version: 1, kind: "search", user: 1, query: "q"}
 	boom := errors.New("boom")
 	if _, _, err := c.Do(context.Background(), key, func() ([]byte, bool, error) { return nil, false, boom }); !errors.Is(err, boom) {
@@ -98,7 +100,7 @@ func TestCacheErrorNotStored(t *testing.T) {
 // server does when the engine version advanced mid-compute): the body is
 // served but never cached.
 func TestCacheStoreVeto(t *testing.T) {
-	c := NewCache(16)
+	c := NewCache(16, obs.NewRegistry())
 	key := cacheKey{version: 1, kind: "search", user: 1, query: "q"}
 	if _, _, err := c.Do(context.Background(), key, func() ([]byte, bool, error) { return []byte("x"), false, nil }); err != nil {
 		t.Fatal(err)
@@ -111,7 +113,7 @@ func TestCacheStoreVeto(t *testing.T) {
 // TestCachePanicDoesNotWedgeKey verifies a panicking compute releases
 // its waiters and the key stays usable.
 func TestCachePanicDoesNotWedgeKey(t *testing.T) {
-	c := NewCache(16)
+	c := NewCache(16, obs.NewRegistry())
 	key := cacheKey{version: 1, kind: "search", user: 1, query: "q"}
 	func() {
 		defer func() {
@@ -143,7 +145,7 @@ func TestCachePanicDoesNotWedgeKey(t *testing.T) {
 // held past its own deadline by a slow leader — and that a leader
 // failing with its own context error does not fail a healthy waiter.
 func TestCacheWaiterHonorsOwnContext(t *testing.T) {
-	c := NewCache(16)
+	c := NewCache(16, obs.NewRegistry())
 	key := cacheKey{version: 1, kind: "search", user: 1, query: "q"}
 	leaderStarted := make(chan struct{})
 	release := make(chan struct{})
@@ -193,7 +195,7 @@ func TestCacheWaiterHonorsOwnContext(t *testing.T) {
 // TestCacheEvictionPrefersStaleVersions verifies the capacity bound
 // holds and orphaned (older-version) entries are reclaimed first.
 func TestCacheEvictionPrefersStaleVersions(t *testing.T) {
-	c := NewCache(4)
+	c := NewCache(4, obs.NewRegistry())
 	put := func(version uint64, q string) {
 		key := cacheKey{version: version, kind: "search", user: 1, query: q}
 		c.Do(context.Background(), key, func() ([]byte, bool, error) { return []byte(q), true, nil })
@@ -223,7 +225,7 @@ func TestCacheEvictionPrefersStaleVersions(t *testing.T) {
 // version frees every entry of the older ones, and that a body computed
 // at a version older than the newest stored is dropped as a veto.
 func TestCacheNewerVersionFreesOlder(t *testing.T) {
-	c := NewCache(16)
+	c := NewCache(16, obs.NewRegistry())
 	put := func(version uint64, q string) {
 		key := cacheKey{version: version, kind: "search", user: 1, query: q}
 		c.Do(context.Background(), key, func() ([]byte, bool, error) { return []byte(q), true, nil })

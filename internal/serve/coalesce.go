@@ -53,7 +53,7 @@ type Coalescer struct {
 	stop chan struct{}
 	wg   sync.WaitGroup
 
-	// registry handles (see Instrument); never nil after construction
+	// registry handles, resolved by NewCoalescer
 	flushes   *obs.Counter
 	requests  *obs.Counter
 	mutations *obs.Counter
@@ -72,25 +72,35 @@ const DefaultMaxBatch = 32
 // enough to stay invisible next to network latency.
 const DefaultFlushInterval = 10 * time.Millisecond
 
-// NewCoalescer starts a coalescer over the engine. maxBatch <= 0
-// defaults to DefaultMaxBatch; interval <= 0 defaults to
-// DefaultFlushInterval. Stop must be called to release the flusher.
-func NewCoalescer(eng *socialscope.Engine, maxBatch int, interval time.Duration) *Coalescer {
+// NewCoalescer starts a coalescer over the engine, recording into reg
+// (obs.Default when nil). maxBatch <= 0 defaults to DefaultMaxBatch;
+// interval <= 0 defaults to DefaultFlushInterval. Stop must be called
+// to release the flusher.
+func NewCoalescer(eng *socialscope.Engine, maxBatch int, interval time.Duration, reg *obs.Registry) *Coalescer {
 	if maxBatch <= 0 {
 		maxBatch = DefaultMaxBatch
 	}
 	if interval <= 0 {
 		interval = DefaultFlushInterval
 	}
-	// The private registry keeps a bare coalescer's counters isolated
-	// (tests build many); the Server re-points them at its own registry.
-	c := (&Coalescer{
-		eng:      eng,
-		maxBatch: maxBatch,
-		interval: interval,
-		kick:     make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-	}).Instrument(obs.NewRegistry())
+	if reg == nil {
+		reg = obs.Default
+	}
+	c := &Coalescer{
+		eng:       eng,
+		maxBatch:  maxBatch,
+		interval:  interval,
+		kick:      make(chan struct{}, 1),
+		stop:      make(chan struct{}),
+		flushes:   reg.Counter("ss_coalescer_flushes_total", "write-coalescer flushes"),
+		requests:  reg.Counter("ss_coalescer_requests_total", "apply requests accepted for coalescing"),
+		mutations: reg.Counter("ss_coalescer_mutations_total", "mutations accepted for coalescing"),
+		fallbacks: reg.Counter("ss_coalescer_fallbacks_total",
+			"flushes that degraded to per-request applies after a combined-batch rejection"),
+		maxFlush: reg.Gauge("ss_coalescer_max_flush", "largest single flush, in mutations"),
+		batchSize: reg.Histogram("ss_coalescer_batch_size",
+			"mutations per flush", obs.ExpBuckets(1, 2, 12)),
+	}
 	c.wg.Add(1)
 	go c.loop()
 	return c

@@ -8,6 +8,7 @@ import (
 
 	"socialscope"
 	"socialscope/internal/graph"
+	"socialscope/internal/obs"
 	"socialscope/internal/workload"
 )
 
@@ -37,7 +38,7 @@ func TestCoalescerMergesConcurrentWrites(t *testing.T) {
 	eng, _, stream := newTestEngine(t)
 	// A long ticker so the flush that carries both requests is the one the
 	// maxBatch trigger fires, not a timing accident.
-	c := NewCoalescer(eng, 4, time.Hour)
+	c := NewCoalescer(eng, 4, time.Hour, obs.NewRegistry())
 	defer c.Stop()
 	v0 := eng.Version()
 
@@ -77,7 +78,7 @@ func TestCoalescerMergesConcurrentWrites(t *testing.T) {
 // held hostage by the batch threshold: the ticker flushes it.
 func TestCoalescerTickerBoundsLatency(t *testing.T) {
 	eng, _, stream := newTestEngine(t)
-	c := NewCoalescer(eng, 1<<20, 5*time.Millisecond)
+	c := NewCoalescer(eng, 1<<20, 5*time.Millisecond, obs.NewRegistry())
 	defer c.Stop()
 	start := time.Now()
 	out, err := c.Enqueue(context.Background(), stream.Batch(1))
@@ -97,7 +98,7 @@ func TestCoalescerTickerBoundsLatency(t *testing.T) {
 // one lands.
 func TestCoalescerErrorIsolation(t *testing.T) {
 	eng, corpus, stream := newTestEngine(t)
-	c := NewCoalescer(eng, 1<<20, time.Hour)
+	c := NewCoalescer(eng, 1<<20, time.Hour, obs.NewRegistry())
 	defer c.Stop()
 	v0 := eng.Version()
 
@@ -154,7 +155,7 @@ func TestCoalescerErrorIsolation(t *testing.T) {
 // of hanging.
 func TestCoalescerStoppedRejects(t *testing.T) {
 	eng, _, stream := newTestEngine(t)
-	c := NewCoalescer(eng, 4, time.Millisecond)
+	c := NewCoalescer(eng, 4, time.Millisecond, obs.NewRegistry())
 	c.Stop()
 	if _, err := c.Enqueue(context.Background(), stream.Batch(1)); err == nil {
 		t.Fatal("Enqueue on a stopped coalescer succeeded")
@@ -164,7 +165,7 @@ func TestCoalescerStoppedRejects(t *testing.T) {
 // TestLimiter verifies admission control: concurrency is capped, the
 // queue bound sheds load, and a waiting request honors its context.
 func TestLimiter(t *testing.T) {
-	l := NewLimiter(1, 0)
+	l := NewLimiter(1, 0, obs.NewRegistry())
 	release, err := l.Acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +180,7 @@ func TestLimiter(t *testing.T) {
 	}
 
 	// With one queue slot, a waiter parks until its context expires.
-	l2 := NewLimiter(1, 1)
+	l2 := NewLimiter(1, 1, obs.NewRegistry())
 	r2, _ := l2.Acquire(context.Background())
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()

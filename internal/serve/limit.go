@@ -23,7 +23,7 @@ type Limiter struct {
 	maxQueue int64
 
 	queued atomic.Int64
-	// registry handles (see Instrument); never nil after construction
+	// registry handles, resolved by NewLimiter
 	admitted *obs.Counter
 	rejected *obs.Counter
 }
@@ -36,20 +36,32 @@ const (
 
 // NewLimiter returns a limiter admitting maxConcurrent concurrent
 // requests with a waiting queue of maxQueue (defaults applied for
-// non-positive maxConcurrent; maxQueue < 0 defaults, 0 means no queue).
-func NewLimiter(maxConcurrent, maxQueue int) *Limiter {
+// non-positive maxConcurrent; maxQueue < 0 defaults, 0 means no queue),
+// recording into reg (obs.Default when nil).
+func NewLimiter(maxConcurrent, maxQueue int, reg *obs.Registry) *Limiter {
 	if maxConcurrent <= 0 {
 		maxConcurrent = DefaultMaxConcurrent
 	}
 	if maxQueue < 0 {
 		maxQueue = DefaultMaxQueue
 	}
-	// The private registry keeps a bare limiter's counters isolated
-	// (tests build many); the Server re-points them at its own registry.
-	return (&Limiter{
+	if reg == nil {
+		reg = obs.Default
+	}
+	l := &Limiter{
 		slots:    make(chan struct{}, maxConcurrent),
 		maxQueue: int64(maxQueue),
-	}).Instrument(obs.NewRegistry())
+		admitted: reg.Counter("ss_limiter_admitted_total", "requests admitted past the limiter"),
+		rejected: reg.Counter("ss_limiter_rejected_total",
+			"requests shed by the limiter (queue bound exceeded or caller deadline expired while queued)"),
+	}
+	reg.GaugeFunc("ss_limiter_inflight", "requests currently executing", func() float64 {
+		return float64(len(l.slots))
+	})
+	reg.GaugeFunc("ss_limiter_queued", "requests waiting for an execution slot", func() float64 {
+		return float64(l.queued.Load())
+	})
+	return l
 }
 
 // Acquire admits the request or reports why it cannot run: ErrOverloaded

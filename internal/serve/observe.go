@@ -12,7 +12,7 @@ import (
 
 // serverMetrics are the HTTP front end's registry handles plus the
 // trace-sampling sequence. Cache, coalescer and limiter carry their own
-// handles (see their Instrument methods); /metrics is the one view over
+// handles, resolved by their constructors; /metrics is the one view over
 // all of them.
 type serverMetrics struct {
 	reg  *obs.Registry
@@ -95,61 +95,4 @@ func (s *Server) instrumented(name string, h http.HandlerFunc) http.HandlerFunc 
 			slog.LogAttrs(r.Context(), slog.LevelInfo, "ss.trace", attrs...)
 		}
 	}
-}
-
-// Instrument points the cache's counters at reg (obs.Default when nil)
-// and registers the entries gauge; returns the receiver for chaining.
-// Called once at construction time, before any traffic.
-func (c *Cache) Instrument(reg *obs.Registry) *Cache {
-	if reg == nil {
-		reg = obs.Default
-	}
-	c.hits = reg.Counter("ss_cache_hits_total", "result-cache hits")
-	c.misses = reg.Counter("ss_cache_misses_total", "result-cache misses (led a compute)")
-	c.shared = reg.Counter("ss_cache_shared_total",
-		"misses that piggybacked on an identical in-flight compute")
-	c.evictions = reg.Counter("ss_cache_evictions_total", "result-cache evictions")
-	c.vetoes = reg.Counter("ss_cache_store_vetoes_total",
-		"computed bodies not stored because the engine version advanced mid-compute or a newer version was already stored")
-	reg.GaugeFunc("ss_cache_entries", "result-cache resident entries", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(len(c.entries))
-	})
-	return c
-}
-
-// Instrument points the coalescer's counters at reg (obs.Default when
-// nil); returns the receiver for chaining.
-func (c *Coalescer) Instrument(reg *obs.Registry) *Coalescer {
-	if reg == nil {
-		reg = obs.Default
-	}
-	c.flushes = reg.Counter("ss_coalescer_flushes_total", "write-coalescer flushes")
-	c.requests = reg.Counter("ss_coalescer_requests_total", "apply requests accepted for coalescing")
-	c.mutations = reg.Counter("ss_coalescer_mutations_total", "mutations accepted for coalescing")
-	c.fallbacks = reg.Counter("ss_coalescer_fallbacks_total",
-		"flushes that degraded to per-request applies after a combined-batch rejection")
-	c.maxFlush = reg.Gauge("ss_coalescer_max_flush", "largest single flush, in mutations")
-	c.batchSize = reg.Histogram("ss_coalescer_batch_size",
-		"mutations per flush", obs.ExpBuckets(1, 2, 12))
-	return c
-}
-
-// Instrument points the limiter's counters at reg (obs.Default when
-// nil) and registers the occupancy gauges; returns the receiver.
-func (l *Limiter) Instrument(reg *obs.Registry) *Limiter {
-	if reg == nil {
-		reg = obs.Default
-	}
-	l.admitted = reg.Counter("ss_limiter_admitted_total", "requests admitted past the limiter")
-	l.rejected = reg.Counter("ss_limiter_rejected_total",
-		"requests shed by the limiter (queue bound exceeded or caller deadline expired while queued)")
-	reg.GaugeFunc("ss_limiter_inflight", "requests currently executing", func() float64 {
-		return float64(len(l.slots))
-	})
-	reg.GaugeFunc("ss_limiter_queued", "requests waiting for an execution slot", func() float64 {
-		return float64(l.queued.Load())
-	})
-	return l
 }

@@ -98,14 +98,14 @@ func New(eng *socialscope.Engine, cfg Config) *Server {
 	s := &Server{
 		eng:     eng,
 		cfg:     cfg,
-		coal:    NewCoalescer(eng, cfg.MaxBatch, cfg.FlushInterval).Instrument(cfg.Obs),
-		limiter: NewLimiter(cfg.MaxConcurrent, cfg.MaxQueue).Instrument(cfg.Obs),
+		coal:    NewCoalescer(eng, cfg.MaxBatch, cfg.FlushInterval, cfg.Obs),
+		limiter: NewLimiter(cfg.MaxConcurrent, cfg.MaxQueue, cfg.Obs),
 		met:     newServerMetrics(cfg.Obs),
 		mux:     http.NewServeMux(),
 		started: time.Now(),
 	}
 	if !cfg.DisableCache {
-		s.cache = NewCache(cfg.CacheEntries).Instrument(cfg.Obs)
+		s.cache = NewCache(cfg.CacheEntries, cfg.Obs)
 	}
 	s.mux.HandleFunc("GET /healthz", s.instrumented("healthz", s.handleHealthz))
 	s.mux.HandleFunc("GET /stats", s.instrumented("stats", s.handleStats))

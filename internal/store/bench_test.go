@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"socialscope/internal/graph"
+	"socialscope/internal/obs"
 	"socialscope/internal/vfs"
 	"socialscope/internal/workload"
 )
@@ -27,10 +28,11 @@ func ledgerGraph(tb testing.TB) *graph.Graph {
 func BenchmarkCheckpointSave(b *testing.B) {
 	g := ledgerGraph(b)
 	dir := b.TempDir()
+	reg := obs.NewRegistry()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := NewCheckpointer(vfs.OS{}, dir, 0, uint64(i))
+		c := NewCheckpointer(vfs.OS{}, dir, 0, uint64(i), reg)
 		if err := c.Save(g, Meta{Version: 1}); err != nil {
 			b.Fatal(err)
 		}
@@ -42,7 +44,7 @@ func BenchmarkCheckpointSave(b *testing.B) {
 func BenchmarkLoadLatest(b *testing.B) {
 	g := ledgerGraph(b)
 	dir := b.TempDir()
-	if err := NewCheckpointer(vfs.OS{}, dir, 0, 0).Save(g, Meta{Version: 1}); err != nil {
+	if err := NewCheckpointer(vfs.OS{}, dir, 0, 0, obs.NewRegistry()).Save(g, Meta{Version: 1}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"socialscope/internal/graph"
+	"socialscope/internal/obs"
 	"socialscope/internal/vfs"
 )
 
@@ -107,14 +108,15 @@ type Checkpointer struct {
 
 // NewCheckpointer returns a checkpointer writing into dir, numbering
 // files after startSeq (the recovered manifest's Seq, or 0 on a fresh
-// directory). Its first Save writes a full checkpoint.
-func NewCheckpointer(fsys vfs.FS, dir string, maxChain int, startSeq uint64) *Checkpointer {
+// directory), recording into reg (obs.Default when nil). Its first Save
+// writes a full checkpoint.
+func NewCheckpointer(fsys vfs.FS, dir string, maxChain int, startSeq uint64, reg *obs.Registry) *Checkpointer {
 	if maxChain < 1 {
 		maxChain = DefaultMaxChain
 	}
 	return &Checkpointer{
 		fsys: fsys, dir: dir, maxChain: maxChain, seq: startSeq,
-		met: newStoreMetrics(nil),
+		met: newStoreMetrics(reg),
 	}
 }
 

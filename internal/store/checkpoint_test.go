@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"socialscope/internal/graph"
+	"socialscope/internal/obs"
 	"socialscope/internal/vfs"
 )
 
@@ -62,7 +63,7 @@ func ckptSize(t *testing.T, fsys *vfs.FaultFS, dir string, name string) int64 {
 func TestDeltaCheckpointsMeasurablySmaller(t *testing.T) {
 	fsys := vfs.NewFaultFS(vfs.DropUnsynced)
 	g := bigGraph(t, 200, 100)
-	c := NewCheckpointer(fsys, "ck", 16, 0)
+	c := NewCheckpointer(fsys, "ck", 16, 0, obs.NewRegistry())
 	if err := c.Save(g, Meta{Version: 1, WalLSN: 10}); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestDeltaCheckpointsMeasurablySmaller(t *testing.T) {
 func TestCheckpointChainResetAndRetention(t *testing.T) {
 	fsys := vfs.NewFaultFS(vfs.DropUnsynced)
 	g := bigGraph(t, 20, 10)
-	c := NewCheckpointer(fsys, "ck", 3, 0)
+	c := NewCheckpointer(fsys, "ck", 3, 0, obs.NewRegistry())
 	ids := graph.IDSourceFor(g)
 	for v := uint64(1); v <= 8; v++ {
 		if err := g.AddNode(graph.NewNode(ids.NextNode(), "user")); err != nil {
@@ -141,7 +142,7 @@ func TestCheckpointChainResetAndRetention(t *testing.T) {
 func TestCheckpointAfterRestartStartsFullChain(t *testing.T) {
 	fsys := vfs.NewFaultFS(vfs.DropUnsynced)
 	g := bigGraph(t, 30, 15)
-	c := NewCheckpointer(fsys, "ck", 8, 0)
+	c := NewCheckpointer(fsys, "ck", 8, 0, obs.NewRegistry())
 	if err := c.Save(g, Meta{Version: 1, WalLSN: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestCheckpointAfterRestartStartsFullChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := NewCheckpointer(fsys, "ck", 8, rec.Seq)
+	c2 := NewCheckpointer(fsys, "ck", 8, rec.Seq, obs.NewRegistry())
 	if err := c2.Save(rec.Graph, Meta{Version: 3, WalLSN: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func chainOf(t *testing.T, fsys vfs.FS) []string {
 func TestCheckpointCrashBetweenFileAndManifest(t *testing.T) {
 	fsys := vfs.NewFaultFS(vfs.DropUnsynced)
 	g := bigGraph(t, 20, 10)
-	c := NewCheckpointer(fsys, "ck", 8, 0)
+	c := NewCheckpointer(fsys, "ck", 8, 0, obs.NewRegistry())
 	if err := c.Save(g, Meta{Version: 1, WalLSN: 5}); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestCheckpointCrashBetweenFileAndManifest(t *testing.T) {
 	// Enumerate every crash point inside the second save: whatever the
 	// point, recovery must yield either the old or the new checkpoint —
 	// never an error, never a hybrid.
-	probe := NewCheckpointer(fsys, "ck", 8, 1)
+	probe := NewCheckpointer(fsys, "ck", 8, 1, obs.NewRegistry())
 	opsBefore := fsys.Ops()
 	if err := probe.Save(g, Meta{Version: 2, WalLSN: 9}); err != nil {
 		t.Fatal(err)
@@ -212,11 +213,11 @@ func TestCheckpointCrashBetweenFileAndManifest(t *testing.T) {
 	opsDuring := fsys.Ops() - opsBefore
 	for cp := int64(0); cp <= opsDuring; cp++ {
 		fs2 := vfs.NewFaultFS(vfs.DropUnsynced)
-		c2 := NewCheckpointer(fs2, "ck", 8, 0)
+		c2 := NewCheckpointer(fs2, "ck", 8, 0, obs.NewRegistry())
 		if err := c2.Save(before, Meta{Version: 1, WalLSN: 5}); err != nil {
 			t.Fatal(err)
 		}
-		c3 := NewCheckpointer(fs2, "ck", 8, 1)
+		c3 := NewCheckpointer(fs2, "ck", 8, 1, obs.NewRegistry())
 		fs2.SetCrashAtOp(fs2.Ops() + cp)
 		err := c3.Save(g, Meta{Version: 2, WalLSN: 9})
 		crashed := fs2.Crashed()
@@ -268,7 +269,7 @@ func analyze(t *testing.T, g *graph.Graph) (*graph.Graph, *graph.Derived) {
 func TestCheckpointCarriesAnalyzedGraph(t *testing.T) {
 	fsys := vfs.NewFaultFS(vfs.DropUnsynced)
 	g := bigGraph(t, 30, 15)
-	c := NewCheckpointer(fsys, "ck", 8, 0)
+	c := NewCheckpointer(fsys, "ck", 8, 0, obs.NewRegistry())
 
 	// Not yet analyzed: no ranges.
 	if err := c.Save(g, Meta{Version: 1, WalLSN: 1}); err != nil {
@@ -398,7 +399,7 @@ func TestLoadLatestEmptyDir(t *testing.T) {
 func TestLoadLatestRejectsTamperedFile(t *testing.T) {
 	fsys := vfs.NewFaultFS(vfs.DropUnsynced)
 	g := bigGraph(t, 10, 5)
-	c := NewCheckpointer(fsys, "ck", 8, 0)
+	c := NewCheckpointer(fsys, "ck", 8, 0, obs.NewRegistry())
 	if err := c.Save(g, Meta{Version: 1, WalLSN: 1}); err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"socialscope/internal/graph"
+	"socialscope/internal/obs"
 	"socialscope/internal/vfs"
 )
 
@@ -29,7 +30,7 @@ func FuzzCkptFile(f *testing.F) {
 	b.Link(u, b.Node([]string{graph.TypeItem}, "rating", "0.5"), []string{graph.TypeAct, graph.SubtypeTag}, "tags", "museum")
 	g := b.Graph()
 	fsys := vfs.NewFaultFS(vfs.DropUnsynced)
-	c := NewCheckpointer(fsys, "d", 4, 0)
+	c := NewCheckpointer(fsys, "d", 4, 0, obs.NewRegistry())
 	if err := c.Save(g, Meta{Version: 1, WalLSN: 3}); err != nil {
 		f.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func FuzzCkptFile(f *testing.F) {
 	if err := c.Save(g, Meta{Version: 2, WalLSN: 5, Derived: d}); err != nil {
 		f.Fatal(err)
 	}
-	if err := NewCheckpointer(fsys, "a", 4, 0).Save(g, Meta{Version: 2, WalLSN: 5, Derived: d}); err != nil {
+	if err := NewCheckpointer(fsys, "a", 4, 0, obs.NewRegistry()).Save(g, Meta{Version: 2, WalLSN: 5, Derived: d}); err != nil {
 		f.Fatal(err)
 	}
 	full, delta := fsys.Bytes("d/"+ckptName(1)), fsys.Bytes("d/"+ckptName(2))
@@ -63,7 +64,7 @@ func FuzzCkptFile(f *testing.F) {
 		f.Fatal(err)
 	}
 	wide := &graph.Derived{NodeLo: topic, NodeHi: topic, LinkLo: bl, LinkHi: top.ID}
-	if err := NewCheckpointer(fsys, "h", 4, 0).Save(g, Meta{Version: 2, WalLSN: 5, Derived: wide}); err != nil {
+	if err := NewCheckpointer(fsys, "h", 4, 0, obs.NewRegistry()).Save(g, Meta{Version: 2, WalLSN: 5, Derived: wide}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(fsys.Bytes("h/"+manifestName), fsys.Bytes("h/"+ckptName(1)), []byte{}, false)

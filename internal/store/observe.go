@@ -33,11 +33,3 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 			"end-to-end Save latency (encode, fsync, manifest publish)", nil),
 	}
 }
-
-// Instrument points the checkpointer's metrics at reg (obs.Default
-// when nil — also the default for un-instrumented checkpointers) and
-// returns the receiver for chaining at construction sites.
-func (c *Checkpointer) Instrument(reg *obs.Registry) *Checkpointer {
-	c.met = newStoreMetrics(reg)
-	return c
-}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"socialscope/internal/obs"
 	"socialscope/internal/vfs"
 )
 
@@ -18,7 +19,7 @@ func TestWatcherReportsManifestAdvances(t *testing.T) {
 	}
 
 	g := bigGraph(t, 6, 4)
-	c := NewCheckpointer(fsys, "ck", 4, 0)
+	c := NewCheckpointer(fsys, "ck", 4, 0, obs.NewRegistry())
 	if err := c.Save(g, Meta{Version: 3, WalLSN: 7}); err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestWatcherReportsManifestAdvances(t *testing.T) {
 // named as checkpoints are, is corrupt, not followed.
 func TestLoadManifestRejectsForeignChainNames(t *testing.T) {
 	fsys := vfs.NewFaultFS(vfs.DropUnsynced)
-	c := NewCheckpointer(fsys, "other", 4, 0)
+	c := NewCheckpointer(fsys, "other", 4, 0, obs.NewRegistry())
 	if err := c.Save(bigGraph(t, 6, 4), Meta{Version: 1}); err != nil {
 		t.Fatal(err)
 	}

@@ -186,7 +186,10 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-func (c *Config) fill() {
+// fill applies the defaults and rejects a strategy no query could run
+// with, so a bad configuration fails at construction rather than at the
+// first tagged query. It builds nothing: the index stays lazy.
+func (c *Config) fill() error {
 	if c.ItemType == "" {
 		c.ItemType = graph.TypeItem
 	}
@@ -208,6 +211,13 @@ func (c *Config) fill() {
 	if c.ClusterStrategy == "" {
 		c.ClusterStrategy = cluster.PerUser.String()
 	}
+	if c.TopK > TopKNRA {
+		return fmt.Errorf("socialscope: unknown top-k strategy %d", c.TopK)
+	}
+	if _, err := cluster.ParseStrategy(c.ClusterStrategy); err != nil {
+		return fmt.Errorf("socialscope: %w", err)
+	}
+	return nil
 }
 
 // engineState is one immutable snapshot of everything a query touches:
@@ -270,7 +280,9 @@ func New(g *Graph, cfg Config) (*Engine, error) {
 	if g == nil {
 		return nil, fmt.Errorf("socialscope: nil graph")
 	}
-	cfg.fill()
+	if err := cfg.fill(); err != nil {
+		return nil, err
+	}
 	e := &Engine{cfg: cfg, met: newEngineMetrics(cfg.Obs)}
 	e.publish(&engineState{
 		g:    g,

@@ -108,16 +108,17 @@ func TestEngineTopKFallsBack(t *testing.T) {
 	}
 }
 
+// TestEngineTopKBadCluster pins that a configuration no tagged query
+// could run with fails at construction, not at the first tagged query.
 func TestEngineTopKBadCluster(t *testing.T) {
 	corpus := topkCorpus(t)
-	eng, err := New(corpus.Graph, Config{
-		ItemType: "destination", TopK: TopKTA, ClusterStrategy: "bogus",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.SearchCtx(context.Background(), corpus.Users[0], "museum"); err == nil {
-		t.Error("bogus cluster strategy accepted")
+	for _, cfg := range []Config{
+		{ItemType: "destination", TopK: TopKTA, ClusterStrategy: "bogus"},
+		{ItemType: "destination", TopK: TopKNRA + 1},
+	} {
+		if _, err := New(corpus.Graph, cfg); err == nil {
+			t.Errorf("New accepted TopK %v, ClusterStrategy %q", cfg.TopK, cfg.ClusterStrategy)
+		}
 	}
 }
 
