@@ -165,13 +165,14 @@ func TestAdjacencyReadAllocsPinned(t *testing.T) {
 
 // The Builder buffers the corpus and builds each of the graph's tries in
 // one go, every node and adjacency list exact-size, and catalog link
-// types are shared, not copied: 32,266 allocations, where inserting one
-// element at a time in a bulk window took 41,664.
+// types are shared, not copied: 24,576 allocations with id-ordered trie
+// paths (32,192 on hashed ones), where inserting one element at a time
+// in a bulk window took 41,664.
 func TestBenchCorpusBuildAllocsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 600-user corpus")
 	}
-	pinAllocs(t, "workload.Travel (bench corpus)", 40340, func() {
+	pinAllocs(t, "workload.Travel (bench corpus)", 30720, func() {
 		if _, err := benchCorpus(); err != nil {
 			t.Fatal(err)
 		}
@@ -179,8 +180,9 @@ func TestBenchCorpusBuildAllocsPinned(t *testing.T) {
 }
 
 // The first read of a snapshot's neighbourhood view derives it in one pass
-// over the adjacency and builds each of its two tries in one go (1,359
-// allocations; 1,796 through transient writes). A ShallowClone of a graph
+// over the adjacency and builds each of its two tries in one go (994
+// allocations with id-ordered trie paths, 1,357 on hashed ones; 1,796
+// through transient writes). A ShallowClone of a graph
 // no reader has asked for its view carries none, so every call builds.
 func TestNeighbourhoodBuildAllocsPinned(t *testing.T) {
 	if testing.Short() {
@@ -190,15 +192,16 @@ func TestNeighbourhoodBuildAllocsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinAllocs(t, "graph neighbourhood view build (bench corpus)", 1700, func() {
+	pinAllocs(t, "graph neighbourhood view build (bench corpus)", 1243, func() {
 		corpus.Graph.ShallowClone().Acts(corpus.Users[0])
 	})
 }
 
 // Extract groups its records with one sort per family, stores each vector
 // once, exact-size, every network in one shared vector, and builds each
-// trie in one go: 2,101 allocations, where per-vector networks and
-// transient writes took 3,353.
+// trie in one go: 1,540 allocations with id-ordered trie paths (2,090
+// on hashed ones), where per-vector networks and transient writes took
+// 3,353.
 func TestExtractAllocsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 600-user corpus")
@@ -207,16 +210,17 @@ func TestExtractAllocsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinAllocs(t, "index.Extract (bench corpus)", 2630, func() {
+	pinAllocs(t, "index.Extract (bench corpus)", 1925, func() {
 		index.Extract(corpus.Graph)
 	})
 }
 
 // A cold per-user index build counts over dense tables with per-worker
 // scratch, stores each list once, exact-size, and builds each tag's
-// cluster → list trie in one go: ~10.2k allocations on the bench corpus
-// with one worker (AllocsPerRun runs at GOMAXPROCS 1), where sealing
-// through transient writes took ~13.2k and the map-based build ~31k.
+// cluster → list trie in one go: ~8.3k allocations on the bench corpus
+// with one worker (AllocsPerRun runs at GOMAXPROCS 1) and id-ordered trie
+// paths (~10.2k on hashed ones), where sealing through transient writes
+// took ~13.2k and the map-based build ~31k.
 func TestIndexBuildAllocsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 600-user corpus")
@@ -230,7 +234,7 @@ func TestIndexBuildAllocsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinAllocs(t, "index.Build peruser (bench corpus)", 12760, func() {
+	pinAllocs(t, "index.Build peruser (bench corpus)", 10354, func() {
 		if _, err := index.Build(d, cl, scoring.CountF); err != nil {
 			t.Fatal(err)
 		}
@@ -240,25 +244,30 @@ func TestIndexBuildAllocsPinned(t *testing.T) {
 // A follower's start on the ledger's corpus reads the checkpoint into one
 // buffer sized by Size, decodes every trie node at its final size, takes
 // each link's interned body from the lookups its decode already made, and
-// groups the adjacency in one pass over id-ordered links: 28,056
-// allocations, where reading through io.ReadAll, growing every node by
-// appends and sorting and grouping through maps took 38,450.
+// groups the adjacency in one pass over id-ordered links: 20,432
+// allocations with id-ordered trie paths, 16 ids to a leaf (28,056 on
+// hashed paths, which scattered dense ids over thousands of 2–3-entry
+// nodes), where reading through io.ReadAll, growing every node by appends
+// and sorting and grouping through maps took 38,450.
 func TestOpenFollowerAllocsPinned(t *testing.T) {
 	dir := followerDir(t)
-	pinAllocs(t, "OpenFollower (bench corpus)", 35070, func() { openFollower(t, dir) })
+	pinAllocs(t, "OpenFollower (bench corpus)", 25540, func() { openFollower(t, dir) })
 }
 
 // One Engine.Apply of fresh taggings at the coalescer's flush sizes: the
 // graph replay, the view patch and the index delta each claim a touched
 // trie node once per batch, inside their transient windows, copying only
-// the slices they write. Pins are 1.25× the readings (128, 527, 932 and
-// 2749 allocations, 140.6 kB at 16, before claims copied lazily and
-// stored taggings shared their bodies).
+// the slices they write. Pins are 1.25× the readings on id-ordered trie
+// paths (340, 555 and 1461 allocations at 8, 16 and 64, and 109.4 kB at
+// 16; 393, 704, 2170 and 118.5 kB on hashed paths), except at 1, whose
+// pin dates from hashed paths (97 allocations then, 102 now). Before
+// claims copied lazily and stored taggings shared their bodies they read
+// 128, 527, 932 and 2749 allocations, 140.6 kB at 16.
 func TestApplyAllocsPinned(t *testing.T) {
 	for _, pin := range []struct {
 		size  int
 		bound float64
-	}{{1, 121}, {8, 491}, {16, 880}, {64, 2713}} {
+	}{{1, 121}, {8, 425}, {16, 694}, {64, 1826}} {
 		f := newApplyFixture(t, pin.size, false)
 		pinAllocs(t, fmt.Sprintf("Engine.Apply (%d mutations)", pin.size), pin.bound, func() {
 			f.apply(t)
@@ -268,10 +277,10 @@ func TestApplyAllocsPinned(t *testing.T) {
 	// persistent per-write path instead, a batch allocates about as often
 	// but ~1.6× the bytes, which the allocation pin alone would let pass.
 	f := newApplyFixture(t, 16, false)
-	pinBytes(t, "Engine.Apply (16 mutations)", 148100, func() { f.apply(t) })
+	pinBytes(t, "Engine.Apply (16 mutations)", 136690, func() { f.apply(t) })
 	// After Analyze the batch lands on the one serving graph, so it costs
 	// what it costs a plain engine.
 	fa := newApplyFixture(t, 16, true)
-	pinAllocs(t, "Engine.Apply (16 mutations, analyzed)", 881, func() { fa.apply(t) })
-	pinBytes(t, "Engine.Apply (16 mutations, analyzed)", 152200, func() { fa.apply(t) })
+	pinAllocs(t, "Engine.Apply (16 mutations, analyzed)", 696, func() { fa.apply(t) })
+	pinBytes(t, "Engine.Apply (16 mutations, analyzed)", 138260, func() { fa.apply(t) })
 }

@@ -281,13 +281,12 @@ type follower struct {
 	manLSN uint64
 }
 
-// lag is the count of confirmed WAL records not yet applied. The
-// unconfirmed tail record is not counted: a follower may not apply it.
+// lag is the count of confirmed WAL records not yet applied: those the
+// last polled manifest covers, or the tailer has seen confirmed,
+// whichever reaches further. The unconfirmed tail record is not counted: a
+// follower may not apply it.
 func (f *follower) lag() uint64 {
-	if applied := f.tail.NextLSN() - 1; f.manLSN > applied {
-		return f.manLSN - applied
-	}
-	return 0
+	return max(f.manLSN, f.tail.ConfirmedLSN()) - (f.tail.NextLSN() - 1)
 }
 
 // OpenFollower opens a read-only engine over a leader's durable tree:

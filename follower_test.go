@@ -501,3 +501,58 @@ func TestReplicationLagMatchesGauge(t *testing.T) {
 		t.Fatalf("promoted: gauge %v, want 0", gauge)
 	}
 }
+
+// TestReplicationLagSeesPastTheManifest: with no checkpoint after the
+// genesis one, the only confirmation a follower has is the WAL itself —
+// each record is confirmed by the bytes that follow it. A follower that
+// applied one of six such records must report the rest as lag, not the
+// nothing the manifest's watermark shows.
+func TestReplicationLagSeesPastTheManifest(t *testing.T) {
+	genesis, steps, _, _, _ := buildDurabilityWorkload(t)
+	fsys := vfs.NewFaultFS(vfs.DropUnsynced)
+	opts := DurableOptions{FS: fsys, CheckpointEvery: 0}
+	leader, err := OpenDurable(durTestDir, genesis, durableTestConfig(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	reg := obs.NewRegistry()
+	cfg := durableTestConfig()
+	cfg.Obs = reg
+	fol, err := OpenFollower(durTestDir, cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applies := 0
+	for _, s := range steps {
+		if s.analyze {
+			continue
+		}
+		if err := leader.Apply(s.muts); err != nil {
+			t.Fatal(err)
+		}
+		if applies++; applies == 6 {
+			break
+		}
+	}
+	if applies != 6 {
+		t.Fatalf("workload has %d applies, want 6", applies)
+	}
+	if n, err := fol.CatchUp(1); err != nil || n != 1 {
+		t.Fatalf("CatchUp(1) = %d, %v", n, err)
+	}
+	lag, ok := fol.ReplicationLag()
+	if !ok || lag < 4 {
+		t.Fatalf("follower at version %d against the leader's %d reports lag %d, %v; want at least 4",
+			fol.Version(), leader.Version(), lag, ok)
+	}
+	if gauge := reg.Snapshot()["ss_replication_lag_records"]; gauge != float64(lag) {
+		t.Fatalf("gauge %v, ReplicationLag %d", gauge, lag)
+	}
+	if _, err := fol.CatchUp(0); err != nil {
+		t.Fatal(err)
+	}
+	if lag, _ := fol.ReplicationLag(); lag != 0 {
+		t.Fatalf("caught up: lag %d, want 0", lag)
+	}
+}

@@ -17,16 +17,16 @@ import (
 const (
 	probeBatches   = 1000
 	probeBatchSize = 8
-	// Bounds: 1.25× the figures measured when the neighbourhood view and
-	// the vector-backed index substrate landed, and for retention when a
-	// stored tagging became a 32-byte link over an interned body and trie
-	// claims began copying only the slice they write (linux/amd64,
-	// go1.24; 2926 B per batch before).
-	probeBaseBound     = 1.25 * 3.12 * (1 << 20) // bytes
-	probeRetainedBound = 1.25 * 2319             // bytes per batch
-	// probeAnalyzedBound is 1.25× an analyzed engine's heap once Analyze
-	// came to enrich the one serving graph instead of a deep copy of it.
-	probeAnalyzedBound = 1.25 * 3.94 * (1 << 20) // bytes
+	// Bounds: 1.25× the figures measured once integer-keyed tries took
+	// id-ordered paths, 16 consecutive ids to a leaf (linux/amd64,
+	// go1.24). On hashed paths, which scattered dense ids over thousands
+	// of 2–3-entry nodes, they read 1.99 MB and 2394 B per batch.
+	probeBaseBound     = 1.25 * 1.55 * (1 << 20) // bytes
+	probeRetainedBound = 1.25 * 1708             // bytes per batch
+	// probeAnalyzedBound is 1.25× an analyzed engine's heap on id-ordered
+	// trie paths (3.25 MB on hashed ones), with Analyze enriching the one
+	// serving graph instead of a deep copy of it.
+	probeAnalyzedBound = 1.25 * 2.70 * (1 << 20) // bytes
 )
 
 func liveHeap() float64 {

@@ -3,6 +3,7 @@ package persist
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -144,33 +145,57 @@ func TestBuildRejects(t *testing.T) {
 	}
 }
 
-// FuzzBuildMatchesSet decodes the input as 16-bit keys under a hash that
-// keeps only some of their bits, so short inputs reach deep chains and
-// collision buckets, and holds Build to sequential Set.
+// fuzzMap returns the empty map and the key decoder the write fuzzers
+// share, chosen by mode. Below 65, keys are the 16-bit inputs under a
+// Hash64 that keeps only mode of their bits, so short inputs reach deep
+// chains and collision buckets. At 65 the map is NewIntMap's, and an input
+// picks an id from a dense range of 1024 (64 full leaves) or its
+// neighbours across the int64 range: x+2^60, MinInt64+x and MaxInt64-x.
+func fuzzMap(mode uint8) (Map[int64, int], func(uint16) int64) {
+	if mode %= 66; mode == 65 {
+		return NewIntMap[int64, int](), func(k uint16) int64 {
+			x := int64(k & 0x3ff)
+			switch k >> 13 {
+			case 1:
+				return x + 1<<60
+			case 2:
+				return math.MinInt64 + x
+			case 3:
+				return math.MaxInt64 - x
+			}
+			return x
+		}
+	}
+	hash := func(k int64) uint64 {
+		h := Hash64(uint64(k))
+		if mode < 64 {
+			h &= 1<<mode - 1
+		}
+		return h
+	}
+	return NewMap[int64, int](hash), func(k uint16) int64 { return int64(k) }
+}
+
+// FuzzBuildMatchesSet decodes the input as 16-bit keys in one of
+// fuzzMap's modes and holds Build to sequential Set.
 func FuzzBuildMatchesSet(f *testing.F) {
 	f.Add([]byte{}, uint8(64))
 	f.Add([]byte{1, 0, 2, 0, 3, 0}, uint8(0))
 	f.Add([]byte{1, 0, 1, 1, 1, 2, 1, 3, 0, 7}, uint8(3))
-	f.Fuzz(func(t *testing.T, data []byte, width uint8) {
-		bitsKept := uint(width % 65)
-		hash := func(k uint16) uint64 {
-			h := Hash64(uint64(k))
-			if bitsKept < 64 {
-				h &= 1<<bitsKept - 1
-			}
-			return h
-		}
-		seen := make(map[uint16]bool)
-		var keys []uint16
+	f.Add([]byte{1, 0, 2, 0, 17, 0, 1, 0x20, 1, 0x40, 1, 0x60, 0xff, 0x63}, uint8(65))
+	f.Fuzz(func(t *testing.T, data []byte, mode uint8) {
+		empty, key := fuzzMap(mode)
+		seen := make(map[int64]bool)
+		var keys []int64
 		var vals []int
 		for i := 0; i+1 < len(data); i += 2 {
-			k := binary.LittleEndian.Uint16(data[i:])
+			k := key(binary.LittleEndian.Uint16(data[i:]))
 			if !seen[k] {
 				seen[k] = true
 				keys = append(keys, k)
 				vals = append(vals, i)
 			}
 		}
-		checkBuild(t, NewMap[uint16, int](hash), keys, vals)
+		checkBuild(t, empty, keys, vals)
 	})
 }

@@ -13,10 +13,13 @@
 // index substrate snapshots (index ApplyDelta) copy a constant-size
 // header instead of every entry.
 //
-// Iteration order is hash order: deterministic for a given key set —
+// Iteration order is trie-path order: deterministic for a given key set —
 // independent of insertion and deletion history, because deletes restore
-// the canonical trie shape — but not sorted. Callers that need sorted
-// output collect and sort, exactly as they would over a built-in map.
+// the canonical trie shape. Under NewIntMap's path (intPath) ids from 0
+// to 2^16-1 come out in ascending order and larger ones in a fixed but
+// unsorted order; under a hashed path (NewStringMap, NewMap over Hash64)
+// the order is unsorted throughout. Callers that need sorted output
+// collect and sort, exactly as they would over a built-in map.
 //
 // The zero Map is not ready for use: construct with NewMap (explicit hash
 // function), NewIntMap or NewStringMap.
@@ -59,8 +62,8 @@ type Map[K comparable, V any] struct {
 
 // NewMap returns an empty map that hashes keys with the given function.
 // The hash must be deterministic for the lifetime of the map and spread
-// keys across all 64 bits (wrap integer ids with Hash64, strings with
-// HashString, and combine fields of composite keys with Mix64).
+// keys across all 64 bits (strings with HashString, composite keys by
+// combining their fields' Hash64 with Mix64; integer ids take NewIntMap).
 func NewMap[K comparable, V any](hash func(K) uint64) Map[K, V] {
 	return Map[K, V]{hash: hash}
 }
@@ -72,9 +75,52 @@ type Integer interface {
 		~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64 | ~uintptr
 }
 
-// NewIntMap returns an empty map keyed by an integer-like type.
+// NewIntMap returns an empty map keyed by an integer-like type, laid out
+// by intPath: dense id ranges fill whole leaves instead of scattering one
+// or two entries into each of thousands.
 func NewIntMap[K Integer, V any]() Map[K, V] {
-	return NewMap[K, V](func(k K) uint64 { return Hash64(uint64(int64(k))) })
+	return NewMap[K, V](func(k K) uint64 { return intPath(uint64(int64(k))) })
+}
+
+// leafBits is how many low id bits the third trie level reads: ids that
+// differ only in them, 1<<leafBits consecutive ids, share one node. 16
+// ids per leaf is where the trie's size per entry and the bytes a small
+// batch of random writes copies balance: 8 copies less but holds more,
+// 32 and 64 hold less but copy more.
+const leafBits = 4
+
+// intPath maps an integer key to its trie path, a bijection on 64-bit
+// keys, so distinct ids never share a collision bucket. The root reads
+// id bits [leafBits+6, leafBits+12), the level below it [leafBits,
+// leafBits+6), and the third the low leafBits bits (with bits 16 and 17
+// filling its chunk): a run of consecutive ids fills a leaf, and ids
+// below 2^16 come out of Range in ascending order. Bits 18 and up pass
+// through mix46 first, so keys an adversary picks to differ only in high
+// bits still branch apart at the fourth level instead of growing a chain
+// of single-child nodes down to the last.
+func intPath(x uint64) uint64 {
+	const (
+		chunk = 1<<branchBits - 1
+		leaf  = 1<<leafBits - 1
+		fill  = 1<<(branchBits-leafBits) - 1
+		low   = 3 * branchBits
+	)
+	p := x>>(leafBits+branchBits)&chunk |
+		x>>leafBits&chunk<<branchBits |
+		(x&leaf|x>>(leafBits+2*branchBits)&fill<<leafBits)<<(2*branchBits)
+	return p | mix46(x>>low)<<low
+}
+
+// mix46 is a bijection on 46-bit values: xorshifts by 23 alternating with
+// multiplications by odd constants, all mod 2^46.
+func mix46(x uint64) uint64 {
+	const mask = 1<<46 - 1
+	x ^= x >> 23
+	x = x * 0xbf58476d1ce4e5b9 & mask
+	x ^= x >> 23
+	x = x * 0x94d049bb133111eb & mask
+	x ^= x >> 23
+	return x
 }
 
 // NewStringMap returns an empty map keyed by strings.
@@ -83,7 +129,8 @@ func NewStringMap[V any]() Map[string, V] {
 }
 
 // Hash64 finalizes a 64-bit value into a well-mixed hash (the splitmix64
-// finalizer). Sequential ids become uniformly spread trie paths.
+// finalizer), a bijection: the per-field hash of composite keys that
+// Mix64 combines. Integer keys on their own take NewIntMap's intPath.
 func Hash64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -243,7 +290,8 @@ func (n *node[K, V]) inlineable() bool {
 }
 
 // Range calls fn for every entry until fn returns false. The order is
-// hash order: fixed for a given key set, unrelated to insertion order.
+// trie-path order: fixed for a given key set, unrelated to insertion
+// order (see the package doc).
 // fn must not write to the map variable being ranged (take a snapshot
 // first — it is free).
 func (m Map[K, V]) Range(fn func(K, V) bool) {

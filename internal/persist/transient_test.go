@@ -154,9 +154,8 @@ func TestTransientCollisions(t *testing.T) {
 }
 
 // FuzzWritesMatchBuild decodes the input as a program of writes over
-// 16-bit keys, under a hash that keeps only some of their bits so short
-// inputs reach deep chains and collision buckets: Set, Delete, SetWith
-// and DeleteWith under the current Edit, a fresh Edit, and a retained
+// 16-bit keys in one of fuzzMap's modes: Set, Delete, SetWith and
+// DeleteWith under the current Edit, a fresh Edit, and a retained
 // snapshot (which also moves to a fresh Edit, closing the window, as the
 // transient contract requires before a Map is shared). Every Map it
 // produced must hold its model's entries in the trie Build lays out —
@@ -165,24 +164,18 @@ func FuzzWritesMatchBuild(f *testing.F) {
 	f.Add([]byte{}, uint8(64))
 	f.Add([]byte{0, 1, 0, 2, 1, 0, 5, 0, 0, 3, 1, 0}, uint8(0))
 	f.Add([]byte{2, 1, 0, 2, 2, 0, 5, 0, 0, 3, 1, 0, 2, 1, 0, 4, 0, 0, 2, 3, 0}, uint8(3))
-	f.Fuzz(func(t *testing.T, data []byte, width uint8) {
-		bitsKept := uint(width % 65)
-		hash := func(k uint16) uint64 {
-			h := Hash64(uint64(k))
-			if bitsKept < 64 {
-				h &= 1<<bitsKept - 1
-			}
-			return h
-		}
+	f.Add([]byte{2, 1, 0, 2, 2, 0, 2, 17, 0, 2, 1, 0x20, 5, 0, 0, 3, 1, 0, 2, 0xff, 0x63, 3, 1, 0x20}, uint8(65))
+	f.Fuzz(func(t *testing.T, data []byte, mode uint8) {
+		empty, key := fuzzMap(mode)
 		type snapshot struct {
-			m  Map[uint16, int]
-			md *model[uint16, int]
+			m  Map[int64, int]
+			md *model[int64, int]
 		}
 		const maxSnaps = 16 // each costs a model copy and a Build
 		var snaps []snapshot
-		m, e, md := NewMap[uint16, int](hash), NewEdit(), newModel[uint16, int]()
+		m, e, md := empty, NewEdit(), newModel[int64, int]()
 		for i := 0; i+2 < len(data); i += 3 {
-			k := binary.LittleEndian.Uint16(data[i+1:])
+			k := key(binary.LittleEndian.Uint16(data[i+1:]))
 			switch data[i] % 6 {
 			case 0:
 				m = m.Set(k, i)

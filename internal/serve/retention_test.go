@@ -26,15 +26,17 @@ import (
 const (
 	wireBatches   = 2000
 	wireBatchSize = 8
-	// 1.25× the figure measured once a stored tagging became a 32-byte
-	// link over a body interned for its (type set, attribute set) pair,
-	// and trie claims copied only the slice they write (linux/amd64,
-	// go1.24). With 96-byte links and whole-node claims it read 250 B,
-	// and 330 B before that with a private attribute set per link.
-	wireRetainedBound = 1.25 * 181 // bytes per mutation
-	// 1.25× the second stretch's figure when it was added (linux/amd64,
-	// go1.24).
-	wireSteadyBound = 1.25 * 174 // bytes per mutation
+	// 1.25× the figure measured once integer-keyed tries took id-ordered
+	// paths, 16 consecutive ids to a leaf (linux/amd64, go1.24; 193 B on
+	// hashed paths). A stored tagging is a 32-byte link over a body
+	// interned for its (type set, attribute set) pair, and trie claims
+	// copy only the slice they write: with 96-byte links and whole-node
+	// claims it read 250 B, and 330 B before that with a private
+	// attribute set per link.
+	wireRetainedBound = 1.25 * 174 // bytes per mutation
+	// 1.25× the second stretch's figure on id-ordered trie paths
+	// (linux/amd64, go1.24; 173 B on hashed paths).
+	wireSteadyBound = 1.25 * 166 // bytes per mutation
 )
 
 func liveHeap() float64 {

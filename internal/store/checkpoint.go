@@ -55,7 +55,11 @@ const (
 	DefaultMaxChain = 8
 )
 
-var ckptMagic = [8]byte{'S', 'S', 'C', 'K', 'P', 'T', '0', '2'}
+// ckptMagic names the file format. SSCKPT03 stores integer-keyed tries on
+// the id-ordered paths of persist.NewIntMap; an SSCKPT02 file, whose tries
+// follow hashed paths, is refused by name rather than failing the trie
+// path check as corrupt.
+var ckptMagic = [8]byte{'S', 'S', 'C', 'K', 'P', 'T', '0', '3'}
 
 // ErrCkptCorrupt is returned when checkpoint files or the manifest fail
 // validation.
@@ -324,6 +328,9 @@ func parseCkptFile(raw []byte) (sec []byte, seq, parentSeq uint64, meta Meta, er
 		return nil, 0, 0, Meta{}, err
 	}
 	if len(raw) < len(ckptMagic)+4 || [8]byte(raw[:8]) != ckptMagic {
+		if len(raw) >= len(ckptMagic) && string(raw[:6]) == "SSCKPT" {
+			return fail(fmt.Errorf("%w: format %q, want %q", ErrCkptCorrupt, raw[:8], ckptMagic[:]))
+		}
 		return fail(fmt.Errorf("%w: bad magic", ErrCkptCorrupt))
 	}
 	body, trailer := raw[:len(raw)-4], raw[len(raw)-4:]

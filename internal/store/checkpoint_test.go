@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"strings"
 	"testing"
 
 	"socialscope/internal/graph"
@@ -385,6 +386,30 @@ func TestLoadLatestRejectsHostileHeaders(t *testing.T) {
 				t.Fatalf("LoadLatest = %+v, %v; want ErrCkptCorrupt", rec, err)
 			}
 		})
+	}
+}
+
+// TestLoadLatestRefusesOlderFormatByName: a checkpoint written before
+// integer-keyed tries moved to id-ordered paths is refused with an error
+// that names its format and the one this build reads, not as a trie that
+// fails the path check.
+func TestLoadLatestRefusesOlderFormatByName(t *testing.T) {
+	fsys := vfs.NewFaultFS(vfs.DropUnsynced)
+	c := NewCheckpointer(fsys, "ck", 8, 0, obs.NewRegistry())
+	if err := c.Save(bigGraph(t, 10, 5), Meta{Version: 1, WalLSN: 1}); err != nil {
+		t.Fatal(err)
+	}
+	name := "ck/" + ckptName(1)
+	raw := fsys.Bytes(name)
+	copy(raw, "SSCKPT02")
+	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.Checksum(raw[:len(raw)-4], ckptCRC))
+	if err := vfs.WriteFileSync(fsys, name, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadLatest(fsys, "ck")
+	if !errors.Is(err, ErrCkptCorrupt) || !strings.Contains(err.Error(), `"SSCKPT02"`) ||
+		!strings.Contains(err.Error(), `"SSCKPT03"`) {
+		t.Fatalf("LoadLatest on an SSCKPT02 file = %v; want ErrCkptCorrupt naming both formats", err)
 	}
 }
 

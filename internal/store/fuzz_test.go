@@ -5,8 +5,11 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
+	"os"
 	"path"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"socialscope/internal/graph"
@@ -142,4 +145,26 @@ func FuzzCkptFile(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCollisionSeedReachesDecoder: the committed FuzzCkptFile seed that
+// guards the collision-count check must pass the file's framing — magic,
+// CRC and header — or it no longer reaches the record decoder it was
+// committed for. A format bump rewrites its magic and CRC trailer.
+func TestCollisionSeedReachesDecoder(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fuzz/FuzzCkptFile/collision-count-of-record-length")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(raw), "\n")
+	if len(lines) < 3 {
+		t.Fatalf("seed has %d lines", len(lines))
+	}
+	file, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[2], "[]byte("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, _, err := parseCkptFile([]byte(file)); err != nil {
+		t.Fatalf("seed's first checkpoint file stops at the framing: %v", err)
+	}
 }

@@ -62,6 +62,9 @@ type Tailer struct {
 	next uint64 // next LSN to deliver
 	cur  string // segment name the resume offset refers to
 	off  int    // byte offset of next in cur; 0 forces a rescan
+	// seen is the highest LSN a poll found confirmed, delivered or not:
+	// a poll that stops at its budget has often read further.
+	seen uint64
 }
 
 // NewTailer returns a tailer that will deliver records starting at LSN
@@ -76,6 +79,13 @@ func NewTailer(fsys vfs.FS, dir string, from uint64) *Tailer {
 
 // NextLSN returns the LSN the next delivered record will carry.
 func (t *Tailer) NextLSN() uint64 { return t.next }
+
+// ConfirmedLSN returns the highest LSN the tailer knows confirmed: every
+// record it delivered, and, when a Poll stopped at its budget, the
+// confirmed records among the bytes it had already read, and the last
+// record of every sealed segment it listed. It runs ahead of NextLSN()-1
+// only after a budget cut a poll short.
+func (t *Tailer) ConfirmedLSN() uint64 { return max(t.seen, t.next-1) }
 
 // Poll scans forward from the tail position and calls fn for every
 // newly confirmed record, in LSN order, up to max records (max <= 0
@@ -150,6 +160,10 @@ func (t *Tailer) Poll(confirm uint64, max int, fn func(lsn uint64, kind byte, pa
 		for off < end {
 			if max > 0 && delivered >= max {
 				t.cur, t.off = seg.name, off
+				if last := segs[len(segs)-1].first - 1; last > t.seen {
+					t.seen = last // sealed by the segment after it
+				}
+				t.noteConfirmed(data[off-base:], expect, sealed, confirm)
 				return delivered, nil
 			}
 			lsn, kind, payload, n, derr := DecodeRecord(data[off-base:])
@@ -191,6 +205,24 @@ func (t *Tailer) Poll(confirm uint64, max int, fn func(lsn uint64, kind byte, pa
 		}
 		ci++
 		t.cur, t.off = nxt.name, headerLen
+	}
+}
+
+// noteConfirmed raises seen to the highest confirmed LSN among the
+// records in data, which starts at the record carrying expect, under
+// Poll's rule for confirmation, delivering none. It stops at the first
+// record it cannot decode or that breaks the LSN sequence: the next Poll
+// reads the same bytes and reports them.
+func (t *Tailer) noteConfirmed(data []byte, expect uint64, sealed bool, confirm uint64) {
+	for off := 0; off < len(data); expect++ {
+		lsn, _, _, n, err := DecodeRecord(data[off:])
+		if err != nil || lsn != expect {
+			return
+		}
+		if (sealed || off+n < len(data) || lsn <= confirm) && lsn > t.seen {
+			t.seen = lsn
+		}
+		off += n
 	}
 }
 

@@ -268,6 +268,56 @@ func TestTailerMaxBudgetResumes(t *testing.T) {
 	}
 }
 
+// TestTailerConfirmedLSNPastBudget: a poll cut short by its budget still
+// reports, through ConfirmedLSN, how far the confirmed log reaches in what
+// it read and listed: in one segment, every record but the unconfirmed
+// last (or all of them under an external watermark); across segments, at
+// least every sealed one.
+func TestTailerConfirmedLSNPastBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		segBytes int64
+		confirm  uint64
+		want     uint64
+	}{
+		{"one segment", 1 << 20, 0, 19},
+		{"one segment, all confirmed", 1 << 20, 20, 20},
+		{"rotating segments", 128, 0, 19},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fsys := vfs.NewFaultFS(vfs.DropUnsynced)
+			l, err := Open(fsys, "w", Options{SegmentBytes: tc.segBytes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i <= 20; i++ {
+				if _, err := l.AppendSync(1, []byte(fmt.Sprintf("r-%02d", i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tl := NewTailer(fsys, "w", 0)
+			if got := tl.ConfirmedLSN(); got != 0 {
+				t.Fatalf("before any poll: ConfirmedLSN %d", got)
+			}
+			n, err := tl.Poll(tc.confirm, 1, func(uint64, byte, []byte) error { return nil })
+			if err != nil || n != 1 {
+				t.Fatalf("Poll = %d, %v", n, err)
+			}
+			got := tl.ConfirmedLSN()
+			if tc.segBytes == 128 {
+				if segs, _ := tl.listSegs(); got < segs[len(segs)-1].first-1 || got > tc.want {
+					t.Fatalf("ConfirmedLSN %d, want between %d and %d", got, segs[len(segs)-1].first-1, tc.want)
+				}
+			} else if got != tc.want {
+				t.Fatalf("ConfirmedLSN %d, want %d", got, tc.want)
+			}
+			if tl.NextLSN() != 2 {
+				t.Fatalf("NextLSN %d, want 2", tl.NextLSN())
+			}
+		})
+	}
+}
+
 // TestTailerPollReadsOnlyNewBytes: a caught-up tailer on a large active
 // segment reads what was appended since its last poll, not the segment
 // again — a follower polls every few milliseconds, and re-reading made each
